@@ -96,6 +96,7 @@ query-smoke:
 # the same targets without the -fuzztime bound.
 FUZZ_TARGETS = FuzzDecompressColumn FuzzDecompressIntStream FuzzDecompressStringStream FuzzCompressIntRoundTrip FuzzStreamReader
 QUERY_FUZZ_TARGETS = FuzzQueryPlan
+FSST_FUZZ_TARGETS = FuzzFSSTEncodeEquivalence
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -105,6 +106,10 @@ fuzz-smoke:
 	@for t in $(QUERY_FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZ_TIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) ./internal/query/ || exit 1; \
+	done
+	@for t in $(FSST_FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZ_TIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) ./internal/fsst/ || exit 1; \
 	done
 	@echo "fuzz smoke: OK"
 
@@ -123,16 +128,19 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'DecompressParallel|ScanParallel' -benchtime 1x .
 	@echo "bench smoke: OK"
 
-# bench-baseline re-measures the single-core decode suites (per-scheme
-# grid + kernel microbenchmarks) and snapshots them to BENCH_decode.json.
-# Run it on the reference host after an intentional perf change and
-# commit the result; PERFORMANCE.md documents the schema and workflow.
+# bench-baseline re-measures the single-core suites (per-scheme grid +
+# kernel microbenchmarks, decode and compress side) and snapshots them to
+# BENCH_decode.json and BENCH_compress.json. Run it on the reference host
+# after an intentional perf change and commit the result; PERFORMANCE.md
+# documents the schema and workflow.
 bench-baseline:
-	$(GO) run ./cmd/benchtraj record -o BENCH_decode.json
+	$(GO) run ./cmd/benchtraj record -suite decode
+	$(GO) run ./cmd/benchtraj record -suite compress
 
 # bench-compare re-runs the same suites and fails on >10% regression
-# against the committed baseline (override: BTR_BENCH_TOLERANCE=0.25).
+# against the committed baselines (override: BTR_BENCH_TOLERANCE=0.25).
 bench-compare:
-	$(GO) run ./cmd/benchtraj compare -baseline BENCH_decode.json
+	$(GO) run ./cmd/benchtraj compare -suite decode
+	$(GO) run ./cmd/benchtraj compare -suite compress
 
 ci: check

@@ -712,6 +712,60 @@ func baselineIntData(code core.Code) []int32 {
 	return vals
 }
 
+// baselineDoubleData is baselineIntData for doubles: runs for RLE, few
+// distinct values for Dict, two-decimal prices for Pseudodecimal.
+func baselineDoubleData(code core.Code) []float64 {
+	rng := rand.New(rand.NewSource(18))
+	vals := make([]float64, 64000)
+	switch code {
+	case core.CodeRLE:
+		v := 0.0
+		for i := range vals {
+			if rng.Intn(40) == 0 {
+				v = float64(rng.Intn(1000)) / 100
+			}
+			vals[i] = v
+		}
+	case core.CodeDict:
+		for i := range vals {
+			vals[i] = float64(rng.Intn(64)) * 1.5
+		}
+	default: // PDE: two-decimal prices
+		for i := range vals {
+			vals[i] = float64(rng.Intn(100000)) / 100
+		}
+	}
+	return vals
+}
+
+// baselineStringData is baselineIntData for strings: a handful of city
+// names for Dict, near-unique URLs for FSST.
+func baselineStringData(code core.Code) coldata.Strings {
+	rng := rand.New(rand.NewSource(19))
+	vals := make([]string, 16000)
+	if code == core.CodeDict {
+		cities := []string{"New York", "Los Angeles", "Chicago", "Houston", "Phoenix", "Philadelphia", "San Antonio", "Dallas"}
+		for i := range vals {
+			vals[i] = cities[rng.Intn(len(cities))]
+		}
+	} else {
+		for i := range vals {
+			vals[i] = fmt.Sprintf("http://api.host.internal/v2/users/%d/orders?page=%d", rng.Intn(4000), rng.Intn(9))
+		}
+	}
+	return coldata.MakeStrings(vals)
+}
+
+// baselineInt64Data widens baselineIntData to 64-bit keys.
+func baselineInt64Data(code core.Code) []int64 {
+	base := baselineIntData(code)
+	vals := make([]int64, len(base))
+	for i, v := range base {
+		vals[i] = int64(v) * 1000
+	}
+	return vals
+}
+
 // BenchmarkDecodeBaseline is the per-scheme, per-type single-core decode
 // grid recorded in BENCH_decode.json: each sub-benchmark forces one root
 // scheme onto data suited to it and measures decode throughput of the
@@ -746,11 +800,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 	}
 
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodeFastBP} {
-		base := baselineIntData(code)
-		vals := make([]int64, len(base))
-		for i, v := range base {
-			vals[i] = int64(v) * 1000
-		}
+		vals := baselineInt64Data(code)
 		c := *cfg
 		c.IntSchemes = []core.Code{code}
 		enc := core.CompressInt64(nil, vals, &c)
@@ -772,31 +822,8 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 		})
 	}
 
-	doubleData := func(code core.Code) []float64 {
-		rng := rand.New(rand.NewSource(18))
-		vals := make([]float64, 64000)
-		switch code {
-		case core.CodeRLE:
-			v := 0.0
-			for i := range vals {
-				if rng.Intn(40) == 0 {
-					v = float64(rng.Intn(1000)) / 100
-				}
-				vals[i] = v
-			}
-		case core.CodeDict:
-			for i := range vals {
-				vals[i] = float64(rng.Intn(64)) * 1.5
-			}
-		default: // PDE: two-decimal prices
-			for i := range vals {
-				vals[i] = float64(rng.Intn(100000)) / 100
-			}
-		}
-		return vals
-	}
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodePDE} {
-		vals := doubleData(code)
+		vals := baselineDoubleData(code)
 		enc := core.CompressDoubleAs(nil, vals, code, cfg)
 		if enc == nil {
 			b.Fatalf("double/%v: scheme not applicable to its benchmark data", code)
@@ -819,23 +846,8 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 		})
 	}
 
-	stringData := func(code core.Code) coldata.Strings {
-		rng := rand.New(rand.NewSource(19))
-		vals := make([]string, 16000)
-		if code == core.CodeDict {
-			cities := []string{"New York", "Los Angeles", "Chicago", "Houston", "Phoenix", "Philadelphia", "San Antonio", "Dallas"}
-			for i := range vals {
-				vals[i] = cities[rng.Intn(len(cities))]
-			}
-		} else {
-			for i := range vals {
-				vals[i] = fmt.Sprintf("http://api.host.internal/v2/users/%d/orders?page=%d", rng.Intn(4000), rng.Intn(9))
-			}
-		}
-		return coldata.MakeStrings(vals)
-	}
 	for _, code := range []core.Code{core.CodeDict, core.CodeFSST} {
-		vals := stringData(code)
+		vals := baselineStringData(code)
 		enc := core.CompressStringAs(nil, vals, code, cfg)
 		if enc == nil {
 			b.Fatalf("string/%v: scheme not applicable to its benchmark data", code)
@@ -856,5 +868,48 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// compressSink keeps the compiler from discarding the measured call.
+var compressSink []byte
+
+// BenchmarkCompressBaseline is the write-side twin of
+// BenchmarkDecodeBaseline, recorded in BENCH_compress.json: each
+// sub-benchmark runs the whole compression of one 64000-value block
+// (16000 for strings) — profile, sampling, trial encodes, final encode —
+// on data whose selected root scheme is the one named, and reports MB/s
+// of input. The config carries a scratch arena, as a worker of the block
+// pool does from block to block. A root other than the named one fails
+// the benchmark, so an entry keeps meaning what it says.
+func BenchmarkCompressBaseline(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Scratch = new(core.Scratch)
+	run := func(name string, want core.Code, bytes int, compress func() []byte) {
+		if got := core.Code(compress()[0]); got != want {
+			b.Fatalf("%s: selection picked %v", name, got)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(bytes))
+			for i := 0; i < b.N; i++ {
+				compressSink = compress()
+			}
+		})
+	}
+	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodeFastBP, core.CodeFastPFOR} {
+		vals := baselineIntData(code)
+		run(fmt.Sprintf("int/%v", code), code, 4*len(vals), func() []byte { return core.CompressInt(compressSink[:0], vals, cfg) })
+	}
+	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodeFastBP} {
+		vals := baselineInt64Data(code)
+		run(fmt.Sprintf("int64/%v", code), code, 8*len(vals), func() []byte { return core.CompressInt64(compressSink[:0], vals, cfg) })
+	}
+	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodePDE} {
+		vals := baselineDoubleData(code)
+		run(fmt.Sprintf("double/%v", code), code, 8*len(vals), func() []byte { return core.CompressDouble(compressSink[:0], vals, cfg) })
+	}
+	for _, code := range []core.Code{core.CodeDict, core.CodeFSST} {
+		vals := baselineStringData(code)
+		run(fmt.Sprintf("string/%v", code), code, vals.TotalBytes(), func() []byte { return core.CompressString(compressSink[:0], vals, cfg) })
 	}
 }

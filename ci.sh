@@ -77,8 +77,9 @@ run_tier2() {
 	make bench-smoke
 
 	echo "== bench regression gate =="
-	# Re-run the single-core decode suites against the committed
-	# BENCH_decode.json baseline; >10% throughput regression fails.
+	# Re-run the single-core decode and compress suites against the
+	# committed BENCH_decode.json / BENCH_compress.json baselines; >10%
+	# throughput regression on either fails.
 	# BTR_BENCH_TOLERANCE=0.25 loosens the gate (fraction), and
 	# BTR_BENCH_SKIP=1 skips it (e.g. on hosts unlike the baseline's).
 	if [ "${BTR_BENCH_SKIP:-0}" = "1" ]; then

@@ -1,14 +1,18 @@
-// Command benchtraj records and compares decode-throughput baselines.
+// Command benchtraj records and compares single-core throughput
+// baselines, one trajectory file per suite: "decode" (BENCH_decode.json)
+// and "compress" (BENCH_compress.json).
 //
-// `benchtraj record -o BENCH_decode.json` runs the decode benchmark
-// suites (the per-scheme BenchmarkDecodeBaseline grid plus the bitpack
-// and FSST kernel microbenchmarks), parses their output, and writes a
-// schema'd JSON snapshot: MB/s and ns/op per benchmark, host metadata,
-// and the git SHA the numbers were measured at.
+// `benchtraj record -suite decode` runs that suite's benchmarks (for
+// decode: the per-scheme BenchmarkDecodeBaseline grid plus the bitpack
+// and FSST kernel microbenchmarks; for compress: the
+// BenchmarkCompressBaseline grid plus FSST training/encoding and the
+// block-profile pass), parses their output, and writes a schema'd JSON
+// snapshot to the suite's file: MB/s and ns/op per benchmark, host
+// metadata, and the git SHA the numbers were measured at.
 //
-// `benchtraj compare -baseline BENCH_decode.json` re-runs the same
-// suites and fails (exit 1) if any benchmark regressed by more than the
-// tolerance — the CI tier-2 gate. The tolerance defaults to 10% and can
+// `benchtraj compare -suite decode` re-runs the same benchmarks and fails
+// (exit 1) if any regressed against the suite's committed file by more
+// than the tolerance — the CI tier-2 gate. The tolerance defaults to 10% and can
 // be overridden with -tolerance or the BTR_BENCH_TOLERANCE environment
 // variable (a fraction, e.g. 0.15). See PERFORMANCE.md for the schema
 // and the baseline-refresh workflow.
@@ -28,7 +32,7 @@ import (
 	"time"
 )
 
-// Snapshot is the BENCH_decode.json schema (see PERFORMANCE.md).
+// Snapshot is the schema of a trajectory file (see PERFORMANCE.md).
 type Snapshot struct {
 	// Schema identifies the file format; bump on incompatible change.
 	Schema string `json:"schema"`
@@ -66,15 +70,32 @@ type Result struct {
 	MBps    float64 `json:"mbps,omitempty"`
 }
 
-// suites are the benchmark sets a snapshot covers: the end-to-end
-// per-scheme grid and the kernel microbenchmarks it is built from.
-var suites = []struct {
+// benchSet is one `go test -bench` invocation.
+type benchSet struct {
 	pkg     string // go package path
 	pattern string // -bench regexp
-}{
-	{".", "^BenchmarkDecodeBaseline$"},
-	{"./internal/bitpack/", "^(BenchmarkUnpack|BenchmarkUnpack64|BenchmarkDecodeFOR)$"},
-	{"./internal/fsst/", "^BenchmarkDecodeJumpTable$"},
+}
+
+// suiteDef is one trajectory: its committed file and the benchmark sets a
+// snapshot of it covers.
+type suiteDef struct {
+	file string
+	sets []benchSet
+}
+
+// suites are the trajectories by -suite name: each covers an end-to-end
+// per-scheme grid plus the kernel microbenchmarks that grid is built from.
+var suites = map[string]suiteDef{
+	"decode": {"BENCH_decode.json", []benchSet{
+		{".", "^BenchmarkDecodeBaseline$"},
+		{"./internal/bitpack/", "^(BenchmarkUnpack|BenchmarkUnpack64|BenchmarkDecodeFOR)$"},
+		{"./internal/fsst/", "^BenchmarkDecodeJumpTable$"},
+	}},
+	"compress": {"BENCH_compress.json", []benchSet{
+		{".", "^BenchmarkCompressBaseline$"},
+		{"./internal/fsst/", "^(BenchmarkTrain|BenchmarkEncode)$"},
+		{"./internal/stats/", "^BenchmarkProfile$"},
+	}},
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?`)
@@ -86,12 +107,17 @@ func main() {
 	switch os.Args[1] {
 	case "record":
 		fs := flag.NewFlagSet("record", flag.ExitOnError)
-		out := fs.String("o", "BENCH_decode.json", "output file")
+		suite := fs.String("suite", "decode", "trajectory to record: decode or compress")
+		out := fs.String("o", "", "output file (default: the suite's committed file)")
 		benchtime := fs.String("benchtime", "0.25s", "per-benchmark time")
 		count := fs.Int("count", 5, "runs per benchmark")
 		stat := fs.String("stat", "median", "reduction over runs: median or best")
 		fs.Parse(os.Args[2:])
-		snap, err := record(*benchtime, *count, *stat)
+		tr := trajectory(*suite)
+		if *out == "" {
+			*out = tr.file
+		}
+		snap, err := record(tr.sets, *benchtime, *count, *stat)
 		if err != nil {
 			fatal(err)
 		}
@@ -101,13 +127,18 @@ func main() {
 		fmt.Printf("benchtraj: recorded %d benchmarks to %s\n", len(snap.Results), *out)
 	case "compare":
 		fs := flag.NewFlagSet("compare", flag.ExitOnError)
-		baselinePath := fs.String("baseline", "BENCH_decode.json", "committed baseline")
+		suite := fs.String("suite", "decode", "trajectory to compare: decode or compress")
+		baselinePath := fs.String("baseline", "", "committed baseline (default: the suite's file)")
 		currentPath := fs.String("current", "", "snapshot to compare (empty = re-run the suites now)")
 		tolerance := fs.Float64("tolerance", defaultTolerance(), "max allowed fractional regression")
 		benchtime := fs.String("benchtime", "0.25s", "per-benchmark time (when re-running)")
 		count := fs.Int("count", 5, "runs per benchmark (when re-running)")
 		retries := fs.Int("retries", 3, "re-measure rounds to confirm an apparent regression")
 		fs.Parse(os.Args[2:])
+		tr := trajectory(*suite)
+		if *baselinePath == "" {
+			*baselinePath = tr.file
+		}
 		baseline, err := readSnapshot(*baselinePath)
 		if err != nil {
 			fatal(err)
@@ -117,7 +148,7 @@ func main() {
 			if current, err = readSnapshot(*currentPath); err != nil {
 				fatal(err)
 			}
-		} else if current, err = record(*benchtime, *count, "best"); err != nil {
+		} else if current, err = record(tr.sets, *benchtime, *count, "best"); err != nil {
 			fatal(err)
 		}
 		// Confirm-on-regression: a genuinely slow benchmark fails every
@@ -128,7 +159,7 @@ func main() {
 			// Let a transient noise window (scheduler steal, thermal
 			// throttle) pass before re-measuring.
 			time.Sleep(10 * time.Second)
-			again, err := record(*benchtime, *count, "best")
+			again, err := record(tr.sets, *benchtime, *count, "best")
 			if err != nil {
 				fatal(err)
 			}
@@ -143,8 +174,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchtraj record [-o FILE] [-benchtime T] [-count N]")
-	fmt.Fprintln(os.Stderr, "       benchtraj compare [-baseline FILE] [-current FILE] [-tolerance F]")
+	fmt.Fprintln(os.Stderr, "usage: benchtraj record [-suite decode|compress] [-o FILE] [-benchtime T] [-count N]")
+	fmt.Fprintln(os.Stderr, "       benchtraj compare [-suite decode|compress] [-baseline FILE] [-current FILE] [-tolerance F]")
 	os.Exit(2)
 }
 
@@ -164,7 +195,16 @@ func defaultTolerance() float64 {
 	return 0.10
 }
 
-func record(benchtime string, count int, stat string) (*Snapshot, error) {
+// trajectory resolves a -suite flag.
+func trajectory(suite string) suiteDef {
+	tr, ok := suites[suite]
+	if !ok {
+		fatal(fmt.Errorf("unknown suite %q (want decode or compress)", suite))
+	}
+	return tr
+}
+
+func record(sets []benchSet, benchtime string, count int, stat string) (*Snapshot, error) {
 	if stat != "median" && stat != "best" {
 		return nil, fmt.Errorf("unknown stat %q (want median or best)", stat)
 	}
@@ -182,7 +222,7 @@ func record(benchtime string, count int, stat string) (*Snapshot, error) {
 		Results:    map[string]Result{},
 	}
 	samples := map[string][]Result{}
-	for _, s := range suites {
+	for _, s := range sets {
 		cmd := exec.Command("go", "test", "-run", "^$",
 			"-bench", s.pattern, "-benchtime", benchtime,
 			"-count", strconv.Itoa(count), s.pkg)

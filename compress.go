@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"btrblocks/coldata"
@@ -96,28 +97,56 @@ func compressColumnBlocks(ctx context.Context, col Column, opt *Options) ([][]by
 	blocks := make([][]byte, numBlocks)
 	// Blocks are independent; encode them on the shared pool. Output
 	// lands in per-block slots, so the file bytes are identical at every
-	// worker count.
-	if err := parallel.Observed(ctx, numBlocks, parallelism(opt), pathCompressColumn, observerOf(rec), func(b int) error {
+	// worker count. Each worker keeps one scratch arena for its blocks.
+	scratches := make([]*core.Scratch, parallel.Workers(parallelism(opt)))
+	if err := parallel.ObservedWorkers(ctx, numBlocks, parallelism(opt), pathCompressColumn, observerOf(rec), func(w, b int) error {
 		lo := b * bs
 		hi := lo + bs
 		if hi > n {
 			hi = n
 		}
-		blocks[b] = compressBlock(&col, b, lo, hi, cfg, rec, tracer)
+		blocks[b] = compressBlock(&col, b, lo, hi, cfg, workerScratch(scratches, w), rec, tracer)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	releaseScratches(scratches)
 	return blocks, nil
 }
 
-// compressBlock encodes one block, routing through the observed path
-// when a telemetry recorder or a decision tracer is set.
-func compressBlock(col *Column, block, lo, hi int, cfg *core.Config, rec *telemetry.Recorder, tracer *Tracer) []byte {
-	if rec == nil && tracer == nil {
-		return encodeBlock(col, lo, hi, cfg)
+// compressScratch recycles the workers' arenas between compression calls.
+var compressScratch = sync.Pool{New: func() any { return new(core.Scratch) }}
+
+// workerScratch returns worker w's arena for this call, taking one from
+// the pool the first time the worker asks.
+func workerScratch(scratches []*core.Scratch, w int) *core.Scratch {
+	if scratches[w] == nil {
+		scratches[w] = compressScratch.Get().(*core.Scratch)
 	}
-	return recordBlock(col, block, lo, hi, cfg, rec, tracer)
+	return scratches[w]
+}
+
+// releaseScratches trims the arenas a call used and returns them to the
+// pool.
+func releaseScratches(scratches []*core.Scratch) {
+	for _, s := range scratches {
+		if s != nil {
+			s.Trim()
+			compressScratch.Put(s)
+		}
+	}
+}
+
+// compressBlock encodes one block with the calling worker's scratch
+// arena, routing through the observed path when a telemetry recorder or a
+// decision tracer is set.
+func compressBlock(col *Column, block, lo, hi int, base *core.Config, scr *core.Scratch, rec *telemetry.Recorder, tracer *Tracer) []byte {
+	cfg := *base
+	cfg.Scratch = scr
+	if rec == nil && tracer == nil {
+		return encodeBlock(col, lo, hi, &cfg)
+	}
+	return recordBlock(col, block, lo, hi, &cfg, rec, tracer)
 }
 
 // encodeBlock encodes rows [lo, hi) of col as:
@@ -139,19 +168,19 @@ func encodeBlock(col *Column, lo, hi int, cfg *core.Config) []byte {
 	case TypeInt:
 		values := col.Ints[lo:hi]
 		if nulls != nil {
-			values = densifyInts(values, nulls)
+			values = densify(values, nulls)
 		}
 		out = core.CompressInt(out, values, cfg)
 	case TypeInt64:
 		values := col.Ints64[lo:hi]
 		if nulls != nil {
-			values = densifyInts64(values, nulls)
+			values = densify(values, nulls)
 		}
 		out = core.CompressInt64(out, values, cfg)
 	case TypeDouble:
 		values := col.Doubles[lo:hi]
 		if nulls != nil {
-			values = densifyDoubles(values, nulls)
+			values = densify(values, nulls)
 		}
 		out = core.CompressDouble(out, values, cfg)
 	case TypeString:
@@ -165,83 +194,52 @@ func encodeBlock(col *Column, lo, hi int, cfg *core.Config) []byte {
 	return out
 }
 
-// densifyInts rewrites NULL positions to the previous non-null value so
-// they form runs instead of noise; NULL content is unspecified by contract.
-func densifyInts(src []int32, nulls *roaring.Bitmap) []int32 {
-	out := append([]int32(nil), src...)
-	var last int32
-	haveLast := false
-	for i := range out {
-		if nulls.Contains(uint32(i)) {
-			if haveLast {
-				out[i] = last
-			} else {
-				out[i] = 0
-			}
+// densify rewrites NULL positions to the previous row's value (the zero
+// value at row 0) so they form runs instead of noise; NULL content is
+// unspecified by contract. nulls holds block-local positions, visited
+// once in ascending order, so the previous row is already rewritten.
+func densify[T any](src []T, nulls *roaring.Bitmap) []T {
+	out := append([]T(nil), src...)
+	nulls.ForEach(func(v uint32) bool {
+		if v == 0 {
+			var zero T
+			out[0] = zero
 		} else {
-			last, haveLast = out[i], true
+			out[v] = out[v-1]
 		}
-	}
+		return true
+	})
 	return out
 }
 
-func densifyInts64(src []int64, nulls *roaring.Bitmap) []int64 {
-	out := append([]int64(nil), src...)
-	var last int64
-	haveLast := false
-	for i := range out {
-		if nulls.Contains(uint32(i)) {
-			if haveLast {
-				out[i] = last
-			} else {
-				out[i] = 0
-			}
-		} else {
-			last, haveLast = out[i], true
-		}
-	}
-	return out
-}
-
-func densifyDoubles(src []float64, nulls *roaring.Bitmap) []float64 {
-	out := append([]float64(nil), src...)
-	var last float64
-	haveLast := false
-	for i := range out {
-		if nulls.Contains(uint32(i)) {
-			if haveLast {
-				out[i] = last
-			} else {
-				out[i] = 0
-			}
-		} else {
-			last, haveLast = out[i], true
-		}
-	}
-	return out
-}
-
+// densifyStrings is densify for the flattened string vector.
 func densifyStrings(src coldata.Strings, nulls *roaring.Bitmap) coldata.Strings {
 	n := src.Len()
 	out := coldata.NewStringsBuilder(n, len(src.Data))
-	lastIdx := -1
-	for i := 0; i < n; i++ {
-		if nulls.Contains(uint32(i)) {
-			if lastIdx >= 0 {
-				out = out.AppendBytes(src.View(lastIdx))
-			} else {
-				out = out.Append("")
-			}
-		} else {
+	copyUpTo := func(row int) {
+		for i := out.Len(); i < row; i++ {
 			out = out.AppendBytes(src.View(i))
-			lastIdx = i
 		}
 	}
+	nulls.ForEach(func(v uint32) bool {
+		copyUpTo(int(v))
+		if v == 0 {
+			out = out.Append("")
+		} else {
+			out = out.AppendBytes(out.View(int(v) - 1))
+		}
+		return true
+	})
+	copyUpTo(n)
 	return out
 }
 
 func assembleColumnFile(col Column, blocks [][]byte, ver byte) []byte {
-	var out []byte
+	size := len(columnMagic) + 2 + 2 + len(col.Name) + 4 + crcBytes
+	for _, b := range blocks {
+		size += len(b) + crcBytes
+	}
+	out := make([]byte, 0, size)
 	out = append(out, columnMagic...)
 	out = append(out, ver, byte(col.Type))
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(col.Name)))
@@ -550,7 +548,8 @@ func CompressChunk(chunk *Chunk, opt *Options) (*CompressedChunk, error) {
 	cfg := opt.coreConfig()
 	rec := opt.telemetryRecorder()
 	tracer := opt.tracer()
-	_ = parallel.Observed(context.Background(), len(tasks), parallelism(opt), pathCompressChunk, observerOf(rec), func(i int) error {
+	scratches := make([]*core.Scratch, parallel.Workers(parallelism(opt)))
+	_ = parallel.ObservedWorkers(context.Background(), len(tasks), parallelism(opt), pathCompressChunk, observerOf(rec), func(w, i int) error {
 		t := tasks[i]
 		col := &chunk.Columns[t.col]
 		lo := t.block * bs
@@ -558,9 +557,10 @@ func CompressChunk(chunk *Chunk, opt *Options) (*CompressedChunk, error) {
 		if hi > col.Len() {
 			hi = col.Len()
 		}
-		blockBufs[t.col][t.block] = compressBlock(col, t.block, lo, hi, cfg, rec, tracer)
+		blockBufs[t.col][t.block] = compressBlock(col, t.block, lo, hi, cfg, workerScratch(scratches, w), rec, tracer)
 		return nil
 	})
+	releaseScratches(scratches)
 
 	out := &CompressedChunk{
 		Columns: make([][]byte, nCols),
@@ -636,9 +636,6 @@ func DecompressChunkContext(ctx context.Context, cc *CompressedChunk, opt *Optio
 	rec := opt.telemetryRecorder()
 	scratches := make([]*core.Scratch, parallel.Workers(parallelism(opt)))
 	err := parallel.ObservedWorkers(ctx, len(tasks), parallelism(opt), pathDecompressChunk, observerOf(rec), func(w, i int) error {
-		if scratches[w] == nil {
-			scratches[w] = new(core.Scratch)
-		}
 		t := tasks[i]
 		bv, err := decodeBlockVectors(ixs[t.col], cc.Columns[t.col], t.block, base, scratches[w], rec)
 		if err != nil {

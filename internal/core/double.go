@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"btrblocks/internal/pde"
@@ -22,28 +21,32 @@ var doublePoolOrder = []Code{CodeOneValue, CodeDict, CodeRLE, CodeFrequency, Cod
 // self-describing stream. The round trip is bit-exact (NaN payloads and
 // -0.0 included).
 func CompressDouble(dst []byte, src []float64, cfg *Config) []byte {
-	c := cfg.normalized()
+	c := cfg.forCompress()
 	return compressDouble(dst, src, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // ChooseDouble reports the scheme the selection algorithm picks for src
 // and its estimated ratio.
 func ChooseDouble(src []float64, cfg *Config) (Code, float64) {
-	c := cfg.normalized()
-	code, est, _ := pickDouble(src, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.doubles)
+	defer giveBack(&c.Scratch.doubles, p)
+	code, est, _ := pickDouble(src, p, &c, c.MaxCascadeDepth, c.rng())
 	return code, est
 }
 
 func compressDouble(dst []byte, src []float64, cfg *Config, depth int, rng *rand.Rand) []byte {
+	p := borrow(&cfg.Scratch.doubles)
+	defer giveBack(&cfg.Scratch.doubles, p)
 	if cfg.OnDecision == nil {
-		code, _, _ := pickDouble(src, cfg, depth, rng)
-		return encodeDoubleAs(dst, src, code, cfg, depth, rng)
+		code, _, _ := pickDouble(src, p, cfg, depth, rng)
+		return encodeDoubleAs(dst, src, p, code, cfg, depth, rng)
 	}
 	t0 := time.Now()
-	code, est, cands := pickDouble(src, cfg, depth, rng)
+	code, est, cands := pickDouble(src, p, cfg, depth, rng)
 	pickNanos := time.Since(t0).Nanoseconds()
 	before := len(dst)
-	dst = encodeDoubleAs(dst, src, code, cfg, depth, rng)
+	dst = encodeDoubleAs(dst, src, p, code, cfg, depth, rng)
 	cfg.OnDecision(Decision{
 		Kind: KindDouble, Level: cfg.MaxCascadeDepth - depth, Code: code,
 		Values: len(src), InputBytes: 8 * len(src), OutputBytes: len(dst) - before,
@@ -54,17 +57,16 @@ func compressDouble(dst []byte, src []float64, cfg *Config, depth int, rng *rand
 
 // EstimateOnlyDouble mirrors EstimateOnlyInt for doubles.
 func EstimateOnlyDouble(src []float64, cfg *Config) {
-	c := cfg.normalized()
-	pickDouble(src, &c, c.MaxCascadeDepth, c.rng())
+	ChooseDouble(src, cfg)
 }
 
-func pickDouble(src []float64, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
+func pickDouble(src []float64, p *stats.Profile[uint64], cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
 	if depth <= 0 || len(src) == 0 {
 		return CodeUncompressed, 1, nil
 	}
 	collect := cfg.OnDecision != nil
 	cfg = quiet(cfg)
-	st := stats.ComputeDouble(src)
+	st := &profiledDoubles(p, src, cfg).Summary
 	if st.Distinct == 1 && cfg.doubleEnabled(CodeOneValue) {
 		est := float64(len(src)*8) / 13
 		var cands []CandidateEstimate
@@ -74,6 +76,11 @@ func pickDouble(src []float64, cfg *Config, depth int, rng *rand.Rand) (Code, fl
 		return CodeOneValue, est, cands
 	}
 	smp := sample.Doubles(src, cfg.Sample, rng)
+	sp := p
+	if len(smp) != len(src) {
+		sp = borrow(&cfg.Scratch.doubles)
+		defer giveBack(&cfg.Scratch.doubles, sp)
+	}
 	rawBytes := float64(len(smp) * 8)
 	best, bestRatio := CodeUncompressed, 1.0
 	var cands []CandidateEstimate
@@ -81,10 +88,10 @@ func pickDouble(src []float64, cfg *Config, depth int, rng *rand.Rand) (Code, fl
 		cands = append(cands, CandidateEstimate{Code: CodeUncompressed, EstimatedRatio: 1, SampleBytes: 5 + 8*len(smp)})
 	}
 	for _, code := range doublePoolOrder {
-		if !cfg.doubleEnabled(code) || !doubleViable(code, &st) {
+		if !cfg.doubleEnabled(code) || !viable(code, st) {
 			continue
 		}
-		enc := encodeDoubleAs(nil, smp, code, cfg, depth, rng)
+		enc := encodeDoubleAs(nil, smp, sp, code, cfg, depth, rng)
 		ratio := rawBytes / float64(len(enc))
 		if collect {
 			cands = append(cands, CandidateEstimate{Code: code, EstimatedRatio: ratio, SampleBytes: len(enc)})
@@ -96,27 +103,7 @@ func pickDouble(src []float64, cfg *Config, depth int, rng *rand.Rand) (Code, fl
 	return best, bestRatio, cands
 }
 
-// doubleViable applies the §3/§4.2 statistics filters. Pseudodecimal is
-// excluded below 10% unique values, where a dictionary compresses almost
-// as well and decompresses much faster.
-func doubleViable(code Code, st *stats.Double) bool {
-	switch code {
-	case CodeOneValue:
-		return st.Distinct == 1
-	case CodeRLE:
-		return st.AvgRunLen >= 2
-	case CodeDict:
-		return st.Distinct > 1 && st.Distinct < st.N
-	case CodeFrequency:
-		return st.UniqueFrac <= 0.5 && st.TopCount*2 >= st.N
-	case CodePDE:
-		return st.UniqueFrac >= 0.1
-	default:
-		return false
-	}
-}
-
-func encodeDoubleAs(dst []byte, src []float64, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
+func encodeDoubleAs(dst []byte, src []float64, p *stats.Profile[uint64], code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
 	dst = append(dst, byte(code))
 	switch code {
 	case CodeUncompressed:
@@ -131,13 +118,26 @@ func encodeDoubleAs(dst []byte, src []float64, code Code, cfg *Config, depth int
 		dst = compressDouble(dst, values, cfg, depth-1, rng)
 		return compressInt(dst, lengths, cfg, depth-1, rng)
 	case CodeDict:
-		dict, codes := buildDoubleDict(src)
+		// Bit-pattern identity keeps NaNs and -0.0 as distinct dictionary
+		// entries, sorted by bit pattern for determinism.
+		bits, codes := sortedDict(profiledDoubles(p, src, cfg))
+		dict := make([]float64, len(bits))
+		for i, b := range bits {
+			dict[i] = math.Float64frombits(b)
+		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dict)))
 		dst = compressDouble(dst, dict, cfg, depth-1, rng)
 		return compressInt(dst, codes, cfg, depth-1, rng)
 	case CodeFrequency:
-		return encodeDoubleFrequency(dst, src, cfg, depth, rng)
+		// the dominant value, a bitmap of the rows holding it, and the
+		// other rows' values as a cascaded stream
+		p = profiledDoubles(p, src, cfg)
+		bm, exceptions := splitTop(&p.Summary, p.IDs, src)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+		dst = binary.LittleEndian.AppendUint64(dst, p.Vals[p.TopID])
+		dst = bm.AppendTo(dst)
+		return compressDouble(dst, exceptions, cfg, depth-1, rng)
 	case CodePDE:
 		return encodeDoublePDE(dst, src, cfg, depth, rng)
 	}
@@ -173,51 +173,6 @@ func runsOfDoubles(src []float64) (values []float64, lengths []int32) {
 	values = append(values, math.Float64frombits(cur))
 	lengths = append(lengths, n)
 	return values, lengths
-}
-
-// buildDoubleDict returns distinct values (sorted by bit pattern for
-// determinism) and per-row codes. Bit-pattern identity keeps NaNs and
-// -0.0 as distinct dictionary entries.
-func buildDoubleDict(src []float64) (dict []float64, codes []int32) {
-	seen := make(map[uint64]int32, 1024)
-	var bitsList []uint64
-	for _, v := range src {
-		b := math.Float64bits(v)
-		if _, ok := seen[b]; !ok {
-			seen[b] = 0
-			bitsList = append(bitsList, b)
-		}
-	}
-	slices.Sort(bitsList)
-	dict = make([]float64, len(bitsList))
-	for i, b := range bitsList {
-		seen[b] = int32(i)
-		dict[i] = math.Float64frombits(b)
-	}
-	codes = make([]int32, len(src))
-	for i, v := range src {
-		codes[i] = seen[math.Float64bits(v)]
-	}
-	return dict, codes
-}
-
-func encodeDoubleFrequency(dst []byte, src []float64, cfg *Config, depth int, rng *rand.Rand) []byte {
-	st := stats.ComputeDouble(src)
-	topBits := math.Float64bits(st.TopValue)
-	bm := roaring.New()
-	var exceptions []float64
-	for i, v := range src {
-		if math.Float64bits(v) == topBits {
-			bm.Add(uint32(i))
-		} else {
-			exceptions = append(exceptions, v)
-		}
-	}
-	bm.RunOptimize()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-	dst = binary.LittleEndian.AppendUint64(dst, topBits)
-	dst = bm.AppendTo(dst)
-	return compressDouble(dst, exceptions, cfg, depth-1, rng)
 }
 
 // encodeDoublePDE applies Pseudodecimal Encoding and cascades the digits

@@ -12,29 +12,35 @@ import (
 // sampling-accuracy experiments, which need the exhaustive-best scheme as
 // ground truth.
 func CompressIntAs(dst []byte, src []int32, code Code, cfg *Config) []byte {
-	c := cfg.normalized()
 	if !intApplicable(code, src) {
 		return nil
 	}
-	return encodeIntAs(dst, src, code, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.ints)
+	defer giveBack(&c.Scratch.ints, p)
+	return encodeIntAs(dst, src, p, code, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // CompressDoubleAs is CompressIntAs for doubles.
 func CompressDoubleAs(dst []byte, src []float64, code Code, cfg *Config) []byte {
-	c := cfg.normalized()
 	if !doubleApplicable(code, src) {
 		return nil
 	}
-	return encodeDoubleAs(dst, src, code, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.doubles)
+	defer giveBack(&c.Scratch.doubles, p)
+	return encodeDoubleAs(dst, src, p, code, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // CompressStringAs is CompressIntAs for strings.
 func CompressStringAs(dst []byte, src coldata.Strings, code Code, cfg *Config) []byte {
-	c := cfg.normalized()
 	if !stringApplicable(code, src) {
 		return nil
 	}
-	return encodeStringAs(dst, src, code, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.strs)
+	defer giveBack(&c.Scratch.strs, p)
+	return encodeStringAs(dst, src, p, code, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // IntSchemes lists every root scheme applicable to integer blocks.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
-	"slices"
 	"time"
 
 	"btrblocks/internal/bitpack"
@@ -31,28 +30,34 @@ var intPoolOrder = []Code{CodeOneValue, CodeFastBP, CodeFastPFOR, CodeRLE, CodeD
 // CompressInt compresses a block of int32 values into a self-describing
 // stream using sampling-based scheme selection with cascading.
 func CompressInt(dst []byte, src []int32, cfg *Config) []byte {
-	c := cfg.normalized()
+	c := cfg.forCompress()
 	return compressInt(dst, src, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // ChooseInt reports which scheme the selection algorithm would pick for
 // src and the estimated compression ratio, without compressing the block.
 func ChooseInt(src []int32, cfg *Config) (Code, float64) {
-	c := cfg.normalized()
-	code, est, _ := pickInt(src, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.ints)
+	defer giveBack(&c.Scratch.ints, p)
+	code, est, _ := pickInt(src, p, &c, c.MaxCascadeDepth, c.rng())
 	return code, est
 }
 
+// compressInt picks a scheme for src and encodes it. The stream's profile
+// is built at most once and shared by the picker and the winning encoder.
 func compressInt(dst []byte, src []int32, cfg *Config, depth int, rng *rand.Rand) []byte {
+	p := borrow(&cfg.Scratch.ints)
+	defer giveBack(&cfg.Scratch.ints, p)
 	if cfg.OnDecision == nil {
-		code, _, _ := pickInt(src, cfg, depth, rng)
-		return encodeIntAs(dst, src, code, cfg, depth, rng)
+		code, _, _ := pickInt(src, p, cfg, depth, rng)
+		return encodeIntAs(dst, src, p, code, cfg, depth, rng)
 	}
 	t0 := time.Now()
-	code, est, cands := pickInt(src, cfg, depth, rng)
+	code, est, cands := pickInt(src, p, cfg, depth, rng)
 	pickNanos := time.Since(t0).Nanoseconds()
 	before := len(dst)
-	dst = encodeIntAs(dst, src, code, cfg, depth, rng)
+	dst = encodeIntAs(dst, src, p, code, cfg, depth, rng)
 	cfg.OnDecision(Decision{
 		Kind: KindInt, Level: cfg.MaxCascadeDepth - depth, Code: code,
 		Values: len(src), InputBytes: 4 * len(src), OutputBytes: len(dst) - before,
@@ -65,22 +70,22 @@ func compressInt(dst []byte, src []int32, cfg *Config, depth int, rng *rand.Rand
 // estimation for a block, without compressing it. Used to measure the
 // §3.1 selection overhead.
 func EstimateOnlyInt(src []int32, cfg *Config) {
-	c := cfg.normalized()
-	pickInt(src, &c, c.MaxCascadeDepth, c.rng())
+	ChooseInt(src, cfg)
 }
 
 // pickInt is the scheme-picking algorithm of Listing 1: filter by
 // statistics, estimate each viable scheme's ratio on a sample, take the
 // best. Depth 0 always yields Uncompressed. Candidate estimates are
 // collected only when the caller's decision hook is set, so the default
-// path allocates nothing extra.
-func pickInt(src []int32, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
+// path allocates nothing extra. p is the (possibly not yet built) profile
+// of src; the trial encodes share one profile of the sample the same way.
+func pickInt(src []int32, p *stats.Profile[int32], cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
 	if depth <= 0 || len(src) == 0 {
 		return CodeUncompressed, 1, nil
 	}
 	collect := cfg.OnDecision != nil
 	cfg = quiet(cfg)
-	st := stats.ComputeInt(src)
+	st := &profiled(p, src, cfg).Summary
 	if st.Distinct == 1 && cfg.intEnabled(CodeOneValue) {
 		est := float64(len(src)*4) / 9
 		var cands []CandidateEstimate
@@ -90,6 +95,11 @@ func pickInt(src []int32, cfg *Config, depth int, rng *rand.Rand) (Code, float64
 		return CodeOneValue, est, cands
 	}
 	smp := sample.Ints(src, cfg.Sample, rng)
+	sp := p // a block no larger than the sample is its own sample
+	if len(smp) != len(src) {
+		sp = borrow(&cfg.Scratch.ints)
+		defer giveBack(&cfg.Scratch.ints, sp)
+	}
 	rawBytes := float64(len(smp) * 4)
 	best, bestRatio := CodeUncompressed, 1.0
 	var cands []CandidateEstimate
@@ -97,10 +107,10 @@ func pickInt(src []int32, cfg *Config, depth int, rng *rand.Rand) (Code, float64
 		cands = append(cands, CandidateEstimate{Code: CodeUncompressed, EstimatedRatio: 1, SampleBytes: 5 + 4*len(smp)})
 	}
 	for _, code := range intPoolOrder {
-		if !cfg.intEnabled(code) || !intViable(code, &st) {
+		if !cfg.intEnabled(code) || !viable(code, st) {
 			continue
 		}
-		enc := encodeIntAs(nil, smp, code, cfg, depth, rng)
+		enc := encodeIntAs(nil, smp, sp, code, cfg, depth, rng)
 		ratio := rawBytes / float64(len(enc))
 		if collect {
 			cands = append(cands, CandidateEstimate{Code: code, EstimatedRatio: ratio, SampleBytes: len(enc)})
@@ -112,27 +122,9 @@ func pickInt(src []int32, cfg *Config, depth int, rng *rand.Rand) (Code, float64
 	return best, bestRatio, cands
 }
 
-// intViable applies the statistics-based filters of §3 (step 2): e.g. RLE
-// is excluded when the average run length is < 2, Frequency when more than
-// half the values are unique.
-func intViable(code Code, st *stats.Int) bool {
-	switch code {
-	case CodeOneValue:
-		return st.Distinct == 1
-	case CodeRLE:
-		return st.AvgRunLen >= 2
-	case CodeDict:
-		return st.Distinct > 1 && st.Distinct < st.N
-	case CodeFrequency:
-		return st.UniqueFrac <= 0.5 && st.TopCount*2 >= st.N
-	case CodeFastBP, CodeFastPFOR:
-		return true
-	default:
-		return false
-	}
-}
-
-func encodeIntAs(dst []byte, src []int32, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
+// encodeIntAs encodes src with the given root scheme; p is src's profile,
+// built here on first need if the caller has not built it.
+func encodeIntAs(dst []byte, src []int32, p *stats.Profile[int32], code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
 	dst = append(dst, byte(code))
 	switch code {
 	case CodeUncompressed:
@@ -147,13 +139,20 @@ func encodeIntAs(dst []byte, src []int32, code Code, cfg *Config, depth int, rng
 		dst = compressInt(dst, values, cfg, depth-1, rng)
 		return compressInt(dst, lengths, cfg, depth-1, rng)
 	case CodeDict:
-		dict, codes := buildIntDict(src)
+		dict, codes := sortedDict(profiled(p, src, cfg))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dict)))
 		dst = compressInt(dst, dict, cfg, depth-1, rng)
 		return compressInt(dst, codes, cfg, depth-1, rng)
 	case CodeFrequency:
-		return encodeIntFrequency(dst, src, cfg, depth, rng)
+		// the dominant value, a bitmap of the rows holding it, and the
+		// other rows' values as a cascaded stream
+		p = profiled(p, src, cfg)
+		bm, exceptions := splitTop(&p.Summary, p.IDs, src)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Vals[p.TopID]))
+		dst = bm.AppendTo(dst)
+		return compressInt(dst, exceptions, cfg, depth-1, rng)
 	case CodeFastBP:
 		return bitpack.EncodeFOR(dst, src)
 	case CodeFastPFOR:
@@ -189,48 +188,6 @@ func runsOfInts(src []int32) (values, lengths []int32) {
 	values = append(values, cur)
 	lengths = append(lengths, n)
 	return values, lengths
-}
-
-// buildIntDict returns the sorted distinct values and per-row codes.
-// Sorting keeps the dictionary itself highly compressible with FOR.
-func buildIntDict(src []int32) (dict []int32, codes []int32) {
-	seen := make(map[int32]int32, 1024)
-	for _, v := range src {
-		if _, ok := seen[v]; !ok {
-			seen[v] = 0
-			dict = append(dict, v)
-		}
-	}
-	slices.Sort(dict)
-	for i, v := range dict {
-		seen[v] = int32(i)
-	}
-	codes = make([]int32, len(src))
-	for i, v := range src {
-		codes[i] = seen[v]
-	}
-	return dict, codes
-}
-
-// encodeIntFrequency stores the dominant value, a bitmap marking the
-// positions holding it, and a cascaded stream of the exception values.
-func encodeIntFrequency(dst []byte, src []int32, cfg *Config, depth int, rng *rand.Rand) []byte {
-	st := stats.ComputeInt(src)
-	top := st.TopValue
-	bm := roaring.New()
-	var exceptions []int32
-	for i, v := range src {
-		if v == top {
-			bm.Add(uint32(i))
-		} else {
-			exceptions = append(exceptions, v)
-		}
-	}
-	bm.RunOptimize()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(top))
-	dst = bm.AppendTo(dst)
-	return compressInt(dst, exceptions, cfg, depth-1, rng)
 }
 
 // DecompressInt decodes one integer stream, appending values to dst and

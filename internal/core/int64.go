@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
-	"slices"
 	"time"
 
 	"btrblocks/internal/bitpack"
@@ -21,33 +20,36 @@ var int64PoolOrder = []Code{CodeOneValue, CodeFastBP, CodeRLE, CodeDict, CodeFre
 // CompressInt64 compresses a block of int64 values into a self-describing
 // stream.
 func CompressInt64(dst []byte, src []int64, cfg *Config) []byte {
-	c := cfg.normalized()
+	c := cfg.forCompress()
 	return compressInt64(dst, src, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // ChooseInt64 reports the scheme the selection algorithm picks for src.
 func ChooseInt64(src []int64, cfg *Config) (Code, float64) {
-	c := cfg.normalized()
-	code, est, _ := pickInt64(src, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.ints64)
+	defer giveBack(&c.Scratch.ints64, p)
+	code, est, _ := pickInt64(src, p, &c, c.MaxCascadeDepth, c.rng())
 	return code, est
 }
 
 // EstimateOnlyInt64 mirrors EstimateOnlyInt for int64 blocks.
 func EstimateOnlyInt64(src []int64, cfg *Config) {
-	c := cfg.normalized()
-	pickInt64(src, &c, c.MaxCascadeDepth, c.rng())
+	ChooseInt64(src, cfg)
 }
 
 func compressInt64(dst []byte, src []int64, cfg *Config, depth int, rng *rand.Rand) []byte {
+	p := borrow(&cfg.Scratch.ints64)
+	defer giveBack(&cfg.Scratch.ints64, p)
 	if cfg.OnDecision == nil {
-		code, _, _ := pickInt64(src, cfg, depth, rng)
-		return encodeInt64As(dst, src, code, cfg, depth, rng)
+		code, _, _ := pickInt64(src, p, cfg, depth, rng)
+		return encodeInt64As(dst, src, p, code, cfg, depth, rng)
 	}
 	t0 := time.Now()
-	code, est, cands := pickInt64(src, cfg, depth, rng)
+	code, est, cands := pickInt64(src, p, cfg, depth, rng)
 	pickNanos := time.Since(t0).Nanoseconds()
 	before := len(dst)
-	dst = encodeInt64As(dst, src, code, cfg, depth, rng)
+	dst = encodeInt64As(dst, src, p, code, cfg, depth, rng)
 	cfg.OnDecision(Decision{
 		Kind: KindInt64, Level: cfg.MaxCascadeDepth - depth, Code: code,
 		Values: len(src), InputBytes: 8 * len(src), OutputBytes: len(dst) - before,
@@ -56,13 +58,13 @@ func compressInt64(dst []byte, src []int64, cfg *Config, depth int, rng *rand.Ra
 	return dst
 }
 
-func pickInt64(src []int64, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
+func pickInt64(src []int64, p *stats.Profile[int64], cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
 	if depth <= 0 || len(src) == 0 {
 		return CodeUncompressed, 1, nil
 	}
 	collect := cfg.OnDecision != nil
 	cfg = quiet(cfg)
-	st := stats.ComputeInt64(src)
+	st := &profiled(p, src, cfg).Summary
 	if st.Distinct == 1 && cfg.intEnabled(CodeOneValue) {
 		est := float64(len(src)*8) / 13
 		var cands []CandidateEstimate
@@ -72,6 +74,11 @@ func pickInt64(src []int64, cfg *Config, depth int, rng *rand.Rand) (Code, float
 		return CodeOneValue, est, cands
 	}
 	smp := sample.Ints64(src, cfg.Sample, rng)
+	sp := p
+	if len(smp) != len(src) {
+		sp = borrow(&cfg.Scratch.ints64)
+		defer giveBack(&cfg.Scratch.ints64, sp)
+	}
 	rawBytes := float64(len(smp) * 8)
 	best, bestRatio := CodeUncompressed, 1.0
 	var cands []CandidateEstimate
@@ -79,10 +86,10 @@ func pickInt64(src []int64, cfg *Config, depth int, rng *rand.Rand) (Code, float
 		cands = append(cands, CandidateEstimate{Code: CodeUncompressed, EstimatedRatio: 1, SampleBytes: 5 + 8*len(smp)})
 	}
 	for _, code := range int64PoolOrder {
-		if !cfg.intEnabled(code) || !int64Viable(code, &st) {
+		if !cfg.intEnabled(code) || !viable(code, st) {
 			continue
 		}
-		enc := encodeInt64As(nil, smp, code, cfg, depth, rng)
+		enc := encodeInt64As(nil, smp, sp, code, cfg, depth, rng)
 		ratio := rawBytes / float64(len(enc))
 		if collect {
 			cands = append(cands, CandidateEstimate{Code: code, EstimatedRatio: ratio, SampleBytes: len(enc)})
@@ -94,24 +101,7 @@ func pickInt64(src []int64, cfg *Config, depth int, rng *rand.Rand) (Code, float
 	return best, bestRatio, cands
 }
 
-func int64Viable(code Code, st *stats.Int64) bool {
-	switch code {
-	case CodeOneValue:
-		return st.Distinct == 1
-	case CodeRLE:
-		return st.AvgRunLen >= 2
-	case CodeDict:
-		return st.Distinct > 1 && st.Distinct < st.N
-	case CodeFrequency:
-		return st.UniqueFrac <= 0.5 && st.TopCount*2 >= st.N
-	case CodeFastBP:
-		return true
-	default:
-		return false
-	}
-}
-
-func encodeInt64As(dst []byte, src []int64, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
+func encodeInt64As(dst []byte, src []int64, p *stats.Profile[int64], code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
 	dst = append(dst, byte(code))
 	switch code {
 	case CodeUncompressed:
@@ -130,13 +120,20 @@ func encodeInt64As(dst []byte, src []int64, code Code, cfg *Config, depth int, r
 		dst = compressInt64(dst, values, cfg, depth-1, rng)
 		return compressInt(dst, lengths, cfg, depth-1, rng)
 	case CodeDict:
-		dict, codes := buildInt64Dict(src)
+		dict, codes := sortedDict(profiled(p, src, cfg))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dict)))
 		dst = compressInt64(dst, dict, cfg, depth-1, rng)
 		return compressInt(dst, codes, cfg, depth-1, rng)
 	case CodeFrequency:
-		return encodeInt64Frequency(dst, src, cfg, depth, rng)
+		// the dominant value, a bitmap of the rows holding it, and the
+		// other rows' values as a cascaded stream
+		p = profiled(p, src, cfg)
+		bm, exceptions := splitTop(&p.Summary, p.IDs, src)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Vals[p.TopID]))
+		dst = bm.AppendTo(dst)
+		return compressInt64(dst, exceptions, cfg, depth-1, rng)
 	case CodeFastBP:
 		return bitpack.EncodeFOR64(dst, src)
 	}
@@ -160,44 +157,6 @@ func runsOfInt64s(src []int64) (values []int64, lengths []int32) {
 	values = append(values, cur)
 	lengths = append(lengths, n)
 	return values, lengths
-}
-
-func buildInt64Dict(src []int64) (dict []int64, codes []int32) {
-	seen := make(map[int64]int32, 1024)
-	for _, v := range src {
-		if _, ok := seen[v]; !ok {
-			seen[v] = 0
-			dict = append(dict, v)
-		}
-	}
-	slices.Sort(dict)
-	for i, v := range dict {
-		seen[v] = int32(i)
-	}
-	codes = make([]int32, len(src))
-	for i, v := range src {
-		codes[i] = seen[v]
-	}
-	return dict, codes
-}
-
-func encodeInt64Frequency(dst []byte, src []int64, cfg *Config, depth int, rng *rand.Rand) []byte {
-	st := stats.ComputeInt64(src)
-	top := st.TopValue
-	bm := roaring.New()
-	var exceptions []int64
-	for i, v := range src {
-		if v == top {
-			bm.Add(uint32(i))
-		} else {
-			exceptions = append(exceptions, v)
-		}
-	}
-	bm.RunOptimize()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(top))
-	dst = bm.AppendTo(dst)
-	return compressInt64(dst, exceptions, cfg, depth-1, rng)
 }
 
 // DecompressInt64 decodes one int64 stream, appending values to dst and

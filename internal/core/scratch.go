@@ -1,5 +1,10 @@
 package core
 
+import (
+	"btrblocks/internal/fsst"
+	"btrblocks/internal/stats"
+)
+
 // Scratch is a per-worker arena of reusable decode buffers. The cascade
 // decoders allocate short-lived temporaries on every block — RLE run
 // values and lengths, dictionary entries and codes, frequency exceptions,
@@ -20,10 +25,67 @@ package core
 //   - A nil *Scratch is valid everywhere and means "allocate as before":
 //     get returns nil (append allocates fresh) and put is a no-op, so the
 //     serial path and external callers pay nothing.
+//
+// On the write side a Scratch owns what scheme selection reuses from
+// stream to stream: the lookup table the block profiles are built in,
+// free lists of the profiles themselves (one is live per stream being
+// picked or trial-encoded, so a handful per cascade), and the FSST
+// trainer's counters. The compressors always run with a Scratch — the
+// caller's (the block-parallel engine keeps one per worker, as for
+// decoding), or a fresh one for the duration of the call.
 type Scratch struct {
 	i32 [][]int32
 	i64 [][]int64
 	f64 [][]float64
+
+	table   stats.Table
+	trainer fsst.Trainer
+	ints    []*stats.Profile[int32]
+	ints64  []*stats.Profile[int64]
+	doubles []*stats.Profile[uint64]
+	bits    []uint64 // a double stream as bit patterns, while it is profiled
+	strs    []*stats.StringProfile
+}
+
+// Trim drops everything in s whose size follows the data it has worked on
+// — the profiles, the decode free lists — and keeps the two pieces that
+// are expensive to set up afresh: the lookup table and the FSST trainer.
+// An owner that parks arenas in a pool between calls trims them first:
+// every megabyte parked costs two of heap, because the GC sizes its
+// headroom by what is live.
+func (s *Scratch) Trim() {
+	*s = Scratch{table: s.table, trainer: s.trainer}
+}
+
+// forCompress returns the normalized config a compression entry point
+// runs with: compression always has a Scratch, the caller's or a fresh
+// one that lives for the call (and is reused by every stream of its
+// cascade, which is where reuse pays).
+func (c *Config) forCompress() Config {
+	cfg := c.normalized()
+	if cfg.Scratch == nil {
+		cfg.Scratch = new(Scratch)
+	}
+	return cfg
+}
+
+// borrow takes an unbuilt profile off a free list (or makes one);
+// giveBack resets and returns it once its stream is encoded.
+func borrow[P any](free *[]*P) *P {
+	if n := len(*free); n > 0 {
+		p := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return p
+	}
+	return new(P)
+}
+
+func giveBack[P any, PP interface {
+	*P
+	Reset()
+}](free *[]*P, p *P) {
+	PP(p).Reset()
+	*free = append(*free, p)
 }
 
 // maxScratchSlices bounds each free list so a pathological cascade cannot

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"slices"
@@ -26,28 +27,32 @@ const (
 // CompressString compresses a block of strings into a self-describing
 // stream.
 func CompressString(dst []byte, src coldata.Strings, cfg *Config) []byte {
-	c := cfg.normalized()
+	c := cfg.forCompress()
 	return compressString(dst, src, &c, c.MaxCascadeDepth, c.rng())
 }
 
 // ChooseString reports the scheme the selection algorithm picks for src
 // and its estimated ratio.
 func ChooseString(src coldata.Strings, cfg *Config) (Code, float64) {
-	c := cfg.normalized()
-	code, est, _ := pickString(src, &c, c.MaxCascadeDepth, c.rng())
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.strs)
+	defer giveBack(&c.Scratch.strs, p)
+	code, est, _ := pickString(src, p, &c, c.MaxCascadeDepth, c.rng())
 	return code, est
 }
 
 func compressString(dst []byte, src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) []byte {
+	p := borrow(&cfg.Scratch.strs)
+	defer giveBack(&cfg.Scratch.strs, p)
 	if cfg.OnDecision == nil {
-		code, _, _ := pickString(src, cfg, depth, rng)
-		return encodeStringAs(dst, src, code, cfg, depth, rng)
+		code, _, _ := pickString(src, p, cfg, depth, rng)
+		return encodeStringAs(dst, src, p, code, cfg, depth, rng)
 	}
 	t0 := time.Now()
-	code, est, cands := pickString(src, cfg, depth, rng)
+	code, est, cands := pickString(src, p, cfg, depth, rng)
 	pickNanos := time.Since(t0).Nanoseconds()
 	before := len(dst)
-	dst = encodeStringAs(dst, src, code, cfg, depth, rng)
+	dst = encodeStringAs(dst, src, p, code, cfg, depth, rng)
 	cfg.OnDecision(Decision{
 		Kind: KindString, Level: cfg.MaxCascadeDepth - depth, Code: code,
 		Values: src.Len(), InputBytes: src.TotalBytes(), OutputBytes: len(dst) - before,
@@ -58,17 +63,16 @@ func compressString(dst []byte, src coldata.Strings, cfg *Config, depth int, rng
 
 // EstimateOnlyString mirrors EstimateOnlyInt for strings.
 func EstimateOnlyString(src coldata.Strings, cfg *Config) {
-	c := cfg.normalized()
-	pickString(src, &c, c.MaxCascadeDepth, c.rng())
+	ChooseString(src, cfg)
 }
 
-func pickString(src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
+func pickString(src coldata.Strings, p *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
 	if depth <= 0 || src.Len() == 0 {
 		return CodeUncompressed, 1, nil
 	}
 	collect := cfg.OnDecision != nil
 	cfg = quiet(cfg)
-	st := stats.ComputeString(src)
+	st := profiledStrings(p, src, cfg)
 	if st.Distinct == 1 && cfg.stringEnabled(CodeOneValue) {
 		est := float64(src.TotalBytes()) / float64(9+st.MaxLen)
 		var cands []CandidateEstimate
@@ -78,6 +82,11 @@ func pickString(src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) (Co
 		return CodeOneValue, est, cands
 	}
 	smp := sample.Strings(src, cfg.Sample, rng)
+	sp := p
+	if smp.Len() != src.Len() {
+		sp = borrow(&cfg.Scratch.strs)
+		defer giveBack(&cfg.Scratch.strs, sp)
+	}
 	rawBytes := float64(smp.TotalBytes())
 	best, bestRatio := CodeUncompressed, 1.0
 	var cands []CandidateEstimate
@@ -85,10 +94,10 @@ func pickString(src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) (Co
 		cands = append(cands, CandidateEstimate{Code: CodeUncompressed, EstimatedRatio: 1, SampleBytes: 5 + smp.TotalBytes()})
 	}
 	for _, code := range stringPoolOrder {
-		if !cfg.stringEnabled(code) || !stringViable(code, &st) {
+		if !cfg.stringEnabled(code) || !stringViable(code, st) {
 			continue
 		}
-		enc := encodeStringAs(nil, smp, code, cfg, depth, rng)
+		enc := encodeStringAs(nil, smp, sp, code, cfg, depth, rng)
 		ratio := rawBytes / float64(len(enc))
 		if collect {
 			cands = append(cands, CandidateEstimate{Code: code, EstimatedRatio: ratio, SampleBytes: len(enc)})
@@ -100,22 +109,16 @@ func pickString(src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) (Co
 	return best, bestRatio, cands
 }
 
-func stringViable(code Code, st *stats.String) bool {
-	switch code {
-	case CodeOneValue:
-		return st.Distinct == 1
-	case CodeDict:
-		return st.Distinct > 1 && st.Distinct < st.N
-	case CodeFSST:
+func stringViable(code Code, st *stats.StringProfile) bool {
+	if code == CodeFSST {
 		// FSST needs some redundancy in the bytes; on near-empty payloads
 		// the table overhead dominates.
 		return st.TotalLen >= 64
-	default:
-		return false
 	}
+	return viable(code, &st.Summary)
 }
 
-func encodeStringAs(dst []byte, src coldata.Strings, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
+func encodeStringAs(dst []byte, src coldata.Strings, p *stats.StringProfile, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
 	dst = append(dst, byte(code))
 	switch code {
 	case CodeUncompressed:
@@ -126,7 +129,7 @@ func encodeStringAs(dst []byte, src coldata.Strings, code Code, cfg *Config, dep
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
 		return append(dst, v...)
 	case CodeDict:
-		return encodeStringDict(dst, src, cfg, depth, rng)
+		return encodeStringDict(dst, src, profiledStrings(p, src, cfg), cfg, depth, rng)
 	case CodeFSST:
 		return encodeStringFSST(dst, src, cfg, depth, rng)
 	}
@@ -151,32 +154,24 @@ func encodeStringPlain(dst []byte, src coldata.Strings) []byte {
 // FSST-compressed, whichever is smaller), the pool string lengths as a
 // cascaded integer stream, and the per-row codes as a cascaded integer
 // stream — which the selection algorithm typically sends to RLE or
-// bit-packing.
-func encodeStringDict(dst []byte, src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) []byte {
-	dictVals, codes := buildStringDict(src)
-	n := src.Len()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dictVals.Len()))
-
-	lengths := make([]int32, dictVals.Len())
-	for i := range lengths {
-		lengths[i] = int32(dictVals.LenAt(i))
-	}
+// bit-packing. The distinct strings and the rows' ids come from the
+// stream's profile p.
+func encodeStringDict(dst []byte, src coldata.Strings, p *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) []byte {
+	pool, lengths, codes := sortedStringDict(src, p)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(src.Len()))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lengths)))
 
 	// Try FSST on the dictionary pool ("Dict+FSST" in Figure 3/4).
-	pool := dictVals.Data
 	useFSST := false
-	var table *fsst.Table
-	var encPool []byte
+	var table, encPool []byte
 	if cfg.stringEnabled(CodeFSST) && depth > 1 && len(pool) >= 64 {
-		table = fsst.Train([][]byte{pool})
-		encPool = table.Encode(nil, pool)
-		overhead := len(table.AppendTable(nil))
-		useFSST = len(encPool)+overhead < len(pool)*95/100
+		t := cfg.Scratch.trainer.Train([][]byte{pool})
+		table, encPool = t.AppendTable(nil), t.Encode(nil, pool)
+		useFSST = len(encPool)+len(table) < len(pool)*95/100
 	}
 	if useFSST {
 		dst = append(dst, poolFSST)
-		dst = table.AppendTable(dst)
+		dst = append(dst, table...)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pool)))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(encPool)))
 		dst = append(dst, encPool...)
@@ -189,30 +184,28 @@ func encodeStringDict(dst []byte, src coldata.Strings, cfg *Config, depth int, r
 	return compressInt(dst, codes, cfg, depth-1, rng)
 }
 
-// buildStringDict returns the lexicographically sorted distinct strings
-// and per-row codes.
-func buildStringDict(src coldata.Strings) (coldata.Strings, []int32) {
-	seen := make(map[string]int32, 1024)
-	var distinct []string
-	n := src.Len()
-	for i := 0; i < n; i++ {
-		// map[string(view)] lookups allocate only for new distinct values
-		v := src.View(i)
-		if _, ok := seen[string(v)]; !ok {
-			val := string(v)
-			seen[val] = 0
-			distinct = append(distinct, val)
-		}
+// sortedStringDict is sortedDict for strings: the distinct values of the
+// profile concatenated in lexicographic order, their lengths, and per row
+// the rank of its value.
+func sortedStringDict(src coldata.Strings, p *stats.StringProfile) (pool []byte, lengths, codes []int32) {
+	value := func(id int32) []byte { return src.Data[p.Vals[id].Off:p.Vals[id].End] }
+	order := make([]int32, len(p.Vals))
+	for id := range order {
+		order[id] = int32(id)
 	}
-	slices.Sort(distinct)
-	for i, v := range distinct {
-		seen[v] = int32(i)
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(value(a), value(b)) })
+	rank := make([]int32, len(order))
+	lengths = make([]int32, len(order))
+	for i, id := range order {
+		v := value(id)
+		rank[id], lengths[i] = int32(i), int32(len(v))
+		pool = append(pool, v...)
 	}
-	codes := make([]int32, n)
-	for i := 0; i < n; i++ {
-		codes[i] = seen[string(src.View(i))]
+	codes = make([]int32, len(p.IDs))
+	for i, id := range p.IDs {
+		codes[i] = rank[id]
 	}
-	return coldata.MakeStrings(distinct), codes
+	return pool, lengths, codes
 }
 
 // encodeStringFSST compresses the block's whole string payload with one
@@ -221,17 +214,19 @@ func buildStringDict(src coldata.Strings) (coldata.Strings, []int32) {
 // block is decoded as one contiguous buffer).
 func encodeStringFSST(dst []byte, src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) []byte {
 	n := src.Len()
-	table := fsst.Train([][]byte{src.Data})
-	enc := table.Encode(nil, src.Data)
+	table := cfg.Scratch.trainer.Train([][]byte{src.Data})
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = table.AppendTable(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src.Data)))
+	// The payload is encoded straight into dst; its length, which precedes
+	// it, is patched in afterwards.
+	lenPos := len(dst)
+	dst = table.Encode(append(dst, 0, 0, 0, 0), src.Data)
+	binary.LittleEndian.PutUint32(dst[lenPos:], uint32(len(dst)-lenPos-4))
 	lengths := make([]int32, n)
 	for i := range lengths {
 		lengths[i] = int32(src.LenAt(i))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = table.AppendTable(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src.Data)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
-	dst = append(dst, enc...)
 	return compressInt(dst, lengths, cfg, depth-1, rng)
 }
 

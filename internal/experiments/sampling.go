@@ -218,7 +218,7 @@ func SelectionOverhead(cfg *Config) error {
 	}
 	cfg.printf("§3.1 scheme selection overhead: selection %.3fs of %.3fs total (%.1f%%)\n",
 		selectSecs, totalSecs, 100*selectSecs/totalSecs)
-	cfg.printf("  (paper: 1.2%% — the gap is pure-Go map-based statistics vs the\n")
-	cfg.printf("   C++ implementation's vectorized stats pass; see EXPERIMENTS.md)\n")
+	cfg.printf("  (paper: 1.2%% — the gap is the fixed cost of the trial cascade on the\n")
+	cfg.printf("   sample next to a cheap full-block encode; see EXPERIMENTS.md §3.1)\n")
 	return nil
 }

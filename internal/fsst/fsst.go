@@ -8,8 +8,11 @@
 package fsst
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
+	"sync"
 )
 
 const (
@@ -26,6 +29,9 @@ const (
 	maxSampleBytes = 1 << 14
 	// buildIterations is the number of refinement generations.
 	buildIterations = 5
+	// trainChunk is the size of the evenly spaced pieces a sample above
+	// maxSampleBytes is cut down to.
+	trainChunk = 512
 )
 
 // ErrCorrupt is returned for malformed compressed data or tables.
@@ -68,15 +74,16 @@ func (s Symbol) Bytes() []byte {
 type Table struct {
 	symbols [MaxSymbols]Symbol
 	n       int
-	// index buckets candidate codes by first byte, longest symbols first,
-	// for greedy longest-match encoding.
-	index [256][]uint8
 	// decVal/decLen form the flat decode jump table: one unconditional
 	// 8-byte store per code. decLen is 0 for unassigned codes (and for
 	// the escape code, which is handled before the table lookup), which
 	// doubles as the corruption check.
 	decVal [256]uint64
 	decLen [256]uint8
+	// enc is the encoder's match index. Train builds it; a deserialized
+	// table builds it on its first Encode, so decoding never pays for it.
+	enc     *matchIndex
+	encOnce sync.Once
 }
 
 // NumSymbols returns the number of symbols in the table.
@@ -85,84 +92,146 @@ func (t *Table) NumSymbols() int { return t.n }
 // SymbolAt returns symbol i (for inspection and tests).
 func (t *Table) SymbolAt(i int) Symbol { return t.symbols[i] }
 
-func (t *Table) buildIndex() {
-	for i := range t.index {
-		t.index[i] = nil
-	}
+func (t *Table) buildDecode() {
 	t.decVal = [256]uint64{}
 	t.decLen = [256]uint8{}
 	for i := 0; i < t.n; i++ {
 		t.decVal[i] = t.symbols[i].Val
 		t.decLen[i] = t.symbols[i].Len
 	}
-	// insert longer symbols first so each bucket is sorted by length desc
-	for l := MaxSymbolLen; l >= 1; l-- {
-		for i := 0; i < t.n; i++ {
-			if int(t.symbols[i].Len) == l {
-				first := byte(t.symbols[i].Val)
-				t.index[first] = append(t.index[first], uint8(i))
+}
+
+// longSlots is the size of the hash table over symbols of 3+ bytes: at
+// most 255 of them keep it under a quarter full.
+const (
+	longBits  = 10
+	longSlots = 1 << longBits
+)
+
+// matchIndex finds the longest symbol that prefixes the input in O(1).
+// Symbols of three or more bytes sit in an open-addressed table hashed on
+// their first three bytes, each slot holding everything a probe compares
+// (all symbols that can match one input share those bytes, hence a home
+// slot, and are entered longest first, so the first hit along the probe
+// sequence is the longest match). Every two-byte prefix maps directly to
+// the best symbol of at most two bytes; EscapeCode, never a symbol's
+// code, marks "none".
+type matchIndex struct {
+	long   [longSlots]longSymbol
+	short  [1 << 16]uint8 // little-endian 2-byte prefix -> code of length <= 2
+	single [256]uint8     // first byte -> code of length 1
+}
+
+// longSymbol is one slot of matchIndex.long; mask is 0 in an empty slot.
+type longSymbol struct {
+	val, mask uint64 // the symbol's bytes, and the window bytes it covers
+	code, len uint8
+}
+
+func hash3(w uint64) uint32 {
+	return uint32((w&0xffffff)*0x9E3779B1) >> (32 - longBits)
+}
+
+// fillMatcher rebuilds t.enc from the symbols. Among duplicate symbols (a
+// deserialized table may hold some) a lookup must find the lowest code,
+// as the first-match scan this index replaces did: long symbols are
+// entered lowest code first, the direct tables highest code first.
+func (t *Table) fillMatcher() {
+	x := t.enc
+	x.long = [longSlots]longSymbol{}
+	for l := uint8(MaxSymbolLen); l >= 3; l-- {
+		for c := 0; c < t.n; c++ {
+			if t.decLen[c] == l {
+				j := hash3(t.decVal[c])
+				for x.long[j].mask != 0 {
+					j = (j + 1) % longSlots
+				}
+				x.long[j] = longSymbol{t.decVal[c], ^uint64(0) >> (64 - 8*l), uint8(c), l}
 			}
+		}
+	}
+	for i := range x.single {
+		x.single[i] = EscapeCode
+	}
+	for c := t.n - 1; c >= 0; c-- {
+		if t.decLen[c] == 1 {
+			x.single[uint8(t.decVal[c])] = uint8(c)
+		}
+	}
+	// Row b1 of short holds every first byte b0: start each row from the
+	// one-byte symbols, then let two-byte symbols take their own entry.
+	for b1 := 0; b1 < 256; b1++ {
+		copy(x.short[b1<<8:], x.single[:])
+	}
+	for c := t.n - 1; c >= 0; c-- {
+		if t.decLen[c] == 2 {
+			x.short[uint16(t.decVal[c])] = uint8(c)
 		}
 	}
 }
 
-// findLongestMatch returns the code of the longest symbol matching a prefix
-// of src, or -1 if none matches.
-func (t *Table) findLongestMatch(src []byte) int {
-	var window uint64
-	n := len(src)
-	if n >= 8 {
-		window = binary.LittleEndian.Uint64(src)
-		n = 8
-	} else {
-		for i := n - 1; i >= 0; i-- {
-			window = window<<8 | uint64(src[i])
+// matcher returns the match index, building it on first use.
+func (t *Table) matcher() *matchIndex {
+	t.encOnce.Do(func() {
+		if t.enc == nil {
+			t.enc = new(matchIndex)
+			t.fillMatcher()
+		}
+	})
+	return t.enc
+}
+
+// match returns the code and length of the longest symbol that prefixes
+// the first n (1..8) bytes of the little-endian window w, whose bytes
+// past n are zero; without one it returns EscapeCode and length 1. This
+// is greedy longest match: lengths 8 down to 3 from the hash table, then
+// 2, then 1.
+func (t *Table) match(x *matchIndex, w uint64, n int) (code uint8, length int) {
+	for j := hash3(w); x.long[j].mask != 0; j = (j + 1) % longSlots {
+		if e := &x.long[j]; w&e.mask == e.val && int(e.len) <= n {
+			return e.code, int(e.len)
 		}
 	}
-	for _, code := range t.index[src[0]] {
-		s := t.symbols[code]
-		if int(s.Len) > n {
-			continue
-		}
-		mask := ^uint64(0)
-		if s.Len < 8 {
-			mask = (1 << (8 * uint(s.Len))) - 1
-		}
-		if window&mask == s.Val {
-			return int(code)
-		}
+	code = x.single[uint8(w)]
+	if n >= 2 {
+		code = x.short[uint16(w)]
 	}
-	return -1
+	if code == EscapeCode {
+		return code, 1
+	}
+	return code, int(t.decLen[code])
 }
 
 // Encode compresses src and appends the result to dst. Every input byte
 // not covered by a symbol costs two output bytes (escape + literal).
 func (t *Table) Encode(dst, src []byte) []byte {
-	for i := 0; i < len(src); {
-		if code := t.findLongestMatch(src[i:]); code >= 0 {
-			dst = append(dst, byte(code))
-			i += int(t.symbols[code].Len)
-			continue
+	x := t.matcher()
+	// Text usually halves or better; starting there saves most regrowth.
+	dst = slices.Grow(dst, len(src)/2)
+	i := 0
+	for i+8 <= len(src) {
+		c, l := t.match(x, binary.LittleEndian.Uint64(src[i:]), 8)
+		if c == EscapeCode {
+			dst = append(dst, EscapeCode)
+			c = src[i]
 		}
-		dst = append(dst, EscapeCode, src[i])
-		i++
+		dst = append(dst, c)
+		i += l
+	}
+	// The last up-to-7 bytes are matched from a zero-padded copy, with the
+	// remaining length bounding the symbols that may match.
+	var tail [16]byte
+	n := copy(tail[:], src[i:])
+	for j := 0; j < n; {
+		c, l := t.match(x, binary.LittleEndian.Uint64(tail[j:]), n-j)
+		if c == EscapeCode {
+			dst = append(dst, EscapeCode)
+			c = tail[j]
+		}
+		dst = append(dst, c)
+		j += l
 	}
 	return dst
-}
-
-// EncodedSize returns len(Encode(nil, src)) without materializing output.
-func (t *Table) EncodedSize(src []byte) int {
-	size := 0
-	for i := 0; i < len(src); {
-		if code := t.findLongestMatch(src[i:]); code >= 0 {
-			size++
-			i += int(t.symbols[code].Len)
-			continue
-		}
-		size += 2
-		i++
-	}
-	return size
 }
 
 // Decode decompresses src (produced by Encode) and appends to dst.
@@ -240,63 +309,85 @@ func (t *Table) Decode(dst, src []byte) ([]byte, error) {
 // training budget, evenly spaced chunks are taken from across the whole
 // input rather than just its head — real columns drift within a block, and
 // a head-only sample would learn symbols for only the first distribution.
-func Train(sample [][]byte) *Table {
+func Train(sample [][]byte) *Table { return new(Trainer).Train(sample) }
+
+// Train is the package-level Train on tr's reusable counters; a caller
+// that trains repeatedly keeps one Trainer instead of allocating its
+// half-megabyte of counters per table. A Trainer is single-owner state.
+func (tr *Trainer) Train(sample [][]byte) *Table {
+	corpus := trainingCorpus(sample)
+	t := &Table{enc: new(matchIndex)}
+	t.fillMatcher()
+	if len(corpus) == 0 {
+		return t
+	}
+	if tr.pair == nil {
+		tr.pair = make([]uint16, symSpace*symSpace)
+	}
+	for iter := 0; iter < buildIterations; iter++ {
+		tr.count(t, corpus)
+		tr.rebuild(t)
+	}
+	return t
+}
+
+// trainingCorpus concatenates the sample, or evenly spaced chunks of it
+// when it exceeds maxSampleBytes. The result has at least 8 bytes of
+// zeroed capacity past its length, so an 8-byte window can be loaded at
+// every position.
+func trainingCorpus(sample [][]byte) []byte {
 	total := 0
 	for _, s := range sample {
 		total += len(s)
 	}
-	var corpus []byte
+	corpus := make([]byte, 0, min(total, maxSampleBytes+trainChunk)+8)
 	if total <= maxSampleBytes {
 		for _, s := range sample {
 			corpus = append(corpus, s...)
 		}
-	} else {
-		const chunk = 512
-		nChunks := maxSampleBytes / chunk
-		stride := total / nChunks
-		// walk the concatenation, copying `chunk` bytes every `stride`
-		next := 0
-		off := 0
-		for _, s := range sample {
-			for len(s) > 0 {
-				if off+len(s) <= next {
-					off += len(s)
-					break
-				}
-				start := next - off
-				if start < 0 {
-					start = 0
-				}
-				end := start + chunk
-				if end > len(s) {
-					end = len(s)
-				}
-				corpus = append(corpus, s[start:end]...)
-				if len(corpus) >= maxSampleBytes {
-					s = nil
-					break
-				}
-				next += stride
-				if next < off+end {
-					next = off + end
-				}
-			}
-			if len(corpus) >= maxSampleBytes {
+		return corpus
+	}
+	nChunks := maxSampleBytes / trainChunk
+	stride := total / nChunks
+	// walk the concatenation, copying `trainChunk` bytes every `stride`
+	next := 0
+	off := 0
+	for _, s := range sample {
+		for len(s) > 0 {
+			if off+len(s) <= next {
+				off += len(s)
 				break
+			}
+			start := next - off
+			if start < 0 {
+				start = 0
+			}
+			end := start + trainChunk
+			if end > len(s) {
+				end = len(s)
+			}
+			corpus = append(corpus, s[start:end]...)
+			if len(corpus) >= maxSampleBytes {
+				return corpus
+			}
+			next += stride
+			if next < off+end {
+				next = off + end
 			}
 		}
 	}
-	t := &Table{}
-	t.buildIndex()
-	if len(corpus) == 0 {
-		return t
-	}
-
-	for iter := 0; iter < buildIterations; iter++ {
-		t = nextGeneration(t, corpus)
-	}
-	return t
+	return corpus
 }
+
+// While counting, a position of the corpus is either a table code
+// (0..254) or, when no symbol covers it, litBase plus the input byte.
+const (
+	litBase  = 256
+	symSpace = 512
+	// histBuckets bounds the gain histogram rebuild uses to find the
+	// selection cut; gains at or above the last bucket share it.
+	histBuckets = 1 << 12
+)
 
 // candidate tracks the gain of a potential symbol during training.
 type candidate struct {
@@ -304,60 +395,143 @@ type candidate struct {
 	gain int
 }
 
-// nextGeneration compresses the corpus with the current table, counts
-// single symbols and adjacent pairs, and returns a new table of the
-// highest-gain candidates.
-func nextGeneration(t *Table, corpus []byte) *Table {
-	gains := make(map[Symbol]int)
-	prev := Symbol{}
-	havePrev := false
-	for i := 0; i < len(corpus); {
-		var cur Symbol
-		if code := t.findLongestMatch(corpus[i:]); code >= 0 {
-			cur = t.symbols[code]
-		} else {
-			cur = Symbol{Val: uint64(corpus[i]), Len: 1}
-		}
-		gains[cur] += int(cur.Len)
-		if havePrev {
-			if joined, ok := concatSymbols(prev, cur); ok {
-				gains[joined] += int(joined.Len)
-			}
-		}
-		prev, havePrev = cur, true
-		i += int(cur.Len)
-	}
+// Trainer is the reusable state of table training: occurrence counters
+// indexed by code (single) and by code pair (pair), the list of pairs
+// seen, and the tables rebuild uses to merge and rank candidates. A
+// corpus is at most maxSampleBytes+trainChunk bytes, so uint16 holds any
+// pair count. The zero value is ready to use.
+type Trainer struct {
+	single  [symSpace]uint32
+	pair    []uint16 // symSpace*symSpace; zero outside touched
+	touched []uint32 // indexes of the non-zero pair counters
+	cands   []candidate
+	slots   []int32 // open-addressed symbol -> 1+index into cands
+	hist    [histBuckets]uint16
+}
 
-	cands := make([]candidate, 0, len(gains))
-	for sym, gain := range gains {
-		// A 1-byte symbol saves nothing over an escape unless it is
-		// frequent (escape costs 2 bytes); gain is already freq*len, so
-		// single bytes are naturally ranked lower. Skip singletons.
-		if gain <= int(sym.Len) {
-			continue
-		}
-		cands = append(cands, candidate{sym: sym, gain: gain})
+// symbolOf returns the symbol a counting index stands for.
+func (t *Table) symbolOf(idx uint32) Symbol {
+	if idx < litBase {
+		return t.symbols[idx]
 	}
-	// Partial selection sort of the top MaxSymbols candidates by gain
-	// (ties broken deterministically by symbol value for reproducibility).
-	nt := &Table{}
-	for nt.n < MaxSymbols && len(cands) > 0 {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			if cands[i].gain > cands[best].gain ||
-				(cands[i].gain == cands[best].gain &&
-					(cands[i].sym.Len > cands[best].sym.Len ||
-						(cands[i].sym.Len == cands[best].sym.Len && cands[i].sym.Val < cands[best].sym.Val))) {
-				best = i
+	return Symbol{Val: uint64(idx - litBase), Len: 1}
+}
+
+// count compresses the corpus with the current table and counts every
+// symbol and every adjacent pair short enough to become one.
+func (tr *Trainer) count(t *Table, corpus []byte) {
+	padded := corpus[:cap(corpus)]
+	prev, prevLen := uint32(0), MaxSymbolLen+1 // nothing pairs with the first symbol
+	for i := 0; i < len(corpus); {
+		c, l := t.match(t.enc, binary.LittleEndian.Uint64(padded[i:]), min(len(corpus)-i, 8))
+		cur := uint32(c)
+		if c == EscapeCode {
+			cur = litBase + uint32(corpus[i])
+		}
+		tr.single[cur]++
+		if prevLen+l <= MaxSymbolLen {
+			p := prev*symSpace + cur
+			if tr.pair[p] == 0 {
+				tr.touched = append(tr.touched, p)
+			}
+			tr.pair[p]++
+		}
+		prev, prevLen = cur, l
+		i += l
+	}
+}
+
+// add credits gain to sym, merging with an earlier candidate for the same
+// symbol: different pairs can concatenate to the same bytes.
+func (tr *Trainer) add(sym Symbol, gain int) {
+	mask := uint64(len(tr.slots) - 1)
+	h := (sym.Val ^ uint64(sym.Len)<<59) * 0x9E3779B97F4A7C15
+	for i := (h >> 32) & mask; ; i = (i + 1) & mask {
+		s := tr.slots[i]
+		if s == 0 {
+			tr.cands = append(tr.cands, candidate{sym, gain})
+			tr.slots[i] = int32(len(tr.cands))
+			return
+		}
+		if tr.cands[s-1].sym == sym {
+			tr.cands[s-1].gain += gain
+			return
+		}
+	}
+}
+
+// rebuild turns the counters into the next generation's table: the
+// MaxSymbols candidates of highest gain (count × length), ties broken by
+// longer symbol, then smaller value, so the result is reproducible. The
+// counters are left zeroed for the next count.
+func (tr *Trainer) rebuild(t *Table) {
+	size := 1024
+	for size < 2*(symSpace+len(tr.touched)) {
+		size *= 2
+	}
+	if cap(tr.slots) < size {
+		tr.slots = make([]int32, size)
+	}
+	tr.slots = tr.slots[:size]
+	clear(tr.slots)
+	tr.cands = tr.cands[:0]
+	for idx, c := range tr.single {
+		if c != 0 {
+			s := t.symbolOf(uint32(idx))
+			tr.add(s, int(c)*int(s.Len))
+			tr.single[idx] = 0
+		}
+	}
+	for _, p := range tr.touched {
+		joined, _ := concatSymbols(t.symbolOf(p/symSpace), t.symbolOf(p%symSpace))
+		tr.add(joined, int(tr.pair[p])*int(joined.Len))
+		tr.pair[p] = 0
+	}
+	tr.touched = tr.touched[:0]
+
+	// A symbol seen once saves nothing (gain is count × length): drop
+	// those. When more than MaxSymbols remain, nothing below the gain that
+	// MaxSymbols of them reach can be selected, so only those at or above
+	// that cut are sorted.
+	clear(tr.hist[:])
+	keep := tr.cands[:0]
+	for _, c := range tr.cands {
+		if c.gain > int(c.sym.Len) {
+			keep = append(keep, c)
+			tr.hist[min(c.gain, histBuckets-1)]++
+		}
+	}
+	if len(keep) > MaxSymbols {
+		cut, above := histBuckets-1, 0
+		for ; cut > 0; cut-- {
+			if above += int(tr.hist[cut]); above >= MaxSymbols {
+				break
 			}
 		}
-		nt.symbols[nt.n] = cands[best].sym
-		nt.n++
-		cands[best] = cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
+		all := keep
+		keep = keep[:0]
+		for _, c := range all {
+			if c.gain >= cut {
+				keep = append(keep, c)
+			}
+		}
 	}
-	nt.buildIndex()
-	return nt
+	slices.SortFunc(keep, func(a, b candidate) int {
+		if a.gain != b.gain {
+			return b.gain - a.gain
+		}
+		if a.sym.Len != b.sym.Len {
+			return int(b.sym.Len) - int(a.sym.Len)
+		}
+		return cmp.Compare(a.sym.Val, b.sym.Val)
+	})
+	t.n = min(len(keep), MaxSymbols)
+	clear(t.symbols[:])
+	for i := 0; i < t.n; i++ {
+		t.symbols[i] = keep[i].sym
+	}
+	t.buildDecode()
+	t.fillMatcher()
 }
 
 // AppendTable serializes the table and appends it to dst:
@@ -395,6 +569,6 @@ func TableFromBytes(src []byte) (*Table, int, error) {
 		t.symbols[i] = makeSymbol(src[pos : pos+l])
 		pos += l
 	}
-	t.buildIndex()
+	t.buildDecode()
 	return t, pos, nil
 }

@@ -90,14 +90,6 @@ func TestEscapeHeavyBinaryInput(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeMatches(t *testing.T) {
-	tab := trainOn(strings.Repeat("abcabcabdabc", 100))
-	src := []byte("abcabcabdabcXYZ")
-	if got, want := tab.EncodedSize(src), len(tab.Encode(nil, src)); got != want {
-		t.Fatalf("EncodedSize=%d, actual=%d", got, want)
-	}
-}
-
 func TestTableSerializeRoundTrip(t *testing.T) {
 	tab := trainOn(strings.Repeat("SIGMOD 01 BRONX 04 BRONX 5777 E MAYO BLVD ", 100))
 	data := tab.AppendTable(nil)
@@ -160,12 +152,16 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
+func benchURLs() []byte {
 	var sb strings.Builder
 	for i := 0; i < 2000; i++ {
 		fmt.Fprintf(&sb, "http://api.service.internal/v2/users/%d/orders?page=%d ", i%500, i%7)
 	}
-	src := []byte(sb.String())
+	return []byte(sb.String())
+}
+
+func BenchmarkDecode(b *testing.B) {
+	src := benchURLs()
 	tab := Train([][]byte{src})
 	enc := tab.Encode(nil, src)
 	dst := make([]byte, 0, len(src))
@@ -181,15 +177,21 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 func BenchmarkEncode(b *testing.B) {
-	var sb strings.Builder
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&sb, "http://api.service.internal/v2/users/%d/orders?page=%d ", i%500, i%7)
-	}
-	src := []byte(sb.String())
+	src := benchURLs()
 	tab := Train([][]byte{src})
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Encode(nil, src)
+	}
+}
+
+// BenchmarkTrain is one symbol-table training over a sample above the
+// 16 KiB budget — the cost a string block pays up to three times.
+func BenchmarkTrain(b *testing.B) {
+	sample := [][]byte{benchURLs()}
+	b.SetBytes(maxSampleBytes)
+	for i := 0; i < b.N; i++ {
+		Train(sample)
 	}
 }

@@ -1,7 +1,9 @@
-// Package stats computes the single-pass per-block statistics that drive
-// scheme viability filtering (step 1–2 of the paper's compression loop):
-// min/max, distinct count, average run length and the most frequent value.
 package stats
+
+// The map-based statistics the profile replaced, kept verbatim as the
+// oracle: ComputeInt/Int64/Double/String push every value through a Go
+// map, cap distinct counting at N/2+2, and break top-value ties towards
+// the smallest value. The profile must report exactly the same numbers.
 
 import (
 	"bytes"
@@ -192,13 +194,6 @@ func ComputeString(src coldata.Strings) String {
 		}
 	}
 	return st
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Int64 holds statistics for a block of int64 values.

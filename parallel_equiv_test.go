@@ -506,3 +506,44 @@ func TestParallelDecodeNoGoroutineLeaks(t *testing.T) {
 	}
 	waitForGoroutines(t, base)
 }
+
+// TestCompressConcurrentCallers drives the pooled worker arenas the way a
+// loaded server does: several goroutines compressing columns of every
+// type at once, each arena passing from type to type between calls. Every
+// output must equal the one a lone caller produced.
+func TestCompressConcurrentCallers(t *testing.T) {
+	spec := equivSpecs()[len(equivSpecs())-1]
+	var cols []Column
+	var want [][]byte
+	for _, typ := range []Type{TypeInt, TypeInt64, TypeDouble, TypeString} {
+		col := genColumnEquiv(rand.New(rand.NewSource(int64(typ)+77)), typ, spec)
+		data, err := CompressColumn(col, &Options{BlockSize: 1000, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, want = append(cols, col), append(want, data)
+	}
+	done := make(chan error)
+	const callers = 8
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			for i := 0; i < 12; i++ {
+				k := (g + i) % len(cols)
+				got, err := CompressColumn(cols[k], &Options{BlockSize: 1000, Parallelism: 1 + g%3})
+				if err == nil && !bytes.Equal(got, want[k]) {
+					err = fmt.Errorf("caller %d: %s column compressed differently under concurrency", g, cols[k].Type)
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+}
