@@ -97,6 +97,7 @@ query-smoke:
 FUZZ_TARGETS = FuzzDecompressColumn FuzzDecompressIntStream FuzzDecompressStringStream FuzzCompressIntRoundTrip FuzzStreamReader
 QUERY_FUZZ_TARGETS = FuzzQueryPlan
 FSST_FUZZ_TARGETS = FuzzFSSTEncodeEquivalence
+WIRE_FUZZ_TARGETS = FuzzDecodeBlockFrame
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -110,6 +111,10 @@ fuzz-smoke:
 	@for t in $(FSST_FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZ_TIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) ./internal/fsst/ || exit 1; \
+	done
+	@for t in $(WIRE_FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZ_TIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) ./internal/blockstore/ || exit 1; \
 	done
 	@echo "fuzz smoke: OK"
 
@@ -128,19 +133,22 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'DecompressParallel|ScanParallel' -benchtime 1x .
 	@echo "bench smoke: OK"
 
-# bench-baseline re-measures the single-core suites (per-scheme grid +
-# kernel microbenchmarks, decode and compress side) and snapshots them to
-# BENCH_decode.json and BENCH_compress.json. Run it on the reference host
+# bench-baseline re-measures the suites (per-scheme grid + kernel
+# microbenchmarks, decode and compress side; the block wire's encode,
+# decode and loopback fetch) and snapshots them to BENCH_decode.json,
+# BENCH_compress.json and BENCH_serve.json. Run it on the reference host
 # after an intentional perf change and commit the result; PERFORMANCE.md
 # documents the schema and workflow.
 bench-baseline:
 	$(GO) run ./cmd/benchtraj record -suite decode
 	$(GO) run ./cmd/benchtraj record -suite compress
+	$(GO) run ./cmd/benchtraj record -suite serve
 
 # bench-compare re-runs the same suites and fails on >10% regression
 # against the committed baselines (override: BTR_BENCH_TOLERANCE=0.25).
 bench-compare:
 	$(GO) run ./cmd/benchtraj compare -suite decode
 	$(GO) run ./cmd/benchtraj compare -suite compress
+	$(GO) run ./cmd/benchtraj compare -suite serve
 
 ci: check

@@ -17,6 +17,12 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one unsafe file =="
+	# The block wire's byte view (internal/blockstore/byteview.go) is the
+	# only non-test file allowed to import unsafe.
+	test "$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '"unsafe"' . | wc -l)" -eq 1 ||
+		{ echo '"unsafe" must be imported by exactly one non-test file'; exit 1; }
+
 	echo "== go build =="
 	go build ./...
 
@@ -77,9 +83,9 @@ run_tier2() {
 	make bench-smoke
 
 	echo "== bench regression gate =="
-	# Re-run the single-core decode and compress suites against the
-	# committed BENCH_decode.json / BENCH_compress.json baselines; >10%
-	# throughput regression on either fails.
+	# Re-run the decode, compress and serve suites against the committed
+	# BENCH_decode.json / BENCH_compress.json / BENCH_serve.json
+	# baselines; >10% throughput regression on any fails.
 	# BTR_BENCH_TOLERANCE=0.25 loosens the gate (fraction), and
 	# BTR_BENCH_SKIP=1 skips it (e.g. on hosts unlike the baseline's).
 	if [ "${BTR_BENCH_SKIP:-0}" = "1" ]; then

@@ -1,12 +1,13 @@
 // Command benchtraj records and compares single-core throughput
-// baselines, one trajectory file per suite: "decode" (BENCH_decode.json)
-// and "compress" (BENCH_compress.json).
+// baselines, one trajectory file per suite: "decode" (BENCH_decode.json),
+// "compress" (BENCH_compress.json) and "serve" (BENCH_serve.json).
 //
 // `benchtraj record -suite decode` runs that suite's benchmarks (for
 // decode: the per-scheme BenchmarkDecodeBaseline grid plus the bitpack
 // and FSST kernel microbenchmarks; for compress: the
 // BenchmarkCompressBaseline grid plus FSST training/encoding and the
-// block-profile pass), parses their output, and writes a schema'd JSON
+// block-profile pass; for serve: BenchmarkBlockWire — BTBK frame encode,
+// decode and loopback fetch per type), parses their output, and writes a schema'd JSON
 // snapshot to the suite's file: MB/s and ns/op per benchmark, host
 // metadata, and the git SHA the numbers were measured at.
 //
@@ -96,6 +97,9 @@ var suites = map[string]suiteDef{
 		{"./internal/fsst/", "^(BenchmarkTrain|BenchmarkEncode)$"},
 		{"./internal/stats/", "^BenchmarkProfile$"},
 	}},
+	"serve": {"BENCH_serve.json", []benchSet{
+		{"./internal/blockstore/", "^BenchmarkBlockWire$"},
+	}},
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?`)
@@ -107,7 +111,7 @@ func main() {
 	switch os.Args[1] {
 	case "record":
 		fs := flag.NewFlagSet("record", flag.ExitOnError)
-		suite := fs.String("suite", "decode", "trajectory to record: decode or compress")
+		suite := fs.String("suite", "decode", "trajectory to record: decode, compress or serve")
 		out := fs.String("o", "", "output file (default: the suite's committed file)")
 		benchtime := fs.String("benchtime", "0.25s", "per-benchmark time")
 		count := fs.Int("count", 5, "runs per benchmark")
@@ -127,7 +131,7 @@ func main() {
 		fmt.Printf("benchtraj: recorded %d benchmarks to %s\n", len(snap.Results), *out)
 	case "compare":
 		fs := flag.NewFlagSet("compare", flag.ExitOnError)
-		suite := fs.String("suite", "decode", "trajectory to compare: decode or compress")
+		suite := fs.String("suite", "decode", "trajectory to compare: decode, compress or serve")
 		baselinePath := fs.String("baseline", "", "committed baseline (default: the suite's file)")
 		currentPath := fs.String("current", "", "snapshot to compare (empty = re-run the suites now)")
 		tolerance := fs.Float64("tolerance", defaultTolerance(), "max allowed fractional regression")
@@ -174,8 +178,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchtraj record [-suite decode|compress] [-o FILE] [-benchtime T] [-count N]")
-	fmt.Fprintln(os.Stderr, "       benchtraj compare [-suite decode|compress] [-baseline FILE] [-current FILE] [-tolerance F]")
+	fmt.Fprintln(os.Stderr, "usage: benchtraj record [-suite decode|compress|serve] [-o FILE] [-benchtime T] [-count N]")
+	fmt.Fprintln(os.Stderr, "       benchtraj compare [-suite decode|compress|serve] [-baseline FILE] [-current FILE] [-tolerance F]")
 	os.Exit(2)
 }
 
@@ -199,7 +203,7 @@ func defaultTolerance() float64 {
 func trajectory(suite string) suiteDef {
 	tr, ok := suites[suite]
 	if !ok {
-		fatal(fmt.Errorf("unknown suite %q (want decode or compress)", suite))
+		fatal(fmt.Errorf("unknown suite %q (want decode, compress or serve)", suite))
 	}
 	return tr
 }

@@ -224,7 +224,7 @@ func (c *Client) noteOutcome(err error) {
 // health probes can notice recovery before the down TTL expires. A
 // success clears the down mark.
 func (c *Client) ProbeHealth(ctx context.Context) error {
-	_, err := c.doGet(ctx, "/healthz")
+	err := c.doGet(ctx, "/healthz", func(*http.Response) error { return nil })
 	c.noteOutcome(err)
 	return err
 }
@@ -265,6 +265,9 @@ func retryable(err error) bool {
 	if errors.As(err, &he) {
 		return he.Status >= 500
 	}
+	if errors.Is(err, errBlockWire) {
+		return false // the reply arrived whole and is malformed
+	}
 	return true // transport-level failure, including attempt timeouts
 }
 
@@ -279,26 +282,41 @@ func (c *Client) backoffDelay(n int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// get issues a GET and fails on any non-2xx status, retrying transient
-// failures within the retry budget. While the endpoint is marked down
-// it fails fast without touching the network.
+// get issues a GET and returns the whole reply body.
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	if err := c.gateDown(); err != nil {
+	var body []byte
+	err := c.fetch(ctx, path, func(resp *http.Response) (err error) {
+		body, err = io.ReadAll(resp.Body)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	body, err := c.doGet(ctx, path)
-	c.noteOutcome(err)
-	return body, err
+	return body, nil
 }
 
-// doGet is the retry loop behind get, without the endpoint health
+// fetch issues a GET and hands the 2xx reply of each attempt to consume,
+// retrying transient failures — a failed consume included, so a body cut
+// off mid-read is fetched again — within the retry budget. Any other
+// status fails the attempt. While the endpoint is marked down it fails
+// fast without touching the network.
+func (c *Client) fetch(ctx context.Context, path string, consume func(*http.Response) error) error {
+	if err := c.gateDown(); err != nil {
+		return err
+	}
+	err := c.doGet(ctx, path, consume)
+	c.noteOutcome(err)
+	return err
+}
+
+// doGet is the retry loop behind fetch, without the endpoint health
 // bookkeeping (ProbeHealth shares it to bypass the down gate).
-func (c *Client) doGet(ctx context.Context, path string) ([]byte, error) {
+func (c *Client) doGet(ctx context.Context, path string, consume func(*http.Response) error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		body, err := c.getOnce(ctx, path)
+		err := c.getOnce(ctx, path, consume)
 		if err == nil {
-			return body, nil
+			return nil
 		}
 		lastErr = err
 		// ctx here is the caller's context: when it is done the whole
@@ -313,14 +331,14 @@ func (c *Client) doGet(ctx context.Context, path string) ([]byte, error) {
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // getOnce is a single attempt, bounded by the per-attempt timeout.
-func (c *Client) getOnce(ctx context.Context, path string) ([]byte, error) {
+func (c *Client) getOnce(ctx context.Context, path string, consume func(*http.Response) error) error {
 	c.attempts.Add(1)
 	if c.reqTimeout > 0 {
 		var cancel context.CancelFunc
@@ -329,24 +347,43 @@ func (c *Client) getOnce(ctx context.Context, path string) ([]byte, error) {
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Propagate the caller's trace (W3C traceparent) and request ID so the
 	// server's span joins this trace and its logs carry our request ID.
 	obs.InjectTraceparent(ctx, req.Header)
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if err := statusError(resp, path); err != nil {
+		return err
+	}
+	return consume(resp)
+}
+
+// maxErrorBody bounds how much of a non-2xx reply is read: only its
+// first line is kept.
+const maxErrorBody = 4 << 10
+
+// statusError turns a non-2xx reply into an HTTPError carrying the first
+// line of its body.
+func statusError(resp *http.Response, path string) error {
+	if resp.StatusCode/100 == 2 {
+		return nil
+	}
+	// A failed read only shortens the message; the status is the error.
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	return &HTTPError{Status: resp.StatusCode, Path: path, Msg: firstLine(body)}
+}
+
+// readReply returns the body of a 2xx reply, or the reply's statusError.
+func readReply(resp *http.Response, path string) ([]byte, error) {
+	if err := statusError(resp, path); err != nil {
 		return nil, err
 	}
-	if resp.StatusCode/100 != 2 {
-		return nil, &HTTPError{Status: resp.StatusCode, Path: path, Msg: firstLine(body)}
-	}
-	return body, nil
+	return io.ReadAll(resp.Body)
 }
 
 func firstLine(b []byte) string {
@@ -409,14 +446,10 @@ func (c *Client) RawRange(ctx context.Context, name string, off, length int64) (
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusPartialContent {
 		return nil, fmt.Errorf("blockstore: range GET %s: %s", name, resp.Status)
 	}
-	return body, nil
+	return io.ReadAll(resp.Body)
 }
 
 // rawPath escapes a store-relative name for use under /v1/raw/ while
@@ -425,18 +458,57 @@ func rawPath(name string) string {
 	return (&url.URL{Path: name}).EscapedPath()
 }
 
-// Block fetches one decompressed block in the binary wire format.
-func (c *Client) Block(ctx context.Context, name string, idx int) (*BlockValues, error) {
-	body, err := c.get(ctx, "/v1/block?format=binary&file="+url.QueryEscape(name)+"&block="+strconv.Itoa(idx))
-	if err != nil {
-		return nil, err
+// blockPath is the binary block route.
+func blockPath(name string, idx int) string {
+	return "/v1/block?format=binary&file=" + url.QueryEscape(name) + "&block=" + strconv.Itoa(idx)
+}
+
+// frameBody returns a binary block reply's body and length. A server
+// that predates Content-Length on these replies sends them chunked; only
+// then is the body read whole first to learn the frame's length.
+func frameBody(resp *http.Response) (io.Reader, int64, error) {
+	if resp.ContentLength >= 0 {
+		return resp.Body, resp.ContentLength, nil
 	}
-	blk, err := decodeBlockBinary(name, body)
+	frame, err := io.ReadAll(resp.Body)
+	return bytes.NewReader(frame), int64(len(frame)), err
+}
+
+// Block fetches one decompressed block in the binary wire format,
+// reading the reply straight into the returned slices.
+func (c *Client) Block(ctx context.Context, name string, idx int) (*BlockValues, error) {
+	var blk *BlockValues
+	err := c.fetch(ctx, blockPath(name, idx), func(resp *http.Response) error {
+		body, n, err := frameBody(resp)
+		if err != nil {
+			return err
+		}
+		blk, err = readBlockFrame(name, body, n, hostLittleEndian)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	blk.Block = idx
 	return blk, nil
+}
+
+// BlockFrame fetches one decompressed block as its validated BTBK frame,
+// undecoded: what a router passes through to its own caller.
+func (c *Client) BlockFrame(ctx context.Context, name string, idx int) ([]byte, error) {
+	var frame []byte
+	err := c.fetch(ctx, blockPath(name, idx), func(resp *http.Response) error {
+		body, n, err := frameBody(resp)
+		if err != nil {
+			return err
+		}
+		frame, err = readFrame(body, n)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // BlockJSON fetches one decompressed block in the JSON wire format.
@@ -536,12 +608,9 @@ func (c *Client) Invalidate(ctx context.Context, name string) (*InvalidateResult
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readReply(resp, "/v1/invalidate/"+name)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, &HTTPError{Status: resp.StatusCode, Path: "/v1/invalidate/" + name, Msg: firstLine(body)}
 	}
 	out := &InvalidateResult{}
 	if err := json.Unmarshal(body, out); err != nil {
@@ -568,12 +637,9 @@ func (c *Client) Repair(ctx context.Context, name string, data []byte) (*RepairR
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readReply(resp, "/v1/repair/"+name)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, &HTTPError{Status: resp.StatusCode, Path: "/v1/repair/" + name, Msg: firstLine(body)}
 	}
 	out := &RepairResult{}
 	if err := json.Unmarshal(body, out); err != nil {
@@ -602,12 +668,9 @@ func (c *Client) Query(ctx context.Context, p *query.Plan) (*query.Result, error
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readReply(resp, "/v1/query")
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, &HTTPError{Status: resp.StatusCode, Path: "/v1/query", Msg: firstLine(body)}
 	}
 	out := &query.Result{}
 	if err := json.Unmarshal(body, out); err != nil {

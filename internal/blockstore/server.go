@@ -20,7 +20,8 @@ import (
 //	GET /v1/files[?file=NAME]             hosted-file metadata (JSON)
 //	GET /v1/raw/NAME                      raw file bytes; honors Range
 //	GET /v1/block?file=N&block=I          decompressed block
-//	    [&format=json|binary]             (default json; binary = BTBK)
+//	    [&format=json|binary]             (default json; binary = BTBK,
+//	                                      sent with Content-Length)
 //	GET /v1/count-eq?file=N&value=V       pushed-down equality predicate
 //	POST /v1/query                        JSON query plan over column files
 //	GET /v1/trace/NAME[?block=I]          cascade decision trace (JSON)
@@ -177,6 +178,37 @@ func (s *Server) handleWith(route string, h http.HandlerFunc, methods ...string)
 	})
 }
 
+// BinaryReply sets the headers of a binary reply n bytes long and
+// returns the writer for its body. The writer passes everything on but
+// the body's last byte, which stays in net/http's buffer until the
+// handler returns: a reply with Content-Length is complete the moment
+// its last byte arrives, and a client holding a complete reply must
+// find the request already in the server's counters, spans and log —
+// as it did when these replies were chunked and ended with the handler.
+func BinaryReply(w http.ResponseWriter, n int) io.Writer {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	return &replyWriter{w: w, left: n}
+}
+
+type replyWriter struct {
+	w    io.Writer
+	left int // body bytes not yet written
+}
+
+func (r *replyWriter) Write(p []byte) (int, error) {
+	r.left -= len(p)
+	if r.left > 0 || len(p) < 2 {
+		return r.w.Write(p)
+	}
+	n, err := r.w.Write(p[:len(p)-1])
+	if err != nil {
+		return n, err
+	}
+	m, err := r.w.Write(p[len(p)-1:]) // one byte: buffered, not sent
+	return n + m, err
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -273,8 +305,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	case "", "json":
 		writeJSON(w, blockPayload(blk))
 	case "binary":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(encodeBlockBinary(blk))
+		// A failed write is the client going away; there is no one to tell.
+		_ = writeBlockFrame(BinaryReply(w, blockFrameLen(blk)), blk, hostLittleEndian)
 	default:
 		http.Error(w, "format must be json or binary", http.StatusBadRequest)
 	}

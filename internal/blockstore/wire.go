@@ -1,13 +1,17 @@
 package blockstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 
 	"btrblocks"
 	"btrblocks/coldata"
+	"btrblocks/internal/core"
 	"btrblocks/internal/obs"
 )
 
@@ -24,6 +28,15 @@ import (
 //	payload(double) := rows × float64 bits (bit-exact, NaN payloads kept)
 //	payload(string) := (rows+1) × u32 offsets, then data bytes
 //
+// A frame's length follows from its header, so a binary reply carries
+// Content-Length and each side moves the payload once: the server
+// writes it from the cached block's memory, the client reads it into
+// the typed slices it returns, and a router passes the validated bytes
+// through (see byteview.go for the little-endian guard). The frame
+// itself is version 1 as first shipped: a client that predates
+// Content-Length reads these replies, and this client reads a chunked,
+// length-less reply from a server that predates it.
+//
 // The JSON form carries doubles as strconv 'g/-1' strings because JSON
 // cannot represent NaN/Inf and loses float precision in some decoders;
 // ParseFloat round-trips every finite value exactly. The binary form is
@@ -32,6 +45,9 @@ import (
 const (
 	blockWireMagic   = "BTBK"
 	blockWireVersion = 1
+	frameHeaderLen   = 18
+	// wireChunk sizes the buffer the header and the null list go through.
+	wireChunk = 4096
 )
 
 // FileMeta describes one hosted file in /v1/files.
@@ -251,48 +267,8 @@ func (b *BlockValues) WireType() btrblocks.Type {
 	}
 }
 
-// EncodeBinary renders the block in the BTBK wire format — the path a
-// router uses to re-serve a block it fetched from a replica without
-// ever re-decoding the column bytes.
-func (b *BlockValues) EncodeBinary() []byte {
-	out := make([]byte, 0, 18+4*len(b.Nulls)+b.UncompressedBytes())
-	out = append(out, blockWireMagic...)
-	out = append(out, blockWireVersion, byte(b.WireType()))
-	out = binary.LittleEndian.AppendUint32(out, uint32(b.StartRow))
-	out = binary.LittleEndian.AppendUint32(out, uint32(b.Rows))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.Nulls)))
-	for _, p := range b.Nulls {
-		out = binary.LittleEndian.AppendUint32(out, uint32(p))
-	}
-	switch b.WireType() {
-	case btrblocks.TypeInt:
-		for _, v := range b.Ints {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-	case btrblocks.TypeInt64:
-		for _, v := range b.Ints64 {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-	case btrblocks.TypeDouble:
-		for _, v := range b.Doubles {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-	case btrblocks.TypeString:
-		off := uint32(0)
-		out = binary.LittleEndian.AppendUint32(out, off)
-		for _, s := range b.Strings {
-			off += uint32(len(s))
-			out = binary.LittleEndian.AppendUint32(out, off)
-		}
-		for _, s := range b.Strings {
-			out = append(out, s...)
-		}
-	}
-	return out
-}
-
-// Payload renders the block as the JSON DTO (the counterpart of
-// EncodeBinary for format=json re-serving).
+// Payload renders the block as the JSON DTO (how a router re-serves a
+// fetched block for format=json).
 func (b *BlockValues) Payload() *BlockPayload {
 	p := &BlockPayload{
 		File:     b.File,
@@ -314,119 +290,314 @@ func (b *BlockValues) Payload() *BlockPayload {
 	return p
 }
 
-// encodeBlockBinary renders a decoded block in the BTBK wire format.
-func encodeBlockBinary(blk *Block) []byte {
-	nulls := nullPositions(blk)
-	out := make([]byte, 0, 18+4*len(nulls)+blk.Bytes)
-	out = append(out, blockWireMagic...)
-	out = append(out, blockWireVersion, byte(blk.Col.Type))
-	out = binary.LittleEndian.AppendUint32(out, uint32(blk.StartRow))
-	out = binary.LittleEndian.AppendUint32(out, uint32(blk.Rows()))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(nulls)))
-	for _, p := range nulls {
-		out = binary.LittleEndian.AppendUint32(out, uint32(p))
+// errBlockWire is the class of every malformed-frame error: the reply
+// arrived whole and is wrong, so a retry cannot help.
+var errBlockWire = errors.New("blockstore: bad block wire")
+
+// writeWords writes vals as little-endian words: straight from their
+// memory when native, converted through encoding/binary otherwise.
+func writeWords[T word](w io.Writer, vals []T, native bool) error {
+	if native {
+		_, err := w.Write(wordBytes(vals))
+		return err
 	}
-	switch blk.Col.Type {
-	case btrblocks.TypeInt:
-		for _, v := range blk.Col.Ints {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-	case btrblocks.TypeInt64:
-		for _, v := range blk.Col.Ints64 {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-	case btrblocks.TypeDouble:
-		for _, v := range blk.Col.Doubles {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-	case btrblocks.TypeString:
-		s := blk.Col.Strings
-		out = binary.LittleEndian.AppendUint32(out, 0)
-		for i := 0; i < s.Len(); i++ {
-			out = binary.LittleEndian.AppendUint32(out, s.Offsets[i+1])
-		}
-		out = append(out, s.Data...)
-	}
-	return out
+	return binary.Write(w, binary.LittleEndian, vals)
 }
 
-// decodeBlockBinary parses the BTBK wire format.
-func decodeBlockBinary(file string, data []byte) (*BlockValues, error) {
-	if len(data) < 18 || string(data[:4]) != blockWireMagic || data[4] != blockWireVersion {
-		return nil, fmt.Errorf("blockstore: bad block wire header")
+// readWords fills dst with little-endian words from r: straight into
+// its memory when native, converted through encoding/binary otherwise.
+func readWords[T word](r io.Reader, dst []T, native bool) error {
+	if native {
+		_, err := io.ReadFull(r, wordBytes(dst))
+		return err
 	}
-	t := btrblocks.Type(data[5])
-	out := &BlockValues{
-		File:     file,
-		StartRow: int(binary.LittleEndian.Uint32(data[6:])),
-		Rows:     int(binary.LittleEndian.Uint32(data[10:])),
-		Type:     t.String(),
+	return binary.Read(r, binary.LittleEndian, dst)
+}
+
+// wireOffsets returns the rows+1 offsets a string column puts on the
+// wire; a column with nil Offsets still sends its single 0.
+func wireOffsets(s coldata.Strings) []uint32 {
+	if len(s.Offsets) == 0 {
+		return []uint32{0}
 	}
-	nullCount := int(binary.LittleEndian.Uint32(data[14:]))
-	pos := 18
-	if nullCount < 0 || len(data) < pos+4*nullCount {
-		return nil, fmt.Errorf("blockstore: truncated null list")
-	}
-	if nullCount > 0 {
-		out.Nulls = make([]int, nullCount)
-		for i := range out.Nulls {
-			out.Nulls[i] = int(binary.LittleEndian.Uint32(data[pos:]))
-			pos += 4
-		}
-	}
-	rows := out.Rows
-	switch t {
+	return s.Offsets
+}
+
+// blockFrameLen returns the exact length of blk's BTBK frame, which is
+// what lets the reply carry Content-Length.
+func blockFrameLen(blk *Block) int {
+	n := frameHeaderLen + 4*blk.Col.Nulls.NullCount()
+	switch blk.Col.Type {
 	case btrblocks.TypeInt:
-		if len(data) != pos+4*rows {
-			return nil, fmt.Errorf("blockstore: int payload size mismatch")
-		}
-		out.Ints = make([]int32, rows)
-		for i := range out.Ints {
-			out.Ints[i] = int32(binary.LittleEndian.Uint32(data[pos:]))
-			pos += 4
-		}
+		n += 4 * len(blk.Col.Ints)
 	case btrblocks.TypeInt64:
-		if len(data) != pos+8*rows {
-			return nil, fmt.Errorf("blockstore: int64 payload size mismatch")
-		}
-		out.Ints64 = make([]int64, rows)
-		for i := range out.Ints64 {
-			out.Ints64[i] = int64(binary.LittleEndian.Uint64(data[pos:]))
-			pos += 8
-		}
+		n += 8 * len(blk.Col.Ints64)
 	case btrblocks.TypeDouble:
-		if len(data) != pos+8*rows {
-			return nil, fmt.Errorf("blockstore: double payload size mismatch")
-		}
-		out.Doubles = make([]float64, rows)
-		for i := range out.Doubles {
-			out.Doubles[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-			pos += 8
-		}
+		n += 8 * len(blk.Col.Doubles)
 	case btrblocks.TypeString:
-		if len(data) < pos+4*(rows+1) {
-			return nil, fmt.Errorf("blockstore: truncated string offsets")
+		n += 4*len(wireOffsets(blk.Col.Strings)) + len(blk.Col.Strings.Data)
+	}
+	return n
+}
+
+// writeBlockFrame writes blk in the BTBK wire format: the header and
+// the null list through a small buffer, then the payload from the
+// block's own memory — no buffer the size of the block is built.
+func writeBlockFrame(w io.Writer, blk *Block, native bool) error {
+	col := &blk.Col
+	nulls := col.Nulls.NullCount()
+	buf := make([]byte, 0, min(frameHeaderLen+4*nulls, wireChunk))
+	buf = append(buf, blockWireMagic...)
+	buf = append(buf, blockWireVersion, byte(col.Type))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(blk.StartRow))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(blk.Rows()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(nulls))
+	var err error
+	col.Nulls.ForEachNull(func(i int) bool {
+		if len(buf)+4 > cap(buf) {
+			_, err = w.Write(buf)
+			buf = buf[:0]
 		}
-		offsets := make([]uint32, rows+1)
-		for i := range offsets {
-			offsets[i] = binary.LittleEndian.Uint32(data[pos:])
-			pos += 4
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+		return err == nil
+	})
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	if err != nil {
+		return err
+	}
+	switch col.Type {
+	case btrblocks.TypeInt:
+		return writeWords(w, col.Ints, native)
+	case btrblocks.TypeInt64:
+		return writeWords(w, col.Ints64, native)
+	case btrblocks.TypeDouble:
+		return writeWords(w, col.Doubles, native)
+	case btrblocks.TypeString:
+		if err := writeWords(w, wireOffsets(col.Strings), native); err != nil {
+			return err
 		}
-		payload := data[pos:]
-		if int(offsets[rows]) != len(payload) {
-			return nil, fmt.Errorf("blockstore: string payload size mismatch")
-		}
-		s := coldata.Strings{Offsets: offsets, Data: payload}
-		out.Strings = make([]string, rows)
-		for i := range out.Strings {
-			prev := offsets[i]
-			if offsets[i+1] < prev {
-				return nil, fmt.Errorf("blockstore: string offsets not monotonic")
-			}
-			out.Strings[i] = s.At(i)
+		_, err = w.Write(col.Strings.Data)
+	}
+	return err
+}
+
+// frameHeader is a parsed, bounds-checked BTBK header.
+type frameHeader struct {
+	typ                   btrblocks.Type
+	startRow, rows, nulls int
+	dataLen               int // string data bytes; 0 for the numeric types
+}
+
+// parseFrameHeader checks the header of a frame n bytes long: magic,
+// version, type, counts within core.MaxBlockValues, and n equal to what
+// the counts imply — so nothing sized by the header is allocated before
+// the header is known to agree with the declared length.
+func parseFrameHeader(hdr []byte, n int64) (frameHeader, error) {
+	if len(hdr) < frameHeaderLen || n > math.MaxInt || string(hdr[:4]) != blockWireMagic || hdr[4] != blockWireVersion {
+		return frameHeader{}, fmt.Errorf("%w: bad header", errBlockWire)
+	}
+	rows, nulls := binary.LittleEndian.Uint32(hdr[10:]), binary.LittleEndian.Uint32(hdr[14:])
+	if rows > core.MaxBlockValues || nulls > rows {
+		return frameHeader{}, fmt.Errorf("%w: %d rows with %d nulls exceeds the block limit", errBlockWire, rows, nulls)
+	}
+	h := frameHeader{
+		typ:      btrblocks.Type(hdr[5]),
+		startRow: int(binary.LittleEndian.Uint32(hdr[6:])),
+		rows:     int(rows),
+		nulls:    int(nulls),
+	}
+	payload := n - frameHeaderLen - 4*int64(nulls)
+	switch h.typ {
+	case btrblocks.TypeInt:
+		payload -= 4 * int64(rows)
+	case btrblocks.TypeInt64, btrblocks.TypeDouble:
+		payload -= 8 * int64(rows)
+	case btrblocks.TypeString:
+		payload -= 4 * (int64(rows) + 1)
+		if payload >= 0 && payload <= math.MaxUint32 {
+			h.dataLen, payload = int(payload), 0
 		}
 	default:
-		return nil, fmt.Errorf("blockstore: unknown block type %d", t)
+		return frameHeader{}, fmt.Errorf("%w: unknown block type %d", errBlockWire, h.typ)
+	}
+	if payload != 0 {
+		return frameHeader{}, fmt.Errorf("%w: %s payload size mismatch", errBlockWire, h.typ)
+	}
+	return h, nil
+}
+
+// checkNulls validates a wire null list: strictly ascending positions
+// inside the block.
+func checkNulls(b []byte, rows int) error {
+	prev := -1
+	for ; len(b) >= 4; b = b[4:] {
+		p := int(binary.LittleEndian.Uint32(b))
+		if p <= prev || p >= rows {
+			return fmt.Errorf("%w: null positions not ascending within the block", errBlockWire)
+		}
+		prev = p
+	}
+	return nil
+}
+
+// checkOffsets validates wire string offsets: monotonic, and ending at
+// the data length.
+func checkOffsets(b []byte, dataLen int) error {
+	prev := binary.LittleEndian.Uint32(b)
+	for b = b[4:]; len(b) >= 4; b = b[4:] {
+		o := binary.LittleEndian.Uint32(b)
+		if o < prev {
+			return fmt.Errorf("%w: string offsets not monotonic", errBlockWire)
+		}
+		prev = o
+	}
+	if int64(prev) != int64(dataLen) {
+		return fmt.Errorf("%w: string payload size mismatch", errBlockWire)
+	}
+	return nil
+}
+
+// checkBlockFrame validates a complete frame in place: what a router
+// does to a replica's reply before passing the bytes on.
+func checkBlockFrame(frame []byte) error {
+	h, err := parseFrameHeader(frame, int64(len(frame)))
+	if err != nil {
+		return err
+	}
+	pos := frameHeaderLen + 4*h.nulls
+	if err := checkNulls(frame[frameHeaderLen:pos], h.rows); err != nil {
+		return err
+	}
+	if h.typ == btrblocks.TypeString {
+		return checkOffsets(frame[pos:pos+4*(h.rows+1)], h.dataLen)
+	}
+	return nil
+}
+
+// readChunk is the most readBytes allocates ahead of the bytes arriving.
+const readChunk = 8 << 20
+
+// readBytes reads exactly n bytes. Up to readChunk the buffer is made in
+// one piece; beyond it the buffer grows as bytes arrive, so a reply that
+// lies about its length cannot size an allocation.
+func readBytes(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readChunk))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for len(buf) < n {
+		at := len(buf)
+		buf = append(buf, make([]byte, min(n-at, readChunk))...)
+		if _, err := io.ReadFull(r, buf[at:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// readFrameHeader reads the header of the n-byte frame on r and checks
+// it against n, before anything past it is read or sized.
+func readFrameHeader(r io.Reader, n int64) ([]byte, frameHeader, error) {
+	if n < frameHeaderLen {
+		return nil, frameHeader{}, fmt.Errorf("%w: %d-byte frame", errBlockWire, n)
+	}
+	hdr, err := readBytes(r, frameHeaderLen)
+	if err != nil {
+		return nil, frameHeader{}, err
+	}
+	h, err := parseFrameHeader(hdr, n)
+	return hdr, h, err
+}
+
+// readFrame reads the n-byte BTBK frame on r whole and validates it in
+// place.
+func readFrame(r io.Reader, n int64) ([]byte, error) {
+	hdr, _, err := readFrameHeader(r, n)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := readBytes(io.MultiReader(bytes.NewReader(hdr), r), int(n))
+	if err != nil {
+		return nil, err
+	}
+	if err := checkBlockFrame(frame); err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// DecodeBlockFrame parses a complete BTBK frame.
+func DecodeBlockFrame(file string, frame []byte) (*BlockValues, error) {
+	return readBlockFrame(file, bytes.NewReader(frame), int64(len(frame)), hostLittleEndian)
+}
+
+// readBlockFrame decodes the n-byte BTBK frame on r straight into the
+// slices of the BlockValues it returns: the header and the null list
+// are validated before anything is sized by them, numeric payloads are
+// read into the typed slice, and strings are substrings of one backing
+// string over one data buffer. An error from r is returned as it is;
+// every other error is an errBlockWire.
+func readBlockFrame(file string, r io.Reader, n int64, native bool) (*BlockValues, error) {
+	_, h, err := readFrameHeader(r, n)
+	if err != nil {
+		return nil, err
+	}
+	out := &BlockValues{File: file, StartRow: h.startRow, Rows: h.rows, Type: h.typ.String()}
+	if h.nulls > 0 {
+		nb, err := readBytes(r, 4*h.nulls)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkNulls(nb, h.rows); err != nil {
+			return nil, err
+		}
+		out.Nulls = make([]int, h.nulls)
+		for i := range out.Nulls {
+			out.Nulls[i] = int(binary.LittleEndian.Uint32(nb[4*i:]))
+		}
+	}
+	switch h.typ {
+	case btrblocks.TypeInt:
+		out.Ints = make([]int32, h.rows)
+		err = readWords(r, out.Ints, native)
+	case btrblocks.TypeInt64:
+		out.Ints64 = make([]int64, h.rows)
+		err = readWords(r, out.Ints64, native)
+	case btrblocks.TypeDouble:
+		out.Doubles = make([]float64, h.rows)
+		err = readWords(r, out.Doubles, native)
+	case btrblocks.TypeString:
+		out.Strings, err = readStrings(r, h)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readStrings reads a string payload: the offsets, then the data into
+// the one buffer every returned string is a substring of.
+func readStrings(r io.Reader, h frameHeader) ([]string, error) {
+	offs, err := readBytes(r, 4*(h.rows+1))
+	if err != nil {
+		return nil, err
+	}
+	if err := checkOffsets(offs, h.dataLen); err != nil {
+		return nil, err
+	}
+	data, err := readBytes(r, h.dataLen)
+	if err != nil {
+		return nil, err
+	}
+	backing := stringOf(data)
+	out := make([]string, h.rows)
+	lo := binary.LittleEndian.Uint32(offs)
+	for i := range out {
+		hi := binary.LittleEndian.Uint32(offs[4*(i+1):])
+		out[i] = backing[lo:hi]
+		lo = hi
 	}
 	return out, nil
 }

@@ -243,20 +243,37 @@ func (r *Router) orderFor(name string, rot int) []*Node {
 
 // legResult is one replica fetch attempt's outcome.
 type legResult struct {
-	blk   *blockstore.BlockValues
+	frame []byte
 	err   error
 	node  *Node
 	hedge bool
 }
 
-// FetchBlock fetches one decoded block, walking the file's replicas:
-// the primary is asked first; if it has not answered within the hedge
-// budget (the primary replica's observed p95 fetch latency, clamped) a
-// hedge leg fires against the next replica and the first success wins,
-// the loser cancelled. Failures — including block damage, which also
-// enqueues a repair — fail over to the remaining replicas. The fetch
-// fails only when every replica has failed.
+// FetchBlock fetches one decoded block: FetchBlockFrame, then a decode —
+// for format=json and callers that want values. A format=binary reply
+// is the frame itself.
 func (r *Router) FetchBlock(ctx context.Context, name string, idx int) (*blockstore.BlockValues, error) {
+	frame, err := r.FetchBlockFrame(ctx, name, idx)
+	if err != nil {
+		return nil, err
+	}
+	blk, err := blockstore.DecodeBlockFrame(name, frame)
+	if err != nil {
+		return nil, err
+	}
+	blk.Block = idx
+	return blk, nil
+}
+
+// FetchBlockFrame fetches one block as its validated BTBK frame, walking
+// the file's replicas: the primary is asked first; if it has not
+// answered within the hedge budget (the primary replica's observed p95
+// fetch latency, clamped) a hedge leg fires against the next replica and
+// the first success wins, the loser cancelled. Failures — including
+// block damage, which also enqueues a repair — fail over to the
+// remaining replicas. The fetch fails only when every replica has
+// failed.
+func (r *Router) FetchBlockFrame(ctx context.Context, name string, idx int) ([]byte, error) {
 	r.metrics.BlockFetches.Add(1)
 	replicas := r.orderFor(name, idx)
 	if len(replicas) == 0 {
@@ -302,7 +319,7 @@ func (r *Router) FetchBlock(ctx context.Context, name string, idx int) (*blockst
 				if res.hedge {
 					r.metrics.HedgeWins.Add(1)
 				}
-				return res.blk, nil
+				return res.frame, nil
 			}
 			if blockstore.IsBlockDamage(res.err) {
 				r.metrics.DamageDetected.Add(1)
@@ -333,7 +350,7 @@ func (r *Router) fetchLeg(ctx context.Context, n *Node, name string, idx int, he
 	}
 	r.metrics.ReplicaRequests.Add(n.Name, 1)
 	start := time.Now()
-	blk, err := n.Client.Block(fctx, name, idx)
+	frame, err := n.Client.BlockFrame(fctx, name, idx)
 	if err != nil {
 		r.metrics.ReplicaErrors.Add(n.Name, 1)
 		span.SetError(err)
@@ -341,7 +358,7 @@ func (r *Router) fetchLeg(ctx context.Context, n *Node, name string, idx int, he
 		r.metrics.ReplicaLatency.At(n.Name).Observe(time.Since(start))
 	}
 	span.End()
-	out <- legResult{blk: blk, err: err, node: n, hedge: hedge}
+	out <- legResult{frame: frame, err: err, node: n, hedge: hedge}
 }
 
 // hedgeBudget derives the hedge deadline from the primary replica's

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -366,5 +368,81 @@ func TestMembershipProbeTransitions(t *testing.T) {
 	}
 	if down.Up() {
 		t.Fatal("killed node still reported up")
+	}
+}
+
+// A format=binary block through the router is the node's reply byte for
+// byte, with its length declared; format=json still carries the same
+// values; and a frame a replica mangles is failed over, not passed on.
+func TestRouterPassesBinaryFramesThrough(t *testing.T) {
+	contents, cols := testCorpus(t)
+	names := []string{"n1", "n2", "n3"}
+	ring, perNode := placeCorpus(t, contents, names, 2)
+	nodes, specs := startNodes(t, names, perNode, blockstore.Config{})
+	r := newTestRouter(t, specs, Config{Replicas: 2, DisableHedge: true})
+	srv := httptest.NewServer(NewServer(r, nil))
+	t.Cleanup(srv.Close)
+	cl := blockstore.NewClient(srv.URL)
+
+	get := func(base, path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		return resp, body
+	}
+	routed := &r.metrics.endpoint("/v1/block").requests
+	for name, col := range cols {
+		owner := nodes[ring.Place(name, 2)[0]]
+		for b := 0; b < blockCount(t, contents[name]); b++ {
+			path := "/v1/block?format=binary&file=" + name + "&block=" + strconv.Itoa(b)
+			_, want := get(owner.srv.URL, path)
+			before := routed.Load()
+			resp, got := get(srv.URL, path)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s#%d: routed frame differs from the node's", name, b)
+			}
+			if routed.Load() != before+1 {
+				t.Fatalf("%s#%d: reply complete before the router counted the request", name, b)
+			}
+			if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
+				t.Fatalf("%s#%d: routed reply has Content-Length %d, Transfer-Encoding %v; frame is %d bytes",
+					name, b, resp.ContentLength, resp.TransferEncoding, len(want))
+			}
+		}
+		blocks := blockCount(t, contents[name])
+		verifyColumn(t, col, blocks, func(b int) (*blockstore.BlockValues, error) { return cl.BlockJSON(testCtx, name, b) })
+		verifyColumn(t, col, blocks, func(b int) (*blockstore.BlockValues, error) { return r.FetchBlock(testCtx, name, b) })
+	}
+
+	// A replica whose frames arrive with a null position past the block:
+	// the router's check refuses them and the other replica answers.
+	const victim = "t/i.btr"
+	placed := ring.Place(victim, 2)
+	_, good := get(nodes[placed[1]].srv.URL, "/v1/block?format=binary&file="+victim+"&block=0")
+	mangler := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/v1/block" {
+			nodes[placed[0]].srv.Config.Handler.ServeHTTP(w, req)
+			return
+		}
+		bad := append([]byte(nil), good...)
+		bad[18], bad[19], bad[20], bad[21] = 0xff, 0xff, 0xff, 0x7f
+		_, _ = w.Write(bad)
+	}))
+	t.Cleanup(mangler.Close)
+	specs[placed[0]] = names[placed[0]] + "=" + mangler.URL
+	r2 := newTestRouter(t, specs, Config{Replicas: 2, DisableHedge: true})
+	frame, err := r2.FetchBlockFrame(testCtx, victim, 0)
+	if err != nil || !bytes.Equal(frame, good) {
+		t.Fatalf("fetch past a mangling replica: %v", err)
+	}
+	if r2.Metrics().Failovers.Load() != 1 {
+		t.Fatalf("failovers = %d, want 1", r2.Metrics().Failovers.Load())
 	}
 }

@@ -26,7 +26,8 @@ import (
 //	GET  /v1/files[?file=NAME]         merged file metadata (JSON)
 //	GET  /v1/raw/NAME                  raw bytes from any replica; honors Range
 //	GET  /v1/block?file=N&block=I      block via hedged replica fetch
-//	     [&format=json|binary]         (default json; binary = BTBK)
+//	     [&format=json|binary]         (default json; binary = the
+//	                                   replica's BTBK frame, untouched)
 //	GET  /v1/count-eq?file=N&value=V   pushed-down count, replica failover
 //	GET  /v1/count-eq?value=V          scatter-gather count over every column
 //	GET  /v1/nodes                     per-node health and client counters
@@ -193,17 +194,22 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing or bad block parameter", http.StatusBadRequest)
 		return
 	}
-	blk, err := s.router.FetchBlock(r.Context(), name, idx)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
 	switch q.Get("format") {
 	case "", "json":
+		blk, err := s.router.FetchBlock(r.Context(), name, idx)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
 		writeJSON(w, blk.Payload())
 	case "binary":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(blk.EncodeBinary())
+		// The winning replica's validated frame goes out as it came in.
+		frame, err := s.router.FetchBlockFrame(r.Context(), name, idx)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		_, _ = blockstore.BinaryReply(w, len(frame)).Write(frame)
 	default:
 		http.Error(w, "format must be json or binary", http.StatusBadRequest)
 	}
