@@ -465,7 +465,7 @@ func BenchmarkCompressInt64kBlock(b *testing.B) {
 	cfg := core.DefaultConfig()
 	b.SetBytes(int64(len(src) * 4))
 	for i := 0; i < b.N; i++ {
-		core.CompressInt(nil, src, cfg)
+		core.Int.Compress(nil, src, cfg)
 	}
 }
 
@@ -777,7 +777,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodeFrequency, core.CodeFastBP, core.CodeFastPFOR} {
 		vals := baselineIntData(code)
-		enc := core.CompressIntAs(nil, vals, code, cfg)
+		enc := core.Int.CompressAs(nil, vals, code, cfg)
 		if enc == nil {
 			b.Fatalf("int/%v: scheme not applicable to its benchmark data", code)
 		}
@@ -789,7 +789,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 4))
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, _, err = core.DecompressInt(out[:0], enc, cfg); err != nil {
+				if out, _, err = core.Int.Decompress(out[:0], enc, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -803,7 +803,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 		vals := baselineInt64Data(code)
 		c := *cfg
 		c.IntSchemes = []core.Code{code}
-		enc := core.CompressInt64(nil, vals, &c)
+		enc := core.Int64.Compress(nil, vals, &c)
 		if got := core.Code(enc[0]); got != code {
 			b.Fatalf("int64/%v: stream root is %v", code, got)
 		}
@@ -812,7 +812,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, _, err = core.DecompressInt64(out[:0], enc, cfg); err != nil {
+				if out, _, err = core.Int64.Decompress(out[:0], enc, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -824,7 +824,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodePDE} {
 		vals := baselineDoubleData(code)
-		enc := core.CompressDoubleAs(nil, vals, code, cfg)
+		enc := core.Double.CompressAs(nil, vals, code, cfg)
 		if enc == nil {
 			b.Fatalf("double/%v: scheme not applicable to its benchmark data", code)
 		}
@@ -836,7 +836,7 @@ func BenchmarkDecodeBaseline(b *testing.B) {
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, _, err = core.DecompressDouble(out[:0], enc, cfg); err != nil {
+				if out, _, err = core.Double.Decompress(out[:0], enc, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -898,15 +898,15 @@ func BenchmarkCompressBaseline(b *testing.B) {
 	}
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodeFastBP, core.CodeFastPFOR} {
 		vals := baselineIntData(code)
-		run(fmt.Sprintf("int/%v", code), code, 4*len(vals), func() []byte { return core.CompressInt(compressSink[:0], vals, cfg) })
+		run(fmt.Sprintf("int/%v", code), code, 4*len(vals), func() []byte { return core.Int.Compress(compressSink[:0], vals, cfg) })
 	}
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodeFastBP} {
 		vals := baselineInt64Data(code)
-		run(fmt.Sprintf("int64/%v", code), code, 8*len(vals), func() []byte { return core.CompressInt64(compressSink[:0], vals, cfg) })
+		run(fmt.Sprintf("int64/%v", code), code, 8*len(vals), func() []byte { return core.Int64.Compress(compressSink[:0], vals, cfg) })
 	}
 	for _, code := range []core.Code{core.CodeRLE, core.CodeDict, core.CodePDE} {
 		vals := baselineDoubleData(code)
-		run(fmt.Sprintf("double/%v", code), code, 8*len(vals), func() []byte { return core.CompressDouble(compressSink[:0], vals, cfg) })
+		run(fmt.Sprintf("double/%v", code), code, 8*len(vals), func() []byte { return core.Double.Compress(compressSink[:0], vals, cfg) })
 	}
 	for _, code := range []core.Code{core.CodeDict, core.CodeFSST} {
 		vals := baselineStringData(code)

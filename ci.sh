@@ -2,7 +2,7 @@
 # CI gate. Usage: ci.sh [tier1|tier2|all]
 #
 #   tier1  fast gate: formatting, build, tests, race tests
-#   tier2  deep gate: vet, fuzz smoke, chaos gate, end-to-end smokes
+#   tier2  deep gate: vet, fuzz smoke, benchmark module tests, chaos gate, end-to-end smokes
 #   all    both (default)
 set -eu
 
@@ -93,6 +93,12 @@ run_tier2() {
 	else
 		make bench-compare
 	fi
+
+	echo "== benchmark module tests =="
+	# bench/ is a module of its own (BENCHMARK.json runs it through
+	# bench/run.sh), so `go test ./...` above never builds it: run its
+	# tests here so a root API change cannot break it unseen.
+	(cd bench && go test ./...)
 
 	echo "== chaos gate =="
 	# Fault-injection suite: seeded corruption of every container format

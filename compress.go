@@ -170,19 +170,19 @@ func encodeBlock(col *Column, lo, hi int, cfg *core.Config) []byte {
 		if nulls != nil {
 			values = densify(values, nulls)
 		}
-		out = core.CompressInt(out, values, cfg)
+		out = core.Int.Compress(out, values, cfg)
 	case TypeInt64:
 		values := col.Ints64[lo:hi]
 		if nulls != nil {
 			values = densify(values, nulls)
 		}
-		out = core.CompressInt64(out, values, cfg)
+		out = core.Int64.Compress(out, values, cfg)
 	case TypeDouble:
 		values := col.Doubles[lo:hi]
 		if nulls != nil {
 			values = densify(values, nulls)
 		}
-		out = core.CompressDouble(out, values, cfg)
+		out = core.Double.Compress(out, values, cfg)
 	case TypeString:
 		values := col.Strings.Slice(lo, hi)
 		if nulls != nil {
@@ -372,17 +372,17 @@ func decodeBlockVectors(ix *ColumnIndex, data []byte, b int, base *core.Config, 
 	var err error
 	switch ix.Type {
 	case TypeInt:
-		out.ints, used, err = core.DecompressInt(nil, stream, &cfg)
+		out.ints, used, err = core.Int.Decompress(nil, stream, &cfg)
 		if err == nil && len(out.ints) != ref.Rows {
 			err = ErrCorrupt
 		}
 	case TypeInt64:
-		out.ints64, used, err = core.DecompressInt64(nil, stream, &cfg)
+		out.ints64, used, err = core.Int64.Decompress(nil, stream, &cfg)
 		if err == nil && len(out.ints64) != ref.Rows {
 			err = ErrCorrupt
 		}
 	case TypeDouble:
-		out.doubles, used, err = core.DecompressDouble(nil, stream, &cfg)
+		out.doubles, used, err = core.Double.Decompress(nil, stream, &cfg)
 		if err == nil && len(out.doubles) != ref.Rows {
 			err = ErrCorrupt
 		}
@@ -751,19 +751,19 @@ func Choose(col Column, opt *Options) (Scheme, float64) {
 		if len(v) > bs {
 			v = v[:bs]
 		}
-		return core.ChooseInt(v, cfg)
+		return core.Int.Choose(v, cfg)
 	case TypeInt64:
 		v := col.Ints64
 		if len(v) > bs {
 			v = v[:bs]
 		}
-		return core.ChooseInt64(v, cfg)
+		return core.Int64.Choose(v, cfg)
 	case TypeDouble:
 		v := col.Doubles
 		if len(v) > bs {
 			v = v[:bs]
 		}
-		return core.ChooseDouble(v, cfg)
+		return core.Double.Choose(v, cfg)
 	case TypeString:
 		v := col.Strings
 		if v.Len() > bs {

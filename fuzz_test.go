@@ -36,10 +36,10 @@ func FuzzDecompressColumn(f *testing.F) {
 
 func FuzzDecompressIntStream(f *testing.F) {
 	cfg := core.DefaultConfig()
-	f.Add(core.CompressInt(nil, []int32{5, 5, 5, 900, -1}, cfg))
-	f.Add(core.CompressInt(nil, make([]int32, 1000), cfg))
+	f.Add(core.Int.Compress(nil, []int32{5, 5, 5, 900, -1}, cfg))
+	f.Add(core.Int.Compress(nil, make([]int32, 1000), cfg))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = core.DecompressInt(nil, data, cfg)
+		_, _, _ = core.Int.Decompress(nil, data, cfg)
 	})
 }
 
@@ -59,8 +59,8 @@ func FuzzCompressIntRoundTrip(f *testing.F) {
 		for i := range src {
 			src[i] = int32(raw[4*i]) | int32(raw[4*i+1])<<8 | int32(raw[4*i+2])<<16 | int32(raw[4*i+3])<<24
 		}
-		enc := core.CompressInt(nil, src, cfg)
-		dec, used, err := core.DecompressInt(nil, enc, cfg)
+		enc := core.Int.Compress(nil, src, cfg)
+		dec, used, err := core.Int.Decompress(nil, enc, cfg)
 		if err != nil {
 			t.Fatalf("own output rejected: %v", err)
 		}
@@ -126,13 +126,13 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 
 	cfg := core.DefaultConfig()
-	write("FuzzDecompressIntStream", "rle", core.CompressInt(nil, []int32{5, 5, 5, 5, 900, -1, -1}, cfg))
-	write("FuzzDecompressIntStream", "zeros", core.CompressInt(nil, make([]int32, 4000), cfg))
+	write("FuzzDecompressIntStream", "rle", core.Int.Compress(nil, []int32{5, 5, 5, 5, 900, -1, -1}, cfg))
+	write("FuzzDecompressIntStream", "zeros", core.Int.Compress(nil, make([]int32, 4000), cfg))
 	ramp := make([]int32, 3000)
 	for i := range ramp {
 		ramp[i] = int32(i * 3)
 	}
-	write("FuzzDecompressIntStream", "ramp", core.CompressInt(nil, ramp, cfg))
+	write("FuzzDecompressIntStream", "ramp", core.Int.Compress(nil, ramp, cfg))
 	write("FuzzDecompressStringStream", "dict",
 		core.CompressString(nil, coldata.MakeStrings([]string{"x", "x", "yz", "x", "longer-value", "yz"}), cfg))
 	write("FuzzCompressIntRoundTrip", "mixed", []byte{1, 2, 3, 4, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})

@@ -1,21 +1,13 @@
 package core
 
-import (
-	"encoding/binary"
-	"math"
-
-	"btrblocks/internal/roaring"
-)
-
-// Aggregate kernels: Count/Sum/Min/Max computed over one compressed
+// The aggregate kernel: Count/Sum/Min/Max computed over one compressed
 // stream without materializing the column where the scheme allows it —
 // OneValue answers in O(1), RLE folds per run, Dict folds dictionary
 // entries through the codes stream, Frequency splits into the top value
-// and a recursive pass over the exceptions. Terminal bit-packed streams
-// decode and fold.
+// and the exceptions. Terminal bit-packed streams decode and fold.
 //
 // Determinism contract (the differential oracle depends on it): every
-// path folds values with the same Fold/FoldRun/Merge operations a naive
+// path folds values with the same Fold/FoldRun operations a naive
 // decode-then-fold evaluation would use, in the same row order within a
 // block. Integer folds are exact (wrapping int64 addition is commutative,
 // and a run's v*l equals l repeated additions mod 2^64), so integer fast
@@ -25,23 +17,35 @@ import (
 // from the first folded value; for doubles that means a leading NaN
 // poisons Min/Max (later comparisons against NaN are false), and Sum
 // includes NaNs — both documented, both identical to the naive fold.
-// Count counts every row (NULL handling is the caller's job: these
-// kernels see the physical stream). A zero Count leaves Sum/Min/Max at
-// their zero values.
+// Count counts every row (NULL handling is the caller's job: the kernel
+// sees the physical stream). A zero Count leaves Sum/Min/Max at their
+// zero values.
 
-// IntAgg accumulates Count/Sum/Min/Max over int32 values.
-type IntAgg struct {
+// Folder is the accumulator the aggregate kernel folds a stream into:
+// *Agg[T] for the integers, *DoubleAgg for doubles.
+type Folder[T numeric] interface {
+	// FoldRun accumulates a run of l copies of v.
+	FoldRun(v T, l int)
+	foldAll(vals []T)
+	// foldDict folds dict[c] for every code, reporting false on a code
+	// outside the dictionary.
+	foldDict(dict []T, codes []int32) bool
+	rows() int
+}
+
+// Agg accumulates Count/Sum/Min/Max over integer values.
+type Agg[T integer] struct {
 	Count int
 	Sum   int64
-	Min   int32
-	Max   int32
+	Min   T
+	Max   T
 }
 
 // Fold accumulates one value.
-func (a *IntAgg) Fold(v int32) { a.FoldRun(v, 1) }
+func (a *Agg[T]) Fold(v T) { a.FoldRun(v, 1) }
 
 // FoldRun accumulates a run of l copies of v.
-func (a *IntAgg) FoldRun(v int32, l int) {
+func (a *Agg[T]) FoldRun(v T, l int) {
 	if l <= 0 {
 		return
 	}
@@ -59,559 +63,114 @@ func (a *IntAgg) FoldRun(v int32, l int) {
 	a.Count += l
 }
 
-// Merge combines another accumulator into a.
-func (a *IntAgg) Merge(o IntAgg) {
-	if o.Count == 0 {
-		return
+func (a *Agg[T]) rows() int { return a.Count }
+
+func (a *Agg[T]) foldAll(vals []T) {
+	for _, v := range vals {
+		a.Fold(v)
 	}
-	if a.Count == 0 {
-		a.Min, a.Max = o.Min, o.Max
-	} else {
-		if o.Min < a.Min {
-			a.Min = o.Min
-		}
-		if o.Max > a.Max {
-			a.Max = o.Max
-		}
-	}
-	a.Sum += o.Sum
-	a.Count += o.Count
 }
 
-// Int64Agg accumulates Count/Sum/Min/Max over int64 values.
-type Int64Agg struct {
-	Count int
-	Sum   int64
-	Min   int64
-	Max   int64
+func (a *Agg[T]) foldDict(dict []T, codes []int32) bool {
+	for _, c := range codes {
+		if uint32(c) >= uint32(len(dict)) {
+			return false
+		}
+		a.Fold(dict[c])
+	}
+	return true
 }
 
-// Fold accumulates one value.
-func (a *Int64Agg) Fold(v int64) { a.FoldRun(v, 1) }
-
-// FoldRun accumulates a run of l copies of v.
-func (a *Int64Agg) FoldRun(v int64, l int) {
-	if l <= 0 {
-		return
-	}
-	if a.Count == 0 {
-		a.Min, a.Max = v, v
-	} else {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Sum += v * int64(l)
-	a.Count += l
-}
-
-// Merge combines another accumulator into a.
-func (a *Int64Agg) Merge(o Int64Agg) {
-	if o.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		a.Min, a.Max = o.Min, o.Max
-	} else {
-		if o.Min < a.Min {
-			a.Min = o.Min
-		}
-		if o.Max > a.Max {
-			a.Max = o.Max
-		}
-	}
-	a.Sum += o.Sum
-	a.Count += o.Count
-}
-
-// DoubleAgg accumulates Count/Sum/Min/Max over float64 values.
-type DoubleAgg struct {
-	Count int
-	Sum   float64
-	Min   float64
-	Max   float64
-}
-
-// Fold accumulates one value. Folds are order-sensitive for floats; every
-// evaluation path (compressed-domain and decode) folds in row order so
-// results are bit-identical.
-func (a *DoubleAgg) Fold(v float64) {
-	if a.Count == 0 {
-		a.Min, a.Max = v, v
-	} else {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Sum += v
-	a.Count++
-}
-
-// Merge combines another accumulator into a (block order).
-func (a *DoubleAgg) Merge(o DoubleAgg) {
-	if o.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		a.Min, a.Max = o.Min, o.Max
-	} else {
-		if o.Min < a.Min {
-			a.Min = o.Min
-		}
-		if o.Max > a.Max {
-			a.Max = o.Max
-		}
-	}
-	a.Sum += o.Sum
-	a.Count += o.Count
-}
-
-// AggregateInt folds one compressed int stream into an accumulator
-// without materializing where the scheme allows. Returns the bytes
-// consumed. st may be nil.
-func AggregateInt(src []byte, st *SelectStats, cfg *Config) (IntAgg, int, error) {
+// Aggregate folds one compressed stream into acc without materializing
+// where the scheme allows. Returns the bytes consumed. st may be nil.
+func (t *Numeric[T, K]) Aggregate(src []byte, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
 	c := cfg.normalized()
-	return aggregateInt(src, st.orDiscard(), &c)
+	return t.aggregate(src, acc, st.orDiscard(), &c)
 }
 
-func aggregateInt(src []byte, st *SelectStats, cfg *Config) (IntAgg, int, error) {
-	var agg IntAgg
+func (t *Numeric[T, K]) aggregate(src []byte, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
 	if len(src) < 1 {
-		return agg, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
+	switch Code(src[0]) {
 	case CodeOneValue:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return agg, 0, ErrCorrupt
+		n, v, err := t.oneValue(src, cfg)
+		if err != nil {
+			return 0, err
 		}
 		st.AggFast.Add(1)
-		agg.FoldRun(int32(binary.LittleEndian.Uint32(body[4:])), n)
-		return agg, 9, nil
+		acc.FoldRun(v, n)
+		return 5 + t.width, nil
 	case CodeRLE:
-		n := int(binary.LittleEndian.Uint32(body))
-		values, lengths, used, err := decodeRLEParts(src, cfg)
+		_, values, lengths, used, err := t.runParts(src, cfg)
 		if err != nil {
-			return agg, 0, err
+			return 0, err
 		}
-		defer cfg.Scratch.putInt32(values)
-		defer cfg.Scratch.putInt32(lengths)
+		defer t.putBuf(cfg.Scratch, values)
+		defer Int.putBuf(cfg.Scratch, lengths)
 		st.AggFast.Add(1)
-		off := 0
 		for i, rv := range values {
-			l := int(lengths[i])
-			if l < 0 || off+l > n {
-				return agg, 0, ErrCorrupt
-			}
-			agg.FoldRun(rv, l)
-			off += l
+			acc.FoldRun(rv, int(lengths[i]))
 		}
-		if off != n {
-			return agg, 0, ErrCorrupt
-		}
-		return agg, used, nil
+		return used, nil
 	case CodeDict:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		dictN := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || dictN > n {
-			return agg, 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		dict, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(dict)
+		dict, codes, used, err := t.dictParts(src, cfg)
 		if err != nil {
-			return agg, 0, err
+			return 0, err
 		}
-		if len(dict) != dictN {
-			return agg, 0, ErrCorrupt
-		}
-		pos += used
-		codes, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(codes)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		if len(codes) != n {
-			return agg, 0, ErrCorrupt
-		}
+		defer t.putBuf(cfg.Scratch, dict)
+		defer Int.putBuf(cfg.Scratch, codes)
 		st.AggFast.Add(1)
-		for _, c := range codes {
-			if int(c) >= dictN || c < 0 {
-				return agg, 0, ErrCorrupt
-			}
-			agg.Fold(dict[c])
+		if !acc.foldDict(dict, codes) {
+			return 0, ErrCorrupt
 		}
-		return agg, pos, nil
+		return used, nil
 	case CodeFrequency:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return agg, 0, ErrCorrupt
-		}
-		top := int32(binary.LittleEndian.Uint32(body[4:]))
-		pos := 1 + 8
-		bm, used, err := roaring.FromBytes(src[pos:])
+		n, top, bm, pos, err := t.frequencyHead(src, cfg)
 		if err != nil {
-			return agg, 0, ErrCorrupt
+			return 0, err
 		}
-		pos += used
-		excAgg, used, err := aggregateInt(src[pos:], st, cfg)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		topCount := bm.Cardinality()
-		if topCount+excAgg.Count != n {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		agg.FoldRun(top, topCount)
-		agg.Merge(excAgg)
-		return agg, pos, nil
-	default:
-		values, used, err := decompressInt(cfg.Scratch.getInt32(), src, cfg)
-		defer cfg.Scratch.putInt32(values)
-		if err != nil {
-			return agg, 0, err
-		}
-		st.AggDecoded.Add(1)
-		for _, v := range values {
-			agg.Fold(v)
-		}
-		return agg, used, nil
-	}
-}
-
-// AggregateInt64 folds one compressed int64 stream (see AggregateInt).
-func AggregateInt64(src []byte, st *SelectStats, cfg *Config) (Int64Agg, int, error) {
-	c := cfg.normalized()
-	return aggregateInt64(src, st.orDiscard(), &c)
-}
-
-func aggregateInt64(src []byte, st *SelectStats, cfg *Config) (Int64Agg, int, error) {
-	var agg Int64Agg
-	if len(src) < 1 {
-		return agg, 0, ErrCorrupt
-	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
-	case CodeOneValue:
-		if len(body) < 12 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		agg.FoldRun(int64(binary.LittleEndian.Uint64(body[4:])), n)
-		return agg, 13, nil
-	case CodeRLE:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		runCount := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || runCount > n {
-			return agg, 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		values, used, err := decompressInt64(cfg.Scratch.getInt64(), src[pos:], cfg)
-		defer cfg.Scratch.putInt64(values)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		lengths, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(lengths)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		if len(values) != runCount || len(lengths) != runCount {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		off := 0
-		for i, rv := range values {
-			l := int(lengths[i])
-			if l < 0 || off+l > n {
-				return agg, 0, ErrCorrupt
+		if !t.rowOrder {
+			before := acc.rows()
+			used, err := t.aggregate(src[pos:], acc, st, cfg)
+			if err != nil {
+				return 0, err
 			}
-			agg.FoldRun(rv, l)
-			off += l
-		}
-		if off != n {
-			return agg, 0, ErrCorrupt
-		}
-		return agg, pos, nil
-	case CodeDict:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		dictN := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || dictN > n {
-			return agg, 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		dict, used, err := decompressInt64(cfg.Scratch.getInt64(), src[pos:], cfg)
-		defer cfg.Scratch.putInt64(dict)
-		if err != nil {
-			return agg, 0, err
-		}
-		if len(dict) != dictN {
-			return agg, 0, ErrCorrupt
-		}
-		pos += used
-		codes, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(codes)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		if len(codes) != n {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		for _, c := range codes {
-			if int(c) >= dictN || c < 0 {
-				return agg, 0, ErrCorrupt
+			if bm.Cardinality()+acc.rows()-before != n {
+				return 0, ErrCorrupt
 			}
-			agg.Fold(dict[c])
+			st.AggFast.Add(1)
+			acc.FoldRun(top, bm.Cardinality())
+			return pos + used, nil
 		}
-		return agg, pos, nil
-	case CodeFrequency:
-		if len(body) < 12 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return agg, 0, ErrCorrupt
-		}
-		top := int64(binary.LittleEndian.Uint64(body[4:]))
-		pos := 1 + 12
-		bm, used, err := roaring.FromBytes(src[pos:])
-		if err != nil {
-			return agg, 0, ErrCorrupt
-		}
-		pos += used
-		excAgg, used, err := aggregateInt64(src[pos:], st, cfg)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		topCount := bm.Cardinality()
-		if topCount+excAgg.Count != n {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		agg.FoldRun(top, topCount)
-		agg.Merge(excAgg)
-		return agg, pos, nil
-	default:
-		values, used, err := decompressInt64(cfg.Scratch.getInt64(), src, cfg)
-		defer cfg.Scratch.putInt64(values)
-		if err != nil {
-			return agg, 0, err
-		}
-		st.AggDecoded.Add(1)
-		for _, v := range values {
-			agg.Fold(v)
-		}
-		return agg, used, nil
-	}
-}
-
-// AggregateDouble folds one compressed double stream (see AggregateInt).
-// Float folds are order-sensitive, so every path walks rows in order; the
-// fast paths save the materialization, not the fold.
-func AggregateDouble(src []byte, st *SelectStats, cfg *Config) (DoubleAgg, int, error) {
-	c := cfg.normalized()
-	return aggregateDouble(src, st.orDiscard(), &c)
-}
-
-func aggregateDouble(src []byte, st *SelectStats, cfg *Config) (DoubleAgg, int, error) {
-	var agg DoubleAgg
-	if len(src) < 1 {
-		return agg, 0, ErrCorrupt
-	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
-	case CodeOneValue:
-		if len(body) < 12 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return agg, 0, ErrCorrupt
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
-		st.AggFast.Add(1)
-		for i := 0; i < n; i++ {
-			agg.Fold(v)
-		}
-		return agg, 13, nil
-	case CodeRLE:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		runCount := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || runCount > n {
-			return agg, 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		values, used, err := decompressDouble(cfg.Scratch.getFloat64(), src[pos:], cfg)
-		defer cfg.Scratch.putFloat64(values)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		lengths, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(lengths)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		if len(values) != runCount || len(lengths) != runCount {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		off := 0
-		for i, rv := range values {
-			l := int(lengths[i])
-			if l < 0 || off+l > n {
-				return agg, 0, ErrCorrupt
-			}
-			for j := 0; j < l; j++ {
-				agg.Fold(rv)
-			}
-			off += l
-		}
-		if off != n {
-			return agg, 0, ErrCorrupt
-		}
-		return agg, pos, nil
-	case CodeDict:
-		if len(body) < 8 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		dictN := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || dictN > n {
-			return agg, 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		dict, used, err := decompressDouble(cfg.Scratch.getFloat64(), src[pos:], cfg)
-		defer cfg.Scratch.putFloat64(dict)
-		if err != nil {
-			return agg, 0, err
-		}
-		if len(dict) != dictN {
-			return agg, 0, ErrCorrupt
-		}
-		pos += used
-		codes, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(codes)
-		if err != nil {
-			return agg, 0, err
-		}
-		pos += used
-		if len(codes) != n {
-			return agg, 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		for _, c := range codes {
-			if int(c) >= dictN || c < 0 {
-				return agg, 0, ErrCorrupt
-			}
-			agg.Fold(dict[c])
-		}
-		return agg, pos, nil
-	case CodeFrequency:
-		if len(body) < 12 {
-			return agg, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return agg, 0, ErrCorrupt
-		}
-		top := math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
-		pos := 1 + 12
-		bm, used, err := roaring.FromBytes(src[pos:])
-		if err != nil {
-			return agg, 0, ErrCorrupt
-		}
-		pos += used
-		// Row-order fold needs the exception values themselves, not a
+		// A row-order fold needs the exception values themselves, not a
 		// recursive aggregate: decode the (small) exceptions stream and
 		// interleave with the top-value bitmap in position order.
-		exc, used, err := decompressDouble(cfg.Scratch.getFloat64(), src[pos:], cfg)
-		defer cfg.Scratch.putFloat64(exc)
+		exc, used, err := t.decompress(t.buf(cfg.Scratch), src[pos:], cfg)
+		defer t.putBuf(cfg.Scratch, exc)
 		if err != nil {
-			return agg, 0, err
+			return 0, err
 		}
-		pos += used
 		if bm.Cardinality()+len(exc) != n {
-			return agg, 0, ErrCorrupt
+			return 0, ErrCorrupt
 		}
 		st.AggFast.Add(1)
-		ei := 0
-		next := 0
-		ok := true
-		bm.ForEach(func(p uint32) bool {
-			if int(p) >= n {
-				ok = false
-				return false
+		err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
+			if isTop {
+				acc.FoldRun(top, hi-lo)
+				return
 			}
-			for next < int(p) {
-				agg.Fold(exc[ei])
-				ei++
-				next++
-			}
-			agg.Fold(top)
-			next++
-			return true
+			acc.foldAll(exc[:hi-lo])
+			exc = exc[hi-lo:]
 		})
-		if !ok {
-			return agg, 0, ErrCorrupt
-		}
-		for next < n {
-			agg.Fold(exc[ei])
-			ei++
-			next++
-		}
-		return agg, pos, nil
-	default:
-		values, used, err := decompressDouble(cfg.Scratch.getFloat64(), src, cfg)
-		defer cfg.Scratch.putFloat64(values)
-		if err != nil {
-			return agg, 0, err
-		}
-		st.AggDecoded.Add(1)
-		for _, v := range values {
-			agg.Fold(v)
-		}
-		return agg, used, nil
+		return pos + used, err
 	}
+	values, used, err := t.decompress(t.buf(cfg.Scratch), src, cfg)
+	defer t.putBuf(cfg.Scratch, values)
+	if err != nil {
+		return 0, err
+	}
+	st.AggDecoded.Add(1)
+	acc.foldAll(values)
+	return used, nil
 }

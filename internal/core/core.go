@@ -220,8 +220,6 @@ func (c *Config) rng() *rand.Rand {
 	return rand.New(rand.NewSource(c.Seed))
 }
 
-func (c *Config) intEnabled(code Code) bool    { return enabled(c.IntSchemes, code) }
-func (c *Config) doubleEnabled(code Code) bool { return enabled(c.DoubleSchemes, code) }
 func (c *Config) stringEnabled(code Code) bool { return enabled(c.StringSchemes, code) }
 
 func enabled(pool []Code, code Code) bool {

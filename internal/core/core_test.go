@@ -12,8 +12,8 @@ import (
 
 func roundTripInt(t *testing.T, src []int32, cfg *Config) []byte {
 	t.Helper()
-	enc := CompressInt(nil, src, cfg)
-	dec, used, err := DecompressInt(nil, enc, cfg)
+	enc := Int.Compress(nil, src, cfg)
+	dec, used, err := Int.Decompress(nil, enc, cfg)
 	if err != nil {
 		t.Fatalf("decompress (%s): %v", Code(enc[0]), err)
 	}
@@ -33,8 +33,8 @@ func roundTripInt(t *testing.T, src []int32, cfg *Config) []byte {
 
 func roundTripDouble(t *testing.T, src []float64, cfg *Config) []byte {
 	t.Helper()
-	enc := CompressDouble(nil, src, cfg)
-	dec, used, err := DecompressDouble(nil, enc, cfg)
+	enc := Double.Compress(nil, src, cfg)
+	dec, used, err := Double.Decompress(nil, enc, cfg)
 	if err != nil {
 		t.Fatalf("decompress (%s): %v", Code(enc[0]), err)
 	}
@@ -176,12 +176,12 @@ func TestIntScalarDecodeMatches(t *testing.T) {
 			src = append(src, v)
 		}
 	}
-	enc := CompressInt(nil, src, DefaultConfig())
-	fast, _, err := DecompressInt(nil, enc, DefaultConfig())
+	enc := Int.Compress(nil, src, DefaultConfig())
+	fast, _, err := Int.Decompress(nil, enc, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, _, err := DecompressInt(nil, enc, &Config{ScalarDecode: true})
+	scalar, _, err := Int.Decompress(nil, enc, &Config{ScalarDecode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestIntScalarDecodeMatches(t *testing.T) {
 func TestIntQuick(t *testing.T) {
 	cfg := DefaultConfig()
 	f := func(src []int32) bool {
-		enc := CompressInt(nil, src, cfg)
-		dec, used, err := DecompressInt(nil, enc, cfg)
+		enc := Int.Compress(nil, src, cfg)
+		dec, used, err := Int.Decompress(nil, enc, cfg)
 		if err != nil || used != len(enc) || len(dec) != len(src) {
 			return false
 		}
@@ -222,9 +222,9 @@ func TestIntTruncation(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	enc := CompressInt(nil, src, cfg)
+	enc := Int.Compress(nil, src, cfg)
 	for cut := 0; cut < len(enc); cut += 7 {
-		dec, used, err := DecompressInt(nil, enc[:cut], cfg)
+		dec, used, err := Int.Decompress(nil, enc[:cut], cfg)
 		if err == nil && used == len(enc) {
 			t.Fatalf("truncation at %d: decoded %d values without error", cut, len(dec))
 		}
@@ -285,12 +285,12 @@ func TestDoubleScalarDecodeMatches(t *testing.T) {
 			src[i] = math.NaN()
 		}
 	}
-	enc := CompressDouble(nil, src, DefaultConfig())
-	fast, _, err := DecompressDouble(nil, enc, DefaultConfig())
+	enc := Double.Compress(nil, src, DefaultConfig())
+	fast, _, err := Double.Decompress(nil, enc, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, _, err := DecompressDouble(nil, enc, &Config{ScalarDecode: true})
+	scalar, _, err := Double.Decompress(nil, enc, &Config{ScalarDecode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +309,8 @@ func TestDoubleQuick(t *testing.T) {
 		for i, b := range raw {
 			src[i] = math.Float64frombits(b)
 		}
-		enc := CompressDouble(nil, src, cfg)
-		dec, used, err := DecompressDouble(nil, enc, cfg)
+		enc := Double.Compress(nil, src, cfg)
+		dec, used, err := Double.Decompress(nil, enc, cfg)
 		if err != nil || used != len(enc) || len(dec) != len(src) {
 			return false
 		}
@@ -459,7 +459,7 @@ func TestCascadeDepthZeroIsPlain(t *testing.T) {
 	// normalized() restores the default, so use depth 1 then inspect
 	cfg = &Config{MaxCascadeDepth: 1, IntSchemes: []Code{CodeRLE}}
 	src := make([]int32, 1000) // all zero: RLE viable at depth 1
-	enc := CompressInt(nil, src, cfg)
+	enc := Int.Compress(nil, src, cfg)
 	// At depth 1, RLE's sub-streams must be Uncompressed (depth 0).
 	if Code(enc[0]) != CodeRLE {
 		t.Skipf("RLE not chosen (%s)", Code(enc[0]))
@@ -467,7 +467,7 @@ func TestCascadeDepthZeroIsPlain(t *testing.T) {
 	if Code(enc[9]) != CodeUncompressed {
 		t.Fatalf("values sub-stream at depth 0 = %s, want Uncompressed", Code(enc[9]))
 	}
-	dec, _, err := DecompressInt(nil, enc, cfg)
+	dec, _, err := Int.Decompress(nil, enc, cfg)
 	if err != nil || len(dec) != len(src) {
 		t.Fatalf("depth-1 round trip broken: %v", err)
 	}
@@ -485,7 +485,7 @@ func TestDeepCascadeRespectsMaxDepth(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	enc := CompressInt(nil, src, cfg)
+	enc := Int.Compress(nil, src, cfg)
 	if d := maxIntStreamDepth(t, enc); d > cfg.MaxCascadeDepth {
 		t.Fatalf("cascade depth %d exceeds max %d", d, cfg.MaxCascadeDepth)
 	}
@@ -498,7 +498,7 @@ func maxIntStreamDepth(t *testing.T, enc []byte) int {
 	switch code {
 	case CodeRLE:
 		v := 1 + 8
-		inner, used, err := DecompressInt(nil, enc[v:], DefaultConfig())
+		inner, used, err := Int.Decompress(nil, enc[v:], DefaultConfig())
 		_ = inner
 		if err != nil {
 			t.Fatal(err)
@@ -508,7 +508,7 @@ func maxIntStreamDepth(t *testing.T, enc []byte) int {
 		return 1 + max(d1, d2)
 	case CodeDict:
 		v := 1 + 8
-		_, used, err := DecompressInt(nil, enc[v:], DefaultConfig())
+		_, used, err := Int.Decompress(nil, enc[v:], DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,19 +520,12 @@ func maxIntStreamDepth(t *testing.T, enc []byte) int {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // --- choose reporting ---
 
 func TestChooseReportsScheme(t *testing.T) {
 	cfg := DefaultConfig()
 	src := make([]int32, 64000)
-	code, ratio := ChooseInt(src, cfg)
+	code, ratio := Int.Choose(src, cfg)
 	if code != CodeOneValue || ratio < 1000 {
 		t.Fatalf("ChooseInt = %s/%.1f", code, ratio)
 	}
@@ -540,7 +533,7 @@ func TestChooseReportsScheme(t *testing.T) {
 	for i := range dsrc {
 		dsrc[i] = 1.5
 	}
-	dcode, _ := ChooseDouble(dsrc, cfg)
+	dcode, _ := Double.Choose(dsrc, cfg)
 	if dcode != CodeOneValue {
 		t.Fatalf("ChooseDouble = %s", dcode)
 	}
@@ -561,13 +554,13 @@ func BenchmarkDecompressIntRLE(b *testing.B) {
 		}
 	}
 	cfg := DefaultConfig()
-	enc := CompressInt(nil, src, cfg)
+	enc := Int.Compress(nil, src, cfg)
 	dst := make([]int32, 0, len(src))
 	b.SetBytes(int64(len(src) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, _, err = DecompressInt(dst[:0], enc, cfg)
+		dst, _, err = Int.Decompress(dst[:0], enc, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"btrblocks/internal/bitpack"
 	"btrblocks/internal/fastpfor"
@@ -88,11 +89,11 @@ func InspectStream(kind Kind, src []byte) (*Layout, int, error) {
 	var err error
 	switch kind {
 	case KindInt:
-		l, err = walkInt(src, "")
+		l, err = walkNumeric(&Int.numInfo, src, "")
 	case KindInt64:
-		l, err = walkInt64(src, "")
+		l, err = walkNumeric(&Int64.numInfo, src, "")
 	case KindDouble:
-		l, err = walkDouble(src, "")
+		l, err = walkNumeric(&Double.numInfo, src, "")
 	case KindString:
 		l, err = walkString(src, "")
 	default:
@@ -104,144 +105,62 @@ func InspectStream(kind Kind, src []byte) (*Layout, int, error) {
 	return l, l.Bytes, nil
 }
 
-func walkInt(src []byte, role string) (*Layout, error) {
-	if len(src) < 1 {
-		return nil, ErrCorrupt
-	}
-	code := Code(src[0])
-	body := src[1:]
-	l := &Layout{Code: code, Kind: KindInt, Role: role}
-	switch code {
-	case CodeUncompressed:
-		if len(body) < 4 {
-			return nil, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > maxBlockValues || len(body) < 4+4*n {
-			return nil, ErrCorrupt
-		}
-		l.Values, l.HeaderBytes, l.PayloadBytes = n, 1+4, 4*n
-	case CodeOneValue:
-		if len(body) < 8 {
-			return nil, ErrCorrupt
-		}
-		l.Values = int(binary.LittleEndian.Uint32(body))
-		l.HeaderBytes = 1 + 8
-	case CodeRLE:
-		return walkRLE(l, body, walkInt)
-	case CodeDict:
-		return walkDictCodes(l, body, walkInt)
-	case CodeFrequency:
-		if len(body) < 8 {
-			return nil, ErrCorrupt
-		}
-		l.Values = int(binary.LittleEndian.Uint32(body))
-		l.HeaderBytes = 1 + 8
-		if err := walkFrequencyTail(l, body[8:], walkInt); err != nil {
-			return nil, err
-		}
-	case CodeFastBP:
-		if err := walkFOR(l, body, 4, 32); err != nil {
-			return nil, err
-		}
-	case CodeFastPFOR:
-		if err := walkPFOR(l, body); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, ErrCorrupt
-	}
-	return l.seal(), nil
-}
+// walkInt walks one of the int32 sub-streams every cascade produces.
+func walkInt(src []byte, role string) (*Layout, error) { return walkNumeric(&Int.numInfo, src, role) }
 
-func walkInt64(src []byte, role string) (*Layout, error) {
+// walkNumeric walks a stream of the numeric type t describes; sub-streams
+// of values have the parent's kind, run lengths and codes are int32.
+func walkNumeric(t *numInfo, src []byte, role string) (*Layout, error) {
 	if len(src) < 1 {
 		return nil, ErrCorrupt
 	}
 	code := Code(src[0])
 	body := src[1:]
-	l := &Layout{Code: code, Kind: KindInt64, Role: role}
+	l := &Layout{Code: code, Kind: t.kind, Role: role}
+	walkValues := func(src []byte, role string) (*Layout, error) { return walkNumeric(t, src, role) }
 	switch code {
 	case CodeUncompressed:
 		if len(body) < 4 {
 			return nil, ErrCorrupt
 		}
 		n := int(binary.LittleEndian.Uint32(body))
-		if n > maxBlockValues || len(body) < 4+8*n {
+		if n > maxBlockValues || len(body) < 4+t.width*n {
 			return nil, ErrCorrupt
 		}
-		l.Values, l.HeaderBytes, l.PayloadBytes = n, 1+4, 8*n
+		l.Values, l.HeaderBytes, l.PayloadBytes = n, 1+4, t.width*n
 	case CodeOneValue:
-		if len(body) < 12 {
+		if len(body) < 4+t.width {
 			return nil, ErrCorrupt
 		}
 		l.Values = int(binary.LittleEndian.Uint32(body))
-		l.HeaderBytes = 1 + 12
+		l.HeaderBytes = 1 + 4 + t.width
 	case CodeRLE:
-		return walkRLE(l, body, walkInt64)
+		return walkRLE(l, body, walkValues)
 	case CodeDict:
-		return walkDictCodes(l, body, walkInt64)
+		return walkDictCodes(l, body, walkValues)
 	case CodeFrequency:
-		if len(body) < 12 {
+		if len(body) < 4+t.width {
 			return nil, ErrCorrupt
 		}
 		l.Values = int(binary.LittleEndian.Uint32(body))
-		l.HeaderBytes = 1 + 12
-		if err := walkFrequencyTail(l, body[12:], walkInt64); err != nil {
+		l.HeaderBytes = 1 + 4 + t.width
+		if err := walkFrequencyTail(l, body[4+t.width:], walkValues); err != nil {
 			return nil, err
 		}
-	case CodeFastBP:
-		if err := walkFOR(l, body, 8, 64); err != nil {
+	default: // a leaf codec, if the type's pool has it
+		err := ErrCorrupt
+		switch {
+		case !slices.Contains(t.pool, code):
+		case code == CodeFastBP:
+			err = walkFOR(l, body, t.width, 8*t.width)
+		case code == CodeFastPFOR:
+			err = walkPFOR(l, body)
+		case code == CodePDE:
+			err = walkPDE(l, body)
+		}
+		if err != nil {
 			return nil, err
 		}
-	default:
-		return nil, ErrCorrupt
-	}
-	return l.seal(), nil
-}
-
-func walkDouble(src []byte, role string) (*Layout, error) {
-	if len(src) < 1 {
-		return nil, ErrCorrupt
-	}
-	code := Code(src[0])
-	body := src[1:]
-	l := &Layout{Code: code, Kind: KindDouble, Role: role}
-	switch code {
-	case CodeUncompressed:
-		if len(body) < 4 {
-			return nil, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > maxBlockValues || len(body) < 4+8*n {
-			return nil, ErrCorrupt
-		}
-		l.Values, l.HeaderBytes, l.PayloadBytes = n, 1+4, 8*n
-	case CodeOneValue:
-		if len(body) < 12 {
-			return nil, ErrCorrupt
-		}
-		l.Values = int(binary.LittleEndian.Uint32(body))
-		l.HeaderBytes = 1 + 12
-	case CodeRLE:
-		return walkRLE(l, body, walkDouble)
-	case CodeDict:
-		return walkDictCodes(l, body, walkDouble)
-	case CodeFrequency:
-		if len(body) < 12 {
-			return nil, ErrCorrupt
-		}
-		l.Values = int(binary.LittleEndian.Uint32(body))
-		l.HeaderBytes = 1 + 12
-		if err := walkFrequencyTail(l, body[12:], walkDouble); err != nil {
-			return nil, err
-		}
-	case CodePDE:
-		if err := walkPDE(l, body); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, ErrCorrupt
 	}
 	return l.seal(), nil
 }

@@ -94,8 +94,8 @@ func TestInspectIntStreams(t *testing.T) {
 		for _, code := range AllCodes() {
 			fcfg := *cfg
 			fcfg.IntSchemes = []Code{code}
-			fenc := CompressInt(nil, src, &fcfg)
-			if _, _, err := DecompressInt(nil, fenc, cfg); err != nil {
+			fenc := Int.Compress(nil, src, &fcfg)
+			if _, _, err := Int.Decompress(nil, fenc, cfg); err != nil {
 				continue // scheme not viable for this data; encoder fell back
 			}
 			checkLayout(t, KindInt, fenc, len(src))
@@ -188,7 +188,7 @@ func TestInspectStreamRejectsCorrupt(t *testing.T) {
 	for i := range src {
 		src[i] = int32(i % 100)
 	}
-	enc := CompressInt(nil, src, cfg)
+	enc := Int.Compress(nil, src, cfg)
 	if _, _, err := InspectStream(KindInt, enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
@@ -208,7 +208,7 @@ func TestDecisionHookFires(t *testing.T) {
 	for i := range src {
 		src[i] = int32(i / 500)
 	}
-	enc := CompressInt(nil, src, cfg)
+	enc := Int.Compress(nil, src, cfg)
 	if len(decisions) == 0 {
 		t.Fatal("no decisions delivered")
 	}
@@ -232,7 +232,7 @@ func TestDecisionHookFires(t *testing.T) {
 	}
 
 	// Hook output must not change the encoding.
-	plain := CompressInt(nil, src, DefaultConfig())
+	plain := Int.Compress(nil, src, DefaultConfig())
 	if string(plain) != string(enc) {
 		t.Fatal("decision hook changed the output")
 	}

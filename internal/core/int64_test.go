@@ -9,8 +9,8 @@ import (
 
 func roundTripInt64(t *testing.T, src []int64, cfg *Config) []byte {
 	t.Helper()
-	enc := CompressInt64(nil, src, cfg)
-	dec, used, err := DecompressInt64(nil, enc, cfg)
+	enc := Int64.Compress(nil, src, cfg)
+	dec, used, err := Int64.Decompress(nil, enc, cfg)
 	if err != nil {
 		t.Fatalf("decompress (%s): %v", Code(enc[0]), err)
 	}
@@ -109,12 +109,12 @@ func TestInt64ScalarMatchesOptimized(t *testing.T) {
 			src = append(src, v)
 		}
 	}
-	enc := CompressInt64(nil, src, DefaultConfig())
-	fast, _, err := DecompressInt64(nil, enc, DefaultConfig())
+	enc := Int64.Compress(nil, src, DefaultConfig())
+	fast, _, err := Int64.Decompress(nil, enc, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, _, err := DecompressInt64(nil, enc, &Config{ScalarDecode: true})
+	scalar, _, err := Int64.Decompress(nil, enc, &Config{ScalarDecode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestInt64Truncation(t *testing.T) {
 	for i := range src {
 		src[i] = int64(i % 50)
 	}
-	enc := CompressInt64(nil, src, cfg)
+	enc := Int64.Compress(nil, src, cfg)
 	for cut := 0; cut < len(enc); cut += 5 {
-		dec, used, err := DecompressInt64(nil, enc[:cut], cfg)
+		dec, used, err := Int64.Decompress(nil, enc[:cut], cfg)
 		if err == nil && used == len(enc) {
 			t.Fatalf("truncation at %d: decoded %d values silently", cut, len(dec))
 		}
@@ -143,8 +143,8 @@ func TestInt64Truncation(t *testing.T) {
 func TestInt64Quick(t *testing.T) {
 	cfg := DefaultConfig()
 	f := func(src []int64) bool {
-		enc := CompressInt64(nil, src, cfg)
-		dec, used, err := DecompressInt64(nil, enc, cfg)
+		enc := Int64.Compress(nil, src, cfg)
+		dec, used, err := Int64.Decompress(nil, enc, cfg)
 		if err != nil || used != len(enc) || len(dec) != len(src) {
 			return false
 		}
@@ -165,15 +165,15 @@ func TestInt64CountEqual(t *testing.T) {
 	src := []int64{5, 5, 5, 1 << 40, 5, 5, -9}
 	for _, code := range []Code{CodeRLE, CodeFrequency} {
 		restricted := &Config{IntSchemes: []Code{code}}
-		enc := CompressInt64(nil, src, restricted)
-		count, used, err := CountEqualInt64(enc, 5, cfg)
+		enc := Int64.Compress(nil, src, restricted)
+		count, used, err := Int64.Count(enc, Eq[int64](5), cfg)
 		if err != nil || used != len(enc) || count != 5 {
 			t.Fatalf("%s: count = %d (err %v)", code, count, err)
 		}
-		if count, _, _ := CountEqualInt64(enc, 1<<40, cfg); count != 1 {
+		if count, _, _ := Int64.Count(enc, Eq[int64](1<<40), cfg); count != 1 {
 			t.Fatalf("%s: outlier count = %d", code, count)
 		}
-		if count, _, _ := CountEqualInt64(enc, 12345, cfg); count != 0 {
+		if count, _, _ := Int64.Count(enc, Eq[int64](12345), cfg); count != 0 {
 			t.Fatalf("%s: absent count = %d", code, count)
 		}
 	}
@@ -182,8 +182,8 @@ func TestInt64CountEqual(t *testing.T) {
 	for i := range dsrc {
 		dsrc[i] = int64(i%7) * 1e15
 	}
-	enc := CompressInt64(nil, dsrc, &Config{IntSchemes: []Code{CodeDict}})
-	if count, _, err := CountEqualInt64(enc, 2e15, cfg); err != nil || count != 143 {
+	enc := Int64.Compress(nil, dsrc, &Config{IntSchemes: []Code{CodeDict}})
+	if count, _, err := Int64.Count(enc, Eq[int64](2e15), cfg); err != nil || count != 143 {
 		t.Fatalf("dict count = %d (err %v)", count, err)
 	}
 }

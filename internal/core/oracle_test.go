@@ -97,7 +97,10 @@ func checkEncoderInputs[K stats.Key](t *testing.T, name string, src []K) {
 	if p.Vals[p.TopID] != top {
 		t.Fatalf("%s: top value %v, oracle %v", name, p.Vals[p.TopID], top)
 	}
-	bm, exceptions := splitTop(&p.Summary, p.IDs, src)
+	topRow, bm, exceptions := splitTop(&p.Summary, p.IDs, src)
+	if src[topRow] != top {
+		t.Fatalf("%s: row %d reported as holding the top value holds %v", name, topRow, src[topRow])
+	}
 	var wantExc []K
 	for i, v := range src {
 		if (v == top) != bm.Contains(uint32(i)) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"btrblocks/coldata"
@@ -9,33 +8,9 @@ import (
 	"btrblocks/internal/stats"
 )
 
-// profiled returns p built over src. The picker and the encoders all ask
-// through here, so a stream is hashed once however many of them need it.
-func profiled[K stats.Key](p *stats.Profile[K], src []K, cfg *Config) *stats.Profile[K] {
-	if !p.Built {
-		p.Build(src, &cfg.Scratch.table)
-	}
-	return p
-}
-
 func profiledStrings(p *stats.StringProfile, src coldata.Strings, cfg *Config) *stats.StringProfile {
 	if !p.Built {
 		p.Build(src, &cfg.Scratch.table)
-	}
-	return p
-}
-
-// profiledDoubles profiles a float64 stream by bit pattern, so NaN
-// payloads and -0.0 stay distinct values. The keyed copy of the stream is
-// only read while the profile is built, so one buffer serves them all.
-func profiledDoubles(p *stats.Profile[uint64], src []float64, cfg *Config) *stats.Profile[uint64] {
-	if !p.Built {
-		scr := cfg.Scratch
-		scr.bits = slices.Grow(scr.bits[:0], len(src))[:len(src)]
-		for i, v := range src {
-			scr.bits[i] = math.Float64bits(v)
-		}
-		p.Build(scr.bits, &scr.table)
 	}
 	return p
 }
@@ -82,18 +57,20 @@ func sortedDict[K stats.Key](p *stats.Profile[K]) (dict []K, codes []int32) {
 	return dict, codes
 }
 
-// splitTop separates a stream for Frequency encoding: a bitmap of the
-// rows holding the profile's top value, and the other rows' values.
-func splitTop[V any](st *stats.Summary, ids []int32, src []V) (*roaring.Bitmap, []V) {
-	bm := roaring.New()
-	exceptions := make([]V, 0, len(src)-st.TopCount)
+// splitTop separates a stream for Frequency encoding: a row holding the
+// profile's top value, a bitmap of all such rows, and the other rows'
+// values.
+func splitTop[V any](st *stats.Summary, ids []int32, src []V) (topRow int, bm *roaring.Bitmap, exceptions []V) {
+	bm = roaring.New()
+	exceptions = make([]V, 0, len(src)-st.TopCount)
 	for i, id := range ids {
 		if id == st.TopID {
 			bm.Add(uint32(i))
+			topRow = i
 		} else {
 			exceptions = append(exceptions, src[i])
 		}
 	}
 	bm.RunOptimize()
-	return bm, exceptions
+	return topRow, bm, exceptions
 }

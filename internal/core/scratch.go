@@ -11,8 +11,7 @@ import (
 // string length vectors — and in the parallel engine those allocations
 // dominate the per-block decode path. A Scratch turns them into free-list
 // reuse: decoders take a zero-length slice with retained capacity via
-// getInt32/getInt64/getFloat64 and return it with the matching put once
-// the block is expanded.
+// their type's buf and return it with putBuf once the block is expanded.
 //
 // Ownership rules (see PERFORMANCE.md):
 //
@@ -34,17 +33,20 @@ import (
 // caller's (the block-parallel engine keeps one per worker, as for
 // decoding), or a fresh one for the duration of the call.
 type Scratch struct {
-	i32 [][]int32
-	i64 [][]int64
-	f64 [][]float64
+	ints    numScratch[int32, int32]
+	ints64  numScratch[int64, int64]
+	doubles numScratch[float64, uint64]
 
 	table   stats.Table
 	trainer fsst.Trainer
-	ints    []*stats.Profile[int32]
-	ints64  []*stats.Profile[int64]
-	doubles []*stats.Profile[uint64]
 	bits    []uint64 // a double stream as bit patterns, while it is profiled
 	strs    []*stats.StringProfile
+}
+
+// numScratch is one numeric type's share of a Scratch.
+type numScratch[T numeric, K stats.Key] struct {
+	free     [][]T               // decode temporaries
+	profiles []*stats.Profile[K] // block profiles, unbuilt
 }
 
 // Trim drops everything in s whose size follows the data it has worked on
@@ -92,50 +94,28 @@ func giveBack[P any, PP interface {
 // pin an unbounded number of buffers per worker.
 const maxScratchSlices = 16
 
-func (s *Scratch) getInt32() []int32 {
-	if s == nil || len(s.i32) == 0 {
+// buf takes a zero-length buffer off s's free list for T; a nil Scratch,
+// or an empty list, yields nil and append allocates afresh.
+func (t *Numeric[T, K]) buf(s *Scratch) []T {
+	if s == nil {
 		return nil
 	}
-	b := s.i32[len(s.i32)-1]
-	s.i32 = s.i32[:len(s.i32)-1]
+	free := &t.scratch(s).free
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	b := (*free)[n-1]
+	*free = (*free)[:n-1]
 	return b[:0]
 }
 
-func (s *Scratch) putInt32(b []int32) {
-	if s == nil || cap(b) == 0 || len(s.i32) >= maxScratchSlices {
+// putBuf returns a buffer to s once nothing decoded aliases it.
+func (t *Numeric[T, K]) putBuf(s *Scratch, b []T) {
+	if s == nil || cap(b) == 0 {
 		return
 	}
-	s.i32 = append(s.i32, b[:0])
-}
-
-func (s *Scratch) getInt64() []int64 {
-	if s == nil || len(s.i64) == 0 {
-		return nil
+	if free := &t.scratch(s).free; len(*free) < maxScratchSlices {
+		*free = append(*free, b[:0])
 	}
-	b := s.i64[len(s.i64)-1]
-	s.i64 = s.i64[:len(s.i64)-1]
-	return b[:0]
-}
-
-func (s *Scratch) putInt64(b []int64) {
-	if s == nil || cap(b) == 0 || len(s.i64) >= maxScratchSlices {
-		return
-	}
-	s.i64 = append(s.i64, b[:0])
-}
-
-func (s *Scratch) getFloat64() []float64 {
-	if s == nil || len(s.f64) == 0 {
-		return nil
-	}
-	b := s.f64[len(s.f64)-1]
-	s.f64 = s.f64[:len(s.f64)-1]
-	return b[:0]
-}
-
-func (s *Scratch) putFloat64(b []float64) {
-	if s == nil || cap(b) == 0 || len(s.f64) >= maxScratchSlices {
-		return
-	}
-	s.f64 = append(s.f64, b[:0])
 }

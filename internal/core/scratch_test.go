@@ -18,7 +18,7 @@ func scratchTestStream(t *testing.T) ([]byte, []int32) {
 		}
 		src[i] = v
 	}
-	enc := CompressInt(nil, src, DefaultConfig())
+	enc := Int.Compress(nil, src, DefaultConfig())
 	return enc, src
 }
 
@@ -30,12 +30,12 @@ func TestScratchEquivalence(t *testing.T) {
 	plain := DefaultConfig()
 	withArena := DefaultConfig()
 	withArena.Scratch = new(Scratch)
-	want, _, err := DecompressInt(nil, enc, plain)
+	want, _, err := Int.Decompress(nil, enc, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		got, _, err := DecompressInt(nil, enc, withArena)
+		got, _, err := Int.Decompress(nil, enc, withArena)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -54,46 +54,46 @@ func TestScratchEquivalence(t *testing.T) {
 // must behave as "no arena" on every accessor.
 func TestScratchNilSafe(t *testing.T) {
 	var s *Scratch
-	if b := s.getInt32(); b != nil {
+	if b := Int.buf(s); b != nil {
 		t.Fatal("nil scratch returned a buffer")
 	}
-	s.putInt32(make([]int32, 4))
-	if b := s.getInt64(); b != nil {
+	Int.putBuf(s, make([]int32, 4))
+	if b := Int64.buf(s); b != nil {
 		t.Fatal("nil scratch returned a buffer")
 	}
-	s.putInt64(make([]int64, 4))
-	if b := s.getFloat64(); b != nil {
+	Int64.putBuf(s, make([]int64, 4))
+	if b := Double.buf(s); b != nil {
 		t.Fatal("nil scratch returned a buffer")
 	}
-	s.putFloat64(make([]float64, 4))
+	Double.putBuf(s, make([]float64, 4))
 }
 
 // TestScratchReuse checks the free-list mechanics: a put buffer comes
 // back with its capacity, the list is LIFO, and the size cap holds.
 func TestScratchReuse(t *testing.T) {
 	s := new(Scratch)
-	b := append(s.getInt32(), make([]int32, 100)...)
-	s.putInt32(b)
-	got := s.getInt32()
+	b := append(Int.buf(s), make([]int32, 100)...)
+	Int.putBuf(s, b)
+	got := Int.buf(s)
 	if cap(got) < 100 {
 		t.Fatalf("recycled capacity %d, want >= 100", cap(got))
 	}
 	if len(got) != 0 {
 		t.Fatalf("recycled length %d, want 0", len(got))
 	}
-	if again := s.getInt32(); again != nil {
+	if again := Int.buf(s); again != nil {
 		t.Fatal("empty free list returned a buffer")
 	}
 	for i := 0; i < 2*maxScratchSlices; i++ {
-		s.putInt32(make([]int32, 8))
+		Int.putBuf(s, make([]int32, 8))
 	}
-	if len(s.i32) > maxScratchSlices {
-		t.Fatalf("free list grew to %d, cap is %d", len(s.i32), maxScratchSlices)
+	if len(s.ints.free) > maxScratchSlices {
+		t.Fatalf("free list grew to %d, cap is %d", len(s.ints.free), maxScratchSlices)
 	}
 	// zero-capacity buffers are not worth keeping
 	empty := new(Scratch)
-	empty.putInt32(nil)
-	if len(empty.i32) != 0 {
+	Int.putBuf(empty, nil)
+	if len(empty.ints.free) != 0 {
 		t.Fatal("nil buffer was retained")
 	}
 }
@@ -110,7 +110,7 @@ func BenchmarkDecompressIntScratch(b *testing.B) {
 		}
 		src[i] = v
 	}
-	enc := CompressInt(nil, src, DefaultConfig())
+	enc := Int.Compress(nil, src, DefaultConfig())
 	for _, tc := range []struct {
 		name string
 		scr  *Scratch
@@ -123,7 +123,7 @@ func BenchmarkDecompressIntScratch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, _, err = DecompressInt(out[:0], enc, c); err != nil {
+				if out, _, err = Int.Decompress(out[:0], enc, c); err != nil {
 					b.Fatal(err)
 				}
 			}

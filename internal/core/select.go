@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -11,11 +12,12 @@ import (
 	"btrblocks/internal/roaring"
 )
 
-// This file implements selection-vector predicate evaluation directly on
-// compressed streams — the generalization of the count-eq pushdown in
-// scan.go from counts to positions. Each Select* kernel walks one
-// compressed stream and adds the positions of matching values (offset by
-// base) to a roaring bitmap:
+// This file implements predicate evaluation directly on compressed
+// streams — the capability §7 of the paper notes BtrBlocks can support
+// when the chosen schemes permit it. One kernel per value family (scan for
+// numbers, scanString for strings) walks a compressed stream, counts the
+// matching values and, when given a bitmap, adds their positions (offset
+// by base) to it:
 //
 //   - OneValue answers the whole stream in O(1) (one range add)
 //   - RLE tests each run value once and adds whole runs
@@ -115,13 +117,6 @@ func (s *SelectStats) orDiscard() *SelectStats {
 	return s
 }
 
-func maskU32(w uint) uint32 {
-	if w >= 32 {
-		return ^uint32(0)
-	}
-	return (1 << w) - 1
-}
-
 func maskU64of(w uint) uint64 {
 	if w >= 64 {
 		return ^uint64(0)
@@ -129,20 +124,35 @@ func maskU64of(w uint) uint64 {
 	return (1 << w) - 1
 }
 
-// --- int32 predicates ---
-
-// IntPred is a predicate over int32 values. Range bounds are inclusive.
-// In must be sorted ascending (use Normalize). An empty In matches
-// nothing.
-type IntPred struct {
-	Op     PredOp
-	Eq     int32
-	Lo, Hi int32
-	In     []int32
+// Matcher is what the scan kernel asks of a predicate over T: one value at
+// a time where the stream has one value for many rows (OneValue, a run,
+// Frequency's top value), whole slices where it has decoded values, and a
+// translation to dictionary codes. *Pred[T] serves the integers,
+// *DoublePred the doubles.
+type Matcher[T numeric] interface {
+	// Match reports whether v satisfies the predicate.
+	Match(v T) bool
+	// filter counts the matching values and, when out is non-nil, adds
+	// base plus the index of each.
+	filter(vals []T, base uint32, out *roaring.Bitmap) int
+	// codes maps the predicate over a dictionary to one on its codes.
+	codes(dict []T) *Pred[int32]
 }
 
+// Pred is a predicate over integer values. Range bounds are inclusive. In
+// must be sorted ascending (use Normalize). An empty In matches nothing.
+type Pred[T integer] struct {
+	Op     PredOp
+	Eq     T
+	Lo, Hi T
+	In     []T
+}
+
+// Eq is the predicate matching values equal to v.
+func Eq[T integer](v T) *Pred[T] { return &Pred[T]{Op: PredEq, Eq: v} }
+
 // Normalize sorts and dedupes the In set.
-func (p *IntPred) Normalize() {
+func (p *Pred[T]) Normalize() {
 	if p.Op == PredIn {
 		slices.Sort(p.In)
 		p.In = slices.Compact(p.In)
@@ -150,7 +160,7 @@ func (p *IntPred) Normalize() {
 }
 
 // Match reports whether v satisfies the predicate.
-func (p *IntPred) Match(v int32) bool {
+func (p *Pred[T]) Match(v T) bool {
 	switch p.Op {
 	case PredEq:
 		return v == p.Eq
@@ -164,7 +174,7 @@ func (p *IntPred) Match(v int32) bool {
 
 // Bounds returns the inclusive value envelope outside which nothing can
 // match. An unsatisfiable predicate returns lo > hi.
-func (p *IntPred) Bounds() (lo, hi int64) {
+func (p *Pred[T]) Bounds() (lo, hi int64) {
 	switch p.Op {
 	case PredEq:
 		return int64(p.Eq), int64(p.Eq)
@@ -178,16 +188,28 @@ func (p *IntPred) Bounds() (lo, hi int64) {
 	}
 }
 
-// codesPred maps p over a sorted dictionary to a predicate on dictionary
+func (p *Pred[T]) filter(vals []T, base uint32, out *roaring.Bitmap) (count int) {
+	for i, v := range vals {
+		if p.Match(v) {
+			count++
+			if out != nil {
+				out.Add(base + uint32(i))
+			}
+		}
+	}
+	return count
+}
+
+// codes maps p over a sorted dictionary to a predicate on dictionary
 // codes, exploiting the sorted order: Eq binary-searches, Range becomes a
 // contiguous code range, In becomes a sorted code set.
-func (p *IntPred) codesPred(dict []int32) *IntPred {
+func (p *Pred[T]) codes(dict []T) *Pred[int32] {
 	switch p.Op {
 	case PredEq:
 		if i, ok := slices.BinarySearch(dict, p.Eq); ok {
-			return &IntPred{Op: PredEq, Eq: int32(i)}
+			return Eq(int32(i))
 		}
-		return &IntPred{Op: PredIn}
+		return &Pred[int32]{Op: PredIn}
 	case PredRange:
 		lo, _ := slices.BinarySearch(dict, p.Lo)
 		hi, ok := slices.BinarySearch(dict, p.Hi)
@@ -195,9 +217,9 @@ func (p *IntPred) codesPred(dict []int32) *IntPred {
 			hi--
 		}
 		if lo > hi {
-			return &IntPred{Op: PredIn}
+			return &Pred[int32]{Op: PredIn}
 		}
-		return &IntPred{Op: PredRange, Lo: int32(lo), Hi: int32(hi)}
+		return &Pred[int32]{Op: PredRange, Lo: int32(lo), Hi: int32(hi)}
 	default:
 		var codes []int32
 		for _, v := range p.In {
@@ -213,146 +235,18 @@ func (p *IntPred) codesPred(dict []int32) *IntPred {
 // given ascending code list: a contiguous list becomes a range (so the
 // codes stream's FOR blocks can still be min-max skipped), otherwise an
 // In set.
-func codesPredFromSorted(codes []int32) *IntPred {
+func codesPredFromSorted(codes []int32) *Pred[int32] {
 	switch {
 	case len(codes) == 0:
-		return &IntPred{Op: PredIn}
+		return &Pred[int32]{Op: PredIn}
 	case len(codes) == 1:
-		return &IntPred{Op: PredEq, Eq: codes[0]}
+		return Eq(codes[0])
 	case int(codes[len(codes)-1]-codes[0]) == len(codes)-1:
-		return &IntPred{Op: PredRange, Lo: codes[0], Hi: codes[len(codes)-1]}
+		return &Pred[int32]{Op: PredRange, Lo: codes[0], Hi: codes[len(codes)-1]}
 	default:
-		return &IntPred{Op: PredIn, In: codes}
+		return &Pred[int32]{Op: PredIn, In: codes}
 	}
 }
-
-// --- int64 predicates ---
-
-// Int64Pred is a predicate over int64 values (inclusive bounds; In sorted).
-type Int64Pred struct {
-	Op     PredOp
-	Eq     int64
-	Lo, Hi int64
-	In     []int64
-}
-
-// Normalize sorts and dedupes the In set.
-func (p *Int64Pred) Normalize() {
-	if p.Op == PredIn {
-		slices.Sort(p.In)
-		p.In = slices.Compact(p.In)
-	}
-}
-
-// Match reports whether v satisfies the predicate.
-func (p *Int64Pred) Match(v int64) bool {
-	switch p.Op {
-	case PredEq:
-		return v == p.Eq
-	case PredRange:
-		return v >= p.Lo && v <= p.Hi
-	default:
-		_, ok := slices.BinarySearch(p.In, v)
-		return ok
-	}
-}
-
-// Bounds returns the inclusive match envelope; unsatisfiable → lo > hi.
-func (p *Int64Pred) Bounds() (lo, hi int64) {
-	switch p.Op {
-	case PredEq:
-		return p.Eq, p.Eq
-	case PredRange:
-		return p.Lo, p.Hi
-	default:
-		if len(p.In) == 0 {
-			return math.MaxInt64, math.MinInt64
-		}
-		return p.In[0], p.In[len(p.In)-1]
-	}
-}
-
-func (p *Int64Pred) codesPred(dict []int64) *IntPred {
-	switch p.Op {
-	case PredEq:
-		if i, ok := slices.BinarySearch(dict, p.Eq); ok {
-			return &IntPred{Op: PredEq, Eq: int32(i)}
-		}
-		return &IntPred{Op: PredIn}
-	case PredRange:
-		lo, _ := slices.BinarySearch(dict, p.Lo)
-		hi, ok := slices.BinarySearch(dict, p.Hi)
-		if !ok {
-			hi--
-		}
-		if lo > hi {
-			return &IntPred{Op: PredIn}
-		}
-		return &IntPred{Op: PredRange, Lo: int32(lo), Hi: int32(hi)}
-	default:
-		var codes []int32
-		for _, v := range p.In {
-			if i, ok := slices.BinarySearch(dict, v); ok {
-				codes = append(codes, int32(i))
-			}
-		}
-		return codesPredFromSorted(codes)
-	}
-}
-
-// --- double predicates ---
-
-// DoublePred is a predicate over float64 values. Eq and In compare
-// bit-exactly (NaN payloads and -0.0 vs 0.0 are distinct, matching
-// CountEqualDouble); Range uses ordinary float comparison, so NaN never
-// matches a range.
-type DoublePred struct {
-	Op     PredOp
-	Eq     float64
-	Lo, Hi float64
-	In     []float64
-	inBits []uint64 // sorted bit patterns of In, built by Normalize
-}
-
-// Normalize prepares the bit-pattern set for In matching.
-func (p *DoublePred) Normalize() {
-	if p.Op != PredIn {
-		return
-	}
-	p.inBits = p.inBits[:0]
-	for _, v := range p.In {
-		p.inBits = append(p.inBits, math.Float64bits(v))
-	}
-	slices.Sort(p.inBits)
-	p.inBits = slices.Compact(p.inBits)
-}
-
-// Match reports whether v satisfies the predicate.
-func (p *DoublePred) Match(v float64) bool {
-	switch p.Op {
-	case PredEq:
-		return math.Float64bits(v) == math.Float64bits(p.Eq)
-	case PredRange:
-		return v >= p.Lo && v <= p.Hi
-	default:
-		_, ok := slices.BinarySearch(p.inBits, math.Float64bits(v))
-		return ok
-	}
-}
-
-// codesPred maps p over a double dictionary (sorted by bit pattern, not
-// numerically) by testing every entry, returning the matching code set.
-func (p *DoublePred) codesPred(dict []float64) *IntPred {
-	var codes []int32
-	for i, v := range dict {
-		if p.Match(v) {
-			codes = append(codes, int32(i))
-		}
-	}
-	return codesPredFromSorted(codes)
-}
-
-// --- string predicates ---
 
 // StringPred is a predicate over string values (byte comparisons; Range
 // is lexicographic and inclusive; In must be sorted with Normalize).
@@ -385,430 +279,178 @@ func (p *StringPred) Match(v []byte) bool {
 	}
 }
 
-// --- shared helpers ---
-
-// frequencyPositions walks a Frequency stream's position structure: bm
-// marks the positions holding the top value, the remaining positions hold
-// exceptions in ascending order. topMatch selects every marked position;
-// excSel (a bitmap over exception *indexes*) selects the corresponding
-// gap positions. Mirrors decodeIntFrequency's gap-filling walk, but never
-// touches values.
-func frequencyPositions(n int, bm *roaring.Bitmap, topMatch bool, excSel *roaring.Bitmap, base uint32, out *roaring.Bitmap) error {
-	ei := 0
-	next := 0
-	ok := true
-	bm.ForEach(func(v uint32) bool {
-		if int(v) >= n {
-			ok = false
-			return false
-		}
-		for next < int(v) {
-			if excSel != nil && excSel.Contains(uint32(ei)) {
-				out.Add(base + uint32(next))
-			}
-			ei++
-			next++
-		}
-		if topMatch {
-			out.Add(base + uint32(next))
-		}
-		next++
-		return true
-	})
-	if !ok {
-		return ErrCorrupt
-	}
-	for next < n {
-		if excSel != nil && excSel.Contains(uint32(ei)) {
-			out.Add(base + uint32(next))
-		}
-		ei++
-		next++
-	}
-	return nil
-}
-
-// --- int32 kernel ---
-
-// SelectInt evaluates p over one compressed int stream, adding the
-// positions of matching values (offset by base) to out. Returns the bytes
-// consumed. st may be nil.
-func SelectInt(src []byte, p *IntPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
+// Select evaluates m over one compressed stream, adding the positions of
+// matching values (offset by base) to out. Returns the bytes consumed. st
+// may be nil.
+func (t *Numeric[T, K]) Select(src []byte, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
 	c := cfg.normalized()
-	return selectInt(src, p, base, out, st.orDiscard(), &c)
+	_, used, err := t.scan(src, m, base, out, st.orDiscard(), &c)
+	return used, err
 }
 
-func selectInt(src []byte, p *IntPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
+// Count counts the values of one compressed stream that match m without
+// locating them: RLE sums run lengths, a dictionary resolves the
+// predicate to codes once and counts codes, Frequency answers its top
+// value from the bitmap cardinality. Returns the count and the bytes
+// consumed.
+func (t *Numeric[T, K]) Count(src []byte, m Matcher[T], cfg *Config) (count, used int, err error) {
+	c := cfg.normalized()
+	return t.scan(src, m, 0, nil, &discardStats, &c)
+}
+
+// scan is the kernel behind Select and Count; a nil out means count only.
+func (t *Numeric[T, K]) scan(src []byte, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
 	if len(src) < 1 {
-		return 0, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
+	switch Code(src[0]) {
 	case CodeOneValue:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return 0, ErrCorrupt
+		n, v, err := t.oneValue(src, cfg)
+		if err != nil {
+			return 0, 0, err
 		}
 		st.OneValue.Add(1)
-		if p.Match(int32(binary.LittleEndian.Uint32(body[4:]))) {
+		if !m.Match(v) {
+			n = 0
+		} else if out != nil {
 			out.AddRange(base, base+uint32(n))
 		}
-		return 9, nil
+		return n, 5 + t.width, nil
 	case CodeRLE:
-		n := int(binary.LittleEndian.Uint32(body))
-		values, lengths, used, err := decodeRLEParts(src, cfg)
+		_, values, lengths, used, err := t.runParts(src, cfg)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		defer cfg.Scratch.putInt32(values)
-		defer cfg.Scratch.putInt32(lengths)
+		defer t.putBuf(cfg.Scratch, values)
+		defer Int.putBuf(cfg.Scratch, lengths)
 		st.RLE.Add(1)
-		off := 0
+		row := base
 		for i, rv := range values {
-			l := int(lengths[i])
-			if l < 0 || off+l > n {
-				return 0, ErrCorrupt
+			l := uint32(lengths[i])
+			if m.Match(rv) {
+				count += int(l)
+				if out != nil {
+					out.AddRange(row, row+l)
+				}
 			}
-			if p.Match(rv) {
-				out.AddRange(base+uint32(off), base+uint32(off+l))
-			}
-			off += l
+			row += l
 		}
-		if off != n {
-			return 0, ErrCorrupt
-		}
-		return used, nil
+		return count, used, nil
 	case CodeDict:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		dictN := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || dictN > n {
-			return 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		dict, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(dict)
+		_, dict, pos, err := t.dictHead(src, cfg)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		if len(dict) != dictN {
-			return 0, ErrCorrupt
-		}
-		pos += used
+		defer t.putBuf(cfg.Scratch, dict)
 		st.Dict.Add(1)
-		used, err = selectInt(src[pos:], p.codesPred(dict), base, out, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return pos + used, nil
+		count, used, err = Int.scan(src[pos:], m.codes(dict), base, out, st, cfg)
+		return count, pos + used, err
 	case CodeFrequency:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return 0, ErrCorrupt
-		}
-		top := int32(binary.LittleEndian.Uint32(body[4:]))
-		pos := 1 + 8
-		bm, used, err := roaring.FromBytes(src[pos:])
+		n, top, bm, pos, err := t.frequencyHead(src, cfg)
 		if err != nil {
-			return 0, ErrCorrupt
+			return 0, 0, err
 		}
-		pos += used
 		st.Frequency.Add(1)
-		excSel := roaring.New()
-		used, err = selectInt(src[pos:], p, 0, excSel, st, cfg)
+		var excSel *roaring.Bitmap // over exception indexes
+		if out != nil {
+			excSel = roaring.New()
+		}
+		count, used, err = t.scan(src[pos:], m, 0, excSel, st, cfg)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		pos += used
-		if err := frequencyPositions(n, bm, p.Match(top), excSel, base, out); err != nil {
-			return 0, err
+		topMatch := m.Match(top)
+		if topMatch {
+			count += bm.Cardinality()
 		}
-		return pos, nil
+		if out != nil {
+			exc := uint32(0) // exceptions before the current span
+			err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
+				switch {
+				case isTop && topMatch:
+					out.AddRange(base+uint32(lo), base+uint32(hi))
+				case !isTop:
+					for row := lo; row < hi; row++ {
+						if excSel.Contains(exc) {
+							out.Add(base + uint32(row))
+						}
+						exc++
+					}
+				}
+			})
+		}
+		return count, pos + used, err
 	case CodeFastBP:
-		used, err := selectIntFOR(body, p, base, out, st, cfg)
-		if err != nil {
-			return 0, err
+		if t.scanFOR != nil {
+			count, used, err = t.scanFOR(src[1:], m, base, out, st, cfg)
+			return count, 1 + used, err
 		}
-		return 1 + used, nil
-	default:
-		values, used, err := decompressInt(cfg.Scratch.getInt32(), src, cfg)
-		defer cfg.Scratch.putInt32(values)
-		if err != nil {
-			return 0, err
-		}
-		st.Decoded.Add(1)
-		for i, v := range values {
-			if p.Match(v) {
-				out.Add(base + uint32(i))
-			}
-		}
-		return used, nil
 	}
+	// everything else decodes and filters
+	values, used, err := t.decompress(t.buf(cfg.Scratch), src, cfg)
+	defer t.putBuf(cfg.Scratch, values)
+	if err != nil {
+		return 0, 0, err
+	}
+	st.Decoded.Add(1)
+	return m.filter(values, base, out), used, nil
 }
 
-// selectIntFOR walks a FOR/bit-packed body (scheme byte already
-// stripped), skipping whole 128-value packed blocks whose
-// [reference, reference+2^width) envelope cannot intersect the
-// predicate's bounds, and unpacking only the rest.
-func selectIntFOR(body []byte, p *IntPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
+// scanFOR walks a FOR/bit-packed body (scheme byte already stripped),
+// skipping whole 128-value packed blocks whose [reference,
+// reference+2^width) envelope cannot intersect the predicate's bounds, and
+// unpacking only the rest. U is the unsigned word T's deltas are packed as.
+func scanFOR[T integer, U uint32 | uint64](body []byte, p *Pred[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config,
+	unpack, unpackScalar func([]U, []byte, int, uint) (int, error)) (count, pos int, err error) {
+	wordBits := uint(bits.Len64(uint64(^U(0))))
 	if len(body) < 4 {
-		return 0, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint32(body))
-	pos := 4
+	pos = 4
 	if n == 0 {
-		return pos, nil
+		return 0, pos, nil
 	}
-	if n < 0 || n > cfg.maxN() || len(body) < 8 {
-		return 0, ErrCorrupt
+	if n > cfg.maxN() || len(body) < pos+int(wordBits/8) {
+		return 0, 0, ErrCorrupt
 	}
-	ref := int32(binary.LittleEndian.Uint32(body[pos:]))
-	pos += 4
-	plo, phi := p.Bounds()
-	unpack := bitpack.Unpack
+	ref := T(binary.LittleEndian.Uint32(body[pos:]))
+	if wordBits == 64 {
+		ref = T(binary.LittleEndian.Uint64(body[pos:]))
+	}
+	pos += int(wordBits / 8)
 	if cfg.ScalarDecode {
-		unpack = bitpack.UnpackGeneric
+		unpack = unpackScalar
 	}
-	var deltas [bitpack.BlockLen]uint32
+	plo, phi := p.Bounds()
+	var deltas [bitpack.BlockLen]U
 	for got := 0; got < n; got += bitpack.BlockLen {
-		cnt := n - got
-		if cnt > bitpack.BlockLen {
-			cnt = bitpack.BlockLen
-		}
+		cnt := min(n-got, bitpack.BlockLen)
 		if pos >= len(body) {
-			return 0, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 		w := uint(body[pos])
 		pos++
-		if w > 32 {
-			return 0, ErrCorrupt
+		if w > wordBits {
+			return 0, 0, ErrCorrupt
 		}
 		nBytes := (cnt*int(w) + 63) / 64 * 8
 		if len(body) < pos+nBytes {
-			return 0, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 		// Envelope check: every value in this packed block lies in
 		// [ref, ref+mask(w)] — disjoint from the predicate bounds means
-		// the block cannot contain a match and is skipped unread.
-		if phi < int64(ref) || plo > int64(ref)+int64(maskU32(w)) {
-			st.FORSkipped.Add(1)
-			pos += nBytes
-			continue
-		}
-		st.FORScanned.Add(1)
-		used, err := unpack(deltas[:cnt], body[pos:], cnt, w)
-		if err != nil {
-			return 0, ErrCorrupt
-		}
-		pos += used
-		for i := 0; i < cnt; i++ {
-			if p.Match(ref + int32(deltas[i])) {
-				out.Add(base + uint32(got+i))
-			}
-		}
-	}
-	return pos, nil
-}
-
-// --- int64 kernel ---
-
-// SelectInt64 evaluates p over one compressed int64 stream (see
-// SelectInt).
-func SelectInt64(src []byte, p *Int64Pred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	c := cfg.normalized()
-	return selectInt64(src, p, base, out, st.orDiscard(), &c)
-}
-
-func selectInt64(src []byte, p *Int64Pred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	if len(src) < 1 {
-		return 0, ErrCorrupt
-	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
-	case CodeOneValue:
-		if len(body) < 12 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return 0, ErrCorrupt
-		}
-		st.OneValue.Add(1)
-		if p.Match(int64(binary.LittleEndian.Uint64(body[4:]))) {
-			out.AddRange(base, base+uint32(n))
-		}
-		return 13, nil
-	case CodeRLE:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		runCount := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || runCount > n {
-			return 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		values, used, err := decompressInt64(cfg.Scratch.getInt64(), src[pos:], cfg)
-		defer cfg.Scratch.putInt64(values)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		lengths, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(lengths)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		if len(values) != runCount || len(lengths) != runCount {
-			return 0, ErrCorrupt
-		}
-		st.RLE.Add(1)
-		off := 0
-		for i, rv := range values {
-			l := int(lengths[i])
-			if l < 0 || off+l > n {
-				return 0, ErrCorrupt
-			}
-			if p.Match(rv) {
-				out.AddRange(base+uint32(off), base+uint32(off+l))
-			}
-			off += l
-		}
-		if off != n {
-			return 0, ErrCorrupt
-		}
-		return pos, nil
-	case CodeDict:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		dictN := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || dictN > n {
-			return 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		dict, used, err := decompressInt64(cfg.Scratch.getInt64(), src[pos:], cfg)
-		defer cfg.Scratch.putInt64(dict)
-		if err != nil {
-			return 0, err
-		}
-		if len(dict) != dictN {
-			return 0, ErrCorrupt
-		}
-		pos += used
-		st.Dict.Add(1)
-		used, err = selectInt(src[pos:], p.codesPred(dict), base, out, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return pos + used, nil
-	case CodeFrequency:
-		if len(body) < 12 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return 0, ErrCorrupt
-		}
-		top := int64(binary.LittleEndian.Uint64(body[4:]))
-		pos := 1 + 12
-		bm, used, err := roaring.FromBytes(src[pos:])
-		if err != nil {
-			return 0, ErrCorrupt
-		}
-		pos += used
-		st.Frequency.Add(1)
-		excSel := roaring.New()
-		used, err = selectInt64(src[pos:], p, 0, excSel, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		if err := frequencyPositions(n, bm, p.Match(top), excSel, base, out); err != nil {
-			return 0, err
-		}
-		return pos, nil
-	case CodeFastBP:
-		used, err := selectInt64FOR(body, p, base, out, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return 1 + used, nil
-	default:
-		values, used, err := decompressInt64(cfg.Scratch.getInt64(), src, cfg)
-		defer cfg.Scratch.putInt64(values)
-		if err != nil {
-			return 0, err
-		}
-		st.Decoded.Add(1)
-		for i, v := range values {
-			if p.Match(v) {
-				out.Add(base + uint32(i))
-			}
-		}
-		return used, nil
-	}
-}
-
-func selectInt64FOR(body []byte, p *Int64Pred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	if len(body) < 4 {
-		return 0, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	pos := 4
-	if n == 0 {
-		return pos, nil
-	}
-	if n < 0 || n > cfg.maxN() || len(body) < 12 {
-		return 0, ErrCorrupt
-	}
-	ref := int64(binary.LittleEndian.Uint64(body[pos:]))
-	pos += 8
-	plo, phi := p.Bounds()
-	unpack := bitpack.Unpack64
-	if cfg.ScalarDecode {
-		unpack = bitpack.Unpack64Generic
-	}
-	var deltas [bitpack.BlockLen]uint64
-	for got := 0; got < n; got += bitpack.BlockLen {
-		cnt := n - got
-		if cnt > bitpack.BlockLen {
-			cnt = bitpack.BlockLen
-		}
-		if pos >= len(body) {
-			return 0, ErrCorrupt
-		}
-		w := uint(body[pos])
-		pos++
-		if w > 64 {
-			return 0, ErrCorrupt
-		}
-		nBytes := ((cnt*int(w) + 63) / 64) * 8
-		if len(body) < pos+nBytes {
-			return 0, ErrCorrupt
-		}
-		// Envelope upper bound ref+mask(w), saturating at MaxInt64: a
-		// width-64 block (or one whose envelope overflows) is never
-		// skipped by the upper bound, which keeps the skip sound.
+		// the block cannot contain a match and is skipped unread. The
+		// upper bound saturates at MaxInt64: a width-64 block (or one
+		// whose envelope overflows) is never skipped by it, which keeps
+		// the skip sound.
 		hiBound := int64(math.MaxInt64)
 		if w < 64 {
-			if d := int64(maskU64of(w)); ref <= math.MaxInt64-d {
-				hiBound = ref + d
+			if d := int64(maskU64of(w)); int64(ref) <= math.MaxInt64-d {
+				hiBound = int64(ref) + d
 			}
 		}
-		if phi < ref || plo > hiBound {
+		if phi < int64(ref) || plo > hiBound {
 			st.FORSkipped.Add(1)
 			pos += nBytes
 			continue
@@ -816,215 +458,89 @@ func selectInt64FOR(body []byte, p *Int64Pred, base uint32, out *roaring.Bitmap,
 		st.FORScanned.Add(1)
 		used, err := unpack(deltas[:cnt], body[pos:], cnt, w)
 		if err != nil {
-			return 0, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 		pos += used
-		for i := 0; i < cnt; i++ {
-			if p.Match(ref + int64(deltas[i])) {
-				out.Add(base + uint32(got+i))
+		for i, d := range deltas[:cnt] {
+			if p.Match(ref + T(d)) {
+				count++
+				if out != nil {
+					out.Add(base + uint32(got+i))
+				}
 			}
 		}
 	}
-	return pos, nil
+	return count, pos, nil
 }
-
-// --- double kernel ---
-
-// SelectDouble evaluates p over one compressed double stream (see
-// SelectInt).
-func SelectDouble(src []byte, p *DoublePred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	c := cfg.normalized()
-	return selectDouble(src, p, base, out, st.orDiscard(), &c)
-}
-
-func selectDouble(src []byte, p *DoublePred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	if len(src) < 1 {
-		return 0, ErrCorrupt
-	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
-	case CodeOneValue:
-		if len(body) < 12 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return 0, ErrCorrupt
-		}
-		st.OneValue.Add(1)
-		if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))) {
-			out.AddRange(base, base+uint32(n))
-		}
-		return 13, nil
-	case CodeRLE:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		runCount := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || runCount > n {
-			return 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		values, used, err := decompressDouble(cfg.Scratch.getFloat64(), src[pos:], cfg)
-		defer cfg.Scratch.putFloat64(values)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		lengths, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-		defer cfg.Scratch.putInt32(lengths)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		if len(values) != runCount || len(lengths) != runCount {
-			return 0, ErrCorrupt
-		}
-		st.RLE.Add(1)
-		off := 0
-		for i, rv := range values {
-			l := int(lengths[i])
-			if l < 0 || off+l > n {
-				return 0, ErrCorrupt
-			}
-			if p.Match(rv) {
-				out.AddRange(base+uint32(off), base+uint32(off+l))
-			}
-			off += l
-		}
-		if off != n {
-			return 0, ErrCorrupt
-		}
-		return pos, nil
-	case CodeDict:
-		if len(body) < 8 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		dictN := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || dictN > n {
-			return 0, ErrCorrupt
-		}
-		pos := 1 + 8
-		dict, used, err := decompressDouble(cfg.Scratch.getFloat64(), src[pos:], cfg)
-		defer cfg.Scratch.putFloat64(dict)
-		if err != nil {
-			return 0, err
-		}
-		if len(dict) != dictN {
-			return 0, ErrCorrupt
-		}
-		pos += used
-		st.Dict.Add(1)
-		used, err = selectInt(src[pos:], p.codesPred(dict), base, out, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return pos + used, nil
-	case CodeFrequency:
-		if len(body) < 12 {
-			return 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		if n > cfg.maxN() {
-			return 0, ErrCorrupt
-		}
-		top := math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
-		pos := 1 + 12
-		bm, used, err := roaring.FromBytes(src[pos:])
-		if err != nil {
-			return 0, ErrCorrupt
-		}
-		pos += used
-		st.Frequency.Add(1)
-		excSel := roaring.New()
-		used, err = selectDouble(src[pos:], p, 0, excSel, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		if err := frequencyPositions(n, bm, p.Match(top), excSel, base, out); err != nil {
-			return 0, err
-		}
-		return pos, nil
-	default:
-		values, used, err := decompressDouble(cfg.Scratch.getFloat64(), src, cfg)
-		defer cfg.Scratch.putFloat64(values)
-		if err != nil {
-			return 0, err
-		}
-		st.Decoded.Add(1)
-		for i, v := range values {
-			if p.Match(v) {
-				out.Add(base + uint32(i))
-			}
-		}
-		return used, nil
-	}
-}
-
-// --- string kernel ---
 
 // SelectString evaluates p over one compressed string stream (see
-// SelectInt). Dictionary streams map the predicate over the
+// Numeric.Select). Dictionary streams map the predicate over the
 // lexicographically sorted dictionary to a code predicate; other schemes
 // decode views and filter.
 func SelectString(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
 	c := cfg.normalized()
-	return selectString(src, p, base, out, st.orDiscard(), &c)
+	_, used, err := scanString(src, p, base, out, st.orDiscard(), &c)
+	return used, err
 }
 
-func selectString(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
+// CountString counts the values of one compressed string stream that
+// match p (see Numeric.Count): a dictionary resolves the predicate once,
+// then counts codes in the (typically RLE/bit-packed) code stream without
+// touching string bytes again.
+func CountString(src []byte, p *StringPred, cfg *Config) (count, used int, err error) {
+	c := cfg.normalized()
+	return scanString(src, p, 0, nil, &discardStats, &c)
+}
+
+func scanString(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
 	if len(src) < 1 {
-		return 0, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
-	code := Code(src[0])
 	body := src[1:]
-	switch code {
+	switch Code(src[0]) {
 	case CodeOneValue:
 		if len(body) < 8 {
-			return 0, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 		n := int(binary.LittleEndian.Uint32(body))
 		l := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || l < 0 || len(body) < 8+l {
-			return 0, ErrCorrupt
+		if n > cfg.maxN() || len(body) < 8+l {
+			return 0, 0, ErrCorrupt
 		}
 		st.OneValue.Add(1)
-		if p.Match(body[8 : 8+l]) {
+		if !p.Match(body[8 : 8+l]) {
+			n = 0
+		} else if out != nil {
 			out.AddRange(base, base+uint32(n))
 		}
-		return 1 + 8 + l, nil
+		return n, 1 + 8 + l, nil
 	case CodeDict:
-		views, err := decodeStringDictViews(body, cfg)
+		dict, _, codesOff, err := stringDictHead(body, cfg, false)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		var codes []int32
-		for i := 0; i < views.dict.Len(); i++ {
-			if p.Match(views.dict.Bytes(i)) {
+		for i := 0; i < dict.Len(); i++ {
+			if p.Match(dict.Bytes(i)) {
 				codes = append(codes, int32(i))
 			}
 		}
 		st.Dict.Add(1)
-		used, err := selectInt(body[views.codesOff:], codesPredFromSorted(codes), base, out, st, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return 1 + views.codesOff + used, nil
-	default:
-		views, used, err := decompressString(src, cfg)
-		if err != nil {
-			return 0, err
-		}
-		st.Decoded.Add(1)
-		for i := 0; i < views.Len(); i++ {
-			if p.Match(views.Bytes(i)) {
+		count, used, err = Int.scan(body[codesOff:], codesPredFromSorted(codes), base, out, st, cfg)
+		return count, 1 + codesOff + used, err
+	}
+	views, used, err := decompressString(src, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	st.Decoded.Add(1)
+	for i := 0; i < views.Len(); i++ {
+		if p.Match(views.Bytes(i)) {
+			count++
+			if out != nil {
 				out.Add(base + uint32(i))
 			}
 		}
-		return used, nil
 	}
+	return count, used, nil
 }

@@ -63,7 +63,7 @@ func intShapes(rng *rand.Rand) map[string][]int32 {
 	return shapes
 }
 
-func intPreds(values []int32, rng *rand.Rand) map[string]*IntPred {
+func intPreds(values []int32, rng *rand.Rand) map[string]*Pred[int32] {
 	pick := func() int32 {
 		if len(values) == 0 {
 			return 7
@@ -75,7 +75,7 @@ func intPreds(values []int32, rng *rand.Rand) map[string]*IntPred {
 		lo, hi = hi, lo
 	}
 	in := []int32{pick(), pick(), pick(), -123456789, pick()}
-	preds := map[string]*IntPred{
+	preds := map[string]*Pred[int32]{
 		"eq-hit":      {Op: PredEq, Eq: pick()},
 		"eq-miss":     {Op: PredEq, Eq: -987654321},
 		"range":       {Op: PredRange, Lo: lo, Hi: hi},
@@ -104,9 +104,9 @@ func TestSelectIntDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cfg := &Config{}
 	for shape, values := range intShapes(rng) {
-		encodings := map[string][]byte{"auto": CompressInt(nil, values, cfg)}
-		for _, code := range IntSchemes() {
-			if enc := CompressIntAs(nil, values, code, cfg); enc != nil {
+		encodings := map[string][]byte{"auto": Int.Compress(nil, values, cfg)}
+		for _, code := range Int.Schemes() {
+			if enc := Int.CompressAs(nil, values, code, cfg); enc != nil {
 				encodings[fmt.Sprintf("forced-%d", code)] = enc
 			}
 		}
@@ -116,7 +116,7 @@ func TestSelectIntDifferential(t *testing.T) {
 				const base = 1 << 16
 				got := roaring.New()
 				var st SelectStats
-				used, err := SelectInt(enc, p, base, got, &st, cfg)
+				used, err := Int.Select(enc, p, base, got, &st, cfg)
 				if err != nil {
 					t.Fatalf("%s: SelectInt: %v", name, err)
 				}
@@ -143,14 +143,14 @@ func TestSelectIntFORSkipsBlocks(t *testing.T) {
 		values[i] = int32(i * 3)
 	}
 	cfg := &Config{}
-	enc := CompressIntAs(nil, values, CodeFastBP, cfg)
+	enc := Int.CompressAs(nil, values, CodeFastBP, cfg)
 	if enc == nil {
 		t.Fatal("FastBP not applicable to sorted ramp")
 	}
-	p := &IntPred{Op: PredRange, Lo: 12000, Hi: 12060}
+	p := &Pred[int32]{Op: PredRange, Lo: 12000, Hi: 12060}
 	got := roaring.New()
 	var st SelectStats
-	if _, err := SelectInt(enc, p, 0, got, &st, cfg); err != nil {
+	if _, err := Int.Select(enc, p, 0, got, &st, cfg); err != nil {
 		t.Fatal(err)
 	}
 	want := refBitmap(len(values), func(i int) bool { return p.Match(values[i]) }, 0)
@@ -200,11 +200,11 @@ func TestSelectInt64Differential(t *testing.T) {
 		// falls back when inapplicable, which is fine — the reference
 		// check below holds either way.
 		cfgs := map[string]*Config{"auto": {}}
-		for _, code := range IntSchemes() {
+		for _, code := range Int.Schemes() {
 			cfgs[fmt.Sprintf("restrict-%d", code)] = &Config{IntSchemes: []Code{code, CodeUncompressed}}
 		}
 		for cfgName, cfg := range cfgs {
-			enc := CompressInt64(nil, values, cfg)
+			enc := Int64.Compress(nil, values, cfg)
 			pick := func() int64 {
 				if len(values) == 0 {
 					return 5
@@ -215,7 +215,7 @@ func TestSelectInt64Differential(t *testing.T) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			preds := map[string]*Int64Pred{
+			preds := map[string]*Pred[int64]{
 				"eq-hit":   {Op: PredEq, Eq: pick()},
 				"eq-miss":  {Op: PredEq, Eq: -314159265358979},
 				"range":    {Op: PredRange, Lo: lo, Hi: hi},
@@ -227,7 +227,7 @@ func TestSelectInt64Differential(t *testing.T) {
 				p.Normalize()
 				name := shape + "/" + cfgName + "/" + predName
 				got := roaring.New()
-				used, err := SelectInt64(enc, p, 0, got, nil, cfg)
+				used, err := Int64.Select(enc, p, 0, got, nil, cfg)
 				if err != nil {
 					t.Fatalf("%s: SelectInt64: %v", name, err)
 				}
@@ -273,9 +273,9 @@ func TestSelectDoubleDifferential(t *testing.T) {
 
 	cfg := &Config{}
 	for shape, values := range shapes {
-		encodings := map[string][]byte{"auto": CompressDouble(nil, values, cfg)}
-		for _, code := range DoubleSchemes() {
-			if enc := CompressDoubleAs(nil, values, code, cfg); enc != nil {
+		encodings := map[string][]byte{"auto": Double.Compress(nil, values, cfg)}
+		for _, code := range Double.Schemes() {
+			if enc := Double.CompressAs(nil, values, code, cfg); enc != nil {
 				encodings[fmt.Sprintf("forced-%d", code)] = enc
 			}
 		}
@@ -302,7 +302,7 @@ func TestSelectDoubleDifferential(t *testing.T) {
 				p.Normalize()
 				name := shape + "/" + encName + "/" + predName
 				got := roaring.New()
-				used, err := SelectDouble(enc, p, 0, got, nil, cfg)
+				used, err := Double.Select(enc, p, 0, got, nil, cfg)
 				if err != nil {
 					t.Fatalf("%s: SelectDouble: %v", name, err)
 				}
@@ -377,18 +377,19 @@ func TestAggregateDifferential(t *testing.T) {
 	cfg := &Config{}
 
 	for shape, values := range intShapes(rng) {
-		var want IntAgg
+		var want Agg[int32]
 		for _, v := range values {
 			want.Fold(v)
 		}
-		encodings := map[string][]byte{"auto": CompressInt(nil, values, cfg)}
-		for _, code := range IntSchemes() {
-			if enc := CompressIntAs(nil, values, code, cfg); enc != nil {
+		encodings := map[string][]byte{"auto": Int.Compress(nil, values, cfg)}
+		for _, code := range Int.Schemes() {
+			if enc := Int.CompressAs(nil, values, code, cfg); enc != nil {
 				encodings[fmt.Sprintf("forced-%d", code)] = enc
 			}
 		}
 		for encName, enc := range encodings {
-			got, used, err := AggregateInt(enc, nil, cfg)
+			var got Agg[int32]
+			used, err := Int.Aggregate(enc, &got, nil, cfg)
 			if err != nil {
 				t.Fatalf("int/%s/%s: %v", shape, encName, err)
 			}
@@ -402,14 +403,15 @@ func TestAggregateDifferential(t *testing.T) {
 	}
 
 	i64 := []int64{1 << 40, -(1 << 40), 7, 7, 7, math.MaxInt64, math.MinInt64, 0}
-	var want64 Int64Agg
+	var want64 Agg[int64]
 	for _, v := range i64 {
 		want64.Fold(v)
 	}
-	for _, code := range IntSchemes() {
+	for _, code := range Int.Schemes() {
 		cfg64 := &Config{IntSchemes: []Code{code, CodeUncompressed}}
-		enc := CompressInt64(nil, i64, cfg64)
-		got, used, err := AggregateInt64(enc, nil, cfg64)
+		enc := Int64.Compress(nil, i64, cfg64)
+		var got Agg[int64]
+		used, err := Int64.Aggregate(enc, &got, nil, cfg64)
 		if err != nil {
 			t.Fatalf("int64/restrict-%d: %v", code, err)
 		}
@@ -429,14 +431,15 @@ func TestAggregateDifferential(t *testing.T) {
 		for _, v := range vals {
 			wantD.Fold(v)
 		}
-		encodings := map[string][]byte{"auto": CompressDouble(nil, vals, cfg)}
-		for _, code := range DoubleSchemes() {
-			if enc := CompressDoubleAs(nil, vals, code, cfg); enc != nil {
+		encodings := map[string][]byte{"auto": Double.Compress(nil, vals, cfg)}
+		for _, code := range Double.Schemes() {
+			if enc := Double.CompressAs(nil, vals, code, cfg); enc != nil {
 				encodings[fmt.Sprintf("forced-%d", code)] = enc
 			}
 		}
 		for encName, enc := range encodings {
-			got, used, err := AggregateDouble(enc, nil, cfg)
+			var got DoubleAgg
+			used, err := Double.Aggregate(enc, &got, nil, cfg)
 			if err != nil {
 				t.Fatalf("double/%s/%s: %v", shape, encName, err)
 			}

@@ -31,6 +31,22 @@ func CompressString(dst []byte, src coldata.Strings, cfg *Config) []byte {
 	return compressString(dst, src, &c, c.MaxCascadeDepth, c.rng())
 }
 
+// CompressStringAs forces a specific root scheme, as Numeric.CompressAs
+// does; nil if the scheme does not apply to the data.
+func CompressStringAs(dst []byte, src coldata.Strings, code Code, cfg *Config) []byte {
+	c := cfg.forCompress()
+	p := borrow(&c.Scratch.strs)
+	defer giveBack(&c.Scratch.strs, p)
+	if code != CodeUncompressed && (src.Len() == 0 || !slices.Contains(stringPoolOrder, code)) ||
+		code == CodeOneValue && profiledStrings(p, src, &c).Distinct != 1 {
+		return nil
+	}
+	return encodeStringAs(dst, src, p, code, &c, c.MaxCascadeDepth, c.rng())
+}
+
+// StringSchemes lists every root scheme applicable to string blocks.
+func StringSchemes() []Code { return append([]Code{CodeUncompressed}, stringPoolOrder...) }
+
 // ChooseString reports the scheme the selection algorithm picks for src
 // and its estimated ratio.
 func ChooseString(src coldata.Strings, cfg *Config) (Code, float64) {
@@ -59,11 +75,6 @@ func compressString(dst []byte, src coldata.Strings, cfg *Config, depth int, rng
 		EstimatedRatio: est, PickNanos: pickNanos, Candidates: cands,
 	})
 	return dst
-}
-
-// EstimateOnlyString mirrors EstimateOnlyInt for strings.
-func EstimateOnlyString(src coldata.Strings, cfg *Config) {
-	ChooseString(src, cfg)
 }
 
 func pickString(src coldata.Strings, p *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
@@ -180,8 +191,8 @@ func encodeStringDict(dst []byte, src coldata.Strings, p *stats.StringProfile, c
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pool)))
 		dst = append(dst, pool...)
 	}
-	dst = compressInt(dst, lengths, cfg, depth-1, rng)
-	return compressInt(dst, codes, cfg, depth-1, rng)
+	dst = Int.compress(dst, lengths, cfg, depth-1, rng)
+	return Int.compress(dst, codes, cfg, depth-1, rng)
 }
 
 // sortedStringDict is sortedDict for strings: the distinct values of the
@@ -227,7 +238,7 @@ func encodeStringFSST(dst []byte, src coldata.Strings, cfg *Config, depth int, r
 	for i := range lengths {
 		lengths[i] = int32(src.LenAt(i))
 	}
-	return compressInt(dst, lengths, cfg, depth-1, rng)
+	return Int.compress(dst, lengths, cfg, depth-1, rng)
 }
 
 // DecompressString decodes one string stream into a no-copy view column,
@@ -305,109 +316,42 @@ func decodeStringPlain(src []byte) (coldata.StringViews, int, error) {
 
 func decodeStringDict(src []byte, cfg *Config) (coldata.StringViews, int, error) {
 	var out coldata.StringViews
-	if len(src) < 9 {
-		return out, 0, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	dictN := int(binary.LittleEndian.Uint32(src[4:]))
-	if n > cfg.maxN() || dictN > n {
-		return out, 0, ErrCorrupt
-	}
-	kind := src[8]
-	pos := 9
-	var pool []byte
-	switch kind {
-	case poolRaw:
-		if len(src) < pos+4 {
-			return out, 0, ErrCorrupt
-		}
-		l := int(binary.LittleEndian.Uint32(src[pos:]))
-		pos += 4
-		if l < 0 || len(src) < pos+l {
-			return out, 0, ErrCorrupt
-		}
-		pool = append([]byte(nil), src[pos:pos+l]...)
-		pos += l
-	case poolFSST:
-		table, used, err := fsst.TableFromBytes(src[pos:])
-		if err != nil {
-			return out, 0, ErrCorrupt
-		}
-		pos += used
-		if len(src) < pos+8 {
-			return out, 0, ErrCorrupt
-		}
-		rawLen := int(binary.LittleEndian.Uint32(src[pos:]))
-		encLen := int(binary.LittleEndian.Uint32(src[pos+4:]))
-		pos += 8
-		if rawLen < 0 || encLen < 0 || len(src) < pos+encLen || rawLen > 8*encLen {
-			// rawLen > 8*encLen is structurally impossible (an FSST code
-			// expands to at most 8 bytes), so don't let a corrupt header
-			// size the allocation.
-			return out, 0, ErrCorrupt
-		}
-		pool, err = table.Decode(make([]byte, 0, rawLen), src[pos:pos+encLen])
-		if err != nil || len(pool) != rawLen {
-			return out, 0, ErrCorrupt
-		}
-		pos += encLen
-	default:
-		return out, 0, ErrCorrupt
-	}
-	lengths, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-	defer cfg.Scratch.putInt32(lengths)
+	dict, n, pos, err := stringDictHead(src, cfg, true)
 	if err != nil {
 		return out, 0, err
 	}
-	pos += used
-	if len(lengths) != dictN {
-		return out, 0, ErrCorrupt
-	}
-	// Rebuild the dictionary's (offset, len) views over the pool.
-	dictViews := make([]coldata.View, dictN)
-	off := uint32(0)
-	for i, l := range lengths {
-		if l < 0 || int(off)+int(l) > len(pool) {
-			return out, 0, ErrCorrupt
-		}
-		dictViews[i] = coldata.View{Off: off, Len: uint32(l)}
-		off += uint32(l)
-	}
-
+	dictViews, dictN := dict.Views, len(dict.Views)
 	views := make([]coldata.View, n)
 	// Fused Dict+RLE decompression (§5): when the code stream is RLE with
 	// long runs, look up the dictionary per run and write runs of views
 	// directly, skipping the intermediate codes array.
 	if !cfg.DisableFuseDictRLE && !cfg.ScalarDecode && pos < len(src) && Code(src[pos]) == CodeRLE {
-		runValues, runLengths, used, err := decodeRLEParts(src[pos:], cfg)
+		rows, runValues, runLengths, used, err := Int.runParts(src[pos:], cfg)
 		if err != nil {
 			return out, 0, err
 		}
-		defer cfg.Scratch.putInt32(runValues)
-		defer cfg.Scratch.putInt32(runLengths)
+		defer Int.putBuf(cfg.Scratch, runValues)
+		defer Int.putBuf(cfg.Scratch, runLengths)
 		if n > 0 && len(runValues) > 0 && float64(n)/float64(len(runValues)) > 3 {
-			pos += used
+			if rows != n {
+				return out, 0, ErrCorrupt
+			}
 			o := 0
 			for r, cv := range runValues {
-				l := int(runLengths[r])
-				if uint32(cv) >= uint32(dictN) || l < 0 || o+l > n {
+				if uint32(cv) >= uint32(dictN) {
 					return out, 0, ErrCorrupt
 				}
 				v := dictViews[cv]
-				for i := 0; i < l; i++ {
+				for end := o + int(runLengths[r]); o < end; o++ {
 					views[o] = v
-					o++
 				}
 			}
-			if o != n {
-				return out, 0, ErrCorrupt
-			}
-			return coldata.StringViews{Views: views, Pool: pool}, pos, nil
+			return coldata.StringViews{Views: views, Pool: dict.Pool}, pos + used, nil
 		}
 		// short runs: fall through to the standard two-step decode below
 	}
-	codes, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-	defer cfg.Scratch.putInt32(codes)
+	codes, used, err := Int.decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
+	defer Int.putBuf(cfg.Scratch, codes)
 	if err != nil {
 		return out, 0, err
 	}
@@ -421,42 +365,7 @@ func decodeStringDict(src []byte, cfg *Config) (coldata.StringViews, int, error)
 		}
 		views[i] = dictViews[c]
 	}
-	return coldata.StringViews{Views: views, Pool: pool}, pos, nil
-}
-
-// decodeRLEParts decodes only the run arrays of an RLE integer stream
-// (for the fused Dict+RLE path), without expanding them.
-func decodeRLEParts(src []byte, cfg *Config) (values, lengths []int32, consumed int, err error) {
-	if len(src) < 9 || Code(src[0]) != CodeRLE {
-		return nil, nil, 0, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(src[1:]))
-	runCount := int(binary.LittleEndian.Uint32(src[5:]))
-	if n > cfg.maxN() || runCount > n {
-		return nil, nil, 0, ErrCorrupt
-	}
-	pos := 9
-	values, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-	if err != nil {
-		cfg.Scratch.putInt32(values)
-		return nil, nil, 0, err
-	}
-	pos += used
-	lengths, used, err = decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-	if err != nil {
-		cfg.Scratch.putInt32(values)
-		cfg.Scratch.putInt32(lengths)
-		return nil, nil, 0, err
-	}
-	pos += used
-	if len(values) != runCount || len(lengths) != runCount {
-		cfg.Scratch.putInt32(values)
-		cfg.Scratch.putInt32(lengths)
-		return nil, nil, 0, ErrCorrupt
-	}
-	// On success the returned run arrays are arena-backed: the caller owns
-	// them and returns them with putInt32 when the fused expansion is done.
-	return values, lengths, pos, nil
+	return coldata.StringViews{Views: views, Pool: dict.Pool}, pos, nil
 }
 
 func decodeStringFSST(src []byte, cfg *Config) (coldata.StringViews, int, error) {
@@ -481,7 +390,7 @@ func decodeStringFSST(src []byte, cfg *Config) (coldata.StringViews, int, error)
 	encLen := int(binary.LittleEndian.Uint32(src[pos+4:]))
 	pos += 8
 	if rawLen < 0 || encLen < 0 || len(src) < pos+encLen || rawLen > 8*encLen {
-		// See decodeStringDict: cap the decode buffer by FSST's maximum
+		// See stringDictHead: cap the decode buffer by FSST's maximum
 		// 8x expansion before allocating.
 		return out, 0, ErrCorrupt
 	}
@@ -492,8 +401,8 @@ func decodeStringFSST(src []byte, cfg *Config) (coldata.StringViews, int, error)
 		return out, 0, ErrCorrupt
 	}
 	pos += encLen
-	lengths, used, err := decompressInt(cfg.Scratch.getInt32(), src[pos:], cfg)
-	defer cfg.Scratch.putInt32(lengths)
+	lengths, used, err := Int.decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
+	defer Int.putBuf(cfg.Scratch, lengths)
 	if err != nil {
 		return out, 0, err
 	}
@@ -516,26 +425,19 @@ func decodeStringFSST(src []byte, cfg *Config) (coldata.StringViews, int, error)
 	return coldata.StringViews{Views: views, Pool: pool}, pos, nil
 }
 
-// dictHeaderViews is the decoded dictionary part of a string Dict payload:
-// the dictionary as views over its pool, plus the body offset where the
-// codes stream begins. Used by compressed-data predicate evaluation.
-type dictHeaderViews struct {
-	dict     coldata.StringViews
-	n        int
-	codesOff int
-}
-
-// decodeStringDictViews decodes only the dictionary of a Dict payload
-// (body excludes the scheme-code byte), leaving the codes stream untouched.
-func decodeStringDictViews(body []byte, cfg *Config) (dictHeaderViews, error) {
-	var out dictHeaderViews
+// stringDictHead decodes only the dictionary of a Dict payload (body
+// excludes the scheme-code byte): the distinct strings as views over their
+// pool, the row count, and the body offset where the codes stream begins.
+// own copies a raw pool out of body, for views that outlive it; predicate
+// evaluation, which does not keep them, leaves it in place.
+func stringDictHead(body []byte, cfg *Config, own bool) (dict coldata.StringViews, n, codesOff int, err error) {
 	if len(body) < 9 {
-		return out, ErrCorrupt
+		return dict, 0, 0, ErrCorrupt
 	}
-	n := int(binary.LittleEndian.Uint32(body))
+	n = int(binary.LittleEndian.Uint32(body))
 	dictN := int(binary.LittleEndian.Uint32(body[4:]))
 	if n > cfg.maxN() || dictN > n {
-		return out, ErrCorrupt
+		return dict, 0, 0, ErrCorrupt
 	}
 	kind := body[8]
 	pos := 9
@@ -543,58 +445,62 @@ func decodeStringDictViews(body []byte, cfg *Config) (dictHeaderViews, error) {
 	switch kind {
 	case poolRaw:
 		if len(body) < pos+4 {
-			return out, ErrCorrupt
+			return dict, 0, 0, ErrCorrupt
 		}
 		l := int(binary.LittleEndian.Uint32(body[pos:]))
 		pos += 4
 		if l < 0 || len(body) < pos+l {
-			return out, ErrCorrupt
+			return dict, 0, 0, ErrCorrupt
 		}
 		pool = body[pos : pos+l]
+		if own {
+			pool = append([]byte(nil), pool...)
+		}
 		pos += l
 	case poolFSST:
 		table, used, err := fsst.TableFromBytes(body[pos:])
 		if err != nil {
-			return out, ErrCorrupt
+			return dict, 0, 0, ErrCorrupt
 		}
 		pos += used
 		if len(body) < pos+8 {
-			return out, ErrCorrupt
+			return dict, 0, 0, ErrCorrupt
 		}
 		rawLen := int(binary.LittleEndian.Uint32(body[pos:]))
 		encLen := int(binary.LittleEndian.Uint32(body[pos+4:]))
 		pos += 8
 		if rawLen < 0 || encLen < 0 || len(body) < pos+encLen || rawLen > 8*encLen {
-			return out, ErrCorrupt
+			// rawLen > 8*encLen is structurally impossible (an FSST code
+			// expands to at most 8 bytes), so don't let a corrupt header
+			// size the allocation.
+			return dict, 0, 0, ErrCorrupt
 		}
 		pool, err = table.Decode(make([]byte, 0, rawLen), body[pos:pos+encLen])
 		if err != nil || len(pool) != rawLen {
-			return out, ErrCorrupt
+			return dict, 0, 0, ErrCorrupt
 		}
 		pos += encLen
 	default:
-		return out, ErrCorrupt
+		return dict, 0, 0, ErrCorrupt
 	}
-	lengths, used, err := decompressInt(cfg.Scratch.getInt32(), body[pos:], cfg)
-	defer cfg.Scratch.putInt32(lengths)
+	lengths, used, err := Int.decompress(Int.buf(cfg.Scratch), body[pos:], cfg)
+	defer Int.putBuf(cfg.Scratch, lengths)
 	if err != nil {
-		return out, err
+		return dict, 0, 0, err
 	}
 	pos += used
 	if len(lengths) != dictN {
-		return out, ErrCorrupt
+		return dict, 0, 0, ErrCorrupt
 	}
+	// Rebuild the dictionary's (offset, len) views over the pool.
 	views := make([]coldata.View, dictN)
 	off := uint32(0)
 	for i, l := range lengths {
 		if l < 0 || int(off)+int(l) > len(pool) {
-			return out, ErrCorrupt
+			return dict, 0, 0, ErrCorrupt
 		}
 		views[i] = coldata.View{Off: off, Len: uint32(l)}
 		off += uint32(l)
 	}
-	out.dict = coldata.StringViews{Views: views, Pool: pool}
-	out.n = n
-	out.codesOff = pos
-	return out, nil
+	return coldata.StringViews{Views: views, Pool: pool}, n, pos, nil
 }

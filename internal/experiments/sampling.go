@@ -25,12 +25,12 @@ func exhaustiveBestSize(col btrblocks.Column, cfg *core.Config) (sizes map[core.
 	}
 	switch col.Type {
 	case btrblocks.TypeInt:
-		for _, code := range core.IntSchemes() {
-			record(code, core.CompressIntAs(nil, col.Ints, code, cfg))
+		for _, code := range core.Int.Schemes() {
+			record(code, core.Int.CompressAs(nil, col.Ints, code, cfg))
 		}
 	case btrblocks.TypeDouble:
-		for _, code := range core.DoubleSchemes() {
-			record(code, core.CompressDoubleAs(nil, col.Doubles, code, cfg))
+		for _, code := range core.Double.Schemes() {
+			record(code, core.Double.CompressAs(nil, col.Doubles, code, cfg))
 		}
 	case btrblocks.TypeString:
 		for _, code := range core.StringSchemes() {
@@ -208,11 +208,11 @@ func SelectionOverhead(cfg *Config) error {
 		selectSecs += timeSeconds(func() {
 			switch col.Type {
 			case btrblocks.TypeInt:
-				core.EstimateOnlyInt(col.Ints, coreCfg)
+				core.Int.Choose(col.Ints, coreCfg)
 			case btrblocks.TypeDouble:
-				core.EstimateOnlyDouble(col.Doubles, coreCfg)
+				core.Double.Choose(col.Doubles, coreCfg)
 			case btrblocks.TypeString:
-				core.EstimateOnlyString(col.Strings, coreCfg)
+				core.ChooseString(col.Strings, coreCfg)
 			}
 		})
 	}

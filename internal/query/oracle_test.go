@@ -534,6 +534,14 @@ func TestOracleRestrictedSchemes(t *testing.T) {
 	for i := range strVals {
 		strVals[i] = fmt.Sprintf("node-%02d", rng.Intn(20))
 	}
+	// The int64 rows reuse the int32 shapes out of int32's reach.
+	widen := func(vals []int32) []int64 {
+		out := make([]int64, len(vals))
+		for i, v := range vals {
+			out[i] = int64(v) << 33
+		}
+		return out
+	}
 
 	cases := []struct {
 		name  string
@@ -588,6 +596,50 @@ func TestOracleRestrictedSchemes(t *testing.T) {
 			rc:    &refCol{typ: btrblocks.TypeInt, ints: wideVals, null: map[int]bool{}, rows: rows},
 			copt:  &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeFastBP, btrblocks.SchemeUncompressed}},
 			leaf:  &Node{Op: "range", Column: "a", Lo: jNum(int32(0)), Hi: jNum(int32(5000))},
+			fired: func(s Stats) int64 { return s.Paths.FORScanned + s.Paths.FORSkipped },
+		},
+		{
+			name:    "int64-onevalue",
+			aggFast: true,
+			col:     btrblocks.Int64Column("a", widen(constant)),
+			rc:      &refCol{typ: btrblocks.TypeInt64, i64: widen(constant), null: map[int]bool{}, rows: rows},
+			copt:    &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeOneValue, btrblocks.SchemeUncompressed}},
+			leaf:    &Node{Op: "eq", Column: "a", Value: jNum(int64(42) << 33)},
+			fired:   func(s Stats) int64 { return s.Paths.OneValue },
+		},
+		{
+			name:    "int64-rle",
+			aggFast: true,
+			col:     btrblocks.Int64Column("a", widen(runsVals)),
+			rc:      &refCol{typ: btrblocks.TypeInt64, i64: widen(runsVals), null: map[int]bool{}, rows: rows},
+			copt:    &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeRLE, btrblocks.SchemeUncompressed}},
+			leaf:    &Node{Op: "range", Column: "a", Lo: jNum(int64(100) << 33), Hi: jNum(int64(300) << 33)},
+			fired:   func(s Stats) int64 { return s.Paths.RLE },
+		},
+		{
+			name:    "int64-dict",
+			aggFast: true,
+			col:     btrblocks.Int64Column("a", widen(dictVals)),
+			rc:      &refCol{typ: btrblocks.TypeInt64, i64: widen(dictVals), null: map[int]bool{}, rows: rows},
+			copt:    &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeDict, btrblocks.SchemeFastBP, btrblocks.SchemeUncompressed}},
+			leaf:    &Node{Op: "in", Column: "a", Values: []json.RawMessage{jNum(int64(7) << 33), jNum(int64(14) << 33), jNum(int64(343) << 33)}},
+			fired:   func(s Stats) int64 { return s.Paths.Dict },
+		},
+		{
+			name:    "int64-frequency",
+			aggFast: true,
+			col:     btrblocks.Int64Column("a", widen(skewVals)),
+			rc:      &refCol{typ: btrblocks.TypeInt64, i64: widen(skewVals), null: map[int]bool{}, rows: rows},
+			copt:    &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeFrequency, btrblocks.SchemeUncompressed}},
+			leaf:    &Node{Op: "eq", Column: "a", Value: jNum(int64(7) << 33)},
+			fired:   func(s Stats) int64 { return s.Paths.Frequency },
+		},
+		{
+			name:  "int64-fastbp",
+			col:   btrblocks.Int64Column("a", widen(wideVals)),
+			rc:    &refCol{typ: btrblocks.TypeInt64, i64: widen(wideVals), null: map[int]bool{}, rows: rows},
+			copt:  &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeFastBP, btrblocks.SchemeUncompressed}},
+			leaf:  &Node{Op: "range", Column: "a", Lo: jNum(int64(0)), Hi: jNum(int64(5000) << 33)},
 			fired: func(s Stats) int64 { return s.Paths.FORScanned + s.Paths.FORSkipped },
 		},
 		{

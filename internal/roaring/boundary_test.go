@@ -215,3 +215,42 @@ func TestFromBytesDropsEmptyContainers(t *testing.T) {
 		t.Fatal("empty container leaked into the bitmap")
 	}
 }
+
+// TestForEachRangeMatchesForEach checks the run iterator against the
+// per-value one on every boundary set and container kind: the runs are
+// ascending, disjoint, maximal within a chunk, and cover exactly the set;
+// stopping early stops.
+func TestForEachRangeMatchesForEach(t *testing.T) {
+	for si, set := range boundarySets(5) {
+		for _, optimize := range []bool{false, true} {
+			b, _ := bitmapOf(set, optimize)
+			var want [][2]uint64
+			b.ForEach(func(v uint32) bool {
+				if n := len(want); n > 0 && want[n-1][1] == uint64(v) && v&0xFFFF != 0 {
+					want[n-1][1]++
+				} else {
+					want = append(want, [2]uint64{uint64(v), uint64(v) + 1})
+				}
+				return true
+			})
+			var got [][2]uint64
+			b.ForEachRange(func(lo, hi uint64) bool {
+				got = append(got, [2]uint64{lo, hi})
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("set %d optimize=%v: %d runs, want %d", si, optimize, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("set %d optimize=%v: run %d = %v, want %v", si, optimize, i, got[i], want[i])
+				}
+			}
+			calls := 0
+			b.ForEachRange(func(lo, hi uint64) bool { calls++; return false })
+			if want := min(len(want), 1); calls != want {
+				t.Fatalf("set %d optimize=%v: %d calls after stopping, want %d", si, optimize, calls, want)
+			}
+		}
+	}
+}

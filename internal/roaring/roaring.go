@@ -35,6 +35,9 @@ type container interface {
 	// forEach calls f for each value in ascending order until f returns
 	// false; it reports whether iteration ran to completion.
 	forEach(f func(uint16) bool) bool
+	// forEachRange calls f for each maximal run [lo, hi) of consecutive
+	// values, ascending, under the same contract as forEach.
+	forEachRange(f func(lo, hi int) bool) bool
 	// kind returns one of kindArray, kindBitmap, kindRun.
 	kind() byte
 }
@@ -185,6 +188,19 @@ func (b *Bitmap) ForEach(f func(uint32) bool) {
 	for i, c := range b.containers {
 		base := uint32(b.keys[i]) << 16
 		if !c.forEach(func(low uint16) bool { return f(base | uint32(low)) }) {
+			return
+		}
+	}
+}
+
+// ForEachRange calls f for every run [lo, hi) of consecutive values in
+// ascending order until f returns false — one call per run instead of
+// ForEach's one per value. Runs are maximal within a 65536-value chunk; a
+// run that crosses a chunk boundary arrives as adjacent calls.
+func (b *Bitmap) ForEachRange(f func(lo, hi uint64) bool) {
+	for i, c := range b.containers {
+		base := uint64(b.keys[i]) << 16
+		if !c.forEachRange(func(lo, hi int) bool { return f(base+uint64(lo), base+uint64(hi)) }) {
 			return
 		}
 	}
@@ -403,6 +419,20 @@ func (a arrayContainer) forEach(f func(uint16) bool) bool {
 	return true
 }
 
+func (a arrayContainer) forEachRange(f func(lo, hi int) bool) bool {
+	for i := 0; i < len(a); {
+		j := i + 1
+		for j < len(a) && a[j] == a[j-1]+1 {
+			j++
+		}
+		if !f(int(a[i]), int(a[j-1])+1) {
+			return false
+		}
+		i = j
+	}
+	return true
+}
+
 // --- bitmap container ---
 
 type bitmapContainer struct {
@@ -476,6 +506,31 @@ func (b *bitmapContainer) forEach(f func(uint16) bool) bool {
 		}
 	}
 	return true
+}
+
+func (b *bitmapContainer) forEachRange(f func(lo, hi int) bool) bool {
+	lo := -1 // start of the run being walked, -1 between runs
+	for wi, w := range b.words {
+		for bit := 0; bit < 64; {
+			if lo < 0 { // find the next set bit
+				if w>>bit == 0 {
+					break
+				}
+				bit += bits.TrailingZeros64(w >> bit)
+				lo = wi<<6 + bit
+			} else { // find the next clear bit; none left means the run goes on
+				bit += bits.TrailingZeros64(^w >> bit)
+				if bit >= 64 {
+					break
+				}
+				if !f(lo, wi<<6+bit) {
+					return false
+				}
+				lo = -1
+			}
+		}
+	}
+	return lo < 0 || f(lo, 1<<16)
 }
 
 // --- run container ---
@@ -563,6 +618,15 @@ func (r runContainer) forEach(f func(uint16) bool) bool {
 			if !f(uint16(v)) {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+func (r runContainer) forEachRange(f func(lo, hi int) bool) bool {
+	for _, iv := range r {
+		if !f(int(iv.start), int(iv.start)+int(iv.length)+1) {
+			return false
 		}
 	}
 	return true

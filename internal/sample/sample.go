@@ -63,26 +63,13 @@ func (s Strategy) Ranges(n int, rng *rand.Rand) []Range {
 	return out
 }
 
-// Ints gathers the sampled values of an int32 block.
-func Ints(src []int32, s Strategy, rng *rand.Rand) []int32 {
+// Values gathers the sampled values of a numeric block.
+func Values[T any](src []T, s Strategy, rng *rand.Rand) []T {
 	ranges := s.Ranges(len(src), rng)
 	if len(ranges) == 1 && ranges[0].Start == 0 && ranges[0].End == len(src) {
 		return src
 	}
-	out := make([]int32, 0, s.Size())
-	for _, r := range ranges {
-		out = append(out, src[r.Start:r.End]...)
-	}
-	return out
-}
-
-// Doubles gathers the sampled values of a float64 block.
-func Doubles(src []float64, s Strategy, rng *rand.Rand) []float64 {
-	ranges := s.Ranges(len(src), rng)
-	if len(ranges) == 1 && ranges[0].Start == 0 && ranges[0].End == len(src) {
-		return src
-	}
-	out := make([]float64, 0, s.Size())
+	out := make([]T, 0, s.Size())
 	for _, r := range ranges {
 		out = append(out, src[r.Start:r.End]...)
 	}
@@ -101,19 +88,6 @@ func Strings(src coldata.Strings, s Strategy, rng *rand.Rand) coldata.Strings {
 		for i := r.Start; i < r.End; i++ {
 			out = out.AppendBytes(src.View(i))
 		}
-	}
-	return out
-}
-
-// Ints64 gathers the sampled values of an int64 block.
-func Ints64(src []int64, s Strategy, rng *rand.Rand) []int64 {
-	ranges := s.Ranges(len(src), rng)
-	if len(ranges) == 1 && ranges[0].Start == 0 && ranges[0].End == len(src) {
-		return src
-	}
-	out := make([]int64, 0, s.Size())
-	for _, r := range ranges {
-		out = append(out, src[r.Start:r.End]...)
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func TestRangesNonOverlappingAndCovering(t *testing.T) {
 func TestSmallBlockReturnsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := []int32{1, 2, 3}
-	got := Ints(src, Default, rng)
+	got := Values(src, Default, rng)
 	if len(got) != 3 {
 		t.Fatalf("small input should be returned whole, got %d values", len(got))
 	}
@@ -73,10 +73,10 @@ func TestTypedGathers(t *testing.T) {
 		doubles[i] = float64(i)
 		strs = strs.Append("v")
 	}
-	if got := Ints(ints, Default, rand.New(rand.NewSource(4))); len(got) != 640 {
+	if got := Values(ints, Default, rand.New(rand.NewSource(4))); len(got) != 640 {
 		t.Fatalf("int sample size %d", len(got))
 	}
-	if got := Doubles(doubles, Default, rand.New(rand.NewSource(4))); len(got) != 640 {
+	if got := Values(doubles, Default, rand.New(rand.NewSource(4))); len(got) != 640 {
 		t.Fatalf("double sample size %d", len(got))
 	}
 	if got := Strings(strs, Default, rng); got.Len() != 640 {
@@ -89,8 +89,8 @@ func TestDeterministicForSeed(t *testing.T) {
 	for i := range src {
 		src[i] = int32(i)
 	}
-	a := Ints(src, Default, rand.New(rand.NewSource(7)))
-	b := Ints(src, Default, rand.New(rand.NewSource(7)))
+	a := Values(src, Default, rand.New(rand.NewSource(7)))
+	b := Values(src, Default, rand.New(rand.NewSource(7)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("sampling must be deterministic for a fixed seed")

@@ -212,27 +212,32 @@ func TestParallelColumnEquivalenceProperty(t *testing.T) {
 // reintroduce worker-count dependence.
 func TestParallelEquivalenceRestrictedSchemes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	col := genIntColumnEquiv(rng, genSpec{Rows: 2500, NullDensity: 0.1, RunLen: 16, Cardinality: 40})
+	spec := genSpec{Rows: 2500, NullDensity: 0.1, RunLen: 16, Cardinality: 40}
+	cols := []Column{genIntColumnEquiv(rng, spec), genInt64ColumnEquiv(rng, spec)}
 	pools := [][]Scheme{
 		{SchemeUncompressed},
 		{SchemeUncompressed, SchemeRLE},
 		{SchemeUncompressed, SchemeDict, SchemeFastBP},
+		{SchemeUncompressed, SchemeFrequency},
+		{SchemeUncompressed, SchemeOneValue, SchemeFastBP},
 	}
-	for pi, pool := range pools {
-		var baseline []byte
-		for _, workers := range equivWorkerCounts() {
-			opt := &Options{BlockSize: 1000, Parallelism: workers, IntSchemes: pool}
-			data, err := CompressColumn(col, opt)
-			if err != nil {
-				t.Fatalf("pool %d P=%d: %v", pi, workers, err)
-			}
-			if baseline == nil {
-				baseline = data
-			} else if !bytes.Equal(baseline, data) {
-				t.Fatalf("pool %d: compressed bytes differ at P=%d", pi, workers)
-			}
-			if _, err := DecompressColumn(data, opt); err != nil {
-				t.Fatalf("pool %d P=%d decompress: %v", pi, workers, err)
+	for _, col := range cols {
+		for pi, pool := range pools {
+			var baseline []byte
+			for _, workers := range equivWorkerCounts() {
+				opt := &Options{BlockSize: 1000, Parallelism: workers, IntSchemes: pool}
+				data, err := CompressColumn(col, opt)
+				if err != nil {
+					t.Fatalf("%s pool %d P=%d: %v", col.Type, pi, workers, err)
+				}
+				if baseline == nil {
+					baseline = data
+				} else if !bytes.Equal(baseline, data) {
+					t.Fatalf("%s pool %d: compressed bytes differ at P=%d", col.Type, pi, workers)
+				}
+				if _, err := DecompressColumn(data, opt); err != nil {
+					t.Fatalf("%s pool %d P=%d decompress: %v", col.Type, pi, workers, err)
+				}
 			}
 		}
 	}

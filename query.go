@@ -47,43 +47,43 @@ const (
 type Predicate struct {
 	kind    predKind
 	typ     Type
-	intP    *core.IntPred
-	int64P  *core.Int64Pred
+	intP    *core.Pred[int32]
+	int64P  *core.Pred[int64]
 	doubleP *core.DoublePred
 	strP    *core.StringPred
 }
 
 // IntEq matches int32 values equal to v.
 func IntEq(v int32) Predicate {
-	return Predicate{typ: TypeInt, intP: &core.IntPred{Op: core.PredEq, Eq: v}}
+	return Predicate{typ: TypeInt, intP: &core.Pred[int32]{Op: core.PredEq, Eq: v}}
 }
 
 // IntRange matches int32 values in [lo, hi] (inclusive).
 func IntRange(lo, hi int32) Predicate {
-	return Predicate{typ: TypeInt, intP: &core.IntPred{Op: core.PredRange, Lo: lo, Hi: hi}}
+	return Predicate{typ: TypeInt, intP: &core.Pred[int32]{Op: core.PredRange, Lo: lo, Hi: hi}}
 }
 
 // IntIn matches int32 values in the given set; an empty set matches
 // nothing.
 func IntIn(vs ...int32) Predicate {
-	p := &core.IntPred{Op: core.PredIn, In: append([]int32(nil), vs...)}
+	p := &core.Pred[int32]{Op: core.PredIn, In: append([]int32(nil), vs...)}
 	p.Normalize()
 	return Predicate{typ: TypeInt, intP: p}
 }
 
 // Int64Eq matches int64 values equal to v.
 func Int64Eq(v int64) Predicate {
-	return Predicate{typ: TypeInt64, int64P: &core.Int64Pred{Op: core.PredEq, Eq: v}}
+	return Predicate{typ: TypeInt64, int64P: &core.Pred[int64]{Op: core.PredEq, Eq: v}}
 }
 
 // Int64Range matches int64 values in [lo, hi] (inclusive).
 func Int64Range(lo, hi int64) Predicate {
-	return Predicate{typ: TypeInt64, int64P: &core.Int64Pred{Op: core.PredRange, Lo: lo, Hi: hi}}
+	return Predicate{typ: TypeInt64, int64P: &core.Pred[int64]{Op: core.PredRange, Lo: lo, Hi: hi}}
 }
 
 // Int64In matches int64 values in the given set.
 func Int64In(vs ...int64) Predicate {
-	p := &core.Int64Pred{Op: core.PredIn, In: append([]int64(nil), vs...)}
+	p := &core.Pred[int64]{Op: core.PredIn, In: append([]int64(nil), vs...)}
 	p.Normalize()
 	return Predicate{typ: TypeInt64, int64P: p}
 }
@@ -290,11 +290,11 @@ func (ix *ColumnIndex) SelectBlocksContext(ctx context.Context, data []byte, p P
 			var used int
 			switch ix.Type {
 			case TypeInt:
-				used, err = core.SelectInt(stream, p.intP, 0, local, &stats, &cfg)
+				used, err = core.Int.Select(stream, p.intP, 0, local, &stats, &cfg)
 			case TypeInt64:
-				used, err = core.SelectInt64(stream, p.int64P, 0, local, &stats, &cfg)
+				used, err = core.Int64.Select(stream, p.int64P, 0, local, &stats, &cfg)
 			case TypeDouble:
-				used, err = core.SelectDouble(stream, p.doubleP, 0, local, &stats, &cfg)
+				used, err = core.Double.Select(stream, p.doubleP, 0, local, &stats, &cfg)
 			case TypeString:
 				used, err = core.SelectString(stream, p.strP, 0, local, &stats, &cfg)
 			}
@@ -326,22 +326,10 @@ func (ix *ColumnIndex) SelectBlocksContext(ctx context.Context, data []byte, p P
 		start := uint32(ix.Blocks[blocks[i]].StartRow)
 		// Selected rows cluster into runs; shifting whole runs via
 		// AddRange is far cheaper than one sorted-insert per row.
-		var runStart, prev uint32
-		pending := false
-		part.ForEach(func(v uint32) bool {
-			if pending && v == prev+1 {
-				prev = v
-				return true
-			}
-			if pending {
-				out.AddRange(start+runStart, start+prev+1)
-			}
-			runStart, prev, pending = v, v, true
+		part.ForEachRange(func(lo, hi uint64) bool {
+			out.AddRange(start+uint32(lo), start+uint32(hi))
 			return true
 		})
-		if pending {
-			out.AddRange(start+runStart, start+prev+1)
-		}
 	}
 	return Selection{bm: out}, stats.Snapshot(), nil
 }
@@ -452,12 +440,8 @@ func (a *Aggregate) Merge(o Aggregate) {
 	}
 }
 
-func fromIntAgg(g core.IntAgg) Aggregate {
-	return Aggregate{Type: TypeInt, Count: int64(g.Count), IntSum: g.Sum, IntMin: int64(g.Min), IntMax: int64(g.Max)}
-}
-
-func fromInt64Agg(g core.Int64Agg) Aggregate {
-	return Aggregate{Type: TypeInt64, Count: int64(g.Count), IntSum: g.Sum, IntMin: g.Min, IntMax: g.Max}
+func fromIntAgg[T int32 | int64](typ Type, g core.Agg[T]) Aggregate {
+	return Aggregate{Type: typ, Count: int64(g.Count), IntSum: g.Sum, IntMin: int64(g.Min), IntMax: int64(g.Max)}
 }
 
 func fromDoubleAgg(g core.DoubleAgg) Aggregate {
@@ -514,16 +498,16 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 			)
 			switch ix.Type {
 			case TypeInt:
-				var g core.IntAgg
-				g, used, err = core.AggregateInt(stream, &stats, &cfg)
-				agg = fromIntAgg(g)
+				var g core.Agg[int32]
+				used, err = core.Int.Aggregate(stream, &g, &stats, &cfg)
+				agg = fromIntAgg(TypeInt, g)
 			case TypeInt64:
-				var g core.Int64Agg
-				g, used, err = core.AggregateInt64(stream, &stats, &cfg)
-				agg = fromInt64Agg(g)
+				var g core.Agg[int64]
+				used, err = core.Int64.Aggregate(stream, &g, &stats, &cfg)
+				agg = fromIntAgg(TypeInt64, g)
 			case TypeDouble:
 				var g core.DoubleAgg
-				g, used, err = core.AggregateDouble(stream, &stats, &cfg)
+				used, err = core.Double.Aggregate(stream, &g, &stats, &cfg)
 				agg = fromDoubleAgg(g)
 			}
 			if err != nil {

@@ -2,7 +2,6 @@ package btrblocks
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"btrblocks/internal/core"
@@ -26,68 +25,47 @@ type fastCountFn func(stream []byte, cfg *core.Config) (int, int, error)
 type slowCountFn func(stream []byte, nulls *roaring.Bitmap, cfg *core.Config) (int, error)
 
 func int32Preds(v int32) (fastCountFn, slowCountFn) {
-	return func(stream []byte, cfg *core.Config) (int, int, error) {
-			return core.CountEqualInt(stream, v, cfg)
-		},
+	m := core.Eq(v)
+	return func(stream []byte, cfg *core.Config) (int, int, error) { return core.Int.Count(stream, m, cfg) },
 		func(stream []byte, nulls *roaring.Bitmap, cfg *core.Config) (int, error) {
-			values, _, err := core.DecompressInt(nil, stream, cfg)
-			if err != nil {
-				return 0, err
-			}
-			count := 0
-			for i, x := range values {
-				if x == v && !nulls.Contains(uint32(i)) {
-					count++
-				}
-			}
-			return count, nil
+			values, _, err := core.Int.Decompress(nil, stream, cfg)
+			return countNonNull(values, m.Match, nulls), err
 		}
 }
 
 func int64Preds(v int64) (fastCountFn, slowCountFn) {
-	return func(stream []byte, cfg *core.Config) (int, int, error) {
-			return core.CountEqualInt64(stream, v, cfg)
-		},
+	m := core.Eq(v)
+	return func(stream []byte, cfg *core.Config) (int, int, error) { return core.Int64.Count(stream, m, cfg) },
 		func(stream []byte, nulls *roaring.Bitmap, cfg *core.Config) (int, error) {
-			values, _, err := core.DecompressInt64(nil, stream, cfg)
-			if err != nil {
-				return 0, err
-			}
-			count := 0
-			for i, x := range values {
-				if x == v && !nulls.Contains(uint32(i)) {
-					count++
-				}
-			}
-			return count, nil
+			values, _, err := core.Int64.Decompress(nil, stream, cfg)
+			return countNonNull(values, m.Match, nulls), err
 		}
 }
 
 func doublePreds(v float64) (fastCountFn, slowCountFn) {
-	vb := math.Float64bits(v)
-	return func(stream []byte, cfg *core.Config) (int, int, error) {
-			return core.CountEqualDouble(stream, v, cfg)
-		},
+	m := core.DoubleEq(v)
+	return func(stream []byte, cfg *core.Config) (int, int, error) { return core.Double.Count(stream, m, cfg) },
 		func(stream []byte, nulls *roaring.Bitmap, cfg *core.Config) (int, error) {
-			values, _, err := core.DecompressDouble(nil, stream, cfg)
-			if err != nil {
-				return 0, err
-			}
-			count := 0
-			for i, x := range values {
-				if math.Float64bits(x) == vb && !nulls.Contains(uint32(i)) {
-					count++
-				}
-			}
-			return count, nil
+			values, _, err := core.Double.Decompress(nil, stream, cfg)
+			return countNonNull(values, m.Match, nulls), err
 		}
 }
 
+// countNonNull counts the matching values among the non-NULL rows of a
+// decoded block.
+func countNonNull[T any](values []T, match func(T) bool, nulls *roaring.Bitmap) int {
+	count := 0
+	for i, x := range values {
+		if match(x) && !nulls.Contains(uint32(i)) {
+			count++
+		}
+	}
+	return count
+}
+
 func stringPreds(v string) (fastCountFn, slowCountFn) {
-	vb := []byte(v)
-	return func(stream []byte, cfg *core.Config) (int, int, error) {
-			return core.CountEqualString(stream, vb, cfg)
-		},
+	p := &core.StringPred{Op: core.PredEq, Eq: []byte(v)}
+	return func(stream []byte, cfg *core.Config) (int, int, error) { return core.CountString(stream, p, cfg) },
 		func(stream []byte, nulls *roaring.Bitmap, cfg *core.Config) (int, error) {
 			views, _, err := core.DecompressString(stream, cfg)
 			if err != nil {
