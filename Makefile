@@ -127,10 +127,14 @@ check: fmt vet build test race chaos query-smoke fuzz-smoke serve-smoke trace-sm
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke compiles and single-shots the parallel decode benchmarks
-# (§6.4 scaling curve) so CI catches bit-rot without timing anything.
+# bench-smoke runs the decode suite — the per-scheme grid, the kernels,
+# DecompressColumn and the one- and two-worker rows of the parallel decode
+# and scan benchmarks (§6.4) — briefly through benchtraj against
+# BENCH_decode.json. It is the cheap form of bench-compare: a benchmark
+# that no longer builds, runs or parses fails it, and so does a row at half
+# its recorded speed (a second worker that buys nothing is one).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'DecompressParallel|ScanParallel' -benchtime 1x .
+	$(GO) run ./cmd/benchtraj compare -suite decode -benchtime 0.1s -count 3 -retries 1 -tolerance 0.5
 	@echo "bench smoke: OK"
 
 # bench-baseline re-measures the suites (per-scheme grid + kernel

@@ -597,9 +597,11 @@ func BenchmarkDecompressParallel(b *testing.B) {
 
 // BenchmarkScanParallel measures compressed-predicate scans over every
 // integer column of the corpus at 1/2/4/8 workers (per-block predicate
-// evaluation with ordered count merge).
+// evaluation with ordered count merge). The columns are four default-size
+// blocks long: with one block per column a scan has nothing to hand a
+// second worker, and the curve shows only what the pool costs.
 func BenchmarkScanParallel(b *testing.B) {
-	pbiC, _ := corpora()
+	pbiC := pbi.Largest5(4*btrblocks.DefaultBlockSize, 42)
 	type icol struct {
 		data []byte
 		unc  int
@@ -637,6 +639,67 @@ func BenchmarkScanParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDecompressColumn measures DecompressColumn — index, CRCs,
+// cascade, NULL mask and the assembly of the decoded vector — on one
+// worker, per column type and at one and four default-size blocks.
+// B/op is the point as much as MB/s: a decode that writes each value once
+// allocates little more than the SetBytes figure.
+func BenchmarkDecompressColumn(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	kinds := []struct {
+		name string
+		gen  func(rows int) btrblocks.Column
+	}{
+		{"int", func(rows int) btrblocks.Column {
+			v := make([]int32, rows)
+			for i := range v {
+				v[i] = int32(20000 + rng.Intn(5000))
+			}
+			return btrblocks.IntColumn("i", v)
+		}},
+		{"double", func(rows int) btrblocks.Column {
+			v := make([]float64, rows)
+			for i := range v {
+				v[i] = float64(rng.Intn(1_000_000)) / 100
+			}
+			return btrblocks.DoubleColumn("d", v)
+		}},
+		{"string-fsst", func(rows int) btrblocks.Column {
+			v := make([]string, rows)
+			for i := range v {
+				v[i] = fmt.Sprintf("https://example.com/products/%d/reviews?page=%d", rng.Intn(1e6), rng.Intn(50))
+			}
+			return btrblocks.StringColumn("s", v)
+		}},
+		{"string-dict", func(rows int) btrblocks.Column {
+			v := make([]string, rows)
+			for i := range v {
+				v[i] = fmt.Sprintf("district-%03d-of-the-city", rng.Intn(200))
+			}
+			return btrblocks.StringColumn("s", v)
+		}},
+	}
+	opt := &btrblocks.Options{Parallelism: 1}
+	for _, k := range kinds {
+		for _, blocks := range []int{1, 4} {
+			col := k.gen(blocks * btrblocks.DefaultBlockSize)
+			data, err := btrblocks.CompressColumn(col, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/blocks=%d", k.name, blocks), func(b *testing.B) {
+				b.SetBytes(int64(col.UncompressedBytes()))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := btrblocks.DecompressColumn(data, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -78,8 +78,9 @@ run_tier2() {
 	make fuzz-smoke
 
 	echo "== bench smoke =="
-	# Compile-and-single-shot the parallel decode benchmarks so the §6.4
-	# scaling harness cannot bit-rot (nothing is timed).
+	# A brief pass of the decode suite, the §6.4 one- and two-worker rows
+	# included, against BENCH_decode.json at a 50 % tolerance: the
+	# benchmarks cannot bit-rot and a gross regression fails early.
 	make bench-smoke
 
 	echo "== bench regression gate =="

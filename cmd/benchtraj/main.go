@@ -3,12 +3,13 @@
 // "compress" (BENCH_compress.json) and "serve" (BENCH_serve.json).
 //
 // `benchtraj record -suite decode` runs that suite's benchmarks (for
-// decode: the per-scheme BenchmarkDecodeBaseline grid plus the bitpack
-// and FSST kernel microbenchmarks; for compress: the
+// decode: the per-scheme BenchmarkDecodeBaseline grid, whole-column and
+// one- and two-worker whole-chunk decodes, plus the bitpack and FSST
+// kernel microbenchmarks; for compress: the
 // BenchmarkCompressBaseline grid plus FSST training/encoding and the
 // block-profile pass; for serve: BenchmarkBlockWire — BTBK frame encode,
 // decode and loopback fetch per type), parses their output, and writes a schema'd JSON
-// snapshot to the suite's file: MB/s and ns/op per benchmark, host
+// snapshot to the suite's file: MB/s, ns/op and B/op per benchmark, host
 // metadata, and the git SHA the numbers were measured at.
 //
 // `benchtraj compare -suite decode` re-runs the same benchmarks and fails
@@ -69,6 +70,10 @@ type Result struct {
 	// MBps when present, NsPerOp otherwise.
 	NsPerOp float64 `json:"ns_per_op"`
 	MBps    float64 `json:"mbps,omitempty"`
+	// BytesPerOp is the heap allocated per iteration (-benchmem's B/op):
+	// recorded, not gated. Next to a decode benchmark's bytes per
+	// iteration it says how many times the output was allocated.
+	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 }
 
 // benchSet is one `go test -bench` invocation.
@@ -88,7 +93,10 @@ type suiteDef struct {
 // per-scheme grid plus the kernel microbenchmarks that grid is built from.
 var suites = map[string]suiteDef{
 	"decode": {"BENCH_decode.json", []benchSet{
-		{".", "^BenchmarkDecodeBaseline$"},
+		{".", "^(BenchmarkDecodeBaseline|BenchmarkDecompressColumn)$"},
+		// Whole-chunk decode and compressed scans at one and two workers:
+		// the second row over the first is the §6.4 scaling this host has.
+		{".", "^(BenchmarkDecompressParallel|BenchmarkScanParallel)$/^workers=[12]$"},
 		{"./internal/bitpack/", "^(BenchmarkUnpack|BenchmarkUnpack64|BenchmarkDecodeFOR)$"},
 		{"./internal/fsst/", "^BenchmarkDecodeJumpTable$"},
 	}},
@@ -102,7 +110,7 @@ var suites = map[string]suiteDef{
 	}},
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?(?:.*?\s(\d+) B/op)?`)
 
 func main() {
 	if len(os.Args) < 2 {
@@ -228,7 +236,7 @@ func record(sets []benchSet, benchtime string, count int, stat string) (*Snapsho
 	samples := map[string][]Result{}
 	for _, s := range sets {
 		cmd := exec.Command("go", "test", "-run", "^$",
-			"-bench", s.pattern, "-benchtime", benchtime,
+			"-bench", s.pattern, "-benchmem", "-benchtime", benchtime,
 			"-count", strconv.Itoa(count), s.pkg)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
@@ -272,7 +280,8 @@ func parseInto(snap *Snapshot, samples map[string][]Result, out string) {
 		if m[3] != "" {
 			mbps, _ = strconv.ParseFloat(m[3], 64)
 		}
-		samples[key] = append(samples[key], Result{NsPerOp: ns, MBps: mbps})
+		bytesPerOp, _ := strconv.ParseFloat(m[4], 64) // "" without B/op: 0, omitted
+		samples[key] = append(samples[key], Result{NsPerOp: ns, MBps: mbps, BytesPerOp: bytesPerOp})
 	}
 }
 

@@ -137,15 +137,17 @@ func (v StringViews) Bytes(i int) []byte {
 	return v.Pool[w.Off : w.Off+w.Len]
 }
 
-// Materialize converts the view column into an owned Strings column.
+// Materialize converts the view column into an owned Strings column of
+// exactly its size: the offsets are a prefix sum of the view lengths, and
+// each value is then copied to where they say.
 func (v StringViews) Materialize() Strings {
-	total := 0
-	for _, w := range v.Views {
-		total += int(w.Len)
+	out := Strings{Offsets: make([]uint32, len(v.Views)+1)}
+	for i, w := range v.Views {
+		out.Offsets[i+1] = out.Offsets[i] + w.Len
 	}
-	out := NewStringsBuilder(len(v.Views), total)
+	out.Data = make([]byte, out.Offsets[len(v.Views)])
 	for i := range v.Views {
-		out = out.AppendBytes(v.Bytes(i))
+		copy(out.Data[out.Offsets[i]:], v.Bytes(i))
 	}
 	return out
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"btrblocks/coldata"
 	"btrblocks/internal/core"
@@ -257,229 +256,6 @@ func assembleColumnFile(col Column, blocks [][]byte, ver byte) []byte {
 	return out
 }
 
-// DecompressColumn decodes a column file produced by CompressColumn.
-// String columns are materialized into an owned Strings vector; use
-// DecompressStringViews for the no-copy path.
-func DecompressColumn(data []byte, opt *Options) (Column, error) {
-	return DecompressColumnContext(context.Background(), data, opt)
-}
-
-// DecompressColumnContext is DecompressColumn with a caller context: the
-// per-block decode tasks observe cancellation and, when the context
-// carries a tracing span, record per-block child spans tagged with
-// worker id and queue wait. With no span in the context the decode path
-// is byte- and allocation-identical to DecompressColumn.
-func DecompressColumnContext(ctx context.Context, data []byte, opt *Options) (Column, error) {
-	col, views, err := decompressColumn(ctx, data, opt)
-	if err != nil {
-		return Column{}, err
-	}
-	if col.Type == TypeString {
-		col.Strings = concatViews(views)
-	}
-	return col, nil
-}
-
-// DecompressStringViews decodes a string column file into per-block
-// no-copy view columns (one StringViews per block, pools shared with the
-// block dictionaries).
-func DecompressStringViews(data []byte, opt *Options) ([]coldata.StringViews, *NullMask, error) {
-	col, views, err := decompressColumn(context.Background(), data, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if col.Type != TypeString {
-		return nil, nil, ErrTypeMismatch
-	}
-	return views, col.Nulls, nil
-}
-
-func concatViews(views []coldata.StringViews) coldata.Strings {
-	total, count := 0, 0
-	for _, v := range views {
-		count += v.Len()
-		for i := range v.Views {
-			total += int(v.Views[i].Len)
-		}
-	}
-	out := coldata.NewStringsBuilder(count, total)
-	for _, v := range views {
-		for i := 0; i < v.Len(); i++ {
-			out = out.AppendBytes(v.Bytes(i))
-		}
-	}
-	return out
-}
-
-// blockVectors is the decoded payload of one block, still block-local:
-// NULL positions are relative to the block's first row and string views
-// are not yet materialized. Workers fill these into per-block slots so
-// ordered assembly is independent of decode completion order.
-type blockVectors struct {
-	ints    []int32
-	ints64  []int64
-	doubles []float64
-	views   coldata.StringViews
-	nulls   *roaring.Bitmap
-}
-
-// decodeBlockVectors verifies and decodes block b of an indexed column
-// file. It is the single per-block decoder behind every decode path —
-// serial and parallel modes run exactly this function per block, which
-// is what makes their outputs identical by construction. base is copied
-// per call, so concurrent workers can share one config. scr, when
-// non-nil, supplies the worker's private scratch arena for decode
-// temporaries; it must not be shared with a concurrent call.
-func decodeBlockVectors(ix *ColumnIndex, data []byte, b int, base *core.Config, scr *core.Scratch, rec *telemetry.Recorder) (blockVectors, error) {
-	var out blockVectors
-	ref := ix.Blocks[b]
-	if ref.End() > len(data) {
-		return out, ErrTruncatedFile
-	}
-	if err := ix.VerifyBlock(data, b); err != nil {
-		rec.RecordCorruption(1)
-		return out, err
-	}
-	if ref.NullBytes > 0 {
-		bm, used, err := roaring.FromBytes(data[ref.NullOffset() : ref.NullOffset()+ref.NullBytes])
-		if err != nil || used != ref.NullBytes {
-			return out, ErrCorrupt
-		}
-		ok := true
-		bm.ForEach(func(v uint32) bool {
-			if int(v) >= ref.Rows {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !ok {
-			return out, ErrCorrupt
-		}
-		out.nulls = bm
-	}
-	// Cap decoded value counts at the block's declared row count so a
-	// corrupt stream header cannot force a huge allocation.
-	cfg := *base
-	cfg.MaxDecodedValues = ref.Rows
-	cfg.Scratch = scr
-	stream := data[ref.DataOffset():ref.End()]
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	var used int
-	var err error
-	switch ix.Type {
-	case TypeInt:
-		out.ints, used, err = core.Int.Decompress(nil, stream, &cfg)
-		if err == nil && len(out.ints) != ref.Rows {
-			err = ErrCorrupt
-		}
-	case TypeInt64:
-		out.ints64, used, err = core.Int64.Decompress(nil, stream, &cfg)
-		if err == nil && len(out.ints64) != ref.Rows {
-			err = ErrCorrupt
-		}
-	case TypeDouble:
-		out.doubles, used, err = core.Double.Decompress(nil, stream, &cfg)
-		if err == nil && len(out.doubles) != ref.Rows {
-			err = ErrCorrupt
-		}
-	case TypeString:
-		out.views, used, err = core.DecompressString(stream, &cfg)
-		if err == nil && out.views.Len() != ref.Rows {
-			err = ErrCorrupt
-		}
-	}
-	if err != nil {
-		return out, err
-	}
-	if used != ref.DataBytes {
-		return out, ErrCorrupt
-	}
-	if rec != nil {
-		rec.RecordDecode(1, ref.Rows, ref.DataBytes, time.Since(start).Nanoseconds())
-	}
-	return out, nil
-}
-
-// assembleColumn concatenates per-block decode results in block order:
-// value vectors are appended block by block and NULL positions rebased
-// by each block's start row. String blocks stay as views; the caller
-// materializes or keeps them as needed.
-func assembleColumn(ix *ColumnIndex, results []blockVectors) (Column, []coldata.StringViews) {
-	col := Column{Name: ix.Name, Type: ix.Type}
-	if ix.Rows > 0 {
-		switch ix.Type {
-		case TypeInt:
-			col.Ints = make([]int32, 0, ix.Rows)
-		case TypeInt64:
-			col.Ints64 = make([]int64, 0, ix.Rows)
-		case TypeDouble:
-			col.Doubles = make([]float64, 0, ix.Rows)
-		}
-	}
-	var viewBlocks []coldata.StringViews
-	for b := range results {
-		r := &results[b]
-		switch ix.Type {
-		case TypeInt:
-			col.Ints = append(col.Ints, r.ints...)
-		case TypeInt64:
-			col.Ints64 = append(col.Ints64, r.ints64...)
-		case TypeDouble:
-			col.Doubles = append(col.Doubles, r.doubles...)
-		case TypeString:
-			viewBlocks = append(viewBlocks, r.views)
-		}
-		if r.nulls != nil {
-			if col.Nulls == nil {
-				col.Nulls = NewNullMask()
-			}
-			start := ix.Blocks[b].StartRow
-			r.nulls.ForEach(func(v uint32) bool {
-				col.Nulls.SetNull(start + int(v))
-				return true
-			})
-		}
-	}
-	return col, viewBlocks
-}
-
-func decompressColumn(ctx context.Context, data []byte, opt *Options) (Column, []coldata.StringViews, error) {
-	ix, err := ParseColumnIndex(data)
-	if err != nil {
-		return Column{}, nil, err
-	}
-	base := opt.coreConfig()
-	rec := opt.telemetryRecorder()
-	results := make([]blockVectors, len(ix.Blocks))
-	scratches := make([]*core.Scratch, parallel.Workers(parallelism(opt)))
-	err = parallel.ObservedWorkers(ctx, len(ix.Blocks), parallelism(opt), pathDecompressColumn, observerOf(rec), func(w, b int) error {
-		if scratches[w] == nil {
-			scratches[w] = new(core.Scratch)
-		}
-		bv, err := decodeBlockVectors(ix, data, b, base, scratches[w], rec)
-		if err != nil {
-			return err
-		}
-		results[b] = bv
-		return nil
-	})
-	if err != nil {
-		return Column{}, nil, err
-	}
-	if ix.Checksummed() {
-		if err := verifyTrailingCRC(data, "column file"); err != nil {
-			rec.RecordCorruption(1)
-			return Column{}, nil, err
-		}
-	}
-	col, viewBlocks := assembleColumn(ix, results)
-	return col, viewBlocks, nil
-}
-
 // ColumnStats describes one compressed column.
 type ColumnStats struct {
 	Name              string
@@ -600,68 +376,6 @@ func blockRootScheme(block []byte) Scheme {
 		return SchemeUncompressed
 	}
 	return Scheme(block[p])
-}
-
-// DecompressChunk decodes a compressed chunk, fanning out across every
-// (column, block) pair — the same task granularity CompressChunk uses —
-// and reassembling columns in block order. Output and errors are
-// identical at every worker count: a flat task list claimed in index
-// order means the pool's minimum-index error is exactly the error a
-// column-by-column serial walk would hit first.
-func DecompressChunk(cc *CompressedChunk, opt *Options) (*Chunk, error) {
-	return DecompressChunkContext(context.Background(), cc, opt)
-}
-
-// DecompressChunkContext is DecompressChunk with a caller context: the
-// per-(column, block) decode tasks observe cancellation and, when the
-// context carries a tracing span, record per-block child spans.
-func DecompressChunkContext(ctx context.Context, cc *CompressedChunk, opt *Options) (*Chunk, error) {
-	nCols := len(cc.Columns)
-	ixs := make([]*ColumnIndex, nCols)
-	results := make([][]blockVectors, nCols)
-	type blockTask struct{ col, block int }
-	var tasks []blockTask
-	for ci, data := range cc.Columns {
-		ix, err := ParseColumnIndex(data)
-		if err != nil {
-			return nil, err
-		}
-		ixs[ci] = ix
-		results[ci] = make([]blockVectors, len(ix.Blocks))
-		for b := range ix.Blocks {
-			tasks = append(tasks, blockTask{ci, b})
-		}
-	}
-	base := opt.coreConfig()
-	rec := opt.telemetryRecorder()
-	scratches := make([]*core.Scratch, parallel.Workers(parallelism(opt)))
-	err := parallel.ObservedWorkers(ctx, len(tasks), parallelism(opt), pathDecompressChunk, observerOf(rec), func(w, i int) error {
-		t := tasks[i]
-		bv, err := decodeBlockVectors(ixs[t.col], cc.Columns[t.col], t.block, base, scratches[w], rec)
-		if err != nil {
-			return err
-		}
-		results[t.col][t.block] = bv
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]Column, nCols)
-	for ci, ix := range ixs {
-		if ix.Checksummed() {
-			if err := verifyTrailingCRC(cc.Columns[ci], "column file"); err != nil {
-				rec.RecordCorruption(1)
-				return nil, err
-			}
-		}
-		col, viewBlocks := assembleColumn(ix, results[ci])
-		if ix.Type == TypeString {
-			col.Strings = concatViews(viewBlocks)
-		}
-		cols[ci] = col
-	}
-	return &Chunk{Columns: cols}, nil
 }
 
 func parallelism(opt *Options) int {

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"btrblocks"
@@ -106,6 +107,55 @@ func TestGoldenDeterminism(t *testing.T) {
 					t.Fatalf("col %s row %d: NULL mismatch", want.Name, i)
 				}
 			}
+		}
+	}
+}
+
+// TestDecompressAllocationBound pins what "write each value once" means
+// for memory: decoding the testdata corpus allocates at most 1.3x the
+// bytes it decodes (1.04x as one block per column, 1.17x as nine; the
+// assembly that appended per-block vectors into a second, column-sized
+// one was at 2.2x). The corpus is tiled to 64,800 rows, one default-size
+// block and a bit, because at its own 2,400 rows the per-call constants —
+// the block index, an FSST symbol table — outweigh the values.
+func TestDecompressAllocationBound(t *testing.T) {
+	if raceBuild {
+		t.Skip("under -race sync.Pool drops a quarter of what is put back, decode arenas included")
+	}
+	chunk := goldenCorpus(t)
+	for _, blockSize := range []int{8000, btrblocks.DefaultBlockSize} {
+		var allocated, decoded float64
+		for _, col := range chunk.Columns {
+			tiled := btrblocks.Column{Name: col.Name, Type: col.Type}
+			for i := 0; i < 27; i++ {
+				tiled.Ints = append(tiled.Ints, col.Ints...)
+				tiled.Ints64 = append(tiled.Ints64, col.Ints64...)
+				tiled.Doubles = append(tiled.Doubles, col.Doubles...)
+				for r := 0; col.Type == btrblocks.TypeString && r < col.Strings.Len(); r++ {
+					tiled.Strings = tiled.Strings.AppendBytes(col.Strings.View(r))
+				}
+			}
+			data, err := btrblocks.CompressColumn(tiled, &btrblocks.Options{BlockSize: blockSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := &btrblocks.Options{Parallelism: 1}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := btrblocks.DecompressColumn(data, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("block size %d, %s: %.0f B allocated for %d decoded", blockSize, col.Name, perRun, tiled.UncompressedBytes())
+			allocated += perRun
+			decoded += float64(tiled.UncompressedBytes())
+		}
+		if allocated > 1.3*decoded {
+			t.Errorf("block size %d: decoding allocates %.2fx the decoded bytes, want at most 1.3x", blockSize, allocated/decoded)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package btrblocks
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -185,26 +186,9 @@ func (ix *ColumnIndex) DecompressBlock(data []byte, b int, opt *Options) (Column
 	if b < 0 || b >= len(ix.Blocks) {
 		return Column{}, fmt.Errorf("btrblocks: block %d out of range [0,%d)", b, len(ix.Blocks))
 	}
-	bv, err := decodeBlockVectors(ix, data, b, opt.coreConfig(), nil, opt.telemetryRecorder())
-	if err != nil {
+	d := newColumnDecode(ix, data, b, b+1, false)
+	if err := decodeColumns(context.Background(), []*columnDecode{d}, opt, "", false); err != nil {
 		return Column{}, err
 	}
-	col := Column{
-		Name:    ix.Name,
-		Type:    ix.Type,
-		Ints:    bv.ints,
-		Ints64:  bv.ints64,
-		Doubles: bv.doubles,
-	}
-	if ix.Type == TypeString {
-		col.Strings = bv.views.Materialize()
-	}
-	if bv.nulls != nil {
-		col.Nulls = NewNullMask()
-		bv.nulls.ForEach(func(v uint32) bool {
-			col.Nulls.SetNull(int(v))
-			return true
-		})
-	}
-	return col, nil
+	return d.col, nil
 }

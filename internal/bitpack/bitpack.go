@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 )
 
 // BlockLen is the number of values per packed block.
@@ -234,7 +235,7 @@ func decodeFOR(dst []int32, src []byte, unpack func([]uint32, []byte, int, uint)
 	pos += 4
 	var deltas [BlockLen]uint32
 	out := len(dst)
-	dst = append(dst, make([]int32, n)...)
+	dst = slices.Grow(dst, n)[:out+n] // every slot is written below
 	for got := 0; got < n; got += BlockLen {
 		cnt := n - got
 		if cnt > BlockLen {

@@ -3,6 +3,7 @@ package bitpack
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // 64-bit variants of the FOR + block bit-packing codec, for int64 columns
@@ -183,7 +184,7 @@ func decodeFOR64(dst []int64, src []byte, unpack func([]uint64, []byte, int, uin
 	pos += 8
 	var deltas [BlockLen]uint64
 	out := len(dst)
-	dst = append(dst, make([]int64, n)...)
+	dst = slices.Grow(dst, n)[:out+n] // every slot is written below
 	for got := 0; got < n; got += BlockLen {
 		cnt := n - got
 		if cnt > BlockLen {

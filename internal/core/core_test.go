@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -70,7 +71,61 @@ func roundTripString(t *testing.T, src coldata.Strings, cfg *Config) []byte {
 			t.Fatalf("value %d = %q, want %q (%s)", i, views.At(i), src.At(i), Code(enc[0]))
 		}
 	}
+	requireMaterialized(t, enc, src, cfg)
 	return enc
+}
+
+// requireMaterialized decodes enc with the other finisher, ParseString +
+// AppendTo, the way the block-parallel engine does: into a block's range
+// in the middle of a larger column, with a Scratch. The block must write
+// its range — want's rows, offsets counted from the range's position —
+// and nothing around it, and what it wrote must alias neither the stream
+// nor the Scratch (both are scribbled over before the rows are compared).
+func requireMaterialized(t *testing.T, enc []byte, want coldata.Strings, cfg *Config) {
+	t.Helper()
+	const pad = 24 // wider than FSST's 8-byte and the dictionary's 16-byte stores
+	c := *cfg
+	c.Scratch = new(Scratch)
+	stream := append([]byte(nil), enc...)
+	blk, used, err := ParseString(stream, &c)
+	if err != nil || used != len(enc) {
+		t.Fatalf("parse (%s): used %d of %d: %v", Code(enc[0]), used, len(enc), err)
+	}
+	rows, size := blk.Rows(), blk.Bytes()
+	if rows != want.Len() || size != len(want.Data) {
+		t.Fatalf("parsed %d rows / %d bytes, want %d / %d (%s)", rows, size, want.Len(), len(want.Data), Code(enc[0]))
+	}
+	data := bytes.Repeat([]byte{0xA5}, pad+size+pad)
+	offsets := make([]uint32, pad+rows+pad)
+	for i := range offsets {
+		offsets[i] = 0xDEADBEEF
+	}
+	dst := coldata.Strings{Offsets: offsets[pad : pad : pad+rows], Data: data[pad : pad : pad+size]}
+	out, err := blk.AppendTo(dst, pad, c.Scratch)
+	if err != nil {
+		t.Fatalf("append (%s): %v", Code(enc[0]), err)
+	}
+	if len(out.Data) != size || len(out.Offsets) != rows ||
+		size > 0 && &out.Data[0] != &data[pad] || rows > 0 && &out.Offsets[0] != &offsets[pad] {
+		t.Fatalf("block did not fill its range in place (%s)", Code(enc[0]))
+	}
+	for i := 0; i < pad; i++ {
+		if data[i] != 0xA5 || data[pad+size+i] != 0xA5 || offsets[i] != 0xDEADBEEF || offsets[pad+rows+i] != 0xDEADBEEF {
+			t.Fatalf("block wrote outside its range (%s)", Code(enc[0]))
+		}
+	}
+	clear(stream)
+	for _, free := range c.Scratch.ints.free {
+		clear(free[:cap(free)])
+	}
+	lo := uint32(pad)
+	for i := 0; i < rows; i++ {
+		hi := offsets[pad+i]
+		if hi < lo || int(hi) > pad+size || string(data[lo:hi]) != want.At(i) {
+			t.Fatalf("row %d = data[%d:%d], want %q (%s)", i, lo, hi, want.At(i), Code(enc[0]))
+		}
+		lo = hi
+	}
 }
 
 // --- integer scheme selection & round trips ---
@@ -408,6 +463,8 @@ func TestStringDictRLEFusedPath(t *testing.T) {
 			t.Fatalf("mismatch at %d", i)
 		}
 	}
+	requireMaterialized(t, enc, src, DefaultConfig())
+	requireMaterialized(t, enc, src, &Config{DisableFuseDictRLE: true})
 }
 
 func TestStringEmptyValuesAndEmptyColumn(t *testing.T) {
@@ -448,6 +505,9 @@ func TestStringTruncation(t *testing.T) {
 		views, used, err := DecompressString(enc[:cut], cfg)
 		if err == nil && used == len(enc) {
 			t.Fatalf("truncation at %d: decoded %d values without error", cut, views.Len())
+		}
+		if _, used, err := ParseString(enc[:cut], cfg); err == nil && used == len(enc) {
+			t.Fatalf("truncation at %d: parsed without error", cut)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"btrblocks/internal/roaring"
 )
@@ -46,7 +47,7 @@ func (t *Numeric[T, K]) decompress(dst []T, src []byte, cfg *Config) ([]T, int, 
 		defer t.putBuf(cfg.Scratch, values)
 		defer Int.putBuf(cfg.Scratch, lengths)
 		out := len(dst)
-		dst = append(dst, make([]T, n)...)
+		dst = grow(dst, n)
 		if cfg.ScalarDecode {
 			expandRunsScalar(dst[out:], values, lengths)
 		} else {
@@ -61,7 +62,7 @@ func (t *Numeric[T, K]) decompress(dst []T, src []byte, cfg *Config) ([]T, int, 
 		defer t.putBuf(cfg.Scratch, dict)
 		defer Int.putBuf(cfg.Scratch, codes)
 		out := len(dst)
-		dst = append(dst, make([]T, len(codes))...)
+		dst = grow(dst, len(codes))
 		if !gather(dst[out:], dict, codes, cfg.ScalarDecode) {
 			return dst, 0, ErrCorrupt
 		}
@@ -80,7 +81,7 @@ func (t *Numeric[T, K]) decompress(dst []T, src []byte, cfg *Config) ([]T, int, 
 			return dst, 0, ErrCorrupt
 		}
 		out := len(dst)
-		dst = append(dst, make([]T, n)...)
+		dst = grow(dst, n)
 		// Patch: the top value at the marked rows, the exceptions, in
 		// order, in the gaps between them.
 		o := dst[out:]
@@ -104,6 +105,11 @@ func (t *Numeric[T, K]) decompress(dst []T, src []byte, cfg *Config) ([]T, int, 
 	}
 	return out, used + 1, nil
 }
+
+// grow extends dst by n values the caller is about to write, every one of
+// them: within dst's capacity they are not cleared first, so a decoder
+// handed its range of a column writes that range once.
+func grow[T any](dst []T, n int) []T { return slices.Grow(dst, n)[:len(dst)+n] }
 
 // oneValue reads a OneValue stream: its row count and its value.
 func (t *Numeric[T, K]) oneValue(src []byte, cfg *Config) (n int, v T, err error) {
@@ -182,11 +188,8 @@ func expandRuns[T numeric](dst, values []T, lengths []int32) {
 			o = target
 			continue
 		}
-		run := dst[o:target]
-		run[0] = v
-		for filled := 1; filled < l; filled *= 2 {
-			copy(run[filled:], run[:filled])
-		}
+		dst[o] = v
+		replicate(dst[o:target], 1)
 		o = target
 	}
 }

@@ -140,6 +140,7 @@ func TestForcedStringSchemesRoundTrip(t *testing.T) {
 				t.Fatalf("%s: value %d mismatch", code, i)
 			}
 		}
+		requireMaterialized(t, enc, src, cfg)
 	}
 	if CompressStringAs(nil, coldata.MakeStrings([]string{"a", "b"}), CodeOneValue, cfg) != nil {
 		t.Fatal("OneValue on multi-value block must be inapplicable")

@@ -20,7 +20,9 @@ import (
 //     never touches another worker's arena.
 //   - Only temporaries that die before the decoder returns may come from
 //     the arena. Anything that escapes into the decoded output (or into a
-//     cached pool) must be allocated normally.
+//     cached pool) must be allocated normally. A StringBlock is a decoder
+//     in two calls: it keeps its arrays from ParseString until its
+//     finisher returns them, to whichever arena the finisher is given.
 //   - A nil *Scratch is valid everywhere and means "allocate as before":
 //     get returns nil (append allocates fresh) and put is a no-op, so the
 //     serial path and external callers pay nothing.

@@ -515,16 +515,17 @@ func scanString(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st 
 		}
 		return n, 1 + 8 + l, nil
 	case CodeDict:
-		dict, _, codesOff, err := stringDictHead(body, cfg, false)
+		pool, starts, _, codesOff, err := stringDictHead(body, cfg, false)
 		if err != nil {
 			return 0, 0, err
 		}
 		var codes []int32
-		for i := 0; i < dict.Len(); i++ {
-			if p.Match(dict.Bytes(i)) {
+		for i := 0; i+1 < len(starts); i++ {
+			if p.Match(pool[starts[i]:starts[i+1]]) {
 				codes = append(codes, int32(i))
 			}
 		}
+		Int.putBuf(cfg.Scratch, starts)
 		st.Dict.Add(1)
 		count, used, err = Int.scan(body[codesOff:], codesPredFromSorted(codes), base, out, st, cfg)
 		return count, 1 + codesOff + used, err

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -249,142 +250,205 @@ func DecompressString(src []byte, cfg *Config) (coldata.StringViews, int, error)
 }
 
 func decompressString(src []byte, cfg *Config) (coldata.StringViews, int, error) {
-	var out coldata.StringViews
-	if len(src) < 1 {
-		return out, 0, ErrCorrupt
+	b, used, err := parseString(src, cfg, true)
+	if err != nil {
+		return coldata.StringViews{}, 0, err
 	}
-	code := Code(src[0])
-	body := src[1:]
-	switch code {
-	case CodeUncompressed:
-		out, used, err := decodeStringPlain(body)
-		return out, used + 1, err
-	case CodeOneValue:
-		if len(body) < 8 {
-			return out, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		l := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || l < 0 || len(body) < 8+l {
-			return out, 0, ErrCorrupt
-		}
-		pool := append([]byte(nil), body[8:8+l]...)
-		views := make([]coldata.View, n)
-		for i := range views {
-			views[i] = coldata.View{Off: 0, Len: uint32(l)}
-		}
-		return coldata.StringViews{Views: views, Pool: pool}, 1 + 8 + l, nil
-	case CodeDict:
-		out, used, err := decodeStringDict(body, cfg)
-		return out, used + 1, err
-	case CodeFSST:
-		out, used, err := decodeStringFSST(body, cfg)
-		return out, used + 1, err
-	default:
-		return out, 0, ErrCorrupt
-	}
+	views, err := b.views(cfg.Scratch)
+	return views, used, err
 }
 
-func decodeStringPlain(src []byte) (coldata.StringViews, int, error) {
-	var out coldata.StringViews
+// StringBlock is one string stream parsed and validated but not yet
+// expanded into rows — the half of decoding the view decoder and the
+// materialising decoder share. Its integer arrays are borrowed from the
+// Scratch it was parsed with; the finisher (views or AppendTo) consumes
+// the block and hands them to the Scratch it is given, which may be
+// another worker's at a later time, never a concurrent one.
+type StringBlock struct {
+	code Code
+	rows int
+	size int // decoded bytes of all rows (not counted for a Dict block parsed for views)
+	// pool is where the rows' bytes are: an Uncompressed payload (indexed
+	// by offsets, rows+1 little-endian words still in the stream), the one
+	// value, or a dictionary's strings (indexed by starts). An FSST block has
+	// payload, table and lengths in its place: the rows are decoded only by
+	// the finisher, straight into where they are wanted.
+	pool, offsets, payload []byte
+	table                  *fsst.Table
+	lengths                []int32
+	// A Dict block's entry c is pool[starts[c]:starts[c+1]]; it has one code
+	// per row, or — fused Dict+RLE (§5) — one per run of runLens rows.
+	starts, codes, runLens []int32
+}
+
+// ParseString parses one string stream for AppendTo, returning the block
+// and the number of input bytes consumed. Nothing is copied out of src,
+// which must outlive the block; every code and length is checked here,
+// so Rows and Bytes are exact and AppendTo cannot fail on them.
+func ParseString(src []byte, cfg *Config) (StringBlock, int, error) {
+	c := cfg.normalized()
+	return parseString(src, &c, false)
+}
+
+// Rows returns the block's row count.
+func (b *StringBlock) Rows() int { return b.rows }
+
+// Bytes returns the summed length of the block's rows.
+func (b *StringBlock) Bytes() int { return b.size }
+
+// parseString parses src for one of the two finishers. forViews copies
+// pools that lie in src, as views outlive it, and leaves a dictionary's
+// codes to the loop that turns them into views.
+func parseString(src []byte, cfg *Config, forViews bool) (b StringBlock, used int, err error) {
+	if len(src) < 1 {
+		return b, 0, ErrCorrupt
+	}
+	b.code = Code(src[0])
+	body := src[1:]
+	switch b.code {
+	case CodeUncompressed:
+		used, err = b.parsePlain(body)
+	case CodeOneValue:
+		if len(body) < 8 {
+			return b, 0, ErrCorrupt
+		}
+		b.rows = int(binary.LittleEndian.Uint32(body))
+		l := int(binary.LittleEndian.Uint32(body[4:]))
+		if b.rows > cfg.maxN() || l < 0 || len(body) < 8+l {
+			return b, 0, ErrCorrupt
+		}
+		b.pool, b.size, used = body[8:8+l], b.rows*l, 8+l
+	case CodeDict:
+		used, err = b.parseDict(body, cfg, forViews)
+	case CodeFSST:
+		used, err = b.parseFSST(body, cfg)
+	default:
+		err = ErrCorrupt
+	}
+	if err != nil {
+		b.release(cfg.Scratch)
+		return StringBlock{}, 0, err
+	}
+	if forViews && (b.code == CodeUncompressed || b.code == CodeOneValue) {
+		b.pool = append([]byte(nil), b.pool...)
+	}
+	return b, used + 1, nil
+}
+
+// release returns the block's borrowed arrays once nothing reads them.
+func (b *StringBlock) release(scr *Scratch) {
+	Int.putBuf(scr, b.lengths)
+	Int.putBuf(scr, b.starts)
+	Int.putBuf(scr, b.codes)
+	Int.putBuf(scr, b.runLens)
+}
+
+func (b *StringBlock) parsePlain(src []byte) (int, error) {
 	if len(src) < 8 {
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint32(src))
 	dataLen := int(binary.LittleEndian.Uint32(src[4:]))
 	if n > maxBlockValues || dataLen < 0 {
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	need := 8 + 4*(n+1) + dataLen
 	if len(src) < need {
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	offsets := make([]uint32, n+1)
-	for i := range offsets {
-		offsets[i] = binary.LittleEndian.Uint32(src[8+4*i:])
+	b.rows, b.offsets, b.pool = n, src[8:8+4*(n+1)], src[8+4*(n+1):need]
+	if n == 0 {
+		return need, nil
 	}
-	views := make([]coldata.View, n)
-	for i := 0; i < n; i++ {
-		if offsets[i] > offsets[i+1] || int(offsets[i+1]) > dataLen {
-			return out, 0, ErrCorrupt
+	first := binary.LittleEndian.Uint32(b.offsets)
+	last := first
+	for i := 1; i <= n; i++ {
+		next := binary.LittleEndian.Uint32(b.offsets[4*i:])
+		if last > next {
+			return 0, ErrCorrupt
 		}
-		views[i] = coldata.View{Off: offsets[i], Len: offsets[i+1] - offsets[i]}
+		last = next
 	}
-	pool := append([]byte(nil), src[8+4*(n+1):need]...)
-	return coldata.StringViews{Views: views, Pool: pool}, need, nil
+	if int(last) > dataLen {
+		return 0, ErrCorrupt
+	}
+	b.size = int(last - first)
+	return need, nil
 }
 
-func decodeStringDict(src []byte, cfg *Config) (coldata.StringViews, int, error) {
-	var out coldata.StringViews
-	dict, n, pos, err := stringDictHead(src, cfg, true)
+func (b *StringBlock) parseDict(src []byte, cfg *Config, forViews bool) (int, error) {
+	pool, starts, n, pos, err := stringDictHead(src, cfg, forViews)
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	dictViews, dictN := dict.Views, len(dict.Views)
-	views := make([]coldata.View, n)
+	b.rows, b.pool, b.starts = n, pool, starts
 	// Fused Dict+RLE decompression (§5): when the code stream is RLE with
-	// long runs, look up the dictionary per run and write runs of views
+	// long runs, look up the dictionary per run and write runs of rows
 	// directly, skipping the intermediate codes array.
 	if !cfg.DisableFuseDictRLE && !cfg.ScalarDecode && pos < len(src) && Code(src[pos]) == CodeRLE {
 		rows, runValues, runLengths, used, err := Int.runParts(src[pos:], cfg)
 		if err != nil {
-			return out, 0, err
+			return 0, err
 		}
-		defer Int.putBuf(cfg.Scratch, runValues)
-		defer Int.putBuf(cfg.Scratch, runLengths)
+		b.codes, b.runLens = runValues, runLengths
 		if n > 0 && len(runValues) > 0 && float64(n)/float64(len(runValues)) > 3 {
 			if rows != n {
-				return out, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
-			o := 0
-			for r, cv := range runValues {
-				if uint32(cv) >= uint32(dictN) {
-					return out, 0, ErrCorrupt
-				}
-				v := dictViews[cv]
-				for end := o + int(runLengths[r]); o < end; o++ {
-					views[o] = v
-				}
-			}
-			return coldata.StringViews{Views: views, Pool: dict.Pool}, pos + used, nil
+			return pos + used, b.sizeDict(forViews)
 		}
 		// short runs: fall through to the standard two-step decode below
+		Int.putBuf(cfg.Scratch, runValues)
+		Int.putBuf(cfg.Scratch, runLengths)
+		b.codes, b.runLens = nil, nil
 	}
 	codes, used, err := Int.decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	defer Int.putBuf(cfg.Scratch, codes)
+	b.codes = codes
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	pos += used
 	if len(codes) != n {
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	for i, c := range codes {
-		if uint32(c) >= uint32(dictN) {
-			return out, 0, ErrCorrupt
-		}
-		views[i] = dictViews[c]
-	}
-	return coldata.StringViews{Views: views, Pool: dict.Pool}, pos, nil
+	return pos + used, b.sizeDict(forViews)
 }
 
-func decodeStringFSST(src []byte, cfg *Config) (coldata.StringViews, int, error) {
-	var out coldata.StringViews
-	if len(src) < 4 {
-		return out, 0, ErrCorrupt
+// sizeDict checks a Dict block's codes against its dictionary and sums
+// the rows' lengths — unless views are wanted, which need no sum and
+// check the codes as they look them up.
+func (b *StringBlock) sizeDict(forViews bool) error {
+	if forViews {
+		return nil
 	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > cfg.maxN() {
-		return out, 0, ErrCorrupt
+	for r, c := range b.codes {
+		if uint32(c) >= uint32(len(b.starts)-1) {
+			return ErrCorrupt
+		}
+		l := int(b.starts[c+1] - b.starts[c])
+		if b.runLens != nil {
+			l *= int(b.runLens[r])
+		}
+		b.size += l
+	}
+	return nil
+}
+
+func (b *StringBlock) parseFSST(src []byte, cfg *Config) (int, error) {
+	if len(src) < 4 {
+		return 0, ErrCorrupt
+	}
+	b.rows = int(binary.LittleEndian.Uint32(src))
+	if b.rows > cfg.maxN() {
+		return 0, ErrCorrupt
 	}
 	pos := 4
 	table, used, err := fsst.TableFromBytes(src[pos:])
 	if err != nil {
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	pos += used
 	if len(src) < pos+8 {
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	rawLen := int(binary.LittleEndian.Uint32(src[pos:]))
 	encLen := int(binary.LittleEndian.Uint32(src[pos+4:]))
@@ -392,65 +456,200 @@ func decodeStringFSST(src []byte, cfg *Config) (coldata.StringViews, int, error)
 	if rawLen < 0 || encLen < 0 || len(src) < pos+encLen || rawLen > 8*encLen {
 		// See stringDictHead: cap the decode buffer by FSST's maximum
 		// 8x expansion before allocating.
-		return out, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	// One decode call over the whole block payload (§5: pass the first
-	// offset and the summed length instead of per-string calls).
-	pool, err := table.Decode(make([]byte, 0, rawLen), src[pos:pos+encLen])
-	if err != nil || len(pool) != rawLen {
-		return out, 0, ErrCorrupt
-	}
+	b.table, b.payload, b.size = table, src[pos:pos+encLen], rawLen
 	pos += encLen
-	lengths, used, err := Int.decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	defer Int.putBuf(cfg.Scratch, lengths)
+	b.lengths, used, err = Int.decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
 	if err != nil {
-		return out, 0, err
+		return 0, err
 	}
-	pos += used
-	if len(lengths) != n {
-		return out, 0, ErrCorrupt
+	if len(b.lengths) != b.rows {
+		return 0, ErrCorrupt
 	}
-	views := make([]coldata.View, n)
-	off := uint32(0)
-	for i, l := range lengths {
-		if l < 0 || int(off)+int(l) > len(pool) {
-			return out, 0, ErrCorrupt
+	sum, signs := 0, int32(0)
+	for _, l := range b.lengths {
+		sum += int(l)
+		signs |= l
+	}
+	if signs < 0 || sum != rawLen {
+		return 0, ErrCorrupt
+	}
+	return pos + used, nil
+}
+
+// decodeFSST decodes the block's payload onto dst in one call (§5: the
+// first offset and the summed length instead of per-string calls). The
+// decoder's wide stores stay inside dst's capacity, so a dst that is a
+// three-index range of a larger buffer bounds them to that range.
+func (b *StringBlock) decodeFSST(dst []byte) ([]byte, error) {
+	out, err := b.table.Decode(dst, b.payload)
+	if err != nil || len(out) != len(dst)+b.size {
+		return dst, ErrCorrupt
+	}
+	return out, nil
+}
+
+// views finishes the block as §5 views over one pool; no row is copied.
+func (b *StringBlock) views(scr *Scratch) (coldata.StringViews, error) {
+	defer b.release(scr)
+	views, pool := make([]coldata.View, b.rows), b.pool
+	switch b.code {
+	case CodeUncompressed:
+		for i := range views {
+			lo, hi := binary.LittleEndian.Uint32(b.offsets[4*i:]), binary.LittleEndian.Uint32(b.offsets[4*i+4:])
+			views[i] = coldata.View{Off: lo, Len: hi - lo}
 		}
-		views[i] = coldata.View{Off: off, Len: uint32(l)}
-		off += uint32(l)
+	case CodeOneValue:
+		for i := range views {
+			views[i] = coldata.View{Len: uint32(len(pool))}
+		}
+	case CodeFSST:
+		var err error
+		if pool, err = b.decodeFSST(make([]byte, 0, b.size)); err != nil {
+			return coldata.StringViews{}, err
+		}
+		off := uint32(0)
+		for i, l := range b.lengths {
+			views[i] = coldata.View{Off: off, Len: uint32(l)}
+			off += uint32(l)
+		}
+	case CodeDict:
+		entries := uint32(len(b.starts) - 1)
+		if b.runLens == nil {
+			for i, c := range b.codes {
+				if uint32(c) >= entries {
+					return coldata.StringViews{}, ErrCorrupt
+				}
+				views[i] = coldata.View{Off: uint32(b.starts[c]), Len: uint32(b.starts[c+1] - b.starts[c])}
+			}
+			break
+		}
+		o := 0
+		for r, c := range b.codes {
+			if uint32(c) >= entries {
+				return coldata.StringViews{}, ErrCorrupt
+			}
+			v := coldata.View{Off: uint32(b.starts[c]), Len: uint32(b.starts[c+1] - b.starts[c])}
+			for end := o + int(b.runLens[r]); o < end; o++ {
+				views[o] = v
+			}
+		}
 	}
-	if int(off) != rawLen {
-		return out, 0, ErrCorrupt
+	return coldata.StringViews{Views: views, Pool: pool}, nil
+}
+
+// AppendTo finishes the block as owned rows: it appends their bytes to
+// dst.Data and the end of each row to dst.Offsets, and returns the grown
+// vector. Ends count from base, the position of dst.Data's first byte in
+// the column — 0 unless dst is a range of a larger column, which is how
+// concurrent blocks each fill their own part of one. Every byte and
+// offset is written once; with Rows() offsets and Bytes() bytes of spare
+// capacity nothing is allocated or cleared.
+func (b *StringBlock) AppendTo(dst coldata.Strings, base int, scr *Scratch) (coldata.Strings, error) {
+	defer b.release(scr)
+	at, k := len(dst.Data), len(dst.Offsets)
+	if b.code == CodeFSST {
+		data, err := b.decodeFSST(dst.Data)
+		if err != nil {
+			return dst, err
+		}
+		dst.Data = data
+	} else {
+		dst.Data = grow(dst.Data, b.size)
 	}
-	return coldata.StringViews{Views: views, Pool: pool}, pos, nil
+	dst.Offsets = grow(dst.Offsets, b.rows)
+	out, ends := dst.Data[at:], dst.Offsets[k:]
+	end := uint32(base + at) // of the row before
+	switch b.code {
+	case CodeUncompressed:
+		if b.rows > 0 {
+			first := binary.LittleEndian.Uint32(b.offsets)
+			copy(out, b.pool[first:])
+			for i := range ends {
+				ends[i] = end + binary.LittleEndian.Uint32(b.offsets[4*i+4:]) - first
+			}
+		}
+	case CodeOneValue:
+		replicate(out, copy(out, b.pool))
+		for i := range ends {
+			end += uint32(len(b.pool))
+			ends[i] = end
+		}
+	case CodeFSST:
+		for i, l := range b.lengths {
+			end += uint32(l)
+			ends[i] = end
+		}
+	case CodeDict:
+		if b.runLens == nil {
+			for i, c := range b.codes {
+				src, l := b.pool[b.starts[c]:], uint32(b.starts[c+1]-b.starts[c])
+				if l <= 16 && len(src) >= 16 && len(out) >= 16 {
+					// A short entry moves as one 16-byte word; what spills
+					// past it is inside this block's bytes and the next
+					// row overwrites it.
+					*(*[16]byte)(out) = [16]byte(src)
+				} else {
+					copy(out, src[:l])
+				}
+				out = out[l:]
+				end += l
+				ends[i] = end
+			}
+			break
+		}
+		i := 0
+		for r, c := range b.codes {
+			// One copy per run, then the run doubles itself.
+			v, n := b.pool[b.starts[c]:b.starts[c+1]], int(b.runLens[r])
+			run := out[:n*len(v)]
+			replicate(run, copy(run, v))
+			out = out[len(run):]
+			for stop := i + n; i < stop; i++ {
+				end += uint32(len(v))
+				ends[i] = end
+			}
+		}
+	}
+	return dst, nil
+}
+
+// replicate fills run with copies of its first filled elements, doubling
+// the copied part each time.
+func replicate[T any](run []T, filled int) {
+	for ; filled > 0 && filled < len(run); filled *= 2 {
+		copy(run[filled:], run[:filled])
+	}
 }
 
 // stringDictHead decodes only the dictionary of a Dict payload (body
-// excludes the scheme-code byte): the distinct strings as views over their
-// pool, the row count, and the body offset where the codes stream begins.
-// own copies a raw pool out of body, for views that outlive it; predicate
-// evaluation, which does not keep them, leaves it in place.
-func stringDictHead(body []byte, cfg *Config, own bool) (dict coldata.StringViews, n, codesOff int, err error) {
+// excludes the scheme-code byte): its pool, in which entry c is
+// pool[starts[c]:starts[c+1]], the row count, and the body offset where
+// the codes stream begins. starts is arena-backed: the caller returns it
+// with Int.putBuf. own copies a raw pool out of body, for views that
+// outlive it; predicate evaluation and AppendTo, which do not keep it,
+// leave it in place.
+func stringDictHead(body []byte, cfg *Config, own bool) (pool []byte, starts []int32, n, codesOff int, err error) {
 	if len(body) < 9 {
-		return dict, 0, 0, ErrCorrupt
+		return nil, nil, 0, 0, ErrCorrupt
 	}
 	n = int(binary.LittleEndian.Uint32(body))
 	dictN := int(binary.LittleEndian.Uint32(body[4:]))
 	if n > cfg.maxN() || dictN > n {
-		return dict, 0, 0, ErrCorrupt
+		return nil, nil, 0, 0, ErrCorrupt
 	}
 	kind := body[8]
 	pos := 9
-	var pool []byte
 	switch kind {
 	case poolRaw:
 		if len(body) < pos+4 {
-			return dict, 0, 0, ErrCorrupt
+			return nil, nil, 0, 0, ErrCorrupt
 		}
 		l := int(binary.LittleEndian.Uint32(body[pos:]))
 		pos += 4
 		if l < 0 || len(body) < pos+l {
-			return dict, 0, 0, ErrCorrupt
+			return nil, nil, 0, 0, ErrCorrupt
 		}
 		pool = body[pos : pos+l]
 		if own {
@@ -460,11 +659,11 @@ func stringDictHead(body []byte, cfg *Config, own bool) (dict coldata.StringView
 	case poolFSST:
 		table, used, err := fsst.TableFromBytes(body[pos:])
 		if err != nil {
-			return dict, 0, 0, ErrCorrupt
+			return nil, nil, 0, 0, ErrCorrupt
 		}
 		pos += used
 		if len(body) < pos+8 {
-			return dict, 0, 0, ErrCorrupt
+			return nil, nil, 0, 0, ErrCorrupt
 		}
 		rawLen := int(binary.LittleEndian.Uint32(body[pos:]))
 		encLen := int(binary.LittleEndian.Uint32(body[pos+4:]))
@@ -473,34 +672,33 @@ func stringDictHead(body []byte, cfg *Config, own bool) (dict coldata.StringView
 			// rawLen > 8*encLen is structurally impossible (an FSST code
 			// expands to at most 8 bytes), so don't let a corrupt header
 			// size the allocation.
-			return dict, 0, 0, ErrCorrupt
+			return nil, nil, 0, 0, ErrCorrupt
 		}
 		pool, err = table.Decode(make([]byte, 0, rawLen), body[pos:pos+encLen])
 		if err != nil || len(pool) != rawLen {
-			return dict, 0, 0, ErrCorrupt
+			return nil, nil, 0, 0, ErrCorrupt
 		}
 		pos += encLen
 	default:
-		return dict, 0, 0, ErrCorrupt
+		return nil, nil, 0, 0, ErrCorrupt
 	}
-	lengths, used, err := Int.decompress(Int.buf(cfg.Scratch), body[pos:], cfg)
-	defer Int.putBuf(cfg.Scratch, lengths)
-	if err != nil {
-		return dict, 0, 0, err
+	// The entry lengths decode behind a leading zero and are summed in
+	// place into the entries' start offsets.
+	starts, used, err := Int.decompress(append(Int.buf(cfg.Scratch), 0), body[pos:], cfg)
+	if err == nil && len(starts) != dictN+1 {
+		err = ErrCorrupt
 	}
-	pos += used
-	if len(lengths) != dictN {
-		return dict, 0, 0, ErrCorrupt
-	}
-	// Rebuild the dictionary's (offset, len) views over the pool.
-	views := make([]coldata.View, dictN)
-	off := uint32(0)
-	for i, l := range lengths {
-		if l < 0 || int(off)+int(l) > len(pool) {
-			return dict, 0, 0, ErrCorrupt
+	limit := min(len(pool), math.MaxInt32)
+	for i := 1; err == nil && i < len(starts); i++ {
+		if starts[i] < 0 || int(starts[i-1])+int(starts[i]) > limit {
+			err = ErrCorrupt
+			break
 		}
-		views[i] = coldata.View{Off: off, Len: uint32(l)}
-		off += uint32(l)
+		starts[i] += starts[i-1]
 	}
-	return coldata.StringViews{Views: views, Pool: pool}, n, pos, nil
+	if err != nil {
+		Int.putBuf(cfg.Scratch, starts)
+		return nil, nil, 0, 0, err
+	}
+	return pool, starts, n, pos + used, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,6 +88,36 @@ func TestBtrBeatsParquetOnPBIRatioAndSpeed(t *testing.T) {
 	}
 	if btrSecs >= pqzSecs {
 		t.Errorf("btr decompression (%.4fs) not faster than parquet+zstd* (%.4fs)", btrSecs, pqzSecs)
+	}
+}
+
+func TestThreadsScalingFloor(t *testing.T) {
+	// §6.4's shape on the smallest host that can show it: a second
+	// worker must buy at least 1.3x on whole-chunk decompression
+	// (measured here: 1.9x; 1.2x while a serial assembly followed the
+	// parallel decode). The floor is well under the measurement so that
+	// a busy host does not fail it, and a serial tail does.
+	if testing.Short() {
+		t.Skip("timed")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two cores")
+	}
+	chunks, _, _, err := compressChunks(&Config{Rows: 16000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Other packages' tests may hold the second core for a while.
+	for attempt := 1; ; attempt++ {
+		one := decompressChunksSeconds(chunks, 1, 5)
+		two := decompressChunksSeconds(chunks, 2, 5)
+		if one/two >= 1.3 {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("2 workers decompress %.2fx as fast as 1 (%.3fs vs %.3fs), want at least 1.3x", one/two, two, one)
+		}
+		t.Logf("attempt %d: %.2fx (%.3fs vs %.3fs)", attempt, one/two, two, one)
 	}
 }
 

@@ -15,27 +15,10 @@ import (
 // (column, block) tasks, so the curve measures the shared parallel
 // decode engine — the knob every decode path honors.
 func Threads(cfg *Config) error {
-	corpus := cfg.pbiCorpus()
-	type compressed struct {
-		name string
-		cc   *btrblocks.CompressedChunk
+	chunks, uncompressedBytes, compressedBytes, err := compressChunks(cfg)
+	if err != nil {
+		return err
 	}
-	var chunks []compressed
-	uncompressedBytes := 0
-	compressedBytes := 0
-	for _, ds := range corpus {
-		chunk := ds.Chunk
-		cc, err := btrblocks.CompressChunk(&chunk, nil)
-		if err != nil {
-			return fmt.Errorf("compress %s: %v", ds.Name, err)
-		}
-		chunks = append(chunks, compressed{ds.Name, cc})
-		for _, col := range ds.Chunk.Columns {
-			uncompressedBytes += col.UncompressedBytes()
-		}
-		compressedBytes += cc.CompressedBytes()
-	}
-
 	cfg.printf("multithreaded chunk decompression (§6.4), PBI corpus\n")
 	cfg.printf("datasets: %d, rows/table: %d, uncompressed: %.1f MB, compressed: %.1f MB\n",
 		len(chunks), cfg.rows(), float64(uncompressedBytes)/1e6, float64(compressedBytes)/1e6)
@@ -44,20 +27,7 @@ func Threads(cfg *Config) error {
 
 	baseline := 0.0
 	for _, workers := range []int{1, 2, 4, 8} {
-		opt := &btrblocks.Options{Parallelism: workers}
-		best := 0.0
-		for rep := 0; rep < cfg.reps(); rep++ {
-			secs := timeSeconds(func() {
-				for _, c := range chunks {
-					if _, err := btrblocks.DecompressChunk(c.cc, opt); err != nil {
-						panic(fmt.Sprintf("decompress %s: %v", c.name, err))
-					}
-				}
-			})
-			if best == 0 || secs < best {
-				best = secs
-			}
-		}
+		best := decompressChunksSeconds(chunks, workers, cfg.reps())
 		if workers == 1 {
 			baseline = best
 		}
@@ -65,4 +35,39 @@ func Threads(cfg *Config) error {
 			workers, best, gbps(uncompressedBytes, best), baseline/best)
 	}
 	return nil
+}
+
+// compressChunks compresses every table of the PBI corpus as one chunk.
+func compressChunks(cfg *Config) (chunks []*btrblocks.CompressedChunk, uncompressedBytes, compressedBytes int, err error) {
+	for _, ds := range cfg.pbiCorpus() {
+		chunk := ds.Chunk
+		cc, err := btrblocks.CompressChunk(&chunk, nil)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("compress %s: %v", ds.Name, err)
+		}
+		chunks = append(chunks, cc)
+		uncompressedBytes += chunk.UncompressedBytes()
+		compressedBytes += cc.CompressedBytes()
+	}
+	return chunks, uncompressedBytes, compressedBytes, nil
+}
+
+// decompressChunksSeconds decompresses every chunk end to end at the
+// given worker count and returns the best wall time of reps passes.
+func decompressChunksSeconds(chunks []*btrblocks.CompressedChunk, workers, reps int) float64 {
+	opt := &btrblocks.Options{Parallelism: workers}
+	best := 0.0
+	for rep := 0; rep < reps; rep++ {
+		secs := timeSeconds(func() {
+			for i, cc := range chunks {
+				if _, err := btrblocks.DecompressChunk(cc, opt); err != nil {
+					panic(fmt.Sprintf("decompress chunk %d: %v", i, err))
+				}
+			}
+		})
+		if best == 0 || secs < best {
+			best = secs
+		}
+	}
+	return best
 }

@@ -16,6 +16,7 @@ package fastpfor
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"btrblocks/internal/bitpack"
 )
@@ -152,7 +153,7 @@ func decode(dst []int32, src []byte, unpack func([]uint32, []byte, int, uint) (i
 	var lows [BlockLen]uint32
 	var highs [BlockLen]uint32
 	out := len(dst)
-	dst = append(dst, make([]int32, n)...)
+	dst = slices.Grow(dst, n)[:out+n] // every slot is written below
 	for got := 0; got < n; got += BlockLen {
 		cnt := n - got
 		if cnt > BlockLen {

@@ -7,7 +7,10 @@
 // verbatim as "patches" tracked by an exception bitmap.
 package pde
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 const (
 	// MaxExponent is the largest decimal exponent the encoder probes
@@ -113,7 +116,7 @@ func Encode(src []float64) (digits, exps []int32, patches []float64, patchIdx []
 func Decode(dst []float64, digits, exps []int32, patches []float64, patchIdx []uint32) []float64 {
 	n := len(digits)
 	out := len(dst)
-	dst = append(dst, make([]float64, n)...)
+	dst = slices.Grow(dst, n)[:out+n] // every slot is written below
 	o := dst[out:]
 	pi := 0
 	i := 0

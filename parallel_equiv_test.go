@@ -18,7 +18,9 @@ package btrblocks
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"btrblocks/internal/core"
 	"btrblocks/internal/testgen"
 )
 
@@ -117,6 +120,7 @@ func valueAt(c *Column, i int) string {
 // must agree.
 func requireIdentical(t *testing.T, label string, a, b Column) {
 	t.Helper()
+	requireExactVectors(t, label, b)
 	if a.Len() != b.Len() {
 		t.Fatalf("%s: len %d != %d", label, a.Len(), b.Len())
 	}
@@ -136,10 +140,25 @@ func requireIdentical(t *testing.T, label string, a, b Column) {
 	}
 }
 
+// requireExactVectors asserts a decoded column's vectors have no spare
+// capacity. The block cache is bounded by Column.UncompressedBytes, which
+// counts lengths: capacity past them would be resident memory the LRU
+// cannot see.
+func requireExactVectors(t *testing.T, label string, c Column) {
+	t.Helper()
+	if cap(c.Ints) != len(c.Ints) || cap(c.Ints64) != len(c.Ints64) || cap(c.Doubles) != len(c.Doubles) ||
+		cap(c.Strings.Offsets) != len(c.Strings.Offsets) || cap(c.Strings.Data) != len(c.Strings.Data) {
+		t.Fatalf("%s: decoded vectors carry spare capacity: ints %d/%d int64s %d/%d doubles %d/%d offsets %d/%d data %d/%d",
+			label, len(c.Ints), cap(c.Ints), len(c.Ints64), cap(c.Ints64), len(c.Doubles), cap(c.Doubles),
+			len(c.Strings.Offsets), cap(c.Strings.Offsets), len(c.Strings.Data), cap(c.Strings.Data))
+	}
+}
+
 // requireRoundTrip asserts got reproduces orig at every non-NULL row and
 // preserves the NULL set exactly.
 func requireRoundTrip(t *testing.T, label string, orig, got Column) {
 	t.Helper()
+	requireExactVectors(t, label, got)
 	if orig.Len() != got.Len() {
 		t.Fatalf("%s: len %d != %d", label, orig.Len(), got.Len())
 	}
@@ -549,6 +568,256 @@ func TestCompressConcurrentCallers(t *testing.T) {
 	for g := 0; g < callers; g++ {
 		if err := <-done; err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// mixedStringColumn builds a string column whose 1000-row blocks each
+// take a different road through the string decoder — FSST, Dict with
+// per-row codes, fused Dict+RLE, OneValue, plain, all-empty — and end in
+// a partial block, with NULLs in three of them. The shapes it returns
+// (root scheme, plus the code stream's scheme under a dictionary) are
+// what TestParallelStringAssembly checks the compressor really chose, so
+// the test cannot quietly stop covering a road.
+func mixedStringColumn() (Column, []string) {
+	rng := rand.New(rand.NewSource(99))
+	var vals []string
+	block := func(f func(i int) string) {
+		for i := 0; i < 1000; i++ {
+			vals = append(vals, f(i))
+		}
+	}
+	block(func(int) string {
+		return fmt.Sprintf("https://example.com/products/%d/reviews?page=%d", rng.Intn(1e6), rng.Intn(50))
+	})
+	block(func(int) string { return fmt.Sprintf("district-%02d-of-the-city", rng.Intn(40)) })
+	block(func(i int) string { return []string{"01 BRONX", "03 QUEENS", "STATEN ISLAND", ""}[i/125%4] })
+	block(func(int) string { return "one and the same" })
+	block(func(int) string {
+		b := make([]byte, 6+rng.Intn(5))
+		rng.Read(b)
+		return string(b)
+	})
+	block(func(int) string { return "" })
+	for i := 0; i < 37; i++ {
+		vals = append(vals, fmt.Sprintf("tail-%d", i%5))
+	}
+	col := StringColumn("mixed", vals)
+	col.Nulls = NewNullMask()
+	for _, r := range [][2]int{{500, 520}, {1100, 1400}, {2000, 2001}, {2900, 3000}} {
+		for i := r[0]; i < r[1]; i++ {
+			col.Nulls.SetNull(i)
+		}
+	}
+	return col, []string{"FSST", "Dictionary/FastBP", "Dictionary/RLE", "OneValue", "Uncompressed", "OneValue", "Dictionary/FastBP"}
+}
+
+// TestParallelStringAssembly drives the string half of the shared decode
+// assembly: every entry point materialises the mixed column identically
+// at every worker count, block by block and as a whole, and the views
+// path still agrees with them.
+func TestParallelStringAssembly(t *testing.T) {
+	col, wantShapes := mixedStringColumn()
+	others := equivChunk(5, col.Len())
+	chunk := &Chunk{Columns: []Column{others.Columns[0], col, others.Columns[2]}}
+	copt := &Options{BlockSize: 1000}
+	blocks, err := compressColumnBlocks(context.Background(), col, copt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The selection algorithm never leaves a string block plain (the
+	// cascaded lengths always beat raw offsets), so block 4 is taken from
+	// a compression that was allowed nothing else.
+	plain, err := compressColumnBlocks(context.Background(), col, &Options{BlockSize: 1000, StringSchemes: []Scheme{SchemeUncompressed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks[4] = plain[4]
+	data := assembleColumnFile(col, blocks, formatVersion)
+	info, err := Inspect(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, blk := range info.Columns[0].Blocks {
+		shape := blk.Data.Code.String()
+		for _, child := range blk.Data.Children {
+			if child.Role == "codes" {
+				shape += "/" + child.Code.String()
+			}
+		}
+		if shape != wantShapes[b] {
+			t.Fatalf("block %d compressed as %s, the test needs %s", b, shape, wantShapes[b])
+		}
+	}
+	cc, err := CompressChunk(chunk, copt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.Columns[1] = data
+	ix, err := ParseColumnIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var serial Column
+	for _, workers := range equivWorkerCounts() {
+		label := fmt.Sprintf("P=%d", workers)
+		for _, opt := range []*Options{{Parallelism: workers}, {Parallelism: workers, DisableFuseDictRLE: true}} {
+			got, err := DecompressColumn(data, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if serial.Type != TypeString {
+				serial = got
+				requireRoundTrip(t, label, col, got)
+			}
+			requireIdentical(t, label, serial, got)
+		}
+		opt := &Options{Parallelism: workers}
+		back, err := DecompressChunk(cc, opt)
+		if err != nil {
+			t.Fatalf("%s chunk: %v", label, err)
+		}
+		requireIdentical(t, label+" chunk", serial, back.Columns[1])
+		for i := range chunk.Columns {
+			requireRoundTrip(t, label+" chunk/"+chunk.Columns[i].Name, chunk.Columns[i], back.Columns[i])
+		}
+
+		views, nulls, err := DecompressStringViews(data, opt)
+		if err != nil {
+			t.Fatalf("%s views: %v", label, err)
+		}
+		if nulls.NullCount() != serial.Nulls.NullCount() {
+			t.Fatalf("%s views: %d NULLs, want %d", label, nulls.NullCount(), serial.Nulls.NullCount())
+		}
+		for b, ref := range ix.Blocks {
+			blk, err := ix.DecompressBlock(data, b, opt)
+			if err != nil {
+				t.Fatalf("%s block %d: %v", label, b, err)
+			}
+			requireExactVectors(t, label, blk)
+			if blk.Len() != ref.Rows || views[b].Len() != ref.Rows {
+				t.Fatalf("%s block %d: %d rows, %d views, want %d", label, b, blk.Len(), views[b].Len(), ref.Rows)
+			}
+			for i := 0; i < ref.Rows; i++ {
+				row := ref.StartRow + i
+				if want := serial.Strings.At(row); blk.Strings.At(i) != want || views[b].At(i) != want {
+					t.Fatalf("%s block %d row %d: block %q view %q, want %q", label, b, i, blk.Strings.At(i), views[b].At(i), want)
+				}
+				if blk.Nulls.IsNull(i) != serial.Nulls.IsNull(row) {
+					t.Fatalf("%s block %d row %d: NULL mismatch", label, b, i)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodedColumnsOwnTheirMemory scribbles over everything a decode
+// read or borrowed — the compressed file, and the pooled scratch arenas,
+// by running other decodes through them — and expects the decoded columns
+// not to notice.
+func TestDecodedColumnsOwnTheirMemory(t *testing.T) {
+	chunk := equivChunk(71, 2501)
+	mixed, _ := mixedStringColumn()
+	chunk.Columns = append(chunk.Columns, mixed)
+	opt := &Options{BlockSize: 1000, Parallelism: 2}
+	for _, orig := range chunk.Columns {
+		data, err := CompressColumn(orig, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecompressColumn(data, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := append([]byte(nil), data...)
+		got, err := DecompressColumn(file, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := ParseColumnIndex(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block, err := ix.DecompressBlock(file, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range file {
+			file[i] = 0xA5
+		}
+		for _, other := range chunk.Columns {
+			otherData, err := CompressColumn(other, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecompressColumn(otherData, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireIdentical(t, orig.Name, want, got)
+		ref := ix.Blocks[1]
+		for i := 0; i < ref.Rows; i++ {
+			if valueAt(&block, i) != valueAt(&want, ref.StartRow+i) {
+				t.Fatalf("%s block 1 row %d changed under the scribble", orig.Name, i)
+			}
+		}
+	}
+}
+
+// TestDecodeBlockLengthMismatch hands decodeBlock an index that declares
+// five rows fewer, then five rows more, than block 1's stream holds. Both
+// are corrupt, and neither may touch a row outside block 1's range of the
+// column: the rows of blocks 0 and 2 and the words either side of the
+// vector keep their canary value.
+func TestDecodeBlockLengthMismatch(t *testing.T) {
+	const canary = 0x5A5A5A5A
+	chunk := equivChunk(83, 3000)
+	// The cascading schemes refuse a header that declares more rows than
+	// the block may hold; bit-packed and plain streams only find out by
+	// outgrowing the range, so they get a pass of their own.
+	// They are NULL-free, or the NULL mask would give the short index away.
+	leaves := []Scheme{SchemeUncompressed, SchemeFastBP}
+	rng, spec := rand.New(rand.NewSource(89)), genSpec{Rows: 3000, RunLen: 1, Cardinality: 500}
+	bare := []Column{genIntColumnEquiv(rng, spec), genInt64ColumnEquiv(rng, spec), genDoubleColumnEquiv(rng, spec)}
+	for i, orig := range append(chunk.Columns, bare...) {
+		copt := &Options{BlockSize: 1000}
+		if i >= len(chunk.Columns) {
+			copt.IntSchemes, copt.DoubleSchemes = leaves, leaves[:1]
+		}
+		data, err := CompressColumn(orig, copt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, delta := range []int{-5, 5} {
+			ix, err := ParseColumnIndex(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Blocks[1].Rows += delta
+			ix.Blocks[2].StartRow += delta
+			rows := 3000 + delta
+			d := newColumnDecode(ix, data, 0, 3, false)
+			ints, ints64, doubles := make([]int32, rows+2), make([]int64, rows+2), make([]float64, rows+2)
+			for i := 0; i < rows+2; i++ {
+				ints[i], ints64[i], doubles[i] = canary, canary, canary
+			}
+			d.alloc.Do(func() {
+				d.col.Ints, d.col.Ints64, d.col.Doubles = ints[1:rows+1], ints64[1:rows+1], doubles[1:rows+1]
+			})
+			err = d.decodeBlock(1, (*Options)(nil).coreConfig(), new(core.Scratch), nil)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("%s: %+d rows: err = %v, want corrupt", orig.Type, delta, err)
+			}
+			lo, hi := 1+1000, 1+2000+delta // block 1's range of the canary-padded vectors
+			for i := 0; i < rows+2; i++ {
+				if (i < lo || i >= hi) && (ints[i] != canary || ints64[i] != canary || doubles[i] != canary) {
+					t.Fatalf("%s: %+d rows: row %d outside block 1 was written", orig.Type, delta, i-1)
+				}
+			}
+			if d.col.Strings.Len() != 0 {
+				t.Fatalf("%s: %+d rows: strings were laid out for a corrupt block", orig.Type, delta)
+			}
 		}
 	}
 }

@@ -519,41 +519,38 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 			parts[i] = agg
 			return nil
 		}
-		bv, err := decodeBlockVectors(ix, data, b, base, nil, rec)
-		if err != nil {
+		d := newColumnDecode(ix, data, b, b+1, true)
+		if err := decodeColumns(ctx, []*columnDecode{d}, opt, "", false); err != nil {
 			return err
 		}
 		stats.AggDecoded.Add(1)
 		agg := Aggregate{Type: ix.Type}
 		include := func(r int) bool {
-			if bv.nulls != nil && bv.nulls.Contains(uint32(r)) {
-				return false
-			}
-			return locals[i] == nil || locals[i].Contains(uint32(r))
+			return !d.col.Nulls.IsNull(r) && (locals[i] == nil || locals[i].Contains(uint32(r)))
 		}
 		switch ix.Type {
 		case TypeInt:
-			for r, v := range bv.ints {
+			for r, v := range d.col.Ints {
 				if include(r) {
 					agg.FoldInt(v)
 				}
 			}
 		case TypeInt64:
-			for r, v := range bv.ints64 {
+			for r, v := range d.col.Ints64 {
 				if include(r) {
 					agg.FoldInt64(v)
 				}
 			}
 		case TypeDouble:
-			for r, v := range bv.doubles {
+			for r, v := range d.col.Doubles {
 				if include(r) {
 					agg.FoldDouble(v)
 				}
 			}
 		case TypeString:
-			for r := 0; r < bv.views.Len(); r++ {
+			for r := 0; r < d.views[0].Len(); r++ {
 				if include(r) {
-					agg.FoldString(bv.views.Bytes(r))
+					agg.FoldString(d.views[0].Bytes(r))
 				}
 			}
 		}

@@ -1,0 +1,5 @@
+//go:build race
+
+package btrblocks_test
+
+const raceBuild = true
