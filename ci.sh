@@ -23,6 +23,20 @@ run_tier1() {
 	test "$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '"unsafe"' . | wc -l)" -eq 1 ||
 		{ echo '"unsafe" must be imported by exactly one non-test file'; exit 1; }
 
+	echo "== one serving chassis =="
+	# The servers share one lifecycle (internal/serverkit: signals, the
+	# pprof/expvar listener, the http.Server) and one Prometheus
+	# exposition (internal/obs); internal/telemetry was folded into obs.
+	if grep -lE '"os/signal"|"net/http/pprof"|"expvar"|http\.Server' cmd/*/main.go; then
+		echo 'cmd/*/main.go must leave signals, pprof, expvar and http.Server to internal/serverkit'
+		exit 1
+	fi
+	if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '# TYPE' . | grep -v '^\./internal/obs/'; then
+		echo 'only internal/obs may write Prometheus "# TYPE" lines'
+		exit 1
+	fi
+	test ! -e internal/telemetry || { echo 'internal/telemetry must not exist'; exit 1; }
+
 	echo "== go build =="
 	go build ./...
 

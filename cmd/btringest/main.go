@@ -26,19 +26,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,11 +45,14 @@ import (
 	"btrblocks/internal/blockstore"
 	"btrblocks/internal/ingest"
 	"btrblocks/internal/obs"
+	"btrblocks/internal/serverkit"
+	"btrblocks/internal/smoke"
 )
 
 func main() {
+	var kit serverkit.Flags
+	kit.Register(flag.CommandLine, "127.0.0.1:9411")
 	var (
-		addr       = flag.String("addr", "127.0.0.1:9411", "listen address (host:port; port 0 picks a free port)")
 		dir        = flag.String("dir", "", "store directory to publish into (required unless -smoke)")
 		walDir     = flag.String("wal", "", "WAL directory (default DIR/.wal)")
 		chunkRows  = flag.Int("chunk-rows", btrblocks.DefaultBlockSize, "buffered rows that trigger a flush")
@@ -62,22 +61,13 @@ func main() {
 		compactMin = flag.Int("compact-min-chunks", 4, "small chunks that trigger compaction (<0 disables)")
 		threads    = flag.Int("threads", 0, "compression parallelism (0 = GOMAXPROCS)")
 		notify     = flag.String("notify", "", "comma-separated btrserved/btrrouted base URLs to send cache invalidations to")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
-		debugAddr  = flag.String("debug-addr", "", "listen address for pprof + expvar (empty disables)")
-		spanSample = flag.Int("span-sample", 1, "head-sample 1 in N traces (0 disables span recording)")
-		spanSlow   = flag.Duration("span-slow", 250*time.Millisecond, "force-record and warn-log spans at least this slow")
 		verbose    = flag.Bool("v", false, "log requests and flushes to stderr")
-		smoke      = flag.Bool("smoke", false, "self-test: append, kill -9 a child mid-append, restart, verify no acked row lost")
+		smokeTest  = flag.Bool("smoke", false, "self-test: append, kill -9 a child mid-append, restart, verify no acked row lost")
 	)
 	flag.Parse()
 
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "btringest smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("btringest smoke: OK")
-		return
+	if *smokeTest {
+		smoke.Exit("btringest", runSmoke())
 	}
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "btringest: -dir is required (or -smoke)")
@@ -88,7 +78,6 @@ func main() {
 	if *verbose {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-
 	cfg := ingest.Config{
 		Dir:              *dir,
 		WALDir:           *walDir,
@@ -98,20 +87,12 @@ func main() {
 		CompactMinChunks: *compactMin,
 		Options:          &btrblocks.Options{Parallelism: *threads},
 		Logger:           logger,
-	}
-	if *spanSample > 0 {
-		cfg.Spans = obs.NewSpanRecorder(obs.SpanRecorderConfig{
-			Process:       "btringest",
-			SampleEvery:   *spanSample,
-			SlowThreshold: *spanSlow,
-			Logger:        logger,
-		})
+		Spans:            kit.Spans("btringest", logger),
 	}
 	if *notify != "" {
 		cfg.Invalidator = newRemoteInvalidator(*notify, logger)
 	}
-
-	if err := serve(cfg, *addr, *addrFile, *debugAddr, logger); err != nil {
+	if err := serve(cfg, &kit); err != nil {
 		fmt.Fprintln(os.Stderr, "btringest:", err)
 		os.Exit(1)
 	}
@@ -131,10 +112,8 @@ type remoteInvalidator struct {
 // endpoint list (empty entries are skipped).
 func newRemoteInvalidator(endpoints string, log *slog.Logger) *remoteInvalidator {
 	ri := &remoteInvalidator{log: log}
-	for _, ep := range strings.Split(endpoints, ",") {
-		if ep = strings.TrimSpace(ep); ep != "" {
-			ri.cls = append(ri.cls, blockstore.NewClient(ep))
-		}
+	for _, ep := range serverkit.List(endpoints) {
+		ri.cls = append(ri.cls, blockstore.NewClient(ep))
 	}
 	return ri
 }
@@ -164,115 +143,46 @@ func (ri *remoteInvalidator) InvalidateContext(ctx context.Context, name string)
 	wg.Wait()
 }
 
-// serve runs the ingestion server (and the optional debug server) until
-// SIGINT/SIGTERM, then flushes, closes cleanly, and logs a shutdown
-// summary.
-func serve(cfg ingest.Config, addr, addrFile, debugAddr string, logger *slog.Logger) error {
+// serve opens the service and runs it under the shared lifecycle. On
+// shutdown — or any failure once the service is open — the service is
+// closed, which flushes its buffers and closes the WAL.
+func serve(cfg ingest.Config, kit *serverkit.Flags) error {
 	svc, err := ingest.Open(cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		svc.Close()
-		return err
-	}
-	if addrFile != "" {
-		// The file is how -smoke (and scripts) learn the bound port: write
-		// to a temp name and rename so a watcher never reads a partial line.
-		tmp := addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, addrFile); err != nil {
-			return err
-		}
-	}
-	logger.Info("listening", "addr", ln.Addr().String(), "dir", cfg.Dir)
-	fmt.Printf("btringest: serving %s on http://%s\n", cfg.Dir, ln.Addr().String())
-
-	srv := &http.Server{Handler: ingest.NewHandler(svc)}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 2)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	var debug *http.Server
-	if debugAddr != "" {
-		debug = &http.Server{Addr: debugAddr, Handler: debugMux(svc)}
-		go func() {
-			logger.Info("debug listening", "addr", "http://"+debugAddr,
-				"endpoints", "/debug/pprof/, /debug/vars")
-			if err := debug.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				errCh <- err
+	m := svc.Metrics()
+	p := &serverkit.Process{
+		Name:    "btringest",
+		Handler: ingest.NewHandler(svc),
+		Log:     cfg.Logger,
+		Routes:  &m.HTTP,
+		Stats: func() []any {
+			attrs := []any{
+				"appends", m.Appends.Load(),
+				"appended_rows", m.AppendedRows.Load(),
+				"chunks_published", m.Flushes.Load(),
+				"published_bytes", m.PublishedBytes.Load(),
+				"compactions", m.Compactions.Load(),
+				"invalidations", m.Invalidations.Load(),
 			}
-		}()
+			if rec := svc.Spans(); rec.Enabled() {
+				st := rec.Stats()
+				attrs = append(attrs, "spans_recorded", st.Recorded, "spans_evicted", st.Evicted)
+			}
+			return attrs
+		},
+		Ready: func(addr string) { fmt.Printf("btringest: serving %s on http://%s\n", cfg.Dir, addr) },
+		Close: func() error {
+			if err := svc.Close(); err != nil {
+				return err
+			}
+			fmt.Printf("btringest: shut down: %d appends, %d rows, %d chunks published, %d compactions\n",
+				m.Appends.Load(), m.AppendedRows.Load(), m.Flushes.Load(), m.Compactions.Load())
+			return nil
+		},
 	}
-
-	start := time.Now()
-	select {
-	case err := <-errCh:
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutCtx)
-	if debug != nil {
-		_ = debug.Shutdown(shutCtx)
-	}
-	if err := svc.Close(); err != nil {
-		return err
-	}
-	logSummary(svc, logger, time.Since(start))
-	m := svc.Metrics()
-	fmt.Printf("btringest: shut down: %d appends, %d rows, %d chunks published, %d compactions\n",
-		m.Appends.Load(), m.AppendedRows.Load(), m.Flushes.Load(), m.Compactions.Load())
-	return nil
-}
-
-// debugMux builds the -debug-addr handler: pprof profiles plus expvar
-// with a live btringest section (table stats and span counters), kept
-// off the data listener so profiling access can be firewall scoped
-// separately.
-func debugMux(svc *ingest.Service) *http.ServeMux {
-	expvar.Publish("btringest", expvar.Func(func() any {
-		out := map[string]any{"tables": svc.Stats()}
-		if rec := svc.Spans(); rec.Enabled() {
-			out["spans"] = rec.Stats()
-		}
-		return out
-	}))
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	return mux
-}
-
-// logSummary emits the graceful-shutdown summary: uptime, append and
-// publish totals, WAL sync latency, and span recorder counters.
-func logSummary(svc *ingest.Service, logger *slog.Logger, uptime time.Duration) {
-	m := svc.Metrics()
-	attrs := []any{
-		"uptime", uptime.Round(time.Millisecond).String(),
-		"appends", m.Appends.Load(),
-		"appended_rows", m.AppendedRows.Load(),
-		"chunks_published", m.Flushes.Load(),
-		"published_bytes", m.PublishedBytes.Load(),
-		"compactions", m.Compactions.Load(),
-		"invalidations", m.Invalidations.Load(),
-	}
-	if rec := svc.Spans(); rec.Enabled() {
-		st := rec.Stats()
-		attrs = append(attrs, "spans_recorded", st.Recorded, "spans_evicted", st.Evicted)
-	}
-	logger.Info("summary", attrs...)
+	return p.Run(context.Background(), kit)
 }
 
 // --- smoke test -----------------------------------------------------
@@ -352,7 +262,7 @@ func runSmoke() error {
 		child2.Process.Signal(syscall.SIGTERM)
 		child2.Wait()
 	}()
-	if _, err := httpPost(base2+"/v1/flush", "", nil); err != nil {
+	if err := httpPost(base2+"/v1/flush", ""); err != nil {
 		return fmt.Errorf("flush after restart: %v", err)
 	}
 
@@ -425,28 +335,23 @@ func smokeSpans(self string) error {
 	}
 	defer bs.Close()
 	served := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved"})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base1, stop1, err := smoke.Serve(blockstore.NewServer(bs, blockstore.WithSpans(served)))
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: blockstore.NewServer(bs, blockstore.WithSpans(served))}
-	go srv.Serve(ln)
-	defer srv.Close()
+	defer stop1()
 
 	// A second serving endpoint over the same directory — the child is
 	// given both as a comma-separated -notify list, as it would be in
 	// front of a replicated cluster, and the trace must reach both.
 	served2 := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved"})
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	base2, stop2, err := smoke.Serve(blockstore.NewServer(bs, blockstore.WithSpans(served2)))
 	if err != nil {
 		return err
 	}
-	srv2 := &http.Server{Handler: blockstore.NewServer(bs, blockstore.WithSpans(served2))}
-	go srv2.Serve(ln2)
-	defer srv2.Close()
+	defer stop2()
 
-	child, base, err := startChildArgs(self, store, filepath.Join(dir, "addr"),
-		"-notify", "http://"+ln.Addr().String()+",http://"+ln2.Addr().String())
+	child, base, err := startChild(self, store, filepath.Join(dir, "addr"), "-notify", base1+","+base2)
 	if err != nil {
 		return err
 	}
@@ -456,7 +361,7 @@ func smokeSpans(self string) error {
 	}()
 
 	// One traced append crossing the flush threshold (64 rows per
-	// startChildArgs), so the WAL write, the async flush, and the remote
+	// startChild), so the WAL write, the async flush, and the remote
 	// invalidation all hang off this root span.
 	local := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "smoke"})
 	ctx, root := local.StartRoot(context.Background(), "smoke.append")
@@ -482,7 +387,8 @@ func smokeSpans(self string) error {
 	}
 
 	// The flush is asynchronous; poll the child's span store until the
-	// trace contains its invalidate span (the last step of publication).
+	// trace contains its flush span, which ends after every span under
+	// it (the invalidation, the last step of publication, included).
 	cl := blockstore.NewClient(base)
 	var ingestSet *obs.SpanSet
 	deadline := time.Now().Add(10 * time.Second)
@@ -491,12 +397,12 @@ func smokeSpans(self string) error {
 		if err != nil {
 			return fmt.Errorf("child /v1/spans: %v", err)
 		}
-		if hasSpan(ss, "invalidate") {
+		if hasSpan(ss, "ingest.flush") {
 			ingestSet = ss
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("trace %s never reached invalidation in the child (have %d spans)", traceID, len(ss.Spans))
+			return fmt.Errorf("trace %s never finished its flush in the child (have %d spans)", traceID, len(ss.Spans))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -565,77 +471,36 @@ func smokeSpans(self string) error {
 }
 
 func hasSpan(ss *obs.SpanSet, name string) bool {
-	for _, s := range ss.Spans {
-		if s.Name == name {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(ss.Spans, func(s obs.SpanRecord) bool { return s.Name == name })
 }
 
-// startChild spawns `self -dir store` on a free port and waits for the
-// address file.
-func startChild(self, store, addrFile string) (*exec.Cmd, string, error) {
-	return startChildArgs(self, store, addrFile)
-}
-
-// startChildArgs is startChild with extra flags appended (e.g. -notify
-// for the span continuity phase).
-func startChildArgs(self, store, addrFile string, extra ...string) (*exec.Cmd, string, error) {
-	args := []string{
+// startChild spawns `self -dir store` with small chunks and short
+// flush and compaction periods (forcing several publishes), plus any
+// extra flags, and waits until it serves.
+func startChild(self, store, addrFile string, extra ...string) (*exec.Cmd, string, error) {
+	return smoke.StartChild(self, addrFile, append([]string{
 		"-dir", store,
-		"-addr", "127.0.0.1:0",
-		"-addr-file", addrFile,
-		"-chunk-rows", "64", // small chunks: force several publishes
+		"-chunk-rows", "64",
 		"-flush-interval", "100ms",
 		"-compact-interval", "200ms",
 		"-compact-min-chunks", "3",
-	}
-	args = append(args, extra...)
-	cmd := exec.Command(self, args...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if data, err := os.ReadFile(addrFile); err == nil {
-			base := "http://" + strings.TrimSpace(string(data))
-			if _, err := http.Get(base + "/healthz"); err == nil {
-				return cmd, base, nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, "", fmt.Errorf("child did not come up within 10s")
+	}, extra...)...)
 }
 
-func appendLine(base, line string) error {
-	_, err := httpPost(base+"/v1/write", line, nil)
-	return err
-}
+func appendLine(base, line string) error { return httpPost(base+"/v1/write", line) }
 
-func httpPost(url, body string, out any) ([]byte, error) {
+// httpPost posts body and fails on a non-2xx reply.
+func httpPost(url, body string) error {
 	resp, err := http.Post(url, "text/plain", strings.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(data))
+		data, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(data))
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
+	return nil
 }
 
 // publishedValues decodes every committed chunk of the smoke table and

@@ -6,13 +6,16 @@
 // histograms), and replicas whose bytes fail their CRC are healed in
 // the background by re-pushing a verified good copy from a healthy
 // replica. The router speaks the btrserved wire protocol, so existing
-// clients point at it unchanged.
+// clients point at it unchanged. Its lifecycle — flags, debug listener,
+// signals, shutdown summary — is internal/serverkit's, shared with
+// btrserved and btringest.
 //
 // Usage:
 //
 //	btrrouted -nodes "n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080"
-//	          [-addr HOST:PORT] [-replicas R] [-probe-interval D]
-//	          [-hedge-initial D] [-hedge-max D] [-no-hedge]
+//	          [-addr HOST:PORT] [-addr-file PATH] [-replicas R]
+//	          [-probe-interval D] [-hedge-initial D] [-hedge-max D] [-no-hedge]
+//	          [-debug-addr HOST:PORT] [-log-level LEVEL] [-span-sample N] [-span-slow D]
 //	btrrouted -smoke
 //
 // -smoke is the cluster chaos gate: it generates a corpus, places it
@@ -29,23 +32,18 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"btrblocks"
@@ -54,23 +52,23 @@ import (
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
 	"btrblocks/internal/query"
+	"btrblocks/internal/serverkit"
+	"btrblocks/internal/smoke"
 )
 
 func main() {
+	var kit serverkit.Flags
+	kit.Register(flag.CommandLine, "127.0.0.1:9500")
+	kit.RegisterLogLevel(flag.CommandLine)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:9500", "listen address (host:port; port 0 picks a free port)")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
-		nodes      = flag.String("nodes", "", "comma-separated cluster members as name=url (required unless -smoke)")
-		replicas   = flag.Int("replicas", 2, "replication factor R")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per member (0 = default)")
-		probeIvl   = flag.Duration("probe-interval", time.Second, "health probe period (<0 disables)")
-		hedgeInit  = flag.Duration("hedge-initial", 25*time.Millisecond, "hedge budget before latency history exists")
-		hedgeMax   = flag.Duration("hedge-max", 250*time.Millisecond, "upper clamp on the p95-derived hedge budget")
-		noHedge    = flag.Bool("no-hedge", false, "disable hedged block fetches")
-		spanSample = flag.Int("span-sample", 1, "head-sample 1 in N traces (0 disables span recording)")
-		spanSlow   = flag.Duration("span-slow", 250*time.Millisecond, "force-record and warn-log spans at least this slow")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		smoke      = flag.Bool("smoke", false, "self-test: 3-node cluster, byte-flip repair, mid-scan node kill, hedging")
+		nodes     = flag.String("nodes", "", "comma-separated cluster members as name=url (required unless -smoke)")
+		replicas  = flag.Int("replicas", 2, "replication factor R")
+		vnodes    = flag.Int("vnodes", 0, "virtual nodes per member (0 = default)")
+		probeIvl  = flag.Duration("probe-interval", time.Second, "health probe period (<0 disables)")
+		hedgeInit = flag.Duration("hedge-initial", 25*time.Millisecond, "hedge budget before latency history exists")
+		hedgeMax  = flag.Duration("hedge-max", 250*time.Millisecond, "upper clamp on the p95-derived hedge budget")
+		noHedge   = flag.Bool("no-hedge", false, "disable hedged block fetches")
+		smokeTest = flag.Bool("smoke", false, "self-test: 3-node cluster, byte-flip repair, mid-scan node kill, hedging")
 
 		// Hidden child mode used by -smoke: serve one directory as a
 		// plain blockstore node (a btrserved stand-in in this binary).
@@ -78,18 +76,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "btrrouted smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("btrrouted smoke: OK")
-		return
+	if *smokeTest {
+		smoke.Exit("btrrouted", runSmoke())
 	}
 
-	logger := obs.NewLogger(os.Stderr, parseLevel(*logLevel))
+	logger := kit.Logger()
 	if *nodeDir != "" {
-		if err := runNode(*nodeDir, *addr, *addrFile, logger); err != nil {
+		if err := runNode(*nodeDir, &kit, logger); err != nil {
 			logger.Error("node", "err", err.Error())
 			os.Exit(1)
 		}
@@ -100,18 +93,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var spans *obs.SpanRecorder
-	if *spanSample > 0 {
-		spans = obs.NewSpanRecorder(obs.SpanRecorderConfig{
-			Process:       "btrrouted",
-			SampleEvery:   *spanSample,
-			SlowThreshold: *spanSlow,
-			Logger:        logger,
-		})
-	}
 	cfg := cluster.Config{
-		Nodes:         splitList(*nodes),
+		Nodes:         serverkit.List(*nodes),
 		Replicas:      *replicas,
 		VirtualNodes:  *vnodes,
 		ProbeInterval: *probeIvl,
@@ -119,47 +102,21 @@ func main() {
 		HedgeMax:      *hedgeMax,
 		DisableHedge:  *noHedge,
 		Log:           logger,
-		Spans:         spans,
+		Spans:         kit.Spans("btrrouted", logger),
 	}
-	if err := serveRouter(cfg, *addr, *addrFile, logger); err != nil {
+	if err := serveRouter(cfg, &kit, logger); err != nil {
 		logger.Error("serve", "err", err.Error())
 		os.Exit(1)
 	}
 }
 
-// splitList splits a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func parseLevel(s string) slog.Level {
-	switch strings.ToLower(s) {
-	case "debug":
-		return slog.LevelDebug
-	case "warn":
-		return slog.LevelWarn
-	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
-	}
-}
-
-// serveRouter runs the router until SIGINT/SIGTERM, then shuts down
-// gracefully and closes the background loops.
-func serveRouter(cfg cluster.Config, addr, addrFile string, logger *slog.Logger) error {
+// serveRouter builds the router and runs it under the shared lifecycle.
+func serveRouter(cfg cluster.Config, kit *serverkit.Flags, logger *slog.Logger) error {
 	router, err := cluster.NewRouter(cfg)
 	if err != nil {
 		return err
 	}
 	router.Start()
-	defer router.Close()
 	// Surface dead members before the first request rather than on it.
 	probeCtx, probeCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	router.Membership().ProbeOnce(probeCtx)
@@ -167,42 +124,27 @@ func serveRouter(cfg cluster.Config, addr, addrFile string, logger *slog.Logger)
 	for _, st := range router.Membership().Statuses() {
 		logger.Info("member", "node", st.Name, "endpoint", st.Endpoint, "up", st.Up)
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	m := router.Metrics()
+	p := &serverkit.Process{
+		Name:    "btrrouted",
+		Handler: cluster.NewServer(router, logger),
+		Log:     logger,
+		Routes:  &m.HTTP,
+		Stats: func() []any {
+			return []any{"nodes", len(router.Membership().Nodes()), "replicas", router.Membership().Replicas(),
+				"nodes_up", m.NodesUp.Load(), "block_fetches", m.BlockFetches.Load(),
+				"failovers", m.Failovers.Load(), "hedges", m.Hedges.Load(),
+				"repairs_succeeded", m.RepairsSucceeded.Load(), "repairs_failed", m.RepairsFailed.Load()}
+		},
+		Close: func() error { router.Close(); return nil },
 	}
-	if err := writeAddrFile(addrFile, ln.Addr().String()); err != nil {
-		return err
-	}
-	logger.Info("listening", "addr", "http://"+ln.Addr().String(),
-		"nodes", len(router.Membership().Nodes()), "replicas", router.Membership().Replicas())
-
-	srv := &http.Server{Handler: cluster.NewServer(router, logger)}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
+	return p.Run(context.Background(), kit)
 }
 
 // runNode serves one directory as a plain blockstore node — the smoke's
 // btrserved stand-in so the cluster smoke is self-contained in this
 // binary. Spans are enabled so router-originated traces continue here.
-func runNode(dir, addr, addrFile string, logger *slog.Logger) error {
+func runNode(dir string, kit *serverkit.Flags, logger *slog.Logger) error {
 	store, err := blockstore.Open(dir, blockstore.Config{
 		CacheBytes:          64 << 20,
 		PrefetchBlocks:      2,
@@ -212,59 +154,18 @@ func runNode(dir, addr, addrFile string, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
 	spans := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved", Logger: logger})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	p := &serverkit.Process{
+		Name:    "btrserved",
+		Handler: blockstore.NewServer(store, blockstore.WithSpans(spans)),
+		Log:     logger,
+		Close:   func() error { store.Close(); return nil },
 	}
-	if err := writeAddrFile(addrFile, ln.Addr().String()); err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: blockstore.NewServer(store, blockstore.WithSpans(spans))}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
-}
-
-// writeAddrFile publishes the bound address via temp-and-rename so a
-// watcher never reads a partial line. Empty path is a no-op.
-func writeAddrFile(path, addr string) error {
-	if path == "" {
-		return nil
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return p.Run(context.Background(), kit)
 }
 
 // ---------------------------------------------------------------------------
 // Smoke: the cluster chaos gate.
-
-// smokeColumn is one generated column: served name, compressed bytes,
-// ground truth, and the replica nodes the ring placed it on.
-type smokeColumn struct {
-	name     string
-	data     []byte
-	col      btrblocks.Column
-	replicas []int // node indices in placement preference order
-	blocks   int
-}
 
 // smokeNode is one child node process of the smoke cluster.
 type smokeNode struct {
@@ -297,30 +198,17 @@ func runSmoke() error {
 		return err
 	}
 	opt := &btrblocks.Options{BlockSize: 4096}
-	var columns []smokeColumn
-	for _, ds := range pbi.Corpus(rows, seed) {
-		for _, col := range ds.Chunk.Columns {
-			data, err := btrblocks.CompressColumn(col, opt)
-			if err != nil {
-				return fmt.Errorf("compress %s/%s: %v", ds.Name, col.Name, err)
-			}
-			name := ds.Name + "/" + col.Name + ".btr"
-			ix, err := btrblocks.ParseColumnIndex(data)
-			if err != nil {
+	columns, err := smoke.Compress(pbi.Corpus(rows, seed), opt)
+	if err != nil {
+		return err
+	}
+	placed := make([][]int, len(columns)) // node indices, in preference order
+	for i, c := range columns {
+		placed[i] = ring.Place(c.Name, replicas)
+		for _, ni := range placed[i] {
+			if err := smoke.WriteFile(filepath.Join(work, names[ni]), c.Name, c.Data); err != nil {
 				return err
 			}
-			sc := smokeColumn{name: name, data: data, col: col,
-				replicas: ring.Place(name, replicas), blocks: len(ix.Blocks)}
-			for _, ni := range sc.replicas {
-				path := filepath.Join(work, names[ni], filepath.FromSlash(name))
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					return err
-				}
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					return err
-				}
-			}
-			columns = append(columns, sc)
 		}
 	}
 
@@ -339,11 +227,13 @@ func runSmoke() error {
 		}
 	}()
 	for i, name := range names {
-		n, err := startNode(self, name, filepath.Join(work, name), filepath.Join(work, name+".addr"))
+		dir := filepath.Join(work, name)
+		cmd, base, err := smoke.StartChild(self, filepath.Join(work, name+".addr"),
+			"-node-dir", dir, "-log-level", "warn")
 		if err != nil {
 			return err
 		}
-		nodes[i] = n
+		nodes[i] = &smokeNode{name: name, dir: dir, cmd: cmd, base: base, cl: blockstore.NewClient(base)}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -375,14 +265,11 @@ func runSmoke() error {
 	}
 	router.Start()
 	defer router.Close()
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	routerBase, stop, err := smoke.Serve(cluster.NewServer(router, logger))
 	if err != nil {
 		return err
 	}
-	rsrv := &http.Server{Handler: cluster.NewServer(router, logger)}
-	go rsrv.Serve(rln)
-	defer rsrv.Close()
-	routerBase := "http://" + rln.Addr().String()
+	defer stop()
 	cl := blockstore.NewClient(routerBase)
 
 	// Phase 1: the whole corpus reads complete and bit-correct through
@@ -398,26 +285,30 @@ func runSmoke() error {
 		return fmt.Errorf("router lists %d files, wrote %d", len(metas), len(columns))
 	}
 	for i := range columns {
-		if err := checkColumn(ctx, cl, &columns[i]); err != nil {
-			return fmt.Errorf("phase 1: %s: %v", columns[i].name, err)
+		if err := smoke.CheckColumn(ctx, cl, columns[i].Name, columns[i].Col, cl.Block); err != nil {
+			return fmt.Errorf("phase 1: %s: %v", columns[i].Name, err)
 		}
 	}
 	if err := checkScatterCount(ctx, routerBase, columns, opt); err != nil {
 		return fmt.Errorf("phase 1 scatter: %v", err)
 	}
-	if err := checkRoutedQuery(ctx, cl, routerBase, columns, opt); err != nil {
+	if err := checkRoutedQuery(ctx, cl, columns, opt); err != nil {
 		return fmt.Errorf("phase 1 query: %v", err)
 	}
 	fmt.Printf("smoke phase 1: %d files scan bit-correct through the router\n", len(columns))
 
 	// Phase 2: flip a byte on one replica and prove scans stay correct
 	// while the repair loop heals the flipped copy.
-	if err := smokeRepair(ctx, router, cl, nodes, columns); err != nil {
+	if err := smokeRepair(ctx, router, cl, nodes, columns, placed); err != nil {
 		return fmt.Errorf("phase 2 (repair): %v", err)
 	}
 	// Check spans now, before phase 3's scan volume evicts the repair
 	// span from the recorder's retention ring.
-	if err := checkRouterSpans(ctx, cl, "router.repair"); err != nil {
+	ss, err := cl.Spans(ctx, "", 0)
+	if err != nil {
+		return err
+	}
+	if err := smoke.CheckSpanChain(ss, "router.repair", "replica.fetch"); err != nil {
 		return err
 	}
 
@@ -430,14 +321,18 @@ func runSmoke() error {
 
 	// The router's metrics and spans must show the failover, damage, and
 	// repair activity the phases above caused.
-	if err := checkRouterMetrics(ctx, cl, map[string]bool{
-		"btrrouted_failovers_total":         true,
-		"btrrouted_damage_detected_total":   true,
-		"btrrouted_repairs_queued_total":    true,
-		"btrrouted_repairs_succeeded_total": true,
-		"btrrouted_query_plans_total":       true,
-		"btrrouted_query_legs_total":        true,
-	}); err != nil {
+	text, err := cl.MetricsText(ctx)
+	if err != nil {
+		return err
+	}
+	if err := smoke.CheckMetrics(text,
+		"btrrouted_failovers_total",
+		"btrrouted_damage_detected_total",
+		"btrrouted_repairs_queued_total",
+		"btrrouted_repairs_succeeded_total",
+		"btrrouted_query_plans_total",
+		"btrrouted_query_legs_total",
+	); err != nil {
 		return err
 	}
 
@@ -449,105 +344,14 @@ func runSmoke() error {
 	return nil
 }
 
-// startNode spawns `self -node-dir dir` on a free port and waits for
-// its address file and /healthz.
-func startNode(self, name, dir, addrFile string) (*smokeNode, error) {
-	cmd := exec.Command(self,
-		"-node-dir", dir,
-		"-addr", "127.0.0.1:0",
-		"-addr-file", addrFile,
-		"-log-level", "warn",
-	)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if data, err := os.ReadFile(addrFile); err == nil {
-			base := "http://" + strings.TrimSpace(string(data))
-			if _, err := http.Get(base + "/healthz"); err == nil {
-				return &smokeNode{name: name, dir: dir, cmd: cmd, base: base,
-					cl: blockstore.NewClient(base)}, nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, fmt.Errorf("node %s did not come up within 10s", name)
-}
-
-// checkColumn scans every block of one column through cl and verifies
-// each value (and NULL position) against the in-memory ground truth.
-func checkColumn(ctx context.Context, cl *blockstore.Client, sc *smokeColumn) error {
-	meta, err := cl.FileMeta(ctx, sc.name)
-	if err != nil {
-		return err
-	}
-	if meta.Blocks != sc.blocks {
-		return fmt.Errorf("meta lists %d blocks, want %d", meta.Blocks, sc.blocks)
-	}
-	col := sc.col
-	rows := 0
-	for b := 0; b < meta.Blocks; b++ {
-		blk, err := cl.Block(ctx, sc.name, b)
-		if err != nil {
-			return fmt.Errorf("block %d: %v", b, err)
-		}
-		if blk.StartRow != rows {
-			return fmt.Errorf("block %d starts at %d, want %d", b, blk.StartRow, rows)
-		}
-		isNull := make(map[int]bool, len(blk.Nulls))
-		for _, p := range blk.Nulls {
-			isNull[p] = true
-		}
-		for i := 0; i < blk.Rows; i++ {
-			r := rows + i
-			if col.Nulls != nil && col.Nulls.IsNull(r) {
-				if !isNull[i] {
-					return fmt.Errorf("row %d is NULL but served as valid", r)
-				}
-				continue
-			}
-			if isNull[i] {
-				return fmt.Errorf("row %d served as NULL but is valid", r)
-			}
-			switch col.Type {
-			case btrblocks.TypeInt:
-				if blk.Ints[i] != col.Ints[r] {
-					return fmt.Errorf("row %d: got %d, want %d", r, blk.Ints[i], col.Ints[r])
-				}
-			case btrblocks.TypeInt64:
-				if blk.Ints64[i] != col.Ints64[r] {
-					return fmt.Errorf("row %d: got %d, want %d", r, blk.Ints64[i], col.Ints64[r])
-				}
-			case btrblocks.TypeDouble:
-				if blk.Doubles[i] != col.Doubles[r] {
-					return fmt.Errorf("row %d: got %v, want %v", r, blk.Doubles[i], col.Doubles[r])
-				}
-			case btrblocks.TypeString:
-				if blk.Strings[i] != col.Strings.At(r) {
-					return fmt.Errorf("row %d: got %q, want %q", r, blk.Strings[i], col.Strings.At(r))
-				}
-			}
-		}
-		rows += blk.Rows
-	}
-	if rows != col.Len() {
-		return fmt.Errorf("blocks cover %d rows, column has %d", rows, col.Len())
-	}
-	return nil
-}
-
 // checkScatterCount asks the router for a cluster-wide equality count
 // (GET /v1/count-eq?value=) and verifies the merged total against local
 // counting over every matching column.
-func checkScatterCount(ctx context.Context, routerBase string, columns []smokeColumn, opt *btrblocks.Options) error {
+func checkScatterCount(ctx context.Context, routerBase string, columns []smoke.Column, opt *btrblocks.Options) error {
 	probe := ""
 	for i := range columns {
-		if columns[i].col.Type == btrblocks.TypeString {
-			probe = columns[i].col.Strings.At(0)
+		if columns[i].Col.Type == btrblocks.TypeString {
+			probe = columns[i].Col.Strings.At(0)
 			break
 		}
 	}
@@ -556,34 +360,21 @@ func checkScatterCount(ctx context.Context, routerBase string, columns []smokeCo
 	}
 	want := 0
 	for i := range columns {
-		if columns[i].col.Type != btrblocks.TypeString {
+		if columns[i].Col.Type != btrblocks.TypeString {
 			continue
 		}
-		n, err := btrblocks.CountEqualString(columns[i].data, probe, opt)
+		n, err := btrblocks.CountEqualString(columns[i].Data, probe, opt)
 		if err != nil {
 			return err
 		}
 		want += n
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		routerBase+"/v1/count-eq?value="+url.QueryEscape(probe), nil)
+	body, err := smoke.HTTPGet(ctx, routerBase+"/v1/count-eq?value="+url.QueryEscape(probe))
 	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scatter count: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("scatter count: %v", err)
 	}
 	var sc cluster.ScatterCount
-	if err := json.Unmarshal(body, &sc); err != nil {
+	if err := json.Unmarshal([]byte(body), &sc); err != nil {
 		return err
 	}
 	if sc.Partial {
@@ -597,12 +388,12 @@ func checkScatterCount(ctx context.Context, routerBase string, columns []smokeCo
 
 // sameTable returns indices of columns sharing one dataset prefix and
 // row count — the unit a multi-column plan can range over.
-func sameTable(columns []smokeColumn) []int {
+func sameTable(columns []smoke.Column) []int {
 	byDS := make(map[string][]int)
 	best := ""
 	for i := range columns {
-		ds := columns[i].name[:strings.LastIndex(columns[i].name, "/")]
-		key := ds + "\x00" + strconv.Itoa(columns[i].col.Len())
+		ds := columns[i].Name[:strings.LastIndex(columns[i].Name, "/")]
+		key := ds + "\x00" + strconv.Itoa(columns[i].Col.Len())
 		byDS[key] = append(byDS[key], i)
 		if best == "" || len(byDS[key]) > len(byDS[best]) {
 			best = key
@@ -615,96 +406,50 @@ func sameTable(columns []smokeColumn) []int {
 // through POST /v1/query on the router and verifies the scatter-
 // gathered answer bit-for-bit against one in-process executor over the
 // whole table; a malformed plan must answer 400.
-func checkRoutedQuery(ctx context.Context, cl *blockstore.Client, routerBase string, columns []smokeColumn, opt *btrblocks.Options) error {
+func checkRoutedQuery(ctx context.Context, cl *blockstore.Client, columns []smoke.Column, opt *btrblocks.Options) error {
 	table := sameTable(columns)
 	if len(table) < 2 {
 		return fmt.Errorf("no two same-table columns in the corpus")
 	}
 	a, b := &columns[table[0]], &columns[table[1]]
-	probe := firstValueLiteral(a.col)
+	// The probe is a's first non-NULL value as a plan literal: integers
+	// bare, doubles and strings quoted.
+	v, _ := smoke.Probe(a.Col)
+	probe := json.RawMessage(v)
+	if a.Col.Type == btrblocks.TypeDouble || a.Col.Type == btrblocks.TypeString {
+		probe, _ = json.Marshal(v)
+	}
 	plan := &query.Plan{
 		Filter: &query.Node{Op: "and", Children: []*query.Node{
-			{Op: "notnull", Column: b.name},
+			{Op: "notnull", Column: b.Name},
 			{Op: "or", Children: []*query.Node{
-				{Op: "eq", Column: a.name, Value: probe},
-				{Op: "notnull", Column: a.name},
+				{Op: "eq", Column: a.Name, Value: probe},
+				{Op: "notnull", Column: a.Name},
 			}},
 		}},
 		Aggregates: []query.AggSpec{
-			{Op: "count", Column: a.name},
-			{Op: "min", Column: b.name},
-			{Op: "max", Column: b.name},
+			{Op: "count", Column: a.Name},
+			{Op: "min", Column: b.Name},
+			{Op: "max", Column: b.Name},
 		},
 		Rows:   true,
 		Return: query.ReturnBitmap,
 	}
-	routed, err := cl.Query(ctx, plan)
+	var cols []smoke.Column
+	for _, t := range table {
+		cols = append(cols, columns[t])
+	}
+	src, err := smoke.Source(cols...)
 	if err != nil {
 		return err
 	}
-	src := query.MemSource{}
-	for _, i := range table {
-		ix, err := btrblocks.ParseColumnIndex(columns[i].data)
-		if err != nil {
-			return err
-		}
-		src[columns[i].name] = &query.Col{Index: ix, Data: columns[i].data}
-	}
-	e := &query.Executor{Source: src, Options: opt}
-	local, err := e.Run(ctx, plan)
+	routed, err := smoke.CheckQuery(ctx, cl, plan, src, opt)
 	if err != nil {
 		return err
-	}
-	if routed.Rows != local.Rows || routed.Matched != local.Matched ||
-		len(routed.RowIDs) != len(local.RowIDs) || !bytesEqual(routed.Bitmap, local.Bitmap) {
-		return fmt.Errorf("routed result diverges: rows=%d/%d matched=%d/%d",
-			routed.Rows, local.Rows, routed.Matched, local.Matched)
-	}
-	for i := range local.Aggregates {
-		if routed.Aggregates[i] != local.Aggregates[i] {
-			return fmt.Errorf("aggregate %d diverges: routed %+v, local %+v",
-				i, routed.Aggregates[i], local.Aggregates[i])
-		}
-	}
-	resp, err := http.Post(routerBase+"/v1/query", "application/json",
-		strings.NewReader(`{"filter":{"op":"between"}}`))
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		return fmt.Errorf("malformed plan answered %d, want 400", resp.StatusCode)
 	}
 	fmt.Printf("smoke query: routed plan over %s matched %d of %d rows, aggregates agree\n",
-		a.name[:strings.LastIndex(a.name, "/")], routed.Matched, routed.Rows)
+		a.Name[:strings.LastIndex(a.Name, "/")], routed.Matched, routed.Rows)
 	return nil
-}
-
-// firstValueLiteral renders row 0 of a column as a JSON plan literal.
-func firstValueLiteral(col btrblocks.Column) json.RawMessage {
-	switch col.Type {
-	case btrblocks.TypeInt:
-		return json.RawMessage(strconv.FormatInt(int64(col.Ints[0]), 10))
-	case btrblocks.TypeInt64:
-		return json.RawMessage(strconv.FormatInt(col.Ints64[0], 10))
-	case btrblocks.TypeDouble:
-		return json.RawMessage(strconv.Quote(strconv.FormatFloat(col.Doubles[0], 'g', -1, 64)))
-	default:
-		b, _ := json.Marshal(col.Strings.At(0))
-		return json.RawMessage(b)
-	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // smokeRepair flips one byte inside a middle block of a multi-block
@@ -712,45 +457,32 @@ func bytesEqual(a, b []byte) bool {
 // routed read of the damaged block is still bit-correct (failover), and
 // (b) the repair loop pushes the good copy back so a direct re-scan of
 // the healed node succeeds.
-func smokeRepair(ctx context.Context, router *cluster.Router, cl *blockstore.Client, nodes []*smokeNode, columns []smokeColumn) error {
-	victim := -1
-	for i := range columns {
-		if columns[i].blocks >= 2 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		return fmt.Errorf("no multi-block column in the corpus")
-	}
-	sc := &columns[victim]
-	ix, err := btrblocks.ParseColumnIndex(sc.data)
+func smokeRepair(ctx context.Context, router *cluster.Router, cl *blockstore.Client, nodes []*smokeNode, columns []smoke.Column, placed [][]int) error {
+	victim, badBlock, damaged, err := smoke.Damage(columns)
 	if err != nil {
 		return err
 	}
-	badBlock := len(ix.Blocks) / 2
+	sc := &columns[victim]
 	// With hedging off, FetchBlock rotates the two healthy replicas by
 	// block index — flip the copy on the node the rotation makes primary
 	// for badBlock, so the routed read deterministically observes the
 	// damage (and enqueues the repair) before failing over.
-	flipped := nodes[sc.replicas[badBlock%len(sc.replicas)]]
-	damaged := append([]byte(nil), sc.data...)
-	damaged[ix.Blocks[badBlock].DataOffset()] ^= 0xFF
-	path := filepath.Join(flipped.dir, filepath.FromSlash(sc.name))
+	flipped := nodes[placed[victim][badBlock%len(placed[victim])]]
+	path := filepath.Join(flipped.dir, filepath.FromSlash(sc.Name))
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		return err
 	}
-	if _, err := flipped.cl.Invalidate(ctx, sc.name); err != nil {
+	if _, err := flipped.cl.Invalidate(ctx, sc.Name); err != nil {
 		return fmt.Errorf("reload flipped replica: %v", err)
 	}
 	// The flipped node now refuses the block — prove the damage is real.
-	if _, err := flipped.cl.Block(ctx, sc.name, badBlock); !blockstore.IsBlockDamage(err) {
+	if _, err := flipped.cl.Block(ctx, sc.Name, badBlock); !blockstore.IsBlockDamage(err) {
 		return fmt.Errorf("flipped replica served block %d without damage error: %v", badBlock, err)
 	}
 
 	// The routed scan must stay complete and bit-correct: the damaged
 	// leg 422s, the router enqueues the repair and fails over.
-	if err := checkColumn(ctx, cl, sc); err != nil {
+	if err := smoke.CheckColumn(ctx, cl, sc.Name, sc.Col, cl.Block); err != nil {
 		return fmt.Errorf("routed scan with damaged replica: %v", err)
 	}
 	m := router.Metrics()
@@ -760,32 +492,23 @@ func smokeRepair(ctx context.Context, router *cluster.Router, cl *blockstore.Cli
 
 	// A routed query over the damaged column must also stay correct: the
 	// leg that lands on the flipped replica 422s and fails over.
-	ix2, err := btrblocks.ParseColumnIndex(sc.data)
+	src, err := smoke.Source(*sc)
 	if err != nil {
 		return err
 	}
 	qPlan := &query.Plan{
-		Filter:     &query.Node{Op: "notnull", Column: sc.name},
-		Aggregates: []query.AggSpec{{Op: "count", Column: sc.name}},
+		Filter:     &query.Node{Op: "notnull", Column: sc.Name},
+		Aggregates: []query.AggSpec{{Op: "count", Column: sc.Name}},
 	}
-	routed, err := cl.Query(ctx, qPlan)
-	if err != nil {
+	if _, err := smoke.CheckQuery(ctx, cl, qPlan, src, nil); err != nil {
 		return fmt.Errorf("routed query with damaged replica: %v", err)
-	}
-	e := &query.Executor{Source: query.MemSource{sc.name: {Index: ix2, Data: sc.data}}}
-	local, err := e.Run(ctx, qPlan)
-	if err != nil {
-		return err
-	}
-	if routed.Matched != local.Matched || routed.Aggregates[0] != local.Aggregates[0] {
-		return fmt.Errorf("routed query diverges under damage: %+v vs %+v", routed, local)
 	}
 
 	// The repair loop heals the flipped copy: poll the damaged node
 	// directly until its block serves again, then re-scan it end to end.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if _, err := flipped.cl.Block(ctx, sc.name, badBlock); err == nil {
+		if _, err := flipped.cl.Block(ctx, sc.Name, badBlock); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -794,28 +517,28 @@ func smokeRepair(ctx context.Context, router *cluster.Router, cl *blockstore.Cli
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if err := checkColumn(ctx, flipped.cl, sc); err != nil {
+	if err := smoke.CheckColumn(ctx, flipped.cl, sc.Name, sc.Col, flipped.cl.Block); err != nil {
 		return fmt.Errorf("re-scan of healed node %s: %v", flipped.name, err)
 	}
-	raw, err := flipped.cl.Raw(ctx, sc.name)
+	raw, err := flipped.cl.Raw(ctx, sc.Name)
 	if err != nil {
 		return err
 	}
-	if len(raw) != len(sc.data) {
-		return fmt.Errorf("healed copy is %d bytes, want %d", len(raw), len(sc.data))
+	if len(raw) != len(sc.Data) {
+		return fmt.Errorf("healed copy is %d bytes, want %d", len(raw), len(sc.Data))
 	}
 	if m.RepairsSucceeded.Load() == 0 {
 		return fmt.Errorf("block healed but repairs_succeeded is zero")
 	}
 	fmt.Printf("smoke phase 2: block %d of %s flipped on %s, scan stayed bit-correct, replica healed (repairs=%d)\n",
-		badBlock, sc.name, flipped.name, m.RepairsSucceeded.Load())
+		badBlock, sc.Name, flipped.name, m.RepairsSucceeded.Load())
 	return nil
 }
 
 // smokeKill SIGKILLs one node while scans are in flight and proves
 // every scan keeps returning complete, bit-correct results, the prober
 // marks the node down, and the scatter count still agrees.
-func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, victim *smokeNode, columns []smokeColumn, opt *btrblocks.Options) error {
+func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, victim *smokeNode, columns []smoke.Column, opt *btrblocks.Options) error {
 	var (
 		scans   atomic.Int64
 		scanErr error
@@ -832,8 +555,8 @@ func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, vi
 			default:
 			}
 			for i := range columns {
-				if err := checkColumn(ctx, cl, &columns[i]); err != nil {
-					errOnce.Do(func() { scanErr = fmt.Errorf("%s: %v", columns[i].name, err) })
+				if err := smoke.CheckColumn(ctx, cl, columns[i].Name, columns[i].Col, cl.Block); err != nil {
+					errOnce.Do(func() { scanErr = fmt.Errorf("%s: %v", columns[i].Name, err) })
 					return
 				}
 				scans.Add(1)
@@ -879,7 +602,7 @@ func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, vi
 	// The prober must notice the death.
 	probeDeadline := time.Now().Add(5 * time.Second)
 	for {
-		body, err := httpGet(ctx, routerBase+"/v1/nodes")
+		body, err := smoke.HTTPGet(ctx, routerBase+"/v1/nodes")
 		if err != nil {
 			return err
 		}
@@ -915,7 +638,7 @@ func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, vi
 // latency-skewed transport on the primary-leaning node and an instant
 // hedge budget, and proves hedge legs fire, win, and return correct
 // data — with the hedge visible in the router's metrics and spans.
-func smokeHedge(ctx context.Context, specs []string, columns []smokeColumn, logger *slog.Logger) error {
+func smokeHedge(ctx context.Context, specs []string, columns []smoke.Column, logger *slog.Logger) error {
 	// Delay every request through this transport; the other node's
 	// requests go straight through, so the hedge leg reliably wins.
 	slow := &http.Client{Transport: delayTransport{d: 50 * time.Millisecond}}
@@ -951,17 +674,21 @@ func smokeHedge(ctx context.Context, specs []string, columns []smokeColumn, logg
 	m := router.Metrics()
 	for i := range columns {
 		sc := &columns[i]
-		for b := 0; b < sc.blocks; b++ {
+		meta, err := router.FileMeta(ctx, sc.Name)
+		if err != nil {
+			return err
+		}
+		for b := 0; b < meta.Blocks; b++ {
 			// Root a span per fetch so the replica.fetch children (and
 			// their hedge attribute) are recorded.
 			fctx, fspan := spans.StartRoot(ctx, "smoke.fetch")
-			blk, err := router.FetchBlock(fctx, sc.name, b)
+			blk, err := router.FetchBlock(fctx, sc.Name, b)
 			fspan.End()
 			if err != nil {
-				return fmt.Errorf("%s block %d: %v", sc.name, b, err)
+				return fmt.Errorf("%s block %d: %v", sc.Name, b, err)
 			}
 			if blk.Rows == 0 {
-				return fmt.Errorf("%s block %d: empty block", sc.name, b)
+				return fmt.Errorf("%s block %d: empty block", sc.Name, b)
 			}
 		}
 		if m.Hedges.Load() > 0 && m.HedgeWins.Load() > 0 {
@@ -974,7 +701,7 @@ func smokeHedge(ctx context.Context, specs []string, columns []smokeColumn, logg
 	}
 	// The hedge must be visible in the rendered metrics and in a span.
 	var buf strings.Builder
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := m.Registry(spans).WriteTo(&buf); err != nil {
 		return err
 	}
 	if !strings.Contains(buf.String(), "btrrouted_hedged_requests_total") ||
@@ -1016,96 +743,4 @@ func (t delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, req.Context().Err()
 	}
 	return http.DefaultTransport.RoundTrip(req)
-}
-
-// checkRouterMetrics fetches the router's /metrics and asserts every
-// named counter is present with a non-zero value.
-func checkRouterMetrics(ctx context.Context, cl *blockstore.Client, want map[string]bool) error {
-	text, err := cl.MetricsText(ctx)
-	if err != nil {
-		return err
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		if want[fields[0]] {
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return fmt.Errorf("metric %s: bad value %q", fields[0], fields[1])
-			}
-			if v <= 0 {
-				return fmt.Errorf("metric %s is zero after the chaos phases", fields[0])
-			}
-			delete(want, fields[0])
-		}
-	}
-	if len(want) > 0 {
-		missing := make([]string, 0, len(want))
-		for k := range want {
-			missing = append(missing, k)
-		}
-		return fmt.Errorf("/metrics missing %s", strings.Join(missing, ", "))
-	}
-	return nil
-}
-
-// checkRouterSpans fetches the router's spans, validates them against
-// the schema, and asserts a root span with the given name exists plus a
-// replica.fetch child resolving to a recorded parent.
-func checkRouterSpans(ctx context.Context, cl *blockstore.Client, wantRoot string) error {
-	ss, err := cl.Spans(ctx, "", 0)
-	if err != nil {
-		return err
-	}
-	if err := ss.Validate(); err != nil {
-		return err
-	}
-	byID := make(map[string]obs.SpanRecord, len(ss.Spans))
-	for _, s := range ss.Spans {
-		byID[s.SpanID] = s
-	}
-	sawRoot, sawFetchChild := false, false
-	for _, s := range ss.Spans {
-		if s.Name == wantRoot && s.ParentID == "" {
-			sawRoot = true
-		}
-		if s.Name == "replica.fetch" {
-			if p, ok := byID[s.ParentID]; ok && p.TraceID == s.TraceID {
-				sawFetchChild = true
-			}
-		}
-	}
-	if !sawRoot {
-		return fmt.Errorf("no %s root span recorded", wantRoot)
-	}
-	if !sawFetchChild {
-		return fmt.Errorf("no replica.fetch span linked to a recorded parent")
-	}
-	return nil
-}
-
-// httpGet fetches a URL and returns the body, failing on non-200.
-func httpGet(ctx context.Context, url string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return string(body), nil
 }

@@ -6,13 +6,15 @@
 // /v1/trace/NAME. Prometheus metrics at /metrics, cache and decode
 // telemetry at /v1/telemetry. Requests are logged as JSON slog records
 // with per-request IDs; -debug-addr exposes pprof and expvar on a
-// second listener, SIGQUIT dumps a telemetry snapshot without exiting,
-// and SIGINT/SIGTERM shut down gracefully with a summary log.
+// second listener, SIGQUIT dumps a snapshot without exiting, and
+// SIGINT/SIGTERM shut down gracefully with a summary log (the lifecycle
+// is internal/serverkit's, shared with btrrouted and btringest).
 //
 // Usage:
 //
-//	btrserved -dir DATA [-addr HOST:PORT] [-cache-mb N] [-prefetch N]
-//	          [-workers N] [-debug-addr HOST:PORT] [-log-level LEVEL]
+//	btrserved -dir DATA [-addr HOST:PORT] [-addr-file PATH] [-cache-mb N]
+//	          [-prefetch N] [-workers N] [-debug-addr HOST:PORT]
+//	          [-log-level LEVEL] [-span-sample N] [-span-slow D]
 //	btrserved -smoke
 //
 // -smoke generates a temporary corpus, serves it on a loopback port
@@ -24,20 +26,13 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"btrblocks"
@@ -45,190 +40,72 @@ import (
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
 	"btrblocks/internal/query"
+	"btrblocks/internal/serverkit"
+	"btrblocks/internal/smoke"
 	"btrblocks/metadata"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "listen address for pprof + expvar (empty disables)")
+	var kit serverkit.Flags
+	kit.Register(flag.CommandLine, "127.0.0.1:8080")
+	kit.RegisterLogLevel(flag.CommandLine)
 	dir := flag.String("dir", "", "directory of BtrBlocks files to serve")
 	cacheMB := flag.Int("cache-mb", 256, "block cache size in MiB (negative disables)")
 	prefetch := flag.Int("prefetch", 4, "blocks of readahead per request (0 disables)")
 	workers := flag.Int("workers", 2, "readahead worker pool size")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	spanSample := flag.Int("span-sample", 1, "head-sample 1 in N traces (0 disables span recording)")
-	spanSlow := flag.Duration("span-slow", 250*time.Millisecond, "force-record and warn-log spans at least this slow")
-	smoke := flag.Bool("smoke", false, "self-test: serve a generated corpus and verify every endpoint")
+	smokeTest := flag.Bool("smoke", false, "self-test: serve a generated corpus and verify every endpoint")
 	flag.Parse()
 
-	logger := obs.NewLogger(os.Stderr, parseLevel(*logLevel))
-	if *smoke {
-		if err := runSmoke(*cacheMB, *prefetch, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "btrserved smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("btrserved smoke: OK")
-		return
+	cfg := storeConfig(*cacheMB, *prefetch, *workers)
+	if *smokeTest {
+		smoke.Exit("btrserved", runSmoke(cfg))
 	}
-
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "btrserved: -dir is required (or -smoke)")
 		flag.Usage()
 		os.Exit(2)
 	}
-	store, err := blockstore.Open(*dir, storeConfig(*cacheMB, *prefetch, *workers))
-	if err != nil {
-		logger.Error("open", "dir", *dir, "err", err.Error())
+	logger := kit.Logger()
+	if err := serve(*dir, cfg, &kit, logger); err != nil {
+		logger.Error("serve", "dir", *dir, "err", err.Error())
 		os.Exit(1)
 	}
-	defer store.Close()
+}
+
+// serve opens the store and runs it under the shared lifecycle.
+func serve(dir string, cfg blockstore.Config, kit *serverkit.Flags, logger *slog.Logger) error {
+	store, err := blockstore.Open(dir, cfg)
+	if err != nil {
+		return err
+	}
 	for _, f := range store.Files() {
 		logger.Info("serving",
 			"file", f.Name, "kind", f.Kind, "bytes", len(f.Data),
 			"rows", f.Rows, "blocks", f.Blocks())
 	}
-
-	var spans *obs.SpanRecorder
-	if *spanSample > 0 {
-		spans = obs.NewSpanRecorder(obs.SpanRecorderConfig{
-			Process:       "btrserved",
-			SampleEvery:   *spanSample,
-			SlowThreshold: *spanSlow,
-			Logger:        logger,
-		})
-	}
-
-	if err := serve(store, *addr, *debugAddr, logger, spans); err != nil {
-		logger.Error("serve", "err", err.Error())
-		os.Exit(1)
-	}
+	return process(store, logger, kit.Spans("btrserved", logger)).Run(context.Background(), kit)
 }
 
-// serve runs the HTTP server (and the optional debug server) until
-// SIGINT/SIGTERM, then shuts down gracefully and logs a summary of the
-// run. SIGQUIT dumps a telemetry snapshot to the log without exiting.
-func serve(store *blockstore.Store, addr, debugAddr string, logger *slog.Logger, spans *obs.SpanRecorder) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	srv := &http.Server{
-		Addr:    addr,
+// process is btrserved over a store, as both a deployment and the smoke
+// run it: the store's handler, its per-route series, and its cache and
+// decode state for the snapshot, summary and expvar section.
+func process(store *blockstore.Store, logger *slog.Logger, spans *obs.SpanRecorder) *serverkit.Process {
+	return &serverkit.Process{
+		Name:    "btrserved",
 		Handler: blockstore.NewServer(store, blockstore.WithLogger(logger), blockstore.WithSpans(spans)),
-	}
-	errCh := make(chan error, 2)
-	go func() {
-		logger.Info("listening", "addr", "http://"+addr)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	var debug *http.Server
-	if debugAddr != "" {
-		debug = &http.Server{Addr: debugAddr, Handler: debugMux(store)}
-		go func() {
-			logger.Info("debug listening", "addr", "http://"+debugAddr,
-				"endpoints", "/debug/pprof/, /debug/vars")
-			if err := debug.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				errCh <- err
+		Log:     logger,
+		Routes:  &store.Metrics().HTTP,
+		Stats: func() []any {
+			c := store.Metrics().Cache()
+			attrs := []any{"cache_hits", c.Hits, "cache_misses", c.Misses,
+				"decoded_blocks", c.DecodedBlocks, "decoded_bytes", c.DecodedBytes}
+			if opt := store.Options(); opt != nil && opt.Telemetry.Enabled() {
+				snap := opt.Telemetry.Snapshot()
+				attrs = append(attrs, "blocks_compressed", snap.Blocks, "decode_latency", snap.DecodeLatency.String())
 			}
-		}()
-	}
-
-	// SIGQUIT: operator-triggered snapshot, serving continues.
-	quitCh := make(chan os.Signal, 1)
-	signal.Notify(quitCh, syscall.SIGQUIT)
-	defer signal.Stop(quitCh)
-	go func() {
-		for range quitCh {
-			dumpSnapshot(store, logger)
-		}
-	}()
-
-	start := time.Now()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-	logger.Info("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err := srv.Shutdown(shutCtx)
-	if debug != nil {
-		_ = debug.Shutdown(shutCtx)
-	}
-	store.Close()
-	logSummary(store, logger, time.Since(start))
-	return err
-}
-
-func parseLevel(s string) slog.Level {
-	switch strings.ToLower(s) {
-	case "debug":
-		return slog.LevelDebug
-	case "warn":
-		return slog.LevelWarn
-	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
-	}
-}
-
-// debugMux builds the -debug-addr handler: pprof profiles, expvar (Go
-// runtime vars plus a btrserved section with live cache and per-route
-// stats), kept off the data listener so profiling access can be firewall
-// scoped separately.
-func debugMux(store *blockstore.Store) *http.ServeMux {
-	expvar.Publish("btrserved", expvar.Func(func() any {
-		return map[string]any{
-			"cache":     store.Metrics().Cache(),
-			"endpoints": store.Metrics().Endpoints(),
-		}
-	}))
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	return mux
-}
-
-// dumpSnapshot logs the current cache, route and library-telemetry state.
-func dumpSnapshot(store *blockstore.Store, logger *slog.Logger) {
-	m := store.Metrics()
-	logger.Info("snapshot", "cache", m.Cache())
-	for _, ep := range m.Endpoints() {
-		logger.Info("snapshot endpoint",
-			"route", ep.Route, "requests", ep.Requests, "errors", ep.Errors,
-			"latency", ep.Latency.String())
-	}
-	if opt := store.Options(); opt != nil && opt.Telemetry.Enabled() {
-		snap := opt.Telemetry.Snapshot()
-		logger.Info("snapshot telemetry",
-			"blocks_compressed", snap.Blocks,
-			"blocks_decoded", snap.DecodeBlocks,
-			"decode_latency", snap.DecodeLatency.String())
-	}
-}
-
-// logSummary emits the shutdown summary: uptime, cache behavior, and
-// per-route request totals with latency quantiles.
-func logSummary(store *blockstore.Store, logger *slog.Logger, uptime time.Duration) {
-	m := store.Metrics()
-	c := m.Cache()
-	logger.Info("summary",
-		"uptime", uptime.Round(time.Millisecond).String(),
-		"cache_hits", c.Hits, "cache_misses", c.Misses,
-		"decoded_blocks", c.DecodedBlocks, "decoded_bytes", c.DecodedBytes)
-	for _, ep := range m.Endpoints() {
-		logger.Info("summary endpoint",
-			"route", ep.Route, "requests", ep.Requests, "errors", ep.Errors,
-			"latency", ep.Latency.String())
+			return attrs
+		},
+		Close: func() error { store.Close(); return nil },
 	}
 }
 
@@ -245,18 +122,10 @@ func storeConfig(cacheMB, prefetch, workers int) blockstore.Config {
 	}
 }
 
-// smokeColumn is one generated column of the smoke corpus: its served
-// name, the compressed file bytes, and the in-memory ground truth.
-type smokeColumn struct {
-	name string
-	data []byte
-	col  btrblocks.Column
-}
-
 // runSmoke is the end-to-end self-test: write a generated corpus to a
 // temp directory, serve it from disk on a loopback port, and check every
 // endpoint against direct decompression of the same bytes.
-func runSmoke(cacheMB, prefetch, workers int) error {
+func runSmoke(cfg blockstore.Config) error {
 	const (
 		rows = 20000
 		seed = 42
@@ -271,23 +140,9 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 	// miniature. Small blocks so multi-block paths (readahead, per-block
 	// endpoints) actually exercise.
 	opt := &btrblocks.Options{BlockSize: 4096}
-	var columns []smokeColumn
-	for _, ds := range pbi.Corpus(rows, seed) {
-		for _, col := range ds.Chunk.Columns {
-			data, err := btrblocks.CompressColumn(col, opt)
-			if err != nil {
-				return fmt.Errorf("compress %s/%s: %v", ds.Name, col.Name, err)
-			}
-			name := ds.Name + "/" + col.Name + ".btr"
-			path := filepath.Join(dir, filepath.FromSlash(name))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				return err
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return err
-			}
-			columns = append(columns, smokeColumn{name: name, data: data, col: col})
-		}
+	columns, err := smoke.Compress(pbi.Corpus(rows, seed), opt)
+	if err != nil {
+		return err
 	}
 
 	// A sorted timestamp column with its BTRM sidecar: the query phase
@@ -302,49 +157,41 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 		return fmt.Errorf("compress timestamp column: %v", err)
 	}
 	tsName := "events/event_ts.btr"
-	tsPath := filepath.Join(dir, filepath.FromSlash(tsName))
-	if err := os.MkdirAll(filepath.Dir(tsPath), 0o755); err != nil {
+	columns = append(columns, smoke.Column{Name: tsName, Data: tsData, Col: tsCol})
+	for _, c := range columns {
+		if err := smoke.WriteFile(dir, c.Name, c.Data); err != nil {
+			return err
+		}
+	}
+	meta := metadata.Build(tsCol, opt)
+	if err := smoke.WriteFile(dir, tsName+blockstore.MetaSuffix, meta.AppendTo(nil)); err != nil {
 		return err
 	}
-	if err := os.WriteFile(tsPath, tsData, 0o644); err != nil {
-		return err
-	}
-	m := metadata.Build(tsCol, opt)
-	if err := os.WriteFile(tsPath+blockstore.MetaSuffix, m.AppendTo(nil), 0o644); err != nil {
-		return err
-	}
-	columns = append(columns, smokeColumn{name: tsName, data: tsData, col: tsCol})
 
-	store, err := blockstore.Open(dir, storeConfig(cacheMB, prefetch, workers))
+	store, err := blockstore.Open(dir, cfg)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	logger := obs.NewLogger(os.Stderr, slog.LevelWarn)
+	p := process(store, logger, obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved", Logger: logger}))
+	base, stop, err := smoke.Serve(p.Handler)
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(os.Stderr, slog.LevelWarn)
-	spans := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved", Logger: logger})
-	srv := &http.Server{Handler: blockstore.NewServer(store,
-		blockstore.WithLogger(logger), blockstore.WithSpans(spans))}
-	go srv.Serve(ln)
-	defer srv.Close()
+	defer stop()
 
 	// Debug server, as a deployment would run it: pprof + expvar on a
 	// separate loopback listener.
-	dln, err := net.Listen("tcp", "127.0.0.1:0")
+	dbase, dstop, err := smoke.Serve(serverkit.DebugHandler(p.Name, p.Vars))
 	if err != nil {
 		return err
 	}
-	dsrv := &http.Server{Handler: debugMux(store)}
-	go dsrv.Serve(dln)
-	defer dsrv.Close()
+	defer dstop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cl := blockstore.NewClient("http://" + ln.Addr().String())
+	cl := blockstore.NewClient(base)
 
 	if err := cl.Healthz(ctx); err != nil {
 		return err
@@ -359,14 +206,14 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 	}
 
 	for _, c := range columns {
-		if err := smokeFile(ctx, cl, c.name, c.data, c.col, store.Options()); err != nil {
-			return fmt.Errorf("%s: %v", c.name, err)
+		if err := smokeFile(ctx, cl, c.Name, c.Data, c.Col, store.Options()); err != nil {
+			return fmt.Errorf("%s: %v", c.Name, err)
 		}
 	}
 
 	// Query plans: /v1/query must agree with an in-process executor over
 	// the same bytes, prune via the hosted sidecar, and 400 bad plans.
-	if err := smokeQuery(ctx, cl, tsName, tsData, ts, store.Options()); err != nil {
+	if err := smokeQuery(ctx, cl, columns[len(columns)-1], store.Options()); err != nil {
 		return fmt.Errorf("query: %v", err)
 	}
 
@@ -403,10 +250,7 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 	if err != nil {
 		return err
 	}
-	if err := spanSet.Validate(); err != nil {
-		return err
-	}
-	if err := checkServerSpans(spanSet); err != nil {
+	if err := smoke.CheckSpanChain(spanSet, "btrserved/v1/block", "block.decode"); err != nil {
 		return err
 	}
 	if len(rep.SpanExemplars) == 0 {
@@ -415,7 +259,7 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 
 	// Decision traces: the re-derived trace must be valid per the schema
 	// and agree with the scheme the stored block actually uses.
-	tr, err := cl.Trace(ctx, columns[0].name, 0)
+	tr, err := cl.Trace(ctx, columns[0].Name, 0)
 	if err != nil {
 		return err
 	}
@@ -428,9 +272,8 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 
 	// Debug server: pprof index and expvar must answer, and expvar must
 	// carry the live btrserved section.
-	dbase := "http://" + dln.Addr().String()
 	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		body, err := httpGet(ctx, dbase+path)
+		body, err := smoke.HTTPGet(ctx, dbase+path)
 		if err != nil {
 			return fmt.Errorf("debug %s: %v", path, err)
 		}
@@ -442,7 +285,7 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 	// Degraded serving: corrupt one block of a multi-block column on disk,
 	// serve it from a fresh store, and check the full failure story —
 	// detection, quarantine, partial scan, and the corruption metrics.
-	if err := smokeDegraded(ctx, dir, columns, cacheMB, prefetch, workers); err != nil {
+	if err := smokeDegraded(ctx, dir, columns, cfg); err != nil {
 		return fmt.Errorf("degraded serving: %v", err)
 	}
 
@@ -456,12 +299,13 @@ func runSmoke(cacheMB, prefetch, workers int) error {
 // known row window and an in-process executor over the same bytes),
 // skip more than half the blocks via the hosted sidecar, fold
 // aggregates correctly, and reject a malformed plan with 400.
-func smokeQuery(ctx context.Context, cl *blockstore.Client, name string, data []byte, ts []int64, opt *btrblocks.Options) error {
+func smokeQuery(ctx context.Context, cl *blockstore.Client, ts smoke.Column, opt *btrblocks.Options) error {
 	const lo, hi = 6200, 7800 // row window: values are sorted, so ids == offsets
+	name, vals := ts.Name, ts.Col.Ints64
 	plan := &query.Plan{
 		Filter: &query.Node{Op: "range", Column: name,
-			Lo: []byte(strconv.FormatInt(ts[lo], 10)),
-			Hi: []byte(strconv.FormatInt(ts[hi], 10))},
+			Lo: []byte(strconv.FormatInt(vals[lo], 10)),
+			Hi: []byte(strconv.FormatInt(vals[hi], 10))},
 		Aggregates: []query.AggSpec{
 			{Op: "count", Column: name},
 			{Op: "min", Column: name},
@@ -469,7 +313,14 @@ func smokeQuery(ctx context.Context, cl *blockstore.Client, name string, data []
 		},
 		Rows: true,
 	}
-	res, err := cl.Query(ctx, plan)
+	// The served result must be bit-identical to an in-process run over
+	// the same compressed bytes (sidecar-free: pruning must not change
+	// the answer, only the work).
+	src, err := smoke.Source(ts)
+	if err != nil {
+		return err
+	}
+	res, err := smoke.CheckQuery(ctx, cl, plan, src, opt)
 	if err != nil {
 		return err
 	}
@@ -480,8 +331,8 @@ func smokeQuery(ctx context.Context, cl *blockstore.Client, name string, data []
 	}
 	for i, want := range []string{
 		strconv.FormatInt(wantMatched, 10),
-		strconv.FormatInt(ts[lo], 10),
-		strconv.FormatInt(ts[hi], 10),
+		strconv.FormatInt(vals[lo], 10),
+		strconv.FormatInt(vals[hi], 10),
 	} {
 		if res.Aggregates[i].Value != want || res.Aggregates[i].Count != wantMatched {
 			return fmt.Errorf("aggregate %d: %+v, want value %s", i, res.Aggregates[i], want)
@@ -493,72 +344,8 @@ func smokeQuery(ctx context.Context, cl *blockstore.Client, name string, data []
 	if res.Stats.BlocksPruned+res.Stats.BlocksScanned != res.Stats.BlocksTotal {
 		return fmt.Errorf("pruned+scanned != total: %+v", res.Stats)
 	}
-
-	// The served result must be bit-identical to an in-process run over
-	// the same compressed bytes (sidecar-free: pruning must not change
-	// the answer, only the work).
-	ix, err := btrblocks.ParseColumnIndex(data)
-	if err != nil {
-		return err
-	}
-	e := &query.Executor{Source: query.MemSource{name: {Index: ix, Data: data}}, Options: opt}
-	local, err := e.Run(ctx, plan)
-	if err != nil {
-		return err
-	}
-	if local.Matched != res.Matched || len(local.RowIDs) != len(res.RowIDs) {
-		return fmt.Errorf("served result diverges from local executor: %d/%d vs %d/%d",
-			res.Matched, len(res.RowIDs), local.Matched, len(local.RowIDs))
-	}
-	for i := range local.Aggregates {
-		if local.Aggregates[i] != res.Aggregates[i] {
-			return fmt.Errorf("aggregate %d diverges: served %+v, local %+v", i, res.Aggregates[i], local.Aggregates[i])
-		}
-	}
-
-	// A malformed plan is a 400, never a 500.
-	resp, err := http.Post(cl.Endpoint()+"/v1/query", "application/json",
-		strings.NewReader(`{"filter":{"op":"between"}}`))
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		return fmt.Errorf("malformed plan answered %d, want 400", resp.StatusCode)
-	}
 	fmt.Printf("smoke query: range matched %d rows, %d/%d blocks pruned via sidecar\n",
 		res.Matched, res.Stats.BlocksPruned, res.Stats.BlocksTotal)
-	return nil
-}
-
-// checkServerSpans asserts the smoke traffic produced well-linked
-// spans: a /v1/block server root, and a block.decode child whose parent
-// chain resolves within the same trace.
-func checkServerSpans(ss *obs.SpanSet) error {
-	if len(ss.Spans) == 0 {
-		return fmt.Errorf("/v1/spans is empty after traffic")
-	}
-	byID := make(map[string]obs.SpanRecord, len(ss.Spans))
-	for _, s := range ss.Spans {
-		byID[s.SpanID] = s
-	}
-	var sawRoot, sawDecodeChild bool
-	for _, s := range ss.Spans {
-		if s.Name == "btrserved/v1/block" && s.ParentID == "" {
-			sawRoot = true
-		}
-		if s.Name == "block.decode" {
-			if p, ok := byID[s.ParentID]; ok && p.TraceID == s.TraceID {
-				sawDecodeChild = true
-			}
-		}
-	}
-	if !sawRoot {
-		return fmt.Errorf("no btrserved/v1/block root span recorded")
-	}
-	if !sawDecodeChild {
-		return fmt.Errorf("no block.decode span linked to a recorded parent")
-	}
 	return nil
 }
 
@@ -566,50 +353,31 @@ func checkServerSpans(ss *obs.SpanSet) error {
 // degradation: the corrupt block is refused (422) and quarantined (410),
 // a partial scan still returns every healthy block, and the corruption
 // counters reach /metrics.
-func smokeDegraded(ctx context.Context, dir string, columns []smokeColumn, cacheMB, prefetch, workers int) error {
-	// Pick a multi-block column and flip one byte inside a middle block's
-	// compressed stream on disk.
-	victim := -1
-	var ix *btrblocks.ColumnIndex
-	for i, c := range columns {
-		parsed, err := btrblocks.ParseColumnIndex(c.data)
-		if err != nil {
-			return err
-		}
-		if len(parsed.Blocks) >= 2 {
-			victim, ix = i, parsed
-			break
-		}
+func smokeDegraded(ctx context.Context, dir string, columns []smoke.Column, cfg blockstore.Config) error {
+	// Flip one byte inside a middle block of a multi-block column on disk.
+	victim, badBlock, damaged, err := smoke.Damage(columns)
+	if err != nil {
+		return err
 	}
-	if victim < 0 {
-		return fmt.Errorf("no multi-block column in the corpus")
-	}
-	name := columns[victim].name
-	badBlock := len(ix.Blocks) / 2
-	damaged := append([]byte(nil), columns[victim].data...)
-	damaged[ix.Blocks[badBlock].DataOffset()] ^= 0xFF
+	name := columns[victim].Name
 	path := filepath.Join(dir, filepath.FromSlash(name))
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		return err
 	}
-	defer os.WriteFile(path, columns[victim].data, 0o644)
+	defer os.WriteFile(path, columns[victim].Data, 0o644)
 
-	cfg := storeConfig(cacheMB, prefetch, workers)
 	cfg.QuarantineThreshold = 1
 	store, err := blockstore.Open(dir, cfg)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := smoke.Serve(blockstore.NewServer(store))
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: blockstore.NewServer(store)}
-	go srv.Serve(ln)
-	defer srv.Close()
-	cl := blockstore.NewClient("http://"+ln.Addr().String(),
-		blockstore.WithBackoff(time.Millisecond, 4*time.Millisecond))
+	defer stop()
+	cl := blockstore.NewClient(base, blockstore.WithBackoff(time.Millisecond, 4*time.Millisecond))
 
 	// First touch detects the corruption; the threshold-1 store
 	// quarantines immediately, so the second touch is fenced.
@@ -619,7 +387,7 @@ func smokeDegraded(ctx context.Context, dir string, columns []smokeColumn, cache
 	if _, err := cl.Block(ctx, name, badBlock); !blockstore.IsBlockDamage(err) {
 		return fmt.Errorf("quarantined block served without damage error: %v", err)
 	}
-	if _, err := cl.Block(ctx, name, (badBlock+1)%len(ix.Blocks)); err != nil {
+	if _, err := cl.Block(ctx, name, badBlock-1); err != nil {
 		return fmt.Errorf("healthy block of damaged column: %v", err)
 	}
 
@@ -627,7 +395,11 @@ func smokeDegraded(ctx context.Context, dir string, columns []smokeColumn, cache
 	if err != nil {
 		return err
 	}
-	wantRows := columns[victim].col.Len() - ix.Blocks[badBlock].Rows
+	ix, err := btrblocks.ParseColumnIndex(columns[victim].Data)
+	if err != nil {
+		return err
+	}
+	wantRows := columns[victim].Col.Len() - ix.Blocks[badBlock].Rows
 	if !res.Partial || res.Rows != wantRows || len(res.FailedBlocks) != 1 || res.FailedBlocks[0] != badBlock {
 		return fmt.Errorf("partial scan: %+v (want partial, %d rows, failed block %d)", res, wantRows, badBlock)
 	}
@@ -639,38 +411,12 @@ func smokeDegraded(ctx context.Context, dir string, columns []smokeColumn, cache
 	if !strings.Contains(metrics, "btrserved_quarantined_blocks 1") {
 		return fmt.Errorf("/metrics missing quarantine gauge")
 	}
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, "btrserved_corrupt_blocks_total ") {
-			if strings.TrimPrefix(line, "btrserved_corrupt_blocks_total ") == "0" {
-				return fmt.Errorf("corruption counter is zero after serving a corrupt block")
-			}
-			fmt.Printf("smoke degraded: block %d of %s refused and quarantined, partial scan rows=%d, %s\n",
-				badBlock, name, res.Rows, line)
-			return nil
-		}
+	if err := smoke.CheckMetrics(metrics, "btrserved_corrupt_blocks_total"); err != nil {
+		return err
 	}
-	return fmt.Errorf("/metrics missing btrserved_corrupt_blocks_total")
-}
-
-// httpGet fetches a URL and returns the body, failing on non-200.
-func httpGet(ctx context.Context, url string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return buf.String(), nil
+	fmt.Printf("smoke degraded: block %d of %s refused and quarantined, partial scan rows=%d\n",
+		badBlock, name, res.Rows)
+	return nil
 }
 
 // smokeFile checks every access granularity of one served column against
@@ -695,32 +441,13 @@ func smokeFile(ctx context.Context, cl *blockstore.Client, name string, data []b
 		}
 	}
 
-	// Blocks: reassemble the column from per-block responses (binary and
-	// JSON must agree with each other and with the local decode).
-	meta, err := cl.FileMeta(ctx, name)
-	if err != nil {
-		return err
+	// Blocks: reassemble the column from per-block responses, in both
+	// formats, and check each against the local column.
+	if err := smoke.CheckColumn(ctx, cl, name, col, cl.Block); err != nil {
+		return fmt.Errorf("binary: %v", err)
 	}
-	rowsSeen := 0
-	for b := 0; b < meta.Blocks; b++ {
-		bin, err := cl.Block(ctx, name, b)
-		if err != nil {
-			return err
-		}
-		if bin.StartRow != rowsSeen {
-			return fmt.Errorf("block %d starts at %d, want %d", b, bin.StartRow, rowsSeen)
-		}
-		jsn, err := cl.BlockJSON(ctx, name, b)
-		if err != nil {
-			return err
-		}
-		if err := compareBlock(bin, jsn, col, rowsSeen); err != nil {
-			return fmt.Errorf("block %d: %v", b, err)
-		}
-		rowsSeen += bin.Rows
-	}
-	if rowsSeen != col.Len() {
-		return fmt.Errorf("blocks cover %d rows, column has %d", rowsSeen, col.Len())
+	if err := smoke.CheckColumn(ctx, cl, name, col, cl.BlockJSON); err != nil {
+		return fmt.Errorf("json: %v", err)
 	}
 
 	// Predicate pushdown: server count must equal the local scan for a
@@ -730,7 +457,7 @@ func smokeFile(ctx context.Context, cl *blockstore.Client, name string, data []b
 		if err != nil {
 			return err
 		}
-		want, err := localCount(data, col.Type, probe, opt)
+		want, err := smoke.LocalCount(data, col.Type, probe, opt)
 		if err != nil {
 			return err
 		}
@@ -741,111 +468,16 @@ func smokeFile(ctx context.Context, cl *blockstore.Client, name string, data []b
 	return nil
 }
 
-// compareBlock checks a block's wire values (both formats) against rows
-// [start, start+rows) of the locally held column.
-func compareBlock(bin, jsn *blockstore.BlockValues, col btrblocks.Column, start int) error {
-	if bin.Rows != jsn.Rows {
-		return fmt.Errorf("binary has %d rows, json %d", bin.Rows, jsn.Rows)
-	}
-	// NULL positions: identical lists, and matching the source mask.
-	if len(bin.Nulls) != len(jsn.Nulls) {
-		return fmt.Errorf("null count differs between formats")
-	}
-	for i := range bin.Nulls {
-		if bin.Nulls[i] != jsn.Nulls[i] {
-			return fmt.Errorf("null position %d differs between formats", i)
-		}
-	}
-	isNull := make(map[int]bool, len(bin.Nulls))
-	for _, p := range bin.Nulls {
-		isNull[p] = true
-		if col.Nulls == nil || !col.Nulls.IsNull(start+p) {
-			return fmt.Errorf("row %d served as NULL but is valid", start+p)
-		}
-	}
-	for i := 0; i < bin.Rows; i++ {
-		r := start + i
-		if col.Nulls != nil && col.Nulls.IsNull(r) {
-			if !isNull[i] {
-				return fmt.Errorf("row %d is NULL but served as valid", r)
-			}
-			continue // NULL slots carry arbitrary (densified) values
-		}
-		switch col.Type {
-		case btrblocks.TypeInt:
-			if bin.Ints[i] != col.Ints[r] || jsn.Ints[i] != col.Ints[r] {
-				return fmt.Errorf("row %d: got %d/%d, want %d", r, bin.Ints[i], jsn.Ints[i], col.Ints[r])
-			}
-		case btrblocks.TypeInt64:
-			if bin.Ints64[i] != col.Ints64[r] || jsn.Ints64[i] != col.Ints64[r] {
-				return fmt.Errorf("row %d: got %d/%d, want %d", r, bin.Ints64[i], jsn.Ints64[i], col.Ints64[r])
-			}
-		case btrblocks.TypeDouble:
-			if bin.Doubles[i] != col.Doubles[r] || jsn.Doubles[i] != col.Doubles[r] {
-				return fmt.Errorf("row %d: got %v/%v, want %v", r, bin.Doubles[i], jsn.Doubles[i], col.Doubles[r])
-			}
-		case btrblocks.TypeString:
-			if bin.Strings[i] != col.Strings.At(r) || jsn.Strings[i] != col.Strings.At(r) {
-				return fmt.Errorf("row %d: got %q/%q, want %q", r, bin.Strings[i], jsn.Strings[i], col.Strings.At(r))
-			}
-		}
-	}
-	return nil
-}
-
-// smokeProbes picks predicate values for a column: the first non-NULL
-// value (a guaranteed hit) and a sure miss.
+// smokeProbes picks predicate values for a column: a sure miss and,
+// unless every row is NULL, the first non-NULL value (a guaranteed hit).
 func smokeProbes(col btrblocks.Column) []string {
-	hit := ""
-	for i := 0; i < col.Len(); i++ {
-		if col.Nulls != nil && col.Nulls.IsNull(i) {
-			continue
-		}
-		switch col.Type {
-		case btrblocks.TypeInt:
-			hit = strconv.FormatInt(int64(col.Ints[i]), 10)
-		case btrblocks.TypeInt64:
-			hit = strconv.FormatInt(col.Ints64[i], 10)
-		case btrblocks.TypeDouble:
-			hit = strconv.FormatFloat(col.Doubles[i], 'g', -1, 64)
-		case btrblocks.TypeString:
-			hit = col.Strings.At(i)
-		}
-		break
-	}
 	miss := "no-such-value-in-any-generated-corpus"
 	if col.Type != btrblocks.TypeString {
 		miss = "-987654321"
 	}
 	probes := []string{miss}
-	if hit != "" && hit != miss {
+	if hit, ok := smoke.Probe(col); ok && hit != miss {
 		probes = append(probes, hit)
 	}
 	return probes
-}
-
-// localCount runs the same predicate in-process on the compressed file.
-func localCount(data []byte, t btrblocks.Type, value string, opt *btrblocks.Options) (int, error) {
-	switch t {
-	case btrblocks.TypeInt:
-		v, err := strconv.ParseInt(value, 10, 32)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualInt32(data, int32(v), opt)
-	case btrblocks.TypeInt64:
-		v, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualInt64(data, v, opt)
-	case btrblocks.TypeDouble:
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualDouble(data, v, opt)
-	default:
-		return btrblocks.CountEqualString(data, value, opt)
-	}
 }

@@ -11,9 +11,9 @@ import (
 
 	"btrblocks/coldata"
 	"btrblocks/internal/core"
+	"btrblocks/internal/obs"
 	"btrblocks/internal/parallel"
 	"btrblocks/internal/roaring"
-	"btrblocks/internal/telemetry"
 )
 
 // Errors returned by the format layer.
@@ -48,7 +48,7 @@ const (
 
 // observerOf adapts an optional telemetry recorder to the pool's
 // Observer interface without handing it a typed nil.
-func observerOf(rec *telemetry.Recorder) parallel.Observer {
+func observerOf(rec *obs.Telemetry) parallel.Observer {
 	if rec == nil {
 		return nil
 	}
@@ -139,7 +139,7 @@ func releaseScratches(scratches []*core.Scratch) {
 // compressBlock encodes one block with the calling worker's scratch
 // arena, routing through the observed path when a telemetry recorder or a
 // decision tracer is set.
-func compressBlock(col *Column, block, lo, hi int, base *core.Config, scr *core.Scratch, rec *telemetry.Recorder, tracer *Tracer) []byte {
+func compressBlock(col *Column, block, lo, hi int, base *core.Config, scr *core.Scratch, rec *obs.Telemetry, tracer *Tracer) []byte {
 	cfg := *base
 	cfg.Scratch = scr
 	if rec == nil && tracer == nil {

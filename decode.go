@@ -8,9 +8,9 @@ import (
 
 	"btrblocks/coldata"
 	"btrblocks/internal/core"
+	"btrblocks/internal/obs"
 	"btrblocks/internal/parallel"
 	"btrblocks/internal/roaring"
-	"btrblocks/internal/telemetry"
 )
 
 // This file is the read path. Every decode entry point — DecompressColumn,
@@ -247,7 +247,7 @@ func decodeColumns(ctx context.Context, decs []*columnDecode, opt *Options, path
 // behind every decode path, serial or parallel, which is what makes their
 // outputs identical by construction. base is copied per call, so workers
 // share one config; scr is the calling worker's private arena.
-func (d *columnDecode) decodeBlock(b int, base *core.Config, scr *core.Scratch, rec *telemetry.Recorder) error {
+func (d *columnDecode) decodeBlock(b int, base *core.Config, scr *core.Scratch, rec *obs.Telemetry) error {
 	ix, data := d.ix, d.data
 	ref := ix.Blocks[b]
 	if ref.End() > len(data) {
@@ -380,7 +380,7 @@ func (d *columnDecode) layoutStrings() error {
 // col.Strings. The ranges are three-index slices: whatever the decoder
 // does past their capacity — FSST's 8-byte stores, a slice growing — it
 // does to memory no other block owns.
-func (d *columnDecode) fillStrings(b int, scr *core.Scratch, rec *telemetry.Recorder) error {
+func (d *columnDecode) fillStrings(b int, scr *core.Scratch, rec *obs.Telemetry) error {
 	slot, at := b-d.lo, d.rowAt(b)
 	var start time.Time
 	if rec != nil {

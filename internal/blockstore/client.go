@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -363,6 +364,49 @@ func (c *Client) getOnce(ctx context.Context, path string, consume func(*http.Re
 	return consume(resp)
 }
 
+// getJSON issues a GET through the retry loop and decodes its JSON
+// reply.
+func getJSON[T any](ctx context.Context, c *Client, path string) (*T, error) {
+	body, err := c.get(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	return decodeReply[T](path, body)
+}
+
+// sendJSON issues one request with a body and decodes its JSON reply.
+// It is not retried: the caller owns the retry policy of a mutation.
+func sendJSON[T any](ctx context.Context, c *Client, method, path string, body []byte) (*T, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if method == http.MethodPost && len(body) > 0 {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	obs.InjectTraceparent(ctx, req.Header)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := readReply(resp, path)
+	if err != nil {
+		return nil, err
+	}
+	return decodeReply[T](path, reply)
+}
+
+// decodeReply decodes a JSON reply body, naming the route on failure.
+func decodeReply[T any](path string, body []byte) (*T, error) {
+	out := new(T)
+	if err := json.Unmarshal(body, out); err != nil {
+		route, _, _ := strings.Cut(path, "?")
+		return nil, fmt.Errorf("blockstore: bad %s response: %v", route, err)
+	}
+	return out, nil
+}
+
 // maxErrorBody bounds how much of a non-2xx reply is read: only its
 // first line is kept.
 const maxErrorBody = 4 << 10
@@ -403,28 +447,23 @@ func (c *Client) Healthz(ctx context.Context) error {
 
 // Files lists the hosted files.
 func (c *Client) Files(ctx context.Context) ([]FileMeta, error) {
-	body, err := c.get(ctx, "/v1/files")
+	out, err := getJSON[[]FileMeta](ctx, c, "/v1/files")
 	if err != nil {
 		return nil, err
 	}
-	var out []FileMeta
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/files response: %v", err)
-	}
-	return out, nil
+	return *out, nil
 }
 
 // FileMeta fetches metadata for one file.
 func (c *Client) FileMeta(ctx context.Context, name string) (*FileMeta, error) {
-	body, err := c.get(ctx, "/v1/files?file="+url.QueryEscape(name))
+	out, err := getJSON[[]FileMeta](ctx, c, "/v1/files?file="+url.QueryEscape(name))
 	if err != nil {
 		return nil, err
 	}
-	var out []FileMeta
-	if err := json.Unmarshal(body, &out); err != nil || len(out) != 1 {
+	if len(*out) != 1 {
 		return nil, fmt.Errorf("blockstore: bad /v1/files response for %s", name)
 	}
-	return &out[0], nil
+	return &(*out)[0], nil
 }
 
 // Raw fetches a file's raw compressed bytes.
@@ -513,28 +552,16 @@ func (c *Client) BlockFrame(ctx context.Context, name string, idx int) ([]byte, 
 
 // BlockJSON fetches one decompressed block in the JSON wire format.
 func (c *Client) BlockJSON(ctx context.Context, name string, idx int) (*BlockValues, error) {
-	body, err := c.get(ctx, "/v1/block?format=json&file="+url.QueryEscape(name)+"&block="+strconv.Itoa(idx))
+	p, err := getJSON[BlockPayload](ctx, c, "/v1/block?format=json&file="+url.QueryEscape(name)+"&block="+strconv.Itoa(idx))
 	if err != nil {
 		return nil, err
-	}
-	var p BlockPayload
-	if err := json.Unmarshal(body, &p); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/block response: %v", err)
 	}
 	return p.Values()
 }
 
 // CountEq pushes an equality predicate down to the server.
 func (c *Client) CountEq(ctx context.Context, name, value string) (*CountEqResult, error) {
-	body, err := c.get(ctx, "/v1/count-eq?file="+url.QueryEscape(name)+"&value="+url.QueryEscape(value))
-	if err != nil {
-		return nil, err
-	}
-	out := &CountEqResult{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/count-eq response: %v", err)
-	}
-	return out, nil
+	return getJSON[CountEqResult](ctx, c, "/v1/count-eq?file="+url.QueryEscape(name)+"&value="+url.QueryEscape(value))
 }
 
 // Trace fetches the cascade decision trace of one block (or the whole
@@ -544,28 +571,12 @@ func (c *Client) Trace(ctx context.Context, name string, block int) (*btrblocks.
 	if block >= 0 {
 		path += "?block=" + strconv.Itoa(block)
 	}
-	body, err := c.get(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	out := &btrblocks.DecisionTrace{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/trace response: %v", err)
-	}
-	return out, nil
+	return getJSON[btrblocks.DecisionTrace](ctx, c, path)
 }
 
 // Telemetry fetches the server's cache and library telemetry.
 func (c *Client) Telemetry(ctx context.Context) (*TelemetryReport, error) {
-	body, err := c.get(ctx, "/v1/telemetry")
-	if err != nil {
-		return nil, err
-	}
-	out := &TelemetryReport{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/telemetry response: %v", err)
-	}
-	return out, nil
+	return getJSON[TelemetryReport](ctx, c, "/v1/telemetry")
 }
 
 // Spans fetches the server's retained spans, optionally filtered by
@@ -582,15 +593,7 @@ func (c *Client) Spans(ctx context.Context, traceID string, minDur time.Duration
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	body, err := c.get(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	out := &obs.SpanSet{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/spans response: %v", err)
-	}
-	return out, nil
+	return getJSON[obs.SpanSet](ctx, c, path)
 }
 
 // Invalidate tells the server to drop cached state for a file and
@@ -598,25 +601,7 @@ func (c *Client) Spans(ctx context.Context, traceID string, minDur time.Duration
 // after atomically replacing a served file. Not retried: invalidation
 // is idempotent but the caller decides whether a failure matters.
 func (c *Client) Invalidate(ctx context.Context, name string) (*InvalidateResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/invalidate/"+rawPath(name), nil)
-	if err != nil {
-		return nil, err
-	}
-	obs.InjectTraceparent(ctx, req.Header)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readReply(resp, "/v1/invalidate/"+name)
-	if err != nil {
-		return nil, err
-	}
-	out := &InvalidateResult{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/invalidate response: %v", err)
-	}
-	return out, nil
+	return sendJSON[InvalidateResult](ctx, c, http.MethodPost, "/v1/invalidate/"+rawPath(name), nil)
 }
 
 // Repair pushes a verified replacement copy of a file to the server
@@ -627,25 +612,7 @@ func (c *Client) Invalidate(ctx context.Context, name string) (*InvalidateResult
 // repair loop owns scheduling and backoff.
 func (c *Client) Repair(ctx context.Context, name string, data []byte) (*RepairResult, error) {
 	c.attempts.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+"/v1/repair/"+rawPath(name), bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	obs.InjectTraceparent(ctx, req.Header)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readReply(resp, "/v1/repair/"+name)
-	if err != nil {
-		return nil, err
-	}
-	out := &RepairResult{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/repair response: %v", err)
-	}
-	return out, nil
+	return sendJSON[RepairResult](ctx, c, http.MethodPut, "/v1/repair/"+rawPath(name), data)
 }
 
 // Query executes a JSON query plan via POST /v1/query. Not retried: a
@@ -657,26 +624,7 @@ func (c *Client) Query(ctx context.Context, p *query.Plan) (*query.Result, error
 		return nil, fmt.Errorf("blockstore: encoding plan: %v", err)
 	}
 	c.attempts.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/query", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.InjectTraceparent(ctx, req.Header)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readReply(resp, "/v1/query")
-	if err != nil {
-		return nil, err
-	}
-	out := &query.Result{}
-	if err := json.Unmarshal(body, out); err != nil {
-		return nil, fmt.Errorf("blockstore: bad /v1/query response: %v", err)
-	}
-	return out, nil
+	return sendJSON[query.Result](ctx, c, http.MethodPost, "/v1/query", payload)
 }
 
 // MetricsText fetches the raw Prometheus exposition.

@@ -1,20 +1,16 @@
 package blockstore
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"btrblocks/internal/obs"
 )
 
 // Metrics holds the blockstore's operational counters: cache behavior,
-// decode work, prefetch activity, and per-endpoint request counts with
-// latency histograms. All fields are updated with atomics, so one Metrics
-// is shared by the store, the cache and the HTTP server without locking
-// on the hot path. Rendered as Prometheus text exposition by WriteTo.
+// decode work, prefetch activity, and the per-route HTTP series. All
+// fields are updated with atomics, so one Metrics is shared by the
+// store, the cache and the HTTP server without locking on the hot path.
+// Registry lists them as /metrics exposes them.
 type Metrics struct {
 	CacheHits         atomic.Int64
 	CacheMisses       atomic.Int64
@@ -25,7 +21,6 @@ type Metrics struct {
 	DecodedBytes      atomic.Int64 // decompressed (in-memory) bytes produced
 	PrefetchScheduled atomic.Int64
 	PrefetchDropped   atomic.Int64
-	InFlight          atomic.Int64 // gauge: HTTP requests being served
 	CorruptBlocks     atomic.Int64 // decode attempts that failed with corruption
 	QuarantinedBlocks atomic.Int64 // gauge: blocks currently quarantined
 	Invalidations     atomic.Int64 // Invalidate calls (file reloads/removals)
@@ -38,75 +33,12 @@ type Metrics struct {
 	QueryBlocksPruned  atomic.Int64 // candidate blocks skipped via metadata bounds
 	QueryBlocksScanned atomic.Int64 // candidate blocks evaluated by a kernel
 
-	mu        sync.Mutex
-	endpoints map[string]*EndpointMetrics
+	// HTTP is the per-route series of every Server over the store.
+	HTTP obs.Routes
 }
 
 // NewMetrics returns an empty metrics set.
-func NewMetrics() *Metrics {
-	return &Metrics{endpoints: make(map[string]*EndpointMetrics)}
-}
-
-// Endpoint returns (creating on first use) the counters for one route.
-func (m *Metrics) Endpoint(route string) *EndpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ep := m.endpoints[route]
-	if ep == nil {
-		ep = &EndpointMetrics{}
-		m.endpoints[route] = ep
-	}
-	return ep
-}
-
-// EndpointMetrics counts one route's requests, errors (non-2xx) and
-// latency distribution. The histogram is the shared obs log-scale type,
-// so the route series in /metrics carry the same bucket layout as the
-// library's compress/decode histograms.
-type EndpointMetrics struct {
-	Requests atomic.Int64
-	Errors   atomic.Int64
-	Latency  obs.Histogram
-}
-
-// EndpointSnapshot is a point-in-time summary of one route, used by the
-// JSON telemetry report and the btrserved shutdown summary.
-type EndpointSnapshot struct {
-	Route    string                `json:"route"`
-	Requests int64                 `json:"requests"`
-	Errors   int64                 `json:"errors"`
-	Latency  obs.HistogramSnapshot `json:"latency"`
-}
-
-// endpointsSorted returns the routes and their metrics, sorted by route.
-func (m *Metrics) endpointsSorted() ([]string, map[string]*EndpointMetrics) {
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.endpoints))
-	eps := make(map[string]*EndpointMetrics, len(m.endpoints))
-	for r, ep := range m.endpoints {
-		routes = append(routes, r)
-		eps[r] = ep
-	}
-	m.mu.Unlock()
-	sort.Strings(routes)
-	return routes, eps
-}
-
-// Endpoints summarizes every route, sorted by route name.
-func (m *Metrics) Endpoints() []EndpointSnapshot {
-	routes, eps := m.endpointsSorted()
-	out := make([]EndpointSnapshot, len(routes))
-	for i, r := range routes {
-		ep := eps[r]
-		out[i] = EndpointSnapshot{
-			Route:    r,
-			Requests: ep.Requests.Load(),
-			Errors:   ep.Errors.Load(),
-			Latency:  ep.Latency.Snapshot(),
-		}
-	}
-	return out
-}
+func NewMetrics() *Metrics { return &Metrics{} }
 
 // Cache summarizes the cache and decode counters.
 func (m *Metrics) Cache() CacheStats {
@@ -120,7 +52,7 @@ func (m *Metrics) Cache() CacheStats {
 		DecodedBytes:      m.DecodedBytes.Load(),
 		PrefetchScheduled: m.PrefetchScheduled.Load(),
 		PrefetchDropped:   m.PrefetchDropped.Load(),
-		InFlight:          m.InFlight.Load(),
+		InFlight:          m.HTTP.InFlight.Load(),
 		CorruptBlocks:     m.CorruptBlocks.Load(),
 		QuarantinedBlocks: m.QuarantinedBlocks.Load(),
 		RepairsAccepted:   m.RepairsAccepted.Load(),
@@ -128,66 +60,31 @@ func (m *Metrics) Cache() CacheStats {
 	}
 }
 
-// WriteTo renders the metrics in Prometheus text exposition format.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("btrserved_cache_hits_total", "Block cache hits (including singleflight joins).", m.CacheHits.Load())
-	counter("btrserved_cache_misses_total", "Block cache misses that triggered a decode.", m.CacheMisses.Load())
-	counter("btrserved_cache_evictions_total", "Blocks evicted to stay under the byte bound.", m.CacheEvictions.Load())
-	gauge("btrserved_cache_bytes", "Decompressed bytes resident in the block cache.", m.CacheBytes.Load())
-	gauge("btrserved_cache_entries", "Blocks resident in the block cache.", m.CacheEntries.Load())
-	counter("btrserved_decoded_blocks_total", "Blocks decompressed by the store.", m.DecodedBlocks.Load())
-	counter("btrserved_decoded_bytes_total", "Decompressed bytes produced by the store.", m.DecodedBytes.Load())
-	counter("btrserved_prefetch_scheduled_total", "Blocks scheduled for readahead decode.", m.PrefetchScheduled.Load())
-	counter("btrserved_prefetch_dropped_total", "Readahead blocks dropped because the queue was full.", m.PrefetchDropped.Load())
-	gauge("btrserved_inflight_requests", "HTTP requests currently being served.", m.InFlight.Load())
-	counter("btrserved_corrupt_blocks_total", "Block decode attempts that failed with corruption (checksum mismatch, truncation, decoder rejection).", m.CorruptBlocks.Load())
-	gauge("btrserved_quarantined_blocks", "Blocks currently quarantined after repeated corrupt decodes.", m.QuarantinedBlocks.Load())
-	counter("btrserved_invalidations_total", "File invalidations (reload, add, or removal of a served file).", m.Invalidations.Load())
-	counter("btrserved_invalidated_blocks_total", "Cached blocks dropped by file invalidation.", m.InvalidatedBlocks.Load())
-	counter("btrserved_repairs_accepted_total", "Cross-replica repair pushes verified and installed.", m.RepairsAccepted.Load())
-	counter("btrserved_repairs_rejected_total", "Cross-replica repair pushes refused after failing verification.", m.RepairsRejected.Load())
-	counter("btrserved_query_requests_total", "Query plans executed by /v1/query.", m.QueryRequests.Load())
-	counter("btrserved_query_predicates_total", "Filter leaves evaluated across all queries.", m.QueryPredicates.Load())
-	counter("btrserved_query_blocks_pruned_total", "Candidate blocks skipped via metadata bounds before any decode.", m.QueryBlocksPruned.Load())
-	counter("btrserved_query_blocks_scanned_total", "Candidate blocks evaluated by a predicate kernel.", m.QueryBlocksScanned.Load())
-
-	routes, eps := m.endpointsSorted()
-
-	fmt.Fprintf(cw, "# HELP btrserved_http_requests_total HTTP requests by route.\n# TYPE btrserved_http_requests_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(cw, "btrserved_http_requests_total{route=%q} %d\n", r, eps[r].Requests.Load())
-	}
-	fmt.Fprintf(cw, "# HELP btrserved_http_errors_total Non-2xx HTTP responses by route.\n# TYPE btrserved_http_errors_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(cw, "btrserved_http_errors_total{route=%q} %d\n", r, eps[r].Errors.Load())
-	}
-	fmt.Fprintf(cw, "# HELP btrserved_http_request_duration_seconds Request latency by route.\n# TYPE btrserved_http_request_duration_seconds histogram\n")
-	for _, r := range routes {
-		eps[r].Latency.WritePromLines(cw, "btrserved_http_request_duration_seconds",
-			fmt.Sprintf("route=%q", r))
-	}
-	return cw.n, cw.err
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
+// Registry lists the metrics as btrserved exposes them on /metrics,
+// followed by the span recorder's counters.
+func (m *Metrics) Registry(spans *obs.SpanRecorder) *obs.Registry {
+	r := &obs.Registry{}
+	r.Counter("btrserved_cache_hits_total", "Block cache hits (including singleflight joins).", &m.CacheHits)
+	r.Counter("btrserved_cache_misses_total", "Block cache misses that triggered a decode.", &m.CacheMisses)
+	r.Counter("btrserved_cache_evictions_total", "Blocks evicted to stay under the byte bound.", &m.CacheEvictions)
+	r.Gauge("btrserved_cache_bytes", "Decompressed bytes resident in the block cache.", &m.CacheBytes)
+	r.Gauge("btrserved_cache_entries", "Blocks resident in the block cache.", &m.CacheEntries)
+	r.Counter("btrserved_decoded_blocks_total", "Blocks decompressed by the store.", &m.DecodedBlocks)
+	r.Counter("btrserved_decoded_bytes_total", "Decompressed bytes produced by the store.", &m.DecodedBytes)
+	r.Counter("btrserved_prefetch_scheduled_total", "Blocks scheduled for readahead decode.", &m.PrefetchScheduled)
+	r.Counter("btrserved_prefetch_dropped_total", "Readahead blocks dropped because the queue was full.", &m.PrefetchDropped)
+	r.Gauge("btrserved_inflight_requests", "HTTP requests currently being served.", &m.HTTP.InFlight)
+	r.Counter("btrserved_corrupt_blocks_total", "Block decode attempts that failed with corruption (checksum mismatch, truncation, decoder rejection).", &m.CorruptBlocks)
+	r.Gauge("btrserved_quarantined_blocks", "Blocks currently quarantined after repeated corrupt decodes.", &m.QuarantinedBlocks)
+	r.Counter("btrserved_invalidations_total", "File invalidations (reload, add, or removal of a served file).", &m.Invalidations)
+	r.Counter("btrserved_invalidated_blocks_total", "Cached blocks dropped by file invalidation.", &m.InvalidatedBlocks)
+	r.Counter("btrserved_repairs_accepted_total", "Cross-replica repair pushes verified and installed.", &m.RepairsAccepted)
+	r.Counter("btrserved_repairs_rejected_total", "Cross-replica repair pushes refused after failing verification.", &m.RepairsRejected)
+	r.Counter("btrserved_query_requests_total", "Query plans executed by /v1/query.", &m.QueryRequests)
+	r.Counter("btrserved_query_predicates_total", "Filter leaves evaluated across all queries.", &m.QueryPredicates)
+	r.Counter("btrserved_query_blocks_pruned_total", "Candidate blocks skipped via metadata bounds before any decode.", &m.QueryBlocksPruned)
+	r.Counter("btrserved_query_blocks_scanned_total", "Candidate blocks evaluated by a predicate kernel.", &m.QueryBlocksScanned)
+	r.Routes("btrserved", &m.HTTP)
+	r.Spans("btrserved", spans)
+	return r
 }

@@ -31,10 +31,9 @@ func TestMetricsGolden(t *testing.T) {
 	m := store.Metrics()
 	fillGolden(reflect.ValueOf(m).Elem())
 	for _, route := range []string{"/v1/block", "/v1/files", "/v1/query", "/healthz"} {
-		ep := m.Endpoint(route)
-		ep.Requests.Store(goldenValue(route))
-		ep.Errors.Store(goldenValue(route) % 7)
-		observeGolden(&ep.Latency)
+		m.HTTP.Requests.At(route).Store(goldenValue(route))
+		m.HTTP.Errors.At(route).Store(goldenValue(route) % 7)
+		observeGolden(m.HTTP.Latency.At(route))
 	}
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

@@ -92,5 +92,5 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, res)
+	_ = obs.WriteJSON(w, res)
 }

@@ -2,8 +2,6 @@ package blockstore
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -38,7 +36,6 @@ import (
 // selection of a served column, block by block, for debugging.
 type Server struct {
 	store   *Store
-	mux     *http.ServeMux
 	handler http.Handler
 	log     *slog.Logger
 	timeout time.Duration
@@ -72,111 +69,35 @@ func WithSpans(r *obs.SpanRecorder) ServerOption {
 	return func(s *Server) { s.spans = r }
 }
 
-// Spans returns the server's span recorder (nil when disabled).
-func (s *Server) Spans() *obs.SpanRecorder { return s.spans }
-
-// NewServer wraps a store.
+// NewServer wraps a store. Every route runs under the shared request
+// middleware (obs.Mux), which also serves /healthz, /metrics and
+// /v1/spans.
 func NewServer(store *Store, opts ...ServerOption) *Server {
-	s := &Server{store: store, mux: http.NewServeMux()}
+	s := &Server{store: store}
 	for _, o := range opts {
 		o(s)
 	}
-	s.handle("/healthz", s.handleHealthz)
-	s.handle("/v1/files", s.handleFiles)
-	s.handle("/v1/raw/", s.handleRaw)
-	s.handle("/v1/block", s.handleBlock)
-	s.handle("/v1/count-eq", s.handleCountEq)
-	s.handle("/v1/trace/", s.handleTrace)
-	s.handle("/v1/telemetry", s.handleTelemetry)
-	s.handle("/v1/spans", s.handleSpans)
-	s.handle("/metrics", s.handleMetrics)
-	s.handleWith("/v1/query", s.handleQuery, http.MethodPost)
-	s.handleWith("/v1/invalidate/", s.handleInvalidate, http.MethodPost)
-	s.handleWith("/v1/repair/", s.handleRepair, http.MethodPut, http.MethodPost)
-	s.handler = s.mux
+	m := store.Metrics()
+	mux := obs.NewMux("btrserved", &m.HTTP, m.Registry(s.spans), s.spans, s.log)
+	mux.Handle("GET /v1/files", s.handleFiles)
+	mux.Handle("GET /v1/raw/", s.handleRaw)
+	mux.Handle("GET /v1/block", s.handleBlock)
+	mux.Handle("GET /v1/count-eq", s.handleCountEq)
+	mux.Handle("GET /v1/trace/", s.handleTrace)
+	mux.Handle("GET /v1/telemetry", s.handleTelemetry)
+	mux.Handle("POST /v1/query", s.handleQuery)
+	mux.Handle("POST /v1/invalidate/", s.handleInvalidate)
+	mux.Handle("PUT /v1/repair/", s.handleRepair)
+	mux.Handle("POST /v1/repair/", s.handleRepair)
+	s.handler = mux
 	if s.timeout > 0 {
-		s.handler = http.TimeoutHandler(s.mux, s.timeout, "request timed out")
+		s.handler = http.TimeoutHandler(mux, s.timeout, "request timed out")
 	}
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// statusWriter captures the response code for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// handle registers a route with the observability middleware: in-flight
-// gauge, request/error counters, the latency histogram (all per route),
-// a request ID issued per request and echoed as X-Request-ID, and — when
-// a logger is installed — one structured log record per request.
-func (s *Server) handle(route string, h http.HandlerFunc) {
-	s.handleWith(route, h, http.MethodGet, http.MethodHead)
-}
-
-// handleWith is handle with an explicit method allowlist; mutating
-// routes (invalidation) use it to accept POST instead of GET.
-func (s *Server) handleWith(route string, h http.HandlerFunc, methods ...string) {
-	m := s.store.Metrics()
-	ep := m.Endpoint(route)
-	allowed := make(map[string]bool, len(methods))
-	for _, meth := range methods {
-		allowed[meth] = true
-	}
-	s.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
-		if !allowed[r.Method] {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		// An inbound X-Request-ID (e.g. from btringest's invalidation push)
-		// is kept so the originator's ID shows up in this server's logs;
-		// only requests without one mint a fresh ID.
-		rid := r.Header.Get("X-Request-ID")
-		if rid == "" {
-			rid = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", rid)
-		ctx := obs.WithRequestID(r.Context(), rid)
-		// Continue an inbound trace (W3C traceparent) or start a fresh one;
-		// nil recorder makes both no-ops.
-		ctx, span := s.spans.StartRemote(ctx, "btrserved"+route, r.Header.Get(obs.TraceparentHeader))
-		span.SetAttr("request_id", rid)
-		r = r.WithContext(ctx)
-		m.InFlight.Add(1)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		elapsed := time.Since(start)
-		ep.Latency.Observe(elapsed)
-		ep.Requests.Add(1)
-		if sw.status/100 != 2 && sw.status != http.StatusPartialContent &&
-			sw.status != http.StatusNotModified {
-			ep.Errors.Add(1)
-			span.SetError(fmt.Errorf("status %d", sw.status))
-		}
-		span.SetAttrInt("status", int64(sw.status))
-		span.End()
-		m.InFlight.Add(-1)
-		if s.log != nil {
-			s.log.Info("request",
-				"request_id", rid,
-				"route", route,
-				"method", r.Method,
-				"path", r.URL.RequestURI(),
-				"status", sw.status,
-				"duration_us", elapsed.Microseconds(),
-			)
-		}
-	})
-}
 
 // BinaryReply sets the headers of a binary reply n bytes long and
 // returns the writer for its body. The writer passes everything on but
@@ -209,12 +130,6 @@ func (r *replyWriter) Write(p []byte) (int, error) {
 	return n + m, err
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
 // fail maps a store error to an HTTP status. The damage statuses are
 // distinct so clients can tell block-level loss (422 corrupt, 410
 // quarantined — skip the block, keep scanning) from request errors.
@@ -229,11 +144,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 func fileMeta(f *File) FileMeta {
@@ -257,7 +167,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, errNotFound)
 			return
 		}
-		writeJSON(w, []FileMeta{fileMeta(f)})
+		_ = obs.WriteJSON(w, []FileMeta{fileMeta(f)})
 		return
 	}
 	files := s.store.Files()
@@ -265,7 +175,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 	for i, f := range files {
 		out[i] = fileMeta(f)
 	}
-	writeJSON(w, out)
+	_ = obs.WriteJSON(w, out)
 }
 
 func (s *Server) handleRaw(w http.ResponseWriter, r *http.Request) {
@@ -303,7 +213,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	switch q.Get("format") {
 	case "", "json":
-		writeJSON(w, blockPayload(blk))
+		_ = obs.WriteJSON(w, blockPayload(blk))
 	case "binary":
 		// A failed write is the client going away; there is no one to tell.
 		_ = writeBlockFrame(BinaryReply(w, blockFrameLen(blk)), blk, hostLittleEndian)
@@ -330,7 +240,7 @@ func (s *Server) handleCountEq(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, CountEqResult{
+	_ = obs.WriteJSON(w, CountEqResult{
 		File:  name,
 		Type:  typ.String(),
 		Value: value,
@@ -361,12 +271,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, tr)
+	_ = obs.WriteJSON(w, tr)
 }
 
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	m := s.store.Metrics()
-	report := TelemetryReport{Cache: m.Cache(), Endpoints: m.Endpoints()}
+	report := TelemetryReport{Cache: m.Cache(), Endpoints: m.HTTP.Snapshot()}
 	if opt := s.store.Options(); opt != nil && opt.Telemetry.Enabled() {
 		snap := opt.Telemetry.Snapshot()
 		snap.Events = nil // bound the payload; aggregates carry the story
@@ -377,30 +287,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		st := s.spans.Stats()
 		report.Spans = &st
 	}
-	writeJSON(w, report)
-}
-
-// handleSpans serves GET /v1/spans: the retained spans as a versioned
-// SpanSet, optionally filtered by ?trace=TRACE_ID and ?min_dur=DURATION
-// (a Go duration literal like 5ms). 404 when span recording is off, so
-// operators can tell "disabled" from "nothing recorded".
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if !s.spans.Enabled() {
-		http.Error(w, "span recording disabled", http.StatusNotFound)
-		return
-	}
-	var f obs.SpanFilter
-	q := r.URL.Query()
-	f.TraceID = q.Get("trace")
-	if v := q.Get("min_dur"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			http.Error(w, "bad min_dur parameter", http.StatusBadRequest)
-			return
-		}
-		f.MinDuration = d
-	}
-	writeJSON(w, s.spans.Snapshot(f))
+	_ = obs.WriteJSON(w, report)
 }
 
 // handleInvalidate serves POST /v1/invalidate/NAME: drop cached state
@@ -423,7 +310,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	if s.store.File(name) != nil {
 		status = "reloaded"
 	}
-	writeJSON(w, InvalidateResult{File: name, Status: status})
+	_ = obs.WriteJSON(w, InvalidateResult{File: name, Status: status})
 }
 
 // maxRepairBytes bounds a repair payload; column files are far smaller,
@@ -455,11 +342,5 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, RepairResult{File: name, Bytes: len(data), Status: "accepted"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = s.store.Metrics().WriteTo(w)
-	s.spans.WritePromLines(w, "btrserved")
+	_ = obs.WriteJSON(w, RepairResult{File: name, Bytes: len(data), Status: "accepted"})
 }

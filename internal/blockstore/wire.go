@@ -126,7 +126,7 @@ type RepairResult struct {
 // keep the payload bounded).
 type TelemetryReport struct {
 	Cache     CacheStats                   `json:"cache"`
-	Endpoints []EndpointSnapshot           `json:"endpoints,omitempty"`
+	Endpoints []obs.RouteSnapshot          `json:"endpoints,omitempty"`
 	Telemetry *btrblocks.TelemetrySnapshot `json:"telemetry,omitempty"`
 	// SpanExemplars links each root span name to its slowest recorded
 	// trace ID — the jump from a latency histogram to the one concrete

@@ -743,7 +743,7 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 // handler's own bookkeeping.
 func TestBinaryReplyEndsWithTheHandler(t *testing.T) {
 	store, cl, _, cols := newTestServer(t, Config{})
-	requests := &store.Metrics().Endpoint("/v1/block").Requests
+	requests := store.Metrics().HTTP.Requests.At("/v1/block")
 	ctx := context.Background()
 	want := requests.Load()
 	for i := 0; i < 200; i++ {

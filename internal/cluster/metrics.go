@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"btrblocks/internal/obs"
@@ -12,8 +8,8 @@ import (
 
 // Metrics holds the router's operational counters: scatter-gather and
 // failover behavior, hedged-request outcomes, repair-loop progress, and
-// per-replica request series. All hot-path fields are atomics; rendered
-// as Prometheus text with the btrrouted_ prefix by WriteTo.
+// per-replica and per-route request series. All hot-path fields are
+// atomics; Registry lists them as /metrics exposes them.
 type Metrics struct {
 	BlockFetches     atomic.Int64 // logical block fetches routed
 	Failovers        atomic.Int64 // extra replica attempts after a failure
@@ -35,135 +31,36 @@ type Metrics struct {
 	ReplicaErrors   obs.CounterGroup
 	ReplicaLatency  obs.HistogramGroup // successful fetch latency
 
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-}
-
-type endpointMetrics struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-	latency  obs.Histogram
+	// HTTP is the per-route series of the router's Server.
+	HTTP obs.Routes
 }
 
 // NewMetrics returns an empty metrics set.
-func NewMetrics() *Metrics {
-	return &Metrics{endpoints: make(map[string]*endpointMetrics)}
-}
+func NewMetrics() *Metrics { return &Metrics{} }
 
-func (m *Metrics) endpoint(route string) *endpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ep := m.endpoints[route]
-	if ep == nil {
-		ep = &endpointMetrics{}
-		m.endpoints[route] = ep
-	}
-	return ep
-}
-
-// RouteSnapshot summarizes one router HTTP route.
-type RouteSnapshot struct {
-	Route    string                `json:"route"`
-	Requests int64                 `json:"requests"`
-	Errors   int64                 `json:"errors"`
-	Latency  obs.HistogramSnapshot `json:"latency"`
-}
-
-// Routes summarizes every router HTTP route, sorted by route.
-func (m *Metrics) Routes() []RouteSnapshot {
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.endpoints))
-	for r := range m.endpoints {
-		routes = append(routes, r)
-	}
-	eps := make(map[string]*endpointMetrics, len(m.endpoints))
-	for r, ep := range m.endpoints {
-		eps[r] = ep
-	}
-	m.mu.Unlock()
-	sort.Strings(routes)
-	out := make([]RouteSnapshot, len(routes))
-	for i, r := range routes {
-		out[i] = RouteSnapshot{
-			Route:    r,
-			Requests: eps[r].requests.Load(),
-			Errors:   eps[r].errors.Load(),
-			Latency:  eps[r].latency.Snapshot(),
-		}
-	}
-	return out
-}
-
-// WriteTo renders the metrics in Prometheus text exposition format.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("btrrouted_block_fetches_total", "Logical block fetches routed across replicas.", m.BlockFetches.Load())
-	counter("btrrouted_failovers_total", "Extra replica attempts after a replica failure.", m.Failovers.Load())
-	counter("btrrouted_damage_detected_total", "Replica responses classified as block damage (422 corrupt / 410 quarantined).", m.DamageDetected.Load())
-	counter("btrrouted_hedged_requests_total", "Hedge legs fired after the per-replica latency budget.", m.Hedges.Load())
-	counter("btrrouted_hedge_wins_total", "Block fetches won by the hedge leg.", m.HedgeWins.Load())
-	counter("btrrouted_scatter_queries_total", "Cross-file scatter-gather count queries.", m.ScatterQueries.Load())
-	counter("btrrouted_query_plans_total", "Query plans routed via /v1/query.", m.PlanQueries.Load())
-	counter("btrrouted_query_legs_total", "Per-leaf and per-column sub-queries scattered to replicas.", m.PlanQueryLegs.Load())
-	counter("btrrouted_repairs_queued_total", "Cross-replica repair tasks enqueued.", m.RepairsQueued.Load())
-	counter("btrrouted_repairs_succeeded_total", "Repairs that pushed a verified good copy onto the damaged replica.", m.RepairsSucceeded.Load())
-	counter("btrrouted_repairs_failed_total", "Repairs abandoned after the attempt budget.", m.RepairsFailed.Load())
-	counter("btrrouted_repairs_dropped_total", "Repair tasks dropped because the queue was full.", m.RepairsDropped.Load())
-	gauge("btrrouted_nodes_up", "Nodes whose last health probe succeeded.", m.NodesUp.Load())
-	counter("btrrouted_probe_transitions_total", "Node up/down transitions observed by the health prober.", m.ProbeTransitions.Load())
-
-	fmt.Fprintf(cw, "# HELP btrrouted_replica_requests_total Replica fetch attempts by node.\n# TYPE btrrouted_replica_requests_total counter\n")
-	m.ReplicaRequests.WritePromLines(cw, "btrrouted_replica_requests_total", "node")
-	fmt.Fprintf(cw, "# HELP btrrouted_replica_errors_total Failed replica fetch attempts by node.\n# TYPE btrrouted_replica_errors_total counter\n")
-	m.ReplicaErrors.WritePromLines(cw, "btrrouted_replica_errors_total", "node")
-	fmt.Fprintf(cw, "# HELP btrrouted_replica_request_duration_seconds Successful replica fetch latency by node.\n# TYPE btrrouted_replica_request_duration_seconds histogram\n")
-	m.ReplicaLatency.WritePromLines(cw, "btrrouted_replica_request_duration_seconds", "node")
-
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.endpoints))
-	for r := range m.endpoints {
-		routes = append(routes, r)
-	}
-	eps := make(map[string]*endpointMetrics, len(m.endpoints))
-	for r, ep := range m.endpoints {
-		eps[r] = ep
-	}
-	m.mu.Unlock()
-	sort.Strings(routes)
-
-	fmt.Fprintf(cw, "# HELP btrrouted_http_requests_total HTTP requests by route.\n# TYPE btrrouted_http_requests_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(cw, "btrrouted_http_requests_total{route=%q} %d\n", r, eps[r].requests.Load())
-	}
-	fmt.Fprintf(cw, "# HELP btrrouted_http_errors_total Non-2xx HTTP responses by route.\n# TYPE btrrouted_http_errors_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(cw, "btrrouted_http_errors_total{route=%q} %d\n", r, eps[r].errors.Load())
-	}
-	fmt.Fprintf(cw, "# HELP btrrouted_http_request_duration_seconds Request latency by route.\n# TYPE btrrouted_http_request_duration_seconds histogram\n")
-	for _, r := range routes {
-		eps[r].latency.WritePromLines(cw, "btrrouted_http_request_duration_seconds", fmt.Sprintf("route=%q", r))
-	}
-	return cw.n, cw.err
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
+// Registry lists the metrics as btrrouted exposes them on /metrics,
+// followed by the span recorder's counters.
+func (m *Metrics) Registry(spans *obs.SpanRecorder) *obs.Registry {
+	r := &obs.Registry{}
+	r.Counter("btrrouted_block_fetches_total", "Logical block fetches routed across replicas.", &m.BlockFetches)
+	r.Counter("btrrouted_failovers_total", "Extra replica attempts after a replica failure.", &m.Failovers)
+	r.Counter("btrrouted_damage_detected_total", "Replica responses classified as block damage (422 corrupt / 410 quarantined).", &m.DamageDetected)
+	r.Counter("btrrouted_hedged_requests_total", "Hedge legs fired after the per-replica latency budget.", &m.Hedges)
+	r.Counter("btrrouted_hedge_wins_total", "Block fetches won by the hedge leg.", &m.HedgeWins)
+	r.Counter("btrrouted_scatter_queries_total", "Cross-file scatter-gather count queries.", &m.ScatterQueries)
+	r.Counter("btrrouted_query_plans_total", "Query plans routed via /v1/query.", &m.PlanQueries)
+	r.Counter("btrrouted_query_legs_total", "Per-leaf and per-column sub-queries scattered to replicas.", &m.PlanQueryLegs)
+	r.Counter("btrrouted_repairs_queued_total", "Cross-replica repair tasks enqueued.", &m.RepairsQueued)
+	r.Counter("btrrouted_repairs_succeeded_total", "Repairs that pushed a verified good copy onto the damaged replica.", &m.RepairsSucceeded)
+	r.Counter("btrrouted_repairs_failed_total", "Repairs abandoned after the attempt budget.", &m.RepairsFailed)
+	r.Counter("btrrouted_repairs_dropped_total", "Repair tasks dropped because the queue was full.", &m.RepairsDropped)
+	r.Gauge("btrrouted_nodes_up", "Nodes whose last health probe succeeded.", &m.NodesUp)
+	r.Counter("btrrouted_probe_transitions_total", "Node up/down transitions observed by the health prober.", &m.ProbeTransitions)
+	r.CounterGroup("btrrouted_replica_requests_total", "Replica fetch attempts by node.", "node", &m.ReplicaRequests)
+	r.CounterGroup("btrrouted_replica_errors_total", "Failed replica fetch attempts by node.", "node", &m.ReplicaErrors)
+	r.HistogramGroup("btrrouted_replica_request_duration_seconds", "Successful replica fetch latency by node.", "node", &m.ReplicaLatency)
+	r.Gauge("btrrouted_inflight_requests", "HTTP requests currently being served.", &m.HTTP.InFlight)
+	r.Routes("btrrouted", &m.HTTP)
+	r.Spans("btrrouted", spans)
+	return r
 }

@@ -31,10 +31,9 @@ func TestMetricsGolden(t *testing.T) {
 	srv := NewServer(r, nil)
 	fillGolden(reflect.ValueOf(r.Metrics()).Elem())
 	for _, route := range []string{"/v1/block", "/v1/files", "/v1/query", "/healthz"} {
-		ep := r.metrics.endpoint(route)
-		ep.requests.Store(goldenValue(route))
-		ep.errors.Store(goldenValue(route) % 7)
-		observeGolden(&ep.latency)
+		r.Metrics().HTTP.Requests.At(route).Store(goldenValue(route))
+		r.Metrics().HTTP.Errors.At(route).Store(goldenValue(route) % 7)
+		observeGolden(r.Metrics().HTTP.Latency.At(route))
 	}
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

@@ -397,7 +397,7 @@ func TestRouterPassesBinaryFramesThrough(t *testing.T) {
 		}
 		return resp, body
 	}
-	routed := &r.metrics.endpoint("/v1/block").requests
+	routed := r.metrics.HTTP.Requests.At("/v1/block")
 	for name, col := range cols {
 		owner := nodes[ring.Place(name, 2)[0]]
 		for b := 0; b < blockCount(t, contents[name]); b++ {

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -36,97 +34,30 @@ import (
 //	POST /v1/query                     JSON query plan, scatter-gathered per leaf
 //	POST /v1/invalidate/NAME           fan invalidation out to the replicas
 type Server struct {
-	router *Router
-	mux    *http.ServeMux
-	log    *slog.Logger
+	router  *Router
+	handler http.Handler
 }
 
 // NewServer wraps a router. log may be nil to disable request logging.
+// Every route runs under the shared request middleware (obs.Mux), which
+// also serves /healthz, /metrics and /v1/spans.
 func NewServer(r *Router, log *slog.Logger) *Server {
-	s := &Server{router: r, mux: http.NewServeMux(), log: log}
-	s.handle("/healthz", s.handleHealthz)
-	s.handle("/v1/files", s.handleFiles)
-	s.handle("/v1/raw/", s.handleRaw)
-	s.handle("/v1/block", s.handleBlock)
-	s.handle("/v1/count-eq", s.handleCountEq)
-	s.handle("/v1/nodes", s.handleNodes)
-	s.handle("/v1/spans", s.handleSpans)
-	s.handle("/metrics", s.handleMetrics)
-	s.handleWith("/v1/query", s.handleQuery, http.MethodPost)
-	s.handleWith("/v1/invalidate/", s.handleInvalidate, http.MethodPost)
+	s := &Server{router: r}
+	m := r.metrics
+	mux := obs.NewMux("btrrouted", &m.HTTP, m.Registry(r.spans), r.spans, log)
+	mux.Handle("GET /v1/files", s.handleFiles)
+	mux.Handle("GET /v1/raw/", s.handleRaw)
+	mux.Handle("GET /v1/block", s.handleBlock)
+	mux.Handle("GET /v1/count-eq", s.handleCountEq)
+	mux.Handle("GET /v1/nodes", s.handleNodes)
+	mux.Handle("POST /v1/query", s.handleQuery)
+	mux.Handle("POST /v1/invalidate/", s.handleInvalidate)
+	s.handler = mux
 	return s
 }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (s *Server) handle(route string, h http.HandlerFunc) {
-	s.handleWith(route, h, http.MethodGet, http.MethodHead)
-}
-
-// handleWith wraps a route with the same middleware shape as btrserved:
-// per-route counters and latency, a request ID echoed as X-Request-ID,
-// and a server span continuing any inbound W3C traceparent.
-func (s *Server) handleWith(route string, h http.HandlerFunc, methods ...string) {
-	ep := s.router.metrics.endpoint(route)
-	allowed := make(map[string]bool, len(methods))
-	for _, m := range methods {
-		allowed[m] = true
-	}
-	s.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
-		if !allowed[r.Method] {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		rid := r.Header.Get("X-Request-ID")
-		if rid == "" {
-			rid = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", rid)
-		ctx := obs.WithRequestID(r.Context(), rid)
-		ctx, span := s.router.spans.StartRemote(ctx, "btrrouted"+route, r.Header.Get(obs.TraceparentHeader))
-		span.SetAttr("request_id", rid)
-		r = r.WithContext(ctx)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		elapsed := time.Since(start)
-		ep.latency.Observe(elapsed)
-		ep.requests.Add(1)
-		if sw.status/100 != 2 && sw.status != http.StatusPartialContent &&
-			sw.status != http.StatusNotModified {
-			ep.errors.Add(1)
-			span.SetError(fmt.Errorf("status %d", sw.status))
-		}
-		span.SetAttrInt("status", int64(sw.status))
-		span.End()
-		if s.log != nil {
-			s.log.Info("request",
-				"request_id", rid,
-				"route", route,
-				"method", r.Method,
-				"path", r.URL.RequestURI(),
-				"status", sw.status,
-				"duration_us", elapsed.Microseconds(),
-			)
-		}
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // fail maps a routed error to an HTTP status. When the underlying
 // replica responses carry a status (all replicas failed the same way),
@@ -140,34 +71,31 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), he.Status)
 		return
 	}
-	if blockstore.IsEndpointDown(err) {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
 	http.Error(w, err.Error(), http.StatusBadGateway)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
-	if name := r.URL.Query().Get("file"); name != "" {
-		meta, err := s.router.FileMeta(r.Context(), name)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		writeJSON(w, []blockstore.FileMeta{*meta})
-		return
-	}
-	files, err := s.router.Files(r.Context())
+// reply writes v as JSON, or err through fail.
+func (s *Server) reply(w http.ResponseWriter, v any, err error) {
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, files)
+	_ = obs.WriteJSON(w, v)
+}
+
+func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
+	name := r.URL.Query().Get("file")
+	if name == "" {
+		files, err := s.router.Files(r.Context())
+		s.reply(w, files, err)
+		return
+	}
+	meta, err := s.router.FileMeta(r.Context(), name)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	_ = obs.WriteJSON(w, []blockstore.FileMeta{*meta})
 }
 
 func (s *Server) handleRaw(w http.ResponseWriter, r *http.Request) {
@@ -201,7 +129,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, err)
 			return
 		}
-		writeJSON(w, blk.Payload())
+		_ = obs.WriteJSON(w, blk.Payload())
 	case "binary":
 		// The winning replica's validated frame goes out as it came in.
 		frame, err := s.router.FetchBlockFrame(r.Context(), name, idx)
@@ -224,19 +152,11 @@ func (s *Server) handleCountEq(w http.ResponseWriter, r *http.Request) {
 	value := q.Get("value")
 	if name := q.Get("file"); name != "" {
 		res, err := s.router.CountEq(r.Context(), name, value)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		writeJSON(w, res)
+		s.reply(w, res, err)
 		return
 	}
 	res, err := s.router.CountEqScatter(r.Context(), value)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, res)
+	s.reply(w, res, err)
 }
 
 // ClusterStatus is the GET /v1/nodes response.
@@ -246,35 +166,10 @@ type ClusterStatus struct {
 }
 
 func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, ClusterStatus{
+	_ = obs.WriteJSON(w, ClusterStatus{
 		Replicas: s.router.mem.Replicas(),
 		Nodes:    s.router.mem.Statuses(),
 	})
-}
-
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if !s.router.spans.Enabled() {
-		http.Error(w, "span recording disabled", http.StatusNotFound)
-		return
-	}
-	var f obs.SpanFilter
-	q := r.URL.Query()
-	f.TraceID = q.Get("trace")
-	if v := q.Get("min_dur"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			http.Error(w, "bad min_dur parameter", http.StatusBadRequest)
-			return
-		}
-		f.MinDuration = d
-	}
-	writeJSON(w, s.router.spans.Snapshot(f))
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = s.router.metrics.WriteTo(w)
-	s.router.spans.WritePromLines(w, "btrrouted")
 }
 
 // handleQuery serves POST /v1/query with single-node semantics: plan
@@ -292,15 +187,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.router.Query(r.Context(), p)
-	if err != nil {
-		if query.IsPlanError(err) {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.fail(w, err)
+	if query.IsPlanError(err) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, res)
+	s.reply(w, res, err)
 }
 
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
@@ -310,9 +201,5 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.router.Invalidate(r.Context(), name)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, res)
+	s.reply(w, res, err)
 }

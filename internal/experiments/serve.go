@@ -3,14 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"sort"
-	"strconv"
 
 	"btrblocks"
 	"btrblocks/internal/blockstore"
 	"btrblocks/internal/pbi"
+	"btrblocks/internal/smoke"
 )
 
 // Serve measures scans through the networked blockstore: the §6.7
@@ -24,30 +22,17 @@ import (
 // verifies that pushed-down predicates return exactly the local scan's
 // answer over the wire.
 func Serve(cfg *Config) error {
-	corpus := pbi.Largest5(cfg.rows(), cfg.seed())
-	copt := btrblocks.DefaultOptions()
-
-	contents := make(map[string][]byte)
-	type served struct {
-		name string
-		data []byte
-		col  btrblocks.Column
+	cols, err := smoke.Compress(pbi.Largest5(cfg.rows(), cfg.seed()), btrblocks.DefaultOptions())
+	if err != nil {
+		return err
 	}
-	var cols []served
-	var compressedBytes int
-	for _, ds := range corpus {
-		for _, col := range ds.Chunk.Columns {
-			data, err := btrblocks.CompressColumn(col, copt)
-			if err != nil {
-				return err
-			}
-			name := ds.Name + "/" + col.Name
-			contents[name] = data
-			cols = append(cols, served{name: name, data: data, col: col})
-			compressedBytes += len(data)
-		}
+	sort.Slice(cols, func(i, j int) bool { return cols[i].Name < cols[j].Name })
+	contents := make(map[string][]byte, len(cols))
+	compressedBytes := 0
+	for _, c := range cols {
+		contents[c.Name] = c.Data
+		compressedBytes += len(c.Data)
 	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
 
 	store, err := blockstore.NewStore(contents, blockstore.Config{
 		CacheBytes:     1 << 30, // hold the whole working set: warm means warm
@@ -59,23 +44,21 @@ func Serve(cfg *Config) error {
 	}
 	defer store.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := smoke.Serve(blockstore.NewServer(store))
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: blockstore.NewServer(store)}
-	go srv.Serve(ln)
-	defer srv.Close()
+	defer stop()
 
 	ctx := context.Background()
-	cl := blockstore.NewClient("http://" + ln.Addr().String())
+	cl := blockstore.NewClient(base)
 
 	scanAll := func() (int64, error) {
 		var total int64
 		for _, c := range cols {
-			_, bytes, err := cl.ScanColumn(ctx, c.name, cfg.threads())
+			_, bytes, err := cl.ScanColumn(ctx, c.Name, cfg.threads())
 			if err != nil {
-				return 0, fmt.Errorf("scan %s: %w", c.name, err)
+				return 0, fmt.Errorf("scan %s: %w", c.Name, err)
 			}
 			total += bytes
 		}
@@ -117,20 +100,20 @@ func Serve(cfg *Config) error {
 	// Predicate pushdown over the wire must agree with the local scan.
 	checked := 0
 	for _, c := range cols {
-		probe, ok := probeValue(c.col)
+		probe, ok := smoke.Probe(c.Col)
 		if !ok {
 			continue
 		}
-		res, err := cl.CountEq(ctx, c.name, probe)
+		res, err := cl.CountEq(ctx, c.Name, probe)
 		if err != nil {
-			return fmt.Errorf("count-eq %s: %w", c.name, err)
+			return fmt.Errorf("count-eq %s: %w", c.Name, err)
 		}
-		want, err := localCountEqual(c.data, c.col.Type, probe)
+		want, err := smoke.LocalCount(c.Data, c.Col.Type, probe, nil)
 		if err != nil {
 			return err
 		}
 		if res.Count != want {
-			return fmt.Errorf("count-eq %s %q: served %d, local %d", c.name, probe, res.Count, want)
+			return fmt.Errorf("count-eq %s %q: served %d, local %d", c.Name, probe, res.Count, want)
 		}
 		checked++
 	}
@@ -148,51 +131,4 @@ func Serve(cfg *Config) error {
 		return fmt.Errorf("warm scan (%.3fs) not faster than cold (%.3fs)", warmSec, coldSec)
 	}
 	return nil
-}
-
-// probeValue picks the first non-NULL value of a column as a predicate
-// probe, formatted the way the wire protocol expects.
-func probeValue(col btrblocks.Column) (string, bool) {
-	for i := 0; i < col.Len(); i++ {
-		if col.Nulls != nil && col.Nulls.IsNull(i) {
-			continue
-		}
-		switch col.Type {
-		case btrblocks.TypeInt:
-			return strconv.FormatInt(int64(col.Ints[i]), 10), true
-		case btrblocks.TypeInt64:
-			return strconv.FormatInt(col.Ints64[i], 10), true
-		case btrblocks.TypeDouble:
-			return strconv.FormatFloat(col.Doubles[i], 'g', -1, 64), true
-		case btrblocks.TypeString:
-			return col.Strings.At(i), true
-		}
-	}
-	return "", false
-}
-
-// localCountEqual evaluates the same predicate in-process.
-func localCountEqual(data []byte, t btrblocks.Type, value string) (int, error) {
-	switch t {
-	case btrblocks.TypeInt:
-		v, err := strconv.ParseInt(value, 10, 32)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualInt32(data, int32(v), nil)
-	case btrblocks.TypeInt64:
-		v, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualInt64(data, v, nil)
-	case btrblocks.TypeDouble:
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualDouble(data, v, nil)
-	default:
-		return btrblocks.CountEqualString(data, value, nil)
-	}
 }

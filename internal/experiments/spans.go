@@ -7,6 +7,7 @@ import (
 	"btrblocks"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
+	"btrblocks/internal/smoke"
 )
 
 // Spans measures what span tracing costs on the decode hot path: the
@@ -18,34 +19,23 @@ import (
 // nil-recorder fast path must defend; the zero-allocation property it
 // relies on is pinned by TestDecodeDisabledTracingZeroAlloc.
 func Spans(cfg *Config) error {
-	corpus := pbi.Largest5(cfg.rows(), cfg.seed())
-	copt := btrblocks.DefaultOptions()
-
-	type served struct {
-		name string
-		data []byte
+	cols, err := smoke.Compress(pbi.Largest5(cfg.rows(), cfg.seed()), btrblocks.DefaultOptions())
+	if err != nil {
+		return err
 	}
-	var cols []served
 	var rawBytes int
-	for _, ds := range corpus {
-		for _, col := range ds.Chunk.Columns {
-			data, err := btrblocks.CompressColumn(col, copt)
-			if err != nil {
-				return err
-			}
-			cols = append(cols, served{name: ds.Name + "/" + col.Name, data: data})
-			rawBytes += col.UncompressedBytes()
-		}
+	for _, c := range cols {
+		rawBytes += c.Col.UncompressedBytes()
 	}
 	dopt := &btrblocks.Options{Parallelism: cfg.threads()}
 
 	scanAll := func(rec *obs.SpanRecorder, sampleLabel string) error {
 		for _, c := range cols {
 			ctx, root := rec.StartRoot(context.Background(), "bench.scan")
-			root.SetAttr("column", c.name)
+			root.SetAttr("column", c.Name)
 			root.SetAttr("mode", sampleLabel)
-			if _, err := btrblocks.DecompressColumnContext(ctx, c.data, dopt); err != nil {
-				return fmt.Errorf("scan %s: %w", c.name, err)
+			if _, err := btrblocks.DecompressColumnContext(ctx, c.Data, dopt); err != nil {
+				return fmt.Errorf("scan %s: %w", c.Name, err)
 			}
 			root.End()
 		}

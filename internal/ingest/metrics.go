@@ -1,17 +1,13 @@
 package ingest
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"btrblocks/internal/obs"
 )
 
-// Metrics counts the service's behavior and renders Prometheus text at
-// /metrics. All fields are safe for concurrent use; the zero value is
+// Metrics counts the service's behavior; Registry lists it as /metrics
+// exposes it. All fields are safe for concurrent use; the zero value is
 // ready (NewMetrics exists for symmetry with blockstore).
 type Metrics struct {
 	// Append path.
@@ -55,116 +51,48 @@ type Metrics struct {
 	FlushLatency   obs.Histogram // compress + publish of one chunk
 	CompactLatency obs.Histogram // one compaction run
 
-	// Per-route HTTP counters.
-	mu     sync.Mutex
-	routes map[string]*routeMetrics
-}
-
-type routeMetrics struct {
-	Requests atomic.Int64
-	Errors   atomic.Int64
-	Latency  obs.Histogram
+	// HTTP is the per-route series of the service's handler.
+	HTTP obs.Routes
 }
 
 // NewMetrics returns an empty Metrics.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Route returns the counters for one HTTP route, creating them on first
-// use.
-func (m *Metrics) Route(route string) *routeMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.routes == nil {
-		m.routes = make(map[string]*routeMetrics)
-	}
-	r := m.routes[route]
-	if r == nil {
-		r = &routeMetrics{}
-		m.routes[route] = r
-	}
+// Registry lists the metrics as btringest exposes them on /metrics,
+// followed by the span recorder's counters.
+func (m *Metrics) Registry(spans *obs.SpanRecorder) *obs.Registry {
+	r := &obs.Registry{}
+	r.Counter("btringest_appends_total", "Acknowledged append batches.", &m.Appends)
+	r.Counter("btringest_appended_rows_total", "Acknowledged rows.", &m.AppendedRows)
+	r.Counter("btringest_append_errors_total", "Rejected or failed appends.", &m.AppendErrors)
+	r.Counter("btringest_wal_records_total", "WAL records written.", &m.WALRecords)
+	r.Counter("btringest_wal_bytes_total", "WAL bytes written (frames included).", &m.WALBytes)
+	r.Counter("btringest_wal_syncs_total", "WAL fsyncs issued (group commit coalesces).", &m.WALSyncs)
+	r.Counter("btringest_wal_checkpoints_total", "WAL segment rotations after full publish.", &m.WALCheckpoints)
+	r.Counter("btringest_wal_replayed_records_total", "WAL records recovered at startup.", &m.WALReplayed)
+	r.Counter("btringest_wal_replayed_rows_total", "Rows recovered from the WAL at startup.", &m.WALReplayedRows)
+	r.Counter("btringest_wal_skipped_records_total", "Replayed WAL records already covered by published chunks.", &m.WALSkippedRecords)
+	r.Counter("btringest_wal_discarded_tails_total", "Torn or invalid WAL tails discarded at replay.", &m.WALDiscardedTails)
+	r.Counter("btringest_wal_discarded_bytes_total", "Bytes in discarded WAL tails.", &m.WALDiscardedBytes)
+	r.Counter("btringest_flushes_total", "Chunks published.", &m.Flushes)
+	r.Counter("btringest_flushed_rows_total", "Rows published.", &m.FlushedRows)
+	r.Counter("btringest_published_files_total", "Column files atomically renamed into the store.", &m.PublishedFiles)
+	r.Counter("btringest_published_bytes_total", "Compressed bytes published.", &m.PublishedBytes)
+	r.Counter("btringest_publish_errors_total", "Failed flush attempts (rows retained in the buffer).", &m.PublishErrors)
+	r.Counter("btringest_uncommitted_dropped_total", "Uncommitted chunk files removed at startup.", &m.UncommittedDrop)
+	r.Counter("btringest_compactions_total", "Compaction runs that published a merged chunk.", &m.Compactions)
+	r.Counter("btringest_compacted_chunks_total", "Small chunks consumed by compaction.", &m.CompactedChunks)
+	r.Counter("btringest_compacted_rows_total", "Rows re-compressed by compaction.", &m.CompactedRows)
+	r.Counter("btringest_compaction_bytes_before_total", "Compressed bytes entering compaction.", &m.CompactionBytesBefore)
+	r.Counter("btringest_compaction_bytes_after_total", "Compressed bytes leaving compaction.", &m.CompactionBytesAfter)
+	r.Counter("btringest_superseded_chunks_total", "Chunks removed at startup because a compacted chunk covers them.", &m.SupersededChunks)
+	r.Counter("btringest_invalidations_total", "Cache invalidations pushed to the serving layer.", &m.Invalidations)
+	r.Histogram("btringest_append_duration_seconds", "Append latency including WAL sync.", &m.AppendLatency)
+	r.Histogram("btringest_wal_sync_duration_seconds", "WAL fsync wait (group-commit amortized).", &m.WALSyncLatency)
+	r.Histogram("btringest_flush_duration_seconds", "Chunk compress+publish latency.", &m.FlushLatency)
+	r.Histogram("btringest_compact_duration_seconds", "Compaction run latency.", &m.CompactLatency)
+	r.Gauge("btringest_inflight_requests", "HTTP requests currently being served.", &m.HTTP.InFlight)
+	r.Routes("btringest", &m.HTTP)
+	r.Spans("btringest", spans)
 	return r
-}
-
-// WriteTo renders the metrics in Prometheus text exposition format.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("btringest_appends_total", "Acknowledged append batches.", m.Appends.Load())
-	counter("btringest_appended_rows_total", "Acknowledged rows.", m.AppendedRows.Load())
-	counter("btringest_append_errors_total", "Rejected or failed appends.", m.AppendErrors.Load())
-	counter("btringest_wal_records_total", "WAL records written.", m.WALRecords.Load())
-	counter("btringest_wal_bytes_total", "WAL bytes written (frames included).", m.WALBytes.Load())
-	counter("btringest_wal_syncs_total", "WAL fsyncs issued (group commit coalesces).", m.WALSyncs.Load())
-	counter("btringest_wal_checkpoints_total", "WAL segment rotations after full publish.", m.WALCheckpoints.Load())
-	counter("btringest_wal_replayed_records_total", "WAL records recovered at startup.", m.WALReplayed.Load())
-	counter("btringest_wal_replayed_rows_total", "Rows recovered from the WAL at startup.", m.WALReplayedRows.Load())
-	counter("btringest_wal_skipped_records_total", "Replayed WAL records already covered by published chunks.", m.WALSkippedRecords.Load())
-	counter("btringest_wal_discarded_tails_total", "Torn or invalid WAL tails discarded at replay.", m.WALDiscardedTails.Load())
-	counter("btringest_wal_discarded_bytes_total", "Bytes in discarded WAL tails.", m.WALDiscardedBytes.Load())
-	counter("btringest_flushes_total", "Chunks published.", m.Flushes.Load())
-	counter("btringest_flushed_rows_total", "Rows published.", m.FlushedRows.Load())
-	counter("btringest_published_files_total", "Column files atomically renamed into the store.", m.PublishedFiles.Load())
-	counter("btringest_published_bytes_total", "Compressed bytes published.", m.PublishedBytes.Load())
-	counter("btringest_publish_errors_total", "Failed flush attempts (rows retained in the buffer).", m.PublishErrors.Load())
-	counter("btringest_uncommitted_dropped_total", "Uncommitted chunk files removed at startup.", m.UncommittedDrop.Load())
-	counter("btringest_compactions_total", "Compaction runs that published a merged chunk.", m.Compactions.Load())
-	counter("btringest_compacted_chunks_total", "Small chunks consumed by compaction.", m.CompactedChunks.Load())
-	counter("btringest_compacted_rows_total", "Rows re-compressed by compaction.", m.CompactedRows.Load())
-	counter("btringest_compaction_bytes_before_total", "Compressed bytes entering compaction.", m.CompactionBytesBefore.Load())
-	counter("btringest_compaction_bytes_after_total", "Compressed bytes leaving compaction.", m.CompactionBytesAfter.Load())
-	counter("btringest_superseded_chunks_total", "Chunks removed at startup because a compacted chunk covers them.", m.SupersededChunks.Load())
-	counter("btringest_invalidations_total", "Cache invalidations pushed to the serving layer.", m.Invalidations.Load())
-
-	hist := func(name, help string, h *obs.Histogram) {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		h.WritePromLines(cw, name, "")
-	}
-	hist("btringest_append_duration_seconds", "Append latency including WAL sync.", &m.AppendLatency)
-	hist("btringest_wal_sync_duration_seconds", "WAL fsync wait (group-commit amortized).", &m.WALSyncLatency)
-	hist("btringest_flush_duration_seconds", "Chunk compress+publish latency.", &m.FlushLatency)
-	hist("btringest_compact_duration_seconds", "Compaction run latency.", &m.CompactLatency)
-
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.routes))
-	for r := range m.routes {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	rms := make(map[string]*routeMetrics, len(routes))
-	for _, r := range routes {
-		rms[r] = m.routes[r]
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(cw, "# HELP btringest_http_requests_total HTTP requests by route.\n# TYPE btringest_http_requests_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(cw, "btringest_http_requests_total{route=%q} %d\n", r, rms[r].Requests.Load())
-	}
-	fmt.Fprintf(cw, "# HELP btringest_http_errors_total Non-2xx HTTP responses by route.\n# TYPE btringest_http_errors_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(cw, "btringest_http_errors_total{route=%q} %d\n", r, rms[r].Errors.Load())
-	}
-	fmt.Fprintf(cw, "# HELP btringest_http_request_duration_seconds Request latency by route.\n# TYPE btringest_http_request_duration_seconds histogram\n")
-	for _, r := range routes {
-		rms[r].Latency.WritePromLines(cw, "btringest_http_request_duration_seconds", fmt.Sprintf("route=%q", r))
-	}
-	return cw.n, cw.err
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
 }

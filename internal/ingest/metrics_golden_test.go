@@ -32,10 +32,9 @@ func TestMetricsGolden(t *testing.T) {
 	m := svc.Metrics()
 	fillGolden(reflect.ValueOf(m).Elem())
 	for _, route := range []string{"/v1/append", "/v1/write"} {
-		rt := m.Route(route)
-		rt.Requests.Store(goldenValue(route))
-		rt.Errors.Store(goldenValue(route) % 7)
-		observeGolden(&rt.Latency)
+		m.HTTP.Requests.At(route).Store(goldenValue(route))
+		m.HTTP.Errors.At(route).Store(goldenValue(route) % 7)
+		observeGolden(m.HTTP.Latency.At(route))
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"btrblocks"
 	"btrblocks/internal/obs"
@@ -39,21 +38,21 @@ func (s *Service) Schema(table string) ([]btrblocks.Column, bool) {
 //	GET  /v1/spans           retained spans (when recording is enabled)
 //	GET  /healthz            liveness
 //	GET  /metrics            Prometheus text
+//
+// Every route runs under the shared request middleware (obs.Mux); the
+// service's Config.Logger, when set, receives one record per request.
 func NewHandler(svc *Service) http.Handler {
-	mux := http.NewServeMux()
+	m := obs.NewMux("btringest", &svc.met.HTTP, svc.met.Registry(svc.Spans()), svc.Spans(), svc.cfg.Logger)
 	h := &handler{svc: svc}
-	mux.HandleFunc("POST /v1/append", h.route("/v1/append", h.appendJSON))
-	mux.HandleFunc("POST /v1/write", h.route("/v1/write", h.appendLines))
-	mux.HandleFunc("POST /v1/tables", h.route("/v1/tables", h.createTable))
-	mux.HandleFunc("GET /v1/tables", h.route("/v1/tables", h.stats))
-	mux.HandleFunc("GET /v1/stats", h.route("/v1/stats", h.stats))
-	mux.HandleFunc("POST /v1/flush", h.route("/v1/flush", h.flushAll))
-	mux.HandleFunc("POST /v1/flush/{table}", h.route("/v1/flush", h.flushTable))
-	mux.HandleFunc("POST /v1/compact", h.route("/v1/compact", h.compact))
-	mux.HandleFunc("GET /v1/spans", h.route("/v1/spans", h.spans))
-	mux.HandleFunc("GET /healthz", h.route("/healthz", h.healthz))
-	mux.HandleFunc("GET /metrics", h.route("/metrics", h.metrics))
-	return mux
+	m.Handle("POST /v1/append", reply(h.appendJSON))
+	m.Handle("POST /v1/write", reply(h.appendLines))
+	m.Handle("POST /v1/tables", reply(h.createTable))
+	m.Handle("GET /v1/tables", reply(h.stats))
+	m.Handle("GET /v1/stats", reply(h.stats))
+	m.Handle("POST /v1/flush", reply(h.flushAll))
+	m.Handle("POST /v1/flush/{table}", reply(h.flushTable))
+	m.Handle("POST /v1/compact", reply(h.compact))
+	return m
 }
 
 type handler struct {
@@ -68,29 +67,16 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.err.Error() }
 
-// route wraps a handler with metrics, tracing, and uniform error
-// rendering. The root span continues an inbound traceparent when the
-// caller sent one; the inbound X-Request-ID is reused rather than
-// re-minted so logs on both sides of the process boundary share one ID.
-func (h *handler) route(name string, fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+// reply adapts a handler that returns an error: the error becomes a JSON
+// {"error": ...} body with its status (an httpError's own, 400 for a bad
+// request, 404 for an unknown table, 500 otherwise) and marks the
+// request's span failed with the error's text.
+func reply(fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rm := h.svc.met.Route(name)
-		rm.Requests.Add(1)
-		start := time.Now()
-		rid := r.Header.Get(obs.RequestIDHeader)
-		if rid == "" {
-			rid = obs.NewRequestID()
-		}
-		ctx := obs.WithRequestID(r.Context(), rid)
-		ctx, span := h.svc.Spans().StartRemote(ctx, "btringest"+name, r.Header.Get(obs.TraceparentHeader))
-		span.SetAttr("request_id", rid)
-		err := fn(w, r.WithContext(ctx))
-		rm.Latency.Observe(time.Since(start))
+		err := fn(w, r)
 		if err == nil {
-			span.End()
 			return
 		}
-		rm.Errors.Add(1)
 		status := http.StatusInternalServerError
 		var he *httpError
 		switch {
@@ -102,9 +88,7 @@ func (h *handler) route(name string, fn func(w http.ResponseWriter, r *http.Requ
 		case isUnknownTable(err):
 			status = http.StatusNotFound
 		}
-		span.SetAttrInt("status", int64(status))
-		span.SetError(err)
-		span.End()
+		obs.SpanFromContext(r.Context()).SetError(err)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -120,11 +104,6 @@ func readBody(r *http.Request) ([]byte, error) {
 		return nil, &httpError{http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)}
 	}
 	return body, nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
 }
 
 // appendResult acknowledges a durable append.
@@ -185,7 +164,7 @@ func (h *handler) appendRows(w http.ResponseWriter, r *http.Request, table strin
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, appendResult{Seq: seq, Rows: chunk.NumRows()})
+	return obs.WriteJSON(w, appendResult{Seq: seq, Rows: chunk.NumRows()})
 }
 
 type createTableRequest struct {
@@ -205,18 +184,18 @@ func (h *handler) createTable(w http.ResponseWriter, r *http.Request) error {
 	if err := h.svc.CreateTable(req.Table, req.Columns); err != nil {
 		return err
 	}
-	return writeJSON(w, map[string]string{"table": req.Table, "status": "ok"})
+	return obs.WriteJSON(w, map[string]string{"table": req.Table, "status": "ok"})
 }
 
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, map[string]any{"tables": h.svc.Stats()})
+	return obs.WriteJSON(w, map[string]any{"tables": h.svc.Stats()})
 }
 
 func (h *handler) flushAll(w http.ResponseWriter, r *http.Request) error {
 	if err := h.svc.FlushAllContext(r.Context()); err != nil {
 		return err
 	}
-	return writeJSON(w, map[string]string{"status": "flushed"})
+	return obs.WriteJSON(w, map[string]string{"status": "flushed"})
 }
 
 func (h *handler) flushTable(w http.ResponseWriter, r *http.Request) error {
@@ -224,51 +203,12 @@ func (h *handler) flushTable(w http.ResponseWriter, r *http.Request) error {
 	if err := h.svc.FlushTableContext(r.Context(), table); err != nil {
 		return err
 	}
-	return writeJSON(w, map[string]string{"status": "flushed", "table": table})
+	return obs.WriteJSON(w, map[string]string{"status": "flushed", "table": table})
 }
 
 func (h *handler) compact(w http.ResponseWriter, r *http.Request) error {
 	if err := h.svc.CompactNow(); err != nil {
 		return err
 	}
-	return writeJSON(w, map[string]string{"status": "compacted"})
-}
-
-// spans serves GET /v1/spans: the retained spans as a versioned
-// SpanSet, optionally filtered by ?trace=TRACE_ID and ?min_dur=DURATION
-// (a Go duration literal like 5ms). 404 when span recording is off, so
-// operators can tell "disabled" from "nothing recorded".
-func (h *handler) spans(w http.ResponseWriter, r *http.Request) error {
-	rec := h.svc.Spans()
-	if !rec.Enabled() {
-		return &httpError{http.StatusNotFound, errors.New("span recording disabled")}
-	}
-	var f obs.SpanFilter
-	q := r.URL.Query()
-	f.TraceID = q.Get("trace")
-	if v := q.Get("min_dur"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return &httpError{http.StatusBadRequest, fmt.Errorf("bad min_dur parameter %q", v)}
-		}
-		f.MinDuration = d
-	}
-	return writeJSON(w, rec.Snapshot(f))
-}
-
-func (h *handler) healthz(w http.ResponseWriter, r *http.Request) error {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, err := io.WriteString(w, "ok\n")
-	return err
-}
-
-func (h *handler) metrics(w http.ResponseWriter, r *http.Request) error {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if _, err := h.svc.met.WriteTo(w); err != nil {
-		return err
-	}
-	if rec := h.svc.Spans(); rec.Enabled() {
-		rec.WritePromLines(w, "btringest")
-	}
-	return nil
+	return obs.WriteJSON(w, map[string]string{"status": "compacted"})
 }

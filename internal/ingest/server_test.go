@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,6 +158,31 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
+// TestHandlerLogsRequests: with a logger configured (btringest -v), every
+// request leaves one "request" record carrying its ID, route and status.
+func TestHandlerLogsRequests(t *testing.T) {
+	var logs strings.Builder
+	cfg := quietConfig(t.TempDir())
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	req := httptest.NewRequest(http.MethodPost, "/v1/flush/nosuch", nil)
+	req.Header.Set("X-Request-ID", "caller-7")
+	rec := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(rec, req)
+	if rec.Header().Get("X-Request-ID") != "caller-7" {
+		t.Fatalf("request ID not echoed: %q", rec.Header().Get("X-Request-ID"))
+	}
+	for _, want := range []string{"msg=request", "request_id=caller-7", "route=/v1/flush", "status=404"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("request log missing %s:\n%s", want, logs.String())
 		}
 	}
 }

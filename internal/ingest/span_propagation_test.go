@@ -125,8 +125,10 @@ func TestTracePropagatesAcrossServers(t *testing.T) {
 	root.End()
 	traceID := root.TraceID().String()
 
-	// The flush is asynchronous: wait until the trace's invalidate span
-	// lands in the ingest recorder.
+	// The flush is asynchronous: wait until the trace's flush span lands
+	// in the ingest recorder. It ends after every span under it, the
+	// invalidation included, so waiting for the invalidate span alone
+	// can observe the trace before the flush span is recorded.
 	var ingestSet *obs.SpanSet
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -134,7 +136,7 @@ func TestTracePropagatesAcrossServers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest /v1/spans: %v", err)
 		}
-		if _, ok := spanNames(ss)["invalidate"]; ok {
+		if _, ok := spanNames(ss)["ingest.flush"]; ok {
 			ingestSet = ss
 			break
 		}

@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,60 +14,51 @@ import (
 // name) and a CounterGroup does the same for counters. Both render as a
 // single Prometheus metric family with one series per label value —
 // the shape the cluster router uses for per-replica latency, attempt,
-// and error series.
+// and error series, and every server for its per-route series.
 
-// HistogramGroup is a set of Histograms keyed by one label value.
-// Lookup is lock-guarded but the returned *Histogram is the shared
-// atomic type, so hot paths resolve their label once and observe
-// lock-free afterwards. The zero value is ready to use.
-type HistogramGroup struct {
+// group is a set of T keyed by one label value. Lookup is lock-guarded
+// but the returned *T is a shared atomic type, so hot paths resolve
+// their label once and record lock-free afterwards. The zero value is
+// ready to use.
+type group[T any] struct {
 	mu sync.Mutex
-	m  map[string]*Histogram
+	m  map[string]*T
 }
 
-// At returns (creating on first use) the histogram for one label value.
-func (g *HistogramGroup) At(label string) *Histogram {
+// At returns (creating on first use) the series for one label value.
+func (g *group[T]) At(label string) *T {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.m == nil {
-		g.m = make(map[string]*Histogram)
+		g.m = make(map[string]*T)
 	}
-	h := g.m[label]
-	if h == nil {
-		h = &Histogram{}
-		g.m[label] = h
+	v := g.m[label]
+	if v == nil {
+		v = new(T)
+		g.m[label] = v
 	}
-	return h
+	return v
 }
 
 // Labels returns the known label values, sorted.
-func (g *HistogramGroup) Labels() []string {
+func (g *group[T]) Labels() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.m))
-	for l := range g.m {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(g.m)
 }
 
-// Snapshot summarizes every labeled histogram.
-func (g *HistogramGroup) Snapshot() map[string]HistogramSnapshot {
-	g.mu.Lock()
-	labels := make([]string, 0, len(g.m))
-	hists := make([]*Histogram, 0, len(g.m))
-	for l, h := range g.m {
-		labels = append(labels, l)
-		hists = append(hists, h)
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	g.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(labels))
-	for i, l := range labels {
-		out[l] = hists[i].Snapshot()
-	}
-	return out
+	slices.Sort(keys)
+	return keys
 }
+
+// HistogramGroup is a set of Histograms keyed by one label value.
+type HistogramGroup struct{ group[Histogram] }
 
 // WritePromLines renders the group as one Prometheus histogram family:
 // per label value, the cumulative _bucket/_sum/_count series labeled
@@ -77,53 +69,11 @@ func (g *HistogramGroup) WritePromLines(w io.Writer, name, labelKey string) {
 	}
 }
 
-// CounterGroup is a set of int64 counters keyed by one label value,
-// with the same locking shape as HistogramGroup.
-type CounterGroup struct {
-	mu sync.Mutex
-	m  map[string]*atomic.Int64
-}
-
-// At returns (creating on first use) the counter for one label value.
-func (g *CounterGroup) At(label string) *atomic.Int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m == nil {
-		g.m = make(map[string]*atomic.Int64)
-	}
-	c := g.m[label]
-	if c == nil {
-		c = &atomic.Int64{}
-		g.m[label] = c
-	}
-	return c
-}
+// CounterGroup is a set of int64 counters keyed by one label value.
+type CounterGroup struct{ group[atomic.Int64] }
 
 // Add adds delta to the labeled counter.
 func (g *CounterGroup) Add(label string, delta int64) { g.At(label).Add(delta) }
-
-// Labels returns the known label values, sorted.
-func (g *CounterGroup) Labels() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.m))
-	for l := range g.m {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot returns the current value of every labeled counter.
-func (g *CounterGroup) Snapshot() map[string]int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]int64, len(g.m))
-	for l, c := range g.m {
-		out[l] = c.Load()
-	}
-	return out
-}
 
 // WritePromLines renders the group as one Prometheus family with one
 // sample line per label value. HELP/TYPE headers are the caller's job.

@@ -137,9 +137,9 @@ func (s HistogramSnapshot) String() string {
 // le label, or "" for none. HELP/TYPE headers are the caller's job so
 // one metric family can span several label sets.
 func (h *Histogram) WritePromLines(w io.Writer, name, labels string) {
-	sep := ""
+	sep, set := "", ""
 	if labels != "" {
-		sep = ","
+		sep, set = ",", "{"+labels+"}"
 	}
 	var cum int64
 	for i, ub := range histBuckets {
@@ -148,11 +148,6 @@ func (h *Histogram) WritePromLines(w io.Writer, name, labels string) {
 	}
 	cum += h.counts[len(histBuckets)].Load()
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumNanos.Load())/1e9)
-		fmt.Fprintf(w, "%s_count %d\n", name, cum)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(h.sumNanos.Load())/1e9)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, float64(h.sumNanos.Load())/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, cum)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -18,9 +19,18 @@ var (
 	ridSeq    atomic.Uint64
 )
 
-// NewRequestID mints a process-unique request ID.
+// NewRequestID mints a process-unique request ID: the prefix, a dash and
+// the sequence number zero-padded to six digits, built with one
+// allocation because every request without an inbound ID mints one.
 func NewRequestID() string {
-	return fmt.Sprintf("%s-%06d", ridPrefix, ridSeq.Add(1))
+	var b [40]byte
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], ridSeq.Add(1), 10)
+	id := append(append(b[:0], ridPrefix...), '-')
+	for i := len(digits); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, digits...))
 }
 
 type ridKey struct{}

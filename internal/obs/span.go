@@ -1,13 +1,16 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,6 +114,9 @@ type Span struct {
 	attrs []Attr
 	err   bool
 	ended bool
+	// attrBuf holds the first attributes, so a span with few costs no
+	// allocation beyond the span itself.
+	attrBuf [2]Attr
 }
 
 type spanKey struct{}
@@ -148,6 +154,9 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.mu.Lock()
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	s.mu.Unlock()
 }
@@ -157,7 +166,7 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", v))
+	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
 // SetError marks the span failed and flips the trace's sticky
@@ -174,6 +183,16 @@ func (s *Span) SetError(err error) {
 	if s.sticky != nil {
 		s.sticky.Store(true)
 	}
+}
+
+// failed reports whether SetError marked the span.
+func (s *Span) failed() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // End finishes the span: a slow or failed span flips the sticky bit,
@@ -349,12 +368,11 @@ func (r *SpanRecorder) Exemplars() []Exemplar {
 		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]Exemplar, 0, len(r.exemplars))
-	for _, ex := range r.exemplars {
-		out = append(out, ex)
+	for _, name := range sortedKeys(r.exemplars) {
+		out = append(out, r.exemplars[name])
 	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -371,21 +389,26 @@ func (r *SpanRecorder) Stats() SpanStats {
 	return SpanStats{Recorded: rec, SampledOut: r.sampledOut.Load(), Evicted: evicted}
 }
 
-// WritePromLines renders the recorder's counters as Prometheus text
-// exposition under the given metric prefix (e.g. "btrserved" yields
-// btrserved_spans_recorded_total and friends). No-op on nil.
-func (r *SpanRecorder) WritePromLines(w io.Writer, prefix string) {
+// ServeHTTP serves GET /v1/spans: the retained spans as a versioned
+// SpanSet, optionally filtered by ?trace=TRACE_ID and ?min_dur=DURATION
+// (a Go duration literal like 5ms). A nil recorder answers 404, so
+// operators can tell "disabled" from "nothing recorded".
+func (r *SpanRecorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if r == nil {
+		http.Error(w, "span recording disabled", http.StatusNotFound)
 		return
 	}
-	st := r.Stats()
-	write := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n%s_%s %d\n",
-			prefix, name, help, prefix, name, prefix, name, v)
+	q := req.URL.Query()
+	f := SpanFilter{TraceID: q.Get("trace")}
+	if v := q.Get("min_dur"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			http.Error(w, "bad min_dur parameter", http.StatusBadRequest)
+			return
+		}
+		f.MinDuration = d
 	}
-	write("spans_recorded_total", "Spans recorded into the ring buffer.", st.Recorded)
-	write("spans_sampled_out_total", "Finished spans dropped by head sampling.", st.SampledOut)
-	write("spans_evicted_total", "Recorded spans overwritten by newer ones.", st.Evicted)
+	_ = WriteJSON(w, r.Snapshot(f))
 }
 
 // SpanFilter selects spans from a snapshot.
@@ -418,11 +441,8 @@ func (r *SpanRecorder) Snapshot(f SpanFilter) SpanSet {
 		}
 		out.Spans = append(out.Spans, *rec)
 	}
-	sort.Slice(out.Spans, func(i, j int) bool {
-		if out.Spans[i].StartUnixNanos != out.Spans[j].StartUnixNanos {
-			return out.Spans[i].StartUnixNanos < out.Spans[j].StartUnixNanos
-		}
-		return out.Spans[i].SpanID < out.Spans[j].SpanID
+	slices.SortFunc(out.Spans, func(a, b SpanRecord) int {
+		return cmp.Or(cmp.Compare(a.StartUnixNanos, b.StartUnixNanos), strings.Compare(a.SpanID, b.SpanID))
 	})
 	return out
 }
@@ -434,16 +454,7 @@ func (r *SpanRecorder) StartRoot(ctx context.Context, name string) (context.Cont
 	if r == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		rec:     r,
-		traceID: newTraceID(),
-		spanID:  newSpanID(),
-		name:    name,
-		start:   time.Now(),
-		sampled: r.headSeq.Add(1)%r.sampleEvery == 0,
-		sticky:  new(atomic.Bool),
-	}
-	return ContextWithSpan(ctx, s), s
+	return openSpan(ctx, r, newTraceID(), SpanID{}, name, r.headSeq.Add(1)%r.sampleEvery == 0, new(atomic.Bool))
 }
 
 // StartRemote opens a server span continuing the trace described by a
@@ -459,17 +470,7 @@ func (r *SpanRecorder) StartRemote(ctx context.Context, name, traceparent string
 	if !ok {
 		return r.StartRoot(ctx, name)
 	}
-	s := &Span{
-		rec:      r,
-		traceID:  traceID,
-		spanID:   newSpanID(),
-		parentID: parentID,
-		name:     name,
-		start:    time.Now(),
-		sampled:  sampled,
-		sticky:   new(atomic.Bool),
-	}
-	return ContextWithSpan(ctx, s), s
+	return openSpan(ctx, r, traceID, parentID, name, sampled, new(atomic.Bool))
 }
 
 // StartChild opens a child of the context's span, inheriting its trace,
@@ -481,16 +482,14 @@ func StartChild(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		rec:      parent.rec,
-		traceID:  parent.traceID,
-		spanID:   newSpanID(),
-		parentID: parent.spanID,
-		name:     name,
-		start:    time.Now(),
-		sampled:  parent.sampled,
-		sticky:   parent.sticky,
-	}
+	return openSpan(ctx, parent.rec, parent.traceID, parent.spanID, name, parent.sampled, parent.sticky)
+}
+
+// openSpan starts a span with a fresh span ID and attaches it to the
+// context.
+func openSpan(ctx context.Context, rec *SpanRecorder, trace TraceID, parent SpanID, name string, sampled bool, sticky *atomic.Bool) (context.Context, *Span) {
+	s := &Span{rec: rec, traceID: trace, spanID: newSpanID(), parentID: parent, name: name,
+		start: time.Now(), sampled: sampled, sticky: sticky}
 	return ContextWithSpan(ctx, s), s
 }
 
@@ -627,15 +626,9 @@ func (ss SpanSet) RenderTree(w io.Writer) {
 			roots = append(roots, s)
 		}
 	}
-	sort.SliceStable(roots, func(i, j int) bool {
-		ti, tj := roots[i].TraceID, roots[j].TraceID
-		if ti != tj {
-			if traceStart[ti] != traceStart[tj] {
-				return traceStart[ti] < traceStart[tj]
-			}
-			return ti < tj
-		}
-		return roots[i].StartUnixNanos < roots[j].StartUnixNanos
+	slices.SortStableFunc(roots, func(a, b *SpanRecord) int {
+		return cmp.Or(cmp.Compare(traceStart[a.TraceID], traceStart[b.TraceID]),
+			strings.Compare(a.TraceID, b.TraceID), cmp.Compare(a.StartUnixNanos, b.StartUnixNanos))
 	})
 	lastTrace := ""
 	for _, root := range roots {

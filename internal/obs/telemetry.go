@@ -1,70 +1,30 @@
-// Package telemetry collects per-block compression observability data:
-// which scheme the sampling-based selection algorithm chose at every
-// cascade level, the estimated versus achieved compression ratio, byte
-// counts, cascade depth, and where the compression time went (scheme
-// selection versus encoding).
-//
-// The entry point is Recorder. A nil *Recorder is valid and disables all
-// collection: every method is a no-op on nil, so the compression path can
-// call RecordBlock unconditionally behind a single pointer check. The
-// recorder is safe for concurrent use — CompressChunk records from many
-// worker goroutines.
-//
-// Snapshot returns an immutable aggregate view (the data behind the
-// paper's Table 2 and Figure 2), and Snapshot.Report renders it as text.
-package telemetry
+package obs
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"btrblocks/internal/obs"
+	"btrblocks/internal/core"
 )
 
-// Candidate is one scheme the picker scored for a stream, with its
-// sample-based compression-ratio estimate — the "why" behind a Level's
-// chosen scheme.
-type Candidate struct {
-	// Scheme is the candidate's name.
-	Scheme string
-	// EstimatedRatio is the sample-based ratio estimate it scored.
-	EstimatedRatio float64
-	// SampleBytes is the trial encoding's size (0 when scored without a
-	// trial, e.g. the OneValue fast path).
-	SampleBytes int
-}
-
-// Level records one scheme-selection decision inside a block: the scheme
-// chosen for one stream of the cascade and what it did to that stream.
-type Level struct {
-	// Depth is the cascade level: 0 for the block's root stream, 1 for
-	// its direct sub-streams (RLE lengths, dictionary codes, …), etc.
-	Depth int
-	// Kind is the value kind of the stream ("int", "int64", "double",
-	// "string"). Sub-streams of a string or double block are usually
-	// integer streams.
-	Kind string
-	// Scheme is the chosen scheme's name (e.g. "Dictionary", "FastBP").
-	Scheme string
-	// Values is the number of values in the stream.
-	Values int
-	// InputBytes and OutputBytes are the stream's uncompressed and
-	// encoded sizes (including the scheme tag byte).
-	InputBytes  int
-	OutputBytes int
-	// EstimatedRatio is the sample-based ratio estimate that won the
-	// scheme the pick (1 when selection fell through to Uncompressed).
-	EstimatedRatio float64
-	// PickNanos is the time spent deciding: statistics, sampling and
-	// trial-encoding the candidate schemes.
-	PickNanos int64
-	// Candidates lists every scheme the picker scored for the stream, in
-	// evaluation order (the chosen scheme included).
-	Candidates []Candidate
-}
+// This file collects per-block compression telemetry: which scheme the
+// sampling-based selection chose at every cascade level, the estimated
+// versus achieved compression ratio, byte counts, cascade depth, and
+// where the compression time went (scheme selection versus encoding).
+//
+// The entry point is Telemetry. A nil *Telemetry is valid and disables
+// all collection: every method is a no-op on nil, so the compression
+// path can call RecordBlock unconditionally behind a single pointer
+// check. The recorder is safe for concurrent use — CompressChunk records
+// from many worker goroutines. Snapshot returns an immutable aggregate
+// view (the data behind the paper's Table 2 and Figure 2), and
+// TelemetrySnapshot.Report renders it as text.
 
 // BlockEvent is the telemetry record for one compressed block.
 type BlockEvent struct {
@@ -95,8 +55,33 @@ type BlockEvent struct {
 	// (selection included).
 	SampleNanos   int64
 	CompressNanos int64
-	// Levels lists every selection decision in the block, root first.
-	Levels []Level
+	// Levels lists every selection decision in the block in the order
+	// the cascade made them (sub-streams first, the root last), as
+	// childless decision-trace nodes.
+	Levels []Node
+}
+
+// BlockEventFromDecisions flattens a block's decision trail into its
+// telemetry record.
+func BlockEventFromDecisions(column string, block int, typ string, rows int, compressNanos int64, decisions []core.Decision) BlockEvent {
+	ev := BlockEvent{Column: column, Block: block, Type: typ, Rows: rows, CompressNanos: compressNanos}
+	for _, d := range decisions {
+		ev.SampleNanos += d.PickNanos
+		if d.Level+1 > ev.CascadeDepth {
+			ev.CascadeDepth = d.Level + 1
+		}
+		ev.Levels = append(ev.Levels, *nodeFromDecision(d))
+	}
+	// Decisions arrive post-order, so the block's root decision is last.
+	if n := len(ev.Levels); n > 0 {
+		root := &ev.Levels[n-1]
+		ev.Scheme = root.Scheme
+		ev.EstimatedRatio = root.EstimatedRatio
+		ev.InputBytes = root.InputBytes
+		ev.OutputBytes = root.OutputBytes
+		ev.ActualRatio = root.ActualRatio
+	}
+	return ev
 }
 
 // ratioBuckets are the upper bounds of the compression-ratio histogram;
@@ -139,38 +124,19 @@ func (h *RatioHistogram) Total() int {
 	return n
 }
 
-// Recorder accumulates block events and aggregate counters. The zero
-// value is ready to use; a nil *Recorder discards everything.
-type Recorder struct {
-	mu     sync.Mutex
-	events []BlockEvent
-
-	blocks        int
-	inputBytes    int64
-	outputBytes   int64
-	sampleNanos   int64
-	compressNanos int64
-	// rootPicks counts root-scheme choices per column type; cascadePicks
-	// counts choices at every level per stream kind.
-	rootPicks    map[string]map[string]int
-	cascadePicks map[string]map[string]int
-	depthHist    map[int]int
-	ratioHist    RatioHistogram
-
-	// decode-side counters (RecordDecode)
-	decodeBlocks int64
-	decodeValues int64
-	decodeBytes  int64
-	decodeNanos  int64
-	// corruption counter (RecordCorruption): blocks or containers whose
-	// checksum verification failed on a decode path
-	corruptBlocks int64
+// Telemetry accumulates block events and aggregate counters. The zero
+// value is ready to use; a nil *Telemetry discards everything.
+type Telemetry struct {
+	mu sync.Mutex
+	// agg is the aggregate state Snapshot copies out; its latency and
+	// parallel-path fields are filled from the fields below.
+	agg TelemetrySnapshot
 
 	// Per-block latency distributions: sums alone hide tail behavior, so
 	// compress and decode wall times also feed shared log-scale
 	// histograms (p50/p95/p99 in Snapshot).
-	compressHist obs.Histogram
-	decodeHist   obs.Histogram
+	compressHist Histogram
+	decodeHist   Histogram
 
 	// Parallel-path scheduling stats (RecordWorkers / ObserveQueueWait),
 	// keyed by path name ("decompress_chunk", "scan", …). Histograms
@@ -182,41 +148,42 @@ type Recorder struct {
 type parallelPath struct {
 	workers   int // worker count of the most recent run
 	runs      int64
-	queueWait obs.Histogram
+	queueWait Histogram
 }
 
-// New returns an empty enabled recorder.
-func New() *Recorder { return &Recorder{} }
+// NewTelemetry returns an empty enabled recorder.
+func NewTelemetry() *Telemetry { return &Telemetry{} }
 
 // Enabled reports whether the recorder collects anything (i.e. is
 // non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
+func (r *Telemetry) Enabled() bool { return r != nil }
 
 // RecordBlock adds one block event. Safe for concurrent use; a no-op on
 // a nil receiver.
-func (r *Recorder) RecordBlock(ev BlockEvent) {
+func (r *Telemetry) RecordBlock(ev BlockEvent) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = append(r.events, ev)
-	r.blocks++
-	r.inputBytes += int64(ev.InputBytes)
-	r.outputBytes += int64(ev.OutputBytes)
-	r.sampleNanos += ev.SampleNanos
-	r.compressNanos += ev.CompressNanos
-	if r.rootPicks == nil {
-		r.rootPicks = make(map[string]map[string]int)
-		r.cascadePicks = make(map[string]map[string]int)
-		r.depthHist = make(map[int]int)
+	a := &r.agg
+	a.Events = append(a.Events, ev)
+	a.Blocks++
+	a.InputBytes += int64(ev.InputBytes)
+	a.OutputBytes += int64(ev.OutputBytes)
+	a.SampleNanos += ev.SampleNanos
+	a.CompressNanos += ev.CompressNanos
+	if a.RootPicks == nil {
+		a.RootPicks = make(map[string]map[string]int)
+		a.CascadePicks = make(map[string]map[string]int)
+		a.DepthHist = make(map[int]int)
 	}
-	bump(r.rootPicks, ev.Type, ev.Scheme)
+	bump(a.RootPicks, ev.Type, ev.Scheme)
 	for _, lv := range ev.Levels {
-		bump(r.cascadePicks, lv.Kind, lv.Scheme)
+		bump(a.CascadePicks, lv.Kind, lv.Scheme)
 	}
-	r.depthHist[ev.CascadeDepth]++
-	r.ratioHist.add(ev.ActualRatio)
+	a.DepthHist[ev.CascadeDepth]++
+	a.RatioHist.add(ev.ActualRatio)
 	r.compressHist.Observe(time.Duration(ev.CompressNanos))
 }
 
@@ -235,16 +202,16 @@ func bump(m map[string]map[string]int, outer, inner string) {
 // served columns can be audited (e.g. a block cache proving that
 // concurrent requests for one block decoded it exactly once). Safe for
 // concurrent use; a no-op on a nil receiver.
-func (r *Recorder) RecordDecode(blocks, values, compressedBytes int, nanos int64) {
+func (r *Telemetry) RecordDecode(blocks, values, compressedBytes int, nanos int64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.decodeBlocks += int64(blocks)
-	r.decodeValues += int64(values)
-	r.decodeBytes += int64(compressedBytes)
-	r.decodeNanos += nanos
+	r.agg.DecodeBlocks += int64(blocks)
+	r.agg.DecodeValues += int64(values)
+	r.agg.DecodeBytes += int64(compressedBytes)
+	r.agg.DecodeNanos += nanos
 	r.decodeHist.Observe(time.Duration(nanos))
 }
 
@@ -252,20 +219,20 @@ func (r *Recorder) RecordDecode(blocks, values, compressedBytes int, nanos int64
 // verification on a decode path. Damage is thereby observable on the
 // same recorder that watches the healthy traffic. Safe for concurrent
 // use; a no-op on a nil receiver.
-func (r *Recorder) RecordCorruption(blocks int) {
+func (r *Telemetry) RecordCorruption(blocks int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.corruptBlocks += int64(blocks)
+	r.agg.CorruptBlocks += int64(blocks)
 }
 
 // RecordWorkers notes one worker-pool run on the named parallel path
 // with the given worker count. Called by the format layer's pool engine
 // once per run; satisfies parallel.Observer. Safe for concurrent use; a
 // no-op on a nil receiver.
-func (r *Recorder) RecordWorkers(path string, workers int) {
+func (r *Telemetry) RecordWorkers(path string, workers int) {
 	if r == nil {
 		return
 	}
@@ -279,7 +246,7 @@ func (r *Recorder) RecordWorkers(path string, workers int) {
 // ObserveQueueWait records how long one task of the named parallel path
 // waited between pool start and a worker claiming it. Safe for
 // concurrent use; a no-op on a nil receiver.
-func (r *Recorder) ObserveQueueWait(path string, wait time.Duration) {
+func (r *Telemetry) ObserveQueueWait(path string, wait time.Duration) {
 	if r == nil {
 		return
 	}
@@ -293,7 +260,7 @@ func (r *Recorder) ObserveQueueWait(path string, wait time.Duration) {
 
 // parallelPath returns the named path entry, creating it. Caller holds
 // r.mu.
-func (r *Recorder) parallelPath(path string) *parallelPath {
+func (r *Telemetry) parallelPath(path string) *parallelPath {
 	if r.parallelPaths == nil {
 		r.parallelPaths = make(map[string]*parallelPath)
 	}
@@ -306,27 +273,20 @@ func (r *Recorder) parallelPath(path string) *parallelPath {
 }
 
 // Reset discards all recorded data.
-func (r *Recorder) Reset() {
+func (r *Telemetry) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = nil
-	r.blocks = 0
-	r.inputBytes, r.outputBytes = 0, 0
-	r.sampleNanos, r.compressNanos = 0, 0
-	r.rootPicks, r.cascadePicks, r.depthHist = nil, nil, nil
-	r.ratioHist = RatioHistogram{}
-	r.decodeBlocks, r.decodeValues, r.decodeBytes, r.decodeNanos = 0, 0, 0, 0
-	r.corruptBlocks = 0
+	r.agg = TelemetrySnapshot{}
 	r.compressHist.Reset()
 	r.decodeHist.Reset()
 	r.parallelPaths = nil
 }
 
-// Snapshot is an immutable copy of a Recorder's state.
-type Snapshot struct {
+// TelemetrySnapshot is an immutable copy of a Telemetry's state.
+type TelemetrySnapshot struct {
 	// Blocks is the number of blocks recorded.
 	Blocks int
 	// InputBytes and OutputBytes sum the per-block byte counts.
@@ -357,8 +317,8 @@ type Snapshot struct {
 	CorruptBlocks int64
 	// CompressLatency and DecodeLatency summarize the per-block wall-time
 	// distributions (count, sum, estimated p50/p95/p99).
-	CompressLatency obs.HistogramSnapshot
-	DecodeLatency   obs.HistogramSnapshot
+	CompressLatency HistogramSnapshot
+	DecodeLatency   HistogramSnapshot
 	// Parallel summarizes worker-pool scheduling per parallel path
 	// (path name → workers, runs, queue-wait distribution).
 	Parallel map[string]ParallelPathStats `json:",omitempty"`
@@ -372,40 +332,28 @@ type Snapshot struct {
 type ParallelPathStats struct {
 	Workers   int
 	Runs      int64
-	QueueWait obs.HistogramSnapshot
+	QueueWait HistogramSnapshot
 }
 
 // Snapshot returns a copy of the recorder's aggregate state. Events are
 // sorted by (column, block index) so concurrent recording yields a
 // deterministic snapshot. Returns a zero Snapshot on a nil receiver.
-func (r *Recorder) Snapshot() Snapshot {
+func (r *Telemetry) Snapshot() TelemetrySnapshot {
 	if r == nil {
-		return Snapshot{}
+		return TelemetrySnapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Snapshot{
-		Blocks:          r.blocks,
-		InputBytes:      r.inputBytes,
-		OutputBytes:     r.outputBytes,
-		SampleNanos:     r.sampleNanos,
-		CompressNanos:   r.compressNanos,
-		RootPicks:       copyCounts(r.rootPicks),
-		CascadePicks:    copyCounts(r.cascadePicks),
-		DepthHist:       make(map[int]int, len(r.depthHist)),
-		RatioHist:       r.ratioHist,
-		DecodeBlocks:    r.decodeBlocks,
-		DecodeValues:    r.decodeValues,
-		DecodeBytes:     r.decodeBytes,
-		DecodeNanos:     r.decodeNanos,
-		CorruptBlocks:   r.corruptBlocks,
-		CompressLatency: r.compressHist.Snapshot(),
-		DecodeLatency:   r.decodeHist.Snapshot(),
-		Events:          append([]BlockEvent(nil), r.events...),
-	}
-	for d, c := range r.depthHist {
+	s := r.agg
+	s.RootPicks = copyCounts(r.agg.RootPicks)
+	s.CascadePicks = copyCounts(r.agg.CascadePicks)
+	s.DepthHist = make(map[int]int, len(r.agg.DepthHist))
+	for d, c := range r.agg.DepthHist {
 		s.DepthHist[d] = c
 	}
+	s.CompressLatency = r.compressHist.Snapshot()
+	s.DecodeLatency = r.decodeHist.Snapshot()
+	s.Events = append([]BlockEvent(nil), r.agg.Events...)
 	if len(r.parallelPaths) > 0 {
 		s.Parallel = make(map[string]ParallelPathStats, len(r.parallelPaths))
 		for path, p := range r.parallelPaths {
@@ -416,11 +364,8 @@ func (r *Recorder) Snapshot() Snapshot {
 			}
 		}
 	}
-	sort.SliceStable(s.Events, func(i, j int) bool {
-		if s.Events[i].Column != s.Events[j].Column {
-			return s.Events[i].Column < s.Events[j].Column
-		}
-		return s.Events[i].Block < s.Events[j].Block
+	slices.SortStableFunc(s.Events, func(a, b BlockEvent) int {
+		return cmp.Or(strings.Compare(a.Column, b.Column), cmp.Compare(a.Block, b.Block))
 	})
 	return s
 }
@@ -428,17 +373,13 @@ func (r *Recorder) Snapshot() Snapshot {
 func copyCounts(m map[string]map[string]int) map[string]map[string]int {
 	out := make(map[string]map[string]int, len(m))
 	for k, mm := range m {
-		c := make(map[string]int, len(mm))
-		for k2, v := range mm {
-			c[k2] = v
-		}
-		out[k] = c
+		out[k] = maps.Clone(mm)
 	}
 	return out
 }
 
 // Ratio returns the overall achieved compression factor.
-func (s *Snapshot) Ratio() float64 {
+func (s *TelemetrySnapshot) Ratio() float64 {
 	if s.OutputBytes == 0 {
 		return 0
 	}
@@ -447,7 +388,7 @@ func (s *Snapshot) Ratio() float64 {
 
 // SampleFraction returns the share of compression time spent on scheme
 // selection (statistics + sampling + trial encodes), the §3.1 overhead.
-func (s *Snapshot) SampleFraction() float64 {
+func (s *TelemetrySnapshot) SampleFraction() float64 {
 	if s.CompressNanos == 0 {
 		return 0
 	}
@@ -457,7 +398,7 @@ func (s *Snapshot) SampleFraction() float64 {
 // Report renders the snapshot as a multi-section text table: totals,
 // scheme-pick frequencies per type (root and all cascade levels), the
 // cascade-depth distribution, and the ratio histogram.
-func (s *Snapshot) Report() string {
+func (s *TelemetrySnapshot) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "blocks: %d\n", s.Blocks)
 	fmt.Fprintf(&b, "bytes: %d -> %d (%.2fx)\n", s.InputBytes, s.OutputBytes, s.Ratio())
@@ -480,12 +421,7 @@ func (s *Snapshot) Report() string {
 	}
 	if len(s.Parallel) > 0 {
 		b.WriteString("parallel paths:\n")
-		paths := make([]string, 0, len(s.Parallel))
-		for p := range s.Parallel {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
+		for _, p := range sortedKeys(s.Parallel) {
 			st := s.Parallel[p]
 			fmt.Fprintf(&b, "  %-18s workers=%d runs=%d", p, st.Workers, st.Runs)
 			if st.QueueWait.Count > 0 {
@@ -498,7 +434,7 @@ func (s *Snapshot) Report() string {
 	writePickTable(&b, "cascade scheme picks (streams, all levels)", s.CascadePicks)
 	if len(s.DepthHist) > 0 {
 		b.WriteString("cascade depth used:\n")
-		for _, d := range sortedIntKeys(s.DepthHist) {
+		for _, d := range sortedKeys(s.DepthHist) {
 			fmt.Fprintf(&b, "  %d: %d\n", d, s.DepthHist[d])
 		}
 	}
@@ -533,35 +469,9 @@ func writePickTable(b *strings.Builder, title string, m map[string]map[string]in
 	}
 }
 
-func sortedKeys(m map[string]map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedIntKeys(m map[int]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // sortedByCount orders scheme names by descending count, then name.
 func sortedByCount(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if m[keys[i]] != m[keys[j]] {
-			return m[keys[i]] > m[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
+	keys := sortedKeys(m)
+	sort.SliceStable(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] })
 	return keys
 }

@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"strings"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
+	var r *Telemetry
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
@@ -21,13 +21,13 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestAggregation(t *testing.T) {
-	r := New()
+	r := NewTelemetry()
 	r.RecordBlock(BlockEvent{
 		Column: "a", Block: 0, Type: "integer", Rows: 10,
 		Scheme: "RLE", EstimatedRatio: 5, ActualRatio: 4.5,
 		InputBytes: 40, OutputBytes: 9, CascadeDepth: 2,
 		SampleNanos: 100, CompressNanos: 400,
-		Levels: []Level{
+		Levels: []Node{
 			{Depth: 0, Kind: "int", Scheme: "RLE"},
 			{Depth: 1, Kind: "int", Scheme: "OneValue"},
 			{Depth: 1, Kind: "int", Scheme: "FastBP"},
@@ -38,7 +38,7 @@ func TestAggregation(t *testing.T) {
 		Scheme: "FastBP", EstimatedRatio: 2, ActualRatio: 1.8,
 		InputBytes: 40, OutputBytes: 22, CascadeDepth: 1,
 		SampleNanos: 50, CompressNanos: 100,
-		Levels: []Level{{Depth: 0, Kind: "int", Scheme: "FastBP"}},
+		Levels: []Node{{Depth: 0, Kind: "int", Scheme: "FastBP"}},
 	})
 	s := r.Snapshot()
 	if s.Blocks != 2 {
@@ -72,7 +72,7 @@ func TestAggregation(t *testing.T) {
 }
 
 func TestSnapshotEventOrderDeterministic(t *testing.T) {
-	r := New()
+	r := NewTelemetry()
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -91,7 +91,7 @@ func TestSnapshotEventOrderDeterministic(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	r := New()
+	r := NewTelemetry()
 	r.RecordBlock(BlockEvent{Column: "a", ActualRatio: 2})
 	r.Reset()
 	if s := r.Snapshot(); s.Blocks != 0 || len(s.Events) != 0 {
@@ -100,11 +100,11 @@ func TestReset(t *testing.T) {
 }
 
 func TestParallelPathStats(t *testing.T) {
-	var nilRec *Recorder
+	var nilRec *Telemetry
 	nilRec.RecordWorkers("x", 4)
 	nilRec.ObserveQueueWait("x", time.Millisecond)
 
-	r := New()
+	r := NewTelemetry()
 	r.RecordWorkers("decompress_chunk", 4)
 	r.RecordWorkers("decompress_chunk", 8)
 	r.RecordWorkers("scan", 2)
@@ -137,7 +137,7 @@ func TestParallelPathStats(t *testing.T) {
 }
 
 func TestParallelPathConcurrentObserve(t *testing.T) {
-	r := New()
+	r := NewTelemetry()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)

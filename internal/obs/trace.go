@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -91,27 +92,7 @@ func BlockTraceFromDecisions(column string, block int, typ string, rows int, com
 	}
 	var stack []*Node
 	for _, d := range decisions {
-		n := &Node{
-			Depth:          d.Level,
-			Kind:           d.Kind.String(),
-			Scheme:         d.Code.String(),
-			Values:         d.Values,
-			InputBytes:     d.InputBytes,
-			OutputBytes:    d.OutputBytes,
-			EstimatedRatio: d.EstimatedRatio,
-			PickNanos:      d.PickNanos,
-		}
-		if d.OutputBytes > 0 {
-			n.ActualRatio = float64(d.InputBytes) / float64(d.OutputBytes)
-		}
-		for _, c := range d.Candidates {
-			n.Candidates = append(n.Candidates, Candidate{
-				Scheme:         c.Code.String(),
-				EstimatedRatio: c.EstimatedRatio,
-				SampleBytes:    c.SampleBytes,
-				Won:            c.Code == d.Code,
-			})
-		}
+		n := nodeFromDecision(d)
 		if d.Level+1 > bt.CascadeDepth {
 			bt.CascadeDepth = d.Level + 1
 		}
@@ -130,6 +111,32 @@ func BlockTraceFromDecisions(column string, block int, typ string, rows int, com
 		bt.Root = &Node{Depth: stack[0].Depth, Kind: stack[0].Kind, Scheme: stack[0].Scheme, Children: stack}
 	}
 	return bt
+}
+
+// nodeFromDecision is one decision as a childless tree node.
+func nodeFromDecision(d core.Decision) *Node {
+	n := &Node{
+		Depth:          d.Level,
+		Kind:           d.Kind.String(),
+		Scheme:         d.Code.String(),
+		Values:         d.Values,
+		InputBytes:     d.InputBytes,
+		OutputBytes:    d.OutputBytes,
+		EstimatedRatio: d.EstimatedRatio,
+		PickNanos:      d.PickNanos,
+	}
+	if d.OutputBytes > 0 {
+		n.ActualRatio = float64(d.InputBytes) / float64(d.OutputBytes)
+	}
+	for _, c := range d.Candidates {
+		n.Candidates = append(n.Candidates, Candidate{
+			Scheme:         c.Code.String(),
+			EstimatedRatio: c.EstimatedRatio,
+			SampleBytes:    c.SampleBytes,
+			Won:            c.Code == d.Code,
+		})
+	}
+	return n
 }
 
 // Tracer is a thread-safe sink for block decision traces. Attach one to
@@ -178,11 +185,8 @@ func (t *Tracer) Snapshot() Trace {
 	t.mu.Lock()
 	out.Blocks = append([]BlockTrace(nil), t.blocks...)
 	t.mu.Unlock()
-	sort.SliceStable(out.Blocks, func(i, j int) bool {
-		if out.Blocks[i].Column != out.Blocks[j].Column {
-			return out.Blocks[i].Column < out.Blocks[j].Column
-		}
-		return out.Blocks[i].Block < out.Blocks[j].Block
+	slices.SortStableFunc(out.Blocks, func(a, b BlockTrace) int {
+		return cmp.Or(strings.Compare(a.Column, b.Column), cmp.Compare(a.Block, b.Block))
 	})
 	return out
 }

@@ -37,7 +37,7 @@ type Task func(i int) error
 type WorkerTask func(worker, i int) error
 
 // Observer receives scheduling telemetry from Observed runs. It is
-// implemented by *telemetry.Recorder; implementations must be safe for
+// implemented by *obs.Telemetry; implementations must be safe for
 // concurrent use.
 type Observer interface {
 	// RecordWorkers notes that one pool run on the named path used the

@@ -5,34 +5,33 @@ import (
 
 	"btrblocks/internal/core"
 	"btrblocks/internal/obs"
-	"btrblocks/internal/telemetry"
 )
 
 // This file connects the compression pipeline to the telemetry recorder:
 // Options.Telemetry, when set, receives one BlockEvent per compressed
 // block with the full cascade decision trail. The recorder itself lives
-// in internal/telemetry; the aliases below make it usable from outside
-// the module.
+// in internal/obs; the aliases below make it usable from outside the
+// module.
 
 // Telemetry is a thread-safe recorder for per-block compression
 // telemetry. Create one with NewTelemetry, set it on Options.Telemetry,
 // and read it with its Snapshot or Report methods. A nil *Telemetry is
 // valid and records nothing.
-type Telemetry = telemetry.Recorder
+type Telemetry = obs.Telemetry
 
 // TelemetrySnapshot is a consistent copy of a recorder's state: per-block
 // events plus aggregate counters (scheme pick frequencies, ratio
 // histogram, byte and time totals).
-type TelemetrySnapshot = telemetry.Snapshot
+type TelemetrySnapshot = obs.TelemetrySnapshot
 
 // BlockEvent is the telemetry record for one compressed block.
-type BlockEvent = telemetry.BlockEvent
+type BlockEvent = obs.BlockEvent
 
 // NewTelemetry returns an empty recorder.
-func NewTelemetry() *Telemetry { return telemetry.New() }
+func NewTelemetry() *Telemetry { return obs.NewTelemetry() }
 
 // telemetryRecorder returns the recorder to use, or nil when disabled.
-func (o *Options) telemetryRecorder() *telemetry.Recorder {
+func (o *Options) telemetryRecorder() *Telemetry {
 	if o == nil {
 		return nil
 	}
@@ -45,67 +44,19 @@ func (o *Options) telemetryRecorder() *telemetry.Recorder {
 // cascade tree with candidate estimates. Only called when at least one
 // sink is set: the per-block Config copy and the timing calls are the
 // observed path's cost, not the default path's.
-func recordBlock(col *Column, block, lo, hi int, cfg *core.Config, rec *telemetry.Recorder, tracer *Tracer) []byte {
+func recordBlock(col *Column, block, lo, hi int, cfg *core.Config, rec *Telemetry, tracer *Tracer) []byte {
 	var decisions []core.Decision
 	tcfg := *cfg
 	tcfg.OnDecision = func(d core.Decision) { decisions = append(decisions, d) }
 	start := time.Now()
 	out := encodeBlock(col, lo, hi, &tcfg)
-	elapsed := time.Since(start)
+	elapsed := time.Since(start).Nanoseconds()
 
 	if rec != nil {
-		rec.RecordBlock(blockEvent(col, block, lo, hi, elapsed, decisions))
+		rec.RecordBlock(obs.BlockEventFromDecisions(col.Name, block, col.Type.String(), hi-lo, elapsed, decisions))
 	}
 	if tracer != nil {
-		tracer.Record(obs.BlockTraceFromDecisions(
-			col.Name, block, col.Type.String(), hi-lo, elapsed.Nanoseconds(), decisions))
+		tracer.Record(obs.BlockTraceFromDecisions(col.Name, block, col.Type.String(), hi-lo, elapsed, decisions))
 	}
 	return out
-}
-
-// blockEvent assembles the flat telemetry record from a decision trail.
-func blockEvent(col *Column, block, lo, hi int, elapsed time.Duration, decisions []core.Decision) telemetry.BlockEvent {
-	ev := telemetry.BlockEvent{
-		Column:        col.Name,
-		Block:         block,
-		Type:          col.Type.String(),
-		Rows:          hi - lo,
-		CompressNanos: elapsed.Nanoseconds(),
-	}
-	for _, d := range decisions {
-		ev.SampleNanos += d.PickNanos
-		if d.Level+1 > ev.CascadeDepth {
-			ev.CascadeDepth = d.Level + 1
-		}
-		lv := telemetry.Level{
-			Depth:          d.Level,
-			Kind:           d.Kind.String(),
-			Scheme:         d.Code.String(),
-			Values:         d.Values,
-			InputBytes:     d.InputBytes,
-			OutputBytes:    d.OutputBytes,
-			EstimatedRatio: d.EstimatedRatio,
-			PickNanos:      d.PickNanos,
-		}
-		for _, c := range d.Candidates {
-			lv.Candidates = append(lv.Candidates, telemetry.Candidate{
-				Scheme:         c.Code.String(),
-				EstimatedRatio: c.EstimatedRatio,
-				SampleBytes:    c.SampleBytes,
-			})
-		}
-		ev.Levels = append(ev.Levels, lv)
-	}
-	// Decisions arrive post-order, so the block's root decision is last.
-	if n := len(decisions); n > 0 {
-		root := decisions[n-1]
-		ev.Scheme = root.Code.String()
-		ev.EstimatedRatio = root.EstimatedRatio
-		ev.InputBytes = root.InputBytes
-		ev.OutputBytes = root.OutputBytes
-		if root.OutputBytes > 0 {
-			ev.ActualRatio = float64(root.InputBytes) / float64(root.OutputBytes)
-		}
-	}
-	return ev
 }
