@@ -531,9 +531,25 @@ func BenchmarkCountEqual_Ablation(b *testing.B) {
 	b.Run("compressed-count", func(b *testing.B) {
 		b.SetBytes(int64(col.UncompressedBytes()))
 		for i := 0; i < b.N; i++ {
-			if _, err := btrblocks.CountEqualString(data, "SHIPPED", opt); err != nil {
+			if _, err := btrblocks.Count(data, btrblocks.StringEq("SHIPPED"), opt); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	// What Count's bitmap-free mode saves: the same kernel run into a
+	// selection that is then only counted.
+	b.Run("select-cardinality", func(b *testing.B) {
+		ix, err := btrblocks.ParseColumnIndex(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(col.UncompressedBytes()))
+		for i := 0; i < b.N; i++ {
+			sel, _, err := ix.Select(data, btrblocks.StringEq("SHIPPED"), opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = sel.Cardinality()
 		}
 	})
 	b.Run("decode-and-filter", func(b *testing.B) {
@@ -633,7 +649,7 @@ func BenchmarkScanParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, c := range cols {
-					if _, err := btrblocks.CountEqualInt32(c.data, 7, opt); err != nil {
+					if _, err := btrblocks.Count(c.data, btrblocks.IntEq(7), opt); err != nil {
 						b.Fatal(err)
 					}
 				}

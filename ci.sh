@@ -37,6 +37,20 @@ run_tier1() {
 	fi
 	test ! -e internal/telemetry || { echo 'internal/telemetry must not exist'; exit 1; }
 
+	echo "== one pushdown path =="
+	# Predicates are counted by the selection walker in query.go
+	# (Count(Predicate)); the CountEqual* entry points and root scan.go
+	# are gone, and a probe literal is parsed by btrblocks.ParseEq alone.
+	if grep -rnE --include='*.go' --exclude-dir=.bench_build '\bCountEqual' .; then
+		echo 'no Go file may use a CountEqual* identifier: count through btrblocks.Count'
+		exit 1
+	fi
+	test ! -e scan.go || { echo 'root scan.go must not exist'; exit 1; }
+	if grep -rnE --include='*.go' 'strconv\.ParseInt\(value\b|ParseFloat\(value\b' internal/blockstore internal/cluster internal/smoke; then
+		echo 'parse probe literals with btrblocks.ParseEq'
+		exit 1
+	fi
+
 	echo "== go build =="
 	go build ./...
 

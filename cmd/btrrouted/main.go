@@ -345,8 +345,8 @@ func runSmoke() error {
 }
 
 // checkScatterCount asks the router for a cluster-wide equality count
-// (GET /v1/count-eq?value=) and verifies the merged total against local
-// counting over every matching column.
+// (GET /v1/count-eq?value=) and verifies the merged total against a
+// decode-and-compare count over every matching column.
 func checkScatterCount(ctx context.Context, routerBase string, columns []smoke.Column, opt *btrblocks.Options) error {
 	probe := ""
 	for i := range columns {
@@ -363,7 +363,7 @@ func checkScatterCount(ctx context.Context, routerBase string, columns []smoke.C
 		if columns[i].Col.Type != btrblocks.TypeString {
 			continue
 		}
-		n, err := btrblocks.CountEqualString(columns[i].Data, probe, opt)
+		n, err := smoke.LocalCount(columns[i].Data, probe, opt)
 		if err != nil {
 			return err
 		}

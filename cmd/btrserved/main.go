@@ -457,7 +457,7 @@ func smokeFile(ctx context.Context, cl *blockstore.Client, name string, data []b
 		if err != nil {
 			return err
 		}
-		want, err := smoke.LocalCount(data, col.Type, probe, opt)
+		want, err := smoke.LocalCount(data, probe, opt)
 		if err != nil {
 			return err
 		}

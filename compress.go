@@ -41,8 +41,6 @@ const (
 	pathCompressColumn   = "compress_column"
 	pathDecompressChunk  = "decompress_chunk"
 	pathDecompressColumn = "decompress_column"
-	pathScan             = "scan"
-	pathVerify           = "verify"
 	pathStreamAhead      = "stream_ahead"
 )
 

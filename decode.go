@@ -248,69 +248,53 @@ func decodeColumns(ctx context.Context, decs []*columnDecode, opt *Options, path
 // outputs identical by construction. base is copied per call, so workers
 // share one config; scr is the calling worker's private arena.
 func (d *columnDecode) decodeBlock(b int, base *core.Config, scr *core.Scratch, rec *obs.Telemetry) error {
-	ix, data := d.ix, d.data
-	ref := ix.Blocks[b]
-	if ref.End() > len(data) {
-		return ErrTruncatedFile
-	}
-	if err := ix.VerifyBlock(data, b); err != nil {
-		rec.RecordCorruption(1)
-		return err
-	}
-	slot, at := b-d.lo, d.rowAt(b)
-	nulls, err := blockNulls(ix, data, b)
+	blk, err := d.ix.openBlock(d.data, b, base, rec)
 	if err != nil {
 		return err
 	}
-	if nulls != nil {
+	ref, stream, cfg := blk.ref, blk.stream, &blk.cfg
+	cfg.Scratch = scr
+	slot, at := b-d.lo, d.rowAt(b)
+	if blk.nulls != nil {
 		// Ranges ascend, so the last one ends past the largest position.
 		end := uint64(0)
-		nulls.ForEachRange(func(_, hi uint64) bool {
+		blk.nulls.ForEachRange(func(_, hi uint64) bool {
 			end = hi
 			return true
 		})
 		if end > uint64(ref.Rows) {
 			return ErrCorrupt
 		}
-		d.nulls[slot] = nulls
+		d.nulls[slot] = blk.nulls
 	}
-	// Cap decoded value counts at the block's declared row count so a
-	// corrupt stream header cannot force a huge allocation.
-	cfg := *base
-	cfg.MaxDecodedValues = ref.Rows
-	cfg.Scratch = scr
-	stream := data[ref.DataOffset():ref.End()]
 	var start time.Time
 	if rec != nil {
 		start = time.Now()
 	}
-	if ix.Type != TypeString {
+	if d.ix.Type != TypeString {
 		d.alloc.Do(d.allocate)
 	}
 	var used int
 	switch {
-	case ix.Type == TypeInt:
-		used, err = decodeInto(core.Int.Decompress, d.col.Ints[at:at:at+ref.Rows], stream, &cfg)
-	case ix.Type == TypeInt64:
-		used, err = decodeInto(core.Int64.Decompress, d.col.Ints64[at:at:at+ref.Rows], stream, &cfg)
-	case ix.Type == TypeDouble:
-		used, err = decodeInto(core.Double.Decompress, d.col.Doubles[at:at:at+ref.Rows], stream, &cfg)
+	case d.ix.Type == TypeInt:
+		used, err = decodeInto(core.Int.Decompress, d.col.Ints[at:at:at+ref.Rows], stream, cfg)
+	case d.ix.Type == TypeInt64:
+		used, err = decodeInto(core.Int64.Decompress, d.col.Ints64[at:at:at+ref.Rows], stream, cfg)
+	case d.ix.Type == TypeDouble:
+		used, err = decodeInto(core.Double.Decompress, d.col.Doubles[at:at:at+ref.Rows], stream, cfg)
 	case d.views != nil:
-		d.views[slot], used, err = core.DecompressString(stream, &cfg)
+		d.views[slot], used, err = core.DecompressString(stream, cfg)
 		if err == nil && d.views[slot].Len() != ref.Rows {
 			err = ErrCorrupt
 		}
 	default:
-		d.strs[slot], used, err = core.ParseString(stream, &cfg)
+		d.strs[slot], used, err = core.ParseString(stream, cfg)
 		if err == nil && d.strs[slot].Rows() != ref.Rows {
 			err = ErrCorrupt
 		}
 	}
-	if err != nil {
+	if err := blk.consumed(used, err); err != nil {
 		return err
-	}
-	if used != ref.DataBytes {
-		return ErrCorrupt
 	}
 	if rec == nil {
 		return nil

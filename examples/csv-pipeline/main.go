@@ -108,7 +108,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	returned, err := btrblocks.CountEqualString(statusData, "RETURNED", opt)
+	returned, err := btrblocks.Count(statusData, btrblocks.StringEq("RETURNED"), opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,9 +28,9 @@ func FuzzDecompressColumn(f *testing.F) {
 		// must never panic; errors are fine
 		_, _ = DecompressColumn(data, opt)
 		_, _, _ = DecompressStringViews(data, opt)
-		_, _ = CountEqualInt32(data, 1, opt)
-		_, _ = CountEqualDouble(data, 0.99, opt)
-		_, _ = CountEqualString(data, "a", opt)
+		_, _ = Count(data, IntEq(1), opt)
+		_, _ = Count(data, DoubleEq(0.99), opt)
+		_, _ = Count(data, StringEq("a"), opt)
 	})
 }
 

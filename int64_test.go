@@ -58,7 +58,7 @@ func TestInt64NullsAndCountEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := CountEqualInt64(data, 7_000_000_000, opt)
+	count, err := Count(data, Int64Eq(7_000_000_000), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestInt64NullsAndCountEqual(t *testing.T) {
 	if count != want {
 		t.Fatalf("count = %d, want %d", count, want)
 	}
-	if count, _ := CountEqualInt64(data, 999, opt); count != 0 {
+	if count, _ := Count(data, Int64Eq(999), opt); count != 0 {
 		t.Fatalf("null garbage counted %d times", count)
 	}
 	// type mismatch
-	if _, err := CountEqualInt64(mustCompress(t, IntColumn("i", []int32{1})), 1, opt); err != ErrTypeMismatch {
+	if _, err := Count(mustCompress(t, IntColumn("i", []int32{1})), Int64Eq(1), opt); err != ErrTypeMismatch {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"btrblocks"
 	"btrblocks/internal/obs"
 )
 
@@ -31,8 +32,9 @@ import (
 // their own decoder fetch byte ranges, exactly as against an object
 // store. The block endpoint moves decompression server-side, through the
 // block cache. The count-eq endpoint pushes the predicate all the way
-// down: OneValue/RLE/Dict blocks are answered without decompression via
-// the scan fast paths. The trace endpoint re-derives the scheme
+// down: the value is parsed with btrblocks.ParseEq and counted by
+// ColumnIndex.Count, so OneValue/RLE/Dict blocks are answered without
+// decompression. The trace endpoint re-derives the scheme
 // selection of a served column, block by block, for debugging.
 type Server struct {
 	store   *Store
@@ -235,14 +237,21 @@ func (s *Server) handleCountEq(w http.ResponseWriter, r *http.Request) {
 	}
 	value := q.Get("value")
 	start := time.Now()
-	count, typ, err := s.store.CountEqualContext(r.Context(), name, value)
+	f, err := s.store.column(name)
+	count := 0
+	if err == nil {
+		var p btrblocks.Predicate
+		if p, err = btrblocks.ParseEq(f.Index.Type, value); err == nil {
+			count, _, err = f.Index.CountContext(r.Context(), f.Data, p, s.store.Options())
+		}
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	_ = obs.WriteJSON(w, CountEqResult{
 		File:  name,
-		Type:  typ.String(),
+		Type:  f.Index.Type.String(),
 		Value: value,
 		Count: count,
 		Nanos: time.Since(start).Nanoseconds(),

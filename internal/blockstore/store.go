@@ -436,6 +436,18 @@ func (s *Store) File(name string) *File {
 	return s.files[name]
 }
 
+// column returns a column file, or why there is none by that name.
+func (s *Store) column(name string) (*File, error) {
+	f := s.File(name)
+	switch {
+	case f == nil:
+		return nil, errNotFound
+	case f.Index == nil:
+		return nil, fmt.Errorf("blockstore: %s is a %s file, not a column", name, f.Kind)
+	}
+	return f, nil
+}
+
 // Metrics returns the store's counters (shared with its servers).
 func (s *Store) Metrics() *Metrics { return s.metrics }
 
@@ -506,12 +518,9 @@ func (s *Store) cachedBlock(ctx context.Context, name string, idx int) (*Block, 
 }
 
 func (s *Store) cachedBlockOnce(ctx context.Context, name string, idx int) (*Block, error) {
-	f := s.File(name)
-	if f == nil {
-		return nil, errNotFound
-	}
-	if f.Index == nil {
-		return nil, fmt.Errorf("blockstore: %s is a %s file, not a column", name, f.Kind)
+	f, err := s.column(name)
+	if err != nil {
+		return nil, err
 	}
 	if idx < 0 || idx >= len(f.Index.Blocks) {
 		return nil, fmt.Errorf("blockstore: %s block %d out of range [0,%d)", name, idx, len(f.Index.Blocks))
@@ -681,12 +690,9 @@ func (s *Store) prefetchWorker() {
 // with the full candidate slate the picker scored. CPU-heavier than a
 // plain block fetch — this is a debugging endpoint, not a scan path.
 func (s *Store) Trace(name string, idx int) (*btrblocks.DecisionTrace, error) {
-	f := s.File(name)
-	if f == nil {
-		return nil, errNotFound
-	}
-	if f.Index == nil {
-		return nil, fmt.Errorf("blockstore: %s is a %s file, not a column", name, f.Kind)
+	f, err := s.column(name)
+	if err != nil {
+		return nil, err
 	}
 	first, last := idx, idx
 	if idx < 0 {
@@ -719,54 +725,4 @@ func (s *Store) Trace(name string, idx int) (*btrblocks.DecisionTrace, error) {
 		}
 	}
 	return out, nil
-}
-
-// CountEqual answers an equality predicate on a column file from its
-// compressed bytes, routed through the type-appropriate fast path on
-// the store's already-parsed ColumnIndex (no framing re-parse). The
-// probe value is parsed according to the column type: base-10 integers
-// for int columns, a Go float literal for doubles, and the raw string
-// otherwise. It returns the match count and the column type.
-func (s *Store) CountEqual(name, value string) (int, btrblocks.Type, error) {
-	return s.CountEqualContext(context.Background(), name, value)
-}
-
-// CountEqualContext is CountEqual with a caller context: cancellation
-// reaches the per-block predicate tasks and, when the context carries a
-// tracing span, each block evaluation records a child span.
-func (s *Store) CountEqualContext(ctx context.Context, name, value string) (int, btrblocks.Type, error) {
-	f := s.File(name)
-	if f == nil {
-		return 0, 0, errNotFound
-	}
-	if f.Index == nil {
-		return 0, 0, fmt.Errorf("blockstore: %s is a %s file, not a column", name, f.Kind)
-	}
-	opt := s.cfg.Options
-	switch f.Index.Type {
-	case btrblocks.TypeInt:
-		v, err := strconv.ParseInt(value, 10, 32)
-		if err != nil {
-			return 0, f.Index.Type, fmt.Errorf("blockstore: bad int32 probe %q: %v", value, err)
-		}
-		n, err := f.Index.CountEqualInt32Context(ctx, f.Data, int32(v), opt)
-		return n, f.Index.Type, err
-	case btrblocks.TypeInt64:
-		v, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return 0, f.Index.Type, fmt.Errorf("blockstore: bad int64 probe %q: %v", value, err)
-		}
-		n, err := f.Index.CountEqualInt64Context(ctx, f.Data, v, opt)
-		return n, f.Index.Type, err
-	case btrblocks.TypeDouble:
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return 0, f.Index.Type, fmt.Errorf("blockstore: bad double probe %q: %v", value, err)
-		}
-		n, err := f.Index.CountEqualDoubleContext(ctx, f.Data, v, opt)
-		return n, f.Index.Type, err
-	default:
-		n, err := f.Index.CountEqualStringContext(ctx, f.Data, value, opt)
-		return n, f.Index.Type, err
-	}
 }

@@ -241,19 +241,23 @@ func (p *BlockPayload) Values() (*BlockValues, error) {
 	return out, nil
 }
 
+// TypeNamed maps a wire type name (btrblocks.Type.String, as in
+// FileMeta.Type) back to the type.
+func TypeNamed(name string) (btrblocks.Type, bool) {
+	for _, t := range []btrblocks.Type{btrblocks.TypeInt, btrblocks.TypeInt64, btrblocks.TypeDouble, btrblocks.TypeString} {
+		if t.String() == name {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
 // WireType maps the block's Type string back to the btrblocks Type
 // byte, with the populated payload slice as a tie-breaker so a block
 // that traveled either wire format round-trips.
 func (b *BlockValues) WireType() btrblocks.Type {
-	switch b.Type {
-	case btrblocks.TypeInt.String():
-		return btrblocks.TypeInt
-	case btrblocks.TypeInt64.String():
-		return btrblocks.TypeInt64
-	case btrblocks.TypeDouble.String():
-		return btrblocks.TypeDouble
-	case btrblocks.TypeString.String():
-		return btrblocks.TypeString
+	if t, ok := TypeNamed(b.Type); ok {
+		return t
 	}
 	switch {
 	case b.Ints != nil:

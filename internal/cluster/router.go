@@ -7,10 +7,10 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"btrblocks"
 	"btrblocks/internal/blockstore"
 	"btrblocks/internal/obs"
 )
@@ -536,8 +536,12 @@ func (r *Router) CountEqScatter(ctx context.Context, value string) (*ScatterCoun
 	}
 	files := make([]blockstore.FileMeta, 0, len(all))
 	for _, f := range all {
-		if f.Kind == "column" && probeParses(f.Type, value) {
-			files = append(files, f)
+		// The server rejects a probe its column's type cannot parse with
+		// 400, so the scatter leaves such files out up front.
+		if t, ok := blockstore.TypeNamed(f.Type); ok && f.Kind == "column" {
+			if _, err := btrblocks.ParseEq(t, value); err == nil {
+				files = append(files, f)
+			}
 		}
 	}
 	out := &ScatterCount{Value: value, Files: len(files), PerFile: make([]FileCount, len(files))}
@@ -568,24 +572,4 @@ func (r *Router) CountEqScatter(ctx context.Context, value string) (*ScatterCoun
 		}
 	}
 	return out, nil
-}
-
-// probeParses reports whether value is a valid probe for a column of
-// the given wire type name (the server rejects mismatched probes with
-// 400, so the scatter filters them out up front).
-func probeParses(typ, value string) bool {
-	switch typ {
-	case "integer":
-		_, err := strconv.ParseInt(value, 10, 32)
-		return err == nil
-	case "bigint":
-		_, err := strconv.ParseInt(value, 10, 64)
-		return err == nil
-	case "double":
-		_, err := strconv.ParseFloat(value, 64)
-		return err == nil
-	case "string":
-		return true
-	}
-	return false
 }

@@ -67,7 +67,7 @@ func TestRouterFailoverOnDeadReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := btrblocks.CountEqualInt32(contents[victim], 1, nil)
+	want, err := btrblocks.Count(contents[victim], btrblocks.IntEq(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRouterScatterCountMatchesLocal(t *testing.T) {
 	if sc.Partial {
 		t.Fatalf("scatter partial: %+v", sc)
 	}
-	want, err := btrblocks.CountEqualString(contents["t/s.btr"], probe, nil)
+	want, err := btrblocks.Count(contents["t/s.btr"], btrblocks.StringEq(probe), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +227,11 @@ func TestRouterScatterCountMatchesLocal(t *testing.T) {
 }
 
 func countLocal(data []byte, typ btrblocks.Type, value string) (int, error) {
-	switch typ {
-	case btrblocks.TypeInt:
-		return btrblocks.CountEqualInt32(data, 42, nil)
-	case btrblocks.TypeInt64:
-		return btrblocks.CountEqualInt64(data, 42, nil)
-	case btrblocks.TypeDouble:
-		return btrblocks.CountEqualDouble(data, 42, nil)
-	default:
-		return btrblocks.CountEqualString(data, value, nil)
+	p, err := btrblocks.ParseEq(typ, value)
+	if err != nil {
+		return 0, err
 	}
+	return btrblocks.Count(data, p, nil)
 }
 
 // An unmodified blockstore.Client pointed at the router server sees one

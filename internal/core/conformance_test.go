@@ -124,7 +124,7 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 					if used, err := typ.Select(enc, m, 7, sel, nil, cfg); err != nil || used != len(enc) || !sel.Equals(wantSel) {
 						t.Fatalf("%s: select %s: %d rows (used %d, err %v), want %d", name, pname, sel.Cardinality(), used, err, wantSel.Cardinality())
 					}
-					if count, used, err := typ.Count(enc, m, cfg); err != nil || used != len(enc) || count != wantSel.Cardinality() {
+					if count, used, err := typ.Count(enc, m, nil, cfg); err != nil || used != len(enc) || count != wantSel.Cardinality() {
 						t.Fatalf("%s: count %s = %d (used %d, err %v), want %d", name, pname, count, used, err, wantSel.Cardinality())
 					}
 				}
@@ -149,7 +149,7 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 					if _, err := typ.Select(short, anyPred, 0, roaring.New(), nil, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: select of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
-					if _, _, err := typ.Count(short, anyPred, cfg); !errors.Is(err, ErrCorrupt) {
+					if _, _, err := typ.Count(short, anyPred, nil, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: count of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
 					var a A
@@ -222,14 +222,14 @@ func checkRunLengths[T numeric, K stats.Key](t *testing.T, typ *Numeric[T, K], z
 		vals[i] = T(i / 100 % 2) // ten runs of 100: 0, 1, 0, 1, …
 	}
 	enc := typ.CompressAs(nil, vals, CodeRLE, cfg)
-	if count, _, err := typ.Count(enc, zero, cfg); err != nil || count != 500 {
+	if count, _, err := typ.Count(enc, zero, nil, cfg); err != nil || count != 500 {
 		t.Fatalf("%s: intact stream counts %d zeros (err %v), want 500", typ.kind, count, err)
 	}
 	// tag n runs | tag count values… | tag count lengths…
 	firstLength := 9 + 5 + 10*typ.width + 5
 	for _, bad := range []uint32{5000, 0xFFFFFF00} {
 		binary.LittleEndian.PutUint32(enc[firstLength:], bad)
-		if _, _, err := typ.Count(enc, zero, cfg); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := typ.Count(enc, zero, nil, cfg); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: length %#x: count: %v", typ.kind, bad, err)
 		}
 		if _, err := typ.Select(enc, zero, 0, roaring.New(), nil, cfg); !errors.Is(err, ErrCorrupt) {

@@ -177,46 +177,46 @@ func TestCountEqualCoreLevel(t *testing.T) {
 	// RLE path: counts come from run lengths, not expansion.
 	src := []int32{4, 4, 4, 9, 9, 4, 4}
 	enc := Int.CompressAs(nil, src, CodeRLE, cfg)
-	count, used, err := Int.Count(enc, Eq[int32](4), cfg)
+	count, used, err := Int.Count(enc, Eq[int32](4), nil, cfg)
 	if err != nil || used != len(enc) || count != 5 {
 		t.Fatalf("RLE count = %d (err %v)", count, err)
 	}
 	// Frequency path: top value answered from the bitmap.
 	freqSrc := []int32{7, 7, 7, 7, 2, 7, 7, 3}
 	enc = Int.CompressAs(nil, freqSrc, CodeFrequency, cfg)
-	count, _, err = Int.Count(enc, Eq[int32](7), cfg)
+	count, _, err = Int.Count(enc, Eq[int32](7), nil, cfg)
 	if err != nil || count != 6 {
 		t.Fatalf("Frequency top count = %d (err %v)", count, err)
 	}
-	count, _, err = Int.Count(enc, Eq[int32](3), cfg)
+	count, _, err = Int.Count(enc, Eq[int32](3), nil, cfg)
 	if err != nil || count != 1 {
 		t.Fatalf("Frequency exception count = %d (err %v)", count, err)
 	}
 	// Double dict path.
 	dsrc := []float64{1.5, 2.5, 1.5, 1.5}
 	denc := Double.CompressAs(nil, dsrc, CodeDict, cfg)
-	dcount, _, err := Double.Count(denc, DoubleEq(1.5), cfg)
+	dcount, _, err := Double.Count(denc, DoubleEq(1.5), nil, cfg)
 	if err != nil || dcount != 3 {
 		t.Fatalf("double dict count = %d (err %v)", dcount, err)
 	}
-	if dcount, _, _ := Double.Count(denc, DoubleEq(9.0), cfg); dcount != 0 {
+	if dcount, _, _ := Double.Count(denc, DoubleEq(9.0), nil, cfg); dcount != 0 {
 		t.Fatalf("absent double counted %d", dcount)
 	}
 	// String dict path.
 	ssrc := coldata.MakeStrings([]string{"a", "b", "a", "a", "c"})
 	senc := CompressStringAs(nil, ssrc, CodeDict, cfg)
-	scount, _, err := CountString(senc, &StringPred{Op: PredEq, Eq: []byte("a")}, cfg)
+	scount, _, err := CountString(senc, &StringPred{Op: PredEq, Eq: []byte("a")}, nil, cfg)
 	if err != nil || scount != 3 {
 		t.Fatalf("string dict count = %d (err %v)", scount, err)
 	}
-	if scount, _, _ := CountString(senc, &StringPred{Op: PredEq, Eq: []byte("zz")}, cfg); scount != 0 {
+	if scount, _, _ := CountString(senc, &StringPred{Op: PredEq, Eq: []byte("zz")}, nil, cfg); scount != 0 {
 		t.Fatalf("absent string counted %d", scount)
 	}
 	// Errors on garbage.
-	if _, _, err := Int.Count([]byte{}, Eq[int32](1), cfg); err == nil {
+	if _, _, err := Int.Count([]byte{}, Eq[int32](1), nil, cfg); err == nil {
 		t.Fatal("empty stream accepted")
 	}
-	if _, _, err := CountString([]byte{99}, &StringPred{Op: PredEq, Eq: []byte("x")}, cfg); err == nil {
+	if _, _, err := CountString([]byte{99}, &StringPred{Op: PredEq, Eq: []byte("x")}, nil, cfg); err == nil {
 		t.Fatal("bad scheme code accepted")
 	}
 }

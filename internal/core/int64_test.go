@@ -166,14 +166,14 @@ func TestInt64CountEqual(t *testing.T) {
 	for _, code := range []Code{CodeRLE, CodeFrequency} {
 		restricted := &Config{IntSchemes: []Code{code}}
 		enc := Int64.Compress(nil, src, restricted)
-		count, used, err := Int64.Count(enc, Eq[int64](5), cfg)
+		count, used, err := Int64.Count(enc, Eq[int64](5), nil, cfg)
 		if err != nil || used != len(enc) || count != 5 {
 			t.Fatalf("%s: count = %d (err %v)", code, count, err)
 		}
-		if count, _, _ := Int64.Count(enc, Eq[int64](1<<40), cfg); count != 1 {
+		if count, _, _ := Int64.Count(enc, Eq[int64](1<<40), nil, cfg); count != 1 {
 			t.Fatalf("%s: outlier count = %d", code, count)
 		}
-		if count, _, _ := Int64.Count(enc, Eq[int64](12345), cfg); count != 0 {
+		if count, _, _ := Int64.Count(enc, Eq[int64](12345), nil, cfg); count != 0 {
 			t.Fatalf("%s: absent count = %d", code, count)
 		}
 	}
@@ -183,7 +183,7 @@ func TestInt64CountEqual(t *testing.T) {
 		dsrc[i] = int64(i%7) * 1e15
 	}
 	enc := Int64.Compress(nil, dsrc, &Config{IntSchemes: []Code{CodeDict}})
-	if count, _, err := Int64.Count(enc, Eq[int64](2e15), cfg); err != nil || count != 143 {
+	if count, _, err := Int64.Count(enc, Eq[int64](2e15), nil, cfg); err != nil || count != 143 {
 		t.Fatalf("dict count = %d (err %v)", count, err)
 	}
 }

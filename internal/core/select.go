@@ -292,10 +292,10 @@ func (t *Numeric[T, K]) Select(src []byte, m Matcher[T], base uint32, out *roari
 // locating them: RLE sums run lengths, a dictionary resolves the
 // predicate to codes once and counts codes, Frequency answers its top
 // value from the bitmap cardinality. Returns the count and the bytes
-// consumed.
-func (t *Numeric[T, K]) Count(src []byte, m Matcher[T], cfg *Config) (count, used int, err error) {
+// consumed. st may be nil.
+func (t *Numeric[T, K]) Count(src []byte, m Matcher[T], st *SelectStats, cfg *Config) (count, used int, err error) {
 	c := cfg.normalized()
-	return t.scan(src, m, 0, nil, &discardStats, &c)
+	return t.scan(src, m, 0, nil, st.orDiscard(), &c)
 }
 
 // scan is the kernel behind Select and Count; a nil out means count only.
@@ -486,10 +486,10 @@ func SelectString(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, s
 // CountString counts the values of one compressed string stream that
 // match p (see Numeric.Count): a dictionary resolves the predicate once,
 // then counts codes in the (typically RLE/bit-packed) code stream without
-// touching string bytes again.
-func CountString(src []byte, p *StringPred, cfg *Config) (count, used int, err error) {
+// touching string bytes again. st may be nil.
+func CountString(src []byte, p *StringPred, st *SelectStats, cfg *Config) (count, used int, err error) {
 	c := cfg.normalized()
-	return scanString(src, p, 0, nil, &discardStats, &c)
+	return scanString(src, p, 0, nil, st.orDiscard(), &c)
 }
 
 func scanString(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {

@@ -108,7 +108,7 @@ func Serve(cfg *Config) error {
 		if err != nil {
 			return fmt.Errorf("count-eq %s: %w", c.Name, err)
 		}
-		want, err := smoke.LocalCount(c.Data, c.Col.Type, probe, nil)
+		want, err := smoke.LocalCount(c.Data, probe, nil)
 		if err != nil {
 			return err
 		}

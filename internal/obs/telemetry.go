@@ -139,7 +139,7 @@ type Telemetry struct {
 	decodeHist   Histogram
 
 	// Parallel-path scheduling stats (RecordWorkers / ObserveQueueWait),
-	// keyed by path name ("decompress_chunk", "scan", …). Histograms
+	// keyed by path name ("decompress_chunk", "query", …). Histograms
 	// contain atomics, so entries are held by pointer.
 	parallelPaths map[string]*parallelPath
 }

@@ -244,30 +244,22 @@ func Probe(col btrblocks.Column) (string, bool) {
 }
 
 // LocalCount counts the rows of a compressed column equal to a predicate
-// literal, in-process: the reference a served count is checked against.
-func LocalCount(data []byte, t btrblocks.Type, value string, opt *btrblocks.Options) (int, error) {
-	switch t {
-	case btrblocks.TypeInt:
-		v, err := strconv.ParseInt(value, 10, 32)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualInt32(data, int32(v), opt)
-	case btrblocks.TypeInt64:
-		v, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualInt64(data, v, opt)
-	case btrblocks.TypeDouble:
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return 0, err
-		}
-		return btrblocks.CountEqualDouble(data, v, opt)
-	default:
-		return btrblocks.CountEqualString(data, value, opt)
+// literal the way a served count never does: it decodes the column and
+// compares its non-NULL rows one by one, doubles bit-exactly. It is the
+// reference a served count is checked against.
+func LocalCount(data []byte, value string, opt *btrblocks.Options) (int, error) {
+	col, err := btrblocks.DecompressColumn(data, opt)
+	if err != nil {
+		return 0, err
 	}
+	p, err := btrblocks.ParseEq(col.Type, value)
+	n := 0
+	for i := 0; err == nil && i < col.Len(); i++ {
+		if p.Matches(&col, i) {
+			n++
+		}
+	}
+	return n, err
 }
 
 // Source indexes compressed columns for an in-process query executor.

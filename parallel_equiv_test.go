@@ -374,16 +374,16 @@ func TestParallelScanEquivalence(t *testing.T) {
 
 	for _, workers := range equivWorkerCounts() {
 		opt := &Options{BlockSize: 1000, Parallelism: workers}
-		if got, err := CountEqualInt32(intData, wantInt, opt); err != nil || got != truthInt {
+		if got, err := Count(intData, IntEq(wantInt), opt); err != nil || got != truthInt {
 			t.Fatalf("P=%d int: got %d/%v, want %d", workers, got, err, truthInt)
 		}
-		if got, err := CountEqualInt64(int64Data, wantInt64, opt); err != nil || got != truthInt64 {
+		if got, err := Count(int64Data, Int64Eq(wantInt64), opt); err != nil || got != truthInt64 {
 			t.Fatalf("P=%d int64: got %d/%v, want %d", workers, got, err, truthInt64)
 		}
-		if got, err := CountEqualDouble(dblData, wantDbl, opt); err != nil || got != truthDbl {
+		if got, err := Count(dblData, DoubleEq(wantDbl), opt); err != nil || got != truthDbl {
 			t.Fatalf("P=%d double: got %d/%v, want %d", workers, got, err, truthDbl)
 		}
-		if got, err := CountEqualString(strData, wantStr, opt); err != nil || got != truthStr {
+		if got, err := Count(strData, StringEq(wantStr), opt); err != nil || got != truthStr {
 			t.Fatalf("P=%d string: got %d/%v, want %d", workers, got, err, truthStr)
 		}
 	}
@@ -464,7 +464,7 @@ func TestParallelFirstErrorDeterminism(t *testing.T) {
 			} else if err.Error() != wantDecode {
 				t.Fatalf("trial %d P=%d: decode error %q, want %q", trial, workers, err, wantDecode)
 			}
-			_, err = CountEqualInt32(corrupt, 1, opt)
+			_, err = Count(corrupt, IntEq(1), opt)
 			if err == nil {
 				t.Fatalf("trial %d P=%d: scan missed corruption", trial, workers)
 			}
@@ -520,7 +520,7 @@ func TestParallelDecodeNoGoroutineLeaks(t *testing.T) {
 		if _, err := DecompressChunk(cc, opt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CountEqualInt32(colData, 7, opt); err != nil {
+		if _, err := Count(colData, IntEq(7), opt); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := DecompressColumn(corrupt, opt); err == nil {

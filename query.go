@@ -4,22 +4,26 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 
 	"btrblocks/internal/core"
+	"btrblocks/internal/obs"
 	"btrblocks/internal/parallel"
 	"btrblocks/internal/roaring"
 )
 
-// This file generalizes the §7 count-eq pushdown from counts to selection
-// vectors and aggregates: Eq/Range/In/NotNull predicates evaluate per
-// block directly on the compressed representation where the scheme allows
-// (dictionary code mapping, FOR min-max block skipping, RLE run walks,
+// This file is the §7 capability — processing compressed data — over one
+// column file: Eq/Range/In/NotNull predicates evaluate per block directly
+// on the compressed representation where the scheme allows (dictionary
+// code mapping, FOR min-max block skipping, RLE run walks,
 // OneValue/Frequency short-circuits — see internal/core/select.go),
 // producing roaring-backed Selections that compose with And/Or for
-// multi-column plans, plus Count/Sum/Min/Max aggregates folded from
-// compressed streams without materializing. Plan parsing, metadata-based
-// block pruning, and the serving endpoints live in internal/query; this
-// layer owns single-column evaluation over one column file.
+// multi-column plans or just their counts, plus Count/Sum/Min/Max
+// aggregates folded from compressed streams without materializing. Every
+// evaluation walks the blocks the same way (walkBlocks) and opens each
+// the same way (openBlock). Plan parsing, metadata-based block pruning,
+// and the serving endpoints live in internal/query; this layer owns
+// single-column evaluation over one column file.
 //
 // NULL semantics: value predicates (Eq/Range/In) never select NULL slots
 // — the compressor rewrites NULL slot contents, so each NULL-bearing
@@ -89,7 +93,8 @@ func Int64In(vs ...int64) Predicate {
 }
 
 // DoubleEq matches doubles bit-exactly equal to v (NaN matches NaN of the
-// same payload; 0.0 and -0.0 are distinct), mirroring CountEqualDouble.
+// same payload; 0.0 and -0.0 are distinct), the identity the compressor
+// keeps.
 func DoubleEq(v float64) Predicate {
 	return Predicate{typ: TypeDouble, doubleP: &core.DoublePred{Op: core.PredEq, Eq: v}}
 }
@@ -137,6 +142,62 @@ func NotNull() Predicate {
 // false for NotNull, which applies to any column.
 func (p Predicate) Type() (typ Type, typed bool) {
 	return p.typ, p.kind == predValue
+}
+
+// fits reports whether p applies to a column of type t.
+func (p Predicate) fits(t Type) bool { return p.kind == predNotNull || p.typ == t }
+
+// ParseEq parses a probe literal — the value of a /v1/count-eq request —
+// into an equality predicate on a column of type typ: a base-10 integer
+// that fits the type for integer columns (strconv.ParseInt), a Go float
+// literal for doubles (strconv.ParseFloat, so "NaN", "-0" and "1e3" are
+// probes), and the literal itself for strings.
+func ParseEq(typ Type, probe string) (Predicate, error) {
+	var err error
+	switch typ {
+	case TypeInt:
+		var v int64
+		if v, err = strconv.ParseInt(probe, 10, 32); err == nil {
+			return IntEq(int32(v)), nil
+		}
+	case TypeInt64:
+		var v int64
+		if v, err = strconv.ParseInt(probe, 10, 64); err == nil {
+			return Int64Eq(v), nil
+		}
+	case TypeDouble:
+		var v float64
+		if v, err = strconv.ParseFloat(probe, 64); err == nil {
+			return DoubleEq(v), nil
+		}
+	case TypeString:
+		return StringEq(probe), nil
+	default:
+		err = ErrTypeMismatch
+	}
+	return Predicate{}, fmt.Errorf("btrblocks: bad %s probe %q: %w", typ, probe, err)
+}
+
+// Matches reports whether row of a decoded column satisfies p: the
+// decode-then-filter answer the compressed-domain paths must equal. A
+// NULL row satisfies no predicate.
+func (p Predicate) Matches(col *Column, row int) bool {
+	switch {
+	case col.Nulls.IsNull(row) || !p.fits(col.Type):
+		return false
+	case p.kind == predNotNull:
+		return true
+	}
+	switch col.Type {
+	case TypeInt:
+		return p.intP.Match(col.Ints[row])
+	case TypeInt64:
+		return p.int64P.Match(col.Ints64[row])
+	case TypeDouble:
+		return p.doubleP.Match(col.Doubles[row])
+	default:
+		return p.strP.Match(col.Strings.View(row))
+	}
 }
 
 // Selection is a set of selected row ids within one column (or one
@@ -253,85 +314,108 @@ func (ix *ColumnIndex) SelectContext(ctx context.Context, data []byte, p Predica
 // into. Blocks are evaluated on the worker pool; per-block results merge
 // in block order so the output is identical at every worker count.
 func (ix *ColumnIndex) SelectBlocksContext(ctx context.Context, data []byte, p Predicate, blocks []int, opt *Options) (Selection, SelectStats, error) {
-	var stats core.SelectStats
-	if p.kind == predValue && p.typ != ix.Type {
-		return Selection{}, stats.Snapshot(), ErrTypeMismatch
-	}
-	if blocks == nil {
-		blocks = allBlocks(ix)
-	}
-	base := opt.coreConfig()
-	rec := opt.telemetryRecorder()
-	parts := make([]*roaring.Bitmap, len(blocks))
-	err := parallel.Observed(ctx, len(blocks), parallelism(opt), pathQuery, observerOf(rec), func(i int) error {
-		b := blocks[i]
-		if b < 0 || b >= len(ix.Blocks) {
-			return fmt.Errorf("btrblocks: query block %d out of range [0,%d)", b, len(ix.Blocks))
-		}
-		ref := ix.Blocks[b]
-		if ref.End() > len(data) {
-			return ErrTruncatedFile
-		}
-		if err := ix.VerifyBlock(data, b); err != nil {
-			rec.RecordCorruption(1)
-			return err
-		}
-		nulls, err := blockNulls(ix, data, b)
-		if err != nil {
-			return err
-		}
-		local := roaring.New()
-		if p.kind == predNotNull {
-			local.AddRange(0, uint32(ref.Rows))
-		} else {
-			cfg := *base
-			cfg.MaxDecodedValues = ref.Rows
-			stream := data[ref.DataOffset():ref.End()]
-			var used int
-			switch ix.Type {
-			case TypeInt:
-				used, err = core.Int.Select(stream, p.intP, 0, local, &stats, &cfg)
-			case TypeInt64:
-				used, err = core.Int64.Select(stream, p.int64P, 0, local, &stats, &cfg)
-			case TypeDouble:
-				used, err = core.Double.Select(stream, p.doubleP, 0, local, &stats, &cfg)
-			case TypeString:
-				used, err = core.SelectString(stream, p.strP, 0, local, &stats, &cfg)
-			}
-			if err != nil {
-				return err
-			}
-			if used != ref.DataBytes {
-				return ErrCorrupt
-			}
-		}
-		// NULL slots are rewritten by the compressor, so whatever the
-		// kernel decided about them is meaningless: subtract the NULL
-		// bitmap. This is the post-hoc correction that keeps the
-		// compressed-domain paths usable on NULL-bearing blocks.
-		if nulls != nil {
-			nulls.ForEach(func(v uint32) bool {
-				local.Remove(v)
-				return true
-			})
-		}
-		parts[i] = local
-		return nil
-	})
+	blocks, parts, stats, err := ix.matchBlocks(ctx, data, p, blocks, true, opt)
 	if err != nil {
-		return Selection{}, stats.Snapshot(), err
+		return Selection{}, stats, err
 	}
 	out := roaring.New()
 	for i, part := range parts {
 		start := uint32(ix.Blocks[blocks[i]].StartRow)
 		// Selected rows cluster into runs; shifting whole runs via
 		// AddRange is far cheaper than one sorted-insert per row.
-		part.ForEachRange(func(lo, hi uint64) bool {
+		part.rows.ForEachRange(func(lo, hi uint64) bool {
 			out.AddRange(start+uint32(lo), start+uint32(hi))
 			return true
 		})
 	}
-	return Selection{bm: out}, stats.Snapshot(), nil
+	return Selection{bm: out}, stats, nil
+}
+
+// Count counts the rows of a column file that satisfy p: ColumnIndex.Count
+// on a freshly parsed index.
+func Count(data []byte, p Predicate, opt *Options) (int, error) {
+	ix, err := ParseColumnIndex(data)
+	if err != nil {
+		return 0, err
+	}
+	n, _, err := ix.Count(data, p, opt)
+	return n, err
+}
+
+// Count returns the number of rows Select would select without building
+// the selection. A block without NULLs runs p's kernel with no bitmap at
+// all: RLE sums run lengths, a dictionary counts codes, Frequency reads
+// its bitmap's cardinality. A NULL-bearing block selects into a
+// block-local bitmap, takes its NULLs out and counts what is left. data
+// must be the buffer the index was parsed from.
+func (ix *ColumnIndex) Count(data []byte, p Predicate, opt *Options) (int, SelectStats, error) {
+	return ix.CountContext(context.Background(), data, p, opt)
+}
+
+// CountContext is Count with a caller context (cancellation + spans).
+func (ix *ColumnIndex) CountContext(ctx context.Context, data []byte, p Predicate, opt *Options) (int, SelectStats, error) {
+	_, parts, stats, err := ix.matchBlocks(ctx, data, p, nil, false, opt)
+	if err != nil {
+		return 0, stats, err
+	}
+	total := 0
+	for _, part := range parts {
+		total += part.n
+	}
+	return total, stats, nil
+}
+
+// blockMatch is one block's answer to a predicate: how many of its rows
+// match and, when they were asked for or needed to take out the NULLs,
+// which ones (block-local).
+type blockMatch struct {
+	n    int
+	rows *roaring.Bitmap
+}
+
+// matchBlocks evaluates p over the listed blocks (nil = all) for Select
+// (keep set) and Count.
+func (ix *ColumnIndex) matchBlocks(ctx context.Context, data []byte, p Predicate, blocks []int, keep bool, opt *Options) ([]int, []blockMatch, SelectStats, error) {
+	var stats core.SelectStats
+	if !p.fits(ix.Type) {
+		return nil, nil, stats.Snapshot(), ErrTypeMismatch
+	}
+	base, rec := opt.coreConfig(), opt.telemetryRecorder()
+	blocks, parts, err := walkBlocks(ctx, ix, blocks, nil, opt, func(b int, _ *roaring.Bitmap) (blockMatch, error) {
+		blk, err := ix.openBlock(data, b, base, rec)
+		if err != nil {
+			return blockMatch{}, err
+		}
+		var rows *roaring.Bitmap
+		if keep || blk.nulls != nil {
+			rows = roaring.New()
+			if p.kind == predNotNull {
+				rows.AddRange(0, uint32(blk.ref.Rows))
+			}
+		}
+		n := blk.ref.Rows
+		if p.kind == predValue {
+			if n, err = blk.match(p, ix.Type, rows, &stats); err != nil {
+				return blockMatch{}, err
+			}
+		}
+		if rows == nil {
+			return blockMatch{n: n}, nil
+		}
+		// NULL slots are rewritten by the compressor, so whatever the
+		// kernel decided about them is meaningless: subtract the NULL
+		// bitmap. This is the post-hoc correction that keeps the
+		// compressed-domain paths usable on NULL-bearing blocks.
+		if blk.nulls != nil {
+			matched := rows
+			blk.nulls.ForEach(func(v uint32) bool {
+				matched.Remove(v)
+				return true
+			})
+		}
+		return blockMatch{n: rows.Cardinality(), rows: rows}, nil
+	})
+	return blocks, parts, stats.Snapshot(), err
 }
 
 // Aggregate is the Count/Sum/Min/Max fold over a column (or a selected
@@ -463,70 +547,44 @@ func (ix *ColumnIndex) AggregateBlocks(data []byte, blocks []int, sel *Selection
 // identical at every worker count.
 func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, blocks []int, sel *Selection, opt *Options) (Aggregate, SelectStats, error) {
 	var stats core.SelectStats
-	if blocks == nil {
-		blocks = allBlocks(ix)
-	}
-	base := opt.coreConfig()
-	rec := opt.telemetryRecorder()
-	locals := localSelections(ix, blocks, sel)
-	parts := make([]Aggregate, len(blocks))
-	err := parallel.Observed(ctx, len(blocks), parallelism(opt), pathQuery, observerOf(rec), func(i int) error {
-		b := blocks[i]
-		if b < 0 || b >= len(ix.Blocks) {
-			return fmt.Errorf("btrblocks: query block %d out of range [0,%d)", b, len(ix.Blocks))
-		}
-		ref := ix.Blocks[b]
-		if sel != nil && (locals[i] == nil || locals[i].IsEmpty()) {
-			return nil // no selected rows in this block; never touch it
-		}
-		fastEligible := sel == nil && ref.NullBytes == 0 && ix.Type != TypeString
-		if fastEligible {
-			if ref.End() > len(data) {
-				return ErrTruncatedFile
+	base, rec := opt.coreConfig(), opt.telemetryRecorder()
+	_, parts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local *roaring.Bitmap) (Aggregate, error) {
+		if sel == nil && ix.Blocks[b].NullBytes == 0 && ix.Type != TypeString {
+			blk, err := ix.openBlock(data, b, base, rec)
+			if err != nil {
+				return Aggregate{}, err
 			}
-			if err := ix.VerifyBlock(data, b); err != nil {
-				rec.RecordCorruption(1)
-				return err
-			}
-			cfg := *base
-			cfg.MaxDecodedValues = ref.Rows
-			stream := data[ref.DataOffset():ref.End()]
-			var (
-				agg  Aggregate
-				used int
-				err  error
-			)
+			agg, used := Aggregate{}, 0
 			switch ix.Type {
 			case TypeInt:
 				var g core.Agg[int32]
-				used, err = core.Int.Aggregate(stream, &g, &stats, &cfg)
+				used, err = core.Int.Aggregate(blk.stream, &g, &stats, &blk.cfg)
 				agg = fromIntAgg(TypeInt, g)
 			case TypeInt64:
 				var g core.Agg[int64]
-				used, err = core.Int64.Aggregate(stream, &g, &stats, &cfg)
+				used, err = core.Int64.Aggregate(blk.stream, &g, &stats, &blk.cfg)
 				agg = fromIntAgg(TypeInt64, g)
 			case TypeDouble:
 				var g core.DoubleAgg
-				used, err = core.Double.Aggregate(stream, &g, &stats, &cfg)
+				used, err = core.Double.Aggregate(blk.stream, &g, &stats, &blk.cfg)
 				agg = fromDoubleAgg(g)
 			}
-			if err != nil {
-				return err
+			if err = blk.consumed(used, err); err != nil {
+				return Aggregate{}, err
 			}
-			if used != ref.DataBytes || agg.Count != int64(ref.Rows) {
-				return ErrCorrupt
+			if agg.Count != int64(blk.ref.Rows) {
+				return Aggregate{}, ErrCorrupt
 			}
-			parts[i] = agg
-			return nil
+			return agg, nil
 		}
 		d := newColumnDecode(ix, data, b, b+1, true)
 		if err := decodeColumns(ctx, []*columnDecode{d}, opt, "", false); err != nil {
-			return err
+			return Aggregate{}, err
 		}
 		stats.AggDecoded.Add(1)
 		agg := Aggregate{Type: ix.Type}
 		include := func(r int) bool {
-			return !d.col.Nulls.IsNull(r) && (locals[i] == nil || locals[i].Contains(uint32(r)))
+			return !d.col.Nulls.IsNull(r) && (local == nil || local.Contains(uint32(r)))
 		}
 		switch ix.Type {
 		case TypeInt:
@@ -554,8 +612,7 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 				}
 			}
 		}
-		parts[i] = agg
-		return nil
+		return agg, nil
 	})
 	if err != nil {
 		return Aggregate{}, stats.Snapshot(), err
@@ -571,48 +628,25 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 // (nil = all), restricted to sel when non-nil — answered entirely from
 // block headers and NULL bitmaps, never touching a data stream.
 func (ix *ColumnIndex) CountNotNullBlocksContext(ctx context.Context, data []byte, blocks []int, sel *Selection, opt *Options) (int64, error) {
-	if blocks == nil {
-		blocks = allBlocks(ix)
-	}
-	rec := opt.telemetryRecorder()
-	locals := localSelections(ix, blocks, sel)
-	counts := make([]int64, len(blocks))
-	err := parallel.Observed(ctx, len(blocks), parallelism(opt), pathQuery, observerOf(rec), func(i int) error {
-		b := blocks[i]
-		if b < 0 || b >= len(ix.Blocks) {
-			return fmt.Errorf("btrblocks: query block %d out of range [0,%d)", b, len(ix.Blocks))
-		}
-		ref := ix.Blocks[b]
-		if sel != nil && (locals[i] == nil || locals[i].IsEmpty()) {
-			return nil
-		}
-		if ref.End() > len(data) {
-			return ErrTruncatedFile
-		}
-		if err := ix.VerifyBlock(data, b); err != nil {
-			rec.RecordCorruption(1)
-			return err
-		}
-		nulls, err := blockNulls(ix, data, b)
-		if err != nil {
-			return err
-		}
+	base, rec := opt.coreConfig(), opt.telemetryRecorder()
+	_, counts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local *roaring.Bitmap) (int64, error) {
+		blk, err := ix.openBlock(data, b, base, rec)
 		switch {
-		case sel == nil && nulls == nil:
-			counts[i] = int64(ref.Rows)
-		case sel == nil:
-			counts[i] = int64(ref.Rows - nulls.Cardinality())
-		default:
-			n := int64(0)
-			locals[i].ForEach(func(v uint32) bool {
-				if int(v) < ref.Rows && (nulls == nil || !nulls.Contains(v)) {
-					n++
-				}
-				return true
-			})
-			counts[i] = n
+		case err != nil:
+			return 0, err
+		case local == nil && blk.nulls == nil:
+			return int64(blk.ref.Rows), nil
+		case local == nil:
+			return int64(blk.ref.Rows - blk.nulls.Cardinality()), nil
 		}
-		return nil
+		n := int64(0)
+		local.ForEach(func(v uint32) bool {
+			if int(v) < blk.ref.Rows && (blk.nulls == nil || !blk.nulls.Contains(v)) {
+				n++
+			}
+			return true
+		})
+		return n, nil
 	})
 	if err != nil {
 		return 0, err
@@ -624,34 +658,120 @@ func (ix *ColumnIndex) CountNotNullBlocksContext(ctx context.Context, data []byt
 	return total, nil
 }
 
-func allBlocks(ix *ColumnIndex) []int {
-	out := make([]int, len(ix.Blocks))
-	for i := range out {
-		out[i] = i
+// walkBlocks is the per-block loop of every evaluation over a column file.
+// It runs fn on the worker pool, under the query path name, for each
+// listed block (nil = all) and returns the blocks and fn's results in list
+// order; merged in that order, they give the same answer at every worker
+// count. With sel non-nil, fn also gets the block's selected rows
+// (block-local), and a block holding none is skipped without its bytes
+// being touched: its result is R's zero value.
+func walkBlocks[R any](ctx context.Context, ix *ColumnIndex, blocks []int, sel *Selection, opt *Options,
+	fn func(b int, local *roaring.Bitmap) (R, error)) ([]int, []R, error) {
+	if blocks == nil {
+		blocks = make([]int, len(ix.Blocks))
+		for i := range blocks {
+			blocks[i] = i
+		}
 	}
-	return out
+	var locals []*roaring.Bitmap
+	if sel != nil {
+		locals = localSelections(ix, blocks, sel)
+	}
+	out := make([]R, len(blocks))
+	err := parallel.Observed(ctx, len(blocks), parallelism(opt), pathQuery, observerOf(opt.telemetryRecorder()), func(i int) error {
+		b := blocks[i]
+		if b < 0 || b >= len(ix.Blocks) {
+			return fmt.Errorf("btrblocks: query block %d out of range [0,%d)", b, len(ix.Blocks))
+		}
+		var local *roaring.Bitmap
+		if sel != nil {
+			if local = locals[i]; local == nil || local.IsEmpty() {
+				return nil
+			}
+		}
+		var err error
+		out[i], err = fn(b, local)
+		return err
+	})
+	return blocks, out, err
 }
 
-// blockNulls parses block b's NULL bitmap, or nil when the block has none.
-func blockNulls(ix *ColumnIndex, data []byte, b int) (*roaring.Bitmap, error) {
+// openedBlock is one block of a column file past openBlock, the prologue
+// every read of a block shares.
+type openedBlock struct {
+	ref    BlockRef
+	stream []byte          // the compressed data stream
+	nulls  *roaring.Bitmap // nil when the block has no NULLs
+	cfg    core.Config     // decoded values capped at the block's row count
+}
+
+// openBlock checks that block b lies inside data, verifies its CRC (a
+// mismatch is counted on rec) and parses its NULL bitmap. The cap on
+// decoded values keeps a corrupt stream header from forcing an
+// allocation larger than the block.
+func (ix *ColumnIndex) openBlock(data []byte, b int, base *core.Config, rec *obs.Telemetry) (openedBlock, error) {
 	ref := ix.Blocks[b]
-	if ref.NullBytes == 0 {
-		return nil, nil
+	blk := openedBlock{ref: ref, cfg: *base}
+	if ref.End() > len(data) {
+		return blk, ErrTruncatedFile
 	}
-	nulls, used, err := roaring.FromBytes(data[ref.NullOffset() : ref.NullOffset()+ref.NullBytes])
-	if err != nil || used != ref.NullBytes {
-		return nil, ErrCorrupt
+	if err := ix.VerifyBlock(data, b); err != nil {
+		rec.RecordCorruption(1)
+		return blk, err
 	}
-	return nulls, nil
+	if ref.NullBytes > 0 {
+		nulls, used, err := roaring.FromBytes(data[ref.NullOffset() : ref.NullOffset()+ref.NullBytes])
+		if err != nil || used != ref.NullBytes {
+			return blk, ErrCorrupt
+		}
+		blk.nulls = nulls
+	}
+	blk.stream = data[ref.DataOffset():ref.End()]
+	blk.cfg.MaxDecodedValues = ref.Rows
+	return blk, nil
+}
+
+// consumed is the epilogue of a kernel run over the block's stream: the
+// kernel's error, or ErrCorrupt when it did not consume the stream
+// exactly.
+func (blk *openedBlock) consumed(used int, err error) error {
+	if err == nil && used != len(blk.stream) {
+		return ErrCorrupt
+	}
+	return err
+}
+
+// match runs p's kernel over the block's stream, a column of type t: into
+// out when out is non-nil, and otherwise counting only and returning the
+// count.
+func (blk *openedBlock) match(p Predicate, t Type, out *roaring.Bitmap, st *core.SelectStats) (n int, err error) {
+	var used int
+	s, cfg := blk.stream, &blk.cfg
+	switch {
+	case t == TypeInt && out == nil:
+		n, used, err = core.Int.Count(s, p.intP, st, cfg)
+	case t == TypeInt:
+		used, err = core.Int.Select(s, p.intP, 0, out, st, cfg)
+	case t == TypeInt64 && out == nil:
+		n, used, err = core.Int64.Count(s, p.int64P, st, cfg)
+	case t == TypeInt64:
+		used, err = core.Int64.Select(s, p.int64P, 0, out, st, cfg)
+	case t == TypeDouble && out == nil:
+		n, used, err = core.Double.Count(s, p.doubleP, st, cfg)
+	case t == TypeDouble:
+		used, err = core.Double.Select(s, p.doubleP, 0, out, st, cfg)
+	case out == nil:
+		n, used, err = core.CountString(s, p.strP, st, cfg)
+	default:
+		used, err = core.SelectString(s, p.strP, 0, out, st, cfg)
+	}
+	return n, blk.consumed(used, err)
 }
 
 // localSelections splits a column-wide selection into block-local bitmaps
 // (positions rebased to each block's start row) for the listed blocks, in
-// one ordered pass over the selection. Returns nil when sel is nil.
+// one ordered pass over the selection.
 func localSelections(ix *ColumnIndex, blocks []int, sel *Selection) []*roaring.Bitmap {
-	if sel == nil {
-		return make([]*roaring.Bitmap, len(blocks))
-	}
 	// Map block id -> slot for the listed subset.
 	slot := make(map[int]int, len(blocks))
 	for i, b := range blocks {

@@ -61,7 +61,7 @@ func TestSpanRecordingConcurrentCompressScan(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if _, err := ix.CountEqualInt32Context(ctx, data, 42, opt); err != nil {
+				if _, _, err := ix.CountContext(ctx, data, IntEq(42), opt); err != nil {
 					errCh <- err
 					return
 				}
