@@ -64,6 +64,25 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one scheme table =="
+	# Each scheme's format lives in one file of internal/core, as that
+	# scheme's table entries: every scheme code but the driver's baseline
+	# appears in exactly one non-test file besides core.go. A stream's value
+	# count is checked against the decode cap in the stream-head parser
+	# alone, so no scheme can bypass it.
+	core_files=$(ls internal/core/*.go | grep -v -e '_test\.go$' -e '/core\.go$')
+	for code in $(sed -n 's/^	\(Code[A-Z][A-Za-z0-9]*\).*/\1/p' internal/core/core.go); do
+		[ "$code" = CodeUncompressed ] && continue
+		n=$(grep -lw "$code" $core_files | wc -l)
+		test "$n" -eq 1 || { echo "$code appears in $n non-test files of internal/core besides core.go, want 1"; exit 1; }
+	done
+	caps=$(grep -nE 'maxN\(\)|[mM]axBlockValues' $core_files | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+	if [ "$(echo "$caps" | wc -l)" -ne 1 ] || ! echo "$caps" | grep -q '^internal/core/scheme\.go:.*n > cfg\.maxN()'; then
+		echo "$caps"
+		echo 'check stream counts against the decode cap in the stream-head parser (internal/core/scheme.go: head) alone'
+		exit 1
+	fi
+
 	echo "== go build =="
 	go build ./...
 

@@ -2,9 +2,11 @@ package btrblocks
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -40,6 +42,7 @@ func FuzzDecompressIntStream(f *testing.F) {
 	f.Add(core.Int.Compress(nil, make([]int32, 1000), cfg))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = core.Int.Decompress(nil, data, cfg)
+		checkAllocBound(t, data, 4, func(capped *core.Config) { _, _, _ = core.Int.Decompress(nil, data, capped) })
 	})
 }
 
@@ -48,7 +51,37 @@ func FuzzDecompressStringStream(f *testing.F) {
 	f.Add(core.String.Compress(nil, coldata.MakeStrings([]string{"x", "x", "yz"}), cfg))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = core.String.Decompress(data, cfg)
+		// A row decodes to one 8-byte view.
+		checkAllocBound(t, data, 8, func(capped *core.Config) { _, _, _ = core.String.Decompress(data, capped) })
 	})
+}
+
+// The decode cap bounds what a stream can make its decoder allocate: under
+// MaxDecodedValues = fuzzDecodeCap, decoding data allocates at most
+// fuzzAllocMultiple × (fuzzDecodeCap × value width + len(data)) bytes,
+// whatever its headers claim. The multiple leaves room for a cascade's
+// sub-streams, each of which may hold up to the cap, for append growth and
+// for pools that decode to at most 8 bytes per input byte (FSST). It is a
+// bound per cascade level: a stream nested deeper than the compressor
+// writes pays it once per level.
+const (
+	fuzzDecodeCap     = 1000
+	fuzzAllocMultiple = 64
+)
+
+// checkAllocBound runs decode once under the cap and fails t if it
+// allocated more than the bound allows.
+func checkAllocBound(t *testing.T, data []byte, width int, decode func(capped *core.Config)) {
+	t.Helper()
+	capped := &core.Config{MaxDecodedValues: fuzzDecodeCap}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode(capped)
+	runtime.ReadMemStats(&after)
+	bound := fuzzAllocMultiple * (fuzzDecodeCap*width + len(data))
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(bound) {
+		t.Fatalf("decoding %d bytes capped at %d values allocated %d bytes, bound %d", len(data), fuzzDecodeCap, got, bound)
+	}
 }
 
 func FuzzCompressIntRoundTrip(f *testing.F) {
@@ -133,6 +166,15 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		ramp[i] = int32(i * 3)
 	}
 	write("FuzzDecompressIntStream", "ramp", core.Int.Compress(nil, ramp, cfg))
+	// A FastBP header claiming 2,136 blocks of values in a 2,145-byte
+	// stream: the widths are all there, the last block's packed words are
+	// not. Over the decode cap, it must be rejected before the output is
+	// allocated.
+	overCap := make([]byte, 2145)
+	overCap[0] = byte(core.CodeFastBP)
+	binary.LittleEndian.PutUint32(overCap[1:], 2136*128)
+	overCap[len(overCap)-1] = 1
+	write("FuzzDecompressIntStream", "fastbp_over_cap", overCap)
 	write("FuzzDecompressStringStream", "dict",
 		core.String.Compress(nil, coldata.MakeStrings([]string{"x", "x", "yz", "x", "longer-value", "yz"}), cfg))
 	write("FuzzCompressIntRoundTrip", "mixed", []byte{1, 2, 3, 4, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})

@@ -1,10 +1,9 @@
 package core
 
 // The aggregate kernel: Count/Sum/Min/Max computed over one compressed
-// stream without materializing the column where the scheme allows it —
-// OneValue answers in O(1), RLE folds per run, Dict folds dictionary
-// entries through the codes stream, Frequency splits into the top value
-// and the exceptions. Terminal bit-packed streams decode and fold.
+// stream without materializing the column where the stream's scheme entry
+// has an aggregate path (OneValue, RLE, Dict, Frequency); other streams
+// decode and fold.
 //
 // Determinism contract (the differential oracle depends on it): every
 // path folds values with the same Fold/FoldRun operations a naive
@@ -30,7 +29,6 @@ type Folder[T numeric] interface {
 	// foldDict folds dict[c] for every code, reporting false on a code
 	// outside the dictionary.
 	foldDict(dict []T, codes []int32) bool
-	rows() int
 }
 
 // Agg accumulates Count/Sum/Min/Max over integer values.
@@ -63,8 +61,6 @@ func (a *Agg[T]) FoldRun(v T, l int) {
 	a.Count += l
 }
 
-func (a *Agg[T]) rows() int { return a.Count }
-
 func (a *Agg[T]) foldAll(vals []T) {
 	for _, v := range vals {
 		a.Fold(v)
@@ -88,83 +84,14 @@ func (t *Numeric[T, K]) Aggregate(src []byte, acc Folder[T], st *SelectStats, cf
 }
 
 func (t *Numeric[T, K]) aggregate(src []byte, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
-	if len(src) < 1 {
-		return 0, ErrCorrupt
+	e, n, err := head(&t.schemes, src, cfg)
+	if err != nil {
+		return 0, err
 	}
-	switch Code(src[0]) {
-	case CodeOneValue:
-		n, v, err := t.oneValue(src, cfg)
-		if err != nil {
-			return 0, err
-		}
-		st.AggFast.Add(1)
-		acc.FoldRun(v, n)
-		return 5 + t.width, nil
-	case CodeRLE:
-		_, values, lengths, used, err := t.runParts(src, cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer t.putBuf(cfg.Scratch, values)
-		defer Int.putBuf(cfg.Scratch, lengths)
-		st.AggFast.Add(1)
-		for i, rv := range values {
-			acc.FoldRun(rv, int(lengths[i]))
-		}
-		return used, nil
-	case CodeDict:
-		dict, codes, used, err := t.dictParts(src, cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer t.putBuf(cfg.Scratch, dict)
-		defer Int.putBuf(cfg.Scratch, codes)
-		st.AggFast.Add(1)
-		if !acc.foldDict(dict, codes) {
-			return 0, ErrCorrupt
-		}
-		return used, nil
-	case CodeFrequency:
-		n, top, bm, pos, err := t.frequencyHead(src, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if !t.rowOrder {
-			before := acc.rows()
-			used, err := t.aggregate(src[pos:], acc, st, cfg)
-			if err != nil {
-				return 0, err
-			}
-			if bm.Cardinality()+acc.rows()-before != n {
-				return 0, ErrCorrupt
-			}
-			st.AggFast.Add(1)
-			acc.FoldRun(top, bm.Cardinality())
-			return pos + used, nil
-		}
-		// A row-order fold needs the exception values themselves, not a
-		// recursive aggregate: decode the (small) exceptions stream and
-		// interleave with the top-value bitmap in position order.
-		exc, used, err := t.Decompress(t.buf(cfg.Scratch), src[pos:], cfg)
-		defer t.putBuf(cfg.Scratch, exc)
-		if err != nil {
-			return 0, err
-		}
-		if bm.Cardinality()+len(exc) != n {
-			return 0, ErrCorrupt
-		}
-		st.AggFast.Add(1)
-		err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
-			if isTop {
-				acc.FoldRun(top, hi-lo)
-				return
-			}
-			acc.foldAll(exc[:hi-lo])
-			exc = exc[hi-lo:]
-		})
-		return pos + used, err
+	if e.aggregate != nil {
+		return e.aggregate(src, n, acc, st, cfg)
 	}
-	values, used, err := t.Decompress(t.buf(cfg.Scratch), src, cfg)
+	values, used, err := e.decode(t.buf(cfg.Scratch), src, n, cfg)
 	defer t.putBuf(cfg.Scratch, values)
 	if err != nil {
 		return 0, err

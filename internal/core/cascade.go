@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"slices"
 	"time"
@@ -21,10 +20,8 @@ import (
 // type; the driver's bookkeeping and the layout walkers need nothing else.
 type kindInfo struct {
 	kind  Kind
-	width int // bytes per value in plain, OneValue and Frequency payloads (numeric kinds)
-	// pool is the fixed candidate order; on estimate ties the earlier
-	// (cheaper to decode) scheme wins.
-	pool  []Code
+	width int                  // bytes per value in plain, OneValue and Frequency payloads (numeric kinds)
+	pool  []Code               // the codes the picker tries, in order (see use)
 	allow func(*Config) []Code // the Config's restriction of pool
 }
 
@@ -49,9 +46,10 @@ type column[V, P any] interface {
 	// hashed once however many of them need it.
 	profile(p *P, src V, cfg *Config) *stats.Summary
 	// viable applies the statistics filters of §3 (step 2) to a built p;
-	// oneValueBytes is the stream's encoded size as OneValue.
+	// fixed is the entry's size function, where the profile alone fixes
+	// the scheme's encoded size (see numScheme.size), or nil.
 	viable(code Code, p *P) bool
-	oneValueBytes(p *P) int
+	fixed(code Code) func(p *P) int
 	// encodeAs appends src encoded with the given root scheme; p is src's
 	// profile, possibly not built yet. Sub-streams go back through
 	// compress one level down.
@@ -85,9 +83,13 @@ func compressAs[V, P any, PP reusable[P]](t column[V, P], dst []byte, src V, cod
 	free := t.profiles(cfg.Scratch)
 	p := borrow(free)
 	defer giveBack[P, PP](free, p)
-	if n, _ := t.size(src); code != CodeUncompressed && (n == 0 || !slices.Contains(t.info().pool, code)) ||
-		code == CodeOneValue && t.profile(p, src, cfg).Distinct != 1 {
+	if n, _ := t.size(src); code != CodeUncompressed && (n == 0 || !slices.Contains(t.info().pool, code)) {
 		return nil
+	}
+	if t.fixed(code) != nil {
+		if t.profile(p, src, cfg); !t.viable(code, p) {
+			return nil // a fixed-size scheme encodes only streams it is viable on
+		}
 	}
 	return t.encodeAs(dst, src, p, code, cfg, cfg.depth(), rng)
 }
@@ -131,13 +133,16 @@ func pick[V, P any, PP reusable[P]](t column[V, P], src V, p *P, cfg *Config, de
 	cfg = quiet(cfg)
 	k := t.info()
 	allowed := k.allow(cfg)
-	if t.profile(p, src, cfg).Distinct == 1 && enabled(allowed, CodeOneValue) {
-		est := float64(bytes) / float64(t.oneValueBytes(p))
-		var cands []CandidateEstimate
-		if collect {
-			cands = []CandidateEstimate{{Code: CodeOneValue, EstimatedRatio: est}}
+	t.profile(p, src, cfg)
+	for _, code := range k.pool {
+		if size := t.fixed(code); size != nil && enabled(allowed, code) && t.viable(code, p) {
+			est := float64(bytes) / float64(size(p))
+			var cands []CandidateEstimate
+			if collect {
+				cands = []CandidateEstimate{{Code: code, EstimatedRatio: est}}
+			}
+			return code, est, cands
 		}
-		return CodeOneValue, est, cands
 	}
 	smp := t.sample(src, cfg.sampling(), rng)
 	smpN, rawBytes := t.size(smp)
@@ -214,59 +219,10 @@ func (t *Numeric[T, K]) profile(p *stats.Profile[K], src []T, cfg *Config) *stat
 	return &p.Summary
 }
 
-func (t *Numeric[T, K]) viable(code Code, p *stats.Profile[K]) bool { return viable(code, &p.Summary) }
+func (t *Numeric[T, K]) viable(code Code, p *stats.Profile[K]) bool { return t.schemes[code].viable(p) }
 
-func (t *Numeric[T, K]) oneValueBytes(*stats.Profile[K]) int { return 5 + t.width }
+func (t *Numeric[T, K]) fixed(code Code) func(*stats.Profile[K]) int { return t.schemes[code].size }
 
 func (t *Numeric[T, K]) encodeAs(dst []byte, src []T, p *stats.Profile[K], code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
-	dst = append(dst, byte(code))
-	switch code {
-	case CodeUncompressed:
-		return t.put(binary.LittleEndian.AppendUint32(dst, uint32(len(src))), src)
-	case CodeOneValue:
-		return t.put(binary.LittleEndian.AppendUint32(dst, uint32(len(src))), src[:1])
-	case CodeRLE:
-		values, lengths := t.runs(src)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(values)))
-		dst = compress(t, dst, values, cfg, depth-1, rng)
-		return compress(Int, dst, lengths, cfg, depth-1, rng)
-	case CodeDict:
-		// Key identity keeps NaNs and -0.0 as distinct dictionary entries,
-		// sorted by bit pattern for determinism.
-		t.profile(p, src, cfg)
-		keys, codes := sortedDict(p)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
-		dst = compress(t, dst, t.vals(keys), cfg, depth-1, rng)
-		return compress(Int, dst, codes, cfg, depth-1, rng)
-	case CodeFrequency:
-		// the dominant value, a bitmap of the rows holding it, and the
-		// other rows' values as a cascaded stream
-		topRow, bm, exceptions := splitTop(t.profile(p, src, cfg), p.IDs, src)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-		dst = t.put(dst, src[topRow:topRow+1])
-		dst = bm.AppendTo(dst)
-		return compress(t, dst, exceptions, cfg, depth-1, rng)
-	}
-	return t.encodeLeaf(dst, src, code, cfg, depth, rng)
-}
-
-// runsOf splits src into RLE (value, length) arrays. Lengths are int32 so
-// they can re-enter the integer cascade.
-func runsOf[T integer](src []T) (values []T, lengths []int32) {
-	if len(src) == 0 {
-		return nil, nil
-	}
-	cur, n := src[0], int32(0)
-	for _, v := range src {
-		if v == cur {
-			n++
-			continue
-		}
-		values = append(values, cur)
-		lengths = append(lengths, n)
-		cur, n = v, 1
-	}
-	return append(values, cur), append(lengths, n)
+	return t.schemes[code].encode(append(dst, byte(code)), src, p, cfg, depth, rng)
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,8 +19,11 @@ import (
 // that applies × a fixed set of edge inputs. For each cell it asserts the
 // round trip, that the decoder consumes exactly the stream, that every
 // truncation is an error and never a panic, and that Select, Count and
-// Aggregate answer what decode-then-filter answers. A new scheme gets its
-// coverage by being in its type's pool.
+// Aggregate answer what decode-then-filter answers. It also asserts that a
+// header claiming one value more than Config.MaxDecodedValues is corrupt on
+// every path, and that InspectStream agrees with Decompress on seeded
+// single-bit flips of every stream. A new scheme gets its coverage by being
+// in its type's pool.
 
 // conformanceSizes brackets the 128-value packed block and the 640-value
 // sample, and ends at a full 64,000-value block.
@@ -135,6 +140,23 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 				for _, m := range preds(vals) {
 					anyPred = m
 				}
+				if n > 0 {
+					bad, capped := overCap(enc, n)
+					var a A
+					_, _, decErr := typ.Decompress(nil, bad, capped)
+					_, selErr := typ.Select(bad, anyPred, 0, roaring.New(), nil, capped)
+					_, _, countErr := typ.Count(bad, anyPred, nil, capped)
+					_, aggErr := typ.Aggregate(bad, PA(&a), nil, capped)
+					for op, err := range map[string]error{"decompress": decErr, "select": selErr, "count": countErr, "aggregate": aggErr} {
+						if !errors.Is(err, ErrCorrupt) {
+							t.Fatalf("%s: %s of a header over the decode cap: %v", name, op, err)
+						}
+					}
+				}
+				bitFlips(n, enc, func(bad []byte) {
+					dec, used, err := typ.Decompress(nil, bad, cfg)
+					inspectAgrees(t, name, typ.kind, bad, len(dec), used, err)
+				})
 				truncations(n, enc, func(short []byte) {
 					cut := len(short)
 					if _, _, err := typ.Decompress(nil, short, cfg); !errors.Is(err, ErrCorrupt) {
@@ -156,6 +178,45 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 				})
 			}
 		}
+	}
+}
+
+// overCap returns enc with its header count raised to n+1, and a config
+// that caps decoding at n values.
+func overCap(enc []byte, n int) ([]byte, *Config) {
+	bad := slices.Clone(enc)
+	binary.LittleEndian.PutUint32(bad[1:], uint32(n+1))
+	return bad, &Config{MaxDecodedValues: n}
+}
+
+// bitFlips calls f with copies of enc that each have one bit flipped, at
+// positions drawn from a source seeded by the stream's length.
+func bitFlips(n int, enc []byte, f func(bad []byte)) {
+	rng := rand.New(rand.NewSource(int64(len(enc))))
+	flips := 16
+	if testing.Short() && n > 640 {
+		flips = 2
+	}
+	for i := 0; i < flips; i++ {
+		bad := slices.Clone(enc)
+		bit := rng.Intn(8 * len(enc))
+		bad[bit/8] ^= 1 << (bit % 8)
+		f(bad)
+	}
+}
+
+// inspectAgrees checks InspectStream on bad against what Decompress made of
+// it: where decoding accepted, the layout accounts for the bytes it used
+// and the values it produced; where the layout walk rejects, so did the
+// decoder.
+func inspectAgrees(t *testing.T, name string, kind Kind, bad []byte, values, used int, err error) {
+	t.Helper()
+	l, walked, lerr := InspectStream(kind, bad)
+	switch {
+	case err == nil && lerr != nil:
+		t.Fatalf("%s: decoder accepts a flipped stream the layout walk rejects: %v", name, lerr)
+	case err == nil && (walked != used || l.Values != values):
+		t.Fatalf("%s: layout of a flipped stream has %d values in %d bytes, decoder %d in %d", name, l.Values, walked, values, used)
 	}
 }
 
@@ -187,6 +248,7 @@ func intPredsOf[T integer](vals []T) map[string]Matcher[T] {
 }
 
 func TestSchemeConformance(t *testing.T) {
+	cfg := DefaultConfig()
 	sameInt32 := func(a, b int32) bool { return a == b }
 	sameInt64 := func(a, b int64) bool { return a == b }
 	conform(t, Int, intShapesOf[int32](math.MinInt32, math.MaxInt32), sameInt32, intPredsOf[int32],
@@ -212,6 +274,17 @@ func TestSchemeConformance(t *testing.T) {
 		return a.Count == b.Count && sameBits(a.Sum, b.Sum) && sameBits(a.Min, b.Min) && sameBits(a.Max, b.Max)
 	})
 	conformStrings(t)
+
+	// A OneValue header states any count in five bytes: 2^30 rows is over
+	// every cap, for the layout walk as for the decoder.
+	huge := Int.CompressAs(nil, []int32{7}, CodeOneValue, cfg)
+	binary.LittleEndian.PutUint32(huge[1:], 1<<30)
+	if _, _, err := Int.Decompress(nil, huge, cfg); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OneValue of 2^30 rows: decompress: %v", err)
+	}
+	if _, _, err := InspectStream(KindInt, huge); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OneValue of 2^30 rows: inspect: %v", err)
+	}
 }
 
 // stringShapes are the string inputs: the empty string, bytes that are not
@@ -300,6 +373,22 @@ func conformStrings(t *testing.T) {
 					}
 				}
 				eq := &StringPred{Op: PredEq, Eq: []byte("x")}
+				if n > 0 {
+					bad, capped := overCap(enc, n)
+					_, _, decErr := String.Decompress(bad, capped)
+					_, _, parseErr := String.Parse(bad, capped)
+					_, selErr := String.Select(bad, eq, 0, roaring.New(), nil, capped)
+					_, _, countErr := String.Count(bad, eq, nil, capped)
+					for op, err := range map[string]error{"decompress": decErr, "parse": parseErr, "select": selErr, "count": countErr} {
+						if !errors.Is(err, ErrCorrupt) {
+							t.Fatalf("%s: %s of a header over the decode cap: %v", name, op, err)
+						}
+					}
+				}
+				bitFlips(n, enc, func(bad []byte) {
+					views, used, err := String.Decompress(bad, cfg)
+					inspectAgrees(t, name, KindString, bad, views.Len(), used, err)
+				})
 				truncations(n, enc, func(short []byte) {
 					cut := len(short)
 					if _, _, err := String.Decompress(short, cfg); !errors.Is(err, ErrCorrupt) {

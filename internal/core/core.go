@@ -8,6 +8,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 
 	"btrblocks/internal/sample"
@@ -175,9 +176,11 @@ type Config struct {
 	// hands each worker its own. Nil means "allocate per decode".
 	Scratch *Scratch
 	// MaxDecodedValues caps the value count a decoder will accept from a
-	// stream header (0 = MaxBlockValues). The file layer sets it to the
-	// block's declared row count so corrupt streams cannot claim huge
-	// outputs.
+	// stream header (0 = MaxBlockValues). Every scheme honours it: every
+	// stream's count is checked against it once, as its head is parsed,
+	// by Decompress, Parse, Select, Count and Aggregate alike. The query
+	// layer sets it to the block's declared row count so corrupt streams
+	// cannot claim huge outputs.
 	MaxDecodedValues int
 	// OnDecision, when non-nil, is called once per scheme-selection
 	// decision during compression — the block root and every cascade
@@ -189,10 +192,10 @@ type Config struct {
 
 // maxN returns the effective decode cap.
 func (c *Config) maxN() int {
-	if c.MaxDecodedValues > 0 && c.MaxDecodedValues < maxBlockValues {
-		return c.MaxDecodedValues
+	if c.MaxDecodedValues > 0 {
+		return min(c.MaxDecodedValues, MaxBlockValues)
 	}
-	return maxBlockValues
+	return MaxBlockValues
 }
 
 // DefaultConfig returns the paper's default configuration.
@@ -221,22 +224,10 @@ func (c *Config) sampling() sample.Strategy {
 	return c.Sample
 }
 
-func enabled(pool []Code, code Code) bool {
-	if pool == nil {
-		return true
-	}
-	for _, p := range pool {
-		if p == code {
-			return true
-		}
-	}
-	return false
-}
+func enabled(pool []Code, code Code) bool { return pool == nil || slices.Contains(pool, code) }
 
 // MaxBlockValues bounds per-stream value counts: blocks larger than this
 // cannot be compressed, and decoders reject claimed counts above it so a
 // corrupt header cannot trigger an enormous allocation or a multi-second
 // zero-fill (found by fuzzing).
 const MaxBlockValues = 1 << 22
-
-const maxBlockValues = MaxBlockValues

@@ -3,16 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"math/rand"
 	"slices"
 
-	"btrblocks/internal/pde"
 	"btrblocks/internal/roaring"
 )
 
 // What doubles do not share with the integers: runs and predicates that
-// compare by bit pattern, Pseudodecimal Encoding, and a fold whose sum
-// rounds.
+// compare by bit pattern, and a fold whose sum rounds. Pseudodecimal
+// Encoding is in pde.go.
 
 func putDoubles(dst []byte, src []float64) []byte {
 	for _, v := range src {
@@ -45,76 +43,6 @@ func runsOfDoubles(src []float64) (values []float64, lengths []int32) {
 		cur, n = math.Float64bits(v), 1
 	}
 	return append(values, math.Float64frombits(cur)), append(lengths, n)
-}
-
-// encodePDE applies Pseudodecimal Encoding and cascades the digits and
-// exponent columns back into the integer scheme pool (§4.2).
-func encodePDE(dst []byte, src []float64, cfg *Config, depth int, rng *rand.Rand) []byte {
-	digits, exps, patches, patchIdx := pde.Encode(src)
-	bm := roaring.New()
-	for _, i := range patchIdx {
-		bm.Add(i)
-	}
-	bm.RunOptimize()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-	dst = compress(Int, dst, digits, cfg, depth-1, rng)
-	dst = compress(Int, dst, exps, cfg, depth-1, rng)
-	dst = bm.AppendTo(dst)
-	return putDoubles(dst, patches)
-}
-
-func decodePDE(dst []float64, src []byte, cfg *Config) ([]float64, int, error) {
-	if len(src) < 4 {
-		return dst, 0, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > cfg.maxN() {
-		return dst, 0, ErrCorrupt
-	}
-	pos := 4
-	digits, used, err := Int.Decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	defer Int.putBuf(cfg.Scratch, digits)
-	if err != nil {
-		return dst, 0, err
-	}
-	pos += used
-	exps, used, err := Int.Decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	defer Int.putBuf(cfg.Scratch, exps)
-	if err != nil {
-		return dst, 0, err
-	}
-	pos += used
-	if len(digits) != n || len(exps) != n {
-		return dst, 0, ErrCorrupt
-	}
-	bm, used, err := roaring.FromBytes(src[pos:])
-	if err != nil {
-		return dst, 0, ErrCorrupt
-	}
-	pos += used
-	patchCount := bm.Cardinality()
-	if len(src) < pos+8*patchCount {
-		return dst, 0, ErrCorrupt
-	}
-	patches := getDoubles(make([]float64, 0, patchCount), src[pos:pos+8*patchCount])
-	pos += 8 * patchCount
-	// Validate the exponent column before trusting it as an index.
-	exCount := 0
-	for _, e := range exps {
-		if e < 0 || e > pde.ExceptionExponent {
-			return dst, 0, ErrCorrupt
-		}
-		if e == pde.ExceptionExponent {
-			exCount++
-		}
-	}
-	if exCount != patchCount {
-		return dst, 0, ErrCorrupt
-	}
-	if cfg.ScalarDecode {
-		return pde.DecodeScalar(dst, digits, exps, patches), pos, nil
-	}
-	return pde.Decode(dst, digits, exps, patches, bm.ToArray()), pos, nil
 }
 
 // DoublePred is a predicate over float64 values. Eq and In compare
@@ -217,8 +145,6 @@ func (a *DoubleAgg) FoldRun(v float64, l int) {
 	}
 	a.Count += l
 }
-
-func (a *DoubleAgg) rows() int { return a.Count }
 
 func (a *DoubleAgg) foldAll(vals []float64) {
 	for _, v := range vals {

@@ -3,12 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"math/rand"
 	"slices"
 
 	"btrblocks/internal/bitpack"
-	"btrblocks/internal/fastpfor"
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -44,14 +41,9 @@ type Numeric[T numeric, K stats.Key] struct {
 	vals func(keys []K) []T
 	// runs splits a stream into RLE (value, length) arrays by identity.
 	runs func(src []T) ([]T, []int32)
-	// The leaf codecs: the schemes of pool the shared code does not
-	// implement (FastBP, FastPFOR, Pseudodecimal). body excludes the tag.
-	encodeLeaf func(dst []byte, src []T, code Code, cfg *Config, depth int, rng *rand.Rand) []byte
-	decodeLeaf func(dst []T, body []byte, code Code, cfg *Config) ([]T, int, error)
-	// scanFOR evaluates a predicate on a FastBP body block by block; nil
-	// where the pool has no FastBP. Its Matcher is the type's *Pred: the
-	// only one there is for an integer type.
-	scanFOR func(body []byte, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, int, error)
+	// schemes is the kind's scheme table, by code; the pool in kindInfo
+	// lists the codes the picker tries, in order.
+	schemes [numCodes]*numScheme[T, K]
 	// rowOrder is set where folds must visit rows in order because sums
 	// round (doubles).
 	rowOrder bool
@@ -61,10 +53,8 @@ type Numeric[T numeric, K stats.Key] struct {
 // produces: run lengths, dictionary codes, string lengths, PDE digits and
 // exponents.
 var Int = &Numeric[int32, int32]{
-	kindInfo: kindInfo{kind: KindInt, width: 4,
-		pool:  []Code{CodeOneValue, CodeFastBP, CodeFastPFOR, CodeRLE, CodeDict, CodeFrequency},
-		allow: func(c *Config) []Code { return c.IntSchemes }},
-	scratch: func(s *Scratch) *numScratch[int32, int32] { return &s.ints },
+	kindInfo: kindInfo{kind: KindInt, width: 4, allow: func(c *Config) []Code { return c.IntSchemes }},
+	scratch:  func(s *Scratch) *numScratch[int32, int32] { return &s.ints },
 	put: func(dst []byte, src []int32) []byte {
 		for _, v := range src {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
@@ -81,38 +71,14 @@ var Int = &Numeric[int32, int32]{
 	keys: func(src []int32, _ *Scratch) []int32 { return src },
 	vals: func(keys []int32) []int32 { return keys },
 	runs: runsOf[int32],
-	encodeLeaf: func(dst []byte, src []int32, code Code, _ *Config, _ int, _ *rand.Rand) []byte {
-		if code == CodeFastPFOR {
-			return fastpfor.Encode(dst, src)
-		}
-		return bitpack.EncodeFOR(dst, src)
-	},
-	decodeLeaf: func(dst []int32, body []byte, code Code, cfg *Config) ([]int32, int, error) {
-		switch {
-		case code == CodeFastBP && cfg.ScalarDecode:
-			return bitpack.DecodeFORGeneric(dst, body)
-		case code == CodeFastBP:
-			return bitpack.DecodeFOR(dst, body)
-		case code == CodeFastPFOR && cfg.ScalarDecode:
-			return fastpfor.DecodeGeneric(dst, body)
-		case code == CodeFastPFOR:
-			return fastpfor.Decode(dst, body)
-		}
-		return dst, 0, ErrCorrupt
-	},
-	scanFOR: func(body []byte, m Matcher[int32], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, int, error) {
-		return scanFOR(body, m.(*Pred[int32]), base, out, st, cfg, bitpack.Unpack, bitpack.UnpackGeneric)
-	},
 }
 
 // Int64 describes int64 columns (timestamps, surrogate keys): the int32
 // pool minus FastPFOR — FOR + bit-packing with per-128-block widths
 // already absorbs the outlier cost at 64-bit widths.
 var Int64 = &Numeric[int64, int64]{
-	kindInfo: kindInfo{kind: KindInt64, width: 8,
-		pool:  []Code{CodeOneValue, CodeFastBP, CodeRLE, CodeDict, CodeFrequency},
-		allow: func(c *Config) []Code { return c.IntSchemes }},
-	scratch: func(s *Scratch) *numScratch[int64, int64] { return &s.ints64 },
+	kindInfo: kindInfo{kind: KindInt64, width: 8, allow: func(c *Config) []Code { return c.IntSchemes }},
+	scratch:  func(s *Scratch) *numScratch[int64, int64] { return &s.ints64 },
 	put: func(dst []byte, src []int64) []byte {
 		for _, v := range src {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
@@ -129,34 +95,17 @@ var Int64 = &Numeric[int64, int64]{
 	keys: func(src []int64, _ *Scratch) []int64 { return src },
 	vals: func(keys []int64) []int64 { return keys },
 	runs: runsOf[int64],
-	encodeLeaf: func(dst []byte, src []int64, _ Code, _ *Config, _ int, _ *rand.Rand) []byte {
-		return bitpack.EncodeFOR64(dst, src)
-	},
-	decodeLeaf: func(dst []int64, body []byte, code Code, cfg *Config) ([]int64, int, error) {
-		switch {
-		case code == CodeFastBP && cfg.ScalarDecode:
-			return bitpack.DecodeFOR64Generic(dst, body)
-		case code == CodeFastBP:
-			return bitpack.DecodeFOR64(dst, body)
-		}
-		return dst, 0, ErrCorrupt
-	},
-	scanFOR: func(body []byte, m Matcher[int64], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, int, error) {
-		return scanFOR(body, m.(*Pred[int64]), base, out, st, cfg, bitpack.Unpack64, bitpack.Unpack64Generic)
-	},
 }
 
 // Double describes float64 columns — the double branch of the Figure 3
 // decision tree. Values are identified by bit pattern everywhere, so the
 // round trip is bit-exact (NaN payloads and -0.0 included).
 var Double = &Numeric[float64, uint64]{
-	kindInfo: kindInfo{kind: KindDouble, width: 8,
-		pool:  []Code{CodeOneValue, CodeDict, CodeRLE, CodeFrequency, CodePDE},
-		allow: func(c *Config) []Code { return c.DoubleSchemes }},
-	scratch: func(s *Scratch) *numScratch[float64, uint64] { return &s.doubles },
-	put:     putDoubles,
-	get:     getDoubles,
-	one:     func(src []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(src)) },
+	kindInfo: kindInfo{kind: KindDouble, width: 8, allow: func(c *Config) []Code { return c.DoubleSchemes }},
+	scratch:  func(s *Scratch) *numScratch[float64, uint64] { return &s.doubles },
+	put:      putDoubles,
+	get:      getDoubles,
+	one:      func(src []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(src)) },
 	// The keyed copy of a stream is only read while its profile is built,
 	// so one buffer serves them all.
 	keys: func(src []float64, scr *Scratch) []uint64 {
@@ -173,15 +122,43 @@ var Double = &Numeric[float64, uint64]{
 		}
 		return out
 	},
-	runs: runsOfDoubles,
-	encodeLeaf: func(dst []byte, src []float64, _ Code, cfg *Config, depth int, rng *rand.Rand) []byte {
-		return encodePDE(dst, src, cfg, depth, rng)
-	},
-	decodeLeaf: func(dst []float64, body []byte, code Code, cfg *Config) ([]float64, int, error) {
-		if code != CodePDE {
-			return dst, 0, ErrCorrupt
-		}
-		return decodePDE(dst, body, cfg)
-	},
+	runs:     runsOfDoubles,
 	rowOrder: true,
 }
+
+// The pools are filled here rather than in the literals above because
+// their entries encode sub-streams with Int, which would make each literal
+// depend on itself.
+func init() {
+	Int.use(oneValue(Int), fastBP(Int, bitpack.EncodeFOR, bitpack.DecodeFOR, bitpack.DecodeFORGeneric, bitpack.Unpack, bitpack.UnpackGeneric),
+		fastPFOR(), rle(Int), dict(Int), frequency(Int))
+	Int64.use(oneValue(Int64), fastBP(Int64, bitpack.EncodeFOR64, bitpack.DecodeFOR64, bitpack.DecodeFOR64Generic, bitpack.Unpack64, bitpack.Unpack64Generic),
+		rle(Int64), dict(Int64), frequency(Int64))
+	Double.use(oneValue(Double), dict(Double), rle(Double), frequency(Double), pseudodecimal())
+}
+
+// use fills the kind's scheme table: plain, the implicit baseline, and the
+// pool in the picker's order (on estimate ties the earlier, cheaper to
+// decode scheme wins).
+func (t *Numeric[T, K]) use(pool ...*numScheme[T, K]) {
+	t.schemes[CodeUncompressed] = plain(t)
+	for _, e := range pool {
+		t.schemes[e.code] = e
+		t.pool = append(t.pool, e.code)
+	}
+}
+
+// Decompress decodes one stream, appending values to dst and returning
+// the number of input bytes consumed.
+func (t *Numeric[T, K]) Decompress(dst []T, src []byte, cfg *Config) ([]T, int, error) {
+	e, n, err := head(&t.schemes, src, cfg)
+	if err != nil {
+		return dst, 0, err
+	}
+	return e.decode(dst, src, n, cfg)
+}
+
+// grow extends dst by n values the caller is about to write, every one of
+// them: within dst's capacity they are not cleared first, so a decoder
+// handed its range of a column writes that range once.
+func grow[T any](dst []T, n int) []T { return slices.Grow(dst, n)[:len(dst)+n] }

@@ -2,13 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
-	"btrblocks/internal/bitpack"
 	"btrblocks/internal/roaring"
 )
 
@@ -17,18 +14,9 @@ import (
 // when the chosen schemes permit it. One kernel per value family (scan for
 // numbers, String.scan for strings) walks a compressed stream, counts the
 // matching values and, when given a bitmap, adds their positions (offset
-// by base) to it:
-//
-//   - OneValue answers the whole stream in O(1) (one range add)
-//   - RLE tests each run value once and adds whole runs
-//   - Dict maps the predicate over the sorted dictionary to a code
-//     predicate and recurses into the codes stream (dict-code set mapping)
-//   - Frequency splits into the top-value bitmap and a recursive select
-//     over the exceptions stream, then walks positions without decoding
-//   - FOR/bit-packed streams compare the predicate's value bounds against
-//     each 128-value block's [reference, reference+2^width) envelope and
-//     skip whole packed blocks that cannot match (min-max arithmetic)
-//   - everything else decodes and filters
+// by base) to it. Where the stream's scheme entry has a scan (OneValue,
+// RLE, Dict, Frequency, FastBP) it answers in the compressed domain; every
+// other stream decodes and filters.
 //
 // NULL handling is the caller's job: NULL slots are rewritten by the
 // compressor, so a caller evaluating a NULL-bearing block subtracts the
@@ -52,16 +40,15 @@ const (
 // oracle tests use these to prove a compressed-domain path actually
 // executed rather than silently falling back to decode.
 type SelectStats struct {
-	OneValue    atomic.Int64 // OneValue short-circuits
-	RLE         atomic.Int64 // RLE run walks (no expansion)
-	Dict        atomic.Int64 // dictionary predicate mappings
-	Frequency   atomic.Int64 // Frequency bitmap/exception splits
-	FORSkipped  atomic.Int64 // packed 128-value blocks skipped by min-max
-	FORScanned  atomic.Int64 // packed 128-value blocks unpacked and tested
-	Decoded     atomic.Int64 // terminal streams decoded and filtered
-	AggFast     atomic.Int64 // aggregates answered from compressed form
-	AggDecoded  atomic.Int64 // aggregates that decoded values
-	noopDiscard [0]byte
+	OneValue   atomic.Int64 // OneValue short-circuits
+	RLE        atomic.Int64 // RLE run walks (no expansion)
+	Dict       atomic.Int64 // dictionary predicate mappings
+	Frequency  atomic.Int64 // Frequency bitmap/exception splits
+	FORSkipped atomic.Int64 // packed 128-value blocks skipped by min-max
+	FORScanned atomic.Int64 // packed 128-value blocks unpacked and tested
+	Decoded    atomic.Int64 // terminal streams decoded and filtered
+	AggFast    atomic.Int64 // aggregates answered from compressed form
+	AggDecoded atomic.Int64 // aggregates that decoded values
 }
 
 // SelectStatsSnapshot is a plain-value copy of SelectStats, suitable for
@@ -115,13 +102,6 @@ func (s *SelectStats) orDiscard() *SelectStats {
 		return &discardStats
 	}
 	return s
-}
-
-func maskU64of(w uint) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << w) - 1
 }
 
 // Matcher is what the scan kernel asks of a predicate over T: one value at
@@ -298,177 +278,20 @@ func (t *Numeric[T, K]) Count(src []byte, m Matcher[T], st *SelectStats, cfg *Co
 
 // scan is the kernel behind Select and Count; a nil out means count only.
 func (t *Numeric[T, K]) scan(src []byte, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
-	if len(src) < 1 {
-		return 0, 0, ErrCorrupt
+	e, n, err := head(&t.schemes, src, cfg)
+	if err != nil {
+		return 0, 0, err
 	}
-	switch Code(src[0]) {
-	case CodeOneValue:
-		n, v, err := t.oneValue(src, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		st.OneValue.Add(1)
-		if !m.Match(v) {
-			n = 0
-		} else if out != nil {
-			out.AddRange(base, base+uint32(n))
-		}
-		return n, 5 + t.width, nil
-	case CodeRLE:
-		_, values, lengths, used, err := t.runParts(src, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer t.putBuf(cfg.Scratch, values)
-		defer Int.putBuf(cfg.Scratch, lengths)
-		st.RLE.Add(1)
-		row := base
-		for i, rv := range values {
-			l := uint32(lengths[i])
-			if m.Match(rv) {
-				count += int(l)
-				if out != nil {
-					out.AddRange(row, row+l)
-				}
-			}
-			row += l
-		}
-		return count, used, nil
-	case CodeDict:
-		_, dict, pos, err := t.dictHead(src, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer t.putBuf(cfg.Scratch, dict)
-		st.Dict.Add(1)
-		count, used, err = Int.scan(src[pos:], m.codes(dict), base, out, st, cfg)
-		return count, pos + used, err
-	case CodeFrequency:
-		n, top, bm, pos, err := t.frequencyHead(src, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		st.Frequency.Add(1)
-		var excSel *roaring.Bitmap // over exception indexes
-		if out != nil {
-			excSel = roaring.New()
-		}
-		count, used, err = t.scan(src[pos:], m, 0, excSel, st, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		topMatch := m.Match(top)
-		if topMatch {
-			count += bm.Cardinality()
-		}
-		if out != nil {
-			exc := uint32(0) // exceptions before the current span
-			err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
-				switch {
-				case isTop && topMatch:
-					out.AddRange(base+uint32(lo), base+uint32(hi))
-				case !isTop:
-					for row := lo; row < hi; row++ {
-						if excSel.Contains(exc) {
-							out.Add(base + uint32(row))
-						}
-						exc++
-					}
-				}
-			})
-		}
-		return count, pos + used, err
-	case CodeFastBP:
-		if t.scanFOR != nil {
-			count, used, err = t.scanFOR(src[1:], m, base, out, st, cfg)
-			return count, 1 + used, err
-		}
+	if e.scan != nil {
+		return e.scan(src, n, m, base, out, st, cfg)
 	}
-	// everything else decodes and filters
-	values, used, err := t.Decompress(t.buf(cfg.Scratch), src, cfg)
+	values, used, err := e.decode(t.buf(cfg.Scratch), src, n, cfg)
 	defer t.putBuf(cfg.Scratch, values)
 	if err != nil {
 		return 0, 0, err
 	}
 	st.Decoded.Add(1)
 	return m.filter(values, base, out), used, nil
-}
-
-// scanFOR walks a FOR/bit-packed body (scheme byte already stripped),
-// skipping whole 128-value packed blocks whose [reference,
-// reference+2^width) envelope cannot intersect the predicate's bounds, and
-// unpacking only the rest. U is the unsigned word T's deltas are packed as.
-func scanFOR[T integer, U uint32 | uint64](body []byte, p *Pred[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config,
-	unpack, unpackScalar func([]U, []byte, int, uint) (int, error)) (count, pos int, err error) {
-	wordBits := uint(bits.Len64(uint64(^U(0))))
-	if len(body) < 4 {
-		return 0, 0, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	pos = 4
-	if n == 0 {
-		return 0, pos, nil
-	}
-	if n > cfg.maxN() || len(body) < pos+int(wordBits/8) {
-		return 0, 0, ErrCorrupt
-	}
-	ref := T(binary.LittleEndian.Uint32(body[pos:]))
-	if wordBits == 64 {
-		ref = T(binary.LittleEndian.Uint64(body[pos:]))
-	}
-	pos += int(wordBits / 8)
-	if cfg.ScalarDecode {
-		unpack = unpackScalar
-	}
-	plo, phi := p.Bounds()
-	var deltas [bitpack.BlockLen]U
-	for got := 0; got < n; got += bitpack.BlockLen {
-		cnt := min(n-got, bitpack.BlockLen)
-		if pos >= len(body) {
-			return 0, 0, ErrCorrupt
-		}
-		w := uint(body[pos])
-		pos++
-		if w > wordBits {
-			return 0, 0, ErrCorrupt
-		}
-		nBytes := (cnt*int(w) + 63) / 64 * 8
-		if len(body) < pos+nBytes {
-			return 0, 0, ErrCorrupt
-		}
-		// Envelope check: every value in this packed block lies in
-		// [ref, ref+mask(w)] — disjoint from the predicate bounds means
-		// the block cannot contain a match and is skipped unread. The
-		// upper bound saturates at MaxInt64: a width-64 block (or one
-		// whose envelope overflows) is never skipped by it, which keeps
-		// the skip sound.
-		hiBound := int64(math.MaxInt64)
-		if w < 64 {
-			if d := int64(maskU64of(w)); int64(ref) <= math.MaxInt64-d {
-				hiBound = int64(ref) + d
-			}
-		}
-		if phi < int64(ref) || plo > hiBound {
-			st.FORSkipped.Add(1)
-			pos += nBytes
-			continue
-		}
-		st.FORScanned.Add(1)
-		used, err := unpack(deltas[:cnt], body[pos:], cnt, w)
-		if err != nil {
-			return 0, 0, ErrCorrupt
-		}
-		pos += used
-		for i, d := range deltas[:cnt] {
-			if p.Match(ref + T(d)) {
-				count++
-				if out != nil {
-					out.Add(base + uint32(got+i))
-				}
-			}
-		}
-	}
-	return count, pos, nil
 }
 
 // Select evaluates p over one compressed string stream (see
@@ -490,42 +313,12 @@ func (t *StringKind) Count(src []byte, p *StringPred, st *SelectStats, cfg *Conf
 
 // scan is the kernel behind Select and Count; a nil out means count only.
 func (t *StringKind) scan(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
-	if len(src) < 1 {
-		return 0, 0, ErrCorrupt
+	e, n, err := head(&t.schemes, src, cfg)
+	if err != nil {
+		return 0, 0, err
 	}
-	body := src[1:]
-	switch Code(src[0]) {
-	case CodeOneValue:
-		if len(body) < 8 {
-			return 0, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		l := int(binary.LittleEndian.Uint32(body[4:]))
-		if n > cfg.maxN() || len(body) < 8+l {
-			return 0, 0, ErrCorrupt
-		}
-		st.OneValue.Add(1)
-		if !p.Match(body[8 : 8+l]) {
-			n = 0
-		} else if out != nil {
-			out.AddRange(base, base+uint32(n))
-		}
-		return n, 1 + 8 + l, nil
-	case CodeDict:
-		pool, starts, _, codesOff, err := stringDictHead(body, cfg, false)
-		if err != nil {
-			return 0, 0, err
-		}
-		var codes []int32
-		for i := 0; i+1 < len(starts); i++ {
-			if p.Match(pool[starts[i]:starts[i+1]]) {
-				codes = append(codes, int32(i))
-			}
-		}
-		Int.putBuf(cfg.Scratch, starts)
-		st.Dict.Add(1)
-		count, used, err = Int.scan(body[codesOff:], codesPredFromSorted(codes), base, out, st, cfg)
-		return count, 1 + codesOff + used, err
+	if e.scan != nil {
+		return e.scan(src, n, p, base, out, st, cfg)
 	}
 	views, used, err := t.Decompress(src, cfg)
 	if err != nil {

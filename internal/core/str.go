@@ -1,14 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"math"
 	"math/rand"
-	"slices"
 
 	"btrblocks/coldata"
-	"btrblocks/internal/fsst"
 	"btrblocks/internal/sample"
 	"btrblocks/internal/stats"
 )
@@ -16,20 +11,24 @@ import (
 // StringKind describes string columns to the cascade driver, the decoders
 // and the scan kernel, as Numeric does numeric ones; its one instance is
 // String.
-type StringKind struct{ kindInfo }
+type StringKind struct {
+	kindInfo
+	schemes [numCodes]*strScheme // the scheme table, by code
+}
 
 // String describes string columns — the string branch of Figure 3: One
 // Value, Dictionary (optionally with an FSST-compressed pool), direct
 // FSST, or Uncompressed.
-var String = &StringKind{kindInfo{kind: KindString,
-	pool:  []Code{CodeOneValue, CodeDict, CodeFSST},
-	allow: func(c *Config) []Code { return c.StringSchemes }}}
+var String = &StringKind{kindInfo: kindInfo{kind: KindString, allow: func(c *Config) []Code { return c.StringSchemes }}}
 
-// poolKind values inside a Dict payload.
-const (
-	poolRaw  = 0
-	poolFSST = 1
-)
+// The pool is filled here, as the numeric ones are: its entries refer to String.
+func init() {
+	String.schemes[CodeUncompressed] = stringPlain
+	for _, e := range []*strScheme{stringOneValue, stringDict, stringFSST} {
+		String.schemes[e.code] = e
+		String.pool = append(String.pool, e.code)
+	}
+}
 
 // Compress compresses a block of strings into a self-describing stream.
 func (t *StringKind) Compress(dst []byte, src coldata.Strings, cfg *Config) []byte {
@@ -63,139 +62,29 @@ func (t *StringKind) profile(p *stats.StringProfile, src coldata.Strings, cfg *C
 	return &p.Summary
 }
 
-func (t *StringKind) viable(code Code, p *stats.StringProfile) bool {
-	if code == CodeFSST {
-		// FSST needs some redundancy in the bytes; on near-empty payloads
-		// the table overhead dominates.
-		return p.TotalLen >= 64
-	}
-	return viable(code, &p.Summary)
-}
+func (t *StringKind) viable(code Code, p *stats.StringProfile) bool { return t.schemes[code].viable(p) }
 
-func (t *StringKind) oneValueBytes(p *stats.StringProfile) int { return 9 + p.MaxLen }
+func (t *StringKind) fixed(code Code) func(*stats.StringProfile) int { return t.schemes[code].size }
 
 func (t *StringKind) encodeAs(dst []byte, src coldata.Strings, p *stats.StringProfile, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
-	dst = append(dst, byte(code))
-	switch code {
-	case CodeUncompressed:
-		return encodeStringPlain(dst, src)
-	case CodeOneValue:
-		v := src.View(0)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(src.Len()))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
-		return append(dst, v...)
-	case CodeDict:
-		t.profile(p, src, cfg)
-		return encodeStringDict(dst, src, p, cfg, depth, rng)
-	case CodeFSST:
-		return encodeStringFSST(dst, src, cfg, depth, rng)
-	}
-	panic("unreachable scheme code " + code.String())
-}
-
-func encodeStringPlain(dst []byte, src coldata.Strings) []byte {
-	n := src.Len()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src.Data)))
-	for i := 0; i <= n; i++ {
-		off := uint32(0)
-		if len(src.Offsets) > 0 {
-			off = src.Offsets[i]
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, off)
-	}
-	return append(dst, src.Data...)
-}
-
-// encodeStringDict stores the sorted distinct strings as a pool (raw or
-// FSST-compressed, whichever is smaller), the pool string lengths as a
-// cascaded integer stream, and the per-row codes as a cascaded integer
-// stream — which the selection algorithm typically sends to RLE or
-// bit-packing. The distinct strings and the rows' ids come from the
-// stream's profile p.
-func encodeStringDict(dst []byte, src coldata.Strings, p *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) []byte {
-	pool, lengths, codes := sortedStringDict(src, p)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(src.Len()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lengths)))
-
-	// Try FSST on the dictionary pool ("Dict+FSST" in Figure 3/4).
-	useFSST := false
-	var table, encPool []byte
-	if enabled(cfg.StringSchemes, CodeFSST) && depth > 1 && len(pool) >= 64 {
-		t := cfg.Scratch.trainer.Train([][]byte{pool})
-		table, encPool = t.AppendTable(nil), t.Encode(nil, pool)
-		useFSST = len(encPool)+len(table) < len(pool)*95/100
-	}
-	if useFSST {
-		dst = append(dst, poolFSST)
-		dst = append(dst, table...)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pool)))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(encPool)))
-		dst = append(dst, encPool...)
-	} else {
-		dst = append(dst, poolRaw)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pool)))
-		dst = append(dst, pool...)
-	}
-	dst = compress(Int, dst, lengths, cfg, depth-1, rng)
-	return compress(Int, dst, codes, cfg, depth-1, rng)
-}
-
-// sortedStringDict is sortedDict for strings: the distinct values of the
-// profile concatenated in lexicographic order, their lengths, and per row
-// the rank of its value.
-func sortedStringDict(src coldata.Strings, p *stats.StringProfile) (pool []byte, lengths, codes []int32) {
-	value := func(id int32) []byte { return src.Data[p.Vals[id].Off:p.Vals[id].End] }
-	order := make([]int32, len(p.Vals))
-	for id := range order {
-		order[id] = int32(id)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(value(a), value(b)) })
-	rank := make([]int32, len(order))
-	lengths = make([]int32, len(order))
-	for i, id := range order {
-		v := value(id)
-		rank[id], lengths[i] = int32(i), int32(len(v))
-		pool = append(pool, v...)
-	}
-	codes = make([]int32, len(p.IDs))
-	for i, id := range p.IDs {
-		codes[i] = rank[id]
-	}
-	return pool, lengths, codes
-}
-
-// encodeStringFSST compresses the block's whole string payload with one
-// trained symbol table and stores only the uncompressed string lengths
-// next to it (§5: offsets of compressed strings are not needed when the
-// block is decoded as one contiguous buffer).
-func encodeStringFSST(dst []byte, src coldata.Strings, cfg *Config, depth int, rng *rand.Rand) []byte {
-	n := src.Len()
-	table := cfg.Scratch.trainer.Train([][]byte{src.Data})
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = table.AppendTable(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src.Data)))
-	// The payload is encoded straight into dst; its length, which precedes
-	// it, is patched in afterwards.
-	lenPos := len(dst)
-	dst = table.Encode(append(dst, 0, 0, 0, 0), src.Data)
-	binary.LittleEndian.PutUint32(dst[lenPos:], uint32(len(dst)-lenPos-4))
-	lengths := make([]int32, n)
-	for i := range lengths {
-		lengths[i] = int32(src.LenAt(i))
-	}
-	return compress(Int, dst, lengths, cfg, depth-1, rng)
+	return t.schemes[code].encode(append(dst, byte(code)), src, p, cfg, depth, rng)
 }
 
 // Decompress decodes one string stream into a no-copy view column,
 // returning the views and the number of input bytes consumed.
 func (t *StringKind) Decompress(src []byte, cfg *Config) (coldata.StringViews, int, error) {
-	b, used, err := parseString(src, cfg, true)
+	b, used, err := t.parse(src, cfg, true)
 	if err != nil {
 		return coldata.StringViews{}, 0, err
 	}
-	views, err := b.views(cfg.Scratch)
-	return views, used, err
+	// The views finisher: §5 views over one pool; no row is copied.
+	defer b.release(cfg.Scratch)
+	views := make([]coldata.View, b.rows)
+	pool, err := b.scheme.views(b, views)
+	if err != nil {
+		return coldata.StringViews{}, 0, err
+	}
+	return coldata.StringViews{Views: views, Pool: pool}, used, nil
 }
 
 // StringBlock is one string stream parsed and validated but not yet
@@ -205,17 +94,17 @@ func (t *StringKind) Decompress(src []byte, cfg *Config) (coldata.StringViews, i
 // the block and hands them to the Scratch it is given, which may be
 // another worker's at a later time, never a concurrent one.
 type StringBlock struct {
-	code Code
-	rows int
-	size int // decoded bytes of all rows (not counted for a Dict block parsed for views)
+	scheme *strScheme
+	rows   int
+	size   int // decoded bytes of all rows (not counted for a Dict block parsed for views)
 	// pool is where the rows' bytes are: an Uncompressed payload (indexed
 	// by offsets, rows+1 little-endian words still in the stream), the one
 	// value, or a dictionary's strings (indexed by starts). An FSST block has
-	// payload, table and lengths in its place: the rows are decoded only by
-	// the finisher, straight into where they are wanted.
-	pool, offsets, payload []byte
-	table                  *fsst.Table
-	lengths                []int32
+	// blob and lengths in its place: the rows are decoded only by the
+	// finisher, straight into where they are wanted.
+	pool, offsets []byte
+	blob          fsstBlob
+	lengths       []int32
 	// A Dict block's entry c is pool[starts[c]:starts[c+1]]; it has one code
 	// per row, or — fused Dict+RLE (§5) — one per run of runLens rows.
 	starts, codes, runLens []int32
@@ -226,7 +115,7 @@ type StringBlock struct {
 // must outlive the block; every code and length is checked here, so Rows
 // and Bytes are exact and AppendTo cannot fail on them.
 func (t *StringKind) Parse(src []byte, cfg *Config) (StringBlock, int, error) {
-	return parseString(src, cfg, false)
+	return t.parse(src, cfg, false)
 }
 
 // Rows returns the block's row count.
@@ -235,43 +124,18 @@ func (b *StringBlock) Rows() int { return b.rows }
 // Bytes returns the summed length of the block's rows.
 func (b *StringBlock) Bytes() int { return b.size }
 
-// parseString parses src for one of the two finishers. forViews copies
-// pools that lie in src, as views outlive it, and leaves a dictionary's
-// codes to the loop that turns them into views.
-func parseString(src []byte, cfg *Config, forViews bool) (b StringBlock, used int, err error) {
-	if len(src) < 1 {
-		return b, 0, ErrCorrupt
-	}
-	b.code = Code(src[0])
-	body := src[1:]
-	switch b.code {
-	case CodeUncompressed:
-		used, err = b.parsePlain(body)
-	case CodeOneValue:
-		if len(body) < 8 {
-			return b, 0, ErrCorrupt
-		}
-		b.rows = int(binary.LittleEndian.Uint32(body))
-		l := int(binary.LittleEndian.Uint32(body[4:]))
-		if b.rows > cfg.maxN() || l < 0 || len(body) < 8+l {
-			return b, 0, ErrCorrupt
-		}
-		b.pool, b.size, used = body[8:8+l], b.rows*l, 8+l
-	case CodeDict:
-		used, err = b.parseDict(body, cfg, forViews)
-	case CodeFSST:
-		used, err = b.parseFSST(body, cfg)
-	default:
-		err = ErrCorrupt
+// parse parses src for one of the two finishers. forViews copies pools
+// that lie in src, as views outlive it, and leaves a dictionary's codes to
+// the loop that turns them into views.
+func (t *StringKind) parse(src []byte, cfg *Config, forViews bool) (b StringBlock, used int, err error) {
+	if b.scheme, b.rows, err = head(&t.schemes, src, cfg); err == nil {
+		b, used, err = b.scheme.parse(b, src, cfg, forViews)
 	}
 	if err != nil {
 		b.release(cfg.Scratch)
 		return StringBlock{}, 0, err
 	}
-	if forViews && (b.code == CodeUncompressed || b.code == CodeOneValue) {
-		b.pool = append([]byte(nil), b.pool...)
-	}
-	return b, used + 1, nil
+	return b, used, nil
 }
 
 // release returns the block's borrowed arrays once nothing reads them.
@@ -280,202 +144,6 @@ func (b *StringBlock) release(scr *Scratch) {
 	Int.putBuf(scr, b.starts)
 	Int.putBuf(scr, b.codes)
 	Int.putBuf(scr, b.runLens)
-}
-
-func (b *StringBlock) parsePlain(src []byte) (int, error) {
-	if len(src) < 8 {
-		return 0, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	dataLen := int(binary.LittleEndian.Uint32(src[4:]))
-	if n > maxBlockValues || dataLen < 0 {
-		return 0, ErrCorrupt
-	}
-	need := 8 + 4*(n+1) + dataLen
-	if len(src) < need {
-		return 0, ErrCorrupt
-	}
-	b.rows, b.offsets, b.pool = n, src[8:8+4*(n+1)], src[8+4*(n+1):need]
-	if n == 0 {
-		return need, nil
-	}
-	first := binary.LittleEndian.Uint32(b.offsets)
-	last := first
-	for i := 1; i <= n; i++ {
-		next := binary.LittleEndian.Uint32(b.offsets[4*i:])
-		if last > next {
-			return 0, ErrCorrupt
-		}
-		last = next
-	}
-	if int(last) > dataLen {
-		return 0, ErrCorrupt
-	}
-	b.size = int(last - first)
-	return need, nil
-}
-
-func (b *StringBlock) parseDict(src []byte, cfg *Config, forViews bool) (int, error) {
-	pool, starts, n, pos, err := stringDictHead(src, cfg, forViews)
-	if err != nil {
-		return 0, err
-	}
-	b.rows, b.pool, b.starts = n, pool, starts
-	// Fused Dict+RLE decompression (§5): when the code stream is RLE with
-	// long runs, look up the dictionary per run and write runs of rows
-	// directly, skipping the intermediate codes array.
-	if !cfg.DisableFuseDictRLE && !cfg.ScalarDecode && pos < len(src) && Code(src[pos]) == CodeRLE {
-		rows, runValues, runLengths, used, err := Int.runParts(src[pos:], cfg)
-		if err != nil {
-			return 0, err
-		}
-		b.codes, b.runLens = runValues, runLengths
-		if n > 0 && len(runValues) > 0 && float64(n)/float64(len(runValues)) > 3 {
-			if rows != n {
-				return 0, ErrCorrupt
-			}
-			return pos + used, b.sizeDict(forViews)
-		}
-		// short runs: fall through to the standard two-step decode below
-		Int.putBuf(cfg.Scratch, runValues)
-		Int.putBuf(cfg.Scratch, runLengths)
-		b.codes, b.runLens = nil, nil
-	}
-	codes, used, err := Int.Decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	b.codes = codes
-	if err != nil {
-		return 0, err
-	}
-	if len(codes) != n {
-		return 0, ErrCorrupt
-	}
-	return pos + used, b.sizeDict(forViews)
-}
-
-// sizeDict checks a Dict block's codes against its dictionary and sums
-// the rows' lengths — unless views are wanted, which need no sum and
-// check the codes as they look them up.
-func (b *StringBlock) sizeDict(forViews bool) error {
-	if forViews {
-		return nil
-	}
-	for r, c := range b.codes {
-		if uint32(c) >= uint32(len(b.starts)-1) {
-			return ErrCorrupt
-		}
-		l := int(b.starts[c+1] - b.starts[c])
-		if b.runLens != nil {
-			l *= int(b.runLens[r])
-		}
-		b.size += l
-	}
-	return nil
-}
-
-func (b *StringBlock) parseFSST(src []byte, cfg *Config) (int, error) {
-	if len(src) < 4 {
-		return 0, ErrCorrupt
-	}
-	b.rows = int(binary.LittleEndian.Uint32(src))
-	if b.rows > cfg.maxN() {
-		return 0, ErrCorrupt
-	}
-	pos := 4
-	table, used, err := fsst.TableFromBytes(src[pos:])
-	if err != nil {
-		return 0, ErrCorrupt
-	}
-	pos += used
-	if len(src) < pos+8 {
-		return 0, ErrCorrupt
-	}
-	rawLen := int(binary.LittleEndian.Uint32(src[pos:]))
-	encLen := int(binary.LittleEndian.Uint32(src[pos+4:]))
-	pos += 8
-	if rawLen < 0 || encLen < 0 || len(src) < pos+encLen || rawLen > 8*encLen {
-		// See stringDictHead: cap the decode buffer by FSST's maximum
-		// 8x expansion before allocating.
-		return 0, ErrCorrupt
-	}
-	b.table, b.payload, b.size = table, src[pos:pos+encLen], rawLen
-	pos += encLen
-	b.lengths, used, err = Int.Decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	if err != nil {
-		return 0, err
-	}
-	if len(b.lengths) != b.rows {
-		return 0, ErrCorrupt
-	}
-	sum, signs := 0, int32(0)
-	for _, l := range b.lengths {
-		sum += int(l)
-		signs |= l
-	}
-	if signs < 0 || sum != rawLen {
-		return 0, ErrCorrupt
-	}
-	return pos + used, nil
-}
-
-// decodeFSST decodes the block's payload onto dst in one call (§5: the
-// first offset and the summed length instead of per-string calls). The
-// decoder's wide stores stay inside dst's capacity, so a dst that is a
-// three-index range of a larger buffer bounds them to that range.
-func (b *StringBlock) decodeFSST(dst []byte) ([]byte, error) {
-	out, err := b.table.Decode(dst, b.payload)
-	if err != nil || len(out) != len(dst)+b.size {
-		return dst, ErrCorrupt
-	}
-	return out, nil
-}
-
-// views finishes the block as §5 views over one pool; no row is copied.
-func (b *StringBlock) views(scr *Scratch) (coldata.StringViews, error) {
-	defer b.release(scr)
-	views, pool := make([]coldata.View, b.rows), b.pool
-	switch b.code {
-	case CodeUncompressed:
-		for i := range views {
-			lo, hi := binary.LittleEndian.Uint32(b.offsets[4*i:]), binary.LittleEndian.Uint32(b.offsets[4*i+4:])
-			views[i] = coldata.View{Off: lo, Len: hi - lo}
-		}
-	case CodeOneValue:
-		for i := range views {
-			views[i] = coldata.View{Len: uint32(len(pool))}
-		}
-	case CodeFSST:
-		var err error
-		if pool, err = b.decodeFSST(make([]byte, 0, b.size)); err != nil {
-			return coldata.StringViews{}, err
-		}
-		off := uint32(0)
-		for i, l := range b.lengths {
-			views[i] = coldata.View{Off: off, Len: uint32(l)}
-			off += uint32(l)
-		}
-	case CodeDict:
-		entries := uint32(len(b.starts) - 1)
-		if b.runLens == nil {
-			for i, c := range b.codes {
-				if uint32(c) >= entries {
-					return coldata.StringViews{}, ErrCorrupt
-				}
-				views[i] = coldata.View{Off: uint32(b.starts[c]), Len: uint32(b.starts[c+1] - b.starts[c])}
-			}
-			break
-		}
-		o := 0
-		for r, c := range b.codes {
-			if uint32(c) >= entries {
-				return coldata.StringViews{}, ErrCorrupt
-			}
-			v := coldata.View{Off: uint32(b.starts[c]), Len: uint32(b.starts[c+1] - b.starts[c])}
-			for end := o + int(b.runLens[r]); o < end; o++ {
-				views[o] = v
-			}
-		}
-	}
-	return coldata.StringViews{Views: views, Pool: pool}, nil
 }
 
 // AppendTo finishes the block as owned rows: it appends their bytes to
@@ -487,71 +155,12 @@ func (b *StringBlock) views(scr *Scratch) (coldata.StringViews, error) {
 // capacity nothing is allocated or cleared.
 func (b *StringBlock) AppendTo(dst coldata.Strings, base int, scr *Scratch) (coldata.Strings, error) {
 	defer b.release(scr)
-	at, k := len(dst.Data), len(dst.Offsets)
-	if b.code == CodeFSST {
-		data, err := b.decodeFSST(dst.Data)
-		if err != nil {
-			return dst, err
-		}
-		dst.Data = data
-	} else {
-		dst.Data = grow(dst.Data, b.size)
+	offsets := grow(dst.Offsets, b.rows)
+	data, err := b.scheme.appendTo(*b, dst.Data, offsets[len(dst.Offsets):], uint32(base+len(dst.Data)))
+	if err != nil {
+		return dst, err
 	}
-	dst.Offsets = grow(dst.Offsets, b.rows)
-	out, ends := dst.Data[at:], dst.Offsets[k:]
-	end := uint32(base + at) // of the row before
-	switch b.code {
-	case CodeUncompressed:
-		if b.rows > 0 {
-			first := binary.LittleEndian.Uint32(b.offsets)
-			copy(out, b.pool[first:])
-			for i := range ends {
-				ends[i] = end + binary.LittleEndian.Uint32(b.offsets[4*i+4:]) - first
-			}
-		}
-	case CodeOneValue:
-		replicate(out, copy(out, b.pool))
-		for i := range ends {
-			end += uint32(len(b.pool))
-			ends[i] = end
-		}
-	case CodeFSST:
-		for i, l := range b.lengths {
-			end += uint32(l)
-			ends[i] = end
-		}
-	case CodeDict:
-		if b.runLens == nil {
-			for i, c := range b.codes {
-				src, l := b.pool[b.starts[c]:], uint32(b.starts[c+1]-b.starts[c])
-				if l <= 16 && len(src) >= 16 && len(out) >= 16 {
-					// A short entry moves as one 16-byte word; what spills
-					// past it is inside this block's bytes and the next
-					// row overwrites it.
-					*(*[16]byte)(out) = [16]byte(src)
-				} else {
-					copy(out, src[:l])
-				}
-				out = out[l:]
-				end += l
-				ends[i] = end
-			}
-			break
-		}
-		i := 0
-		for r, c := range b.codes {
-			// One copy per run, then the run doubles itself.
-			v, n := b.pool[b.starts[c]:b.starts[c+1]], int(b.runLens[r])
-			run := out[:n*len(v)]
-			replicate(run, copy(run, v))
-			out = out[len(run):]
-			for stop := i + n; i < stop; i++ {
-				end += uint32(len(v))
-				ends[i] = end
-			}
-		}
-	}
-	return dst, nil
+	return coldata.Strings{Offsets: offsets, Data: data}, nil
 }
 
 // replicate fills run with copies of its first filled elements, doubling
@@ -560,84 +169,4 @@ func replicate[T any](run []T, filled int) {
 	for ; filled > 0 && filled < len(run); filled *= 2 {
 		copy(run[filled:], run[:filled])
 	}
-}
-
-// stringDictHead decodes only the dictionary of a Dict payload (body
-// excludes the scheme-code byte): its pool, in which entry c is
-// pool[starts[c]:starts[c+1]], the row count, and the body offset where
-// the codes stream begins. starts is arena-backed: the caller returns it
-// with Int.putBuf. own copies a raw pool out of body, for views that
-// outlive it; predicate evaluation and AppendTo, which do not keep it,
-// leave it in place.
-func stringDictHead(body []byte, cfg *Config, own bool) (pool []byte, starts []int32, n, codesOff int, err error) {
-	if len(body) < 9 {
-		return nil, nil, 0, 0, ErrCorrupt
-	}
-	n = int(binary.LittleEndian.Uint32(body))
-	dictN := int(binary.LittleEndian.Uint32(body[4:]))
-	if n > cfg.maxN() || dictN > n {
-		return nil, nil, 0, 0, ErrCorrupt
-	}
-	kind := body[8]
-	pos := 9
-	switch kind {
-	case poolRaw:
-		if len(body) < pos+4 {
-			return nil, nil, 0, 0, ErrCorrupt
-		}
-		l := int(binary.LittleEndian.Uint32(body[pos:]))
-		pos += 4
-		if l < 0 || len(body) < pos+l {
-			return nil, nil, 0, 0, ErrCorrupt
-		}
-		pool = body[pos : pos+l]
-		if own {
-			pool = append([]byte(nil), pool...)
-		}
-		pos += l
-	case poolFSST:
-		table, used, err := fsst.TableFromBytes(body[pos:])
-		if err != nil {
-			return nil, nil, 0, 0, ErrCorrupt
-		}
-		pos += used
-		if len(body) < pos+8 {
-			return nil, nil, 0, 0, ErrCorrupt
-		}
-		rawLen := int(binary.LittleEndian.Uint32(body[pos:]))
-		encLen := int(binary.LittleEndian.Uint32(body[pos+4:]))
-		pos += 8
-		if rawLen < 0 || encLen < 0 || len(body) < pos+encLen || rawLen > 8*encLen {
-			// rawLen > 8*encLen is structurally impossible (an FSST code
-			// expands to at most 8 bytes), so don't let a corrupt header
-			// size the allocation.
-			return nil, nil, 0, 0, ErrCorrupt
-		}
-		pool, err = table.Decode(make([]byte, 0, rawLen), body[pos:pos+encLen])
-		if err != nil || len(pool) != rawLen {
-			return nil, nil, 0, 0, ErrCorrupt
-		}
-		pos += encLen
-	default:
-		return nil, nil, 0, 0, ErrCorrupt
-	}
-	// The entry lengths decode behind a leading zero and are summed in
-	// place into the entries' start offsets.
-	starts, used, err := Int.Decompress(append(Int.buf(cfg.Scratch), 0), body[pos:], cfg)
-	if err == nil && len(starts) != dictN+1 {
-		err = ErrCorrupt
-	}
-	limit := min(len(pool), math.MaxInt32)
-	for i := 1; err == nil && i < len(starts); i++ {
-		if starts[i] < 0 || int(starts[i-1])+int(starts[i]) > limit {
-			err = ErrCorrupt
-			break
-		}
-		starts[i] += starts[i-1]
-	}
-	if err != nil {
-		Int.putBuf(cfg.Scratch, starts)
-		return nil, nil, 0, 0, err
-	}
-	return pool, starts, n, pos + used, nil
 }
