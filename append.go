@@ -2,7 +2,7 @@ package btrblocks
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -15,8 +15,9 @@ import (
 var ErrAppendVersion = errors.New("btrblocks: append requires a checksummed (v2) stream")
 
 // NewAppendWriter opens an existing v2 stream for appending: the stream
-// is re-read in full, its framing walked and its trailing CRC32C
-// verified, and the returned Writer is positioned over the old footer
+// is re-read in full through the stream scanner, which checks its
+// framing, every chunk against the schema, the footer's counts and the
+// trailing CRC32C. The returned Writer is positioned over the old footer
 // with the running checksum, chunk count and row count restored — so
 // WriteChunk continues the stream exactly as if the original Writer had
 // never closed it. Close writes a fresh footer and checksum.
@@ -26,9 +27,10 @@ var ErrAppendVersion = errors.New("btrblocks: append requires a checksummed (v2)
 // valid terminator and readers report it corrupt. Callers who need
 // atomicity should append to a copy and rename, or use the ingest WAL.
 //
-// Appending to a v1 stream returns ErrAppendVersion; a damaged stream
-// (bad framing, checksum mismatch, trailing garbage) returns an error
-// wrapping ErrCorrupt.
+// Appending to an intact v1 stream returns ErrAppendVersion; a damaged
+// stream (bad framing, checksum mismatch, a footer or chunk that
+// contradicts the stream, trailing garbage) returns an error wrapping
+// ErrCorrupt.
 func NewAppendWriter(rw io.ReadWriteSeeker, opt *Options) (*Writer, error) {
 	if _, err := rw.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -37,84 +39,15 @@ func NewAppendWriter(rw io.ReadWriteSeeker, opt *Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(streamMagic)+1 || string(data[:4]) != streamMagic {
-		return nil, fmt.Errorf("%w: not a stream", ErrCorrupt)
+	s, err := newStreamScanner(bytes.NewReader(data))
+	if err == nil {
+		err = s.rest(len(data), func(_ *chunkFrame, err error) error { return err })
 	}
-	ver := data[4]
-	if !supportedVersion(ver) {
-		return nil, fmt.Errorf("btrblocks: unsupported stream version %d", ver)
-	}
-	if !checksummedVersion(ver) {
-		return nil, fmt.Errorf("%w: stream is format v%d", ErrAppendVersion, ver)
-	}
-
-	// Parse the schema header.
-	r := data[5:]
-	off := 5
-	if len(r) < 2 {
-		return nil, fmt.Errorf("%w: stream schema", ErrTruncatedFile)
-	}
-	ncols := int(binary.LittleEndian.Uint16(r))
-	off += 2
-	schema := make([]Column, ncols)
-	for i := range schema {
-		if off+3 > len(data) {
-			return nil, fmt.Errorf("%w: stream schema", ErrTruncatedFile)
-		}
-		schema[i].Type = Type(data[off])
-		if schema[i].Type > maxType {
-			return nil, fmt.Errorf("%w: stream schema type %d", ErrCorrupt, data[off])
-		}
-		nameLen := int(binary.LittleEndian.Uint16(data[off+1 : off+3]))
-		off += 3
-		if off+nameLen > len(data) {
-			return nil, fmt.Errorf("%w: stream schema", ErrTruncatedFile)
-		}
-		schema[i].Name = string(data[off : off+nameLen])
-		off += nameLen
-	}
-
-	// Walk the chunk frames to the footer.
-	seenChunks := 0
-	for {
-		if off >= len(data) {
-			return nil, fmt.Errorf("%w: stream has no footer", ErrTruncatedFile)
-		}
-		tag := data[off]
-		if tag == 'E' {
-			break
-		}
-		if tag != 'C' {
-			return nil, fmt.Errorf("%w: stream frame tag %q", ErrCorrupt, tag)
-		}
-		if off+5 > len(data) {
-			return nil, fmt.Errorf("%w: chunk frame", ErrTruncatedFile)
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
-		if payloadLen < 0 || off+5+payloadLen > len(data) {
-			return nil, fmt.Errorf("%w: chunk payload", ErrTruncatedFile)
-		}
-		off += 5 + payloadLen
-		seenChunks++
-	}
-
-	// Footer: 'E' chunkCount:u32 rowCount:u64, then the stream CRC.
-	const footerLen = 1 + 4 + 8
-	if off+footerLen+crcBytes > len(data) {
-		return nil, fmt.Errorf("%w: stream footer", ErrTruncatedFile)
-	}
-	if off+footerLen+crcBytes != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after stream checksum",
-			ErrCorrupt, len(data)-off-footerLen-crcBytes)
-	}
-	chunks := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
-	rows := binary.LittleEndian.Uint64(data[off+5 : off+13])
-	if chunks != seenChunks {
-		return nil, fmt.Errorf("%w: footer counts %d chunks, stream has %d",
-			ErrCorrupt, chunks, seenChunks)
-	}
-	if err := verifyTrailingCRC(data, "stream"); err != nil {
+	if err != nil {
 		return nil, err
+	}
+	if !checksummedVersion(s.ver) {
+		return nil, fmt.Errorf("%w: stream is format v%d", ErrAppendVersion, s.ver)
 	}
 
 	// The writer resumes over the old footer: its running CRC covers
@@ -122,29 +55,30 @@ func NewAppendWriter(rw io.ReadWriteSeeker, opt *Options) (*Writer, error) {
 	// overwrites the footer in place. The replacement is always at least
 	// as long as the 17 bytes it overwrites, so no stale tail survives a
 	// completed Close.
+	off := len(data) - streamFooterBytes - crcBytes
 	if _, err := rw.Seek(int64(off), io.SeekStart); err != nil {
 		return nil, err
 	}
 	wopt := opt
 	if v, err := opt.formatVersionOf(); err != nil {
 		return nil, err
-	} else if v != ver {
+	} else if v != s.ver {
 		// The appended chunks must carry the stream's version; clone the
 		// options rather than mutating the caller's.
 		o := Options{}
 		if opt != nil {
 			o = *opt
 		}
-		o.FormatVersion = int(ver)
+		o.FormatVersion = int(s.ver)
 		wopt = &o
 	}
 	return &Writer{
 		w:      bufio.NewWriter(rw),
 		opt:    wopt,
-		schema: schema,
-		ver:    ver,
+		schema: s.schema,
+		ver:    s.ver,
 		sum:    crc32c(data[:off]),
-		chunks: chunks,
-		rows:   rows,
+		chunks: s.chunks,
+		rows:   s.rows,
 	}, nil
 }

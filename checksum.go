@@ -55,12 +55,6 @@ func verifyTrailingCRC(data []byte, what string) error {
 	return nil
 }
 
-// supportedVersion reports whether the decoder understands format
-// version v.
-func supportedVersion(v byte) bool {
-	return v == formatVersion1 || v == formatVersion2
-}
-
 // checksummedVersion reports whether format version v carries block and
 // file checksums.
 func checksummedVersion(v byte) bool { return v >= formatVersion2 }

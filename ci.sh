@@ -83,6 +83,19 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one container grammar =="
+	# Column, chunk and stream framing are each parsed once, in container.go
+	# (ParseColumnIndex, parseChunk, streamScanner), so every reader accepts
+	# the same files. No other root file compares bytes against a container
+	# magic or checks a version byte; writers may append a magic.
+	magics='columnMagic|fileMagic|streamMagic'
+	if ls *.go | grep -v -e '_test\.go$' -e '^container\.go$' | xargs grep -nE "\b($magics)\b|supportedVersion\(" |
+		sed -E "s/append\([^,]+, ($magics)\.\.\.\)//g; s/len\(($magics)\)//g" |
+		grep -E "\b($magics)\b|supportedVersion\("; then
+		echo 'parse container framing in container.go alone'
+		exit 1
+	fi
+
 	echo "== go build =="
 	go build ./...
 

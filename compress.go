@@ -23,8 +23,6 @@ var (
 )
 
 const (
-	columnMagic = "BTRC"
-	fileMagic   = "BTRB"
 	// formatVersion1 is the original checksum-free layout; formatVersion2
 	// adds a CRC32C after every block and at the end of every container.
 	formatVersion1 = 1
@@ -423,47 +421,6 @@ func (c *CompressedChunk) EncodeFile() []byte {
 	return out
 }
 
-// DecodeFile parses a stream produced by EncodeFile. For v2 files the
-// container checksum is verified here; the per-block checksums inside
-// the column files are verified when the columns are decompressed.
-func DecodeFile(data []byte) (*CompressedChunk, error) {
-	if len(data) < 7 || string(data[:4]) != fileMagic {
-		return nil, ErrCorrupt
-	}
-	if !supportedVersion(data[4]) {
-		return nil, fmt.Errorf("btrblocks: unsupported version %d", data[4])
-	}
-	bodyEnd := len(data)
-	if checksummedVersion(data[4]) {
-		if err := verifyTrailingCRC(data, "chunk file"); err != nil {
-			return nil, err
-		}
-		bodyEnd -= crcBytes
-	}
-	nCols := int(binary.LittleEndian.Uint16(data[5:]))
-	pos := 7
-	if bodyEnd < pos+4*nCols {
-		return nil, ErrTruncatedFile
-	}
-	lengths := make([]int, nCols)
-	for i := range lengths {
-		lengths[i] = int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-	}
-	out := &CompressedChunk{Columns: make([][]byte, nCols), Version: data[4]}
-	for i, l := range lengths {
-		if l < 0 || bodyEnd < pos+l {
-			return nil, ErrTruncatedFile
-		}
-		out.Columns[i] = data[pos : pos+l]
-		pos += l
-	}
-	if pos != bodyEnd {
-		return nil, ErrCorrupt
-	}
-	return out, nil
-}
-
 // Choose reports the scheme the selection algorithm picks for the first
 // block of a column — the scheme the block is stored with — and the
 // estimated compression ratio: handy for inspecting selection decisions
@@ -472,17 +429,4 @@ func Choose(col Column, opt *Options) (Scheme, float64) {
 	hi := min(col.Len(), opt.blockSize())
 	_, code, est := cascadeBlock(&col, 0, hi, col.Nulls.slice(0, hi), nil, opt.coreConfig(), true)
 	return code, est
-}
-
-// ColumnFileType peeks at a column file header and returns the stored
-// column type without decompressing anything.
-func ColumnFileType(data []byte) (Type, error) {
-	if len(data) < 6 || string(data[:4]) != columnMagic {
-		return 0, ErrCorrupt
-	}
-	t := Type(data[5])
-	if t > maxType {
-		return 0, ErrCorrupt
-	}
-	return t, nil
 }

@@ -3,6 +3,8 @@ package btrblocks
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -202,6 +204,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	write("FuzzStreamReader", "v1_stream", streamFor(v1))
 	write("FuzzStreamReader", "v2_stream_flip", corrupt(s2, len(s2)/3))
 	write("FuzzStreamReader", "v2_stream_trunc", s2[:len(s2)/2])
+	// A header claiming 65,535 columns in a 7-byte stream: the schema must
+	// not be allocated before its entries arrive.
+	write("FuzzStreamReader", "v2_wide_header", []byte("BTRS\x02\xff\xff"))
 }
 
 func FuzzStreamReader(f *testing.F) {
@@ -218,15 +223,55 @@ func FuzzStreamReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// 2,000 schema entries with empty names: collecting them must stay
+	// within the allocation bound too.
+	wide := binary.LittleEndian.AppendUint16([]byte("BTRS\x01"), 2000)
+	f.Add(append(wide, make([]byte, 3*2000)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data), opt)
-		if err != nil {
+		checkStreamHeaderAllocBound(t, data)
+		if kind, ok := SniffKind(data); !ok || kind != FileKindStream {
+			if readToEOF(data, opt) == nil {
+				t.Fatal("Reader read a file that is not a stream")
+			}
 			return
 		}
-		for i := 0; i < 100; i++ {
-			if _, err := r.Next(); err != nil {
-				return
+		// An io.Reader consumer cannot see bytes after a stream's final
+		// checksum; the other entry points reject them. They are left out
+		// of the agreement below.
+		if s, err := newStreamScanner(bytes.NewReader(data)); err == nil {
+			for err == nil {
+				_, err = s.next()
+			}
+			if err == io.EOF {
+				data = data[:s.off]
 			}
 		}
+		readOK := readToEOF(data, opt) == nil
+		if verifyOK := Verify(data, &VerifyOptions{Deep: true}).OK; verifyOK != readOK {
+			t.Fatalf("Verify OK %v, Reader reached io.EOF %v", verifyOK, readOK)
+		}
+		if _, err := Inspect(data); err != nil && readOK {
+			t.Fatalf("Inspect rejects a stream the Reader reads: %v", err)
+		}
+		_, err := NewAppendWriter(&memFile{data: append([]byte(nil), data...)}, nil)
+		if err != nil && !errors.Is(err, ErrAppendVersion) && readOK {
+			t.Fatalf("NewAppendWriter rejects a stream the Reader reads: %v", err)
+		}
 	})
+}
+
+// checkStreamHeaderAllocBound fails t if NewReader — the header and
+// schema parse — allocated more than 64 KiB, which covers the 4 KiB read
+// buffer, plus fuzzAllocMultiple bytes per input byte, whatever column
+// count the header claims.
+func checkStreamHeaderAllocBound(t *testing.T, data []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _ = NewReader(bytes.NewReader(data), &Options{Parallelism: 1})
+	runtime.ReadMemStats(&after)
+	bound := 64<<10 + fuzzAllocMultiple*len(data)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(bound) {
+		t.Fatalf("NewReader on %d bytes allocated %d bytes, bound %d", len(data), got, bound)
+	}
 }

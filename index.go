@@ -2,10 +2,7 @@ package btrblocks
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-
-	"btrblocks/internal/core"
 )
 
 // This file exposes block-granular access to column files. A ColumnIndex
@@ -100,81 +97,6 @@ func (ix *ColumnIndex) VerifyFile(data []byte) error {
 		}
 	}
 	return verifyTrailingCRC(data, "column file")
-}
-
-// ParseColumnIndex walks a column file's framing and returns its block
-// directory without decompressing any payload. Like Inspect, it verifies
-// that the framing accounts for every byte of the file.
-func ParseColumnIndex(data []byte) (*ColumnIndex, error) {
-	if len(data) < 12 || string(data[:4]) != columnMagic {
-		return nil, ErrCorrupt
-	}
-	if !supportedVersion(data[4]) {
-		return nil, fmt.Errorf("btrblocks: unsupported column file version %d", data[4])
-	}
-	t := Type(data[5])
-	if t > maxType {
-		return nil, ErrCorrupt
-	}
-	checksummed := checksummedVersion(data[4])
-	bodyEnd := len(data)
-	if checksummed {
-		if len(data) < 12+crcBytes {
-			return nil, ErrTruncatedFile
-		}
-		bodyEnd -= crcBytes
-	}
-	nameLen := int(binary.LittleEndian.Uint16(data[6:]))
-	pos := 8
-	if bodyEnd < pos+nameLen+4 {
-		return nil, ErrTruncatedFile
-	}
-	ix := &ColumnIndex{Name: string(data[pos : pos+nameLen]), Type: t, Version: int(data[4])}
-	pos += nameLen
-	blockCount := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if blockCount < 0 || blockCount > len(data) {
-		return nil, ErrCorrupt
-	}
-	// Cap the pre-allocation: every block needs ≥ 12 bytes of framing, so a
-	// declared count beyond len(data)/12 is a lie and would over-allocate.
-	prealloc := blockCount
-	if max := len(data) / 12; prealloc > max {
-		prealloc = max
-	}
-	ix.Blocks = make([]BlockRef, 0, prealloc)
-	for b := 0; b < blockCount; b++ {
-		if bodyEnd < pos+8 {
-			return nil, ErrTruncatedFile
-		}
-		rows := int(binary.LittleEndian.Uint32(data[pos:]))
-		nullLen := int(binary.LittleEndian.Uint32(data[pos+4:]))
-		if rows > core.MaxBlockValues || nullLen < 0 || bodyEnd < pos+8+nullLen+4 {
-			return nil, ErrCorrupt
-		}
-		ref := BlockRef{Offset: pos, StartRow: ix.Rows, Rows: rows, NullBytes: nullLen}
-		ref.DataBytes = int(binary.LittleEndian.Uint32(data[pos+8+nullLen:]))
-		if ref.DataBytes < 0 || ref.End() > bodyEnd {
-			return nil, ErrCorrupt
-		}
-		if ref.DataBytes > 0 {
-			ref.Scheme = Scheme(data[ref.DataOffset()])
-		}
-		pos = ref.End()
-		if checksummed {
-			if pos+crcBytes > bodyEnd {
-				return nil, ErrTruncatedFile
-			}
-			ref.Checksum = binary.LittleEndian.Uint32(data[pos:])
-			pos += crcBytes
-		}
-		ix.Blocks = append(ix.Blocks, ref)
-		ix.Rows += rows
-	}
-	if pos != bodyEnd {
-		return nil, ErrCorrupt
-	}
-	return ix, nil
 }
 
 // DecompressBlock decodes block b of the column file the index was parsed

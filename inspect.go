@@ -1,21 +1,21 @@
 package btrblocks
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 
 	"btrblocks/internal/core"
-	"btrblocks/internal/roaring"
 )
 
-// This file implements file introspection: parsing a compressed column,
-// chunk, or stream file into a structured layout tree — container
+// This file implements file introspection: laying out a compressed
+// column, chunk, or stream file as a structured tree — container
 // framing, per-block scheme tags, NULL-bitmap sizes, payload sizes, and
 // the full cascade structure — without decompressing any payload. The
-// layout is the ground truth behind FORMAT.md; `btrblocks inspect`
-// renders it.
+// framing comes from the container parsers (container.go), so Inspect
+// accepts exactly the files the decoders do. The layout is the ground
+// truth behind FORMAT.md; `btrblocks inspect` renders it.
 //
 // Byte accounting is exact: every FileInfo section sums to the file
 // size (see FileInfo.AccountedBytes), which the tests assert on every
@@ -147,126 +147,115 @@ type FileInfo struct {
 // payload. The returned FileInfo accounts for every byte of the file:
 // AccountedBytes() == Size, or Inspect returns ErrCorrupt.
 func Inspect(data []byte) (*FileInfo, error) {
-	if len(data) < 4 {
+	kind, ok := SniffKind(data)
+	if !ok {
 		return nil, ErrCorrupt
 	}
-	switch string(data[:4]) {
-	case columnMagic:
-		col, err := inspectColumn(data, 0)
+	fi := &FileInfo{Kind: kind, Size: len(data)}
+	switch kind {
+	case FileKindColumn:
+		ix, err := ParseColumnIndex(data)
 		if err != nil {
 			return nil, err
 		}
-		if col.Size != len(data) {
-			return nil, ErrCorrupt
-		}
-		return &FileInfo{Kind: FileKindColumn, Size: len(data), Version: int(data[4]),
-			Columns: []*ColumnInfo{col}}, nil
-	case fileMagic:
-		return inspectChunkFile(data)
-	case streamMagic:
-		return inspectStreamFile(data)
-	}
-	return nil, ErrCorrupt
-}
-
-// inspectColumn parses one column file starting at data[0]; base is the
-// absolute offset used for Offset fields.
-func inspectColumn(data []byte, base int) (*ColumnInfo, error) {
-	if len(data) < 12 || string(data[:4]) != columnMagic {
-		return nil, ErrCorrupt
-	}
-	if !supportedVersion(data[4]) {
-		return nil, fmt.Errorf("btrblocks: unsupported version %d", data[4])
-	}
-	checksummed := checksummedVersion(data[4])
-	ci := &ColumnInfo{Offset: base, Type: Type(data[5])}
-	if ci.Type > maxType {
-		return nil, ErrCorrupt
-	}
-	nameLen := int(binary.LittleEndian.Uint16(data[6:]))
-	pos := 8
-	if len(data) < pos+nameLen+4 {
-		return nil, ErrCorrupt
-	}
-	ci.Name = string(data[pos : pos+nameLen])
-	pos += nameLen
-	blockCount := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	ci.HeaderBytes = pos
-	for b := 0; b < blockCount; b++ {
-		bi, err := inspectBlock(data, pos, base, ci.Type, checksummed)
+		col, err := columnLayout(ix, data, 0)
 		if err != nil {
 			return nil, err
 		}
-		pos += bi.Size
-		ci.Rows += bi.Rows
-		ci.NullCount += bi.NullCount
-		ci.Blocks = append(ci.Blocks, bi)
-	}
-	if checksummed {
-		if len(data) < pos+crcBytes {
-			return nil, ErrTruncatedFile
-		}
-		if err := verifyTrailingCRC(data[:pos+crcBytes], "column file"); err != nil {
+		fi.Version, fi.Columns = ix.Version, []*ColumnInfo{col}
+	case FileKindChunk:
+		cc, header, err := parseChunk(data)
+		if err != nil {
 			return nil, err
 		}
-		ci.ChecksumBytes = crcBytes
-		pos += crcBytes
+		fi.Version, fi.HeaderBytes, fi.ChecksumBytes = int(cc.Version), header, checksumBytes(cc.Version)
+		if fi.Columns, err = chunkLayout(cc, header); err != nil {
+			return nil, err
+		}
+	case FileKindStream:
+		s, err := newStreamScanner(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		fi.Version, fi.HeaderBytes, fi.Schema = int(s.ver), s.off, s.schema
+		err = s.rest(len(data), func(ch *chunkFrame, err error) error {
+			if err != nil {
+				return err
+			}
+			at := ch.at + streamFrameBytes
+			c := &ChunkInfo{Offset: ch.at, Size: ch.size, FrameBytes: streamFrameBytes,
+				HeaderBytes: ch.header, ChecksumBytes: checksumBytes(ch.cc.Version)}
+			c.Columns, err = chunkLayout(ch.cc, at+ch.header)
+			fi.Chunks = append(fi.Chunks, c)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		fi.FooterBytes, fi.ChecksumBytes = streamFooterBytes, checksumBytes(s.ver)
 	}
-	ci.Size = pos
-	return ci, nil
+	return fi, nil
 }
 
-// inspectBlock parses one block at data[pos]; offsets are reported
-// relative to base.
-func inspectBlock(data []byte, pos, base int, t Type, checksummed bool) (*BlockInfo, error) {
-	bi := &BlockInfo{Offset: base + pos}
-	blockStart := pos
-	if len(data) < pos+8 {
-		return nil, ErrCorrupt
+// checksumBytes is the size of a container's trailing CRC32C in format
+// version v.
+func checksumBytes(v byte) int {
+	if checksummedVersion(v) {
+		return crcBytes
 	}
-	bi.Rows = int(binary.LittleEndian.Uint32(data[pos:]))
-	bi.NullBytes = int(binary.LittleEndian.Uint32(data[pos+4:]))
-	pos += 8
-	if bi.Rows > core.MaxBlockValues || bi.NullBytes < 0 || len(data) < pos+bi.NullBytes+4 {
-		return nil, ErrCorrupt
+	return 0
+}
+
+// chunkLayout lays out a chunk's columns; at is the offset of its first
+// column in the file.
+func chunkLayout(cc *CompressedChunk, at int) ([]*ColumnInfo, error) {
+	cols := make([]*ColumnInfo, len(cc.Columns))
+	for i, data := range cc.Columns {
+		ix, err := ParseColumnIndex(data)
+		if err != nil {
+			return nil, err
+		}
+		if cols[i], err = columnLayout(ix, data, at); err != nil {
+			return nil, err
+		}
+		at += len(data)
 	}
-	if bi.NullBytes > 0 {
-		bm, used, err := roaring.FromBytes(data[pos : pos+bi.NullBytes])
-		if err != nil || used != bi.NullBytes {
+	return cols, nil
+}
+
+// columnLayout lays out the blocks of a parsed column file located at
+// offset at of the file: each block's NULL count and cascade tree, with
+// every checksum verified.
+func columnLayout(ix *ColumnIndex, data []byte, at int) (*ColumnInfo, error) {
+	c := &ColumnInfo{Name: ix.Name, Type: ix.Type, Offset: at, Size: len(data), HeaderBytes: 8 + len(ix.Name) + 4,
+		Rows: ix.Rows, ChecksumBytes: checksumBytes(byte(ix.Version))}
+	for b, ref := range ix.Blocks {
+		blk, err := ix.openBlock(data, b, &core.Config{}, nil)
+		if err != nil {
+			return nil, err
+		}
+		bi := &BlockInfo{Offset: at + ref.Offset, Size: ref.CompressedBytes() + c.ChecksumBytes, Rows: ref.Rows,
+			NullBytes: ref.NullBytes, DataBytes: ref.DataBytes, ChecksumBytes: c.ChecksumBytes}
+		if blk.nulls != nil {
+			bi.NullCount = blk.nulls.Cardinality()
+		}
+		node, used, err := core.InspectStream(streamKind(ix.Type), blk.stream)
+		if err != nil {
+			return nil, err
+		}
+		if used != ref.DataBytes || node.Values != ref.Rows {
 			return nil, ErrCorrupt
 		}
-		bi.NullCount = bm.Cardinality()
-		pos += bi.NullBytes
+		bi.Data = node
+		c.NullCount += bi.NullCount
+		c.Blocks = append(c.Blocks, bi)
 	}
-	bi.DataBytes = int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if bi.DataBytes < 0 || len(data) < pos+bi.DataBytes {
-		return nil, ErrCorrupt
-	}
-	node, used, err := core.InspectStream(streamKind(t), data[pos:pos+bi.DataBytes])
-	if err != nil {
-		return nil, err
-	}
-	if used != bi.DataBytes || node.Values != bi.Rows {
-		return nil, ErrCorrupt
-	}
-	bi.Data = node
-	bi.Size = blockHeaderBytes + bi.NullBytes + bi.DataBytes
-	if checksummed {
-		blockEnd := blockStart + bi.Size
-		if len(data) < blockEnd+crcBytes {
-			return nil, ErrTruncatedFile
+	if ix.Checksummed() {
+		if err := verifyTrailingCRC(data, "column file"); err != nil {
+			return nil, err
 		}
-		stored := binary.LittleEndian.Uint32(data[blockEnd:])
-		if got := crc32c(data[blockStart:blockEnd]); got != stored {
-			return nil, fmt.Errorf("%w: block at offset %d: computed %08x, stored %08x",
-				ErrChecksumMismatch, bi.Offset, got, stored)
-		}
-		bi.ChecksumBytes = crcBytes
-		bi.Size += crcBytes
 	}
-	return bi, nil
+	return c, nil
 }
 
 // streamKind maps a column type to its core stream kind.
@@ -280,160 +269,6 @@ func streamKind(t Type) core.Kind {
 		return core.KindDouble
 	default:
 		return core.KindString
-	}
-}
-
-func inspectChunkFile(data []byte) (*FileInfo, error) {
-	fi := &FileInfo{Kind: FileKindChunk, Size: len(data), Version: int(data[4])}
-	cols, headerBytes, csumBytes, err := inspectChunkBody(data, 0)
-	if err != nil {
-		return nil, err
-	}
-	fi.Columns = cols
-	fi.HeaderBytes = headerBytes
-	fi.ChecksumBytes = csumBytes
-	total := headerBytes + csumBytes
-	for _, c := range cols {
-		total += c.Size
-	}
-	if total != len(data) {
-		return nil, ErrCorrupt
-	}
-	return fi, nil
-}
-
-// inspectChunkBody parses a chunk file ("BTRB") located at data[0],
-// returning its columns, header size, and trailing-checksum size (4 for a
-// v2 chunk, 0 for v1); base offsets the Offset fields.
-func inspectChunkBody(data []byte, base int) ([]*ColumnInfo, int, int, error) {
-	if len(data) < 7 || string(data[:4]) != fileMagic {
-		return nil, 0, 0, ErrCorrupt
-	}
-	if !supportedVersion(data[4]) {
-		return nil, 0, 0, fmt.Errorf("btrblocks: unsupported version %d", data[4])
-	}
-	checksummed := checksummedVersion(data[4])
-	bodyEnd := len(data)
-	csumBytes := 0
-	if checksummed {
-		if len(data) < 7+crcBytes {
-			return nil, 0, 0, ErrTruncatedFile
-		}
-		if err := verifyTrailingCRC(data, "chunk file"); err != nil {
-			return nil, 0, 0, err
-		}
-		csumBytes = crcBytes
-		bodyEnd -= crcBytes
-	}
-	nCols := int(binary.LittleEndian.Uint16(data[5:]))
-	pos := 7
-	if bodyEnd < pos+4*nCols {
-		return nil, 0, 0, ErrCorrupt
-	}
-	lengths := make([]int, nCols)
-	for i := range lengths {
-		lengths[i] = int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-	}
-	headerBytes := pos
-	cols := make([]*ColumnInfo, nCols)
-	for i, l := range lengths {
-		if l < 0 || bodyEnd < pos+l {
-			return nil, 0, 0, ErrCorrupt
-		}
-		ci, err := inspectColumn(data[pos:pos+l], base+pos)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if ci.Size != l {
-			return nil, 0, 0, ErrCorrupt
-		}
-		cols[i] = ci
-		pos += l
-	}
-	if pos != bodyEnd {
-		return nil, 0, 0, ErrCorrupt
-	}
-	return cols, headerBytes, csumBytes, nil
-}
-
-func inspectStreamFile(data []byte) (*FileInfo, error) {
-	fi := &FileInfo{Kind: FileKindStream, Size: len(data)}
-	if len(data) < 7 || string(data[:4]) != streamMagic {
-		return nil, ErrCorrupt
-	}
-	if !supportedVersion(data[4]) {
-		return nil, fmt.Errorf("btrblocks: unsupported version %d", data[4])
-	}
-	fi.Version = int(data[4])
-	checksummed := checksummedVersion(data[4])
-	if checksummed {
-		if err := verifyTrailingCRC(data, "stream file"); err != nil {
-			return nil, err
-		}
-	}
-	nCols := int(binary.LittleEndian.Uint16(data[5:]))
-	pos := 7
-	for i := 0; i < nCols; i++ {
-		if len(data) < pos+3 {
-			return nil, ErrCorrupt
-		}
-		t := Type(data[pos])
-		if t > maxType {
-			return nil, ErrCorrupt
-		}
-		nameLen := int(binary.LittleEndian.Uint16(data[pos+1:]))
-		pos += 3
-		if len(data) < pos+nameLen {
-			return nil, ErrCorrupt
-		}
-		fi.Schema = append(fi.Schema, Column{Name: string(data[pos : pos+nameLen]), Type: t})
-		pos += nameLen
-	}
-	fi.HeaderBytes = pos
-	for {
-		if len(data) < pos+1 {
-			return nil, ErrCorrupt
-		}
-		switch data[pos] {
-		case 'C':
-			if len(data) < pos+5 {
-				return nil, ErrCorrupt
-			}
-			payloadLen := int(binary.LittleEndian.Uint32(data[pos+1:]))
-			if payloadLen < 0 || len(data) < pos+5+payloadLen {
-				return nil, ErrCorrupt
-			}
-			cols, headerBytes, csumBytes, err := inspectChunkBody(data[pos+5:pos+5+payloadLen], pos+5)
-			if err != nil {
-				return nil, err
-			}
-			total := headerBytes + csumBytes
-			for _, c := range cols {
-				total += c.Size
-			}
-			if total != payloadLen {
-				return nil, ErrCorrupt
-			}
-			fi.Chunks = append(fi.Chunks, &ChunkInfo{
-				Offset: pos, Size: 5 + payloadLen, FrameBytes: 5,
-				HeaderBytes: headerBytes, ChecksumBytes: csumBytes, Columns: cols,
-			})
-			pos += 5 + payloadLen
-		case 'E':
-			want := pos + 13
-			if checksummed {
-				want += crcBytes
-				fi.ChecksumBytes = crcBytes
-			}
-			if len(data) != want {
-				return nil, ErrCorrupt
-			}
-			fi.FooterBytes = 13
-			return fi, nil
-		default:
-			return nil, ErrCorrupt
-		}
 	}
 }
 

@@ -1,7 +1,11 @@
 package blockstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -252,5 +256,45 @@ func TestRepairEndpointAcceptAndReject(t *testing.T) {
 	}
 	if string(raw) != string(good) {
 		t.Fatal("repaired bytes differ from the pushed copy")
+	}
+}
+
+// A stream whose schema names column type 200, with its checksum
+// refreshed so only the schema is wrong, is refused with 422: deep
+// verification reads streams with the same scanner as the Reader, which
+// rejects the type.
+func TestRepairRejectsStreamWithUnknownSchemaType(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := btrblocks.NewWriter(&buf, []btrblocks.Column{{Name: "i", Type: btrblocks.TypeInt}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteChunk(&btrblocks.Chunk{Columns: []btrblocks.Column{btrblocks.IntColumn("i", []int32{1, 2, 3})}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[7] = 200 // the first schema entry's type, after magic, version and column count
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+
+	contents, _ := testCorpus(t)
+	store, err := NewStore(contents, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	srv := httptest.NewServer(NewServer(store))
+	t.Cleanup(srv.Close)
+	before := store.Metrics().RepairsRejected.Load()
+	_, err = NewClient(srv.URL, WithRetries(0)).Repair(context.Background(), "t/stream.btrs", data)
+	var he *HTTPError
+	if !errors.As(err, &he) || he.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("repair with schema type 200: err = %v, want 422", err)
+	}
+	if got := store.Metrics().RepairsRejected.Load() - before; got != 1 {
+		t.Fatalf("RepairsRejected went up by %d, want 1", got)
 	}
 }

@@ -2,7 +2,6 @@ package btrblocks
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,8 +35,7 @@ var (
 //
 // In format v2 the stream ends with a CRC32C over every preceding byte
 // (magic through footer inclusive); v1 streams have no trailing checksum.
-
-const streamMagic = "BTRS"
+// The reading side of the grammar is streamScanner (container.go).
 
 // Writer writes a stream of compressed chunks with a fixed schema.
 type Writer struct {
@@ -161,18 +159,12 @@ func (w *Writer) Close() error {
 // buffer. Call Close to release the pipeline when abandoning a stream
 // before io.EOF; a fully consumed stream needs no Close.
 type Reader struct {
-	r      *bufio.Reader
-	opt    *Options
-	schema []Column
-	ver    byte
-	sum    uint32 // running CRC32C over all bytes consumed (v2 only)
-	chunks int
-	rows   uint64
-	done   bool
+	s   *streamScanner
+	opt *Options
 
 	// Decode-ahead pipeline state. ahead is nil for serial readers.
-	// chunks/rows/done above are producer-owned while the pipeline runs;
-	// the consumer observes them only after the terminal channel send.
+	// The scanner is producer-owned while the pipeline runs; the consumer
+	// observes its counts only after the terminal channel send.
 	ahead    chan aheadResult
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -191,61 +183,14 @@ type aheadResult struct {
 // of the consumer (one more may be in flight inside the goroutine).
 const aheadDepth = 2
 
-// readFull fills buf from the stream and folds the consumed bytes into
-// the running CRC. Hashing happens here — at the parse layer, not on the
-// underlying reader — so bufio's readahead does not poison the sum.
-func (r *Reader) readFull(buf []byte) error {
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return err
-	}
-	if checksummedVersion(r.ver) {
-		r.sum = crc32.Update(r.sum, castagnoli, buf)
-	}
-	return nil
-}
-
 // NewReader parses the stream header and returns a Reader positioned at
 // the first chunk.
 func NewReader(r io.Reader, opt *Options) (*Reader, error) {
-	sr := &Reader{r: bufio.NewReader(r), opt: opt}
-	var magic [5]byte
-	if _, err := io.ReadFull(sr.r, magic[:]); err != nil {
-		return nil, ErrCorrupt
+	s, err := newStreamScanner(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic[:4]) != streamMagic {
-		return nil, ErrCorrupt
-	}
-	if !supportedVersion(magic[4]) {
-		return nil, fmt.Errorf("btrblocks: unsupported stream version %d", magic[4])
-	}
-	sr.ver = magic[4]
-	if checksummedVersion(sr.ver) {
-		sr.sum = crc32.Update(0, castagnoli, magic[:])
-	}
-	var cnt [2]byte
-	if err := sr.readFull(cnt[:]); err != nil {
-		return nil, ErrCorrupt
-	}
-	n := int(binary.LittleEndian.Uint16(cnt[:]))
-	schema := make([]Column, n)
-	for i := range schema {
-		var hdr [3]byte
-		if err := sr.readFull(hdr[:]); err != nil {
-			return nil, ErrCorrupt
-		}
-		schema[i].Type = Type(hdr[0])
-		if schema[i].Type > maxType {
-			return nil, ErrCorrupt
-		}
-		nameLen := int(binary.LittleEndian.Uint16(hdr[1:]))
-		name := make([]byte, nameLen)
-		if err := sr.readFull(name); err != nil {
-			return nil, ErrCorrupt
-		}
-		schema[i].Name = string(name)
-	}
-	sr.schema = schema
-	sr.stop = make(chan struct{})
+	sr := &Reader{s: s, opt: opt, stop: make(chan struct{})}
 	if parallelism(opt) > 1 {
 		// Decode-ahead pipeline: one goroutine reads and decompresses
 		// chunks sequentially (stream framing is inherently serial — the
@@ -275,7 +220,7 @@ func NewReader(r io.Reader, opt *Options) (*Reader, error) {
 }
 
 // Schema returns the stream's column names and types.
-func (r *Reader) Schema() []Column { return r.schema }
+func (r *Reader) Schema() []Column { return r.s.schema }
 
 // Next decompresses and returns the next chunk, or io.EOF after the
 // footer has been consumed (Rows/Chunks are then valid). Any non-EOF
@@ -324,71 +269,14 @@ func (r *Reader) Next() (*Chunk, error) {
 // underlying stream — the serial core both the direct path and the
 // decode-ahead goroutine run.
 func (r *Reader) readChunk() (*Chunk, error) {
-	if r.done {
-		return nil, io.EOF
+	ch, err := r.s.next()
+	if errors.Is(err, ErrChecksumMismatch) {
+		r.opt.telemetryRecorder().RecordCorruption(1)
 	}
-	var tagBuf [1]byte
-	if err := r.readFull(tagBuf[:]); err != nil {
-		return nil, ErrCorrupt
+	if err != nil {
+		return nil, err
 	}
-	switch tagBuf[0] {
-	case 'C':
-		var lenBuf [4]byte
-		if err := r.readFull(lenBuf[:]); err != nil {
-			return nil, ErrCorrupt
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		if payloadLen > 1<<31 {
-			return nil, ErrCorrupt
-		}
-		// Grow the payload buffer only as bytes actually arrive: a corrupt
-		// length field must not trigger a giant up-front allocation.
-		var payloadBuf bytes.Buffer
-		if payloadLen < 1<<20 {
-			payloadBuf.Grow(int(payloadLen))
-		}
-		if n, err := io.CopyN(&payloadBuf, r.r, payloadLen); err != nil || n != payloadLen {
-			return nil, fmt.Errorf("%w: chunk payload", ErrTruncatedFile)
-		}
-		payload := payloadBuf.Bytes()
-		if checksummedVersion(r.ver) {
-			r.sum = crc32.Update(r.sum, castagnoli, payload)
-		}
-		cc, err := DecodeFile(payload)
-		if err != nil {
-			return nil, err
-		}
-		chunk, err := DecompressChunk(cc, r.opt)
-		if err != nil {
-			return nil, err
-		}
-		if len(chunk.Columns) != len(r.schema) {
-			return nil, ErrCorrupt
-		}
-		return chunk, nil
-	case 'E':
-		var buf [12]byte
-		if err := r.readFull(buf[:]); err != nil {
-			return nil, ErrCorrupt
-		}
-		r.chunks = int(binary.LittleEndian.Uint32(buf[:4]))
-		r.rows = binary.LittleEndian.Uint64(buf[4:])
-		if checksummedVersion(r.ver) {
-			var crcBuf [crcBytes]byte
-			if _, err := io.ReadFull(r.r, crcBuf[:]); err != nil {
-				return nil, fmt.Errorf("%w: stream checksum", ErrTruncatedFile)
-			}
-			stored := binary.LittleEndian.Uint32(crcBuf[:])
-			if stored != r.sum {
-				r.opt.telemetryRecorder().RecordCorruption(1)
-				return nil, fmt.Errorf("%w: stream checksum %08x, stored %08x",
-					ErrChecksumMismatch, r.sum, stored)
-			}
-		}
-		r.done = true
-		return nil, io.EOF
-	}
-	return nil, ErrCorrupt
+	return DecompressChunk(ch.cc, r.opt)
 }
 
 // Close stops the decode-ahead pipeline and waits for its goroutine to
@@ -401,10 +289,10 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Rows returns the footer's total row count; valid after Next returned
-// io.EOF.
-func (r *Reader) Rows() uint64 { return r.rows }
+// Rows returns the stream's total row count, which the footer was
+// checked against; valid after Next returned io.EOF.
+func (r *Reader) Rows() uint64 { return r.s.rows }
 
-// Chunks returns the footer's chunk count; valid after Next returned
-// io.EOF.
-func (r *Reader) Chunks() int { return r.chunks }
+// Chunks returns the stream's chunk count, which the footer was checked
+// against; valid after Next returned io.EOF.
+func (r *Reader) Chunks() int { return r.s.chunks }

@@ -1,17 +1,18 @@
 package btrblocks
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"btrblocks/internal/parallel"
 )
 
 // This file implements verification (fsck) for compressed files: a
-// best-effort walk over a column, chunk, or stream file that checks every
-// per-block and container checksum and reports per-block verdicts instead
-// of stopping at the first problem. `btrblocks verify` renders the
+// best-effort walk over a column, chunk, or stream file — framed by the
+// container parsers of container.go — that checks every per-block and
+// container checksum and reports per-block verdicts instead of stopping
+// at the first problem. `btrblocks verify` renders the
 // report; the blockstore uses the same per-block primitives
 // (ColumnIndex.VerifyBlock) on its serving path.
 
@@ -85,22 +86,6 @@ func (r *VerifyReport) fail(format string, args ...any) {
 	r.OK = false
 }
 
-// SniffKind detects the container format from a file's magic bytes.
-func SniffKind(data []byte) (FileKind, bool) {
-	if len(data) < 4 {
-		return 0, false
-	}
-	switch string(data[:4]) {
-	case columnMagic:
-		return FileKindColumn, true
-	case fileMagic:
-		return FileKindChunk, true
-	case streamMagic:
-		return FileKindStream, true
-	}
-	return 0, false
-}
-
 // Verify checks a compressed file's integrity and returns a best-effort
 // report: it keeps walking past damaged blocks so a single report covers
 // every block of every column. It never panics on arbitrary input and
@@ -114,24 +99,37 @@ func Verify(data []byte, vo *VerifyOptions) *VerifyReport {
 		return rep
 	}
 	rep.Kind = kind.String()
-	if len(data) < 5 {
-		rep.fail("truncated header: %d bytes, version byte missing", len(data))
-		return rep
-	}
-	if !supportedVersion(data[4]) {
-		rep.fail("unsupported format version %d", data[4])
-		return rep
-	}
-	rep.Version = int(data[4])
-	rep.Checksummed = checksummedVersion(data[4])
+	var ver byte
 	switch kind {
 	case FileKindColumn:
+		if ix, err := ParseColumnIndex(data); err != nil {
+			rep.fail("%v", err)
+		} else {
+			ver = byte(ix.Version)
+		}
 		foldColumn(rep, columnVerdict(data, 0, 0, vo))
 	case FileKindChunk:
-		verifyChunkBody(rep, data, 0, 0, vo)
+		cc, header, err := parseChunk(data)
+		ver = cc.Version
+		verifyChunk(rep, cc, header, err, 0, 0, vo)
 	case FileKindStream:
-		verifyStream(rep, data, vo)
+		s, err := newStreamScanner(bytes.NewReader(data))
+		if err != nil {
+			rep.fail("%v", err)
+			return rep
+		}
+		ver = s.ver
+		chunk := 0
+		err = s.rest(len(data), func(ch *chunkFrame, err error) error {
+			verifyChunk(rep, ch.cc, ch.header, err, ch.at+streamFrameBytes, chunk, vo)
+			chunk++
+			return nil
+		})
+		if err != nil {
+			rep.fail("%v", err)
+		}
 	}
+	rep.Version, rep.Checksummed = int(ver), checksummedVersion(ver)
 	return rep
 }
 
@@ -202,124 +200,26 @@ func foldColumn(rep *VerifyReport, cv ColumnVerdict) {
 	rep.Columns = append(rep.Columns, cv)
 }
 
-// verifyChunkBody verifies a chunk file ("BTRB") located at data[0].
-// Columns are verified concurrently into ordered slots and folded into
-// the report in file order.
-func verifyChunkBody(rep *VerifyReport, data []byte, base, chunkIdx int, vo *VerifyOptions) {
-	if len(data) < 7 {
-		rep.fail("chunk at offset %d: truncated header", base)
-		return
+// verifyChunk folds the verdicts of a parsed chunk file's columns into
+// the report, with err, the chunk's own parse error, if any. The chunk
+// starts at offset base of the file; its columns are verified
+// concurrently into ordered slots and folded in file order.
+func verifyChunk(rep *VerifyReport, cc *CompressedChunk, header int, err error, base, chunkIdx int, vo *VerifyOptions) {
+	offsets := make([]int, len(cc.Columns))
+	at := base + header
+	for i, col := range cc.Columns {
+		offsets[i] = at
+		at += len(col)
 	}
-	checksummed := checksummedVersion(data[4])
-	bodyEnd := len(data)
-	if checksummed {
-		if err := verifyTrailingCRC(data, "chunk file"); err != nil {
-			rep.fail("chunk at offset %d: %v", base, err)
-			// The CRC trailer is still structurally present; keep walking
-			// so per-column verdicts localize the damage.
-		}
-		bodyEnd -= crcBytes
-	}
-	nCols := int(binary.LittleEndian.Uint16(data[5:]))
-	pos := 7
-	if bodyEnd < pos+4*nCols {
-		rep.fail("chunk at offset %d: truncated length table", base)
-		return
-	}
-	lengths := make([]int, nCols)
-	for i := range lengths {
-		lengths[i] = int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-	}
-	// Pre-walk the length table so every column's extent is known before
-	// the fan-out; like the serial walk, columns after the first overrun
-	// are not reported.
-	offsets := make([]int, 0, nCols)
-	overrun := -1
-	for i, l := range lengths {
-		if l < 0 || bodyEnd < pos+l {
-			overrun = i
-			break
-		}
-		offsets = append(offsets, pos)
-		pos += l
-	}
-	verdicts := make([]ColumnVerdict, len(offsets))
-	_ = parallel.Run(context.Background(), len(offsets), vo.workers(), func(i int) error {
-		off := offsets[i]
-		verdicts[i] = columnVerdict(data[off:off+lengths[i]], base+off, chunkIdx, vo)
+	verdicts := make([]ColumnVerdict, len(cc.Columns))
+	_ = parallel.Run(context.Background(), len(cc.Columns), vo.workers(), func(i int) error {
+		verdicts[i] = columnVerdict(cc.Columns[i], offsets[i], chunkIdx, vo)
 		return nil
 	})
 	for _, cv := range verdicts {
 		foldColumn(rep, cv)
 	}
-	if overrun >= 0 {
-		rep.fail("chunk at offset %d: column %d length %d overruns file", base, overrun, lengths[overrun])
-		return
-	}
-	if pos != bodyEnd {
-		rep.fail("chunk at offset %d: %d trailing bytes", base, bodyEnd-pos)
-	}
-}
-
-// verifyStream verifies a stream file ("BTRS"): header, every chunk, the
-// footer, and the stream checksum.
-func verifyStream(rep *VerifyReport, data []byte, vo *VerifyOptions) {
-	if rep.Checksummed {
-		if err := verifyTrailingCRC(data, "stream file"); err != nil {
-			rep.fail("%v", err)
-		}
-	}
-	if len(data) < 7 {
-		rep.fail("truncated stream header")
-		return
-	}
-	nCols := int(binary.LittleEndian.Uint16(data[5:]))
-	pos := 7
-	for i := 0; i < nCols; i++ {
-		if len(data) < pos+3 {
-			rep.fail("truncated stream schema")
-			return
-		}
-		nameLen := int(binary.LittleEndian.Uint16(data[pos+1:]))
-		pos += 3 + nameLen
-		if len(data) < pos {
-			rep.fail("truncated stream schema")
-			return
-		}
-	}
-	chunkIdx := 0
-	for {
-		if len(data) < pos+1 {
-			rep.fail("stream ends without footer")
-			return
-		}
-		switch data[pos] {
-		case 'C':
-			if len(data) < pos+5 {
-				rep.fail("chunk %d: truncated frame", chunkIdx)
-				return
-			}
-			payloadLen := int(binary.LittleEndian.Uint32(data[pos+1:]))
-			if payloadLen < 0 || len(data) < pos+5+payloadLen {
-				rep.fail("chunk %d: frame length %d overruns file", chunkIdx, payloadLen)
-				return
-			}
-			verifyChunkBody(rep, data[pos+5:pos+5+payloadLen], pos+5, chunkIdx, vo)
-			pos += 5 + payloadLen
-			chunkIdx++
-		case 'E':
-			want := pos + 13
-			if rep.Checksummed {
-				want += crcBytes
-			}
-			if len(data) != want {
-				rep.fail("footer: file has %d bytes, framing accounts for %d", len(data), want)
-			}
-			return
-		default:
-			rep.fail("chunk %d: unknown frame tag %#x at offset %d", chunkIdx, data[pos], pos)
-			return
-		}
+	if err != nil {
+		rep.fail("chunk at offset %d: %v", base, err)
 	}
 }
