@@ -368,10 +368,10 @@ func (s *streamScanner) match(cc *CompressedChunk) error {
 }
 
 // rest scans the remaining frames of a stream of size bytes held in
-// memory, calling each with every chunk frame and its error. A frame
-// error ends the scan unless each returns nil for it; so do a broken
-// frame and bytes after the stream's final checksum, which a caller
-// reading from an io.Reader could not see.
+// memory, calling each with every chunk frame and its error; an error
+// each returns ends the scan, and so does a broken frame. Bytes after
+// the stream's final checksum, which a Reader cannot see, are an error
+// here.
 func (s *streamScanner) rest(size int, each func(*chunkFrame, error) error) error {
 	for {
 		ch, err := s.next()
