@@ -88,7 +88,7 @@ query-smoke:
 	$(GO) test -run 'TestOracle|TestNullSemantics|TestSelection|TestAgg|TestPlan' ./internal/query/
 	$(GO) test -run 'TestQueryEndpoint' ./internal/blockstore/
 	$(GO) test -run 'TestQueryScatterGather|TestQueryHTTPFailover' ./internal/cluster/
-	$(GO) test -run 'TestAddRange' ./internal/roaring/
+	$(GO) test -run 'TestAddRange|TestAlgebra|TestAddWords|TestFromBytes' ./internal/roaring/
 	@echo "query smoke: OK"
 
 # fuzz-smoke runs every fuzz target for a short fixed budget on top of

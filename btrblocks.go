@@ -206,22 +206,28 @@ func (m *NullMask) slice(lo, hi int) *roaring.Bitmap {
 		return nil
 	}
 	out := roaring.New()
-	any := false
-	m.bm.ForEach(func(v uint32) bool {
-		if int(v) >= hi {
-			return false
-		}
-		if int(v) >= lo {
-			out.Add(v - uint32(lo))
-			any = true
-		}
-		return true
-	})
-	if !any {
+	out.AddWords(0, m.bm.Words(uint32(lo), uint32(hi), nil))
+	if out.IsEmpty() {
 		return nil
 	}
 	out.RunOptimize()
 	return out
+}
+
+// valid returns positions [0, n) that are not NULL as a bitset, bit i for
+// position i.
+func (m *NullMask) valid(n int) []uint64 {
+	w := make([]uint64, (n+63)/64)
+	if m != nil && m.bm != nil {
+		w = m.bm.Words(0, uint32(n), w)
+	}
+	for i := range w {
+		w[i] = ^w[i]
+	}
+	if n%64 != 0 {
+		w[len(w)-1] &= 1<<(n%64) - 1
+	}
+	return w
 }
 
 // Column is one typed column of a chunk: a name, a type, the value

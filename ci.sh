@@ -96,6 +96,26 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one selection algebra =="
+	# A block's selection is a bitset the kernels write; a column's is a
+	# roaring bitmap, combined a container at a time by one algebra
+	# (internal/roaring: combine, AddWords, Words). Outside the storage of
+	# Frequency and PDE, internal/core never touches roaring; roaring has
+	# no per-value Remove or Rank; query.go walks no selection per value.
+	if ls internal/core/*.go | grep -v -e '_test\.go$' -e '/frequency\.go$' -e '/pde\.go$' |
+		xargs grep -l '"btrblocks/internal/roaring"'; then
+		echo 'internal/core selects into block bitsets; only frequency.go and pde.go store roaring bitmaps'
+		exit 1
+	fi
+	if grep -nE '^func (\([^)]*\) )?(Remove|Rank)\(' internal/roaring/roaring.go; then
+		echo 'internal/roaring defines no Remove or Rank: use the container-wise set operations'
+		exit 1
+	fi
+	if grep -n '\.ForEach(func' query.go; then
+		echo 'query.go reads selections a word at a time (roaring AddWords and Words)'
+		exit 1
+	fi
+
 	echo "== go build =="
 	go build ./...
 

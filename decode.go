@@ -322,7 +322,7 @@ func decodeInto[T any](decode func([]T, []byte, *core.Config) ([]T, int, error),
 }
 
 // rebaseNulls builds col.Nulls from the blocks' masks. One block's mask
-// is adopted as it is; several are shifted to their blocks' rows a range
+// is adopted as it is; several are shifted to their blocks' rows a block
 // at a time.
 func (d *columnDecode) rebaseNulls() {
 	if len(d.nulls) == 1 && d.nulls[0] != nil {
@@ -336,11 +336,8 @@ func (d *columnDecode) rebaseNulls() {
 		if d.col.Nulls == nil {
 			d.col.Nulls = NewNullMask()
 		}
-		at := uint32(d.rowAt(d.lo + i))
-		bm.ForEachRange(func(lo, hi uint64) bool {
-			d.col.Nulls.bm.AddRange(at+uint32(lo), at+uint32(hi))
-			return true
-		})
+		rows := d.ix.Blocks[d.lo+i].Rows
+		d.col.Nulls.bm.AddWords(uint32(d.rowAt(d.lo+i)), bm.Words(0, uint32(rows), nil))
 	}
 }
 

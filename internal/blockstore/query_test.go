@@ -119,6 +119,9 @@ func TestQueryEndpointStatuses(t *testing.T) {
 		{"bad-return", `{"filter":{"op":"notnull","column":"m/v.btr"},"return":"rowset"}`, http.StatusBadRequest},
 		{"negative-limit", `{"filter":{"op":"notnull","column":"m/v.btr"},"row_limit":-1}`, http.StatusBadRequest},
 		{"bad-selection", `{"filter":{"op":"notnull","column":"m/v.btr"},"selection":"!!!"}`, http.StatusBadRequest},
+		// One run container, key 0, whose run {start 0xFFFF, length 1}
+		// ends past its container.
+		{"selection-run-past-container", `{"filter":{"op":"notnull","column":"m/v.btr"},"selection":"AQAAAAIBAP//AQA="}`, http.StatusBadRequest},
 		{"sum-over-string", `{"aggregates":[{"op":"sum","column":"m/v.btr"}],"filter":{"op":"eq","column":"m/v.btr","value":"nope"}}`, http.StatusBadRequest},
 		{"unknown-column", `{"filter":{"op":"notnull","column":"m/missing.btr"}}`, http.StatusNotFound},
 		{"sidecar-not-column", `{"filter":{"op":"notnull","column":"m/ts.btr.btrm"}}`, http.StatusBadRequest},

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"btrblocks"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/query"
 	"btrblocks/internal/roaring"
@@ -101,12 +102,11 @@ func (r *Router) Query(ctx context.Context, p *query.Plan) (*query.Result, error
 		sel = bm
 	}
 
-	var selBytes []byte
-	if sel != nil {
-		selBytes = sel.AppendTo(nil)
-	}
-
 	if len(p.Aggregates) > 0 {
+		var selBytes []byte
+		if sel != nil {
+			selBytes = sel.AppendTo(nil)
+		}
 		aggs, aggRows, err := r.queryAggregates(ctx, p, selBytes, res)
 		if err != nil {
 			span.SetError(err)
@@ -121,48 +121,14 @@ func (r *Router) Query(ctx context.Context, p *query.Plan) (*query.Result, error
 		res.Aggregates = aggs
 	}
 
-	res.Rows = rows
+	var selection *btrblocks.Selection
 	if sel != nil {
-		res.Matched = int64(sel.Cardinality())
-	} else {
-		res.Matched = int64(rows)
+		s := btrblocks.SelectionFromBitmap(sel)
+		selection = &s
 	}
+	query.Finish(p, res, rows, selection)
 	span.SetAttrInt("matched", res.Matched)
 	span.SetAttrInt("legs", int64(len(leaves)))
-
-	if p.Rows {
-		limit := p.RowLimit
-		if limit == 0 {
-			limit = query.DefaultRowLimit
-		}
-		if sel != nil {
-			res.RowIDs = make([]uint32, 0, min(limit, int(res.Matched)))
-			sel.ForEach(func(row uint32) bool {
-				if len(res.RowIDs) >= limit {
-					return false
-				}
-				res.RowIDs = append(res.RowIDs, row)
-				return true
-			})
-		} else {
-			n := min(limit, rows)
-			res.RowIDs = make([]uint32, n)
-			for i := range res.RowIDs {
-				res.RowIDs[i] = uint32(i)
-			}
-		}
-		res.RowsTruncated = int64(len(res.RowIDs)) < res.Matched
-	}
-
-	if p.Return == query.ReturnBitmap {
-		if sel != nil {
-			res.Bitmap = selBytes
-		} else {
-			bm := roaring.New()
-			bm.AddRange(0, uint32(rows))
-			res.Bitmap = bm.AppendTo(nil)
-		}
-	}
 	return res, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"btrblocks/coldata"
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -121,18 +120,13 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 					t.Fatalf("%s: aggregate %+v (used %d, err %v), want %+v", name, got, used, err, want)
 				}
 				for pname, m := range preds(vals) {
-					wantSel := roaring.New()
-					for i, v := range vals {
-						if m.Match(v) {
-							wantSel.Add(7 + uint32(i))
-						}
+					wantSel := refBits(n, func(i int) bool { return m.Match(vals[i]) })
+					sel := make([]uint64, len(wantSel))
+					if used, err := typ.Select(enc, m, sel, nil, cfg); err != nil || used != len(enc) || !slices.Equal(sel, wantSel) {
+						t.Fatalf("%s: select %s: %d rows (used %d, err %v), want %d", name, pname, countBits(sel), used, err, countBits(wantSel))
 					}
-					sel := roaring.New()
-					if used, err := typ.Select(enc, m, 7, sel, nil, cfg); err != nil || used != len(enc) || !sel.Equals(wantSel) {
-						t.Fatalf("%s: select %s: %d rows (used %d, err %v), want %d", name, pname, sel.Cardinality(), used, err, wantSel.Cardinality())
-					}
-					if count, used, err := typ.Count(enc, m, nil, cfg); err != nil || used != len(enc) || count != wantSel.Cardinality() {
-						t.Fatalf("%s: count %s = %d (used %d, err %v), want %d", name, pname, count, used, err, wantSel.Cardinality())
+					if count, used, err := typ.Count(enc, m, nil, cfg); err != nil || used != len(enc) || count != countBits(wantSel) {
+						t.Fatalf("%s: count %s = %d (used %d, err %v), want %d", name, pname, count, used, err, countBits(wantSel))
 					}
 				}
 
@@ -144,7 +138,7 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 					bad, capped := overCap(enc, n)
 					var a A
 					_, _, decErr := typ.Decompress(nil, bad, capped)
-					_, selErr := typ.Select(bad, anyPred, 0, roaring.New(), nil, capped)
+					_, selErr := typ.Select(bad, anyPred, make([]uint64, (n+63)/64), nil, capped)
 					_, _, countErr := typ.Count(bad, anyPred, nil, capped)
 					_, aggErr := typ.Aggregate(bad, PA(&a), nil, capped)
 					for op, err := range map[string]error{"decompress": decErr, "select": selErr, "count": countErr, "aggregate": aggErr} {
@@ -162,7 +156,7 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 					if _, _, err := typ.Decompress(nil, short, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: decompress of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
-					if _, err := typ.Select(short, anyPred, 0, roaring.New(), nil, cfg); !errors.Is(err, ErrCorrupt) {
+					if _, err := typ.Select(short, anyPred, make([]uint64, (n+63)/64), nil, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: select of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
 					if _, _, err := typ.Count(short, anyPred, nil, cfg); !errors.Is(err, ErrCorrupt) {
@@ -358,18 +352,13 @@ func conformStrings(t *testing.T) {
 					t.Fatalf("%s: inspect: %v (used %d of %d)", name, err, used, len(enc))
 				}
 				for pname, p := range stringPredsOf(vals) {
-					want := roaring.New()
-					for i, v := range vals {
-						if p.Match([]byte(v)) {
-							want.Add(7 + uint32(i))
-						}
+					want := refBits(n, func(i int) bool { return p.Match([]byte(vals[i])) })
+					sel := make([]uint64, len(want))
+					if used, err := String.Select(enc, p, sel, nil, cfg); err != nil || used != len(enc) || !slices.Equal(sel, want) {
+						t.Fatalf("%s: select %s: %d rows (used %d, err %v), want %d", name, pname, countBits(sel), used, err, countBits(want))
 					}
-					sel := roaring.New()
-					if used, err := String.Select(enc, p, 7, sel, nil, cfg); err != nil || used != len(enc) || !sel.Equals(want) {
-						t.Fatalf("%s: select %s: %d rows (used %d, err %v), want %d", name, pname, sel.Cardinality(), used, err, want.Cardinality())
-					}
-					if count, used, err := String.Count(enc, p, nil, cfg); err != nil || used != len(enc) || count != want.Cardinality() {
-						t.Fatalf("%s: count %s = %d (used %d, err %v), want %d", name, pname, count, used, err, want.Cardinality())
+					if count, used, err := String.Count(enc, p, nil, cfg); err != nil || used != len(enc) || count != countBits(want) {
+						t.Fatalf("%s: count %s = %d (used %d, err %v), want %d", name, pname, count, used, err, countBits(want))
 					}
 				}
 				eq := &StringPred{Op: PredEq, Eq: []byte("x")}
@@ -377,7 +366,7 @@ func conformStrings(t *testing.T) {
 					bad, capped := overCap(enc, n)
 					_, _, decErr := String.Decompress(bad, capped)
 					_, _, parseErr := String.Parse(bad, capped)
-					_, selErr := String.Select(bad, eq, 0, roaring.New(), nil, capped)
+					_, selErr := String.Select(bad, eq, make([]uint64, (n+63)/64), nil, capped)
 					_, _, countErr := String.Count(bad, eq, nil, capped)
 					for op, err := range map[string]error{"decompress": decErr, "parse": parseErr, "select": selErr, "count": countErr} {
 						if !errors.Is(err, ErrCorrupt) {
@@ -397,7 +386,7 @@ func conformStrings(t *testing.T) {
 					if _, _, err := String.Parse(short, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: parse of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
-					if _, err := String.Select(short, eq, 0, roaring.New(), nil, cfg); !errors.Is(err, ErrCorrupt) {
+					if _, err := String.Select(short, eq, make([]uint64, (n+63)/64), nil, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: select of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
 					if _, _, err := String.Count(short, eq, nil, cfg); !errors.Is(err, ErrCorrupt) {
@@ -439,7 +428,7 @@ func checkRunLengths[T numeric, K stats.Key](t *testing.T, typ *Numeric[T, K], z
 		if _, _, err := typ.Count(enc, zero, nil, cfg); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: length %#x: count: %v", typ.kind, bad, err)
 		}
-		if _, err := typ.Select(enc, zero, 0, roaring.New(), nil, cfg); !errors.Is(err, ErrCorrupt) {
+		if _, err := typ.Select(enc, zero, make([]uint64, len(vals)/64+1), nil, cfg); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: length %#x: select: %v", typ.kind, bad, err)
 		}
 		if _, err := typ.Aggregate(enc, acc, nil, cfg); !errors.Is(err, ErrCorrupt) {

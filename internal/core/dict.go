@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"btrblocks/coldata"
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -57,14 +56,14 @@ func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			return dst, used, nil
 		},
-		scan: func(src []byte, n int, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, int, error) {
+		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (int, int, error) {
 			dict, pos, err := t.dictHead(src, n, cfg)
 			if err != nil {
 				return 0, 0, err
 			}
 			defer t.putBuf(cfg.Scratch, dict)
 			st.Dict.Add(1)
-			count, used, err := Int.scan(src[pos:], m.codes(dict), base, out, st, cfg)
+			count, used, err := Int.scan(src[pos:], m.codes(dict), sel, st, cfg)
 			return count, pos + used, err
 		},
 		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
@@ -178,7 +177,7 @@ var stringDict = &strScheme{code: CodeDict,
 	viable: func(p *stats.StringProfile) bool { return dictViable(&p.Summary) },
 	encode: encodeStringDict,
 	parse:  parseStringDict,
-	scan: func(src []byte, n int, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
+	scan: func(src []byte, n int, p *StringPred, sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
 		pool, starts, codesOff, err := stringDictHead(src, n, cfg, false)
 		if err != nil {
 			return 0, 0, err
@@ -191,7 +190,7 @@ var stringDict = &strScheme{code: CodeDict,
 		}
 		Int.putBuf(cfg.Scratch, starts)
 		st.Dict.Add(1)
-		count, used, err = Int.scan(src[codesOff:], codesPredFromSorted(codes), base, out, st, cfg)
+		count, used, err = Int.scan(src[codesOff:], codesPredFromSorted(codes), sel, st, cfg)
 		return count, codesOff + used, err
 	},
 	views: func(b StringBlock, views []coldata.View) ([]byte, error) {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-
-	"btrblocks/internal/roaring"
 )
 
 // What doubles do not share with the integers: runs and predicates that
@@ -86,14 +84,15 @@ func (p *DoublePred) Match(v float64) bool {
 	}
 }
 
-func (p *DoublePred) filter(vals []float64, base uint32, out *roaring.Bitmap) (count int) {
-	for i, v := range vals {
-		if p.Match(v) {
-			count++
-			if out != nil {
-				out.Add(base + uint32(i))
+func (p *DoublePred) filter(vals []float64, sel []uint64) (count int) {
+	for w := 0; w*64 < len(vals); w++ {
+		var m uint64
+		for i, v := range vals[w*64 : min(len(vals), w*64+64)] {
+			if p.Match(v) {
+				m |= 1 << i
 			}
 		}
+		count += orWord(sel, w, m)
 	}
 	return count
 }

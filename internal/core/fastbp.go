@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"btrblocks/internal/bitpack"
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -32,7 +31,7 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 			return encode(dst, src)
 		},
 		decode: leafDecode(decode, decodeScalar),
-		scan: func(src []byte, n int, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
+		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
 			unpacked := unpack
 			if cfg.ScalarDecode {
 				unpacked = unpackScalar
@@ -40,6 +39,7 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 			p := m.(*Pred[T]) // the only Matcher of an integer type
 			plo, phi := p.Bounds()
 			var deltas [bitpack.BlockLen]U
+			var vals [bitpack.BlockLen]T
 			used, err = forBlocks[T, U](src, n, func(ref T, row, cnt int, w uint, packed []byte) error {
 				// Every value of the block lies in [ref, ref+mask(w)]: one
 				// disjoint from the predicate's bounds cannot match. The
@@ -58,13 +58,14 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 					return ErrCorrupt
 				}
 				for i, d := range deltas[:cnt] {
-					if p.Match(ref + T(d)) {
-						count++
-						if out != nil {
-							out.Add(base + uint32(row+i))
-						}
-					}
+					vals[i] = ref + T(d)
 				}
+				// A block's 128 rows start on a word boundary: two words.
+				var blk []uint64
+				if sel != nil {
+					blk = sel[row/64:]
+				}
+				count += p.filter(vals[:cnt], blk)
 				return nil
 			})
 			if err != nil {

@@ -53,17 +53,17 @@ func frequency[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			return dst, pos + used, nil
 		},
-		scan: func(src []byte, n int, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, int, error) {
+		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (int, int, error) {
 			top, bm, pos, err := t.frequencyHead(src, n, cfg)
 			if err != nil {
 				return 0, 0, err
 			}
 			st.Frequency.Add(1)
-			var excSel *roaring.Bitmap // over exception indexes
-			if out != nil {
-				excSel = roaring.New()
+			var excSel []uint64 // over exception indexes
+			if sel != nil {
+				excSel = make([]uint64, (n-bm.Cardinality()+63)/64)
 			}
-			count, used, err := t.scan(src[pos:], m, 0, excSel, st, cfg)
+			count, used, err := t.scan(src[pos:], m, excSel, st, cfg)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -71,19 +71,15 @@ func frequency[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			if topMatch {
 				count += bm.Cardinality()
 			}
-			if out != nil {
-				exc := uint32(0) // exceptions before the current span
+			if sel != nil {
+				exc := 0 // exceptions before the current span
 				err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
 					switch {
 					case isTop && topMatch:
-						out.AddRange(base+uint32(lo), base+uint32(hi))
+						setBits(sel, lo, hi)
 					case !isTop:
-						for row := lo; row < hi; row++ {
-							if excSel.Contains(exc) {
-								out.Add(base + uint32(row))
-							}
-							exc++
-						}
+						orBits(sel, lo, excSel, exc, hi-lo)
+						exc += hi - lo
 					}
 				})
 			}

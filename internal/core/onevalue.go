@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"btrblocks/coldata"
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -32,13 +31,13 @@ func oneValue[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			return dst, 5 + t.width, nil
 		},
-		scan: func(src []byte, n int, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, _ *Config) (int, int, error) {
+		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, _ *Config) (int, int, error) {
 			v, err := t.value(src)
 			if err != nil {
 				return 0, 0, err
 			}
 			st.OneValue.Add(1)
-			return matchAll(m.Match(v), n, base, out), 5 + t.width, nil
+			return matchAll(m.Match(v), 0, n, sel), 5 + t.width, nil
 		},
 		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, _ *Config) (int, error) {
 			v, err := t.value(src)
@@ -68,16 +67,16 @@ func (t *Numeric[T, K]) value(src []byte) (v T, err error) {
 	return t.one(src[5:]), nil
 }
 
-// matchAll answers a predicate for all n rows from base at once: n rows
+// matchAll answers a predicate for rows [lo, hi) at once: all of them
 // match or none do.
-func matchAll(match bool, n int, base uint32, out *roaring.Bitmap) int {
+func matchAll(match bool, lo, hi int, sel []uint64) int {
 	if !match {
 		return 0
 	}
-	if out != nil {
-		out.AddRange(base, base+uint32(n))
+	if sel != nil {
+		setBits(sel, lo, hi)
 	}
-	return n
+	return hi - lo
 }
 
 var stringOneValue = &strScheme{code: CodeOneValue,
@@ -100,13 +99,13 @@ var stringOneValue = &strScheme{code: CodeOneValue,
 		}
 		return b, 9 + len(v), nil
 	},
-	scan: func(src []byte, n int, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, _ *Config) (int, int, error) {
+	scan: func(src []byte, n int, p *StringPred, sel []uint64, st *SelectStats, _ *Config) (int, int, error) {
 		v, err := stringValue(src)
 		if err != nil {
 			return 0, 0, err
 		}
 		st.OneValue.Add(1)
-		return matchAll(p.Match(v), n, base, out), 9 + len(v), nil
+		return matchAll(p.Match(v), 0, n, sel), 9 + len(v), nil
 	},
 	views: func(b StringBlock, views []coldata.View) ([]byte, error) {
 		for i := range views {

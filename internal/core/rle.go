@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -41,7 +40,7 @@ func rle[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			return dst, used, nil
 		},
-		scan: func(src []byte, n int, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
+		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
 			values, lengths, used, err := t.runParts(src, n, cfg)
 			if err != nil {
 				return 0, 0, err
@@ -49,10 +48,10 @@ func rle[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			defer t.putBuf(cfg.Scratch, values)
 			defer Int.putBuf(cfg.Scratch, lengths)
 			st.RLE.Add(1)
-			row := base
+			row := 0
 			for i, rv := range values {
-				count += matchAll(m.Match(rv), int(lengths[i]), row, out)
-				row += uint32(lengths[i])
+				count += matchAll(m.Match(rv), row, row+int(lengths[i]), sel)
+				row += int(lengths[i])
 			}
 			return count, used, nil
 		},

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"btrblocks/coldata"
-	"btrblocks/internal/roaring"
 	"btrblocks/internal/stats"
 )
 
@@ -37,7 +36,7 @@ type numScheme[T numeric, K stats.Key] struct {
 	// scan and aggregate, where set, answer Select/Count and Aggregate in
 	// the compressed domain; elsewhere the stream is decoded and filtered
 	// or folded.
-	scan      func(src []byte, n int, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error)
+	scan      func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error)
 	aggregate func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error)
 	// runs, where set (RLE), decodes src's runs without expanding them; the
 	// fused Dict+RLE path of the string dictionary reads its codes so.
@@ -58,7 +57,7 @@ type strScheme struct {
 	// with the bytes src takes, and on error too, for release. forViews
 	// copies out of src whatever views will point into, as they outlive it.
 	parse func(b StringBlock, src []byte, cfg *Config, forViews bool) (StringBlock, int, error)
-	scan  func(src []byte, n int, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error)
+	scan  func(src []byte, n int, p *StringPred, sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error)
 	// views fills one view per row and returns the pool they point into;
 	// appendTo appends the rows' bytes to data, writes each row's end into
 	// ends (counting on from end) and returns the grown data.

@@ -3,24 +3,25 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
-
-	"btrblocks/internal/roaring"
 )
 
 // This file implements predicate evaluation directly on compressed
 // streams — the capability §7 of the paper notes BtrBlocks can support
 // when the chosen schemes permit it. One kernel per value family (scan for
 // numbers, String.scan for strings) walks a compressed stream, counts the
-// matching values and, when given a bitmap, adds their positions (offset
-// by base) to it. Where the stream's scheme entry has a scan (OneValue,
-// RLE, Dict, Frequency, FastBP) it answers in the compressed domain; every
-// other stream decodes and filters.
+// matching values and, when given a selection, sets their bits in it: a
+// block-local bitset in which bit i (bit i%64 of word i/64) is value i of
+// the stream. Runs and whole streams set bit ranges; values tested one by
+// one are gathered into words that are ORed in. Where the stream's scheme
+// entry has a scan (OneValue, RLE, Dict, Frequency, FastBP) it answers in
+// the compressed domain; every other stream decodes and filters.
 //
 // NULL handling is the caller's job: NULL slots are rewritten by the
-// compressor, so a caller evaluating a NULL-bearing block subtracts the
-// block's NULL bitmap from the kernel's output (AndNot). That keeps the
+// compressor, so a caller evaluating a NULL-bearing block clears the
+// block's NULL rows from the kernel's output. That keeps the
 // compressed-domain paths usable even when NULLs are present — unlike
 // counts, a position set can be corrected after the fact.
 
@@ -112,9 +113,9 @@ func (s *SelectStats) orDiscard() *SelectStats {
 type Matcher[T numeric] interface {
 	// Match reports whether v satisfies the predicate.
 	Match(v T) bool
-	// filter counts the matching values and, when out is non-nil, adds
-	// base plus the index of each.
-	filter(vals []T, base uint32, out *roaring.Bitmap) int
+	// filter counts the matching values and, when sel is non-nil, sets
+	// the bit of each.
+	filter(vals []T, sel []uint64) int
 	// codes maps the predicate over a dictionary to one on its codes.
 	codes(dict []T) *Pred[int32]
 }
@@ -168,16 +169,47 @@ func (p *Pred[T]) Bounds() (lo, hi int64) {
 	}
 }
 
-func (p *Pred[T]) filter(vals []T, base uint32, out *roaring.Bitmap) (count int) {
-	for i, v := range vals {
-		if p.Match(v) {
-			count++
-			if out != nil {
-				out.Add(base + uint32(i))
+func (p *Pred[T]) filter(vals []T, sel []uint64) (count int) {
+	for w := 0; w*64 < len(vals); w++ {
+		var m uint64
+		for i, v := range vals[w*64 : min(len(vals), w*64+64)] {
+			if p.Match(v) {
+				m |= 1 << i
 			}
 		}
+		count += orWord(sel, w, m)
 	}
 	return count
+}
+
+// orWord ORs m, the matches of values 64w..64w+63, into word w of sel
+// unless sel is nil, and returns how many there are.
+func orWord(sel []uint64, w int, m uint64) int {
+	if sel != nil {
+		sel[w] |= m
+	}
+	return bits.OnesCount64(m)
+}
+
+// setBits sets bits [lo, hi) of sel.
+func setBits(sel []uint64, lo, hi int) {
+	for lo < hi {
+		s := lo % 64
+		k := min(hi-lo, 64-s)
+		sel[lo/64] |= ^uint64(0) >> (64 - k) << s
+		lo += k
+	}
+}
+
+// orBits ORs n bits of src, starting at bit from, into sel starting at
+// bit at.
+func orBits(sel []uint64, at int, src []uint64, from, n int) {
+	for n > 0 {
+		s, d := from%64, at%64
+		k := min(n, 64-s, 64-d)
+		sel[at/64] |= src[from/64] >> s & (^uint64(0) >> (64 - k)) << d
+		from, at, n = from+k, at+k, n-k
+	}
 }
 
 // codes maps p over a sorted dictionary to a predicate on dictionary
@@ -259,11 +291,11 @@ func (p *StringPred) Match(v []byte) bool {
 	}
 }
 
-// Select evaluates m over one compressed stream, adding the positions of
-// matching values (offset by base) to out. Returns the bytes consumed. st
-// may be nil.
-func (t *Numeric[T, K]) Select(src []byte, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	_, used, err := t.scan(src, m, base, out, st.orDiscard(), cfg)
+// Select evaluates m over one compressed stream, setting the bit of each
+// matching value in sel, which holds a bit for every value of the stream.
+// Returns the bytes consumed. st may be nil.
+func (t *Numeric[T, K]) Select(src []byte, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (int, error) {
+	_, used, err := t.scan(src, m, sel, st.orDiscard(), cfg)
 	return used, err
 }
 
@@ -273,17 +305,20 @@ func (t *Numeric[T, K]) Select(src []byte, m Matcher[T], base uint32, out *roari
 // value from the bitmap cardinality. Returns the count and the bytes
 // consumed. st may be nil.
 func (t *Numeric[T, K]) Count(src []byte, m Matcher[T], st *SelectStats, cfg *Config) (count, used int, err error) {
-	return t.scan(src, m, 0, nil, st.orDiscard(), cfg)
+	return t.scan(src, m, nil, st.orDiscard(), cfg)
 }
 
-// scan is the kernel behind Select and Count; a nil out means count only.
-func (t *Numeric[T, K]) scan(src []byte, m Matcher[T], base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
+// scan is the kernel behind Select and Count; a nil sel means count only.
+func (t *Numeric[T, K]) scan(src []byte, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
 	e, n, err := head(&t.schemes, src, cfg)
+	if err == nil && sel != nil && n > 64*len(sel) {
+		err = ErrCorrupt // more values than sel has bits: a nested stream outgrew its parent
+	}
 	if err != nil {
 		return 0, 0, err
 	}
 	if e.scan != nil {
-		return e.scan(src, n, m, base, out, st, cfg)
+		return e.scan(src, n, m, sel, st, cfg)
 	}
 	values, used, err := e.decode(t.buf(cfg.Scratch), src, n, cfg)
 	defer t.putBuf(cfg.Scratch, values)
@@ -291,15 +326,15 @@ func (t *Numeric[T, K]) scan(src []byte, m Matcher[T], base uint32, out *roaring
 		return 0, 0, err
 	}
 	st.Decoded.Add(1)
-	return m.filter(values, base, out), used, nil
+	return m.filter(values, sel), used, nil
 }
 
 // Select evaluates p over one compressed string stream (see
 // Numeric.Select). Dictionary streams map the predicate over the
 // lexicographically sorted dictionary to a code predicate; other schemes
 // decode views and filter.
-func (t *StringKind) Select(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (int, error) {
-	_, used, err := t.scan(src, p, base, out, st.orDiscard(), cfg)
+func (t *StringKind) Select(src []byte, p *StringPred, sel []uint64, st *SelectStats, cfg *Config) (int, error) {
+	_, used, err := t.scan(src, p, sel, st.orDiscard(), cfg)
 	return used, err
 }
 
@@ -308,30 +343,31 @@ func (t *StringKind) Select(src []byte, p *StringPred, base uint32, out *roaring
 // counts codes in the (typically RLE/bit-packed) code stream without
 // touching string bytes again. st may be nil.
 func (t *StringKind) Count(src []byte, p *StringPred, st *SelectStats, cfg *Config) (count, used int, err error) {
-	return t.scan(src, p, 0, nil, st.orDiscard(), cfg)
+	return t.scan(src, p, nil, st.orDiscard(), cfg)
 }
 
-// scan is the kernel behind Select and Count; a nil out means count only.
-func (t *StringKind) scan(src []byte, p *StringPred, base uint32, out *roaring.Bitmap, st *SelectStats, cfg *Config) (count, used int, err error) {
+// scan is the kernel behind Select and Count; a nil sel means count only.
+func (t *StringKind) scan(src []byte, p *StringPred, sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
 	e, n, err := head(&t.schemes, src, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	if e.scan != nil {
-		return e.scan(src, n, p, base, out, st, cfg)
+		return e.scan(src, n, p, sel, st, cfg)
 	}
 	views, used, err := t.Decompress(src, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	st.Decoded.Add(1)
-	for i := 0; i < views.Len(); i++ {
-		if p.Match(views.Bytes(i)) {
-			count++
-			if out != nil {
-				out.Add(base + uint32(i))
+	for w := 0; w*64 < views.Len(); w++ {
+		var m uint64
+		for i := w * 64; i < min(views.Len(), w*64+64); i++ {
+			if p.Match(views.Bytes(i)) {
+				m |= 1 << (i % 64)
 			}
 		}
+		count += orWord(sel, w, m)
 	}
 	return count, used, nil
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"btrblocks/coldata"
@@ -90,14 +94,25 @@ func intPreds(values []int32, rng *rand.Rand) map[string]*Pred[int32] {
 	return preds
 }
 
-func refBitmap(n int, match func(i int) bool, base uint32) *roaring.Bitmap {
-	out := roaring.New()
+// refBits is the selection a kernel must write for n values: bit i set
+// where match(i).
+func refBits(n int, match func(i int) bool) []uint64 {
+	out := make([]uint64, (n+63)/64)
 	for i := 0; i < n; i++ {
 		if match(i) {
-			out.Add(base + uint32(i))
+			out[i/64] |= 1 << (i % 64)
 		}
 	}
 	return out
+}
+
+// countBits counts the rows of a selection.
+func countBits(sel []uint64) int {
+	n := 0
+	for _, w := range sel {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestSelectIntDifferential(t *testing.T) {
@@ -113,20 +128,19 @@ func TestSelectIntDifferential(t *testing.T) {
 		for encName, enc := range encodings {
 			for predName, p := range intPreds(values, rng) {
 				name := shape + "/" + encName + "/" + predName
-				const base = 1 << 16
-				got := roaring.New()
+				got := make([]uint64, (len(values)+63)/64)
 				var st SelectStats
-				used, err := Int.Select(enc, p, base, got, &st, cfg)
+				used, err := Int.Select(enc, p, got, &st, cfg)
 				if err != nil {
 					t.Fatalf("%s: SelectInt: %v", name, err)
 				}
 				if used != len(enc) {
 					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
 				}
-				want := refBitmap(len(values), func(i int) bool { return p.Match(values[i]) }, base)
-				if !got.Equals(want) {
+				want := refBits(len(values), func(i int) bool { return p.Match(values[i]) })
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s: selection mismatch: got %d want %d matches",
-						name, got.Cardinality(), want.Cardinality())
+						name, countBits(got), countBits(want))
 				}
 			}
 		}
@@ -148,14 +162,14 @@ func TestSelectIntFORSkipsBlocks(t *testing.T) {
 		t.Fatal("FastBP not applicable to sorted ramp")
 	}
 	p := &Pred[int32]{Op: PredRange, Lo: 12000, Hi: 12060}
-	got := roaring.New()
+	got := make([]uint64, (len(values)+63)/64)
 	var st SelectStats
-	if _, err := Int.Select(enc, p, 0, got, &st, cfg); err != nil {
+	if _, err := Int.Select(enc, p, got, &st, cfg); err != nil {
 		t.Fatal(err)
 	}
-	want := refBitmap(len(values), func(i int) bool { return p.Match(values[i]) }, 0)
-	if !got.Equals(want) {
-		t.Fatalf("selection mismatch: got %d want %d", got.Cardinality(), want.Cardinality())
+	want := refBits(len(values), func(i int) bool { return p.Match(values[i]) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("selection mismatch: got %d want %d", countBits(got), countBits(want))
 	}
 	if st.FORSkipped.Load() == 0 {
 		t.Fatal("no packed blocks were min-max skipped")
@@ -226,18 +240,18 @@ func TestSelectInt64Differential(t *testing.T) {
 			for predName, p := range preds {
 				p.Normalize()
 				name := shape + "/" + cfgName + "/" + predName
-				got := roaring.New()
-				used, err := Int64.Select(enc, p, 0, got, nil, cfg)
+				got := make([]uint64, (len(values)+63)/64)
+				used, err := Int64.Select(enc, p, got, nil, cfg)
 				if err != nil {
 					t.Fatalf("%s: SelectInt64: %v", name, err)
 				}
 				if used != len(enc) {
 					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
 				}
-				want := refBitmap(len(values), func(i int) bool { return p.Match(values[i]) }, 0)
-				if !got.Equals(want) {
+				want := refBits(len(values), func(i int) bool { return p.Match(values[i]) })
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s: selection mismatch: got %d want %d",
-						name, got.Cardinality(), want.Cardinality())
+						name, countBits(got), countBits(want))
 				}
 			}
 		}
@@ -301,18 +315,18 @@ func TestSelectDoubleDifferential(t *testing.T) {
 			for predName, p := range preds {
 				p.Normalize()
 				name := shape + "/" + encName + "/" + predName
-				got := roaring.New()
-				used, err := Double.Select(enc, p, 0, got, nil, cfg)
+				got := make([]uint64, (len(values)+63)/64)
+				used, err := Double.Select(enc, p, got, nil, cfg)
 				if err != nil {
 					t.Fatalf("%s: SelectDouble: %v", name, err)
 				}
 				if used != len(enc) {
 					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
 				}
-				want := refBitmap(len(values), func(i int) bool { return p.Match(values[i]) }, 0)
-				if !got.Equals(want) {
+				want := refBits(len(values), func(i int) bool { return p.Match(values[i]) })
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s: selection mismatch: got %d want %d",
-						name, got.Cardinality(), want.Cardinality())
+						name, countBits(got), countBits(want))
 				}
 			}
 		}
@@ -354,18 +368,18 @@ func TestSelectStringDifferential(t *testing.T) {
 			for predName, p := range preds {
 				p.Normalize()
 				name := shape + "/" + encName + "/" + predName
-				got := roaring.New()
-				used, err := String.Select(enc, p, 0, got, nil, cfg)
+				got := make([]uint64, (len(vals)+63)/64)
+				used, err := String.Select(enc, p, got, nil, cfg)
 				if err != nil {
 					t.Fatalf("%s: String.Select: %v", name, err)
 				}
 				if used != len(enc) {
 					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
 				}
-				want := refBitmap(len(vals), func(i int) bool { return p.Match([]byte(vals[i])) }, 0)
-				if !got.Equals(want) {
+				want := refBits(len(vals), func(i int) bool { return p.Match([]byte(vals[i])) })
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s: selection mismatch: got %d want %d",
-						name, got.Cardinality(), want.Cardinality())
+						name, countBits(got), countBits(want))
 				}
 			}
 		}
@@ -454,5 +468,24 @@ func TestAggregateDifferential(t *testing.T) {
 				t.Fatalf("double/%s/%s: got %+v want %+v", shape, encName, got, wantD)
 			}
 		}
+	}
+}
+
+// TestSelectNestedStreamOutgrowsParent feeds Select a Frequency stream of
+// ten rows whose five exceptions are a Dict stream with a codes stream of
+// 200 rows: the kernel must answer ErrCorrupt, not write past the
+// exceptions' bitset.
+func TestSelectNestedStreamOutgrowsParent(t *testing.T) {
+	cfg := &Config{}
+	dict := binary.LittleEndian.AppendUint32([]byte{byte(CodeDict)}, 5)
+	dict = binary.LittleEndian.AppendUint32(dict, 1) // one dictionary entry
+	dict = Int.CompressAs(dict, []int32{9}, CodeUncompressed, cfg)
+	dict = Int.CompressAs(dict, make([]int32, 200), CodeUncompressed, cfg)
+	freq := binary.LittleEndian.AppendUint32([]byte{byte(CodeFrequency)}, 10)
+	freq = binary.LittleEndian.AppendUint32(freq, 7) // the top value, at rows 0..4
+	freq = roaring.FromSlice([]uint32{0, 1, 2, 3, 4}).AppendTo(freq)
+	freq = append(freq, dict...)
+	if _, err := Int.Select(freq, Eq[int32](9), make([]uint64, 1), nil, cfg); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("select: %v, want ErrCorrupt", err)
 	}
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
 
 	"btrblocks"
@@ -165,11 +166,7 @@ func (e *Executor) Run(ctx context.Context, p *Plan) (*Result, error) {
 	} else if base != nil {
 		sel = base
 	}
-	if sel != nil {
-		res.Matched = int64(sel.Cardinality())
-	} else {
-		res.Matched = int64(rows)
-	}
+	Finish(p, res, rows, sel)
 	span.SetAttrInt("matched", res.Matched)
 
 	if len(p.Aggregates) > 0 {
@@ -178,41 +175,43 @@ func (e *Executor) Run(ctx context.Context, p *Plan) (*Result, error) {
 			return nil, err
 		}
 	}
+	return res, nil
+}
 
+// Finish fills in what a result says about its selection, sel (nil: every
+// one of rows rows): Rows, Matched, the row ids up to the plan's row limit
+// when it asks for them, and the selection's bytes for return=bitmap. The
+// executor and the router's gather both end a query with it.
+func Finish(p *Plan, res *Result, rows int, sel *btrblocks.Selection) {
+	res.Rows, res.Matched = rows, int64(rows)
+	if sel == nil && !p.Rows && p.Return != ReturnBitmap {
+		return
+	}
+	if sel == nil {
+		all := roaring.New()
+		all.AddRange(0, uint32(rows))
+		s := btrblocks.SelectionFromBitmap(all)
+		sel = &s
+	}
+	res.Matched = int64(sel.Cardinality())
 	if p.Rows {
 		limit := p.RowLimit
 		if limit == 0 {
 			limit = DefaultRowLimit
 		}
-		if sel != nil {
-			res.RowIDs = make([]uint32, 0, min(limit, int(res.Matched)))
-			sel.ForEach(func(r uint32) bool {
-				if len(res.RowIDs) >= limit {
-					return false
-				}
-				res.RowIDs = append(res.RowIDs, r)
-				return true
-			})
-		} else {
-			n := min(limit, rows)
-			res.RowIDs = make([]uint32, n)
-			for i := range res.RowIDs {
-				res.RowIDs[i] = uint32(i)
+		res.RowIDs = make([]uint32, 0, min(limit, int(res.Matched)))
+		sel.ForEach(func(r uint32) bool {
+			if len(res.RowIDs) >= limit {
+				return false
 			}
-		}
+			res.RowIDs = append(res.RowIDs, r)
+			return true
+		})
 		res.RowsTruncated = int64(len(res.RowIDs)) < res.Matched
 	}
-
 	if p.Return == ReturnBitmap {
-		if sel != nil {
-			res.Bitmap = sel.AppendTo(nil)
-		} else {
-			bm := roaring.New()
-			bm.AddRange(0, uint32(rows))
-			res.Bitmap = bm.AppendTo(nil)
-		}
+		res.Bitmap = sel.AppendTo(nil)
 	}
-	return res, nil
 }
 
 // evalNode evaluates a filter node under an optional restriction: the
@@ -636,25 +635,20 @@ func allBlockIDs(n int) []int {
 	return out
 }
 
-// restrictBlocks lists the blocks holding at least one selected row, in
-// one ordered pass over the selection.
+// restrictBlocks lists the blocks holding at least one selected row,
+// reading the selection a block's words at a time.
 func restrictBlocks(ix *btrblocks.ColumnIndex, r *btrblocks.Selection) []int {
 	out := []int{}
-	bi := 0
-	r.ForEach(func(row uint32) bool {
-		for bi < len(ix.Blocks) && int(row) >= ix.Blocks[bi].StartRow+ix.Blocks[bi].Rows {
-			bi++
+	if r.IsEmpty() {
+		return out
+	}
+	var words []uint64
+	for b, ref := range ix.Blocks {
+		words = r.Bitmap().Words(uint32(ref.StartRow), uint32(ref.StartRow+ref.Rows), words)
+		if slices.ContainsFunc(words, func(w uint64) bool { return w != 0 }) {
+			out = append(out, b)
 		}
-		if bi >= len(ix.Blocks) {
-			return false
-		}
-		if int(row) >= ix.Blocks[bi].StartRow {
-			if len(out) == 0 || out[len(out)-1] != bi {
-				out = append(out, bi)
-			}
-		}
-		return true
-	})
+	}
 	return out
 }
 

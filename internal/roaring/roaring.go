@@ -4,6 +4,12 @@
 // sparse chunks, 8 KiB bitmaps for dense chunks, and run containers for
 // clustered chunks — matching the CRoaring design the paper uses for NULL
 // and exception tracking.
+//
+// Every set operation (Or, And, AndNot, Clone, AddRange, AddWords) works a
+// container at a time on 1,024 words and stores its result canonically:
+// an array container up to arrayMaxCard values, a bitmap container above,
+// none when empty. Those are the kinds point Adds produce, so a bitmap
+// built by any of them serializes exactly as one built value by value.
 package roaring
 
 import (
@@ -29,7 +35,6 @@ type Bitmap struct {
 
 type container interface {
 	add(v uint16) container
-	remove(v uint16) container
 	contains(v uint16) bool
 	card() int
 	// forEach calls f for each value in ascending order until f returns
@@ -86,18 +91,26 @@ func (b *Bitmap) insertContainerAt(i int, key uint16, c container) {
 	b.containers[i] = c
 }
 
-// AddRange inserts all values in [lo, hi). It works a container at a
-// time — word fills on bitmap containers, one splice on array
-// containers, interval merges on run containers — instead of one
-// sorted-insert per value, and produces the same canonical container
-// kinds as point Adds (array up to arrayMaxCard, bitmap beyond), so a
-// range-built bitmap serializes byte-identically to an Add-built one.
+// orContainer merges the values of w into the container at key, adding
+// one if there is none, and stores the result canonically (fromWords).
+func (b *Bitmap) orContainer(key uint16, w *[1024]uint64) {
+	i, ok := b.containerIndex(key)
+	if ok {
+		orWords(b.containers[i], w)
+		b.containers[i] = fromWords(w)
+	} else if c := fromWords(w); c != nil {
+		b.insertContainerAt(i, key, c)
+	}
+}
+
+// AddRange inserts all values in [lo, hi), a container at a time with
+// word-wide masks.
 func (b *Bitmap) AddRange(lo, hi uint32) {
 	if hi <= lo {
 		return
 	}
 	last := hi - 1 // inclusive from here on
-	for key := lo >> 16; ; key++ {
+	for key := lo >> 16; key <= last>>16; key++ {
 		clo, chi := uint16(0), uint16(0xFFFF)
 		if key == lo>>16 {
 			clo = uint16(lo)
@@ -105,61 +118,54 @@ func (b *Bitmap) AddRange(lo, hi uint32) {
 		if key == last>>16 {
 			chi = uint16(last)
 		}
-		i, ok := b.containerIndex(uint16(key))
-		if ok {
-			b.containers[i] = addRangeTo(b.containers[i], clo, chi)
-		} else {
-			b.insertContainerAt(i, uint16(key), newRangeContainer(clo, chi))
+		var w [1024]uint64
+		setWordRange(&w, clo, chi)
+		b.orContainer(uint16(key), &w)
+	}
+}
+
+// AddWords adds base+i for every set bit i of words (bit i is bit i%64
+// of words[i/64]): the bridge from a block's bitset to a column's
+// selection. base need not be word- or container-aligned, and the values
+// may span several containers.
+func (b *Bitmap) AddWords(base uint32, words []uint64) {
+	end := uint64(base) + 64*uint64(len(words))
+	for key := uint64(base) >> 16; key<<16 < end && key <= 0xFFFF; key++ {
+		var w [1024]uint64
+		for k := range w {
+			w[k] = bitsAt(words, int(key<<16+64*uint64(k))-int(base))
 		}
-		if key == last>>16 {
-			return
+		b.orContainer(uint16(key), &w)
+	}
+}
+
+// Words returns the values in [lo, hi) as a bitset rebased to zero (bit
+// v-lo set for every value v), reusing dst's storage when it is large
+// enough: the bridge from a column's selection to one block's bitset.
+func (b *Bitmap) Words(lo, hi uint32, dst []uint64) []uint64 {
+	n := int(hi) - int(lo)
+	if n <= 0 {
+		return dst[:0]
+	}
+	nw := (n + 63) / 64
+	if cap(dst) < nw {
+		dst = make([]uint64, nw)
+	}
+	dst = dst[:nw]
+	clear(dst)
+	i, _ := b.containerIndex(uint16(lo >> 16))
+	for ; i < len(b.keys) && uint32(b.keys[i]) <= (hi-1)>>16; i++ {
+		var w [1024]uint64
+		orWords(b.containers[i], &w)
+		start := int(b.keys[i])<<16 - int(lo) // the bit of dst for the container's value 0
+		for d := max(0, start/64); d < nw && 64*d < start+1<<16; d++ {
+			dst[d] |= bitsAt(w[:], 64*d-start)
 		}
 	}
-}
-
-// newRangeContainer builds a fresh container holding [lo, hi], in the
-// same representation point Adds would have produced.
-func newRangeContainer(lo, hi uint16) container {
-	n := int(hi) - int(lo) + 1
-	if n > arrayMaxCard {
-		bc := newBitmapContainer()
-		bc.setRange(lo, hi)
-		return bc
+	if n%64 != 0 {
+		dst[nw-1] &= 1<<(n%64) - 1
 	}
-	a := make(arrayContainer, 0, n)
-	for v := uint32(lo); v <= uint32(hi); v++ {
-		a = append(a, uint16(v))
-	}
-	return a
-}
-
-func addRangeTo(c container, lo, hi uint16) container {
-	switch cc := c.(type) {
-	case arrayContainer:
-		return cc.addRange(lo, hi)
-	case *bitmapContainer:
-		cc.setRange(lo, hi)
-		return cc
-	case runContainer:
-		return cc.addRange(lo, hi)
-	}
-	return c
-}
-
-// Remove deletes v from the bitmap if present.
-func (b *Bitmap) Remove(v uint32) {
-	key := uint16(v >> 16)
-	i, ok := b.containerIndex(key)
-	if !ok {
-		return
-	}
-	c := b.containers[i].remove(uint16(v))
-	if c.card() == 0 {
-		b.keys = append(b.keys[:i], b.keys[i+1:]...)
-		b.containers = append(b.containers[:i], b.containers[i+1:]...)
-		return
-	}
-	b.containers[i] = c
+	return dst
 }
 
 // Contains reports whether v is in the bitmap.
@@ -178,9 +184,9 @@ func (b *Bitmap) Cardinality() int {
 }
 
 // IsEmpty reports whether the bitmap contains no values. Containers are
-// never left empty (Remove deletes a drained container and FromBytes
-// drops empty ones), so this is O(1) on the container directory instead
-// of a full cardinality walk.
+// never left empty (the set operations drop an emptied container and
+// FromBytes drops empty ones), so this is O(1) on the container directory
+// instead of a full cardinality walk.
 func (b *Bitmap) IsEmpty() bool { return len(b.keys) == 0 }
 
 // ForEach calls f for every value in ascending order until f returns false.
@@ -218,123 +224,175 @@ func (b *Bitmap) ToArray() []uint32 {
 
 // Equals reports whether two bitmaps contain the same set of values.
 func (b *Bitmap) Equals(o *Bitmap) bool {
-	if b.Cardinality() != o.Cardinality() {
-		return false
-	}
-	eq := true
-	b.ForEach(func(v uint32) bool {
-		if !o.Contains(v) {
-			eq = false
-			return false
-		}
-		return true
-	})
-	return eq
+	n := b.Cardinality()
+	return n == o.Cardinality() && And(b, o).Cardinality() == n
 }
 
 // Clone returns a deep copy.
-func (b *Bitmap) Clone() *Bitmap {
-	n := New()
-	b.ForEach(func(v uint32) bool {
-		n.Add(v)
-		return true
-	})
-	return n
-}
+func (b *Bitmap) Clone() *Bitmap { return combine(b, New(), opOr) }
 
 // Or returns the union of b and o as a new bitmap.
-func Or(b, o *Bitmap) *Bitmap {
-	n := b.Clone()
-	o.ForEach(func(v uint32) bool {
-		n.Add(v)
-		return true
-	})
-	return n
-}
+func Or(b, o *Bitmap) *Bitmap { return combine(b, o, opOr) }
 
 // And returns the intersection of b and o as a new bitmap.
-func And(b, o *Bitmap) *Bitmap {
-	n := New()
-	b.ForEach(func(v uint32) bool {
-		if o.Contains(v) {
-			n.Add(v)
-		}
-		return true
-	})
-	return n
-}
+func And(b, o *Bitmap) *Bitmap { return combine(b, o, opAnd) }
 
 // AndNot returns b \ o as a new bitmap.
-func AndNot(b, o *Bitmap) *Bitmap {
-	n := New()
-	b.ForEach(func(v uint32) bool {
-		if !o.Contains(v) {
-			n.Add(v)
+func AndNot(b, o *Bitmap) *Bitmap { return combine(b, o, opAndNot) }
+
+const (
+	opOr = iota
+	opAnd
+	opAndNot
+)
+
+// combine is the one set algebra behind Or, And, AndNot and Clone: per
+// key, each side's container becomes 1,024 words, op merges them a word
+// at a time, and the result is stored canonically (fromWords).
+func combine(a, b *Bitmap, op int) *Bitmap {
+	out := New()
+	for i, j := 0, 0; i < len(a.keys) || j < len(b.keys); {
+		var ca, cb container
+		var key uint16
+		switch {
+		case j == len(b.keys) || i < len(a.keys) && a.keys[i] < b.keys[j]:
+			key, ca = a.keys[i], a.containers[i]
+			i++
+		case i == len(a.keys) || b.keys[j] < a.keys[i]:
+			key, cb = b.keys[j], b.containers[j]
+			j++
+		default:
+			key, ca, cb = a.keys[i], a.containers[i], b.containers[j]
+			i, j = i+1, j+1
 		}
-		return true
-	})
-	return n
+		if ca == nil && op != opOr || cb == nil && op == opAnd {
+			continue // the result at key is empty
+		}
+		var wa, wb [1024]uint64
+		orWords(ca, &wa)
+		orWords(cb, &wb)
+		for k := range wa {
+			switch op {
+			case opOr:
+				wa[k] |= wb[k]
+			case opAnd:
+				wa[k] &= wb[k]
+			default:
+				wa[k] &^= wb[k]
+			}
+		}
+		if c := fromWords(&wa); c != nil {
+			out.keys = append(out.keys, key)
+			out.containers = append(out.containers, c)
+		}
+	}
+	return out
 }
 
-// Rank returns the number of values <= v.
-func (b *Bitmap) Rank(v uint32) int {
-	n := 0
-	b.ForEach(func(x uint32) bool {
-		if x > v {
-			return false
+// bitsAt returns the 64 bits of src that start at bit off; bits before
+// or past src read as zero.
+func bitsAt(src []uint64, off int) uint64 {
+	switch {
+	case len(src) == 0 || off <= -64 || off >= 64*len(src):
+		return 0
+	case off < 0:
+		return src[0] << uint(-off)
+	}
+	i, s := off/64, uint(off%64)
+	w := src[i] >> s
+	if s != 0 && i+1 < len(src) {
+		w |= src[i+1] << (64 - s)
+	}
+	return w
+}
+
+// orWords sets bit v of w for every value v of c (none for a nil c).
+func orWords(c container, w *[1024]uint64) {
+	switch cc := c.(type) {
+	case arrayContainer:
+		for _, v := range cc {
+			w[v>>6] |= 1 << (v & 63)
 		}
-		n++
-		return true
-	})
-	return n
+	case *bitmapContainer:
+		for k, x := range cc.words {
+			w[k] |= x
+		}
+	case runContainer:
+		for _, iv := range cc {
+			setWordRange(w, iv.start, iv.start+iv.length)
+		}
+	}
+}
+
+// fromWords stores the values of w the way point Adds build a container:
+// nil when there are none, an array up to arrayMaxCard values, a bitmap
+// above.
+func fromWords(w *[1024]uint64) container {
+	n := 0
+	for _, x := range w {
+		n += bits.OnesCount64(x)
+	}
+	switch {
+	case n == 0:
+		return nil
+	case n > arrayMaxCard:
+		return &bitmapContainer{words: *w, n: n}
+	}
+	a := make(arrayContainer, 0, n)
+	for k, x := range w {
+		for ; x != 0; x &= x - 1 {
+			a = append(a, uint16(k<<6+bits.TrailingZeros64(x)))
+		}
+	}
+	return a
+}
+
+// setWordRange sets bits [lo, hi] of w with word-wide masks.
+func setWordRange(w *[1024]uint64, lo, hi uint16) {
+	w1, w2 := int(lo>>6), int(hi>>6)
+	for k := w1; k <= w2; k++ {
+		mask := ^uint64(0)
+		if k == w1 {
+			mask &= ^uint64(0) << (lo & 63)
+		}
+		if k == w2 {
+			mask &= ^uint64(0) >> (63 - hi&63)
+		}
+		w[k] |= mask
+	}
+}
+
+// addByWords adds v to c through its words: how a full array container
+// becomes a bitmap and a run container takes a point insert.
+func addByWords(c container, v uint16) container {
+	var w [1024]uint64
+	orWords(c, &w)
+	w[v>>6] |= 1 << (v & 63)
+	return fromWords(&w)
 }
 
 // RunOptimize converts containers to run containers where that is smaller.
 func (b *Bitmap) RunOptimize() {
 	for i, c := range b.containers {
-		runs := countRuns(c)
-		runBytes := 2 + 4*runs
-		var curBytes int
+		curBytes := 8192
 		switch c.kind() {
 		case kindArray:
 			curBytes = 2 * c.card()
-		case kindBitmap:
-			curBytes = 8192
-		default:
+		case kindRun:
 			continue
 		}
-		if runBytes < curBytes {
-			b.containers[i] = toRun(c)
+		runs := 0
+		c.forEachRange(func(int, int) bool { runs++; return true })
+		if 2+4*runs >= curBytes {
+			continue
 		}
+		rc := make(runContainer, 0, runs)
+		c.forEachRange(func(lo, hi int) bool {
+			rc = append(rc, interval{start: uint16(lo), length: uint16(hi - lo - 1)})
+			return true
+		})
+		b.containers[i] = rc
 	}
-}
-
-func countRuns(c container) int {
-	runs := 0
-	prev := -2
-	c.forEach(func(v uint16) bool {
-		if int(v) != prev+1 {
-			runs++
-		}
-		prev = int(v)
-		return true
-	})
-	return runs
-}
-
-func toRun(c container) runContainer {
-	var rc runContainer
-	prev := -2
-	c.forEach(func(v uint16) bool {
-		if int(v) == prev+1 {
-			rc[len(rc)-1].length++
-		} else {
-			rc = append(rc, interval{start: v})
-		}
-		prev = int(v)
-		return true
-	})
-	return rc
 }
 
 // --- array container ---
@@ -351,63 +409,16 @@ func (a arrayContainer) contains(v uint16) bool {
 
 func (a arrayContainer) add(v uint16) container {
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if i < len(a) && a[i] == v {
+	switch {
+	case i < len(a) && a[i] == v:
 		return a
-	}
-	if len(a)+1 > arrayMaxCard {
-		bc := newBitmapContainer()
-		for _, x := range a {
-			bc.set(x)
-		}
-		bc.set(v)
-		return bc
+	case len(a) == arrayMaxCard:
+		return addByWords(a, v)
 	}
 	a = append(a, 0)
 	copy(a[i+1:], a[i:])
 	a[i] = v
 	return a
-}
-
-// addRange inserts [lo, hi] with one splice, converting to a bitmap
-// container when the merged cardinality crosses arrayMaxCard (the same
-// threshold point Adds convert at).
-func (a arrayContainer) addRange(lo, hi uint16) container {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= lo })
-	j := sort.Search(len(a), func(i int) bool { return a[i] > hi })
-	rangeLen := int(hi) - int(lo) + 1
-	merged := len(a) - (j - i) + rangeLen
-	if merged > arrayMaxCard {
-		bc := newBitmapContainer()
-		for _, x := range a {
-			bc.set(x)
-		}
-		bc.setRange(lo, hi)
-		return bc
-	}
-	var out arrayContainer
-	if cap(a) >= merged {
-		out = a[:merged] // splice in place, like add's append path
-	} else {
-		newCap := merged + merged/4
-		if newCap > arrayMaxCard {
-			newCap = arrayMaxCard
-		}
-		out = make(arrayContainer, merged, newCap)
-		copy(out, a[:i])
-	}
-	copy(out[i+rangeLen:], a[j:]) // memmove-safe when out aliases a
-	for v, k := uint32(lo), i; v <= uint32(hi); v, k = v+1, k+1 {
-		out[k] = uint16(v)
-	}
-	return out
-}
-
-func (a arrayContainer) remove(v uint16) container {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if i >= len(a) || a[i] != v {
-		return a
-	}
-	return append(a[:i], a[i+1:]...)
 }
 
 func (a arrayContainer) forEach(f func(uint16) bool) bool {
@@ -440,57 +451,18 @@ type bitmapContainer struct {
 	n     int
 }
 
-func newBitmapContainer() *bitmapContainer { return &bitmapContainer{} }
-
 func (b *bitmapContainer) kind() byte { return kindBitmap }
 func (b *bitmapContainer) card() int  { return b.n }
-
-func (b *bitmapContainer) set(v uint16) {
-	w, bit := v>>6, uint(v&63)
-	if b.words[w]&(1<<bit) == 0 {
-		b.words[w] |= 1 << bit
-		b.n++
-	}
-}
-
-// setRange sets every bit in [lo, hi] with word-wide masks.
-func (b *bitmapContainer) setRange(lo, hi uint16) {
-	w1, w2 := int(lo>>6), int(hi>>6)
-	for w := w1; w <= w2; w++ {
-		mask := ^uint64(0)
-		if w == w1 {
-			mask &= ^uint64(0) << (lo & 63)
-		}
-		if w == w2 {
-			mask &= ^uint64(0) >> (63 - hi&63)
-		}
-		b.n += bits.OnesCount64(mask &^ b.words[w])
-		b.words[w] |= mask
-	}
-}
 
 func (b *bitmapContainer) contains(v uint16) bool {
 	return b.words[v>>6]&(1<<uint(v&63)) != 0
 }
 
 func (b *bitmapContainer) add(v uint16) container {
-	b.set(v)
-	return b
-}
-
-func (b *bitmapContainer) remove(v uint16) container {
 	w, bit := v>>6, uint(v&63)
-	if b.words[w]&(1<<bit) != 0 {
-		b.words[w] &^= 1 << bit
-		b.n--
-	}
-	if b.n < arrayMaxCard {
-		a := make(arrayContainer, 0, b.n)
-		b.forEach(func(v uint16) bool {
-			a = append(a, v)
-			return true
-		})
-		return a
+	if b.words[w]&(1<<bit) == 0 {
+		b.words[w] |= 1 << bit
+		b.n++
 	}
 	return b
 }
@@ -561,56 +533,9 @@ func (r runContainer) contains(v uint16) bool {
 	return uint32(v) <= uint32(iv.start)+uint32(iv.length)
 }
 
-func (r runContainer) add(v uint16) container {
-	// Runs are built by RunOptimize/deserialization; point inserts convert
-	// back to the dynamic representation first.
-	a := make(arrayContainer, 0, r.card())
-	r.forEach(func(x uint16) bool {
-		a = append(a, x)
-		return true
-	})
-	var c container = a
-	if len(a) > arrayMaxCard {
-		bc := newBitmapContainer()
-		for _, x := range a {
-			bc.set(x)
-		}
-		c = bc
-	}
-	return c.add(v)
-}
-
-// addRange merges [lo, hi] into the interval list, coalescing
-// overlapping and adjacent runs, and stays a run container.
-func (r runContainer) addRange(lo, hi uint16) container {
-	out := make(runContainer, 0, len(r)+1)
-	k := 0
-	for k < len(r) && uint32(r[k].start)+uint32(r[k].length)+1 < uint32(lo) {
-		out = append(out, r[k])
-		k++
-	}
-	start, end := uint32(lo), uint32(hi)
-	for k < len(r) && uint32(r[k].start) <= end+1 {
-		if uint32(r[k].start) < start {
-			start = uint32(r[k].start)
-		}
-		if e := uint32(r[k].start) + uint32(r[k].length); e > end {
-			end = e
-		}
-		k++
-	}
-	out = append(out, interval{start: uint16(start), length: uint16(end - start)})
-	return append(out, r[k:]...)
-}
-
-func (r runContainer) remove(v uint16) container {
-	a := make(arrayContainer, 0, r.card())
-	r.forEach(func(x uint16) bool {
-		a = append(a, x)
-		return true
-	})
-	return a.remove(v)
-}
+// add converts back to the dynamic representation: runs are built by
+// RunOptimize and deserialization only.
+func (r runContainer) add(v uint16) container { return addByWords(r, v) }
 
 func (r runContainer) forEach(f func(uint16) bool) bool {
 	for _, iv := range r {
@@ -731,7 +656,7 @@ func FromBytes(src []byte) (*Bitmap, int, error) {
 			if pos+8192 > len(src) {
 				return nil, 0, ErrCorrupt
 			}
-			bc := newBitmapContainer()
+			bc := &bitmapContainer{}
 			for j := 0; j < 1024; j++ {
 				bc.words[j] = binary.LittleEndian.Uint64(src[pos:])
 				bc.n += bits.OnesCount64(bc.words[j])
@@ -753,8 +678,10 @@ func FromBytes(src []byte) (*Bitmap, int, error) {
 				rc[j].length = binary.LittleEndian.Uint16(src[pos+2:])
 				pos += 4
 			}
-			for j := 1; j < len(rc); j++ {
-				if uint32(rc[j].start) <= uint32(rc[j-1].start)+uint32(rc[j-1].length) {
+			for j, iv := range rc {
+				// Runs ascend, apart, and end inside the container.
+				if j > 0 && uint32(iv.start) <= uint32(rc[j-1].start)+uint32(rc[j-1].length) ||
+					uint32(iv.start)+uint32(iv.length) > 0xFFFF {
 					return nil, 0, ErrCorrupt
 				}
 			}

@@ -51,27 +51,26 @@ func TestArrayToBitmapPromotion(t *testing.T) {
 	}
 }
 
-func TestRemoveAndDemotion(t *testing.T) {
-	b := New()
-	for i := uint32(0); i < 6000; i++ {
-		b.Add(i)
-	}
+// TestAndNotDemotion drains a bitmap container below the array limit
+// with AndNot: the result is an array container, and a drained one is
+// dropped.
+func TestAndNotDemotion(t *testing.T) {
+	b := FromSlice(rangeOf(0, 6000))
+	var evens []uint32
 	for i := uint32(0); i < 6000; i += 2 {
-		b.Remove(i)
+		evens = append(evens, i)
 	}
+	b = AndNot(b, FromSlice(evens))
 	if b.Cardinality() != 3000 {
 		t.Fatalf("cardinality %d", b.Cardinality())
 	}
 	if b.containers[0].kind() != kindArray {
 		t.Fatal("container should have demoted to array")
 	}
-	b2 := New()
-	b2.Add(5)
-	b2.Remove(5)
+	b2 := AndNot(FromSlice([]uint32{5}), FromSlice([]uint32{5, 77}))
 	if !b2.IsEmpty() || len(b2.keys) != 0 {
 		t.Fatal("empty container should be dropped")
 	}
-	b2.Remove(77) // removing absent value is a no-op
 }
 
 func TestForEachOrderAndEarlyStop(t *testing.T) {
@@ -101,18 +100,6 @@ func TestSetOps(t *testing.T) {
 	}
 	if got := AndNot(a, b).ToArray(); !reflect.DeepEqual(got, []uint32{1, 100000}) {
 		t.Fatalf("AndNot = %v", got)
-	}
-}
-
-func TestRank(t *testing.T) {
-	b := FromSlice([]uint32{10, 20, 30})
-	for _, tc := range []struct {
-		v    uint32
-		want int
-	}{{5, 0}, {10, 1}, {15, 1}, {30, 3}, {1000, 3}} {
-		if got := b.Rank(tc.v); got != tc.want {
-			t.Fatalf("Rank(%d) = %d, want %d", tc.v, got, tc.want)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"btrblocks/internal/core"
@@ -24,6 +25,11 @@ import (
 // the same way (openBlock). Plan parsing, metadata-based block pruning,
 // and the serving endpoints live in internal/query; this layer owns
 // single-column evaluation over one column file.
+//
+// Within a block a selection is a plain bitset, bit i for row i of the
+// block, which the kernels write and the NULL correction, counts and
+// aggregates read a word at a time; a column's selection is roaring, and
+// roaring's AddWords and Words are the only bridges between the two.
 //
 // NULL semantics: value predicates (Eq/Range/In) never select NULL slots
 // — the compressor rewrites NULL slot contents, so each NULL-bearing
@@ -320,13 +326,7 @@ func (ix *ColumnIndex) SelectBlocksContext(ctx context.Context, data []byte, p P
 	}
 	out := roaring.New()
 	for i, part := range parts {
-		start := uint32(ix.Blocks[blocks[i]].StartRow)
-		// Selected rows cluster into runs; shifting whole runs via
-		// AddRange is far cheaper than one sorted-insert per row.
-		part.rows.ForEachRange(func(lo, hi uint64) bool {
-			out.AddRange(start+uint32(lo), start+uint32(hi))
-			return true
-		})
+		out.AddWords(uint32(ix.Blocks[blocks[i]].StartRow), part.rows)
 	}
 	return Selection{bm: out}, stats, nil
 }
@@ -346,7 +346,7 @@ func Count(data []byte, p Predicate, opt *Options) (int, error) {
 // the selection. A block without NULLs runs p's kernel with no bitmap at
 // all: RLE sums run lengths, a dictionary counts codes, Frequency reads
 // its bitmap's cardinality. A NULL-bearing block selects into a
-// block-local bitmap, takes its NULLs out and counts what is left. data
+// block-local bitset, takes its NULLs out and counts what is left. data
 // must be the buffer the index was parsed from.
 func (ix *ColumnIndex) Count(data []byte, p Predicate, opt *Options) (int, SelectStats, error) {
 	return ix.CountContext(context.Background(), data, p, opt)
@@ -367,10 +367,10 @@ func (ix *ColumnIndex) CountContext(ctx context.Context, data []byte, p Predicat
 
 // blockMatch is one block's answer to a predicate: how many of its rows
 // match and, when they were asked for or needed to take out the NULLs,
-// which ones (block-local).
+// which ones (a block-local bitset).
 type blockMatch struct {
 	n    int
-	rows *roaring.Bitmap
+	rows []uint64
 }
 
 // matchBlocks evaluates p over the listed blocks (nil = all) for Select
@@ -381,39 +381,31 @@ func (ix *ColumnIndex) matchBlocks(ctx context.Context, data []byte, p Predicate
 		return nil, nil, stats.Snapshot(), ErrTypeMismatch
 	}
 	base, rec := opt.coreConfig(), opt.telemetryRecorder()
-	blocks, parts, err := walkBlocks(ctx, ix, blocks, nil, opt, func(b int, _ *roaring.Bitmap) (blockMatch, error) {
+	blocks, parts, err := walkBlocks(ctx, ix, blocks, nil, opt, func(b int, _ []uint64) (blockMatch, error) {
 		blk, err := ix.openBlock(data, b, base, rec)
 		if err != nil {
 			return blockMatch{}, err
 		}
-		var rows *roaring.Bitmap
-		if keep || blk.nulls != nil {
-			rows = roaring.New()
-			if p.kind == predNotNull {
-				rows.AddRange(0, uint32(blk.ref.Rows))
+		if !keep && blk.nulls == nil {
+			n := blk.ref.Rows
+			if p.kind == predValue {
+				n, err = blk.match(p, ix.Type, nil, &stats)
 			}
-		}
-		n := blk.ref.Rows
-		if p.kind == predValue {
-			if n, err = blk.match(p, ix.Type, rows, &stats); err != nil {
-				return blockMatch{}, err
-			}
-		}
-		if rows == nil {
-			return blockMatch{n: n}, nil
+			return blockMatch{n: n}, err
 		}
 		// NULL slots are rewritten by the compressor, so whatever the
-		// kernel decided about them is meaningless: subtract the NULL
-		// bitmap. This is the post-hoc correction that keeps the
+		// kernel decided about them is meaningless: keep the valid rows
+		// only. This is the post-hoc correction that keeps the
 		// compressed-domain paths usable on NULL-bearing blocks.
-		if blk.nulls != nil {
-			matched := rows
-			blk.nulls.ForEach(func(v uint32) bool {
-				matched.Remove(v)
-				return true
-			})
+		valid := blk.valid()
+		if p.kind == predNotNull {
+			return blockMatch{n: andCount(valid, nil), rows: valid}, nil
 		}
-		return blockMatch{n: rows.Cardinality(), rows: rows}, nil
+		rows := make([]uint64, len(valid))
+		if _, err := blk.match(p, ix.Type, rows, &stats); err != nil {
+			return blockMatch{}, err
+		}
+		return blockMatch{n: andCount(rows, valid), rows: rows}, nil
 	})
 	return blocks, parts, stats.Snapshot(), err
 }
@@ -548,7 +540,7 @@ func (ix *ColumnIndex) AggregateBlocks(data []byte, blocks []int, sel *Selection
 func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, blocks []int, sel *Selection, opt *Options) (Aggregate, SelectStats, error) {
 	var stats core.SelectStats
 	base, rec := opt.coreConfig(), opt.telemetryRecorder()
-	_, parts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local *roaring.Bitmap) (Aggregate, error) {
+	_, parts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local []uint64) (Aggregate, error) {
 		if sel == nil && ix.Blocks[b].NullBytes == 0 && ix.Type != TypeString {
 			blk, err := ix.openBlock(data, b, base, rec)
 			if err != nil {
@@ -583,9 +575,9 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 		}
 		stats.AggDecoded.Add(1)
 		agg := Aggregate{Type: ix.Type}
-		include := func(r int) bool {
-			return !d.col.Nulls.IsNull(r) && (local == nil || local.Contains(uint32(r)))
-		}
+		keep := d.col.Nulls.valid(ix.Blocks[b].Rows)
+		andCount(keep, local)
+		include := func(r int) bool { return keep[r/64]>>(r%64)&1 != 0 }
 		switch ix.Type {
 		case TypeInt:
 			for r, v := range d.col.Ints {
@@ -629,7 +621,7 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 // block headers and NULL bitmaps, never touching a data stream.
 func (ix *ColumnIndex) CountNotNullBlocksContext(ctx context.Context, data []byte, blocks []int, sel *Selection, opt *Options) (int64, error) {
 	base, rec := opt.coreConfig(), opt.telemetryRecorder()
-	_, counts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local *roaring.Bitmap) (int64, error) {
+	_, counts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local []uint64) (int64, error) {
 		blk, err := ix.openBlock(data, b, base, rec)
 		switch {
 		case err != nil:
@@ -639,14 +631,7 @@ func (ix *ColumnIndex) CountNotNullBlocksContext(ctx context.Context, data []byt
 		case local == nil:
 			return int64(blk.ref.Rows - blk.nulls.Cardinality()), nil
 		}
-		n := int64(0)
-		local.ForEach(func(v uint32) bool {
-			if int(v) < blk.ref.Rows && (blk.nulls == nil || !blk.nulls.Contains(v)) {
-				n++
-			}
-			return true
-		})
-		return n, nil
+		return int64(andCount(blk.valid(), local)), nil
 	})
 	if err != nil {
 		return 0, err
@@ -662,20 +647,16 @@ func (ix *ColumnIndex) CountNotNullBlocksContext(ctx context.Context, data []byt
 // It runs fn on the worker pool, under the query path name, for each
 // listed block (nil = all) and returns the blocks and fn's results in list
 // order; merged in that order, they give the same answer at every worker
-// count. With sel non-nil, fn also gets the block's selected rows
-// (block-local), and a block holding none is skipped without its bytes
-// being touched: its result is R's zero value.
+// count. With sel non-nil, fn also gets the block's selected rows (a
+// block-local bitset), and a block holding none is skipped without its
+// bytes being touched: its result is R's zero value.
 func walkBlocks[R any](ctx context.Context, ix *ColumnIndex, blocks []int, sel *Selection, opt *Options,
-	fn func(b int, local *roaring.Bitmap) (R, error)) ([]int, []R, error) {
+	fn func(b int, local []uint64) (R, error)) ([]int, []R, error) {
 	if blocks == nil {
 		blocks = make([]int, len(ix.Blocks))
 		for i := range blocks {
 			blocks[i] = i
 		}
-	}
-	var locals []*roaring.Bitmap
-	if sel != nil {
-		locals = localSelections(ix, blocks, sel)
 	}
 	out := make([]R, len(blocks))
 	err := parallel.Observed(ctx, len(blocks), parallelism(opt), pathQuery, observerOf(opt.telemetryRecorder()), func(i int) error {
@@ -683,9 +664,11 @@ func walkBlocks[R any](ctx context.Context, ix *ColumnIndex, blocks []int, sel *
 		if b < 0 || b >= len(ix.Blocks) {
 			return fmt.Errorf("btrblocks: query block %d out of range [0,%d)", b, len(ix.Blocks))
 		}
-		var local *roaring.Bitmap
+		var local []uint64
 		if sel != nil {
-			if local = locals[i]; local == nil || local.IsEmpty() {
+			ref := ix.Blocks[b]
+			local = sel.orEmpty().Words(uint32(ref.StartRow), uint32(ref.StartRow+ref.Rows), nil)
+			if andCount(local, nil) == 0 {
 				return nil
 			}
 		}
@@ -731,6 +714,22 @@ func (ix *ColumnIndex) openBlock(data []byte, b int, base *core.Config, rec *obs
 	return blk, nil
 }
 
+// valid returns the block's non-NULL rows as a bitset.
+func (blk *openedBlock) valid() []uint64 { return (&NullMask{bm: blk.nulls}).valid(blk.ref.Rows) }
+
+// andCount intersects the bitset dst with src, unless src is nil, and
+// returns the number of bits dst keeps.
+func andCount(dst, src []uint64) int {
+	n := 0
+	for i := range dst {
+		if src != nil {
+			dst[i] &= src[i]
+		}
+		n += bits.OnesCount64(dst[i])
+	}
+	return n
+}
+
 // consumed is the epilogue of a kernel run over the block's stream: the
 // kernel's error, or ErrCorrupt when it did not consume the stream
 // exactly.
@@ -742,60 +741,28 @@ func (blk *openedBlock) consumed(used int, err error) error {
 }
 
 // match runs p's kernel over the block's stream, a column of type t: into
-// out when out is non-nil, and otherwise counting only and returning the
-// count.
-func (blk *openedBlock) match(p Predicate, t Type, out *roaring.Bitmap, st *core.SelectStats) (n int, err error) {
+// the bitset out when out is non-nil, and otherwise counting only and
+// returning the count.
+func (blk *openedBlock) match(p Predicate, t Type, out []uint64, st *core.SelectStats) (n int, err error) {
 	var used int
 	s, cfg := blk.stream, &blk.cfg
 	switch {
 	case t == TypeInt && out == nil:
 		n, used, err = core.Int.Count(s, p.intP, st, cfg)
 	case t == TypeInt:
-		used, err = core.Int.Select(s, p.intP, 0, out, st, cfg)
+		used, err = core.Int.Select(s, p.intP, out, st, cfg)
 	case t == TypeInt64 && out == nil:
 		n, used, err = core.Int64.Count(s, p.int64P, st, cfg)
 	case t == TypeInt64:
-		used, err = core.Int64.Select(s, p.int64P, 0, out, st, cfg)
+		used, err = core.Int64.Select(s, p.int64P, out, st, cfg)
 	case t == TypeDouble && out == nil:
 		n, used, err = core.Double.Count(s, p.doubleP, st, cfg)
 	case t == TypeDouble:
-		used, err = core.Double.Select(s, p.doubleP, 0, out, st, cfg)
+		used, err = core.Double.Select(s, p.doubleP, out, st, cfg)
 	case out == nil:
 		n, used, err = core.String.Count(s, p.strP, st, cfg)
 	default:
-		used, err = core.String.Select(s, p.strP, 0, out, st, cfg)
+		used, err = core.String.Select(s, p.strP, out, st, cfg)
 	}
 	return n, blk.consumed(used, err)
-}
-
-// localSelections splits a column-wide selection into block-local bitmaps
-// (positions rebased to each block's start row) for the listed blocks, in
-// one ordered pass over the selection.
-func localSelections(ix *ColumnIndex, blocks []int, sel *Selection) []*roaring.Bitmap {
-	// Map block id -> slot for the listed subset.
-	slot := make(map[int]int, len(blocks))
-	for i, b := range blocks {
-		slot[b] = i
-	}
-	out := make([]*roaring.Bitmap, len(blocks))
-	bi := 0 // current block cursor over all blocks (selection is ascending)
-	sel.ForEach(func(row uint32) bool {
-		for bi < len(ix.Blocks) && int(row) >= ix.Blocks[bi].StartRow+ix.Blocks[bi].Rows {
-			bi++
-		}
-		if bi >= len(ix.Blocks) {
-			return false
-		}
-		if int(row) < ix.Blocks[bi].StartRow {
-			return true // row before the current block (shouldn't happen: ascending)
-		}
-		if i, ok := slot[bi]; ok {
-			if out[i] == nil {
-				out[i] = roaring.New()
-			}
-			out[i].Add(row - uint32(ix.Blocks[bi].StartRow))
-		}
-		return true
-	})
-	return out
 }
