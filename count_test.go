@@ -1,6 +1,7 @@
 package btrblocks
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"btrblocks/coldata"
 	"btrblocks/internal/core"
 )
 
@@ -619,6 +621,48 @@ func TestCountChecksNullBlockLengths(t *testing.T) {
 			}
 			if n, _, err := ix.Count(bad, c.eq, nil); !corrupt(err) {
 				t.Errorf("%v %s: Count = %d, %v, want corrupt", c.col.Type, damage.name, n, err)
+			}
+		}
+	}
+}
+
+// TestSelectStreamLongerThanBlock hand-builds v1 string column files of
+// one block whose stream holds 100 values, more than the block's 0 or 1
+// rows: a OneValue stream (a kernel that sets bit ranges) and an
+// uncompressed one (the decode fallback). Every reader must answer
+// corrupt rather than write past the block's bitset.
+func TestSelectStreamLongerThanBlock(t *testing.T) {
+	cfg := &core.Config{}
+	one := binary.LittleEndian.AppendUint32([]byte{byte(core.CodeOneValue)}, 100)
+	one = binary.LittleEndian.AppendUint32(one, 1)
+	one = append(one, 'x')
+	vals := make([]string, 100)
+	for i := range vals {
+		vals[i] = "x"
+	}
+	plain := core.String.CompressAs(nil, coldata.MakeStrings(vals), core.CodeUncompressed, cfg)
+	corrupt := func(err error) bool { return errors.Is(err, ErrCorrupt) || errors.Is(err, core.ErrCorrupt) }
+	for _, rows := range []uint32{0, 1} {
+		for name, stream := range map[string][]byte{"onevalue": one, "uncompressed": plain} {
+			data := append([]byte(columnMagic), formatVersion1, byte(TypeString), 0, 0)
+			data = binary.LittleEndian.AppendUint32(data, 1) // one block
+			data = binary.LittleEndian.AppendUint32(data, rows)
+			data = binary.LittleEndian.AppendUint32(data, 0) // no NULLs
+			data = binary.LittleEndian.AppendUint32(data, uint32(len(stream)))
+			data = append(data, stream...)
+			ix, err := ParseColumnIndex(data)
+			if err != nil {
+				t.Fatalf("%d rows, %s: %v", rows, name, err)
+			}
+			eq := StringEq("x")
+			if _, _, err := ix.SelectBlocksContext(context.Background(), data, eq, nil, nil); !corrupt(err) {
+				t.Errorf("%d rows, %s: SelectBlocksContext err = %v, want corrupt", rows, name, err)
+			}
+			if n, _, err := ix.Count(data, eq, nil); !corrupt(err) {
+				t.Errorf("%d rows, %s: Count = %d, %v, want corrupt", rows, name, n, err)
+			}
+			if _, err := DecompressColumn(data, nil); !corrupt(err) {
+				t.Errorf("%d rows, %s: DecompressColumn err = %v, want corrupt", rows, name, err)
 			}
 		}
 	}

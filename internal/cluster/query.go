@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 
-	"btrblocks"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/query"
 	"btrblocks/internal/roaring"
@@ -121,12 +120,7 @@ func (r *Router) Query(ctx context.Context, p *query.Plan) (*query.Result, error
 		res.Aggregates = aggs
 	}
 
-	var selection *btrblocks.Selection
-	if sel != nil {
-		s := btrblocks.SelectionFromBitmap(sel)
-		selection = &s
-	}
-	query.Finish(p, res, rows, selection)
+	query.Finish(p, res, rows, sel)
 	span.SetAttrInt("matched", res.Matched)
 	span.SetAttrInt("legs", int64(len(leaves)))
 	return res, nil

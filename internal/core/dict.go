@@ -63,7 +63,7 @@ func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			defer t.putBuf(cfg.Scratch, dict)
 			st.Dict.Add(1)
-			count, used, err := Int.scan(src[pos:], m.codes(dict), sel, st, cfg)
+			count, used, err := scanCodes(src[pos:], n, m.codes(dict), sel, st, cfg)
 			return count, pos + used, err
 		},
 		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
@@ -108,6 +108,15 @@ func (t *Numeric[T, K]) dictHead(src []byte, n int, cfg *Config) (dict []T, pos 
 		return nil, 0, err
 	}
 	return dict, 9 + used, nil
+}
+
+// scanCodes runs p over the codes stream of a Dict stream of n rows,
+// which must hold exactly n codes.
+func scanCodes(src []byte, n int, p *Pred[int32], sel []uint64, st *SelectStats, cfg *Config) (int, int, error) {
+	if _, codes, err := head(&Int.schemes, src, cfg); err != nil || codes != n {
+		return 0, 0, ErrCorrupt
+	}
+	return Int.scan(src, p, sel, st, cfg)
 }
 
 // dictParts decodes both sub-streams of a Dict stream: the dictionary and
@@ -190,7 +199,7 @@ var stringDict = &strScheme{code: CodeDict,
 		}
 		Int.putBuf(cfg.Scratch, starts)
 		st.Dict.Add(1)
-		count, used, err = Int.scan(src[codesOff:], codesPredFromSorted(codes), sel, st, cfg)
+		count, used, err = scanCodes(src[codesOff:], n, codesPredFromSorted(codes), sel, st, cfg)
 		return count, codesOff + used, err
 	},
 	views: func(b StringBlock, views []coldata.View) ([]byte, error) {

@@ -84,17 +84,8 @@ func (p *DoublePred) Match(v float64) bool {
 	}
 }
 
-func (p *DoublePred) filter(vals []float64, sel []uint64) (count int) {
-	for w := 0; w*64 < len(vals); w++ {
-		var m uint64
-		for i, v := range vals[w*64 : min(len(vals), w*64+64)] {
-			if p.Match(v) {
-				m |= 1 << i
-			}
-		}
-		count += orWord(sel, w, m)
-	}
-	return count
+func (p *DoublePred) filter(vals []float64, sel []uint64) int {
+	return gatherWords(len(vals), func(i int) bool { return p.Match(vals[i]) }, sel)
 }
 
 // codes maps p over a double dictionary (sorted by bit pattern, not

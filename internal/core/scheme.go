@@ -97,6 +97,15 @@ func leafDecode[T numeric](fast, scalar func([]T, []byte) ([]T, int, error)) fun
 	}
 }
 
+// StreamLen returns the value count the head of the stream at src states.
+// A column block's stream holds one value per row of the block.
+func StreamLen(src []byte) (int, error) {
+	if len(src) < 5 {
+		return 0, ErrCorrupt
+	}
+	return int(binary.LittleEndian.Uint32(src[1:])), nil
+}
+
 // subCount reads the u32 that follows the head of an RLE or Dict stream —
 // its run count or its number of distinct values — which cannot exceed
 // the stream's n.

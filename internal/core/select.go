@@ -169,26 +169,26 @@ func (p *Pred[T]) Bounds() (lo, hi int64) {
 	}
 }
 
-func (p *Pred[T]) filter(vals []T, sel []uint64) (count int) {
-	for w := 0; w*64 < len(vals); w++ {
-		var m uint64
-		for i, v := range vals[w*64 : min(len(vals), w*64+64)] {
-			if p.Match(v) {
-				m |= 1 << i
-			}
-		}
-		count += orWord(sel, w, m)
-	}
-	return count
+func (p *Pred[T]) filter(vals []T, sel []uint64) int {
+	return gatherWords(len(vals), func(i int) bool { return p.Match(vals[i]) }, sel)
 }
 
-// orWord ORs m, the matches of values 64w..64w+63, into word w of sel
-// unless sel is nil, and returns how many there are.
-func orWord(sel []uint64, w int, m uint64) int {
-	if sel != nil {
-		sel[w] |= m
+// gatherWords tests values 0..n-1 with match, 64 to a word, ORs each
+// word of matches into sel unless sel is nil, and returns how many match.
+func gatherWords(n int, match func(i int) bool, sel []uint64) (count int) {
+	for lo := 0; lo < n; lo += 64 {
+		var m uint64
+		for i := lo; i < min(n, lo+64); i++ {
+			if match(i) {
+				m |= 1 << (i - lo)
+			}
+		}
+		if sel != nil {
+			sel[lo/64] |= m
+		}
+		count += bits.OnesCount64(m)
 	}
-	return bits.OnesCount64(m)
+	return count
 }
 
 // setBits sets bits [lo, hi) of sel.
@@ -310,10 +310,7 @@ func (t *Numeric[T, K]) Count(src []byte, m Matcher[T], st *SelectStats, cfg *Co
 
 // scan is the kernel behind Select and Count; a nil sel means count only.
 func (t *Numeric[T, K]) scan(src []byte, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
-	e, n, err := head(&t.schemes, src, cfg)
-	if err == nil && sel != nil && n > 64*len(sel) {
-		err = ErrCorrupt // more values than sel has bits: a nested stream outgrew its parent
-	}
+	e, n, err := selHead(&t.schemes, src, sel, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -348,7 +345,7 @@ func (t *StringKind) Count(src []byte, p *StringPred, st *SelectStats, cfg *Conf
 
 // scan is the kernel behind Select and Count; a nil sel means count only.
 func (t *StringKind) scan(src []byte, p *StringPred, sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
-	e, n, err := head(&t.schemes, src, cfg)
+	e, n, err := selHead(&t.schemes, src, sel, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -360,14 +357,15 @@ func (t *StringKind) scan(src []byte, p *StringPred, sel []uint64, st *SelectSta
 		return 0, 0, err
 	}
 	st.Decoded.Add(1)
-	for w := 0; w*64 < views.Len(); w++ {
-		var m uint64
-		for i := w * 64; i < min(views.Len(), w*64+64); i++ {
-			if p.Match(views.Bytes(i)) {
-				m |= 1 << (i % 64)
-			}
-		}
-		count += orWord(sel, w, m)
+	return gatherWords(views.Len(), func(i int) bool { return p.Match(views.Bytes(i)) }, sel), used, nil
+}
+
+// selHead is head for a kernel run into sel: a stream with more values
+// than sel has bits is corrupt.
+func selHead[E any](table *[numCodes]*E, src []byte, sel []uint64, cfg *Config) (e *E, n int, err error) {
+	e, n, err = head(table, src, cfg)
+	if err == nil && sel != nil && n > 64*len(sel) {
+		return nil, 0, ErrCorrupt
 	}
-	return count, used, nil
+	return e, n, err
 }

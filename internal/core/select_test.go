@@ -471,21 +471,53 @@ func TestAggregateDifferential(t *testing.T) {
 	}
 }
 
-// TestSelectNestedStreamOutgrowsParent feeds Select a Frequency stream of
-// ten rows whose five exceptions are a Dict stream with a codes stream of
-// 200 rows: the kernel must answer ErrCorrupt, not write past the
-// exceptions' bitset.
+// TestSelectNestedStreamOutgrowsParent feeds the kernels Dict streams of
+// five rows whose codes stream holds more codes than that: 200 under a
+// Frequency stream of ten rows (the Dict is its exceptions), which would
+// write past the exceptions' bitset, and six on their own, which fit the
+// bitset's one word so that only the check against the parent's n catches
+// them. Select, Count and Decompress must all answer ErrCorrupt.
 func TestSelectNestedStreamOutgrowsParent(t *testing.T) {
 	cfg := &Config{}
-	dict := binary.LittleEndian.AppendUint32([]byte{byte(CodeDict)}, 5)
-	dict = binary.LittleEndian.AppendUint32(dict, 1) // one dictionary entry
-	dict = Int.CompressAs(dict, []int32{9}, CodeUncompressed, cfg)
-	dict = Int.CompressAs(dict, make([]int32, 200), CodeUncompressed, cfg)
+	dict := func(codes int) []byte {
+		src := binary.LittleEndian.AppendUint32([]byte{byte(CodeDict)}, 5)
+		src = binary.LittleEndian.AppendUint32(src, 1) // one dictionary entry
+		src = Int.CompressAs(src, []int32{9}, CodeUncompressed, cfg)
+		return Int.CompressAs(src, make([]int32, codes), CodeUncompressed, cfg)
+	}
 	freq := binary.LittleEndian.AppendUint32([]byte{byte(CodeFrequency)}, 10)
 	freq = binary.LittleEndian.AppendUint32(freq, 7) // the top value, at rows 0..4
 	freq = roaring.FromSlice([]uint32{0, 1, 2, 3, 4}).AppendTo(freq)
-	freq = append(freq, dict...)
-	if _, err := Int.Select(freq, Eq[int32](9), make([]uint64, 1), nil, cfg); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("select: %v, want ErrCorrupt", err)
+	freq = append(freq, dict(200)...)
+	for name, src := range map[string][]byte{"frequency of dict": freq, "dict": dict(6)} {
+		if _, err := Int.Select(src, Eq[int32](9), make([]uint64, 1), nil, cfg); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: select: %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := Int.Count(src, Eq[int32](9), nil, cfg); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: count: %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := Int.Decompress(nil, src, cfg); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decompress: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestSelectStringOutgrowsBitset feeds String.Select streams of 100 values
+// and a bitset of one word: the OneValue kernel and the decode fallback
+// must both answer ErrCorrupt, not write past it.
+func TestSelectStringOutgrowsBitset(t *testing.T) {
+	cfg := &Config{}
+	one := binary.LittleEndian.AppendUint32([]byte{byte(CodeOneValue)}, 100)
+	one = binary.LittleEndian.AppendUint32(one, 1)
+	one = append(one, 'x')
+	vals := make([]string, 100)
+	for i := range vals {
+		vals[i] = string(rune('a' + i%7))
+	}
+	plain := String.CompressAs(nil, coldata.MakeStrings(vals), CodeUncompressed, cfg)
+	for name, src := range map[string][]byte{"onevalue": one, "uncompressed": plain} {
+		if _, err := String.Select(src, &StringPred{Op: PredEq, Eq: []byte("a")}, make([]uint64, 1), nil, cfg); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -166,7 +166,11 @@ func (e *Executor) Run(ctx context.Context, p *Plan) (*Result, error) {
 	} else if base != nil {
 		sel = base
 	}
-	Finish(p, res, rows, sel)
+	var bm *roaring.Bitmap
+	if sel != nil {
+		bm = sel.Bitmap()
+	}
+	Finish(p, res, rows, bm)
 	span.SetAttrInt("matched", res.Matched)
 
 	if len(p.Aggregates) > 0 {
@@ -182,34 +186,38 @@ func (e *Executor) Run(ctx context.Context, p *Plan) (*Result, error) {
 // one of rows rows): Rows, Matched, the row ids up to the plan's row limit
 // when it asks for them, and the selection's bytes for return=bitmap. The
 // executor and the router's gather both end a query with it.
-func Finish(p *Plan, res *Result, rows int, sel *btrblocks.Selection) {
+func Finish(p *Plan, res *Result, rows int, sel *roaring.Bitmap) {
 	res.Rows, res.Matched = rows, int64(rows)
-	if sel == nil && !p.Rows && p.Return != ReturnBitmap {
-		return
+	if sel != nil {
+		res.Matched = int64(sel.Cardinality())
 	}
-	if sel == nil {
-		all := roaring.New()
-		all.AddRange(0, uint32(rows))
-		s := btrblocks.SelectionFromBitmap(all)
-		sel = &s
-	}
-	res.Matched = int64(sel.Cardinality())
 	if p.Rows {
 		limit := p.RowLimit
 		if limit == 0 {
 			limit = DefaultRowLimit
 		}
-		res.RowIDs = make([]uint32, 0, min(limit, int(res.Matched)))
-		sel.ForEach(func(r uint32) bool {
-			if len(res.RowIDs) >= limit {
-				return false
+		n := min(limit, int(res.Matched))
+		res.RowIDs = make([]uint32, 0, n)
+		if sel == nil {
+			for r := range n {
+				res.RowIDs = append(res.RowIDs, uint32(r))
 			}
-			res.RowIDs = append(res.RowIDs, r)
-			return true
-		})
+		} else {
+			sel.ForEach(func(r uint32) bool {
+				if len(res.RowIDs) >= limit {
+					return false
+				}
+				res.RowIDs = append(res.RowIDs, r)
+				return true
+			})
+		}
 		res.RowsTruncated = int64(len(res.RowIDs)) < res.Matched
 	}
 	if p.Return == ReturnBitmap {
+		if sel == nil {
+			sel = roaring.New()
+			sel.AddRange(0, uint32(rows))
+		}
 		res.Bitmap = sel.AppendTo(nil)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"btrblocks/internal/core"
@@ -229,8 +230,14 @@ func SelectionOfRows(rows ...uint32) Selection {
 // SelectionFromBitmap wraps an existing bitmap (shared, not copied).
 func SelectionFromBitmap(bm *roaring.Bitmap) Selection { return Selection{bm: bm} }
 
-// Bitmap exposes the underlying bitmap (nil for a zero-value Selection).
-func (s Selection) Bitmap() *roaring.Bitmap { return s.bm }
+// Bitmap exposes the underlying bitmap (a new empty one for a zero-value
+// Selection).
+func (s Selection) Bitmap() *roaring.Bitmap {
+	if s.bm == nil {
+		return roaring.New()
+	}
+	return s.bm
+}
 
 // Cardinality returns the number of selected rows.
 func (s Selection) Cardinality() int {
@@ -261,37 +268,30 @@ func (s Selection) ForEach(fn func(row uint32) bool) {
 	}
 }
 
-func (s Selection) orEmpty() *roaring.Bitmap {
-	if s.bm == nil {
-		return roaring.New()
-	}
-	return s.bm
-}
-
 // And intersects two selections.
 func (s Selection) And(o Selection) Selection {
-	return Selection{bm: roaring.And(s.orEmpty(), o.orEmpty())}
+	return Selection{bm: roaring.And(s.Bitmap(), o.Bitmap())}
 }
 
 // Or unions two selections.
 func (s Selection) Or(o Selection) Selection {
-	return Selection{bm: roaring.Or(s.orEmpty(), o.orEmpty())}
+	return Selection{bm: roaring.Or(s.Bitmap(), o.Bitmap())}
 }
 
 // AndNot returns the rows in s but not in o.
 func (s Selection) AndNot(o Selection) Selection {
-	return Selection{bm: roaring.AndNot(s.orEmpty(), o.orEmpty())}
+	return Selection{bm: roaring.AndNot(s.Bitmap(), o.Bitmap())}
 }
 
 // Clone returns an independent copy.
-func (s Selection) Clone() Selection { return Selection{bm: s.orEmpty().Clone()} }
+func (s Selection) Clone() Selection { return Selection{bm: s.Bitmap().Clone()} }
 
 // Equals reports set equality.
-func (s Selection) Equals(o Selection) bool { return s.orEmpty().Equals(o.orEmpty()) }
+func (s Selection) Equals(o Selection) bool { return s.Bitmap().Equals(o.Bitmap()) }
 
 // AppendTo serializes the selection (the roaring wire format, also used
 // by the query endpoints to ship selections between processes).
-func (s Selection) AppendTo(dst []byte) []byte { return s.orEmpty().AppendTo(dst) }
+func (s Selection) AppendTo(dst []byte) []byte { return s.Bitmap().AppendTo(dst) }
 
 // SelectionFromBytes deserializes a selection, returning bytes consumed.
 func SelectionFromBytes(src []byte) (Selection, int, error) {
@@ -667,8 +667,8 @@ func walkBlocks[R any](ctx context.Context, ix *ColumnIndex, blocks []int, sel *
 		var local []uint64
 		if sel != nil {
 			ref := ix.Blocks[b]
-			local = sel.orEmpty().Words(uint32(ref.StartRow), uint32(ref.StartRow+ref.Rows), nil)
-			if andCount(local, nil) == 0 {
+			local = sel.Bitmap().Words(uint32(ref.StartRow), uint32(ref.StartRow+ref.Rows), nil)
+			if !slices.ContainsFunc(local, func(w uint64) bool { return w != 0 }) {
 				return nil
 			}
 		}
@@ -691,7 +691,8 @@ type openedBlock struct {
 // openBlock checks that block b lies inside data, verifies its CRC (a
 // mismatch is counted on rec) and parses its NULL bitmap. The cap on
 // decoded values keeps a corrupt stream header from forcing an
-// allocation larger than the block.
+// allocation larger than the block; the stream itself must hold exactly
+// one value per row.
 func (ix *ColumnIndex) openBlock(data []byte, b int, base *core.Config, rec *obs.Telemetry) (openedBlock, error) {
 	ref := ix.Blocks[b]
 	blk := openedBlock{ref: ref, cfg: *base}
@@ -710,6 +711,9 @@ func (ix *ColumnIndex) openBlock(data []byte, b int, base *core.Config, rec *obs
 		blk.nulls = nulls
 	}
 	blk.stream = data[ref.DataOffset():ref.End()]
+	if n, err := core.StreamLen(blk.stream); err != nil || n != ref.Rows {
+		return blk, ErrCorrupt
+	}
 	blk.cfg.MaxDecodedValues = ref.Rows
 	return blk, nil
 }
