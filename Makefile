@@ -147,6 +147,7 @@ bench-baseline:
 	$(GO) run ./cmd/benchtraj record -suite decode
 	$(GO) run ./cmd/benchtraj record -suite compress
 	$(GO) run ./cmd/benchtraj record -suite serve
+	$(GO) run ./cmd/benchtraj record -suite query
 
 # bench-compare re-runs the same suites and fails on >10% regression
 # against the committed baselines (override: BTR_BENCH_TOLERANCE=0.25).
@@ -154,5 +155,6 @@ bench-compare:
 	$(GO) run ./cmd/benchtraj compare -suite decode
 	$(GO) run ./cmd/benchtraj compare -suite compress
 	$(GO) run ./cmd/benchtraj compare -suite serve
+	$(GO) run ./cmd/benchtraj compare -suite query
 
 ci: check

@@ -992,3 +992,130 @@ func BenchmarkCompressBaseline(b *testing.B) {
 		run(fmt.Sprintf("string/%v", code), code, vals.TotalBytes(), func() []byte { return core.String.Compress(compressSink[:0], vals, cfg) })
 	}
 }
+
+// --- Selection kernels: BENCH_query.json feedstock ---
+
+// selectPred is one named predicate of the BenchmarkSelect grid.
+type selectPred[T int32 | int64] struct {
+	name string
+	p    *core.Pred[T]
+}
+
+// selectPreds returns the grid's four predicates: eq, a range, in of three
+// non-contiguous values spanning less than 2^16, and in spanning 2^16 or
+// more.
+func selectPreds[T int32 | int64](eq, lo, hi T, in3, inWide []T) []selectPred[T] {
+	out := []selectPred[T]{
+		{"eq", &core.Pred[T]{Op: core.PredEq, Eq: eq}},
+		{"range", &core.Pred[T]{Op: core.PredRange, Lo: lo, Hi: hi}},
+		{"in3", &core.Pred[T]{Op: core.PredIn, In: in3}},
+		{"in-wide", &core.Pred[T]{Op: core.PredIn, In: inWide}},
+	}
+	for _, sp := range out {
+		sp.p.Normalize()
+	}
+	if in := out[3].p.In; int64(in[len(in)-1])-int64(in[0]) < 1<<16 {
+		panic("in-wide spans less than 2^16")
+	}
+	return out
+}
+
+// benchSelectModes runs one stream × predicate cell in both modes: select
+// into a cleared block bitset, and count without one. MB/s is of the
+// stream's uncompressed values.
+func benchSelectModes(b *testing.B, name string, n, rawBytes int,
+	sel func([]uint64) error, count func() (int, error)) {
+	b.Run(name+"/select", func(b *testing.B) {
+		bits := make([]uint64, (n+63)/64)
+		b.SetBytes(int64(rawBytes))
+		for i := 0; i < b.N; i++ {
+			clear(bits)
+			if err := sel(bits); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(name+"/count", func(b *testing.B) {
+		b.SetBytes(int64(rawBytes))
+		for i := 0; i < b.N; i++ {
+			if _, err := count(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchSelectNumeric runs the predicate grid over one forced-root integer
+// stream.
+func benchSelectNumeric[T int32 | int64](b *testing.B, stream string, kind *core.Numeric[T, T],
+	vals []T, code core.Code, preds []selectPred[T]) {
+	cfg := core.DefaultConfig()
+	cfg.Scratch = new(core.Scratch)
+	c := *cfg
+	c.IntSchemes = []core.Code{code}
+	enc := kind.Compress(nil, vals, &c)
+	if got := core.Code(enc[0]); got != code {
+		b.Fatalf("%s: stream root is %v", stream, got)
+	}
+	raw := 4 * len(vals)
+	if _, wide := any(vals).([]int64); wide {
+		raw *= 2
+	}
+	for _, sp := range preds {
+		benchSelectModes(b, stream+"/"+sp.name, len(vals), raw,
+			func(sel []uint64) error { _, err := kind.Select(enc, sp.p, sel, nil, cfg); return err },
+			func() (int, error) { n, _, err := kind.Count(enc, sp.p, nil, cfg); return n, err })
+	}
+}
+
+// BenchmarkSelect is the single-core selection grid recorded in
+// BENCH_query.json: streams with a forced root scheme (FastBP int32 and
+// int64, the FastBP codes of a string dictionary, RLE, Frequency) ×
+// predicates (eq, range, in of three non-contiguous values, in spanning
+// 2^16 or more) × modes (select into a block bitset, count). A string
+// dictionary of eight entries has no code set that spans 2^16, so its
+// row has three predicates.
+func BenchmarkSelect(b *testing.B) {
+	// FastBP int32: [0, 4096), width 12.
+	benchSelectNumeric(b, "int/FastBP", core.Int, baselineIntData(core.CodeFastBP), core.CodeFastBP,
+		selectPreds[int32](1234, 1000, 1999, []int32{100, 2000, 4000}, []int32{100, 2000, 70000}))
+	// FastBP int64: multiples of 1000 in [0, 4096000), width 22.
+	benchSelectNumeric(b, "int64/FastBP", core.Int64, baselineInt64Data(core.CodeFastBP), core.CodeFastBP,
+		selectPreds[int64](1234000, 1000000, 1999000, []int64{1000, 20000, 60000}, []int64{1000, 2000000, 4000000}))
+	// RLE: runs of values in [0, 1000).
+	benchSelectNumeric(b, "int/RLE", core.Int, baselineIntData(core.CodeRLE), core.CodeRLE,
+		selectPreds[int32](500, 250, 499, []int32{100, 500, 900}, []int32{100, 500, 70000}))
+	// Frequency: 7777 in 19 of 20 rows, the rest in [0, 2^20).
+	benchSelectNumeric(b, "int/Frequency", core.Int, baselineIntData(core.CodeFrequency), core.CodeFrequency,
+		selectPreds[int32](7777, 0, 1<<19, []int32{1000, 7777, 60000}, []int32{1000, 7777, 700000}))
+
+	cfg := core.DefaultConfig()
+	cfg.Scratch = new(core.Scratch)
+	vals := baselineStringData(core.CodeDict)
+	enc := core.String.CompressAs(nil, vals, core.CodeDict, cfg)
+	if got := core.Code(enc[0]); got != core.CodeDict {
+		b.Fatalf("string/Dict: stream root is %v", got)
+	}
+	strs := func(ss ...string) [][]byte {
+		out := make([][]byte, len(ss))
+		for i, s := range ss {
+			out[i] = []byte(s)
+		}
+		return out
+	}
+	// Codes in dictionary order: Chicago 0, Dallas 1, Houston 2, Los
+	// Angeles 3, New York 4, Philadelphia 5, Phoenix 6, San Antonio 7.
+	for _, sp := range []struct {
+		name string
+		p    *core.StringPred
+	}{
+		{"eq", &core.StringPred{Op: core.PredEq, Eq: []byte("Chicago")}},
+		{"range", &core.StringPred{Op: core.PredRange, Lo: []byte("D"), Hi: []byte("M")}},
+		{"in3", &core.StringPred{Op: core.PredIn, In: strs("Chicago", "Houston", "Phoenix")}},
+	} {
+		sp.p.Normalize()
+		benchSelectModes(b, "string/Dict/"+sp.name, vals.Len(), len(vals.Data)+4*vals.Len(),
+			func(sel []uint64) error { _, err := core.String.Select(enc, sp.p, sel, nil, cfg); return err },
+			func() (int, error) { n, _, err := core.String.Count(enc, sp.p, nil, cfg); return n, err })
+	}
+}
