@@ -116,6 +116,21 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one compare loop =="
+	# FastBP compares a block's unpacked deltas with the predicate rebased
+	# onto its reference (cmpWords in select.go), and the integer decode
+	# fallback, Pred[T].filter, runs the same loops: neither tests a value
+	# through a call to Match or filter.
+	if grep -nE '\.(Match|filter)\(' internal/core/fastbp.go; then
+		echo 'internal/core/fastbp.go compares deltas with cmpWords, not Match or filter'
+		exit 1
+	fi
+	body="$(sed -n '/^func (p \*Pred\[T\]) filter(/,/^}/p' internal/core/select.go)"
+	if [ -z "$body" ] || echo "$body" | grep -n 'Match('; then
+		echo 'Pred[T].filter in internal/core/select.go must run the compare loops, not Match'
+		exit 1
+	fi
+
 	echo "== go build =="
 	go build ./...
 

@@ -18,7 +18,8 @@ import (
 //	tag n:u32 [ref (4 or 8 bytes), then per block width:u8 packed words]
 //
 // Predicates skip every block whose [ref, ref+2^width) envelope misses
-// their bounds, unread.
+// their bounds, unread, and compare the deltas of every other block with
+// the predicate rebased onto the block's reference.
 
 // fastBP makes the entry of Int or Int64 from bitpack's codec for T, whose
 // deltas are packed as U.
@@ -39,7 +40,6 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 			p := m.(*Pred[T]) // the only Matcher of an integer type
 			plo, phi := p.Bounds()
 			var deltas [bitpack.BlockLen]U
-			var vals [bitpack.BlockLen]T
 			used, err = forBlocks[T, U](src, n, func(ref T, row, cnt int, w uint, packed []byte) error {
 				// Every value of the block lies in [ref, ref+mask(w)]: one
 				// disjoint from the predicate's bounds cannot match. The
@@ -57,15 +57,12 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 				if _, err := unpacked(deltas[:cnt], packed, cnt, w); err != nil {
 					return ErrCorrupt
 				}
-				for i, d := range deltas[:cnt] {
-					vals[i] = ref + T(d)
-				}
 				// A block's 128 rows start on a word boundary: two words.
 				var blk []uint64
 				if sel != nil {
 					blk = sel[row/64:]
 				}
-				count += p.filter(vals[:cnt], blk)
+				count += cmpWords(p.rebase(ref, hiBound), deltas[:cnt], blk)
 				return nil
 			})
 			if err != nil {

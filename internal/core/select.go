@@ -127,18 +127,37 @@ type Pred[T integer] struct {
 	Eq     T
 	Lo, Hi T
 	In     []T
+	inSet  []uint64 // bit v-In[0] per member v of In, built by Normalize
 }
 
 // Eq is the predicate matching values equal to v.
 func Eq[T integer](v T) *Pred[T] { return &Pred[T]{Op: PredEq, Eq: v} }
 
-// Normalize sorts and dedupes the In set.
+// Normalize sorts and dedupes the In set and builds its bitset.
 func (p *Pred[T]) Normalize() {
 	if p.Op == PredIn {
 		slices.Sort(p.In)
 		p.In = slices.Compact(p.In)
+		p.index()
 	}
 }
+
+// index builds In's bitset from the sorted members, unless they span
+// 2^16 values or more: such a set keeps the sorted search.
+func (p *Pred[T]) index() {
+	p.inSet = nil
+	if len(p.In) == 0 || udiff(p.In[len(p.In)-1], p.In[0]) >= 1<<16 {
+		return
+	}
+	p.inSet = make([]uint64, udiff(p.In[len(p.In)-1], p.In[0])/64+1)
+	for _, v := range p.In {
+		p.inSet[udiff(v, p.In[0])/64] |= 1 << (udiff(v, p.In[0]) % 64)
+	}
+}
+
+// udiff is v-base as an unsigned 64-bit number: exact when v >= base,
+// and the same wrap-around whatever the width of T.
+func udiff[T integer](v, base T) uint64 { return uint64(int64(v)) - uint64(int64(base)) }
 
 // Match reports whether v satisfies the predicate.
 func (p *Pred[T]) Match(v T) bool {
@@ -170,7 +189,89 @@ func (p *Pred[T]) Bounds() (lo, hi int64) {
 }
 
 func (p *Pred[T]) filter(vals []T, sel []uint64) int {
-	return gatherWords(len(vals), func(i int) bool { return p.Match(vals[i]) }, sel)
+	return cmpWords(p.rebase(0, math.MaxInt64), vals, sel)
+}
+
+// cmp is a Pred rebased onto offsets x = v-base, taken as unsigned: a
+// FastBP block's deltas from its reference, or (base 0) the values
+// themselves. Eq is the range of span 0.
+type cmp[T integer] struct {
+	op       PredOp   // PredRange, or PredIn tested by set, in or mask
+	lo, span uint64   // Range: x-lo <= span; set: bit x-lo, for x-lo <= span
+	set      []uint64 // In's bitset
+	in       []T      // In without a bitset: base+x is searched for
+	base     T
+	mask     uint64 // In on a run of at most 64 values: bit x
+}
+
+// rebase turns p into a cmp on offsets from base for values in [base,
+// top]. A run of at most 64 values, a FastBP block of width 6 or less,
+// gets the In members inside it as one mask word.
+func (p *Pred[T]) rebase(base T, top int64) (c cmp[T]) {
+	c.op = PredIn
+	switch {
+	case p.Op == PredEq:
+		c.op, c.lo = PredRange, udiff(p.Eq, base)
+	case p.Op == PredRange && p.Lo <= p.Hi:
+		c.op, c.lo, c.span = PredRange, udiff(p.Lo, base), udiff(p.Hi, p.Lo)
+	case p.Op == PredRange: // Lo > Hi: an empty mask
+	case uint64(top)-uint64(int64(base)) < 64:
+		i, _ := slices.BinarySearch(p.In, base) // 64 members at most fit
+		for _, v := range p.In[i:min(len(p.In), i+64)] {
+			c.mask |= 1 << udiff(v, base) // 0 for a shift of 64 or more
+		}
+	case p.inSet != nil:
+		c.lo, c.span, c.set = udiff(p.In[0], base), udiff(p.In[len(p.In)-1], p.In[0]), p.inSet
+	default:
+		c.in, c.base = p.In, base
+	}
+	return c
+}
+
+// cmpWords tests offsets xs against c, 64 to a word, ORs each word of
+// matches into sel unless sel is nil, and returns how many match. The
+// operator is picked once per word; its loop calls nothing per value.
+func cmpWords[T integer, E integer | uint32 | uint64](c cmp[T], xs []E, sel []uint64) (count int) {
+	for at := 0; at < len(xs); at += 64 {
+		var m uint64
+		xw := xs[at:min(len(xs), at+64)]
+		switch {
+		case c.op == PredRange:
+			for j, x := range xw {
+				_, out := bits.Sub64(c.span, uint64(x)-c.lo, 0) // 1 when x-lo > span
+				m |= (out ^ 1) << j
+			}
+		case c.set != nil:
+			for j, x := range xw {
+				if o := uint64(x) - c.lo; o <= c.span {
+					m |= c.set[o/64] >> (o % 64) & 1 << j
+				}
+			}
+		case c.in != nil:
+			for j, x := range xw {
+				v, lo, hi := c.base+T(x), 0, len(c.in)
+				for lo < hi {
+					if h := int(uint(lo+hi) >> 1); c.in[h] < v {
+						lo = h + 1
+					} else {
+						hi = h
+					}
+				}
+				if lo < len(c.in) && c.in[lo] == v {
+					m |= 1 << j
+				}
+			}
+		default:
+			for j, x := range xw {
+				m |= c.mask >> uint64(x) & 1 << j // a shift of 64 or more is 0
+			}
+		}
+		if sel != nil {
+			sel[at/64] |= m
+		}
+		count += bits.OnesCount64(m)
+	}
+	return count
 }
 
 // gatherWords tests values 0..n-1 with match, 64 to a word, ORs each
@@ -256,7 +357,9 @@ func codesPredFromSorted(codes []int32) *Pred[int32] {
 	case int(codes[len(codes)-1]-codes[0]) == len(codes)-1:
 		return &Pred[int32]{Op: PredRange, Lo: codes[0], Hi: codes[len(codes)-1]}
 	default:
-		return &Pred[int32]{Op: PredIn, In: codes}
+		p := &Pred[int32]{Op: PredIn, In: codes}
+		p.index()
+		return p
 	}
 }
 

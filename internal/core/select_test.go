@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -64,7 +65,74 @@ func intShapes(rng *rand.Rand) map[string][]int32 {
 		wide[i] = int32(rng.Uint32())
 	}
 	shapes["wide"] = wide
+	// Edge rows: a FastBP block of width 32 from ref MinInt32; blocks of
+	// width 6 or less, whose In sets become one mask word; final blocks
+	// of 1 and of 65 values.
+	shapes["w32-minint32"] = []int32{math.MinInt32, 5, -1, math.MaxInt32, 0, math.MinInt32 + 1, math.MaxInt32 - 1}
+	narrow, tail1, tail65 := make([]int32, 700), make([]int32, 129), make([]int32, 193)
+	for i := range narrow {
+		narrow[i] = 1000 + int32(rng.Intn(64))
+	}
+	for i := range tail1 {
+		tail1[i] = -40 + int32(rng.Intn(50))
+	}
+	for i := range tail65 {
+		tail65[i] = 70000 + int32(rng.Intn(1<<17))
+	}
+	shapes["narrow"], shapes["tail-1"], shapes["tail-65"] = narrow, tail1, tail65
 	return shapes
+}
+
+// edgePreds are the named boundary rows beside the random predicates:
+// In sets on either side of the cut-offs of the mask word (span 63 and
+// 64) and of the bitset (span 65,535 and 65,536); In members and Eq
+// below the reference (the smallest value) and negative; Eq just above
+// the values' envelope [ref, ref+2^w-1]; and ranges straddling each edge
+// of the envelope. Values saturate at the bounds of T.
+func edgePreds[T int32 | int64](values []T) map[string]*Pred[T] {
+	mn, mx := T(0), T(0)
+	if len(values) > 0 {
+		mn, mx = slices.Min(values), slices.Max(values)
+	}
+	lim := int64(math.MaxInt32)
+	if _, wide := any(values).([]int64); wide {
+		lim = math.MaxInt64
+	}
+	at := func(v T, d int64) T { // v+d, saturated
+		if d > 0 && int64(v) > lim-d {
+			return T(lim)
+		}
+		if d < 0 && int64(v) < -lim-1-d {
+			return T(-lim - 1)
+		}
+		return T(int64(v) + d)
+	}
+	top := mx // ref+2^w-1 of the whole column, w < 63
+	if w := bits.Len64(udiff(mx, mn)); w < 63 {
+		top = at(mn, 1<<w-1)
+	}
+	in := func(vs ...T) *Pred[T] { return &Pred[T]{Op: PredIn, In: vs} }
+	preds := map[string]*Pred[T]{
+		"in-span63":       in(at(mn, 1), at(mn, 30), at(mn, 64)),
+		"in-span64":       in(mn, at(mn, 33), at(mn, 64)),
+		"in-span65535":    in(mn, at(mn, 7), at(mn, 65535)),
+		"in-span65536":    in(mn, at(mn, 7), at(mn, 65536)),
+		"in-below-ref":    in(at(mn, -5), at(mn, -1), mn, at(mn, 2)),
+		"in-negative":     in(-5, -1, at(mn, 1), at(mx, 0)),
+		"eq-below-ref":    {Op: PredEq, Eq: at(mn, -1)},
+		"eq-above-top":    {Op: PredEq, Eq: at(top, 1)},
+		"range-lo-edge":   {Op: PredRange, Lo: at(mn, -10), Hi: at(mn, 3)},
+		"range-hi-edge":   {Op: PredRange, Lo: at(mx, -3), Hi: at(mx, 10)},
+		"range-top-edge":  {Op: PredRange, Lo: at(top, -5), Hi: at(top, 5)},
+		"range-to-max":    {Op: PredRange, Lo: at(mn, 1), Hi: T(lim)},
+		"range-from-min":  {Op: PredRange, Lo: T(-lim - 1), Hi: at(mx, -1)},
+		"range-envelope":  {Op: PredRange, Lo: mn, Hi: top},
+		"in-mask-members": in(at(mn, 1), at(mn, 3), at(mn, 63), at(mn, 64), at(mn, 200)),
+	}
+	for _, p := range preds {
+		p.Normalize()
+	}
+	return preds
 }
 
 func intPreds(values []int32, rng *rand.Rand) map[string]*Pred[int32] {
@@ -91,6 +159,7 @@ func intPreds(values []int32, rng *rand.Rand) map[string]*Pred[int32] {
 	for _, p := range preds {
 		p.Normalize()
 	}
+	maps.Copy(preds, edgePreds(values))
 	return preds
 }
 
@@ -104,6 +173,28 @@ func refBits(n int, match func(i int) bool) []uint64 {
 		}
 	}
 	return out
+}
+
+// checkKernel checks one stream's Select and Count, under both
+// ScalarDecode settings, against want, the refBits + Match oracle.
+func checkKernel(t *testing.T, name string, enc []byte, want []uint64,
+	sel func([]uint64, *Config) (int, error), count func(*Config) (int, int, error)) {
+	t.Helper()
+	for _, scalar := range []bool{false, true} {
+		cfg := &Config{ScalarDecode: scalar}
+		got := make([]uint64, len(want))
+		used, err := sel(got, cfg)
+		if err != nil || used != len(enc) {
+			t.Fatalf("%s/scalar=%v: select: %v, consumed %d of %d bytes", name, scalar, err, used, len(enc))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s/scalar=%v: selection mismatch: got %d want %d matches", name, scalar, countBits(got), countBits(want))
+		}
+		n, used, err := count(cfg)
+		if err != nil || used != len(enc) || n != countBits(want) {
+			t.Fatalf("%s/scalar=%v: count %d (%v, consumed %d of %d bytes), want %d", name, scalar, n, err, used, len(enc), countBits(want))
+		}
+	}
 }
 
 // countBits counts the rows of a selection.
@@ -127,21 +218,10 @@ func TestSelectIntDifferential(t *testing.T) {
 		}
 		for encName, enc := range encodings {
 			for predName, p := range intPreds(values, rng) {
-				name := shape + "/" + encName + "/" + predName
-				got := make([]uint64, (len(values)+63)/64)
-				var st SelectStats
-				used, err := Int.Select(enc, p, got, &st, cfg)
-				if err != nil {
-					t.Fatalf("%s: SelectInt: %v", name, err)
-				}
-				if used != len(enc) {
-					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
-				}
-				want := refBits(len(values), func(i int) bool { return p.Match(values[i]) })
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: selection mismatch: got %d want %d matches",
-						name, countBits(got), countBits(want))
-				}
+				checkKernel(t, shape+"/"+encName+"/"+predName, enc,
+					refBits(len(values), func(i int) bool { return p.Match(values[i]) }),
+					func(sel []uint64, cfg *Config) (int, error) { return Int.Select(enc, p, sel, nil, cfg) },
+					func(cfg *Config) (int, int, error) { return Int.Count(enc, p, nil, cfg) })
 			}
 		}
 	}
@@ -208,6 +288,14 @@ func TestSelectInt64Differential(t *testing.T) {
 		wide[i] = int64(rng.Uint64())
 	}
 	shapes["wide"] = wide
+	// Edge row: FastBP blocks of width 64 from ref MinInt64, the second
+	// one final with 65 values.
+	w64 := make([]int64, 193)
+	for i := range w64 {
+		w64[i] = int64(rng.Uint64())
+	}
+	w64[0], w64[150] = math.MinInt64, math.MaxInt64
+	shapes["w64-minint64"] = w64
 
 	for shape, values := range shapes {
 		// Force each root scheme via the pool restriction; the encoder
@@ -237,22 +325,15 @@ func TestSelectInt64Differential(t *testing.T) {
 				"in":       {Op: PredIn, In: []int64{pick(), pick(), 4}},
 				"in-empty": {Op: PredIn},
 			}
-			for predName, p := range preds {
+			for _, p := range preds {
 				p.Normalize()
-				name := shape + "/" + cfgName + "/" + predName
-				got := make([]uint64, (len(values)+63)/64)
-				used, err := Int64.Select(enc, p, got, nil, cfg)
-				if err != nil {
-					t.Fatalf("%s: SelectInt64: %v", name, err)
-				}
-				if used != len(enc) {
-					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
-				}
-				want := refBits(len(values), func(i int) bool { return p.Match(values[i]) })
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: selection mismatch: got %d want %d",
-						name, countBits(got), countBits(want))
-				}
+			}
+			maps.Copy(preds, edgePreds(values))
+			for predName, p := range preds {
+				checkKernel(t, shape+"/"+cfgName+"/"+predName, enc,
+					refBits(len(values), func(i int) bool { return p.Match(values[i]) }),
+					func(sel []uint64, cfg *Config) (int, error) { return Int64.Select(enc, p, sel, nil, cfg) },
+					func(cfg *Config) (int, int, error) { return Int64.Count(enc, p, nil, cfg) })
 			}
 		}
 	}
@@ -363,24 +444,18 @@ func TestSelectStringDifferential(t *testing.T) {
 			"range":    {Op: PredRange, Lo: []byte("b"), Hi: []byte("e")},
 			"in":       {Op: PredIn, In: [][]byte{[]byte("gamma"), []byte("zzz"), []byte("x")}},
 			"in-empty": {Op: PredIn},
+			// Edge row: codes 0, 2 and 6 of the full dictionary ("",
+			// alpha, beta, delta, epsilon, gamma, omega, zeta, zzz), 0
+			// and 2 of the low-cardinality one.
+			"in-3codes": {Op: PredIn, In: [][]byte{[]byte(""), []byte("beta"), []byte("omega")}},
 		}
 		for encName, enc := range encodings {
 			for predName, p := range preds {
 				p.Normalize()
-				name := shape + "/" + encName + "/" + predName
-				got := make([]uint64, (len(vals)+63)/64)
-				used, err := String.Select(enc, p, got, nil, cfg)
-				if err != nil {
-					t.Fatalf("%s: String.Select: %v", name, err)
-				}
-				if used != len(enc) {
-					t.Fatalf("%s: consumed %d of %d bytes", name, used, len(enc))
-				}
-				want := refBits(len(vals), func(i int) bool { return p.Match([]byte(vals[i])) })
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: selection mismatch: got %d want %d",
-						name, countBits(got), countBits(want))
-				}
+				checkKernel(t, shape+"/"+encName+"/"+predName, enc,
+					refBits(len(vals), func(i int) bool { return p.Match([]byte(vals[i])) }),
+					func(sel []uint64, cfg *Config) (int, error) { return String.Select(enc, p, sel, nil, cfg) },
+					func(cfg *Config) (int, int, error) { return String.Count(enc, p, nil, cfg) })
 			}
 		}
 	}
