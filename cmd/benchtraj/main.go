@@ -10,9 +10,10 @@
 // BenchmarkCompressBaseline grid plus FSST training/encoding and the
 // block-profile pass; for serve: BenchmarkBlockWire — BTBK frame encode,
 // decode and loopback fetch per type; for query: the BenchmarkSelect grid
-// of selection kernels per stream × predicate × mode), parses their output, and writes a schema'd JSON
-// snapshot to the suite's file: MB/s, ns/op and B/op per benchmark, host
-// metadata, and the git SHA the numbers were measured at.
+// of selection kernels per stream × predicate × mode), parses their
+// output, and writes a schema'd JSON snapshot to the suite's file: MB/s,
+// ns/op and B/op per benchmark, host metadata, and the git SHA the
+// numbers were measured at.
 //
 // `benchtraj compare -suite decode` re-runs the same benchmarks and fails
 // (exit 1) if any regressed against the suite's committed file by more

@@ -87,8 +87,9 @@ func intShapes(rng *rand.Rand) map[string][]int32 {
 // In sets on either side of the cut-offs of the mask word (span 63 and
 // 64) and of the bitset (span 65,535 and 65,536); In members and Eq
 // below the reference (the smallest value) and negative; Eq just above
-// the values' envelope [ref, ref+2^w-1]; and ranges straddling each edge
-// of the envelope. Values saturate at the bounds of T.
+// the values' envelope [ref, ref+2^w-1]; ranges straddling each edge of
+// the envelope; and In members inside and past a block's 64-value mask
+// window. Values saturate at the bounds of T.
 func edgePreds[T int32 | int64](values []T) map[string]*Pred[T] {
 	mn, mx := T(0), T(0)
 	if len(values) > 0 {
