@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-smoke bench-baseline bench-compare ci serve-smoke trace-smoke ingest-smoke ingest-bench spans-smoke cluster-smoke chaos fuzz-smoke query-smoke loc
+.PHONY: all build test race vet fmt check bench bench-smoke bench-baseline bench-compare ci trace-smoke ingest-smoke ingest-bench cluster-smoke chaos fuzz-smoke query-smoke loc
 
 all: build
 
@@ -24,37 +24,26 @@ fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# serve-smoke starts btrserved on a generated corpus (debug server
-# included) and verifies every endpoint against direct in-process
-# decompression.
-serve-smoke:
-	$(GO) run ./cmd/btrserved -smoke
-
-# ingest-smoke is the end-to-end crash-safety gate for the ingestion
-# service: btringest spawns itself as a child on a loopback port, kills
-# it with SIGKILL mid-append, restarts it, and verifies that the
-# published chunks decode to exactly the acknowledged rows.
+# ingest-smoke is the end-to-end crash-safety and tracing gate for the
+# ingestion service: btringest spawns itself as a child on a loopback
+# port, kills it with SIGKILL mid-append, restarts it, and verifies that
+# the published chunks decode to exactly the acknowledged rows; it then
+# drives one trace ID across two processes (append → WAL → flush →
+# cascade compress → atomic publish → invalidate → serve) and asserts
+# both span stores return the trace with parent/child links intact.
 ingest-smoke:
 	$(GO) run ./cmd/btringest -smoke
 
-# cluster-smoke is the replicated-serving chaos gate: btrrouted places a
-# generated corpus over three child node processes with R=2, verifies
-# every file scans bit-correct through the router, flips a byte on one
-# replica (scans must stay correct while the repair loop heals it),
-# SIGKILLs a node mid-scan (scans must keep completing off the
-# survivors), and proves hedged requests fire and win against a
-# latency-skewed replica — all visible in /metrics and /v1/spans.
+# cluster-smoke is the node-kill gate: btrrouted places a generated
+# corpus over three child node processes with R=2, scans every file
+# through the router in a loop, and SIGKILLs a node mid-scan; every scan
+# must still complete bit-correct off the survivors, the prober must
+# mark the node down, the scatter-gather count must still agree and
+# /metrics must show the failover. Everything one process can check
+# (btrserved's endpoints, repair, hedging, routed queries) is an
+# in-package test of internal/blockstore or internal/cluster.
 cluster-smoke:
 	$(GO) run ./cmd/btrrouted -smoke
-
-# spans-smoke is the end-to-end tracing gate: both server smokes assert
-# their /v1/spans endpoints. btrserved validates its recorded server
-# spans and telemetry exemplar links; btringest drives one trace ID
-# across two processes (append → WAL → flush → cascade compress →
-# atomic publish → invalidate → serve) and asserts both span stores
-# return the trace with parent/child links intact.
-spans-smoke: serve-smoke ingest-smoke
-	@echo "spans smoke: OK"
 
 # ingest-bench single-shots the ingestion benchmarks (rows/s vs batch
 # size, group-commit scaling, flush+publish) so the harness cannot
@@ -120,9 +109,9 @@ loc:
 
 # check is the full gate: format, vet, build, tests (incl. race), and
 # the end-to-end smoke tests. ci.sh splits the same steps into a fast
-# tier 1 (fmt, build, test, race) and a deep tier 2 (vet, fuzz smoke,
-# chaos gate, smokes).
-check: fmt vet build test race chaos query-smoke fuzz-smoke serve-smoke trace-smoke ingest-smoke cluster-smoke
+# tier 1 (fmt, build, test, race, the ingest, cluster and query smokes)
+# and a deep tier 2 (vet, fuzz smoke, chaos gate, trace smoke).
+check: fmt vet build test race chaos query-smoke fuzz-smoke trace-smoke ingest-smoke cluster-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

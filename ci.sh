@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate. Usage: ci.sh [tier1|tier2|all]
 #
-#   tier1  fast gate: formatting, build, tests, race tests
-#   tier2  deep gate: vet, fuzz smoke, benchmark module tests, chaos gate, end-to-end smokes
+#   tier1  fast gate: formatting, grep gates, build, tests, race tests, ingest/cluster/query smokes
+#   tier2  deep gate: vet, fuzz smoke, benchmark module tests, chaos gate, trace smoke
 #   all    both (default)
 set -eu
 
@@ -131,6 +131,23 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one smoke per process boundary =="
+	# A -smoke mode checks only what needs a real child process: btringest
+	# SIGKILLs its child mid-append and follows one trace across
+	# processes, btrrouted SIGKILLs a node mid-scan. Whatever runs in one
+	# process is an in-package test, so btrserved has no -smoke.
+	smokes="$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+		'\.Bool(Var)?\((&[^,]+, *)?"smoke"' . | sort | tr '\n' ' ')"
+	if [ "$smokes" != "./cmd/btringest/main.go ./cmd/btrrouted/main.go " ]; then
+		echo "smoke flags registered in: $smokes"
+		echo 'only cmd/btringest/main.go and cmd/btrrouted/main.go may register a -smoke flag'
+		exit 1
+	fi
+	for f in $smokes; do
+		grep -q 'smoke\.StartChild(' "$f" ||
+			{ echo "$f: its -smoke must spawn a child process (smoke.StartChild)"; exit 1; }
+	done
+
 	echo "== go build =="
 	go build ./...
 
@@ -145,23 +162,22 @@ run_tier1() {
 	# the race detector.
 	go test -race -short -timeout 30m ./...
 
-	echo "== spans smoke =="
+	echo "== ingest smoke =="
 	# End-to-end crash safety plus cross-process tracing: btringest
 	# spawns a child server, SIGKILLs it mid-append, restarts it, and
 	# verifies the published chunks hold exactly the acknowledged rows;
 	# it then drives one trace ID through append → WAL → flush →
 	# publish → invalidate into a second span-recording server and
-	# asserts /v1/spans continuity on both sides. btrserved's smoke
-	# validates its own span store and exemplar links the same way.
-	make spans-smoke
+	# asserts /v1/spans continuity on both sides.
+	make ingest-smoke
 
 	echo "== cluster smoke =="
-	# Replicated serving: btrrouted scatter-gathers a 3-node cluster
-	# (R=2), a byte-flipped replica must fail over and heal via
-	# cross-replica repair, a SIGKILLed node must not fail any in-flight
-	# scan, and hedged requests must beat a latency-skewed replica.
-	# Its smoke also routes a /v1/query plan (leaf scatter + bitmap
-	# gather) and re-runs one degraded against the damaged replica.
+	# Replicated serving across processes: btrrouted routes over three
+	# child node processes (R=2) and SIGKILLs one mid-scan; every
+	# in-flight scan must still complete bit-correct off the survivors,
+	# the prober must mark the node down, and the scatter-gather count
+	# must still agree. Repair, hedging and routed queries are
+	# internal/cluster tests.
 	make cluster-smoke
 
 	echo "== query smoke =="
@@ -171,8 +187,7 @@ run_tier1() {
 	# matrix, /v1/query's status-code contract on a single node (plan
 	# errors 400, missing column 404, corrupt block 422, never 5xx,
 	# sidecar pruning live), and cluster scatter-gather equivalence with
-	# a damaged replica. The serving smokes above exercise the same
-	# engine end to end over HTTP.
+	# a damaged replica.
 	make query-smoke
 }
 
@@ -213,13 +228,6 @@ run_tier2() {
 	# Fault-injection suite: seeded corruption of every container format
 	# must be detected, and the served degradation paths must hold.
 	make chaos
-
-	echo "== serve smoke =="
-	# End-to-end: btrserved serves a generated corpus on a loopback port
-	# (debug/pprof server included) and every endpoint — blocks,
-	# predicates, traces, metrics — is verified against direct in-process
-	# decompression.
-	go run ./cmd/btrserved -smoke
 
 	echo "== trace smoke =="
 	# The decision-trace CLI must emit a schema-valid trace for the

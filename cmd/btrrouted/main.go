@@ -18,15 +18,15 @@
 //	          [-debug-addr HOST:PORT] [-log-level LEVEL] [-span-sample N] [-span-slow D]
 //	btrrouted -smoke
 //
-// -smoke is the cluster chaos gate: it generates a corpus, places it
-// over three child node processes with R=2, then (1) verifies every
-// file scans bit-correct through the router, (2) flips a byte on one
-// replica of a multi-block file and proves scans stay correct while
-// the repair loop heals the damaged replica, (3) SIGKILLs a node
-// mid-scan and proves every scan still returns complete, bit-correct
-// results, and (4) proves hedged requests fire and win against a
-// latency-skewed replica — with the repair/hedge/failover activity
-// visible in /metrics and /v1/spans. It exits non-zero on any miss.
+// -smoke is the node-kill gate, the one check here that needs real
+// processes: it generates a corpus, places it over three child node
+// processes with R=2, reads every file through the router in a loop,
+// SIGKILLs a node mid-scan, and proves every scan still returns
+// complete, bit-correct results off the survivors, the prober marks
+// the node down, the scatter-gather count still agrees and /metrics
+// shows the failover. It exits non-zero on any miss. Scatter counts,
+// routed queries, repair and hedging run in one process and are
+// checked by internal/cluster's tests.
 package main
 
 import (
@@ -35,13 +35,10 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +48,6 @@ import (
 	"btrblocks/internal/cluster"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
-	"btrblocks/internal/query"
 	"btrblocks/internal/serverkit"
 	"btrblocks/internal/smoke"
 )
@@ -68,7 +64,7 @@ func main() {
 		hedgeInit = flag.Duration("hedge-initial", 25*time.Millisecond, "hedge budget before latency history exists")
 		hedgeMax  = flag.Duration("hedge-max", 250*time.Millisecond, "upper clamp on the p95-derived hedge budget")
 		noHedge   = flag.Bool("no-hedge", false, "disable hedged block fetches")
-		smokeTest = flag.Bool("smoke", false, "self-test: 3-node cluster, byte-flip repair, mid-scan node kill, hedging")
+		smokeTest = flag.Bool("smoke", false, "self-test: 3 child nodes, one SIGKILLed mid-scan, every scan stays bit-correct")
 
 		// Hidden child mode used by -smoke: serve one directory as a
 		// plain blockstore node (a btrserved stand-in in this binary).
@@ -165,15 +161,13 @@ func runNode(dir string, kit *serverkit.Flags, logger *slog.Logger) error {
 }
 
 // ---------------------------------------------------------------------------
-// Smoke: the cluster chaos gate.
+// Smoke: the node-kill gate.
 
 // smokeNode is one child node process of the smoke cluster.
 type smokeNode struct {
 	name string
-	dir  string
 	cmd  *exec.Cmd
 	base string
-	cl   *blockstore.Client
 }
 
 func runSmoke() error {
@@ -202,10 +196,8 @@ func runSmoke() error {
 	if err != nil {
 		return err
 	}
-	placed := make([][]int, len(columns)) // node indices, in preference order
-	for i, c := range columns {
-		placed[i] = ring.Place(c.Name, replicas)
-		for _, ni := range placed[i] {
+	for _, c := range columns {
+		for _, ni := range ring.Place(c.Name, replicas) {
 			if err := smoke.WriteFile(filepath.Join(work, names[ni]), c.Name, c.Data); err != nil {
 				return err
 			}
@@ -227,38 +219,30 @@ func runSmoke() error {
 		}
 	}()
 	for i, name := range names {
-		dir := filepath.Join(work, name)
 		cmd, base, err := smoke.StartChild(self, filepath.Join(work, name+".addr"),
-			"-node-dir", dir, "-log-level", "warn")
+			"-node-dir", filepath.Join(work, name), "-log-level", "warn")
 		if err != nil {
 			return err
 		}
-		nodes[i] = &smokeNode{name: name, dir: dir, cmd: cmd, base: base, cl: blockstore.NewClient(base)}
+		nodes[i] = &smokeNode{name: name, cmd: cmd, base: base}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	// The router under test: health probes every 100ms so the kill phase
-	// converges fast; hedging off so the repair phase's damage detection
-	// is deterministic (a dedicated hedge phase covers hedging).
+	// The router under test, as shipped but for health probes every
+	// 100ms and a short down-TTL, so the kill converges fast.
 	specs := make([]string, len(nodes))
 	for i, n := range nodes {
 		specs[i] = n.name + "=" + n.base
 	}
 	logger := obs.NewLogger(os.Stderr, slog.LevelWarn)
-	spans := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrrouted", Logger: logger})
 	router, err := cluster.NewRouter(cluster.Config{
-		Nodes:          specs,
-		Replicas:       replicas,
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   time.Second,
-		DownTTL:        500 * time.Millisecond,
-		AttemptTimeout: 2 * time.Second,
-		DisableHedge:   true,
-		RepairBackoff:  50 * time.Millisecond,
-		Log:            logger,
-		Spans:          spans,
+		Nodes:         specs,
+		Replicas:      replicas,
+		ProbeInterval: 100 * time.Millisecond,
+		DownTTL:       500 * time.Millisecond,
+		Log:           logger,
 	})
 	if err != nil {
 		return err
@@ -271,77 +255,21 @@ func runSmoke() error {
 	}
 	defer stop()
 	cl := blockstore.NewClient(routerBase)
-
-	// Phase 1: the whole corpus reads complete and bit-correct through
-	// the router, and the scatter-gather count agrees with ground truth.
 	if err := cl.Healthz(ctx); err != nil {
 		return err
 	}
-	metas, err := cl.Files(ctx)
-	if err != nil {
-		return err
-	}
-	if len(metas) != len(columns) {
-		return fmt.Errorf("router lists %d files, wrote %d", len(metas), len(columns))
-	}
-	for i := range columns {
-		if err := smoke.CheckColumn(ctx, cl, columns[i].Name, columns[i].Col, cl.Block); err != nil {
-			return fmt.Errorf("phase 1: %s: %v", columns[i].Name, err)
-		}
-	}
-	if err := checkScatterCount(ctx, routerBase, columns, opt); err != nil {
-		return fmt.Errorf("phase 1 scatter: %v", err)
-	}
-	if err := checkRoutedQuery(ctx, cl, columns, opt); err != nil {
-		return fmt.Errorf("phase 1 query: %v", err)
-	}
-	fmt.Printf("smoke phase 1: %d files scan bit-correct through the router\n", len(columns))
 
-	// Phase 2: flip a byte on one replica and prove scans stay correct
-	// while the repair loop heals the flipped copy.
-	if err := smokeRepair(ctx, router, cl, nodes, columns, placed); err != nil {
-		return fmt.Errorf("phase 2 (repair): %v", err)
-	}
-	// Check spans now, before phase 3's scan volume evicts the repair
-	// span from the recorder's retention ring.
-	ss, err := cl.Spans(ctx, "", 0)
-	if err != nil {
-		return err
-	}
-	if err := smoke.CheckSpanChain(ss, "router.repair", "replica.fetch"); err != nil {
-		return err
-	}
-
-	// Phase 3: SIGKILL one node mid-scan; every scan still returns
-	// complete, bit-correct results off the surviving replicas.
+	// SIGKILL one node mid-scan; every scan still returns complete,
+	// bit-correct results off the surviving replicas.
 	victim := nodes[len(nodes)-1]
 	if err := smokeKill(ctx, routerBase, cl, victim, columns, opt); err != nil {
-		return fmt.Errorf("phase 3 (kill): %v", err)
+		return fmt.Errorf("node kill: %v", err)
 	}
-
-	// The router's metrics and spans must show the failover, damage, and
-	// repair activity the phases above caused.
 	text, err := cl.MetricsText(ctx)
 	if err != nil {
 		return err
 	}
-	if err := smoke.CheckMetrics(text,
-		"btrrouted_failovers_total",
-		"btrrouted_damage_detected_total",
-		"btrrouted_repairs_queued_total",
-		"btrrouted_repairs_succeeded_total",
-		"btrrouted_query_plans_total",
-		"btrrouted_query_legs_total",
-	); err != nil {
-		return err
-	}
-
-	// Phase 4: hedged requests against a latency-skewed replica, on a
-	// second router over the two surviving nodes.
-	if err := smokeHedge(ctx, specs[:2], columns, logger); err != nil {
-		return fmt.Errorf("phase 4 (hedge): %v", err)
-	}
-	return nil
+	return smoke.CheckMetrics(text, "btrrouted_failovers_total")
 }
 
 // checkScatterCount asks the router for a cluster-wide equality count
@@ -383,155 +311,6 @@ func checkScatterCount(ctx context.Context, routerBase string, columns []smoke.C
 	if sc.Count != want {
 		return fmt.Errorf("scatter count %q: router %d, local %d", probe, sc.Count, want)
 	}
-	return nil
-}
-
-// sameTable returns indices of columns sharing one dataset prefix and
-// row count — the unit a multi-column plan can range over.
-func sameTable(columns []smoke.Column) []int {
-	byDS := make(map[string][]int)
-	best := ""
-	for i := range columns {
-		ds := columns[i].Name[:strings.LastIndex(columns[i].Name, "/")]
-		key := ds + "\x00" + strconv.Itoa(columns[i].Col.Len())
-		byDS[key] = append(byDS[key], i)
-		if best == "" || len(byDS[key]) > len(byDS[best]) {
-			best = key
-		}
-	}
-	return byDS[best]
-}
-
-// checkRoutedQuery pushes a multi-column and/or plan with aggregates
-// through POST /v1/query on the router and verifies the scatter-
-// gathered answer bit-for-bit against one in-process executor over the
-// whole table; a malformed plan must answer 400.
-func checkRoutedQuery(ctx context.Context, cl *blockstore.Client, columns []smoke.Column, opt *btrblocks.Options) error {
-	table := sameTable(columns)
-	if len(table) < 2 {
-		return fmt.Errorf("no two same-table columns in the corpus")
-	}
-	a, b := &columns[table[0]], &columns[table[1]]
-	// The probe is a's first non-NULL value as a plan literal: integers
-	// bare, doubles and strings quoted.
-	v, _ := smoke.Probe(a.Col)
-	probe := json.RawMessage(v)
-	if a.Col.Type == btrblocks.TypeDouble || a.Col.Type == btrblocks.TypeString {
-		probe, _ = json.Marshal(v)
-	}
-	plan := &query.Plan{
-		Filter: &query.Node{Op: "and", Children: []*query.Node{
-			{Op: "notnull", Column: b.Name},
-			{Op: "or", Children: []*query.Node{
-				{Op: "eq", Column: a.Name, Value: probe},
-				{Op: "notnull", Column: a.Name},
-			}},
-		}},
-		Aggregates: []query.AggSpec{
-			{Op: "count", Column: a.Name},
-			{Op: "min", Column: b.Name},
-			{Op: "max", Column: b.Name},
-		},
-		Rows:   true,
-		Return: query.ReturnBitmap,
-	}
-	var cols []smoke.Column
-	for _, t := range table {
-		cols = append(cols, columns[t])
-	}
-	src, err := smoke.Source(cols...)
-	if err != nil {
-		return err
-	}
-	routed, err := smoke.CheckQuery(ctx, cl, plan, src, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("smoke query: routed plan over %s matched %d of %d rows, aggregates agree\n",
-		a.Name[:strings.LastIndex(a.Name, "/")], routed.Matched, routed.Rows)
-	return nil
-}
-
-// smokeRepair flips one byte inside a middle block of a multi-block
-// column on one replica's disk, reloads that node, and proves (a) the
-// routed read of the damaged block is still bit-correct (failover), and
-// (b) the repair loop pushes the good copy back so a direct re-scan of
-// the healed node succeeds.
-func smokeRepair(ctx context.Context, router *cluster.Router, cl *blockstore.Client, nodes []*smokeNode, columns []smoke.Column, placed [][]int) error {
-	victim, badBlock, damaged, err := smoke.Damage(columns)
-	if err != nil {
-		return err
-	}
-	sc := &columns[victim]
-	// With hedging off, FetchBlock rotates the two healthy replicas by
-	// block index — flip the copy on the node the rotation makes primary
-	// for badBlock, so the routed read deterministically observes the
-	// damage (and enqueues the repair) before failing over.
-	flipped := nodes[placed[victim][badBlock%len(placed[victim])]]
-	path := filepath.Join(flipped.dir, filepath.FromSlash(sc.Name))
-	if err := os.WriteFile(path, damaged, 0o644); err != nil {
-		return err
-	}
-	if _, err := flipped.cl.Invalidate(ctx, sc.Name); err != nil {
-		return fmt.Errorf("reload flipped replica: %v", err)
-	}
-	// The flipped node now refuses the block — prove the damage is real.
-	if _, err := flipped.cl.Block(ctx, sc.Name, badBlock); !blockstore.IsBlockDamage(err) {
-		return fmt.Errorf("flipped replica served block %d without damage error: %v", badBlock, err)
-	}
-
-	// The routed scan must stay complete and bit-correct: the damaged
-	// leg 422s, the router enqueues the repair and fails over.
-	if err := smoke.CheckColumn(ctx, cl, sc.Name, sc.Col, cl.Block); err != nil {
-		return fmt.Errorf("routed scan with damaged replica: %v", err)
-	}
-	m := router.Metrics()
-	if m.DamageDetected.Load() == 0 {
-		return fmt.Errorf("router scanned past damage without detecting it")
-	}
-
-	// A routed query over the damaged column must also stay correct: the
-	// leg that lands on the flipped replica 422s and fails over.
-	src, err := smoke.Source(*sc)
-	if err != nil {
-		return err
-	}
-	qPlan := &query.Plan{
-		Filter:     &query.Node{Op: "notnull", Column: sc.Name},
-		Aggregates: []query.AggSpec{{Op: "count", Column: sc.Name}},
-	}
-	if _, err := smoke.CheckQuery(ctx, cl, qPlan, src, nil); err != nil {
-		return fmt.Errorf("routed query with damaged replica: %v", err)
-	}
-
-	// The repair loop heals the flipped copy: poll the damaged node
-	// directly until its block serves again, then re-scan it end to end.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if _, err := flipped.cl.Block(ctx, sc.Name, badBlock); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica %s not healed within 15s (repairs: ok=%d failed=%d)",
-				flipped.name, m.RepairsSucceeded.Load(), m.RepairsFailed.Load())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err := smoke.CheckColumn(ctx, flipped.cl, sc.Name, sc.Col, flipped.cl.Block); err != nil {
-		return fmt.Errorf("re-scan of healed node %s: %v", flipped.name, err)
-	}
-	raw, err := flipped.cl.Raw(ctx, sc.Name)
-	if err != nil {
-		return err
-	}
-	if len(raw) != len(sc.Data) {
-		return fmt.Errorf("healed copy is %d bytes, want %d", len(raw), len(sc.Data))
-	}
-	if m.RepairsSucceeded.Load() == 0 {
-		return fmt.Errorf("block healed but repairs_succeeded is zero")
-	}
-	fmt.Printf("smoke phase 2: block %d of %s flipped on %s, scan stayed bit-correct, replica healed (repairs=%d)\n",
-		badBlock, sc.Name, flipped.name, m.RepairsSucceeded.Load())
 	return nil
 }
 
@@ -629,118 +408,7 @@ func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, vi
 	if err := checkScatterCount(ctx, routerBase, columns, opt); err != nil {
 		return err
 	}
-	fmt.Printf("smoke phase 3: %s SIGKILLed mid-scan, %d column scans completed bit-correct after the kill\n",
+	fmt.Printf("smoke: %s SIGKILLed mid-scan, %d column scans completed bit-correct after the kill\n",
 		victim.name, scans.Load()-killedAt)
 	return nil
-}
-
-// smokeHedge runs a second router over two healthy nodes with a
-// latency-skewed transport on the primary-leaning node and an instant
-// hedge budget, and proves hedge legs fire, win, and return correct
-// data — with the hedge visible in the router's metrics and spans.
-func smokeHedge(ctx context.Context, specs []string, columns []smoke.Column, logger *slog.Logger) error {
-	// Delay every request through this transport; the other node's
-	// requests go straight through, so the hedge leg reliably wins.
-	slow := &http.Client{Transport: delayTransport{d: 50 * time.Millisecond}}
-	slowName, _, err := cluster.ParseNodeSpec(specs[0])
-	if err != nil {
-		return err
-	}
-	spans := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrrouted", Logger: logger})
-	router, err := cluster.NewRouter(cluster.Config{
-		Nodes:           specs,
-		Replicas:        2,
-		ProbeInterval:   -1, // no background churn; both nodes start up
-		HedgeInitial:    time.Millisecond,
-		HedgeMinSamples: 1 << 30, // pin the budget to HedgeInitial
-		Log:             logger,
-		Spans:           spans,
-		ClientOptions: func(name string) []blockstore.ClientOption {
-			if name == slowName {
-				return []blockstore.ClientOption{blockstore.WithHTTPClient(slow)}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	router.Start()
-	defer router.Close()
-
-	// Scan a column placed on both remaining nodes (R=2 over 2 nodes
-	// places everything on both) through the hedging router directly.
-	hedged := false
-	m := router.Metrics()
-	for i := range columns {
-		sc := &columns[i]
-		meta, err := router.FileMeta(ctx, sc.Name)
-		if err != nil {
-			return err
-		}
-		for b := 0; b < meta.Blocks; b++ {
-			// Root a span per fetch so the replica.fetch children (and
-			// their hedge attribute) are recorded.
-			fctx, fspan := spans.StartRoot(ctx, "smoke.fetch")
-			blk, err := router.FetchBlock(fctx, sc.Name, b)
-			fspan.End()
-			if err != nil {
-				return fmt.Errorf("%s block %d: %v", sc.Name, b, err)
-			}
-			if blk.Rows == 0 {
-				return fmt.Errorf("%s block %d: empty block", sc.Name, b)
-			}
-		}
-		if m.Hedges.Load() > 0 && m.HedgeWins.Load() > 0 {
-			hedged = true
-			break
-		}
-	}
-	if !hedged {
-		return fmt.Errorf("no hedge fired and won (hedges=%d wins=%d)", m.Hedges.Load(), m.HedgeWins.Load())
-	}
-	// The hedge must be visible in the rendered metrics and in a span.
-	var buf strings.Builder
-	if _, err := m.Registry(spans).WriteTo(&buf); err != nil {
-		return err
-	}
-	if !strings.Contains(buf.String(), "btrrouted_hedged_requests_total") ||
-		!strings.Contains(buf.String(), "btrrouted_hedge_wins_total") {
-		return fmt.Errorf("hedge counters missing from metrics exposition")
-	}
-	ss := spans.Snapshot(obs.SpanFilter{})
-	if err := ss.Validate(); err != nil {
-		return err
-	}
-	sawHedgeSpan := false
-	for _, s := range ss.Spans {
-		if s.Name != "replica.fetch" {
-			continue
-		}
-		for _, a := range s.Attrs {
-			if a.Key == "hedge" && a.Value == "true" {
-				sawHedgeSpan = true
-			}
-		}
-	}
-	if !sawHedgeSpan {
-		return fmt.Errorf("no replica.fetch span with hedge=true recorded")
-	}
-	fmt.Printf("smoke phase 4: hedged requests fired=%d won=%d against a %s-skewed replica\n",
-		m.Hedges.Load(), m.HedgeWins.Load(), "50ms")
-	return nil
-}
-
-// delayTransport adds a fixed delay before every round trip.
-type delayTransport struct {
-	d time.Duration
-}
-
-func (t delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	select {
-	case <-time.After(t.d):
-	case <-req.Context().Done():
-		return nil, req.Context().Err()
-	}
-	return http.DefaultTransport.RoundTrip(req)
 }

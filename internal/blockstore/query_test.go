@@ -64,9 +64,9 @@ func queryStore(t *testing.T, contents map[string][]byte) (*Store, *Client) {
 }
 
 // TestQueryEndpointPruning drives POST /v1/query end to end: a narrow
-// range over the sorted timestamp column must answer correctly, skip
-// most blocks via the hosted sidecar, and fold its work into the
-// btrserved_query_* metrics.
+// range over the sorted timestamp column must answer correctly, fold
+// its aggregates, skip most blocks via the hosted sidecar, and fold its
+// work into the btrserved_query_* metrics.
 func TestQueryEndpointPruning(t *testing.T) {
 	contents, ts := queryCorpus(t)
 	store, cl := queryStore(t, contents)
@@ -75,6 +75,11 @@ func TestQueryEndpointPruning(t *testing.T) {
 	plan := &query.Plan{
 		Filter: &query.Node{Op: "range", Column: "m/ts.btr",
 			Lo: jsonRaw(fmt.Sprint(lo)), Hi: jsonRaw(fmt.Sprint(hi))},
+		Aggregates: []query.AggSpec{
+			{Op: "count", Column: "m/ts.btr"},
+			{Op: "min", Column: "m/ts.btr"},
+			{Op: "max", Column: "m/ts.btr"},
+		},
 		Rows: true,
 	}
 	res, err := cl.Query(t.Context(), plan)
@@ -83,6 +88,11 @@ func TestQueryEndpointPruning(t *testing.T) {
 	}
 	if res.Matched != 500 || len(res.RowIDs) != 500 || res.RowIDs[0] != 2100 {
 		t.Fatalf("matched=%d rows=%d first=%v", res.Matched, len(res.RowIDs), res.RowIDs[:1])
+	}
+	for i, want := range []string{"500", fmt.Sprint(lo), fmt.Sprint(hi)} {
+		if a := res.Aggregates[i]; a.Value != want || a.Count != 500 {
+			t.Errorf("aggregate %s: %+v, want value %s over 500 rows", plan.Aggregates[i].Op, a, want)
+		}
 	}
 	if res.Stats.BlocksPruned == 0 || res.Stats.BlocksPruned*2 < res.Stats.BlocksTotal {
 		t.Fatalf("expected >50%% of blocks pruned, got %+v", res.Stats)

@@ -10,10 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"btrblocks"
+	"btrblocks/internal/obs"
+	"btrblocks/internal/pbi"
 )
 
 // writeTree materializes an in-memory corpus as a directory tree.
@@ -73,17 +77,63 @@ func testCorpus(t *testing.T) (map[string][]byte, map[string]btrblocks.Column) {
 	return contents, cols
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Store, *Client, map[string][]byte, map[string]btrblocks.Column) {
+func newTestServer(t *testing.T, cfg Config, opts ...ServerOption) (*Store, *Client, map[string][]byte, map[string]btrblocks.Column) {
 	t.Helper()
 	contents, cols := testCorpus(t)
+	store, cl := serveCorpus(t, contents, cfg, opts...)
+	return store, cl, contents, cols
+}
+
+// serveCorpus serves contents from an in-memory store over httptest.
+func serveCorpus(t *testing.T, contents map[string][]byte, cfg Config, opts ...ServerOption) (*Store, *Client) {
+	t.Helper()
 	store, err := NewStore(contents, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
-	srv := httptest.NewServer(NewServer(store))
+	srv := httptest.NewServer(NewServer(store, opts...))
 	t.Cleanup(srv.Close)
-	return store, NewClient(srv.URL), contents, cols
+	return store, NewClient(srv.URL)
+}
+
+// corpus is a set of served column files and their ground truth, both
+// keyed by store-relative name.
+type corpus struct {
+	contents map[string][]byte
+	cols     map[string]btrblocks.Column
+}
+
+// pbiCorpus compresses every column of the generated Public BI corpus
+// (546 files of integers, doubles and strings, NULLs included) once per
+// test binary. 4,000-row tables in 1,300-row blocks pick every root and
+// nested scheme that 20,000-row tables in 4,096-row blocks pick.
+var pbiCorpus = sync.OnceValues(func() (corpus, error) {
+	c := corpus{contents: make(map[string][]byte), cols: make(map[string]btrblocks.Column)}
+	for _, ds := range pbi.Corpus(4000, 42) {
+		for _, col := range ds.Chunk.Columns {
+			name := ds.Name + "/" + col.Name + ".btr"
+			data, err := btrblocks.CompressColumn(col, &btrblocks.Options{BlockSize: 1300})
+			if err != nil {
+				return corpus{}, fmt.Errorf("%s: %v", name, err)
+			}
+			c.contents[name], c.cols[name] = data, col
+		}
+	}
+	return c, nil
+})
+
+// widePBI returns pbiCorpus, skipping the test under -short.
+func widePBI(t *testing.T) corpus {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("PBI corpus skipped in -short mode")
+	}
+	c, err := pbiCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestServerFilesAndRaw(t *testing.T) {
@@ -124,7 +174,15 @@ func TestServerFilesAndRaw(t *testing.T) {
 }
 
 func TestServerBlocksMatchLocalDecode(t *testing.T) {
-	store, cl, contents, _ := newTestServer(t, Config{})
+	contents, _ := testCorpus(t)
+	t.Run("synthetic", func(t *testing.T) { checkBlocksMatchLocalDecode(t, contents) })
+	t.Run("pbi", func(t *testing.T) { checkBlocksMatchLocalDecode(t, widePBI(t).contents) })
+}
+
+// checkBlocksMatchLocalDecode serves contents and checks every block, in
+// both wire formats, against a local decode of the same file.
+func checkBlocksMatchLocalDecode(t *testing.T, contents map[string][]byte) {
+	store, cl := serveCorpus(t, contents, Config{})
 	ctx := context.Background()
 	opt := store.Options()
 
@@ -192,17 +250,56 @@ func checkBlockAgainst(t *testing.T, blk *BlockValues, full *btrblocks.Column, n
 }
 
 func TestServerCountEqMatchesLocal(t *testing.T) {
-	_, cl, _, cols := newTestServer(t, Config{})
+	t.Run("synthetic", func(t *testing.T) {
+		contents, cols := testCorpus(t)
+		checkCountEqMatchesLocal(t, corpus{contents, cols}, map[string][]string{
+			"t/i.btr": {"7", "250", "-1"},
+			"t/l.btr": {fmt.Sprint(int64(3) << 30), "0", "-1"},
+			"t/d.btr": {"2.25", "0.25", "-7"},
+			"t/s.btr": {"city-3", "city-11", "nowhere"},
+		})
+	})
+	t.Run("pbi", func(t *testing.T) {
+		// Per column, a sure miss and the first non-NULL value.
+		c := widePBI(t)
+		probes := make(map[string][]string, len(c.cols))
+		for name, col := range c.cols {
+			probes[name] = []string{"-987654321"}
+			if col.Type == btrblocks.TypeString {
+				probes[name] = []string{"no-such-value"}
+			}
+			for i := 0; i < col.Len(); i++ {
+				if !col.Nulls.IsNull(i) {
+					probes[name] = append(probes[name], literalAt(&col, i))
+					break
+				}
+			}
+		}
+		checkCountEqMatchesLocal(t, c, probes)
+	})
+}
+
+// literalAt renders row i of col as a count-eq literal.
+func literalAt(col *btrblocks.Column, i int) string {
+	switch col.Type {
+	case btrblocks.TypeInt:
+		return strconv.Itoa(int(col.Ints[i]))
+	case btrblocks.TypeInt64:
+		return strconv.FormatInt(col.Ints64[i], 10)
+	case btrblocks.TypeDouble:
+		return strconv.FormatFloat(col.Doubles[i], 'g', -1, 64)
+	}
+	return col.Strings.At(i)
+}
+
+// checkCountEqMatchesLocal serves c and checks the pushed-down count of
+// every probe against the ground-truth rows.
+func checkCountEqMatchesLocal(t *testing.T, c corpus, probes map[string][]string) {
+	_, cl := serveCorpus(t, c.contents, Config{})
 	ctx := context.Background()
 
-	probes := map[string][]string{
-		"t/i.btr": {"7", "250", "-1"},
-		"t/l.btr": {fmt.Sprint(int64(3) << 30), "0", "-1"},
-		"t/d.btr": {"2.25", "0.25", "-7"},
-		"t/s.btr": {"city-3", "city-11", "nowhere"},
-	}
 	for name, values := range probes {
-		col := cols[name]
+		col := c.cols[name]
 		for _, v := range values {
 			res, err := cl.CountEq(ctx, name, v)
 			if err != nil {
@@ -273,7 +370,7 @@ func TestServerErrorPaths(t *testing.T) {
 func TestServerTelemetryAndMetrics(t *testing.T) {
 	_, cl, _, _ := newTestServer(t, Config{
 		Options: &btrblocks.Options{Telemetry: btrblocks.NewTelemetry()},
-	})
+	}, WithSpans(obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved"})))
 	ctx := context.Background()
 
 	// Generate traffic: two hits on the same block.
@@ -295,6 +392,34 @@ func TestServerTelemetryAndMetrics(t *testing.T) {
 	}
 	if len(rep.Telemetry.Events) != 0 {
 		t.Fatal("per-block events must be stripped from the wire report")
+	}
+	if len(rep.SpanExemplars) == 0 {
+		t.Error("/v1/telemetry links no span exemplars after traffic")
+	}
+
+	// Each fetch ran under a btrserved/v1/block root span, and the miss
+	// recorded its decode as a child in the same trace.
+	ss, err := cl.Spans(ctx, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	roots := make(map[string]string) // span ID -> trace ID
+	for _, s := range ss.Spans {
+		if s.Name == "btrserved/v1/block" && s.ParentID == "" {
+			roots[s.SpanID] = s.TraceID
+		}
+	}
+	decodes := 0
+	for _, s := range ss.Spans {
+		if trace, ok := roots[s.ParentID]; ok && s.Name == "block.decode" && s.TraceID == trace {
+			decodes++
+		}
+	}
+	if len(roots) != 2 || decodes != 1 {
+		t.Errorf("recorded %d btrserved/v1/block roots and %d linked block.decode children, want 2 and 1", len(roots), decodes)
 	}
 
 	text, err := cl.MetricsText(ctx)

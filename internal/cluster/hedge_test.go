@@ -3,10 +3,13 @@ package cluster
 import (
 	"net/http"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"btrblocks/internal/blockstore"
+	"btrblocks/internal/obs"
 )
 
 // delayTransport injects a fixed latency before every round trip —
@@ -25,7 +28,8 @@ func (t delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // hedgeCluster builds a 2-node cluster (R=2, so every file is on both)
-// with per-node injected latency and an instant hedge budget.
+// with per-node injected latency, an instant hedge budget and a span
+// recorder.
 func hedgeCluster(t *testing.T, delays map[string]time.Duration) (*Router, map[string][]byte, []*testNode) {
 	t.Helper()
 	contents, _ := testCorpus(t)
@@ -36,6 +40,7 @@ func hedgeCluster(t *testing.T, delays map[string]time.Duration) (*Router, map[s
 		Replicas:        2,
 		HedgeInitial:    time.Millisecond,
 		HedgeMinSamples: 1 << 30, // pin the budget to HedgeInitial
+		Spans:           obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrrouted"}),
 		ClientOptions: func(name string) []blockstore.ClientOption {
 			if d, ok := delays[name]; ok && d > 0 {
 				return []blockstore.ClientOption{
@@ -65,7 +70,10 @@ func TestHedgeSecondaryWins(t *testing.T) {
 	slow := primaryFor(probe, file, 0)
 	r, _, _ := hedgeCluster(t, map[string]time.Duration{slow: 80 * time.Millisecond})
 
-	blk, err := r.FetchBlock(testCtx, file, 0)
+	// A root span over the fetch makes the replica legs record theirs.
+	ctx, root := r.spans.StartRoot(testCtx, "fetch")
+	blk, err := r.FetchBlock(ctx, file, 0)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +88,33 @@ func TestHedgeSecondaryWins(t *testing.T) {
 		t.Fatalf("hedge wins %d, want 1 (secondary should beat the %v primary)", m.HedgeWins.Load(), 80*time.Millisecond)
 	}
 	// Exactly one primary leg and one hedge leg — nothing double-fired.
-	total := int64(0)
-	for _, n := range []string{"n1", "n2"} {
-		total += m.ReplicaRequests.At(n).Load()
-	}
-	if total != 2 {
+	// The losing leg counts itself when its goroutine runs, which can be
+	// after the fetch has returned.
+	legs := func() int64 { return m.ReplicaRequests.At("n1").Load() + m.ReplicaRequests.At("n2").Load() }
+	waitFor(t, 5*time.Second, "both legs counted", func() bool { return legs() >= 2 })
+	if total := legs(); total != 2 {
 		t.Fatalf("replica requests %d, want 2 (primary + hedge)", total)
+	}
+	// The hedge shows in the exposition and as a replica.fetch span
+	// tagged hedge=true under the fetch.
+	var text strings.Builder
+	if _, err := m.Registry(r.spans).WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"btrrouted_hedged_requests_total 1\n", "btrrouted_hedge_wins_total 1\n"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	hedgeSpans := 0
+	for _, s := range r.spans.Snapshot(obs.SpanFilter{}).Spans {
+		if s.Name == "replica.fetch" && s.ParentID == root.SpanID().String() &&
+			slices.Contains(s.Attrs, obs.Attr{Key: "hedge", Value: "true"}) {
+			hedgeSpans++
+		}
+	}
+	if hedgeSpans != 1 {
+		t.Errorf("%d replica.fetch spans with hedge=true under the fetch, want 1", hedgeSpans)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"btrblocks"
 	"btrblocks/internal/blockstore"
+	"btrblocks/internal/obs"
 )
 
 // Through the router, every file reads complete and bit-correct even
@@ -92,18 +94,22 @@ func TestRouterDamageFailoverAndRepair(t *testing.T) {
 	perNode[damagedNode][victim] = flipBlockByte(t, contents[victim], badBlock)
 
 	nodes, specs := startNodes(t, names, perNode, blockstore.Config{QuarantineThreshold: 1})
-	r := newTestRouter(t, specs, Config{Replicas: 2, DisableHedge: true})
+	spans := obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrrouted"})
+	r := newTestRouter(t, specs, Config{Replicas: 2, DisableHedge: true, Spans: spans})
 
 	// Sanity: the damaged node really refuses the block.
 	if _, err := nodes[damagedNode].cl.Block(testCtx, victim, badBlock); !blockstore.IsBlockDamage(err) {
 		t.Fatalf("damaged replica served block: %v", err)
 	}
 
-	// The routed read is still bit-correct.
+	// The routed read is still bit-correct. It runs under a root span so
+	// the replica legs record theirs.
 	blocks := blockCount(t, contents[victim])
+	ctx, scan := spans.StartRoot(testCtx, "scan")
 	verifyColumn(t, cols[victim], blocks, func(b int) (*blockstore.BlockValues, error) {
-		return r.FetchBlock(testCtx, victim, b)
+		return r.FetchBlock(ctx, victim, b)
 	})
+	scan.End()
 	m := r.Metrics()
 	if m.DamageDetected.Load() == 0 {
 		t.Fatal("router read past damage without detecting it")
@@ -117,8 +123,35 @@ func TestRouterDamageFailoverAndRepair(t *testing.T) {
 	verifyColumn(t, cols[victim], blocks, func(b int) (*blockstore.BlockValues, error) {
 		return nodes[damagedNode].cl.Block(testCtx, victim, b)
 	})
-	if m.RepairsSucceeded.Load() == 0 {
-		t.Error("repairs_succeeded is zero after the heal")
+
+	// The spans tell the same story: the leg that met the damage failed
+	// under the scan, and the repair it queued ran as a router.repair
+	// root for the damaged node.
+	onDamaged := obs.Attr{Key: "node", Value: names[damagedNode]}
+	waitFor(t, 5*time.Second, "router.repair span", func() bool {
+		for _, s := range spans.Snapshot(obs.SpanFilter{}).Spans {
+			if s.Name == "router.repair" && s.ParentID == "" && slices.Contains(s.Attrs, onDamaged) {
+				return true
+			}
+		}
+		return false
+	})
+	// The repair span ends after its counters move.
+	if m.RepairsQueued.Load() == 0 || m.RepairsSucceeded.Load() == 0 {
+		t.Errorf("repairs queued %d, succeeded %d after the heal", m.RepairsQueued.Load(), m.RepairsSucceeded.Load())
+	}
+	ss := spans.Snapshot(obs.SpanFilter{})
+	if err := ss.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	failedLegs := 0
+	for _, s := range ss.Spans {
+		if s.Name == "replica.fetch" && s.Error && s.ParentID == scan.SpanID().String() && slices.Contains(s.Attrs, onDamaged) {
+			failedLegs++
+		}
+	}
+	if failedLegs != 1 {
+		t.Errorf("%d failed replica.fetch spans on the damaged node under the scan, want 1", failedLegs)
 	}
 }
 

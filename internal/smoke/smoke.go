@@ -1,14 +1,14 @@
 // Package smoke holds the helpers the server binaries' -smoke self-tests
 // share: a generated corpus and its writer, in-process and child-process
 // servers, and the checks that compare what a server returns with the
-// ground truth — served blocks against columns, span chains, and
-// non-zero metrics.
+// ground truth — served blocks against columns and non-zero metrics. A
+// smoke checks only what needs a real child process (a SIGKILL, the
+// -addr-file handshake, spans across processes); whatever runs in one
+// process is an in-package test.
 package smoke
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,16 +16,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"btrblocks"
 	"btrblocks/internal/blockstore"
-	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
-	"btrblocks/internal/query"
 )
 
 // Column is one generated column: its served name, the compressed file
@@ -149,7 +146,7 @@ func CheckColumn(ctx context.Context, cl *blockstore.Client, name string, col bt
 		if blk.StartRow != rows {
 			return fmt.Errorf("block %d starts at %d, want %d", b, blk.StartRow, rows)
 		}
-		if err := CheckBlock(blk, col, rows); err != nil {
+		if err := checkBlock(blk, col, rows); err != nil {
 			return fmt.Errorf("block %d: %v", b, err)
 		}
 		rows += blk.Rows
@@ -160,9 +157,9 @@ func CheckColumn(ctx context.Context, cl *blockstore.Client, name string, col bt
 	return nil
 }
 
-// CheckBlock checks a served block's values and NULL positions against
+// checkBlock checks a served block's values and NULL positions against
 // rows [start, start+blk.Rows) of col.
-func CheckBlock(blk *blockstore.BlockValues, col btrblocks.Column, start int) error {
+func checkBlock(blk *blockstore.BlockValues, col btrblocks.Column, start int) error {
 	if start+blk.Rows > col.Len() {
 		return fmt.Errorf("%d rows from row %d overrun the column's %d", blk.Rows, start, col.Len())
 	}
@@ -203,25 +200,6 @@ func CheckBlock(blk *blockstore.BlockValues, col btrblocks.Column, start int) er
 	return nil
 }
 
-// Damage picks the first column of at least two blocks and returns its
-// index, its middle block and its bytes with one byte of that block's
-// compressed stream flipped — damage the block's checksum catches.
-func Damage(cols []Column) (victim, block int, damaged []byte, err error) {
-	for i, c := range cols {
-		ix, err := btrblocks.ParseColumnIndex(c.Data)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if len(ix.Blocks) >= 2 {
-			block = len(ix.Blocks) / 2
-			damaged = append([]byte(nil), c.Data...)
-			damaged[ix.Blocks[block].DataOffset()] ^= 0xFF
-			return i, block, damaged, nil
-		}
-	}
-	return 0, 0, nil, errors.New("no multi-block column in the corpus")
-}
-
 // Probe returns the first non-NULL value of col as a predicate literal
 // of the wire protocol, or false when every row is NULL.
 func Probe(col btrblocks.Column) (string, bool) {
@@ -260,81 +238,6 @@ func LocalCount(data []byte, value string, opt *btrblocks.Options) (int, error) 
 		}
 	}
 	return n, err
-}
-
-// Source indexes compressed columns for an in-process query executor.
-func Source(cols ...Column) (query.MemSource, error) {
-	src := query.MemSource{}
-	for _, c := range cols {
-		ix, err := btrblocks.ParseColumnIndex(c.Data)
-		if err != nil {
-			return nil, err
-		}
-		src[c.Name] = &query.Col{Index: ix, Data: c.Data}
-	}
-	return src, nil
-}
-
-// CheckQuery runs plan on the server behind cl and in-process over src,
-// and checks the answers are identical: rows, matches, row IDs, bitmap
-// and aggregates (how much work each side did may differ). It also
-// checks the server answers a malformed plan with 400, never 5xx. It
-// returns the served result.
-func CheckQuery(ctx context.Context, cl *blockstore.Client, plan *query.Plan, src query.MemSource, opt *btrblocks.Options) (*query.Result, error) {
-	served, err := cl.Query(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	local, err := (&query.Executor{Source: src, Options: opt}).Run(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	if served.Rows != local.Rows || served.Matched != local.Matched || !slices.Equal(served.RowIDs, local.RowIDs) ||
-		!bytes.Equal(served.Bitmap, local.Bitmap) || !slices.Equal(served.Aggregates, local.Aggregates) {
-		return nil, fmt.Errorf("served result diverges from the local executor: rows=%d/%d matched=%d/%d aggregates %+v vs %+v",
-			served.Rows, local.Rows, served.Matched, local.Matched, served.Aggregates, local.Aggregates)
-	}
-	resp, err := http.Post(cl.Endpoint()+"/v1/query", "application/json", strings.NewReader(`{"filter":{"op":"between"}}`))
-	if err != nil {
-		return nil, err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		return nil, fmt.Errorf("malformed plan answered %d, want 400", resp.StatusCode)
-	}
-	return served, nil
-}
-
-// CheckSpanChain validates a span set and checks it holds a root span
-// named root and a span named child whose parent is recorded in the set
-// under the same trace.
-func CheckSpanChain(ss *obs.SpanSet, root, child string) error {
-	if err := ss.Validate(); err != nil {
-		return err
-	}
-	if len(ss.Spans) == 0 {
-		return errors.New("/v1/spans is empty after traffic")
-	}
-	byID := make(map[string]obs.SpanRecord, len(ss.Spans))
-	for _, s := range ss.Spans {
-		byID[s.SpanID] = s
-	}
-	sawRoot, sawChild := false, false
-	for _, s := range ss.Spans {
-		if s.Name == root && s.ParentID == "" {
-			sawRoot = true
-		}
-		if p, ok := byID[s.ParentID]; ok && s.Name == child && p.TraceID == s.TraceID {
-			sawChild = true
-		}
-	}
-	if !sawRoot {
-		return fmt.Errorf("no %s root span recorded", root)
-	}
-	if !sawChild {
-		return fmt.Errorf("no %s span linked to a recorded parent", child)
-	}
-	return nil
 }
 
 // CheckMetrics checks that every named unlabeled series is present in a
