@@ -1,12 +1,12 @@
-// Benchmarks mirroring the paper's evaluation (§6): one testing.B target
-// per table and figure, operating on the synthetic Public BI / TPC-H
-// corpora. `go test -bench=. -benchmem` reports throughput where the
-// experiment is about speed and custom metrics (ratio, $/scan, %-correct)
-// where it is about compression or cost. `cmd/btrbench` runs the same
-// experiments at larger scale with full table output.
+// Benchmarks of the library's layers: per-scheme decode and compress,
+// selection kernels, whole-column and whole-chunk decode, the §6.4
+// parallel curves and the cost of telemetry and span tracing. The
+// BENCH_*.json trajectories are recorded from them (cmd/benchtraj); the
+// paper's tables and figures are regenerated by cmd/btrbench.
 package btrblocks_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -14,14 +14,9 @@ import (
 
 	"btrblocks"
 	"btrblocks/coldata"
-	"btrblocks/internal/codec"
 	"btrblocks/internal/core"
-	"btrblocks/internal/experiments"
-	"btrblocks/internal/floatbase"
-	"btrblocks/internal/orclike"
-	"btrblocks/internal/parquetlike"
+	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
-	"btrblocks/internal/s3sim"
 	"btrblocks/internal/tpch"
 )
 
@@ -41,417 +36,6 @@ func corpora() ([]pbi.Dataset, []pbi.Dataset) {
 		}
 	})
 	return pbiCorpus, tpchCorpus
-}
-
-type blob struct {
-	name string
-	data []byte
-}
-
-func compressAll(b *testing.B, f experiments.Format, corpus []pbi.Dataset) (blobs []blob, unc, comp int) {
-	b.Helper()
-	for _, ds := range corpus {
-		for _, col := range ds.Chunk.Columns {
-			data, err := f.Compress(col)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blobs = append(blobs, blob{col.Name, data})
-			unc += col.UncompressedBytes()
-			comp += len(data)
-		}
-	}
-	return blobs, unc, comp
-}
-
-func scanAll(b *testing.B, f experiments.Format, blobs []blob) {
-	b.Helper()
-	for _, bl := range blobs {
-		if _, err := f.Scan(bl.data, bl.name); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 1 / Table 5: S3 scan cost ---
-
-func BenchmarkFig1Table5_S3ScanCost(b *testing.B) {
-	corpus := pbi.Largest5(benchRows, 42)
-	model := s3sim.Default()
-	for _, f := range []experiments.Format{
-		experiments.BtrFormat(btrblocks.DefaultOptions()),
-		experiments.ParquetFormat(codec.None),
-		experiments.ParquetFormat(codec.Snappy),
-		experiments.ParquetFormat(codec.Heavy),
-	} {
-		f := f
-		b.Run(f.Name, func(b *testing.B) {
-			store := s3sim.NewStore()
-			var objects []s3sim.Object
-			unc := 0
-			for _, ds := range corpus {
-				for _, col := range ds.Chunk.Columns {
-					data, err := f.Compress(col)
-					if err != nil {
-						b.Fatal(err)
-					}
-					key := ds.Name + "/" + col.Name
-					store.Put(key, data)
-					objects = append(objects, s3sim.Object{Key: key})
-					unc += col.UncompressedBytes()
-				}
-			}
-			b.SetBytes(int64(unc))
-			b.ResetTimer()
-			var last *s3sim.ScanResult
-			for i := 0; i < b.N; i++ {
-				res, err := model.Scan(store, objects, 0, func(key string, data []byte) (int, error) {
-					return f.Scan(data, key)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.CostDollars*1e6, "microdollars/scan")
-			b.ReportMetric(last.TcGbps(), "Tc-Gbps")
-		})
-	}
-}
-
-// --- Table 2: compression ratio per format ---
-
-func BenchmarkTable2_Compress(b *testing.B) {
-	pbiC, tpchC := corpora()
-	for _, part := range []struct {
-		name   string
-		corpus []pbi.Dataset
-	}{{"pbi", pbiC}, {"tpch", tpchC}} {
-		for _, f := range experiments.StandardFormats() {
-			f := f
-			b.Run(part.name+"/"+f.Name, func(b *testing.B) {
-				unc := 0
-				for _, ds := range part.corpus {
-					unc += ds.Chunk.UncompressedBytes()
-				}
-				b.SetBytes(int64(unc))
-				var comp int
-				for i := 0; i < b.N; i++ {
-					_, u, c := compressAll(b, f, part.corpus)
-					_ = u
-					comp = c
-				}
-				b.ReportMetric(float64(unc)/float64(comp), "ratio")
-			})
-		}
-	}
-}
-
-// --- Figure 4: scheme pool ablation (decompression side) ---
-
-func BenchmarkFig4_PoolAblation(b *testing.B) {
-	pbiC, _ := corpora()
-	stages := []struct {
-		name string
-		opt  *btrblocks.Options
-	}{
-		{"uncompressed", &btrblocks.Options{
-			IntSchemes: []btrblocks.Scheme{}, DoubleSchemes: []btrblocks.Scheme{}, StringSchemes: []btrblocks.Scheme{}}},
-		{"light", &btrblocks.Options{
-			IntSchemes:    []btrblocks.Scheme{btrblocks.SchemeOneValue, btrblocks.SchemeRLE},
-			DoubleSchemes: []btrblocks.Scheme{btrblocks.SchemeOneValue, btrblocks.SchemeRLE},
-			StringSchemes: []btrblocks.Scheme{btrblocks.SchemeOneValue}}},
-		{"full", btrblocks.DefaultOptions()},
-	}
-	for _, st := range stages {
-		st := st
-		b.Run(st.name, func(b *testing.B) {
-			f := experiments.BtrFormat(st.opt)
-			blobs, unc, comp := compressAll(b, f, pbiC)
-			b.SetBytes(int64(unc))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scanAll(b, f, blobs)
-			}
-			b.ReportMetric(float64(unc)/float64(comp), "ratio")
-		})
-	}
-}
-
-// --- Figure 5: sampling strategy accuracy ---
-
-func BenchmarkFig5_SamplingStrategies(b *testing.B) {
-	pbiC, _ := corpora()
-	var cols []btrblocks.Column
-	for _, ds := range pbiC[:8] {
-		cols = append(cols, ds.Chunk.Columns...)
-	}
-	for _, st := range []struct {
-		name         string
-		runs, runLen int
-	}{{"single", 640, 1}, {"10x64", 10, 64}, {"range", 1, 640}} {
-		st := st
-		b.Run(st.name, func(b *testing.B) {
-			opt := &btrblocks.Options{SampleRuns: st.runs, SampleRunLen: st.runLen}
-			for i := 0; i < b.N; i++ {
-				for _, col := range cols {
-					btrblocks.Choose(col, opt)
-				}
-			}
-		})
-	}
-}
-
-// --- Figure 6: sample size vs selection cost ---
-
-func BenchmarkFig6_SampleSizes(b *testing.B) {
-	pbiC, _ := corpora()
-	var cols []btrblocks.Column
-	for _, ds := range pbiC[:8] {
-		cols = append(cols, ds.Chunk.Columns...)
-	}
-	for _, runLen := range []int{8, 64, 512, 4096} {
-		runLen := runLen
-		b.Run(fmt.Sprintf("10x%d", runLen), func(b *testing.B) {
-			opt := &btrblocks.Options{SampleRuns: 10, SampleRunLen: runLen}
-			for i := 0; i < b.N; i++ {
-				for _, col := range cols {
-					btrblocks.Choose(col, opt)
-				}
-			}
-		})
-	}
-}
-
-// --- Figure 7: compression ratios lineup ---
-
-func BenchmarkFig7_Ratios(b *testing.B) {
-	pbiC, _ := corpora()
-	for _, f := range []experiments.Format{
-		experiments.ParquetFormat(codec.Heavy),
-		experiments.BtrFormat(btrblocks.DefaultOptions()),
-		experiments.ORCFormat(codec.Snappy),
-	} {
-		f := f
-		b.Run(f.Name, func(b *testing.B) {
-			unc := 0
-			for _, ds := range pbiC {
-				unc += ds.Chunk.UncompressedBytes()
-			}
-			b.SetBytes(int64(unc))
-			var comp int
-			for i := 0; i < b.N; i++ {
-				_, _, comp = compressAll(b, f, pbiC)
-			}
-			b.ReportMetric(float64(unc)/float64(comp), "ratio")
-		})
-	}
-}
-
-// --- §6.4: compression speed from binary ---
-
-func BenchmarkCompressionSpeed_FromBinary(b *testing.B) {
-	pbiC, _ := corpora()
-	lineups := []struct {
-		name string
-		do   func(col btrblocks.Column) (int, error)
-	}{
-		{"btrblocks", func(col btrblocks.Column) (int, error) {
-			data, err := btrblocks.CompressColumn(col, btrblocks.DefaultOptions())
-			return len(data), err
-		}},
-		{"parquet+snappy", func(col btrblocks.Column) (int, error) {
-			data, err := parquetlike.CompressColumn(col, &parquetlike.Options{Codec: codec.Snappy})
-			return len(data), err
-		}},
-		{"orc+zstd*", func(col btrblocks.Column) (int, error) {
-			data, err := orclike.CompressColumn(col, &orclike.Options{Codec: codec.Heavy})
-			return len(data), err
-		}},
-	}
-	for _, lu := range lineups {
-		lu := lu
-		b.Run(lu.name, func(b *testing.B) {
-			unc := 0
-			for _, ds := range pbiC {
-				unc += ds.Chunk.UncompressedBytes()
-			}
-			b.SetBytes(int64(unc))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, ds := range pbiC {
-					for _, col := range ds.Chunk.Columns {
-						if _, err := lu.do(col); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- Table 3: double codecs ---
-
-func BenchmarkTable3_DoubleCodecs(b *testing.B) {
-	cols := pbi.Table3Columns(benchRows, 42)
-	var all []float64
-	for _, nc := range cols {
-		all = append(all, nc.Col.Doubles...)
-	}
-	type c struct {
-		name   string
-		encode func([]byte, []float64) []byte
-	}
-	for _, cd := range []c{
-		{"fpc", floatbase.FPCEncode},
-		{"gorilla", floatbase.GorillaEncode},
-		{"chimp", floatbase.ChimpEncode},
-		{"chimp128", floatbase.Chimp128Encode},
-	} {
-		cd := cd
-		b.Run(cd.name, func(b *testing.B) {
-			b.SetBytes(int64(len(all) * 8))
-			var size int
-			for i := 0; i < b.N; i++ {
-				size = len(cd.encode(nil, all))
-			}
-			b.ReportMetric(float64(len(all)*8)/float64(size), "ratio")
-		})
-	}
-	b.Run("pde", func(b *testing.B) {
-		b.SetBytes(int64(len(all) * 8))
-		opt := btrblocks.DefaultOptions()
-		var size int
-		for i := 0; i < b.N; i++ {
-			data, err := btrblocks.CompressColumn(
-				btrblocks.DoubleColumn("t3", all), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			size = len(data)
-		}
-		b.ReportMetric(float64(len(all)*8)/float64(size), "ratio")
-	})
-}
-
-// --- §6.5: PDE within the pool (decompression of a PDE column) ---
-
-func BenchmarkPDEPool_Decode(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	src := make([]float64, 64000)
-	for i := range src {
-		src[i] = float64(rng.Intn(1000000)) / 100
-	}
-	opt := btrblocks.DefaultOptions()
-	data, err := btrblocks.CompressColumn(btrblocks.DoubleColumn("p", src), opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := btrblocks.DecompressColumn(data, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 8: in-memory decompression bandwidth ---
-
-func BenchmarkFig8_Decompression(b *testing.B) {
-	pbiC, tpchC := corpora()
-	for _, part := range []struct {
-		name   string
-		corpus []pbi.Dataset
-	}{{"pbi", pbiC}, {"tpch", tpchC}} {
-		for _, f := range experiments.Fig8Formats() {
-			f := f
-			b.Run(part.name+"/"+f.Name, func(b *testing.B) {
-				blobs, unc, comp := compressAll(b, f, part.corpus)
-				b.SetBytes(int64(unc))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scanAll(b, f, blobs)
-				}
-				b.ReportMetric(float64(unc)/float64(comp), "ratio")
-			})
-		}
-	}
-}
-
-// --- Table 4: per-column decode, btr vs parquet+zstd* ---
-
-func BenchmarkTable4_Columns(b *testing.B) {
-	cols := pbi.Table4Columns(benchRows, 42)
-	btr := experiments.BtrFormat(btrblocks.DefaultOptions())
-	zstd := experiments.ParquetFormat(codec.Heavy)
-	for _, nc := range cols[:6] { // a representative slice keeps -bench=. fast
-		nc := nc
-		for _, f := range []experiments.Format{btr, zstd} {
-			f := f
-			b.Run(nc.Dataset+"_"+nc.Name+"/"+f.Name, func(b *testing.B) {
-				data, err := f.Compress(nc.Col)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(nc.Col.UncompressedBytes()))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := f.Scan(data, nc.Col.Name); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(nc.Col.UncompressedBytes())/float64(len(data)), "ratio")
-			})
-		}
-	}
-}
-
-// --- §6.7: single-column loads ---
-
-func BenchmarkColumnScan_SingleColumn(b *testing.B) {
-	ds := pbi.Largest5(benchRows, 42)[0]
-	model := s3sim.Default()
-	f := experiments.BtrFormat(btrblocks.DefaultOptions())
-	store := s3sim.NewStore()
-	col := ds.Chunk.Columns[0]
-	data, err := f.Compress(col)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store.Put("col", data)
-	b.SetBytes(int64(col.UncompressedBytes()))
-	for i := 0; i < b.N; i++ {
-		if _, err := model.Scan(store, []s3sim.Object{{Key: "col"}}, 1,
-			func(key string, d []byte) (int, error) { return f.Scan(d, key) }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- §6.8: scalar ablation ---
-
-func BenchmarkScalar_Ablation(b *testing.B) {
-	pbiC, _ := corpora()
-	for _, cfgp := range []struct {
-		name string
-		opt  *btrblocks.Options
-	}{
-		{"optimized", btrblocks.DefaultOptions()},
-		{"scalar", &btrblocks.Options{ScalarDecode: true}},
-	} {
-		cfgp := cfgp
-		b.Run(cfgp.name, func(b *testing.B) {
-			f := experiments.BtrFormat(cfgp.opt)
-			blobs, unc, _ := compressAll(b, f, pbiC)
-			b.SetBytes(int64(unc))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scanAll(b, f, blobs)
-			}
-		})
-	}
 }
 
 // --- core compression path, as a plain throughput benchmark ---
@@ -723,7 +307,9 @@ func BenchmarkDecompressColumn(b *testing.B) {
 
 // BenchmarkTelemetryOverhead compares block compression with telemetry
 // disabled (nil recorder — the default), enabled, and against the
-// baseline; "off" must stay within noise (~2%) of the baseline.
+// baseline; "off" must stay within noise (~2%) of the baseline. The
+// decode rows price span tracing on the decode path: the same column
+// decoded with no span in the context and with every decode traced.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	vals := make([]int32, 64000)
@@ -743,6 +329,25 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		rec := btrblocks.NewTelemetry()
 		run(b, &btrblocks.Options{Telemetry: rec})
+	})
+
+	data, err := btrblocks.CompressColumn(col, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	decode := func(b *testing.B, spans *obs.SpanRecorder) {
+		b.SetBytes(int64(col.UncompressedBytes()))
+		for i := 0; i < b.N; i++ {
+			ctx, root := spans.StartRoot(context.Background(), "bench.decode")
+			if _, err := btrblocks.DecompressColumnContext(ctx, data, nil); err != nil {
+				b.Fatal(err)
+			}
+			root.End()
+		}
+	}
+	b.Run("decode/spans-off", func(b *testing.B) { decode(b, nil) })
+	b.Run("decode/spans-always", func(b *testing.B) {
+		decode(b, obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "bench", SampleEvery: 1}))
 	})
 }
 

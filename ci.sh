@@ -148,6 +148,22 @@ run_tier1() {
 			{ echo "$f: its -smoke must spawn a child process (smoke.StartChild)"; exit 1; }
 	done
 
+	echo "== one measuring surface per question =="
+	# cmd/btrbench regenerates the paper's tables and figures and nothing
+	# else: served scans, queries, ingest, span overhead and the decode
+	# kernels are measured by bench/, the BENCH_*.json suites
+	# (cmd/benchtraj) and in-package tests. The root tests keep no
+	# testing.B copy of the paper figures.
+	if ls internal/experiments/*.go | grep -v '_test\.go$' |
+		xargs grep -nE '"btrblocks/(internal/(blockstore|cluster|ingest|obs|query|smoke)|metadata)"'; then
+		echo 'internal/experiments may not import the serving, ingest, query, tracing or sidecar packages'
+		exit 1
+	fi
+	if grep -l '"btrblocks/internal/experiments"' *_test.go; then
+		echo 'root tests may not import internal/experiments: btrbench and TestAllExperimentsRun cover the paper figures'
+		exit 1
+	fi
+
 	echo "== go build =="
 	go build ./...
 

@@ -7,8 +7,7 @@
 //	btrbench [-rows N] [-seed S] [-threads T] [-reps R] <experiment>...
 //
 // Experiments: fig1 table2 schemes fig4 fig5 fig6 fig7 compspeed table3
-// pde-pool fig8 table4 table5 colscan scalar kernels selection threads
-// serve ingest spans all
+// pde-pool fig8 table4 table5 colscan scalar selection threads all
 package main
 
 import (
@@ -35,22 +34,16 @@ var registry = map[string]func(*experiments.Config) error{
 	"table5":    experiments.Table5,
 	"colscan":   experiments.ColumnScan,
 	"scalar":    experiments.Scalar,
-	"kernels":   experiments.Kernels,
 	"selection": experiments.SelectionOverhead,
 	"schemes":   experiments.Schemes,
-	"serve":     experiments.Serve,
 	"threads":   experiments.Threads,
-	"ingest":    experiments.Ingest,
-	"spans":     experiments.Spans,
-	"query":     experiments.Query,
 }
 
 // order keeps `all` output in the paper's presentation order.
 var order = []string{
 	"fig1", "table2", "schemes", "fig4", "fig5", "fig6", "selection", "fig7",
 	"compspeed", "table3", "pde-pool", "fig8", "table4", "table5",
-	"colscan", "scalar", "kernels", "threads", "serve", "ingest", "spans",
-	"query",
+	"colscan", "scalar", "threads",
 }
 
 func main() {

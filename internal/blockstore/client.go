@@ -24,7 +24,7 @@ import (
 
 // Client is the Go consumer of a blockstore Server. Zero-allocation it is
 // not — it is the reference implementation of the wire protocol and the
-// engine behind the `btrbench serve` experiment.
+// client the benchmark's serving workloads (bench/) drive the server with.
 //
 // The client is fault-tolerant by default: transport errors, truncated
 // bodies and 5xx responses are retried with capped exponential backoff

@@ -180,10 +180,14 @@ func TestHedgeLoserCancellationNoLeak(t *testing.T) {
 		t.Fatalf("block fetches %d, want %d — a fetch was double-counted", got, fetches)
 	}
 	// Total legs = one primary per fetch + one per fired hedge. More
-	// would mean a leg double-fired; fewer, a lost result.
-	legs := m.ReplicaRequests.At("n1").Load() + m.ReplicaRequests.At("n2").Load()
-	if legs != int64(fetches)+m.Hedges.Load() {
-		t.Fatalf("replica legs %d, want %d fetches + %d hedges", legs, fetches, m.Hedges.Load())
+	// would mean a leg double-fired; fewer, a lost result. A hedge is
+	// counted when it fires and its leg when the leg's goroutine runs,
+	// so wait for every leg before comparing.
+	legs := func() int64 { return m.ReplicaRequests.At("n1").Load() + m.ReplicaRequests.At("n2").Load() }
+	want := int64(fetches) + m.Hedges.Load()
+	waitFor(t, 5*time.Second, "every leg counted", func() bool { return legs() >= want })
+	if got := legs(); got != want {
+		t.Fatalf("replica legs %d, want %d fetches + %d hedges", got, fetches, m.Hedges.Load())
 	}
 	// Cancelled losers are not endpoint failures: nothing may have been
 	// down-marked or failed over on this healthy cluster.

@@ -38,9 +38,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		{"table5", Table5},
 		{"colscan", ColumnScan},
 		{"scalar", Scalar},
-		{"kernels", Kernels},
 		{"selection", SelectionOverhead},
-		{"serve", Serve},
 	} {
 		exp := exp
 		t.Run(exp.name, func(t *testing.T) {

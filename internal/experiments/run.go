@@ -73,15 +73,12 @@ func (c *Config) reps() int {
 	return c.Reps
 }
 
-func (c *Config) out() io.Writer {
-	if c == nil || c.W == nil {
-		return os.Stdout
-	}
-	return c.W
-}
-
 func (c *Config) printf(format string, args ...any) {
-	fmt.Fprintf(c.out(), format, args...)
+	var w io.Writer = os.Stdout
+	if c != nil && c.W != nil {
+		w = c.W
+	}
+	fmt.Fprintf(w, format, args...)
 }
 
 // pbiCorpus and tpchCorpus generate the evaluation corpora.
@@ -132,11 +129,6 @@ func gbps(bytes int, seconds float64) float64 {
 		return 0
 	}
 	return float64(bytes) / 1e9 / seconds
-}
-
-// mbps converts bytes and seconds to MB/s.
-func mbps(bytes int, seconds float64) float64 {
-	return 1000 * gbps(bytes, seconds)
 }
 
 // typeName maps a type to the Table 2 column label.

@@ -150,11 +150,26 @@ func Fig6(cfg *Config) error {
 	cfg.printf("Figure 6: compressed size vs sample size (%d columns)\n", len(truth))
 	cfg.printf("%-14s %14s %12s\n", "strategy", "sampled %", "vs optimum")
 	const seeds = 5
+	// A sample no smaller than the column is the whole column at every
+	// level of the cascade, so neither the seed nor the strategy moves
+	// the choice: make it once per column (names repeat across datasets,
+	// so key by position).
+	whole := make(map[int]btrblocks.Scheme)
+	choose := func(i, runs, runLen int, seed int64) btrblocks.Scheme {
+		col := truth[i].col
+		if runs*runLen < col.Len() {
+			return chooseWith(col, runs, runLen, seed)
+		}
+		if _, ok := whole[i]; !ok {
+			whole[i] = chooseWith(col, runs, runLen, seed)
+		}
+		return whole[i]
+	}
 	run := func(label string, runs, runLen int, sampledFrac float64) {
 		total := 0.0
-		for _, gt := range truth {
+		for i, gt := range truth {
 			for sd := int64(0); sd < seeds; sd++ {
-				choice := chooseWith(gt.col, runs, runLen, cfg.seed()+sd)
+				choice := choose(i, runs, runLen, cfg.seed()+sd)
 				if sz, ok := gt.sizes[choice]; ok {
 					total += float64(sz) / seeds
 				} else {

@@ -553,6 +553,9 @@ func TestOracleRestrictedSchemes(t *testing.T) {
 		// aggFast: this scheme has a compressed-domain aggregate fold
 		// (OneValue/RLE/Dict/Frequency do; FOR/bitpack decodes by design).
 		aggFast bool
+		// decodes: the filter decodes a terminal stream (Frequency's
+		// exceptions); every other scheme filters without decoding.
+		decodes bool
 	}{
 		{
 			name:    "onevalue",
@@ -584,6 +587,7 @@ func TestOracleRestrictedSchemes(t *testing.T) {
 		{
 			name:    "frequency",
 			aggFast: true,
+			decodes: true,
 			col:     btrblocks.IntColumn("a", skewVals),
 			rc:      &refCol{typ: btrblocks.TypeInt, ints: skewVals, null: map[int]bool{}, rows: rows},
 			copt:    &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeFrequency, btrblocks.SchemeUncompressed}},
@@ -628,6 +632,7 @@ func TestOracleRestrictedSchemes(t *testing.T) {
 		{
 			name:    "int64-frequency",
 			aggFast: true,
+			decodes: true,
 			col:     btrblocks.Int64Column("a", widen(skewVals)),
 			rc:      &refCol{typ: btrblocks.TypeInt64, i64: widen(skewVals), null: map[int]bool{}, rows: rows},
 			copt:    &btrblocks.Options{BlockSize: blockSize, IntSchemes: []btrblocks.Scheme{btrblocks.SchemeFrequency, btrblocks.SchemeUncompressed}},
@@ -680,6 +685,9 @@ func TestOracleRestrictedSchemes(t *testing.T) {
 			}
 			if n := tc.fired(res.Stats); n == 0 {
 				t.Fatalf("restricted scheme %s: compressed-domain path never fired (stats %+v)", tc.name, res.Stats.Paths)
+			}
+			if !tc.decodes && res.Stats.Paths.Decoded != 0 {
+				t.Fatalf("restricted scheme %s: %d blocks decoded to filter (stats %+v)", tc.name, res.Stats.Paths.Decoded, res.Stats.Paths)
 			}
 			// The filter-free aggregate over the same NULL-free column must
 			// take the compressed-domain fold.

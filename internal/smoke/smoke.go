@@ -200,27 +200,6 @@ func checkBlock(blk *blockstore.BlockValues, col btrblocks.Column, start int) er
 	return nil
 }
 
-// Probe returns the first non-NULL value of col as a predicate literal
-// of the wire protocol, or false when every row is NULL.
-func Probe(col btrblocks.Column) (string, bool) {
-	for i := 0; i < col.Len(); i++ {
-		if col.Nulls != nil && col.Nulls.IsNull(i) {
-			continue
-		}
-		switch col.Type {
-		case btrblocks.TypeInt:
-			return strconv.FormatInt(int64(col.Ints[i]), 10), true
-		case btrblocks.TypeInt64:
-			return strconv.FormatInt(col.Ints64[i], 10), true
-		case btrblocks.TypeDouble:
-			return strconv.FormatFloat(col.Doubles[i], 'g', -1, 64), true
-		default:
-			return col.Strings.At(i), true
-		}
-	}
-	return "", false
-}
-
 // LocalCount counts the rows of a compressed column equal to a predicate
 // literal the way a served count never does: it decodes the column and
 // compares its non-NULL rows one by one, doubles bit-exactly. It is the
