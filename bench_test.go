@@ -347,7 +347,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.Run("decode/spans-off", func(b *testing.B) { decode(b, nil) })
 	b.Run("decode/spans-always", func(b *testing.B) {
-		decode(b, obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "bench", SampleEvery: 1}))
+		decode(b, obs.NewSpanRecorder(obs.SpanRecorderConfig{SampleEvery: 1}))
 	})
 }
 
