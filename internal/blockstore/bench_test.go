@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // wire, on one 64000-row block per type: encode (cached block → frame
 // bytes on a writer), decode (frame bytes → BlockValues) and fetch (a
 // cache-hit GET over loopback, both together plus HTTP). MB/s counts
-// frame bytes.
+// frame bytes. The -json rows do the same for format=json, and their
+// MB/s counts JSON body bytes.
 func BenchmarkBlockWire(b *testing.B) {
 	types := []btrblocks.Type{btrblocks.TypeInt, btrblocks.TypeInt64, btrblocks.TypeDouble, btrblocks.TypeString}
 	names := map[btrblocks.Type]string{
@@ -70,6 +72,37 @@ func BenchmarkBlockWire(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := cl.Block(ctx, name, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(blockPayload(blk)); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode-json/"+name, func(b *testing.B) {
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := json.NewEncoder(io.Discard).Encode(blockPayload(blk)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode-json/"+name, func(b *testing.B) {
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeReply[BlockPayload]("/v1/block", body.Bytes()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("fetch-json/"+name, func(b *testing.B) {
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.BlockJSON(ctx, name, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
