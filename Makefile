@@ -88,7 +88,7 @@ FUZZ_TARGETS = \
 	.:FuzzCompressIntRoundTrip .:FuzzStreamReader \
 	./internal/query/:FuzzQueryPlan \
 	./internal/fsst/:FuzzFSSTEncodeEquivalence \
-	./internal/blockstore/:FuzzDecodeBlockFrame
+	./internal/blockstore/:FuzzDecodeBlockFrame ./internal/blockstore/:FuzzBlockJSON
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -17,7 +17,6 @@ import (
 	"btrblocks/internal/core"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
-	"btrblocks/internal/tpch"
 )
 
 const benchRows = 16000
@@ -25,17 +24,13 @@ const benchRows = 16000
 var (
 	corpusOnce sync.Once
 	pbiCorpus  []pbi.Dataset
-	tpchCorpus []pbi.Dataset
 )
 
-func corpora() ([]pbi.Dataset, []pbi.Dataset) {
-	corpusOnce.Do(func() {
-		pbiCorpus = pbi.Corpus(benchRows, 42)
-		for _, ds := range tpch.Corpus(benchRows, 42) {
-			tpchCorpus = append(tpchCorpus, pbi.Dataset{Name: ds.Name, Chunk: ds.Chunk})
-		}
-	})
-	return pbiCorpus, tpchCorpus
+// corpus is the PBI corpus behind the parallel decode and scan rows of
+// BENCH_decode.json, generated once per test binary.
+func corpus() []pbi.Dataset {
+	corpusOnce.Do(func() { pbiCorpus = pbi.Corpus(benchRows, 42) })
+	return pbiCorpus
 }
 
 // --- core compression path, as a plain throughput benchmark ---
@@ -161,7 +156,7 @@ func BenchmarkCountEqual_Ablation(b *testing.B) {
 // N-core host the workers>1 runs show the parallel decode engine's
 // speedup; throughput is the uncompressed bytes produced per second.
 func BenchmarkDecompressParallel(b *testing.B) {
-	pbiC, _ := corpora()
+	pbiC := corpus()
 	type cchunk struct {
 		cc  *btrblocks.CompressedChunk
 		unc int

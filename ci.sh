@@ -164,6 +164,25 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one JSON block codec =="
+	# A format=json block is written by one hand-written writer
+	# (writeBlockJSON in internal/blockstore/wire.go) and read by one
+	# one-pass reader: the node's block handler writes from the cached
+	# block, the router's from the replica's frame (WriteBlockJSON), and
+	# neither goes through encoding/json. The old DTO lives on only in
+	# wire_test.go, as the reference the bytes are pinned to.
+	if grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'BlockPayload' .; then
+		echo 'BlockPayload may appear in test files only: use the JSON block codec'
+		exit 1
+	fi
+	for f in internal/blockstore/server.go internal/cluster/server.go; do
+		body="$(sed -n '/^func (s \*Server) handleBlock(/,/^}/p' "$f")"
+		if [ -z "$body" ] || ! echo "$body" | grep -qE '\b[wW]riteBlockJSON\(' || echo "$body" | grep -n 'obs\.WriteJSON'; then
+			echo "$f: handleBlock must write format=json through the JSON block writer, not obs.WriteJSON"
+			exit 1
+		fi
+	done
+
 	echo "== go build =="
 	go build ./...
 

@@ -3,7 +3,6 @@ package blockstore
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"testing"
@@ -77,14 +76,14 @@ func BenchmarkBlockWire(b *testing.B) {
 			}
 		})
 		var body bytes.Buffer
-		if err := json.NewEncoder(&body).Encode(blockPayload(blk)); err != nil {
+		if err := writeBlockJSON(&body, blockView(blk, hostLittleEndian)); err != nil {
 			b.Fatal(err)
 		}
 		b.Run("encode-json/"+name, func(b *testing.B) {
 			b.SetBytes(int64(body.Len()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := json.NewEncoder(io.Discard).Encode(blockPayload(blk)); err != nil {
+				if err := writeBlockJSON(io.Discard, blockView(blk, hostLittleEndian)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,7 +92,7 @@ func BenchmarkBlockWire(b *testing.B) {
 			b.SetBytes(int64(body.Len()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeReply[BlockPayload]("/v1/block", body.Bytes()); err != nil {
+				if _, err := decodeBlockJSON(body.Bytes()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,7 +9,7 @@ import (
 // checks it). A BTBK payload is little-endian words, which on a
 // little-endian host is exactly the memory of the typed slice, so a
 // block crosses the wire without a per-value loop. Every other host
-// converts through encoding/binary (writeWords, readWords in wire.go),
+// converts through encoding/binary (leWords, readWords in wire.go),
 // the path the tests force on and compare with this one.
 
 // hostLittleEndian is true where wordBytes yields wire byte order.

@@ -550,13 +550,22 @@ func (c *Client) BlockFrame(ctx context.Context, name string, idx int) ([]byte, 
 	return frame, nil
 }
 
-// BlockJSON fetches one decompressed block in the JSON wire format.
+// BlockJSON fetches one decompressed block in the JSON wire format and
+// parses the reply in one pass into the returned values.
 func (c *Client) BlockJSON(ctx context.Context, name string, idx int) (*BlockValues, error) {
-	p, err := getJSON[BlockPayload](ctx, c, "/v1/block?format=json&file="+url.QueryEscape(name)+"&block="+strconv.Itoa(idx))
+	var blk *BlockValues
+	err := c.fetch(ctx, "/v1/block?format=json&file="+url.QueryEscape(name)+"&block="+strconv.Itoa(idx), func(resp *http.Response) error {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		blk, err = decodeBlockJSON(body)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return p.Values()
+	return blk, nil
 }
 
 // CountEq pushes an equality predicate down to the server.

@@ -215,7 +215,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	switch q.Get("format") {
 	case "", "json":
-		_ = obs.WriteJSON(w, blockPayload(blk))
+		w.Header().Set("Content-Type", "application/json")
+		_ = writeBlockJSON(w, blockView(blk, hostLittleEndian))
 	case "binary":
 		// A failed write is the client going away; there is no one to tell.
 		_ = writeBlockFrame(BinaryReply(w, blockFrameLen(blk)), blk, hostLittleEndian)

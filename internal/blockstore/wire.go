@@ -8,6 +8,11 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"btrblocks"
 	"btrblocks/coldata"
@@ -16,7 +21,7 @@ import (
 )
 
 // This file defines the wire representations shared by Server and
-// Client: the JSON DTOs and the binary block encoding.
+// Client: the JSON DTOs and the two block encodings, binary and JSON.
 //
 // The binary block format ("BTBK") is the throughput path — raw
 // little-endian values with no per-value framing:
@@ -37,10 +42,24 @@ import (
 // Content-Length reads these replies, and this client reads a chunked,
 // length-less reply from a server that predates it.
 //
-// The JSON form carries doubles as strconv 'g/-1' strings because JSON
-// cannot represent NaN/Inf and loses float precision in some decoders;
-// ParseFloat round-trips every finite value exactly. The binary form is
-// always bit-exact.
+// The JSON block form (format=json, the default) is one object and a
+// newline:
+//
+//	{"file":F,"block":N,"start_row":N,"rows":N,"type":T,"ints":[...],"nulls":[...]}
+//
+// with "ints", "ints64", "doubles" or "strings" by type, left out when
+// the block has no rows, and "nulls" left out when it has none. Doubles
+// travel as strconv 'g'/-1 strings because JSON cannot represent NaN or
+// ±Inf and some decoders lose float precision; ParseFloat round-trips
+// every finite value exactly, but NaN payloads are lost, so only the
+// binary form is bit-exact. These are the bytes encoding/json wrote for
+// the DTO this codec replaced, HTML escaping included (wire_test.go keeps
+// that DTO as the reference). The one writer, writeBlockJSON, streams
+// them from a cached block's memory or, on a router, from a validated
+// frame, through a pooled 32 KiB buffer with no string per value; the
+// reader, decodeBlockJSON, parses a body in one pass into BlockValues.
+// Neither goes through encoding/json; PERFORMANCE.md has the cost of
+// each before and after.
 
 const (
 	blockWireMagic   = "BTBK"
@@ -58,21 +77,6 @@ type FileMeta struct {
 	Type   string `json:"type,omitempty"`
 	Rows   int    `json:"rows"`
 	Blocks int    `json:"blocks,omitempty"`
-}
-
-// BlockPayload is the JSON form of a decompressed block. Exactly one of
-// the value slices is set, matching Type.
-type BlockPayload struct {
-	File     string   `json:"file"`
-	Block    int      `json:"block"`
-	StartRow int      `json:"start_row"`
-	Rows     int      `json:"rows"`
-	Type     string   `json:"type"`
-	Ints     []int32  `json:"ints,omitempty"`
-	Ints64   []int64  `json:"ints64,omitempty"`
-	Doubles  []string `json:"doubles,omitempty"`
-	Strings  []string `json:"strings,omitempty"`
-	Nulls    []int    `json:"nulls,omitempty"`
 }
 
 // CountEqResult is the /v1/count-eq response.
@@ -173,74 +177,6 @@ func (b *BlockValues) UncompressedBytes() int {
 	}
 }
 
-// nullPositions flattens a block's NULL mask.
-func nullPositions(blk *Block) []int {
-	if blk.Col.Nulls.NullCount() == 0 {
-		return nil
-	}
-	out := make([]int, 0, blk.Col.Nulls.NullCount())
-	blk.Col.Nulls.ForEachNull(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
-}
-
-// blockPayload builds the JSON DTO for a decoded block.
-func blockPayload(blk *Block) *BlockPayload {
-	p := &BlockPayload{
-		File:     blk.File,
-		Block:    blk.Index,
-		StartRow: blk.StartRow,
-		Rows:     blk.Rows(),
-		Type:     blk.Col.Type.String(),
-		Nulls:    nullPositions(blk),
-	}
-	switch blk.Col.Type {
-	case btrblocks.TypeInt:
-		p.Ints = blk.Col.Ints
-	case btrblocks.TypeInt64:
-		p.Ints64 = blk.Col.Ints64
-	case btrblocks.TypeDouble:
-		p.Doubles = make([]string, len(blk.Col.Doubles))
-		for i, v := range blk.Col.Doubles {
-			p.Doubles[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-	case btrblocks.TypeString:
-		p.Strings = make([]string, blk.Col.Strings.Len())
-		for i := range p.Strings {
-			p.Strings[i] = blk.Col.Strings.At(i)
-		}
-	}
-	return p
-}
-
-// Values converts the JSON DTO to BlockValues, parsing doubles back.
-func (p *BlockPayload) Values() (*BlockValues, error) {
-	out := &BlockValues{
-		File:     p.File,
-		Block:    p.Block,
-		StartRow: p.StartRow,
-		Rows:     p.Rows,
-		Type:     p.Type,
-		Ints:     p.Ints,
-		Ints64:   p.Ints64,
-		Strings:  p.Strings,
-		Nulls:    p.Nulls,
-	}
-	if p.Doubles != nil {
-		out.Doubles = make([]float64, len(p.Doubles))
-		for i, s := range p.Doubles {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("blockstore: bad double %q at %d: %v", s, i, err)
-			}
-			out.Doubles[i] = v
-		}
-	}
-	return out, nil
-}
-
 // TypeNamed maps a wire type name (btrblocks.Type.String, as in
 // FileMeta.Type) back to the type.
 func TypeNamed(name string) (btrblocks.Type, bool) {
@@ -271,41 +207,19 @@ func (b *BlockValues) WireType() btrblocks.Type {
 	}
 }
 
-// Payload renders the block as the JSON DTO (how a router re-serves a
-// fetched block for format=json).
-func (b *BlockValues) Payload() *BlockPayload {
-	p := &BlockPayload{
-		File:     b.File,
-		Block:    b.Block,
-		StartRow: b.StartRow,
-		Rows:     b.Rows,
-		Type:     b.WireType().String(),
-		Ints:     b.Ints,
-		Ints64:   b.Ints64,
-		Strings:  b.Strings,
-		Nulls:    b.Nulls,
-	}
-	if b.Doubles != nil {
-		p.Doubles = make([]string, len(b.Doubles))
-		for i, v := range b.Doubles {
-			p.Doubles[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-	}
-	return p
-}
-
 // errBlockWire is the class of every malformed-frame error: the reply
 // arrived whole and is wrong, so a retry cannot help.
 var errBlockWire = errors.New("blockstore: bad block wire")
 
-// writeWords writes vals as little-endian words: straight from their
-// memory when native, converted through encoding/binary otherwise.
-func writeWords[T word](w io.Writer, vals []T, native bool) error {
+// leWords returns vals as little-endian words: their own memory when
+// native, a converted copy otherwise.
+func leWords[T word](vals []T, native bool) []byte {
 	if native {
-		_, err := w.Write(wordBytes(vals))
-		return err
+		return wordBytes(vals)
 	}
-	return binary.Write(w, binary.LittleEndian, vals)
+	var buf bytes.Buffer
+	_ = binary.Write(&buf, binary.LittleEndian, vals) // cannot fail on a bytes.Buffer
+	return buf.Bytes()
 }
 
 // readWords fills dst with little-endian words from r: straight into
@@ -371,19 +285,21 @@ func writeBlockFrame(w io.Writer, blk *Block, native bool) error {
 	if err != nil {
 		return err
 	}
+	var words []byte
 	switch col.Type {
 	case btrblocks.TypeInt:
-		return writeWords(w, col.Ints, native)
+		words = leWords(col.Ints, native)
 	case btrblocks.TypeInt64:
-		return writeWords(w, col.Ints64, native)
+		words = leWords(col.Ints64, native)
 	case btrblocks.TypeDouble:
-		return writeWords(w, col.Doubles, native)
+		words = leWords(col.Doubles, native)
 	case btrblocks.TypeString:
-		if err := writeWords(w, wireOffsets(col.Strings), native); err != nil {
+		if _, err := w.Write(leWords(wireOffsets(col.Strings), native)); err != nil {
 			return err
 		}
-		_, err = w.Write(col.Strings.Data)
+		words = col.Strings.Data
 	}
+	_, err = w.Write(words)
 	return err
 }
 
@@ -604,4 +520,771 @@ func readStrings(r io.Reader, h frameHeader) ([]string, error) {
 		lo = hi
 	}
 	return out, nil
+}
+
+// wireView is a block as the JSON writer reads it: the header's fields,
+// the NULL positions in ascending order, and the payload in BTBK byte
+// order. blockView makes one from a cached block's memory and frameView
+// from a validated frame; neither copies the values.
+type wireView struct {
+	frameHeader
+	file     string
+	block    int
+	eachNull func(yield func(int) bool)
+	words    []byte // numeric payload: rows little-endian words
+	offsets  []byte // string payload: rows+1 little-endian u32 offsets
+	data     []byte // string payload: the bytes the offsets index
+}
+
+// blockView is the wireView of a cached block.
+func blockView(blk *Block, native bool) wireView {
+	col := &blk.Col
+	v := wireView{
+		frameHeader: frameHeader{typ: col.Type, startRow: blk.StartRow, rows: blk.Rows(), nulls: col.Nulls.NullCount()},
+		file:        blk.File,
+		block:       blk.Index,
+		eachNull:    col.Nulls.ForEachNull,
+	}
+	switch col.Type {
+	case btrblocks.TypeInt:
+		v.words = leWords(col.Ints, native)
+	case btrblocks.TypeInt64:
+		v.words = leWords(col.Ints64, native)
+	case btrblocks.TypeDouble:
+		v.words = leWords(col.Doubles, native)
+	case btrblocks.TypeString:
+		v.offsets, v.data = leWords(wireOffsets(col.Strings), native), col.Strings.Data
+	}
+	return v
+}
+
+// frameView is the wireView of block idx of file, carried by frame.
+func frameView(file string, idx int, frame []byte) (wireView, error) {
+	if err := checkBlockFrame(frame); err != nil {
+		return wireView{}, err
+	}
+	h, _ := parseFrameHeader(frame, int64(len(frame)))
+	pos := frameHeaderLen + 4*h.nulls
+	nulls := frame[frameHeaderLen:pos]
+	v := wireView{frameHeader: h, file: file, block: idx, eachNull: func(yield func(int) bool) {
+		for b := nulls; len(b) >= 4; b = b[4:] {
+			if !yield(int(binary.LittleEndian.Uint32(b))) {
+				return
+			}
+		}
+	}}
+	if h.typ == btrblocks.TypeString {
+		v.offsets, v.data = frame[pos:pos+4*(h.rows+1)], frame[pos+4*(h.rows+1):]
+	} else {
+		v.words = frame[pos:]
+	}
+	return v, nil
+}
+
+// WriteBlockJSON writes the format=json body of block idx of file from
+// its BTBK frame: the bytes the node that holds the block writes for it.
+// A router answers format=json this way, without decoding the block.
+func WriteBlockJSON(w io.Writer, file string, idx int, frame []byte) error {
+	v, err := frameView(file, idx, frame)
+	if err != nil {
+		return err
+	}
+	return writeBlockJSON(w, v)
+}
+
+// valuesKey is the JSON key of a block's values.
+func valuesKey(t btrblocks.Type) string {
+	switch t {
+	case btrblocks.TypeInt:
+		return "ints"
+	case btrblocks.TypeInt64:
+		return "ints64"
+	case btrblocks.TypeDouble:
+		return "doubles"
+	default:
+		return "strings"
+	}
+}
+
+// jsonChunk is the size of the pooled buffer a JSON body streams through.
+const jsonChunk = 32 << 10
+
+var jsonBufs = sync.Pool{New: func() any { b := make([]byte, 0, jsonChunk); return &b }}
+
+// jsonOut is the JSON writer's buffer and the writer it drains into.
+type jsonOut struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (o *jsonOut) flush() {
+	if o.err == nil && len(o.buf) > 0 {
+		_, o.err = o.w.Write(o.buf)
+	}
+	o.buf = o.buf[:0]
+}
+
+// spill flushes a nearly full buffer.
+func (o *jsonOut) spill() {
+	if len(o.buf) >= jsonChunk-64 {
+		o.flush()
+	}
+}
+
+// writeBlockJSON is the one JSON block writer. It appends the body to a
+// pooled buffer, value by value from v's memory, and writes the buffer
+// out each time it fills.
+func writeBlockJSON(w io.Writer, v wireView) error {
+	bp := jsonBufs.Get().(*[]byte)
+	o := jsonOut{w: w, buf: (*bp)[:0]}
+	o.buf = append(o.buf, `{"file":`...)
+	o.buf = appendJSONString(o.buf, v.file)
+	o.buf = append(o.buf, `,"block":`...)
+	o.buf = strconv.AppendInt(o.buf, int64(v.block), 10)
+	o.buf = append(o.buf, `,"start_row":`...)
+	o.buf = strconv.AppendInt(o.buf, int64(v.startRow), 10)
+	o.buf = append(o.buf, `,"rows":`...)
+	o.buf = strconv.AppendInt(o.buf, int64(v.rows), 10)
+	o.buf = append(o.buf, `,"type":"`...)
+	o.buf = append(o.buf, v.typ.String()...)
+	if v.rows > 0 {
+		o.buf = append(o.buf, `","`...)
+		o.buf = append(o.buf, valuesKey(v.typ)...)
+		o.buf = append(o.buf, `":[`...)
+		for i := 0; i < v.rows && o.err == nil; i++ {
+			if i > 0 {
+				o.buf = append(o.buf, ',')
+			}
+			o.buf = appendJSONValue(o.buf, &v, i)
+			o.spill()
+		}
+		o.buf = append(o.buf, ']')
+	} else {
+		o.buf = append(o.buf, '"')
+	}
+	if v.nulls > 0 {
+		o.buf = append(o.buf, `,"nulls":[`...)
+		sep := false
+		v.eachNull(func(i int) bool {
+			if sep {
+				o.buf = append(o.buf, ',')
+			}
+			sep = true
+			o.buf = strconv.AppendInt(o.buf, int64(i), 10)
+			o.spill()
+			return o.err == nil
+		})
+		o.buf = append(o.buf, ']')
+	}
+	o.buf = append(o.buf, "}\n"...)
+	o.flush()
+	if cap(o.buf) == jsonChunk { // a long string may have grown it: drop that one
+		*bp = o.buf
+		jsonBufs.Put(bp)
+	}
+	return o.err
+}
+
+// appendJSONValue appends value i of v: an integer, a double as its
+// shortest 'g' string, or a string.
+func appendJSONValue(dst []byte, v *wireView, i int) []byte {
+	switch v.typ {
+	case btrblocks.TypeInt:
+		return strconv.AppendInt(dst, int64(int32(binary.LittleEndian.Uint32(v.words[4*i:]))), 10)
+	case btrblocks.TypeInt64:
+		return strconv.AppendInt(dst, int64(binary.LittleEndian.Uint64(v.words[8*i:])), 10)
+	case btrblocks.TypeDouble:
+		dst = append(dst, '"')
+		dst = strconv.AppendFloat(dst, math.Float64frombits(binary.LittleEndian.Uint64(v.words[8*i:])), 'g', -1, 64)
+		return append(dst, '"')
+	default:
+		lo, hi := binary.LittleEndian.Uint32(v.offsets[4*i:]), binary.LittleEndian.Uint32(v.offsets[4*i+4:])
+		return appendJSONString(dst, v.data[lo:hi])
+	}
+}
+
+// Byte classes of the JSON codec.
+const (
+	jsonPlain = 1 << iota // stands for itself inside a JSON string
+	jsonSafe              // and the writer leaves it unescaped
+)
+
+// jsonClass classifies every byte: printable ASCII is plain but for '"'
+// and '\\', and safe but for '<', '>' and '&' too, which encoding/json
+// escapes for HTML.
+var jsonClass = func() (t [256]uint8) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		switch b {
+		case '"', '\\':
+		case '<', '>', '&':
+			t[b] = jsonPlain
+		default:
+			t[b] = jsonPlain | jsonSafe
+		}
+	}
+	return t
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it: the short escapes, \u00XX for other control
+// bytes and for <, > and &, \ufffd for each byte of invalid UTF-8, and
+// \u2028 and \u2029 (line and paragraph separator).
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if jsonClass[c]&jsonSafe != 0 {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// jsonReader is a cursor over a JSON block body.
+type jsonReader struct {
+	b   []byte
+	s   string // b, as the string unescaped values are substrings of
+	pos int
+}
+
+// maxJSONDepth bounds the nesting of a skipped value (encoding/json
+// allows 10000).
+const maxJSONDepth = 100
+
+func (d *jsonReader) fail(what string) error {
+	return fmt.Errorf("%w: JSON block: %s at byte %d", errBlockWire, what, d.pos)
+}
+
+func (d *jsonReader) ws() {
+	for d.pos < len(d.b) {
+		switch d.b[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace, then consumes c if it comes next.
+func (d *jsonReader) next(c byte) bool {
+	d.ws()
+	if d.pos < len(d.b) && d.b[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// blockKeys are a JSON block's members; a key's bit in a seen mask is
+// 1 << its index.
+var blockKeys = [...]string{"file", "block", "start_row", "rows", "type", "ints", "ints64", "doubles", "strings", "nulls"}
+
+// valueKeys is the seen-mask of the four values keys.
+const valueKeys = 1<<5 | 1<<6 | 1<<7 | 1<<8
+
+// decodeBlockJSON parses a format=json body in one pass straight into
+// BlockValues. Keys may come in any order and whitespace anywhere JSON
+// allows it; unknown keys are skipped. What it accepts, encoding/json
+// reads into the same block (FuzzBlockJSON checks this), but it accepts
+// less: the type is required and must be a wire type, a key comes once,
+// only the type's values key may carry values — one per row — and nulls
+// ascend within the block. Each slice is sized by counting its elements
+// before it is allocated, and a string is a substring of body unless it
+// is escaped, so body must not change afterwards.
+func decodeBlockJSON(body []byte) (*BlockValues, error) {
+	d := &jsonReader{b: body, s: stringOf(body)}
+	out := &BlockValues{}
+	if !d.next('{') {
+		return nil, d.fail("object expected")
+	}
+	if !d.next('}') {
+		seen := 0
+		for {
+			d.ws()
+			key, err := d.str()
+			if err != nil {
+				return nil, err
+			}
+			if !d.next(':') {
+				return nil, d.fail("colon expected")
+			}
+			d.ws()
+			if seen, err = d.member(out, key, seen); err != nil {
+				return nil, err
+			}
+			if d.next(',') {
+				continue
+			}
+			if d.next('}') {
+				break
+			}
+			return nil, d.fail("comma or } expected")
+		}
+	}
+	d.ws()
+	if d.pos != len(d.b) {
+		return nil, d.fail("data after the object")
+	}
+	if err := checkBlockJSON(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// member reads the value of key into out and returns seen with key's
+// bit set.
+func (d *jsonReader) member(out *BlockValues, key string, seen int) (int, error) {
+	k := -1
+	for i, bk := range blockKeys {
+		if key == bk {
+			k = i
+		}
+	}
+	if k < 0 {
+		// encoding/json matches a key to a field case-insensitively.
+		folded := strings.Map(func(r rune) rune { return unicode.ToUpper(unicode.ToLower(r)) }, key)
+		for _, bk := range blockKeys {
+			if folded == strings.ToUpper(bk) {
+				return 0, d.fail("key " + strconv.Quote(key) + " differs from " + bk + " in case")
+			}
+		}
+		return seen, d.skip(1)
+	}
+	if seen&(1<<k) != 0 {
+		return 0, d.fail("repeated key " + key)
+	}
+	if seen&valueKeys != 0 && valueKeys&(1<<k) != 0 {
+		return 0, d.fail("second values key " + key)
+	}
+	seen |= 1 << k
+	var err error
+	switch key {
+	case "file":
+		out.File, err = d.str()
+		out.File = strings.Clone(out.File) // not a view that keeps the body alive
+	case "block":
+		out.Block, err = jsonInt[int](d, math.MinInt, math.MaxInt)
+	case "start_row":
+		out.StartRow, err = jsonInt[int](d, math.MinInt, math.MaxInt)
+	case "rows":
+		out.Rows, err = jsonInt[int](d, math.MinInt, math.MaxInt)
+	case "type":
+		var name string
+		if name, err = d.str(); err == nil {
+			t, ok := TypeNamed(name)
+			if !ok {
+				return 0, d.fail("unknown type " + strconv.Quote(name))
+			}
+			out.Type = t.String()
+		}
+	case "ints":
+		out.Ints, err = jsonInts[int32](d, math.MinInt32, math.MaxInt32)
+	case "ints64":
+		out.Ints64, err = jsonInts[int64](d, math.MinInt64, math.MaxInt64)
+	case "nulls":
+		out.Nulls, err = jsonInts[int](d, math.MinInt, math.MaxInt)
+	case "doubles":
+		out.Doubles, err = jsonStrings(d, 4, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	case "strings":
+		out.Strings, err = jsonStrings(d, 3, func(s string) (string, error) { return s, nil })
+	}
+	return seen, err
+}
+
+// checkBlockJSON checks what makes a block beyond JSON: a type, values
+// of that type alone, one per row (none at all for no rows), and NULL
+// positions ascending within the block.
+func checkBlockJSON(b *BlockValues) error {
+	if b.Type == "" {
+		return fmt.Errorf("%w: JSON block without a type", errBlockWire)
+	}
+	var n int
+	var typed bool
+	switch t, _ := TypeNamed(b.Type); t {
+	case btrblocks.TypeInt:
+		n, typed = len(b.Ints), b.Ints != nil
+	case btrblocks.TypeInt64:
+		n, typed = len(b.Ints64), b.Ints64 != nil
+	case btrblocks.TypeDouble:
+		n, typed = len(b.Doubles), b.Doubles != nil
+	default:
+		n, typed = len(b.Strings), b.Strings != nil
+	}
+	if typed != (b.Ints != nil || b.Ints64 != nil || b.Doubles != nil || b.Strings != nil) {
+		return fmt.Errorf("%w: JSON block of type %s carries other values", errBlockWire, b.Type)
+	}
+	if n != b.Rows {
+		return fmt.Errorf("%w: JSON block of %d rows carries %d values", errBlockWire, b.Rows, n)
+	}
+	prev := -1
+	for _, p := range b.Nulls {
+		if p <= prev || p >= b.Rows {
+			return fmt.Errorf("%w: JSON block's null positions not ascending within the block", errBlockWire)
+		}
+		prev = p
+	}
+	return nil
+}
+
+// jsonInt reads a JSON number that is an integer in [lo, hi].
+func jsonInt[T int32 | int64 | int](d *jsonReader, lo, hi int64) (T, error) {
+	b, i := d.b, d.pos
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if i-start == 19 {
+			return 0, d.fail("integer out of range")
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	switch {
+	case i == start:
+		return 0, d.fail("number expected")
+	case b[start] == '0' && i-start > 1:
+		return 0, d.fail("leading zero")
+	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
+		return 0, d.fail("integer expected")
+	case neg && u > uint64(-(lo+1))+1, !neg && u > uint64(hi):
+		return 0, d.fail("integer out of range")
+	}
+	d.pos = i
+	if neg {
+		return T(-int64(u)), nil
+	}
+	return T(u), nil
+}
+
+// jsonInts reads an array of integers in [lo, hi]. It counts the
+// elements first — the commas before the closing bracket, at most one
+// element per two bytes — so the slice is allocated once, at its size.
+func jsonInts[T int32 | int64 | int](d *jsonReader, lo, hi int64) ([]T, error) {
+	if !d.next('[') {
+		return nil, d.fail("array expected")
+	}
+	end := bytes.IndexByte(d.b[d.pos:], ']')
+	if end < 0 {
+		return nil, d.fail("unterminated array")
+	}
+	span := d.b[d.pos : d.pos+end]
+	n := 0
+	if len(bytes.TrimLeft(span, " \t\n\r")) > 0 {
+		n = min(bytes.Count(span, []byte{','})+1, (len(span)+1)/2, core.MaxBlockValues)
+	}
+	out := make([]T, 0, n)
+	if d.next(']') {
+		return out, nil
+	}
+	for {
+		if len(out) == cap(out) {
+			return nil, d.fail("array too long or malformed")
+		}
+		d.ws()
+		v, err := jsonInt[T](d, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+		if d.next(',') {
+			continue
+		}
+		if d.next(']') {
+			return out, nil
+		}
+		return nil, d.fail("comma or ] expected")
+	}
+}
+
+// jsonStrings reads an array of JSON strings, each converted by conv.
+// An element takes two quotes and at least minLen bytes of the body with
+// its separator, which bounds the slice before it is allocated.
+func jsonStrings[T any](d *jsonReader, minLen int, conv func(string) (T, error)) ([]T, error) {
+	if !d.next('[') {
+		return nil, d.fail("array expected")
+	}
+	rest := d.b[d.pos:]
+	out := make([]T, 0, min(bytes.Count(rest, []byte{'"'})/2, len(rest)/minLen, core.MaxBlockValues))
+	if d.next(']') {
+		return out, nil
+	}
+	for {
+		if len(out) == cap(out) {
+			return nil, d.fail("array too long or malformed")
+		}
+		d.ws()
+		s, err := d.str()
+		if err != nil {
+			return nil, err
+		}
+		v, err := conv(s)
+		if err != nil {
+			return nil, d.fail(err.Error())
+		}
+		out = append(out, v)
+		if d.next(',') {
+			continue
+		}
+		if d.next(']') {
+			return out, nil
+		}
+		return nil, d.fail("comma or ] expected")
+	}
+}
+
+// str reads a JSON string: a substring of the body when it holds no
+// escape and is valid UTF-8, else the copy encoding/json would make.
+func (d *jsonReader) str() (string, error) {
+	lo, hi, plain, err := d.span()
+	switch {
+	case err != nil:
+		return "", err
+	case plain:
+		return d.s[lo:hi], nil
+	}
+	return unescapeJSON(d.b[lo:hi]), nil
+}
+
+// span reads past the JSON string at the cursor, checking its escapes
+// and bytes, and returns the bounds of its contents and whether they
+// stand for themselves.
+func (d *jsonReader) span() (lo, hi int, plain bool, err error) {
+	b := d.b
+	if d.pos >= len(b) || b[d.pos] != '"' {
+		return 0, 0, false, d.fail("string expected")
+	}
+	lo, plain = d.pos+1, true
+	for i := lo; i < len(b); {
+		c := b[i]
+		switch {
+		case jsonClass[c]&jsonPlain != 0:
+			i++
+		case c == '"':
+			d.pos = i + 1
+			return lo, i, plain, nil
+		case c == '\\':
+			plain = false
+			switch {
+			case i+1 < len(b) && strings.IndexByte(`"\/bfnrt`, b[i+1]) >= 0:
+				i += 2
+			case i+5 < len(b) && b[i+1] == 'u' && isHex4(b[i+2:i+6]):
+				i += 6
+			default:
+				d.pos = i
+				return 0, 0, false, d.fail("bad escape")
+			}
+		case c < 0x20:
+			d.pos = i
+			return 0, 0, false, d.fail("control byte in string")
+		case plain:
+			r, size := utf8.DecodeRune(b[i:])
+			plain = r != utf8.RuneError || size > 1
+			i += size
+		default:
+			i++
+		}
+	}
+	d.pos = len(b)
+	return 0, 0, false, d.fail("unterminated string")
+}
+
+func isHex4(b []byte) bool {
+	for _, c := range b {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
+}
+
+func hex4(b []byte) rune {
+	var r rune
+	for _, c := range b {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c >= 'a':
+			c -= 'a' - 10
+		default:
+			c -= 'A' - 10
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
+// unescapeJSON unescapes the contents of a string span accepted, as
+// encoding/json does: a surrogate pair of escapes is one rune, and a lone
+// surrogate or a byte of invalid UTF-8 is utf8.RuneError.
+func unescapeJSON(raw []byte) string {
+	out := make([]byte, 0, len(raw)+utf8.UTFMax)
+	for i := 0; i < len(raw); {
+		c := raw[i]
+		switch {
+		case c == '\\' && raw[i+1] == 'u':
+			r := hex4(raw[i+2 : i+6])
+			i += 6
+			if utf16.IsSurrogate(r) {
+				r2 := rune(-1)
+				if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
+					r2 = hex4(raw[i+2 : i+6])
+				}
+				if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+					i += 6
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		case c == '\\':
+			out = append(out, jsonUnescape[raw[i+1]])
+			i += 2
+		case c < utf8.RuneSelf:
+			out = append(out, c)
+			i++
+		default:
+			r, size := utf8.DecodeRune(raw[i:])
+			out = utf8.AppendRune(out, r)
+			i += size
+		}
+	}
+	return stringOf(out)
+}
+
+// jsonUnescape maps the byte after a backslash to the byte it stands for.
+var jsonUnescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// skip reads past one JSON value, checking its syntax.
+func (d *jsonReader) skip(depth int) error {
+	if depth > maxJSONDepth {
+		return d.fail("value nested too deep")
+	}
+	d.ws()
+	if d.pos >= len(d.b) {
+		return d.fail("value expected")
+	}
+	switch c := d.b[d.pos]; {
+	case c == '"':
+		_, _, _, err := d.span()
+		return err
+	case c == '{', c == '[':
+		d.pos++
+		closer := byte('}')
+		if c == '[' {
+			closer = ']'
+		}
+		if d.next(closer) {
+			return nil
+		}
+		for {
+			if c == '{' {
+				d.ws()
+				if _, _, _, err := d.span(); err != nil {
+					return err
+				}
+				if !d.next(':') {
+					return d.fail("colon expected")
+				}
+			}
+			if err := d.skip(depth + 1); err != nil {
+				return err
+			}
+			if d.next(',') {
+				continue
+			}
+			if d.next(closer) {
+				return nil
+			}
+			return d.fail("comma or " + string(closer) + " expected")
+		}
+	case c == '-' || '0' <= c && c <= '9':
+		return d.number()
+	}
+	for _, lit := range []string{"true", "false", "null"} {
+		if bytes.HasPrefix(d.b[d.pos:], []byte(lit)) {
+			d.pos += len(lit)
+			return nil
+		}
+	}
+	return d.fail("value expected")
+}
+
+// number reads past a JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+func (d *jsonReader) number() error {
+	b := d.b
+	i := d.pos
+	digits := func() int {
+		n := 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			n++
+		}
+		return n
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	start := i
+	if n := digits(); n == 0 || n > 1 && b[start] == '0' {
+		return d.fail("bad number")
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if digits() == 0 {
+			return d.fail("bad number")
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return d.fail("bad number")
+		}
+	}
+	d.pos = i
+	return nil
 }

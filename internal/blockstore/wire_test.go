@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -144,6 +146,109 @@ func refDecodeBlockBinary(file string, data []byte) (*BlockValues, error) {
 	return out, nil
 }
 
+// nullPositions flattens a block's NULL mask.
+func nullPositions(blk *Block) []int {
+	if blk.Col.Nulls.NullCount() == 0 {
+		return nil
+	}
+	out := make([]int, 0, blk.Col.Nulls.NullCount())
+	blk.Col.Nulls.ForEachNull(func(i int) bool {
+		out = append(out, i)
+		return true
+	})
+	return out
+}
+
+// refPayload is the DTO format=json replies were encoded from, through
+// encoding/json, before the JSON block codec. With encoding/json it is
+// the reference the codec's bytes and values are pinned to.
+type refPayload struct {
+	File     string   `json:"file"`
+	Block    int      `json:"block"`
+	StartRow int      `json:"start_row"`
+	Rows     int      `json:"rows"`
+	Type     string   `json:"type"`
+	Ints     []int32  `json:"ints,omitempty"`
+	Ints64   []int64  `json:"ints64,omitempty"`
+	Doubles  []string `json:"doubles,omitempty"`
+	Strings  []string `json:"strings,omitempty"`
+	Nulls    []int    `json:"nulls,omitempty"`
+}
+
+// refBlockPayload builds the reference DTO for a cached block.
+func refBlockPayload(blk *Block) *refPayload {
+	p := &refPayload{
+		File:     blk.File,
+		Block:    blk.Index,
+		StartRow: blk.StartRow,
+		Rows:     blk.Rows(),
+		Type:     blk.Col.Type.String(),
+		Nulls:    nullPositions(blk),
+	}
+	switch blk.Col.Type {
+	case btrblocks.TypeInt:
+		p.Ints = blk.Col.Ints
+	case btrblocks.TypeInt64:
+		p.Ints64 = blk.Col.Ints64
+	case btrblocks.TypeDouble:
+		p.Doubles = make([]string, len(blk.Col.Doubles))
+		for i, v := range blk.Col.Doubles {
+			p.Doubles[i] = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+	case btrblocks.TypeString:
+		p.Strings = make([]string, blk.Col.Strings.Len())
+		for i := range p.Strings {
+			p.Strings[i] = blk.Col.Strings.At(i)
+		}
+	}
+	return p
+}
+
+// refEncodeBlockJSON is the reference JSON body of blk, as obs.WriteJSON
+// wrote it.
+func refEncodeBlockJSON(t testing.TB, blk *Block) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(refBlockPayload(blk)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// refDecodeBlockJSON is the reference reader: json.Unmarshal into the
+// DTO, then the doubles parsed back.
+func refDecodeBlockJSON(body []byte) (*BlockValues, error) {
+	var p refPayload
+	if err := json.Unmarshal(body, &p); err != nil {
+		return nil, err
+	}
+	out := &BlockValues{
+		File: p.File, Block: p.Block, StartRow: p.StartRow, Rows: p.Rows, Type: p.Type,
+		Ints: p.Ints, Ints64: p.Ints64, Strings: p.Strings, Nulls: p.Nulls,
+	}
+	if p.Doubles != nil {
+		out.Doubles = make([]float64, len(p.Doubles))
+		for i, s := range p.Doubles {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				return nil, err
+			}
+			out.Doubles[i] = v
+		}
+	}
+	return out, nil
+}
+
+// encodeJSON is the JSON writer's body for blk.
+func encodeJSON(t testing.TB, blk *Block, native bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeBlockJSON(&buf, blockView(blk, native)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // wireBlock wraps a column as the block the store would cache.
 func wireBlock(startRow int, col btrblocks.Column, nulls ...int) *Block {
 	if len(nulls) > 0 {
@@ -206,7 +311,9 @@ func wireCases() []wireCase {
 	snan := math.Float64frombits(0x7ff0000000000001)
 	negZero := math.Copysign(0, -1)
 	nilOffsets := btrblocks.Column{Name: "c", Type: btrblocks.TypeString}
-	return []wireCase{
+	escapedFile := wireBlock(0, btrblocks.IntColumn("c", []int32{1}))
+	escapedFile.File = "dir/\"a\"&<b>\\\xff.btr"
+	cases := []wireCase{
 		{"int/nulls", wireBlock(7, btrblocks.IntColumn("c", []int32{1, -1, math.MinInt32, math.MaxInt32, 0, 5, 6, 7, 8, 9}), 0, 3, 9)},
 		{"int/empty", wireBlock(0, btrblocks.IntColumn("c", []int32{}))},
 		{"int/one", wireBlock(64000, btrblocks.IntColumn("c", []int32{-2}))},
@@ -225,7 +332,37 @@ func wireCases() []wireCase {
 		{"string/nil-offsets", wireBlock(0, nilOffsets)},
 		{"string/one", wireBlock(1, btrblocks.StringColumn("c", []string{"only"}))},
 		{"string/full", fullBlock(btrblocks.TypeString)},
+		{"double/json-forms", wireBlock(11, btrblocks.DoubleColumn("c", []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero,
+			1e21, 1e-7, 123456, 1e6, math.Float64frombits(0x000fffffffffffff), math.MaxFloat64, -1.5, 0.1}), 0, 11)},
+		{"string/escapes", wireBlock(3, btrblocks.StringColumn("c", jsonEscapeStrings()), 1)},
+		{"string/escaped-file", escapedFile},
+		{"int/one-null", wireBlock(5, btrblocks.IntColumn("c", []int32{0}), 0)},
 	}
+	for i := range cases {
+		cases[i].blk.Index = i
+	}
+	return cases
+}
+
+// jsonEscapeStrings are the strings a JSON writer can get wrong: quotes,
+// backslashes and HTML bytes, every control byte alone and all together,
+// invalid UTF-8 (a stray continuation byte, a cut rune, an encoded
+// surrogate), the line and paragraph separators, multi-byte runes, and
+// every byte from 0x20 to 0xff in one string.
+func jsonEscapeStrings() []string {
+	out := []string{`"`, `\`, `<>&`, `a"b\c<d>e&f`, "\x80", "a\xc3", "\xed\xa0\x80", "\xff\xfe",
+		"\xe2\x80\xa8", "x\xe2\x80\xa9y", "h\xc3\xa9llo \xe6\x97\xa5\xe6\x9c\xac \xf0\x9f\x98\x80", "\x7f", "/"}
+	var all []byte
+	for b := 0; b < 0x20; b++ {
+		out = append(out, string(rune(b)))
+		all = append(all, byte(b))
+	}
+	out = append(out, string(all))
+	all = all[:0]
+	for b := 0x20; b < 0x100; b++ {
+		all = append(all, byte(b))
+	}
+	return append(out, string(all))
 }
 
 func encodeFrame(t testing.TB, blk *Block, native bool) []byte {
@@ -337,6 +474,151 @@ func TestBlockFrameGolden(t *testing.T) {
 	}
 }
 
+// firstDiff returns the offset of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestBlockJSONGolden: for every golden block the JSON writer — from the
+// block's memory, native byte view and portable copy alike, and from its
+// frame as a router writes it — emits the bytes encoding/json wrote for
+// the reference DTO, trailing newline included, and the reader returns
+// what encoding/json reads from them.
+func TestBlockJSONGolden(t *testing.T) {
+	lit := wireBlock(7, btrblocks.IntColumn("c", []int32{1, -1, 2}), 1)
+	const want = `{"file":"f.btr","block":0,"start_row":7,"rows":3,"type":"integer","ints":[1,-1,2],"nulls":[1]}` + "\n"
+	if got := encodeJSON(t, lit, hostLittleEndian); string(got) != want {
+		t.Fatalf("writer\n got %q\nwant %q", got, want)
+	}
+	if got := refEncodeBlockJSON(t, lit); string(got) != want {
+		t.Fatalf("reference encoder\n got %q\nwant %q", got, want)
+	}
+	for _, tc := range wireCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			want := refEncodeBlockJSON(t, tc.blk)
+			var routed bytes.Buffer
+			if err := WriteBlockJSON(&routed, tc.blk.File, tc.blk.Index, encodeFrame(t, tc.blk, hostLittleEndian)); err != nil {
+				t.Fatal(err)
+			}
+			bodies := map[string][]byte{
+				"native":   encodeJSON(t, tc.blk, hostLittleEndian),
+				"portable": encodeJSON(t, tc.blk, false),
+				"frame":    routed.Bytes(),
+			}
+			for what, got := range bodies {
+				if !bytes.Equal(got, want) {
+					i := firstDiff(got, want)
+					t.Fatalf("%s: body differs from the reference at byte %d of %d:\n got %q\nwant %q",
+						what, i, len(want), got[i:min(i+40, len(got))], want[i:min(i+40, len(want))])
+				}
+			}
+			ref, err := refDecodeBlockJSON(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeBlockJSON(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameValues(got, ref) {
+				t.Fatal("decoded block differs from the reference decoder's")
+			}
+		})
+	}
+}
+
+// jsonEsc spells %uXXXX as the JSON escape it stands for.
+func jsonEsc(s string) string { return strings.ReplaceAll(s, "%u", "\\"+"u") }
+
+// TestBlockJSONReader: the reader takes keys in any order, whitespace
+// between tokens and unknown keys of any shape, unescapes as
+// encoding/json does, and refuses what is not JSON, what encoding/json
+// would read differently, and what is no block.
+func TestBlockJSONReader(t *testing.T) {
+	const canonical = `{"file":"f","block":2,"start_row":5,"rows":3,"type":"double","doubles":["1.5","-Inf","0"],"nulls":[2]}`
+	want, err := refDecodeBlockJSON([]byte(canonical))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := []string{
+		canonical,
+		" \t{ \"nulls\" :[ 2 ] ,\"doubles\":\n[\"1.5\" , \"-Inf\",\"0\"],\"type\":\"double\",\"rows\":3,\"start_row\":5,\"block\":2,\"file\":\"f\"}\r\n",
+		jsonEsc(`{"x":{"y":[1,-2.5e+3,0.0,1E-2,true,false,null,"z\"\n%u0041"],"":{}},"file":"%u0066","block":2,"start_row":5,` +
+			`"rows":3,"type":"dou%u0062le","doubles":["1.5","-Inf","%u0030"],"nulls":[2],"zz":[]}`),
+	}
+	for _, body := range accepted {
+		got, err := decodeBlockJSON([]byte(body))
+		if err != nil || !sameValues(got, want) {
+			t.Errorf("%q: %v; want the canonical block", body, err)
+		}
+	}
+	// Escapes, surrogates and invalid UTF-8 read as encoding/json reads them.
+	odd := jsonEsc(`{"type":"string","rows":6,"strings":["%ud83d%ude00","%ud83d","%ude00%ud83d","%ud83dx","` + "\xff\xfe\xed\xa0\x80" + `","%u00e9\/\b\f\t\r\n\"\\"]}`)
+	ref, err := refDecodeBlockJSON([]byte(odd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := decodeBlockJSON([]byte(odd)); err != nil || !sameValues(got, ref) {
+		t.Errorf("escaped strings: %v, %q; want %q", err, got.Strings, ref.Strings)
+	}
+	deep := strings.Repeat("[", maxJSONDepth+1) + strings.Repeat("]", maxJSONDepth+1)
+	rejected := map[string]string{
+		"empty":               ``,
+		"null":                `null`,
+		"array":               `[]`,
+		"trailing data":       `{"type":"integer","rows":0}x`,
+		"two objects":         `{"type":"integer","rows":0}{}`,
+		"no type":             `{"rows":0}`,
+		"unknown type":        `{"type":"float","rows":0}`,
+		"key in other case":   `{"type":"integer","rows":1,"ints":[1],"Rows":1}`,
+		"key folding to one":  "{\"type\":\"integer\",\"rows\":1,\"ints\":[1],\"\xc5\xbftart_row\":1}",
+		"repeated key":        `{"type":"integer","rows":1,"ints":[1],"rows":1}`,
+		"second values key":   `{"type":"integer","rows":1,"ints":[1],"ints64":[1]}`,
+		"other type's values": `{"type":"integer","rows":1,"doubles":["1"]}`,
+		"rows disagree":       `{"type":"integer","rows":2,"ints":[1]}`,
+		"values missing":      `{"type":"integer","rows":1}`,
+		"negative rows":       `{"type":"integer","rows":-1}`,
+		"nulls descending":    `{"type":"integer","rows":2,"ints":[1,2],"nulls":[1,0]}`,
+		"null past the block": `{"type":"integer","rows":2,"ints":[1,2],"nulls":[2]}`,
+		"int32 overflow":      `{"type":"integer","rows":1,"ints":[2147483648]}`,
+		"int64 overflow":      `{"type":"bigint","rows":1,"ints64":[-9223372036854775809]}`,
+		"twenty digits":       `{"type":"bigint","rows":1,"ints64":[10000000000000000000]}`,
+		"fraction":            `{"type":"integer","rows":1,"ints":[1.0]}`,
+		"exponent":            `{"type":"integer","rows":1,"ints":[1e2]}`,
+		"leading zero":        `{"type":"integer","rows":1,"ints":[01]}`,
+		"bare minus":          `{"type":"integer","rows":1,"ints":[-]}`,
+		"null element":        `{"type":"integer","rows":1,"ints":[null]}`,
+		"null array":          `{"type":"integer","rows":0,"ints":null}`,
+		"trailing comma":      `{"type":"integer","rows":1,"ints":[1,]}`,
+		"quoted int":          `{"type":"integer","rows":1,"ints":["1"]}`,
+		"bad double":          `{"type":"double","rows":1,"doubles":["x"]}`,
+		"double out of range": `{"type":"double","rows":1,"doubles":["1e400"]}`,
+		"unquoted double":     `{"type":"double","rows":1,"doubles":[1.5]}`,
+		"control byte":        "{\"type\":\"string\",\"rows\":1,\"strings\":[\"a\x01\"]}",
+		"bad escape":          `{"type":"string","rows":1,"strings":["\q"]}`,
+		"short escape":        jsonEsc(`{"type":"string","rows":1,"strings":["%u12"]}`),
+		"unterminated string": `{"type":"string","rows":1,"strings":["a`,
+		"unterminated array":  `{"type":"integer","rows":1,"ints":[1`,
+		"unterminated object": `{"type":"integer","rows":1,"ints":[1]`,
+		"nested too deep":     `{"type":"integer","rows":0,"x":` + deep + `}`,
+		"bad literal":         `{"type":"integer","rows":0,"x":tru}`,
+		"bad number":          `{"type":"integer","rows":0,"x":1.}`,
+		"bad exponent":        `{"type":"integer","rows":0,"x":1e}`,
+		"missing colon":       `{"type" "integer"}`,
+		"unquoted key":        `{type:"integer"}`,
+	}
+	for name, body := range rejected {
+		if got, err := decodeBlockJSON([]byte(body)); !errors.Is(err, errBlockWire) || got != nil {
+			t.Errorf("%s: decode = %v, %v; want an errBlockWire", name, got, err)
+		}
+	}
+}
+
 // smallReader reads at most 7 bytes per call (iotest.OneByteReader is
 // too slow for the 64000-row cases).
 type smallReader struct{ r io.Reader }
@@ -407,7 +689,7 @@ func allocBytes(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestDecodeAllocsIndependentOfRows pins the decoder at a handful of
+// TestDecodeAllocsIndependentOfRows pins both decoders at a handful of
 // allocations per block, the same for one row and for 64000 — strings
 // included: the values are slices of the reply, not copies of it.
 func TestDecodeAllocsIndependentOfRows(t *testing.T) {
@@ -435,6 +717,19 @@ func TestDecodeAllocsIndependentOfRows(t *testing.T) {
 		if counts[0] > maxAllocs || counts[1] > maxAllocs {
 			t.Errorf("%s: %v allocations for 2 rows, %v for 64000; want <= %d for both", typ, counts[0], counts[1], maxAllocs)
 		}
+		// JSON: BlockValues, the file name, the value slice and Nulls.
+		const maxJSONAllocs = 4
+		for i, blk := range []*Block{one, fullBlock(typ)} {
+			body := encodeJSON(t, blk, hostLittleEndian)
+			counts[i] = testing.AllocsPerRun(5, func() {
+				if _, err := decodeBlockJSON(body); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if counts[0] > maxJSONAllocs || counts[1] > maxJSONAllocs {
+			t.Errorf("%s JSON: %v allocations for 2 rows, %v for 64000; want <= %d for both", typ, counts[0], counts[1], maxJSONAllocs)
+		}
 	}
 }
 
@@ -450,8 +745,9 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
 // TestBinaryReplyAllocatesNoBlockSizedBuffer drives the block handler on
-// cached 64000-row blocks: a reply allocates a small constant, not a
-// copy of the block, and says how long it is.
+// cached 64000-row blocks: a binary reply allocates a small constant, not
+// a copy of the block, and says how long it is; a JSON reply allocates
+// no more than a binary one may.
 func TestBinaryReplyAllocatesNoBlockSizedBuffer(t *testing.T) {
 	cols := map[string]btrblocks.Column{
 		"i.btr": fullBlock(btrblocks.TypeInt).Col,
@@ -492,17 +788,33 @@ func TestBinaryReplyAllocatesNoBlockSizedBuffer(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated per binary reply of a %d-byte block; want under %d",
 				name, per, col.UncompressedBytes(), limit)
 		}
+		// A JSON reply streams through a pooled buffer: no value is
+		// formatted into a string of its own, and no body is built whole.
+		jsonReq := httptest.NewRequest(http.MethodGet, "/v1/block?format=json&file="+name+"&block=0", nil)
+		per = allocBytes(20, func() {
+			srv.ServeHTTP(&discardResponse{h: http.Header{}}, jsonReq)
+		})
+		if limit := uint64(col.UncompressedBytes() / 8); per > limit {
+			t.Errorf("%s: %d bytes allocated per JSON reply of a %d-byte block; want under %d",
+				name, per, col.UncompressedBytes(), limit)
+		}
 	}
 }
 
 // legacyBlockServer serves blocks the way a server that predates
-// Content-Length did: the reference encoder's frame, chunked.
+// Content-Length did: the reference encoder's frame, chunked; and
+// format=json through encoding/json and the reference DTO.
 func legacyBlockServer(store *Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		idx, _ := strconv.Atoi(r.URL.Query().Get("block"))
 		blk, err := store.Block(r.URL.Query().Get("file"), idx)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if r.URL.Query().Get("format") == "json" {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(refBlockPayload(blk))
 			return
 		}
 		frame := refEncodeBlockBinary(blk)
@@ -516,7 +828,9 @@ func legacyBlockServer(store *Store) http.Handler {
 // TestBlockWireInteroperates: a client that predates Content-Length
 // (ReadAll, reference decoder) reads this server's replies, and this
 // client reads a legacy server's chunked, length-less replies — as
-// values and as a frame.
+// values and as a frame. In JSON the same holds both ways: the
+// reference decoder reads this server's bodies, and this client reads
+// encoding/json's.
 func TestBlockWireInteroperates(t *testing.T) {
 	store, cl, _, cols := newTestServer(t, Config{})
 	legacy := httptest.NewServer(legacyBlockServer(store))
@@ -553,6 +867,39 @@ func TestBlockWireInteroperates(t *testing.T) {
 				frame, err := c.BlockFrame(ctx, name, b)
 				if err != nil || !bytes.Equal(frame, body) {
 					t.Fatalf("%s#%d: %s: frame differs from the reply body (%v)", name, b, what, err)
+				}
+			}
+
+			path := "/v1/block?format=json&file=" + name + "&block=" + strconv.Itoa(b)
+			resp, err = http.Get(cl.Endpoint() + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacyResp, err := http.Get(legacy.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacyBody, err := io.ReadAll(legacyResp.Body)
+			legacyResp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, legacyBody) || resp.Header.Get("Content-Type") != legacyResp.Header.Get("Content-Type") {
+				t.Fatalf("%s#%d: JSON reply differs from encoding/json's", name, b)
+			}
+			oldJSON, err := refDecodeBlockJSON(body)
+			if err != nil {
+				t.Fatalf("%s#%d: reference decoder on this server's JSON: %v", name, b, err)
+			}
+			for what, c := range map[string]*Client{"this server": cl, "legacy server": legacyCl} {
+				got, err := c.BlockJSON(ctx, name, b)
+				if err != nil || !sameValues(got, oldJSON) {
+					t.Fatalf("%s#%d: %s: JSON values differ from the reference decoder's (%v)", name, b, what, err)
 				}
 			}
 		}
@@ -740,7 +1087,8 @@ func FuzzDecodeBlockFrame(f *testing.F) {
 // TestBinaryReplyEndsWithTheHandler: a client that holds a whole binary
 // reply finds the request already counted by the server. Content-Length
 // alone would let the last byte — and so the client — overtake the
-// handler's own bookkeeping.
+// handler's own bookkeeping. A JSON reply, chunked, ends with the
+// handler too.
 func TestBinaryReplyEndsWithTheHandler(t *testing.T) {
 	store, cl, _, cols := newTestServer(t, Config{})
 	requests := store.Metrics().HTTP.Requests.At("/v1/block")
@@ -748,7 +1096,11 @@ func TestBinaryReplyEndsWithTheHandler(t *testing.T) {
 	want := requests.Load()
 	for i := 0; i < 200; i++ {
 		for name := range cols {
-			if _, err := cl.Block(ctx, name, i%3); err != nil {
+			fetch := cl.Block
+			if i%10 == 9 {
+				fetch = cl.BlockJSON
+			}
+			if _, err := fetch(ctx, name, i%3); err != nil {
 				t.Fatal(err)
 			}
 			want++
@@ -757,4 +1109,34 @@ func TestBinaryReplyEndsWithTheHandler(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBlockJSON: on any input the JSON reader does not panic, allocates
+// no more than a fixed multiple of the input, and reads every body it
+// accepts as encoding/json reads it into the reference DTO.
+func FuzzBlockJSON(f *testing.F) {
+	for _, tc := range wireCases() {
+		if tc.blk.Rows() <= 100 {
+			f.Add(refEncodeBlockJSON(f, tc.blk))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var blk *BlockValues
+		var err error
+		// Strings cost 16 B of header per three body bytes, and an
+		// escaped string its own copy; the rest is small change.
+		if per, limit := allocBytes(1, func() { blk, err = decodeBlockJSON(data) }), uint64(8*len(data)+64<<10); per > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), per, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, errBlockWire) || blk != nil {
+				t.Fatalf("decode = %v, %v; want nil and an errBlockWire", blk, err)
+			}
+			return
+		}
+		ref, err := refDecodeBlockJSON(data)
+		if err != nil || !sameValues(blk, ref) {
+			t.Fatalf("accepted a body encoding/json reads differently (%v)", err)
+		}
+	})
 }

@@ -249,9 +249,9 @@ type legResult struct {
 	hedge bool
 }
 
-// FetchBlock fetches one decoded block: FetchBlockFrame, then a decode —
-// for format=json and callers that want values. A format=binary reply
-// is the frame itself.
+// FetchBlock fetches one decoded block: FetchBlockFrame, then a decode,
+// for callers that want values. The router's block replies are written
+// from the frame itself (blockstore.WriteBlockJSON for format=json).
 func (r *Router) FetchBlock(ctx context.Context, name string, idx int) (*blockstore.BlockValues, error) {
 	frame, err := r.FetchBlockFrame(ctx, name, idx)
 	if err != nil {

@@ -400,8 +400,9 @@ func TestMembershipProbeTransitions(t *testing.T) {
 }
 
 // A format=binary block through the router is the node's reply byte for
-// byte, with its length declared; format=json still carries the same
-// values; and a frame a replica mangles is failed over, not passed on.
+// byte, with its length declared; so is a format=json block, which the
+// router writes from the frame; and a frame a replica mangles is failed
+// over, not passed on.
 func TestRouterPassesBinaryFramesThrough(t *testing.T) {
 	contents, cols := testCorpus(t)
 	names := []string{"n1", "n2", "n3"}
@@ -442,6 +443,16 @@ func TestRouterPassesBinaryFramesThrough(t *testing.T) {
 			if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
 				t.Fatalf("%s#%d: routed reply has Content-Length %d, Transfer-Encoding %v; frame is %d bytes",
 					name, b, resp.ContentLength, resp.TransferEncoding, len(want))
+			}
+			path = "/v1/block?format=json&file=" + name + "&block=" + strconv.Itoa(b)
+			nodeResp, want := get(owner.srv.URL, path)
+			before = routed.Load()
+			resp, got = get(srv.URL, path)
+			if !bytes.Equal(got, want) || resp.Header.Get("Content-Type") != nodeResp.Header.Get("Content-Type") {
+				t.Fatalf("%s#%d: routed JSON reply differs from the node's", name, b)
+			}
+			if routed.Load() != before+1 {
+				t.Fatalf("%s#%d: JSON reply complete before the router counted the request", name, b)
 			}
 		}
 		blocks := blockCount(t, contents[name])

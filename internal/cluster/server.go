@@ -24,8 +24,9 @@ import (
 //	GET  /v1/files[?file=NAME]         merged file metadata (JSON)
 //	GET  /v1/raw/NAME                  raw bytes from any replica; honors Range
 //	GET  /v1/block?file=N&block=I      block via hedged replica fetch
-//	     [&format=json|binary]         (default json; binary = the
-//	                                   replica's BTBK frame, untouched)
+//	     [&format=json|binary]         (default json, written from the
+//	                                   replica's BTBK frame; binary = the
+//	                                   frame, untouched)
 //	GET  /v1/count-eq?file=N&value=V   pushed-down count, replica failover
 //	GET  /v1/count-eq?value=V          scatter-gather count over every column
 //	GET  /v1/nodes                     per-node health and client counters
@@ -122,25 +123,24 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing or bad block parameter", http.StatusBadRequest)
 		return
 	}
-	switch q.Get("format") {
-	case "", "json":
-		blk, err := s.router.FetchBlock(r.Context(), name, idx)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		_ = obs.WriteJSON(w, blk.Payload())
-	case "binary":
-		// The winning replica's validated frame goes out as it came in.
-		frame, err := s.router.FetchBlockFrame(r.Context(), name, idx)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		_, _ = blockstore.BinaryReply(w, len(frame)).Write(frame)
-	default:
+	format := q.Get("format")
+	if format != "" && format != "json" && format != "binary" {
 		http.Error(w, "format must be json or binary", http.StatusBadRequest)
+		return
 	}
+	// The winning replica's validated frame goes out as it came in, or is
+	// written as JSON straight from its bytes.
+	frame, err := s.router.FetchBlockFrame(r.Context(), name, idx)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	if format == "binary" {
+		_, _ = blockstore.BinaryReply(w, len(frame)).Write(frame)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = blockstore.WriteBlockJSON(w, name, idx, frame)
 }
 
 func (s *Server) handleCountEq(w http.ResponseWriter, r *http.Request) {
