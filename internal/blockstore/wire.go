@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -877,12 +878,7 @@ func decodeBlockJSON(body []byte) (*BlockValues, error) {
 // member reads the value of key into out and returns seen with key's
 // bit set.
 func (d *jsonReader) member(out *BlockValues, key string, seen int) (int, error) {
-	k := -1
-	for i, bk := range blockKeys {
-		if key == bk {
-			k = i
-		}
-	}
+	k := slices.Index(blockKeys[:], key)
 	if k < 0 {
 		// encoding/json matches a key to a field case-insensitively.
 		folded := strings.Map(func(r rune) rune { return unicode.ToUpper(unicode.ToLower(r)) }, key)

@@ -139,6 +139,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		_, _ = blockstore.BinaryReply(w, len(frame)).Write(frame)
 		return
 	}
+	// The frame was validated on arrival, so an error here is the client
+	// going away; there is no one to tell.
 	w.Header().Set("Content-Type", "application/json")
 	_ = blockstore.WriteBlockJSON(w, name, idx, frame)
 }
