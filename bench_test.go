@@ -719,3 +719,95 @@ func BenchmarkSelect(b *testing.B) {
 			func() (int, error) { n, _, err := core.String.Count(enc, sp.p, nil, cfg); return n, err })
 	}
 }
+
+// --- Aggregate folds: BENCH_query.json feedstock ---
+
+// aggStream is one one-block column of the BenchmarkAggregate grid: its
+// values, the options that force its root scheme, and that scheme.
+type aggStream struct {
+	name string
+	col  btrblocks.Column
+	opt  *btrblocks.Options
+	root core.Code
+}
+
+// aggStreams returns the grid's columns: each block's root is forced by
+// restricting its type's pool to the scheme (and FastBP, for the integer
+// sub-streams of RLE, Dict and Frequency).
+func aggStreams() []aggStream {
+	ints := func(code core.Code) *btrblocks.Options {
+		return &btrblocks.Options{IntSchemes: []core.Code{code, core.CodeFastBP}}
+	}
+	doubles := func(code core.Code) *btrblocks.Options {
+		return &btrblocks.Options{DoubleSchemes: []core.Code{code}}
+	}
+	one := make([]int32, 64000)
+	for i := range one {
+		one[i] = 424242
+	}
+	return []aggStream{
+		{"int/FastBP", btrblocks.IntColumn("v", baselineIntData(core.CodeFastBP)), ints(core.CodeFastBP), core.CodeFastBP},
+		{"int64/FastBP", btrblocks.Int64Column("v", baselineInt64Data(core.CodeFastBP)), ints(core.CodeFastBP), core.CodeFastBP},
+		{"double/PDE", btrblocks.DoubleColumn("v", baselineDoubleData(core.CodePDE)), doubles(core.CodePDE), core.CodePDE},
+		{"int/RLE", btrblocks.IntColumn("v", baselineIntData(core.CodeRLE)), ints(core.CodeRLE), core.CodeRLE},
+		{"double/Dict", btrblocks.DoubleColumn("v", baselineDoubleData(core.CodeDict)), doubles(core.CodeDict), core.CodeDict},
+		{"int/Frequency", btrblocks.IntColumn("v", baselineIntData(core.CodeFrequency)), ints(core.CodeFrequency), core.CodeFrequency},
+		{"int/OneValue", btrblocks.IntColumn("v", one), ints(core.CodeOneValue), core.CodeOneValue},
+	}
+}
+
+// BenchmarkAggregate is the single-core Count/Sum/Min/Max grid recorded in
+// BENCH_query.json: one-block columns of 64,000 rows with a forced root
+// scheme (FastBP int32 and int64, Pseudodecimal, RLE, a double
+// dictionary, Frequency, OneValue) × selections: none, 12.5 % of the
+// rows at random, one 128-row run straddling a 128-value block boundary,
+// and no selection on a block with NULLs in 1 row of 16. MB/s is of the
+// block's uncompressed values.
+func BenchmarkAggregate(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	random := btrblocks.NewSelection()
+	for r := uint32(0); r < 64000; r++ {
+		if rng.Intn(8) == 0 {
+			random.Bitmap().Add(r)
+		}
+	}
+	run := btrblocks.NewSelection()
+	run.Bitmap().AddRange(1000, 1128)
+	nulls := btrblocks.NewNullMask()
+	for r := 0; r < 64000; r++ {
+		if rng.Intn(16) == 0 {
+			nulls.SetNull(r)
+		}
+	}
+	opt := &btrblocks.Options{Parallelism: 1}
+	for _, s := range aggStreams() {
+		for _, c := range []struct {
+			name  string
+			sel   *btrblocks.Selection
+			nulls *btrblocks.NullMask
+		}{{"none", nil, nil}, {"random", &random, nil}, {"run128", &run, nil}, {"nulls", nil, nulls}} {
+			col := s.col
+			col.Nulls = c.nulls
+			data, err := btrblocks.CompressColumn(col, s.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix, err := btrblocks.ParseColumnIndex(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(ix.Blocks) != 1 || ix.Blocks[0].Scheme != s.root {
+				b.Fatalf("%s: %d blocks, root %v", s.name, len(ix.Blocks), ix.Blocks[0].Scheme)
+			}
+			b.Run(s.name+"/"+c.name, func(b *testing.B) {
+				b.SetBytes(int64(col.UncompressedBytes()))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := ix.AggregateBlocks(data, nil, c.sel, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -10,7 +10,8 @@
 // BenchmarkCompressBaseline grid plus FSST training/encoding and the
 // block-profile pass; for serve: BenchmarkBlockWire — BTBK frame encode,
 // decode and loopback fetch per type; for query: the BenchmarkSelect grid
-// of selection kernels per stream × predicate × mode), parses their
+// of selection kernels per stream × predicate × mode and the
+// BenchmarkAggregate grid of folds per stream × selection), parses their
 // output, and writes a schema'd JSON snapshot to the suite's file: MB/s,
 // ns/op and B/op per benchmark, host metadata, and the git SHA the
 // numbers were measured at.
@@ -112,7 +113,7 @@ var suites = map[string]suiteDef{
 		{"./internal/blockstore/", "^BenchmarkBlockWire$"},
 	}},
 	"query": {"BENCH_query.json", []benchSet{
-		{".", "^BenchmarkSelect$"},
+		{".", "^(BenchmarkSelect|BenchmarkAggregate)$"},
 	}},
 }
 
