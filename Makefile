@@ -85,7 +85,7 @@ query-smoke:
 # the same targets without the -fuzztime bound.
 FUZZ_TARGETS = \
 	.:FuzzDecompressColumn .:FuzzDecompressIntStream .:FuzzDecompressStringStream \
-	.:FuzzCompressIntRoundTrip .:FuzzStreamReader \
+	.:FuzzCompressIntRoundTrip .:FuzzStreamReader .:FuzzAggregateSelected \
 	./internal/query/:FuzzQueryPlan \
 	./internal/fsst/:FuzzFSSTEncodeEquivalence \
 	./internal/blockstore/:FuzzDecodeBlockFrame ./internal/blockstore/:FuzzBlockJSON

@@ -117,14 +117,20 @@ run_tier1() {
 	fi
 
 	echo "== one compare loop =="
-	# FastBP compares a block's unpacked deltas with the predicate rebased
-	# onto its reference (cmpWords in select.go), and the integer decode
-	# fallback, Pred[T].filter, runs the same loops: neither tests a value
-	# through a call to Match or filter.
+	# FastBP compares a full block straight from its packed words through
+	# the generated compare kernels (bitpack.CompareRange, CompareSet), and
+	# any other block's unpacked deltas with the predicate rebased onto its
+	# reference (cmpWords in select.go), the reference the kernels are
+	# tested against; the integer decode fallback, Pred[T].filter, runs the
+	# same loops: none tests a value through a call to Match or filter.
 	if grep -nE '\.(Match|filter)\(' internal/core/fastbp.go; then
 		echo 'internal/core/fastbp.go compares deltas with cmpWords, not Match or filter'
 		exit 1
 	fi
+	for k in CompareRange CompareSet; do
+		grep -q "bitpack\.$k(" internal/core/fastbp.go ||
+			{ echo "internal/core/fastbp.go must compare full blocks through bitpack.$k"; exit 1; }
+	done
 	body="$(sed -n '/^func (p \*Pred\[T\]) filter(/,/^}/p' internal/core/select.go)"
 	if [ -z "$body" ] || echo "$body" | grep -n 'Match('; then
 		echo 'Pred[T].filter in internal/core/select.go must run the compare loops, not Match'
@@ -182,6 +188,17 @@ run_tier1() {
 			exit 1
 		fi
 	done
+
+	echo "== generated kernels =="
+	# The unpack and compare kernels are generated (internal/bitpack/gen)
+	# and committed: regenerating them must change no byte.
+	go generate ./internal/bitpack >/dev/null
+	drift="$(git status --porcelain -- 'internal/bitpack/*_gen.go')"
+	if [ -n "$drift" ]; then
+		echo "$drift"
+		echo 'internal/bitpack: the generated kernels drifted from their generator: run go generate ./internal/bitpack and commit'
+		exit 1
+	fi
 
 	echo "== go build =="
 	go build ./...

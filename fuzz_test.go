@@ -86,6 +86,68 @@ func checkAllocBound(t *testing.T, data []byte, width int, decode func(capped *c
 	}
 }
 
+// FuzzAggregateSelected folds hostile streams under a selection: the
+// first byte picks the type (int32, int64, double), the rest is the
+// stream. No panic, and the fold under the cap allocates within the
+// decode bound. Seeds: one stream per scheme of each type, so the
+// selected reads of FastBP, Pseudodecimal, Dict, RLE, Frequency and
+// OneValue all start from a valid stream.
+func FuzzAggregateSelected(f *testing.F) {
+	cfg := core.DefaultConfig()
+	ints := make([]int32, 700)
+	doubles := make([]float64, 700)
+	for i := range ints {
+		ints[i] = int32(i*7919%1000) * []int32{1, 1, 0, 1000}[i/175] // a run of zeros, then outliers
+		doubles[i] = float64(i*7919%4000) / 4
+	}
+	doubles[13], doubles[99] = math.NaN(), math.Copysign(0, -1) // patches
+	ints64 := make([]int64, len(ints))
+	for i, v := range ints {
+		ints64[i] = int64(v) << 20
+	}
+	for _, code := range core.Int.Schemes() {
+		if enc := core.Int.CompressAs(nil, ints, code, cfg); enc != nil {
+			f.Add(append([]byte{0}, enc...))
+		}
+	}
+	for _, code := range core.Int64.Schemes() {
+		if enc := core.Int64.CompressAs(nil, ints64, code, cfg); enc != nil {
+			f.Add(append([]byte{1}, enc...))
+		}
+	}
+	for _, code := range core.Double.Schemes() {
+		if enc := core.Double.CompressAs(nil, doubles, code, cfg); enc != nil {
+			f.Add(append([]byte{2}, enc...))
+		}
+	}
+	// Rows 0-999 in a pattern of runs and gaps, over the whole cap.
+	sel := make([]uint64, (fuzzDecodeCap+63)/64)
+	for i := range sel {
+		sel[i] = 0xf0f0_0000_ffff_0137 >> (i % 7)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		kind, stream := data[0]%3, data[1:]
+		fold := func(capped *core.Config) {
+			switch kind {
+			case 0:
+				var g core.Agg[int32]
+				_, _ = core.Int.Aggregate(stream, sel, &g, nil, capped)
+			case 1:
+				var g core.Agg[int64]
+				_, _ = core.Int64.Aggregate(stream, sel, &g, nil, capped)
+			default:
+				var g core.DoubleAgg
+				_, _ = core.Double.Aggregate(stream, sel, &g, nil, capped)
+			}
+		}
+		fold(cfg)
+		checkAllocBound(t, stream, 8, fold)
+	})
+}
+
 func FuzzCompressIntRoundTrip(f *testing.F) {
 	cfg := core.DefaultConfig()
 	f.Add([]byte{1, 2, 3, 4, 0, 0, 0, 0})

@@ -287,7 +287,7 @@ func (c *Client) backoffDelay(n int) time.Duration {
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	var body []byte
 	err := c.fetch(ctx, path, func(resp *http.Response) (err error) {
-		body, err = io.ReadAll(resp.Body)
+		body, err = readBody(resp.Body)
 		return err
 	})
 	if err != nil {
@@ -427,7 +427,47 @@ func readReply(resp *http.Response, path string) ([]byte, error) {
 	if err := statusError(resp, path); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(resp.Body)
+	return readBody(resp.Body)
+}
+
+// bodyChunk is the unit a reply body is read in.
+const bodyChunk = 64 << 10
+
+var bodyChunks = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+
+// readBody reads a whole reply body into one slice allocated at its final
+// length. JSON replies are chunked, so their length is unknown until they
+// end: io.ReadAll would regrow its buffer as the body arrives, allocating
+// about five times the body. The bytes are read into pooled chunks first
+// and copied once. The slice is the caller's (decoded strings alias it);
+// only the chunks, which nothing aliases, are reused.
+func readBody(r io.Reader) ([]byte, error) {
+	var chunks []*[bodyChunk]byte
+	defer func() {
+		for _, c := range chunks {
+			bodyChunks.Put(c)
+		}
+	}()
+	total, last := 0, bodyChunk // last: the bytes in the last chunk
+	for {
+		if last == bodyChunk {
+			chunks = append(chunks, bodyChunks.Get().(*[bodyChunk]byte))
+			last = 0
+		}
+		n, err := r.Read(chunks[len(chunks)-1][last:])
+		total, last = total+n, last+n
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	body := make([]byte, 0, total)
+	for _, c := range chunks[:len(chunks)-1] {
+		body = append(body, c[:]...)
+	}
+	return append(body, chunks[len(chunks)-1][:last]...), nil
 }
 
 func firstLine(b []byte) string {
@@ -509,7 +549,7 @@ func frameBody(resp *http.Response) (io.Reader, int64, error) {
 	if resp.ContentLength >= 0 {
 		return resp.Body, resp.ContentLength, nil
 	}
-	frame, err := io.ReadAll(resp.Body)
+	frame, err := readBody(resp.Body)
 	return bytes.NewReader(frame), int64(len(frame)), err
 }
 
@@ -555,7 +595,7 @@ func (c *Client) BlockFrame(ctx context.Context, name string, idx int) ([]byte, 
 func (c *Client) BlockJSON(ctx context.Context, name string, idx int) (*BlockValues, error) {
 	var blk *BlockValues
 	err := c.fetch(ctx, "/v1/block?format=json&file="+url.QueryEscape(name)+"&block="+strconv.Itoa(idx), func(resp *http.Response) error {
-		body, err := io.ReadAll(resp.Body)
+		body, err := readBody(resp.Body)
 		if err != nil {
 			return err
 		}

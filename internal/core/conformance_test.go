@@ -18,7 +18,8 @@ import (
 // that applies × a fixed set of edge inputs. For each cell it asserts the
 // round trip, that the decoder consumes exactly the stream, that every
 // truncation is an error and never a panic, and that Select, Count and
-// Aggregate answer what decode-then-filter answers. It also asserts that a
+// Aggregate answer what decode-then-filter answers — Aggregate under
+// every selection of aggSelections too, bit for bit for doubles. It also asserts that a
 // header claiming one value more than Config.MaxDecodedValues is corrupt on
 // every path, and that InspectStream agrees with Decompress on seeded
 // single-bit flips of every stream. A new scheme gets its coverage by being
@@ -116,8 +117,20 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 				var want A
 				PA(&want).foldAll(vals)
 				var got A
-				if used, err := typ.Aggregate(enc, PA(&got), nil, cfg); err != nil || used != len(enc) || !aggEq(got, want) {
+				if used, err := typ.Aggregate(enc, nil, PA(&got), nil, cfg); err != nil || used != len(enc) || !aggEq(got, want) {
 					t.Fatalf("%s: aggregate %+v (used %d, err %v), want %+v", name, got, used, err, want)
+				}
+				sels := aggSelections(n)
+				for sname, sel := range sels {
+					var want, got A
+					for i, v := range vals {
+						if sel[i/64]>>(i%64)&1 != 0 {
+							PA(&want).FoldRun(v, 1)
+						}
+					}
+					if used, err := typ.Aggregate(enc, sel, PA(&got), nil, cfg); err != nil || used != len(enc) || !aggEq(got, want) {
+						t.Fatalf("%s: aggregate over %s: %+v (used %d, err %v), want %+v", name, sname, got, used, err, want)
+					}
 				}
 				for pname, m := range preds(vals) {
 					wantSel := refBits(n, func(i int) bool { return m.Match(vals[i]) })
@@ -140,7 +153,7 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 					_, _, decErr := typ.Decompress(nil, bad, capped)
 					_, selErr := typ.Select(bad, anyPred, make([]uint64, (n+63)/64), nil, capped)
 					_, _, countErr := typ.Count(bad, anyPred, nil, capped)
-					_, aggErr := typ.Aggregate(bad, PA(&a), nil, capped)
+					_, aggErr := typ.Aggregate(bad, nil, PA(&a), nil, capped)
 					for op, err := range map[string]error{"decompress": decErr, "select": selErr, "count": countErr, "aggregate": aggErr} {
 						if !errors.Is(err, ErrCorrupt) {
 							t.Fatalf("%s: %s of a header over the decode cap: %v", name, op, err)
@@ -163,8 +176,11 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 						t.Fatalf("%s: count of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
 					var a A
-					if _, err := typ.Aggregate(short, PA(&a), nil, cfg); !errors.Is(err, ErrCorrupt) {
+					if _, err := typ.Aggregate(short, nil, PA(&a), nil, cfg); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: aggregate of %d/%d bytes: %v", name, cut, len(enc), err)
+					}
+					if _, err := typ.Aggregate(short, sels["random 1/8"], PA(&a), nil, cfg); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s: selected aggregate of %d/%d bytes: %v", name, cut, len(enc), err)
 					}
 					if _, _, err := InspectStream(typ.kind, short); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("%s: inspect of %d/%d bytes: %v", name, cut, len(enc), err)
@@ -173,6 +189,37 @@ func conform[T numeric, K stats.Key, A any, PA interface {
 			}
 		}
 	}
+}
+
+// aggSelections returns the selections a fold over n rows is checked
+// under, each as a block-local bitset: no row, the first, the last, every
+// row, rows at random (1 in 8 and 1 in 2, the latter standing for a block
+// with NULLs in half its rows), and a run straddling the first 128-value
+// block boundary.
+func aggSelections(n int) map[string][]uint64 {
+	sels := map[string][]uint64{}
+	mk := func(name string, keep func(i int) bool) {
+		sel := make([]uint64, (n+63)/64)
+		for i := 0; i < n; i++ {
+			if keep(i) {
+				sel[i/64] |= 1 << (i % 64)
+			}
+		}
+		sels[name] = sel
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	random8, random2 := make([]bool, n), make([]bool, n)
+	for i := range random8 {
+		random8[i], random2[i] = rng.Intn(8) == 0, rng.Intn(2) == 0
+	}
+	mk("empty", func(int) bool { return false })
+	mk("first row", func(i int) bool { return i == 0 })
+	mk("last row", func(i int) bool { return i == n-1 })
+	mk("all rows", func(int) bool { return true })
+	mk("random 1/8", func(i int) bool { return random8[i] })
+	mk("random 1/2", func(i int) bool { return random2[i] })
+	mk("straddling", func(i int) bool { return i >= 100 && i < 300 })
+	return sels
 }
 
 // overCap returns enc with its header count raised to n+1, and a config
@@ -431,7 +478,7 @@ func checkRunLengths[T numeric, K stats.Key](t *testing.T, typ *Numeric[T, K], z
 		if _, err := typ.Select(enc, zero, make([]uint64, len(vals)/64+1), nil, cfg); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: length %#x: select: %v", typ.kind, bad, err)
 		}
-		if _, err := typ.Aggregate(enc, acc, nil, cfg); !errors.Is(err, ErrCorrupt) {
+		if _, err := typ.Aggregate(enc, nil, acc, nil, cfg); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: length %#x: aggregate: %v", typ.kind, bad, err)
 		}
 		if _, _, err := typ.Decompress(nil, enc, cfg); !errors.Is(err, ErrCorrupt) {

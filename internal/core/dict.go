@@ -43,19 +43,9 @@ func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			return compress(Int, dst, codes, cfg, depth-1, rng)
 		},
 		decode: func(dst []T, src []byte, n int, cfg *Config) ([]T, int, error) {
-			dict, codes, used, err := t.dictParts(src, n, cfg)
-			if err != nil {
-				return dst, 0, err
-			}
-			defer t.putBuf(cfg.Scratch, dict)
-			defer Int.putBuf(cfg.Scratch, codes)
-			out := len(dst)
-			dst = grow(dst, len(codes))
-			if !gather(dst[out:], dict, codes, cfg.ScalarDecode) {
-				return dst, 0, ErrCorrupt
-			}
-			return dst, used, nil
+			return t.dictPick(dst, src, n, nil, cfg)
 		},
+		pick: t.dictPick,
 		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (int, int, error) {
 			dict, pos, err := t.dictHead(src, n, cfg)
 			if err != nil {
@@ -66,8 +56,8 @@ func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			count, used, err := scanCodes(src[pos:], n, m.codes(dict), sel, st, cfg)
 			return count, pos + used, err
 		},
-		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
-			dict, codes, used, err := t.dictParts(src, n, cfg)
+		aggregate: func(src []byte, n int, sel []uint64, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
+			dict, codes, used, err := t.dictCodes(src, n, sel, cfg)
 			if err != nil {
 				return 0, err
 			}
@@ -119,15 +109,17 @@ func scanCodes(src []byte, n int, p *Pred[int32], sel []uint64, st *SelectStats,
 	return Int.scan(src, p, sel, st, cfg)
 }
 
-// dictParts decodes both sub-streams of a Dict stream: the dictionary and
-// one code per row (not yet checked against the dictionary's size).
-func (t *Numeric[T, K]) dictParts(src []byte, n int, cfg *Config) (dict []T, codes []int32, used int, err error) {
+// dictCodes decodes the dictionary of a Dict stream of n rows and the
+// codes of the rows of sel (every row for a nil sel), not yet checked
+// against the dictionary's size. The caller returns dict with t.putBuf
+// and codes with Int.putBuf.
+func (t *Numeric[T, K]) dictCodes(src []byte, n int, sel []uint64, cfg *Config) (dict []T, codes []int32, used int, err error) {
 	dict, pos, err := t.dictHead(src, n, cfg)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	codes, used, err = Int.Decompress(Int.buf(cfg.Scratch), src[pos:], cfg)
-	if err == nil && len(codes) != n {
+	codes, used, err = Int.pick(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
+	if err == nil && sel == nil && len(codes) != n {
 		err = ErrCorrupt
 	}
 	if err != nil {
@@ -136,6 +128,23 @@ func (t *Numeric[T, K]) dictParts(src []byte, n int, cfg *Config) (dict []T, cod
 		return nil, nil, 0, err
 	}
 	return dict, codes, pos + used, nil
+}
+
+// dictPick appends the values of the rows of sel (every row for a nil
+// sel) of a Dict stream of n rows to dst: its decode, and its pick.
+func (t *Numeric[T, K]) dictPick(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
+	dict, codes, used, err := t.dictCodes(src, n, sel, cfg)
+	if err != nil {
+		return dst, 0, err
+	}
+	defer t.putBuf(cfg.Scratch, dict)
+	defer Int.putBuf(cfg.Scratch, codes)
+	out := len(dst)
+	dst = grow(dst, len(codes))
+	if !gather(dst[out:], dict, codes, cfg.ScalarDecode) {
+		return dst, 0, ErrCorrupt
+	}
+	return dst, used, nil
 }
 
 // sortedDict turns a profile into a dictionary: the distinct values in

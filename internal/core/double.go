@@ -136,10 +136,26 @@ func (a *DoubleAgg) FoldRun(v float64, l int) {
 	a.Count += l
 }
 
+// foldAll folds vals in order: Fold per value, with the accumulator in
+// locals.
 func (a *DoubleAgg) foldAll(vals []float64) {
-	for _, v := range vals {
-		a.Fold(v)
+	if len(vals) == 0 {
+		return
 	}
+	if a.Count == 0 {
+		a.Min, a.Max = vals[0], vals[0]
+	}
+	lo, hi, sum := a.Min, a.Max, a.Sum
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		sum += v
+	}
+	a.Min, a.Max, a.Sum, a.Count = lo, hi, sum, a.Count+len(vals)
 }
 
 func (a *DoubleAgg) foldDict(dict []float64, codes []int32) bool {

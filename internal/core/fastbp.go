@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"btrblocks/internal/bitpack"
 	"btrblocks/internal/stats"
@@ -19,7 +20,11 @@ import (
 //
 // Predicates skip every block whose [ref, ref+2^width) envelope misses
 // their bounds, unread, and compare the deltas of every other block with
-// the predicate rebased onto the block's reference.
+// the predicate rebased onto the block's reference: a full block straight
+// from its packed words, through bitpack's generated compare kernels,
+// where the width allows (32 bits for a range, 12 for In); any other
+// block unpacked and through cmpWords. Under a selection, folds
+// read only the selected deltas (pick).
 
 // fastBP makes the entry of Int or Int64 from bitpack's codec for T, whose
 // deltas are packed as U.
@@ -40,6 +45,8 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 			p := m.(*Pred[T]) // the only Matcher of an integer type
 			plo, phi := p.Bounds()
 			var deltas [bitpack.BlockLen]U
+			var set [64]uint64
+			var skipped, scanned int64
 			used, err = forBlocks[T, U](src, n, func(ref T, row, cnt int, w uint, packed []byte) error {
 				// Every value of the block lies in [ref, ref+mask(w)]: one
 				// disjoint from the predicate's bounds cannot match. The
@@ -50,25 +57,76 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 					hiBound = int64(ref) + d
 				}
 				if phi < int64(ref) || plo > hiBound {
-					st.FORSkipped.Add(1)
+					skipped++
 					return nil
 				}
-				st.FORScanned.Add(1)
-				if _, err := unpacked(deltas[:cnt], packed, cnt, w); err != nil {
-					return ErrCorrupt
-				}
+				scanned++
+				c := p.rebase(ref, hiBound)
 				// A block's 128 rows start on a word boundary: two words.
 				var blk []uint64
 				if sel != nil {
 					blk = sel[row/64:]
 				}
-				count += cmpWords(p.rebase(ref, hiBound), deltas[:cnt], blk)
+				if m0, m1, ok := cmpPacked(p, c, ref, packed, cnt, w, &set); ok {
+					if blk != nil {
+						blk[0] |= m0
+						blk[1] |= m1
+					}
+					count += bits.OnesCount64(m0) + bits.OnesCount64(m1)
+					return nil
+				}
+				if _, err := unpacked(deltas[:cnt], packed, cnt, w); err != nil {
+					return ErrCorrupt
+				}
+				count += cmpWords(c, deltas[:cnt], blk)
 				return nil
 			})
+			st.FORSkipped.Add(skipped)
+			st.FORScanned.Add(scanned)
 			if err != nil {
 				return 0, 0, err
 			}
 			return count, used, nil
+		},
+		pick: func(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
+			unpacked := unpack
+			if cfg.ScalarDecode {
+				unpacked = unpackScalar
+			}
+			var deltas [bitpack.BlockLen]U
+			var vals [bitpack.BlockLen]T
+			used, err := forBlocks[T, U](src, n, func(ref T, row, cnt int, w uint, packed []byte) error {
+				m0, m1 := blockWords(sel, row, cnt)
+				switch k := bits.OnesCount64(m0) + bits.OnesCount64(m1); {
+				case k == 0:
+				case w == 0:
+					for ; k > 0; k-- {
+						dst = append(dst, ref)
+					}
+				case k < pickDense:
+					// One or two word loads per selected value.
+					for m := m0; m != 0; m &= m - 1 {
+						dst = append(dst, ref+T(U(packedAt(packed, bits.TrailingZeros64(m), w))))
+					}
+					for m := m1; m != 0; m &= m - 1 {
+						dst = append(dst, ref+T(U(packedAt(packed, 64+bits.TrailingZeros64(m), w))))
+					}
+				default:
+					if _, err := unpacked(deltas[:cnt], packed, cnt, w); err != nil {
+						return ErrCorrupt
+					}
+					for i, d := range deltas[:cnt] {
+						vals[i] = ref + T(d)
+					}
+					dst = appendMasked(dst, vals[:min(cnt, 64)], m0)
+					dst = appendMasked(dst, vals[min(cnt, 64):cnt], m1)
+				}
+				return nil
+			})
+			if err != nil {
+				return dst, 0, err
+			}
+			return dst, used, nil
 		},
 		walk: func(l *Layout, src []byte) error {
 			minW, maxW := 64, 0
@@ -124,4 +182,69 @@ func forBlocks[T integer, U uint32 | uint64](src []byte, n int, f func(ref T, ro
 		pos += nBytes
 	}
 	return pos, nil
+}
+
+// cmpPacked compares a block of deltas from ref packed at width w with
+// p, rebased to c, straight from the packed words where a generated
+// kernel applies: a full block of width 32 or less (int32 and int64
+// streams pack alike) for a range (Eq included), and of width
+// bitpack.MaxSetWidth or less for In, whose members inside the block it
+// sets in set. Otherwise ok is false and the caller unpacks the block and
+// runs cmpWords.
+func cmpPacked[T integer](p *Pred[T], c cmp[T], ref T, packed []byte, cnt int, w uint, set *[64]uint64) (m0, m1 uint64, ok bool) {
+	switch {
+	case cnt != bitpack.BlockLen || w > 32:
+		return 0, 0, false
+	case c.op == PredRange:
+		m0, m1 = bitpack.CompareRange(packed, w, c.lo, c.span)
+		return m0, m1, true
+	case p.Op != PredIn: // a range with Lo > Hi
+		return 0, 0, true
+	case w > bitpack.MaxSetWidth:
+		return 0, 0, false
+	}
+	clear(set[:(1<<w+63)/64])
+	i, _ := slices.BinarySearch(p.In, ref)
+	for _, v := range p.In[i:] {
+		d := udiff(v, ref)
+		if d >= 1<<w {
+			break
+		}
+		set[d/64] |= 1 << (d % 64)
+	}
+	m0, m1 = bitpack.CompareSet(packed, w, set)
+	return m0, m1, true
+}
+
+// pickDense is the number of selected values from which a block is
+// unpacked whole rather than read value by value.
+const pickDense = 48
+
+// blockWords returns the two words of sel that cover the block of cnt
+// values starting at row (a multiple of 128), cleared past the block's
+// end.
+func blockWords(sel []uint64, row, cnt int) (m0, m1 uint64) {
+	m0 = sel[row/64]
+	if cnt < 64 {
+		return m0 & (1<<cnt - 1), 0
+	}
+	if cnt > 64 {
+		m1 = sel[row/64+1]
+		if cnt < 128 {
+			m1 &= 1<<(cnt-64) - 1
+		}
+	}
+	return m0, m1
+}
+
+// packedAt reads value i of a block packed at width w (1 to 64): one
+// word load, or two where the value straddles a word boundary.
+func packedAt(packed []byte, i int, w uint) uint64 {
+	bit := uint(i) * w
+	at, sh := bit/64*8, bit%64
+	v := binary.LittleEndian.Uint64(packed[at:]) >> sh
+	if sh+w > 64 {
+		v |= binary.LittleEndian.Uint64(packed[at+8:]) << (64 - sh)
+	}
+	return v & (^uint64(0) >> (64 - w))
 }

@@ -85,40 +85,59 @@ func frequency[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			return count, pos + used, err
 		},
-		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
-			if !t.rowOrder {
-				top, bm, pos, err := t.frequencyHead(src, n, cfg)
-				if err != nil {
-					return 0, err
-				}
-				used, err := t.aggregate(src[pos:], acc, st, cfg)
-				if err != nil {
-					return 0, err
-				}
-				st.AggFast.Add(1)
-				acc.FoldRun(top, bm.Cardinality())
-				return pos + used, nil
-			}
-			// A row-order fold needs the exception values themselves, not a
-			// recursive aggregate: decode the (small) exceptions stream and
-			// interleave with the top-value bitmap in position order.
+		aggregate: func(src []byte, n int, sel []uint64, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
 			top, bm, pos, err := t.frequencyHead(src, n, cfg)
 			if err != nil {
 				return 0, err
 			}
-			exc, used, err := t.Decompress(t.buf(cfg.Scratch), src[pos:], cfg)
+			// The exceptions are folded through the rows selected among
+			// them (excSel, over exception indexes).
+			excN, topN := n-bm.Cardinality(), bm.Cardinality()
+			var excSel []uint64
+			if sel != nil {
+				excSel = make([]uint64, (excN+63)/64)
+				exc := 0
+				topN = 0
+				err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
+					if isTop {
+						topN += onesIn(sel, lo, hi)
+						return
+					}
+					orBits(excSel, exc, sel, lo, hi-lo)
+					exc += hi - lo
+				})
+				if err != nil {
+					return 0, err
+				}
+			}
+			if !t.rowOrder {
+				// Integer folds are exact in any order: the top value's rows
+				// at once, the exceptions as a stream of their own.
+				used, err := t.Aggregate(src[pos:], excSel, acc, st, cfg)
+				if err != nil {
+					return 0, err
+				}
+				st.AggFast.Add(1)
+				acc.FoldRun(top, topN)
+				return pos + used, nil
+			}
+			// A row-order fold interleaves the selected exception values
+			// with the top value's spans in position order.
+			exc, used, err := t.pick(t.buf(cfg.Scratch), src[pos:], excN, excSel, cfg)
 			defer t.putBuf(cfg.Scratch, exc)
 			if err != nil {
 				return 0, err
 			}
 			st.AggFast.Add(1)
 			err = frequencySpans(n, bm, func(lo, hi int, isTop bool) {
+				k := onesIn(sel, lo, hi)
 				if isTop {
-					acc.FoldRun(top, hi-lo)
+					acc.FoldRun(top, k)
 					return
 				}
-				acc.foldAll(exc[:hi-lo])
-				exc = exc[hi-lo:]
+				k = min(k, len(exc)) // a short exceptions stream folds short: Count shows it
+				acc.foldAll(exc[:k])
+				exc = exc[k:]
 			})
 			return pos + used, err
 		},

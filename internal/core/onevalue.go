@@ -39,13 +39,13 @@ func oneValue[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			st.OneValue.Add(1)
 			return matchAll(m.Match(v), 0, n, sel), 5 + t.width, nil
 		},
-		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, _ *Config) (int, error) {
+		aggregate: func(src []byte, n int, sel []uint64, acc Folder[T], st *SelectStats, _ *Config) (int, error) {
 			v, err := t.value(src)
 			if err != nil {
 				return 0, err
 			}
 			st.AggFast.Add(1)
-			acc.FoldRun(v, n)
+			acc.FoldRun(v, onesIn(sel, 0, n))
 			return 5 + t.width, nil
 		},
 		walk: func(l *Layout, src []byte) error {

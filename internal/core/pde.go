@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"btrblocks/internal/pde"
@@ -15,6 +17,10 @@ import (
 // and the values PDE cannot represent patched in raw.
 //
 //	tag n:u32 digits:stream exponents:stream bitmap patches[|bitmap|]:f64
+//
+// Under a selection a fold reads the selected rows' digits and exponents
+// out of the two sub-streams and finds each selected patch through the
+// bitmap, so no other row is decoded.
 
 func pseudodecimal() *numScheme[float64, uint64] {
 	return &numScheme[float64, uint64]{code: CodePDE,
@@ -23,6 +29,7 @@ func pseudodecimal() *numScheme[float64, uint64] {
 		viable: func(p *stats.Profile[uint64]) bool { return p.UniqueFrac() >= 0.1 },
 		encode: encodePDE,
 		decode: decodePDE,
+		pick:   pickPDE,
 		walk: func(l *Layout, src []byte) error {
 			pos, err := l.walkSubs(src, 5, sub{Int, "digits", l.Values}, sub{Int, "exponents", l.Values})
 			if err != nil {
@@ -109,4 +116,64 @@ func pdePatches(src []byte) (bm *roaring.Bitmap, used int, patches []byte, err e
 		return nil, 0, nil, ErrCorrupt
 	}
 	return bm, used, src[used:end], nil
+}
+
+// pickPDE appends the values of the rows of sel to dst in row order. A
+// selected row is a patch exactly when its exponent is the exception
+// exponent and the bitmap holds it, and its patch is the one at its rank
+// in the bitmap; any other exponent must be a valid one.
+func pickPDE(dst []float64, src []byte, n int, sel []uint64, cfg *Config) ([]float64, int, error) {
+	pos := 5
+	digits, used, err := Int.pick(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
+	defer Int.putBuf(cfg.Scratch, digits)
+	if err != nil {
+		return dst, 0, err
+	}
+	pos += used
+	exps, used, err := Int.pick(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
+	defer Int.putBuf(cfg.Scratch, exps)
+	if err != nil {
+		return dst, 0, err
+	}
+	pos += used
+	bm, bmBytes, patches, err := pdePatches(src[pos:])
+	if err != nil {
+		return dst, 0, err
+	}
+	pos += bmBytes + len(patches)
+	var words []uint64
+	if cfg.Scratch != nil {
+		words = cfg.Scratch.words
+	}
+	patched := bm.Words(0, uint32(n), words)
+	if cfg.Scratch != nil {
+		cfg.Scratch.words = patched
+	}
+	if onesIn(patched, 0, n) != bm.Cardinality() || len(digits) != len(exps) {
+		return dst, 0, ErrCorrupt // a patch past the stream's end, or sub-streams that disagree
+	}
+	k, rank := 0, 0 // selected rows and patches before word i
+	for i, m := range sel[:len(patched)] {
+		if i == len(patched)-1 && n%64 != 0 {
+			m &= 1<<(n%64) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			if k == len(exps) {
+				return dst, 0, ErrCorrupt
+			}
+			bit := m & -m
+			switch e := exps[k]; {
+			case e == pde.ExceptionExponent && patched[i]&bit != 0:
+				at := 8 * (rank + bits.OnesCount64(patched[i]&(bit-1)))
+				dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(patches[at:])))
+			case uint32(e) <= pde.MaxExponent && patched[i]&bit == 0:
+				dst = append(dst, pde.DecodeOne(digits[k], e))
+			default:
+				return dst, 0, ErrCorrupt
+			}
+			k++
+		}
+		rank += bits.OnesCount64(patched[i])
+	}
+	return dst, pos, nil
 }

@@ -55,7 +55,7 @@ func rle[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			return count, used, nil
 		},
-		aggregate: func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
+		aggregate: func(src []byte, n int, sel []uint64, acc Folder[T], st *SelectStats, cfg *Config) (int, error) {
 			values, lengths, used, err := t.runParts(src, n, cfg)
 			if err != nil {
 				return 0, err
@@ -63,8 +63,10 @@ func rle[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			defer t.putBuf(cfg.Scratch, values)
 			defer Int.putBuf(cfg.Scratch, lengths)
 			st.AggFast.Add(1)
+			row := 0
 			for i, rv := range values {
-				acc.FoldRun(rv, int(lengths[i]))
+				acc.FoldRun(rv, onesIn(sel, row, row+int(lengths[i])))
+				row += int(lengths[i])
 			}
 			return used, nil
 		},

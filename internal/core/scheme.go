@@ -35,9 +35,15 @@ type numScheme[T numeric, K stats.Key] struct {
 	decode func(dst []T, src []byte, n int, cfg *Config) ([]T, int, error)
 	// scan and aggregate, where set, answer Select/Count and Aggregate in
 	// the compressed domain; elsewhere the stream is decoded and filtered
-	// or folded.
+	// or folded. aggregate folds the rows of the block-local bitset sel
+	// (nil: every row).
 	scan      func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error)
-	aggregate func(src []byte, n int, acc Folder[T], st *SelectStats, cfg *Config) (int, error)
+	aggregate func(src []byte, n int, sel []uint64, acc Folder[T], st *SelectStats, cfg *Config) (int, error)
+	// pick, where set, appends the values of the rows of the non-nil sel to
+	// dst in row order, reading no other row's value where the layout
+	// allows (FastBP, Pseudodecimal, Dict through its codes); elsewhere the
+	// stream is decoded and the selected values copied out.
+	pick func(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error)
 	// runs, where set (RLE), decodes src's runs without expanding them; the
 	// fused Dict+RLE path of the string dictionary reads its codes so.
 	runs func(src []byte, n int, cfg *Config) (values []T, lengths []int32, used int, err error)

@@ -151,7 +151,7 @@ func TestEntryPointsAllocateNothingOfTheirOwn(t *testing.T) {
 		"String.Compress": func() { dst = String.Compress(dst[:0], strs, cfg) },
 		"Int.Decompress":  func() { vals, _, _ = Int.Decompress(vals[:0], enc, cfg) },
 		"Int.Count":       func() { Int.Count(enc, eq, nil, cfg) },
-		"Int.Aggregate":   func() { Int.Aggregate(enc, acc, nil, cfg) },
+		"Int.Aggregate":   func() { Int.Aggregate(enc, nil, acc, nil, cfg) },
 		"String.Count":    func() { String.Count(senc, seq, nil, cfg) },
 		"String.Parse":    func() { b, _, _ := String.Parse(senc, cfg); b.release(cfg.Scratch) },
 	}

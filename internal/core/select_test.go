@@ -479,7 +479,7 @@ func TestAggregateDifferential(t *testing.T) {
 		}
 		for encName, enc := range encodings {
 			var got Agg[int32]
-			used, err := Int.Aggregate(enc, &got, nil, cfg)
+			used, err := Int.Aggregate(enc, nil, &got, nil, cfg)
 			if err != nil {
 				t.Fatalf("int/%s/%s: %v", shape, encName, err)
 			}
@@ -501,7 +501,7 @@ func TestAggregateDifferential(t *testing.T) {
 		cfg64 := &Config{IntSchemes: []Code{code, CodeUncompressed}}
 		enc := Int64.Compress(nil, i64, cfg64)
 		var got Agg[int64]
-		used, err := Int64.Aggregate(enc, &got, nil, cfg64)
+		used, err := Int64.Aggregate(enc, nil, &got, nil, cfg64)
 		if err != nil {
 			t.Fatalf("int64/restrict-%d: %v", code, err)
 		}
@@ -529,7 +529,7 @@ func TestAggregateDifferential(t *testing.T) {
 		}
 		for encName, enc := range encodings {
 			var got DoubleAgg
-			used, err := Double.Aggregate(enc, &got, nil, cfg)
+			used, err := Double.Aggregate(enc, nil, &got, nil, cfg)
 			if err != nil {
 				t.Fatalf("double/%s/%s: %v", shape, encName, err)
 			}

@@ -124,10 +124,10 @@ func Decode(dst []float64, digits, exps []int32, patches []float64, patchIdx []u
 		// Fast path: a branch-free check whether this group of four has
 		// any exception, analogous to the vectorized bitmap probe.
 		if exps[i]|exps[i+1]|exps[i+2]|exps[i+3] < ExceptionExponent {
-			o[i] = decodeOne(digits[i], exps[i])
-			o[i+1] = decodeOne(digits[i+1], exps[i+1])
-			o[i+2] = decodeOne(digits[i+2], exps[i+2])
-			o[i+3] = decodeOne(digits[i+3], exps[i+3])
+			o[i] = DecodeOne(digits[i], exps[i])
+			o[i+1] = DecodeOne(digits[i+1], exps[i+1])
+			o[i+2] = DecodeOne(digits[i+2], exps[i+2])
+			o[i+3] = DecodeOne(digits[i+3], exps[i+3])
 			continue
 		}
 		for j := i; j < i+4; j++ {
@@ -135,7 +135,7 @@ func Decode(dst []float64, digits, exps []int32, patches []float64, patchIdx []u
 				o[j] = patches[pi]
 				pi++
 			} else {
-				o[j] = decodeOne(digits[j], exps[j])
+				o[j] = DecodeOne(digits[j], exps[j])
 			}
 		}
 	}
@@ -144,14 +144,16 @@ func Decode(dst []float64, digits, exps []int32, patches []float64, patchIdx []u
 			o[i] = patches[pi]
 			pi++
 		} else {
-			o[i] = decodeOne(digits[i], exps[i])
+			o[i] = DecodeOne(digits[i], exps[i])
 		}
 	}
 	_ = patchIdx
 	return dst
 }
 
-func decodeOne(digits, exp int32) float64 {
+// DecodeOne reconstructs the double of one non-patch position: digits
+// times 10^-exp, exp in [0, MaxExponent].
+func DecodeOne(digits, exp int32) float64 {
 	if digits < 0 {
 		return -(float64(-digits) * frac10[exp])
 	}
@@ -168,7 +170,7 @@ func DecodeScalar(dst []float64, digits, exps []int32, patches []float64) []floa
 			pi++
 			continue
 		}
-		dst = append(dst, decodeOne(digits[i], exps[i]))
+		dst = append(dst, DecodeOne(digits[i], exps[i]))
 	}
 	return dst
 }

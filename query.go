@@ -531,78 +531,56 @@ func (ix *ColumnIndex) AggregateBlocks(data []byte, blocks []int, sel *Selection
 }
 
 // AggregateBlocksContext folds non-NULL rows of the listed blocks into an
-// Aggregate. With no selection, NULL-free numeric blocks fold directly on
-// the compressed stream (OneValue in O(1), RLE per run, Frequency by
-// split — see internal/core/aggregate.go); blocks with NULLs or a partial
-// selection decode and fold the qualifying rows, and string blocks always
+// Aggregate. A numeric block folds on its compressed stream, restricted
+// to its selected non-NULL rows (OneValue once, RLE per run, Dict through
+// its codes, Frequency by split, and under a selection FastBP and
+// Pseudodecimal read only the selected rows — see
+// internal/core/aggregate.go), and no column is built; string blocks
 // decode. Per-block partials merge in block order, so results are
 // identical at every worker count.
 func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, blocks []int, sel *Selection, opt *Options) (Aggregate, SelectStats, error) {
 	var stats core.SelectStats
 	base, rec := opt.coreConfig(), opt.telemetryRecorder()
 	_, parts, err := walkBlocks(ctx, ix, blocks, sel, opt, func(b int, local []uint64) (Aggregate, error) {
-		if sel == nil && ix.Blocks[b].NullBytes == 0 && ix.Type != TypeString {
-			blk, err := ix.openBlock(data, b, base, rec)
-			if err != nil {
-				return Aggregate{}, err
-			}
-			agg, used := Aggregate{}, 0
-			switch ix.Type {
-			case TypeInt:
-				var g core.Agg[int32]
-				used, err = core.Int.Aggregate(blk.stream, &g, &stats, &blk.cfg)
-				agg = fromIntAgg(TypeInt, g)
-			case TypeInt64:
-				var g core.Agg[int64]
-				used, err = core.Int64.Aggregate(blk.stream, &g, &stats, &blk.cfg)
-				agg = fromIntAgg(TypeInt64, g)
-			case TypeDouble:
-				var g core.DoubleAgg
-				used, err = core.Double.Aggregate(blk.stream, &g, &stats, &blk.cfg)
-				agg = fromDoubleAgg(g)
-			}
-			if err = blk.consumed(used, err); err != nil {
-				return Aggregate{}, err
-			}
-			if agg.Count != int64(blk.ref.Rows) {
-				return Aggregate{}, ErrCorrupt
-			}
-			return agg, nil
+		if ix.Type == TypeString {
+			return ix.aggregateStrings(ctx, data, b, local, opt, &stats)
 		}
-		d := newColumnDecode(ix, data, b, b+1, true)
-		if err := decodeColumns(ctx, []*columnDecode{d}, opt, "", false); err != nil {
+		blk, err := ix.openBlock(data, b, base, rec)
+		if err != nil {
 			return Aggregate{}, err
 		}
-		stats.AggDecoded.Add(1)
-		agg := Aggregate{Type: ix.Type}
-		keep := d.col.Nulls.valid(ix.Blocks[b].Rows)
-		andCount(keep, local)
-		include := func(r int) bool { return keep[r/64]>>(r%64)&1 != 0 }
+		// The rows to fold: the selected ones (local; nil is every row),
+		// minus the NULLs, whose slots the compressor rewrote.
+		rows, want := local, blk.ref.Rows
+		if blk.nulls != nil {
+			rows = blk.valid()
+			want = andCount(rows, local)
+		} else if local != nil {
+			want = andCount(local, nil)
+		}
+		scr := decodeScratch.Get().(*core.Scratch)
+		defer decodeScratch.Put(scr)
+		blk.cfg.Scratch = scr
+		agg, used := Aggregate{}, 0
 		switch ix.Type {
 		case TypeInt:
-			for r, v := range d.col.Ints {
-				if include(r) {
-					agg.FoldInt(v)
-				}
-			}
+			var g core.Agg[int32]
+			used, err = core.Int.Aggregate(blk.stream, rows, &g, &stats, &blk.cfg)
+			agg = fromIntAgg(TypeInt, g)
 		case TypeInt64:
-			for r, v := range d.col.Ints64 {
-				if include(r) {
-					agg.FoldInt64(v)
-				}
-			}
+			var g core.Agg[int64]
+			used, err = core.Int64.Aggregate(blk.stream, rows, &g, &stats, &blk.cfg)
+			agg = fromIntAgg(TypeInt64, g)
 		case TypeDouble:
-			for r, v := range d.col.Doubles {
-				if include(r) {
-					agg.FoldDouble(v)
-				}
-			}
-		case TypeString:
-			for r := 0; r < d.views[0].Len(); r++ {
-				if include(r) {
-					agg.FoldString(d.views[0].Bytes(r))
-				}
-			}
+			var g core.DoubleAgg
+			used, err = core.Double.Aggregate(blk.stream, rows, &g, &stats, &blk.cfg)
+			agg = fromDoubleAgg(g)
+		}
+		if err = blk.consumed(used, err); err != nil {
+			return Aggregate{}, err
+		}
+		if agg.Count != int64(want) {
+			return Aggregate{}, ErrCorrupt
 		}
 		return agg, nil
 	})
@@ -614,6 +592,25 @@ func (ix *ColumnIndex) AggregateBlocksContext(ctx context.Context, data []byte, 
 		total.Merge(p)
 	}
 	return total, stats.Snapshot(), nil
+}
+
+// aggregateStrings decodes string block b and folds its selected non-NULL
+// rows (local; nil is every row).
+func (ix *ColumnIndex) aggregateStrings(ctx context.Context, data []byte, b int, local []uint64, opt *Options, stats *core.SelectStats) (Aggregate, error) {
+	d := newColumnDecode(ix, data, b, b+1, true)
+	if err := decodeColumns(ctx, []*columnDecode{d}, opt, "", false); err != nil {
+		return Aggregate{}, err
+	}
+	stats.AggDecoded.Add(1)
+	agg := Aggregate{Type: ix.Type}
+	keep := d.col.Nulls.valid(ix.Blocks[b].Rows)
+	andCount(keep, local)
+	for r := 0; r < d.views[0].Len(); r++ {
+		if keep[r/64]>>(r%64)&1 != 0 {
+			agg.FoldString(d.views[0].Bytes(r))
+		}
+	}
+	return agg, nil
 }
 
 // CountNotNullBlocksContext counts non-NULL rows over the listed blocks
