@@ -9,7 +9,7 @@ import "math/bits"
 // value per span and its exceptions through the rows selected among them,
 // and Dict the dictionary entries of the selected codes. Under a
 // selection, FastBP and Pseudodecimal read only the selected rows out of
-// their packed blocks and sub-streams (pick); other streams decode and
+// their packed blocks and sub-streams (take); other streams decode and
 // fold the selected rows.
 //
 // Determinism contract (the differential oracle depends on it): every
@@ -106,12 +106,12 @@ func (t *Numeric[T, K]) Aggregate(src []byte, sel []uint64, acc Folder[T], st *S
 	if e.aggregate != nil {
 		return e.aggregate(src, n, sel, acc, st, cfg)
 	}
-	values, used, err := t.pickFrom(e, t.buf(cfg.Scratch), src, n, sel, cfg)
+	values, used, err := t.takeFrom(e, t.buf(cfg.Scratch), src, n, sel, cfg)
 	defer t.putBuf(cfg.Scratch, values)
 	if err != nil {
 		return 0, err
 	}
-	if sel != nil && e.pick != nil {
+	if sel != nil && e.take != nil {
 		st.AggFast.Add(1)
 	} else {
 		st.AggDecoded.Add(1)
@@ -120,26 +120,26 @@ func (t *Numeric[T, K]) Aggregate(src []byte, sel []uint64, acc Folder[T], st *S
 	return used, nil
 }
 
-// pick appends to dst, in row order, the values of the rows sel holds
+// take appends to dst, in row order, the values of the rows sel holds
 // (every row when sel is nil) of a stream that must hold n values, and
 // returns the bytes the stream takes: the sub-stream reader of the folds.
-func (t *Numeric[T, K]) pick(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
+func (t *Numeric[T, K]) take(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
 	e, got, err := selHead(&t.schemes, src, sel, cfg)
 	if err != nil || got != n {
 		return dst, 0, ErrCorrupt
 	}
-	return t.pickFrom(e, dst, src, n, sel, cfg)
+	return t.takeFrom(e, dst, src, n, sel, cfg)
 }
 
-// pickFrom is pick past the stream's head: the scheme's own pick under a
+// takeFrom is take past the stream's head: the scheme's own take under a
 // selection where it has one, and otherwise a decode (into an arena
 // buffer, under a selection, that the selected values are copied out of).
-func (t *Numeric[T, K]) pickFrom(e *numScheme[T, K], dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
+func (t *Numeric[T, K]) takeFrom(e *numScheme[T, K], dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
 	switch {
 	case sel == nil:
 		return e.decode(dst, src, n, cfg)
-	case e.pick != nil:
-		return e.pick(dst, src, n, sel, cfg)
+	case e.take != nil:
+		return e.take(dst, src, n, sel, cfg)
 	}
 	values, used, err := e.decode(t.buf(cfg.Scratch), src, n, cfg)
 	defer t.putBuf(cfg.Scratch, values)

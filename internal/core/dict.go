@@ -43,9 +43,9 @@ func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			return compress(Int, dst, codes, cfg, depth-1, rng)
 		},
 		decode: func(dst []T, src []byte, n int, cfg *Config) ([]T, int, error) {
-			return t.dictPick(dst, src, n, nil, cfg)
+			return t.dictTake(dst, src, n, nil, cfg)
 		},
-		pick: t.dictPick,
+		take: t.dictTake,
 		scan: func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (int, int, error) {
 			dict, pos, err := t.dictHead(src, n, cfg)
 			if err != nil {
@@ -118,7 +118,7 @@ func (t *Numeric[T, K]) dictCodes(src []byte, n int, sel []uint64, cfg *Config) 
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	codes, used, err = Int.pick(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
+	codes, used, err = Int.take(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
 	if err == nil && sel == nil && len(codes) != n {
 		err = ErrCorrupt
 	}
@@ -130,9 +130,9 @@ func (t *Numeric[T, K]) dictCodes(src []byte, n int, sel []uint64, cfg *Config) 
 	return dict, codes, pos + used, nil
 }
 
-// dictPick appends the values of the rows of sel (every row for a nil
-// sel) of a Dict stream of n rows to dst: its decode, and its pick.
-func (t *Numeric[T, K]) dictPick(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
+// dictTake appends the values of the rows of sel (every row for a nil
+// sel) of a Dict stream of n rows to dst: its decode, and its take.
+func (t *Numeric[T, K]) dictTake(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
 	dict, codes, used, err := t.dictCodes(src, n, sel, cfg)
 	if err != nil {
 		return dst, 0, err

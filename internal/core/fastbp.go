@@ -24,7 +24,7 @@ import (
 // from its packed words, through bitpack's generated compare kernels,
 // where the width allows (32 bits for a range, 12 for In); any other
 // block unpacked and through cmpWords. Under a selection, folds
-// read only the selected deltas (pick).
+// read only the selected deltas (take).
 
 // fastBP makes the entry of Int or Int64 from bitpack's codec for T, whose
 // deltas are packed as U.
@@ -88,7 +88,7 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 			}
 			return count, used, nil
 		},
-		pick: func(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
+		take: func(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error) {
 			unpacked := unpack
 			if cfg.ScalarDecode {
 				unpacked = unpackScalar
@@ -103,7 +103,7 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 					for ; k > 0; k-- {
 						dst = append(dst, ref)
 					}
-				case k < pickDense:
+				case k < takeDense:
 					// One or two word loads per selected value.
 					for m := m0; m != 0; m &= m - 1 {
 						dst = append(dst, ref+T(U(packedAt(packed, bits.TrailingZeros64(m), w))))
@@ -216,9 +216,9 @@ func cmpPacked[T integer](p *Pred[T], c cmp[T], ref T, packed []byte, cnt int, w
 	return m0, m1, true
 }
 
-// pickDense is the number of selected values from which a block is
+// takeDense is the number of selected values from which a block is
 // unpacked whole rather than read value by value.
-const pickDense = 48
+const takeDense = 48
 
 // blockWords returns the two words of sel that cover the block of cnt
 // values starting at row (a multiple of 128), cleared past the block's

@@ -123,7 +123,7 @@ func frequency[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 			}
 			// A row-order fold interleaves the selected exception values
 			// with the top value's spans in position order.
-			exc, used, err := t.pick(t.buf(cfg.Scratch), src[pos:], excN, excSel, cfg)
+			exc, used, err := t.take(t.buf(cfg.Scratch), src[pos:], excN, excSel, cfg)
 			defer t.putBuf(cfg.Scratch, exc)
 			if err != nil {
 				return 0, err

@@ -29,7 +29,7 @@ func pseudodecimal() *numScheme[float64, uint64] {
 		viable: func(p *stats.Profile[uint64]) bool { return p.UniqueFrac() >= 0.1 },
 		encode: encodePDE,
 		decode: decodePDE,
-		pick:   pickPDE,
+		take:   takePDE,
 		walk: func(l *Layout, src []byte) error {
 			pos, err := l.walkSubs(src, 5, sub{Int, "digits", l.Values}, sub{Int, "exponents", l.Values})
 			if err != nil {
@@ -118,19 +118,19 @@ func pdePatches(src []byte) (bm *roaring.Bitmap, used int, patches []byte, err e
 	return bm, used, src[used:end], nil
 }
 
-// pickPDE appends the values of the rows of sel to dst in row order. A
+// takePDE appends the values of the rows of sel to dst in row order. A
 // selected row is a patch exactly when its exponent is the exception
 // exponent and the bitmap holds it, and its patch is the one at its rank
 // in the bitmap; any other exponent must be a valid one.
-func pickPDE(dst []float64, src []byte, n int, sel []uint64, cfg *Config) ([]float64, int, error) {
+func takePDE(dst []float64, src []byte, n int, sel []uint64, cfg *Config) ([]float64, int, error) {
 	pos := 5
-	digits, used, err := Int.pick(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
+	digits, used, err := Int.take(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
 	defer Int.putBuf(cfg.Scratch, digits)
 	if err != nil {
 		return dst, 0, err
 	}
 	pos += used
-	exps, used, err := Int.pick(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
+	exps, used, err := Int.take(Int.buf(cfg.Scratch), src[pos:], n, sel, cfg)
 	defer Int.putBuf(cfg.Scratch, exps)
 	if err != nil {
 		return dst, 0, err

@@ -39,11 +39,11 @@ type numScheme[T numeric, K stats.Key] struct {
 	// (nil: every row).
 	scan      func(src []byte, n int, m Matcher[T], sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error)
 	aggregate func(src []byte, n int, sel []uint64, acc Folder[T], st *SelectStats, cfg *Config) (int, error)
-	// pick, where set, appends the values of the rows of the non-nil sel to
+	// take, where set, appends the values of the rows of the non-nil sel to
 	// dst in row order, reading no other row's value where the layout
 	// allows (FastBP, Pseudodecimal, Dict through its codes); elsewhere the
 	// stream is decoded and the selected values copied out.
-	pick func(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error)
+	take func(dst []T, src []byte, n int, sel []uint64, cfg *Config) ([]T, int, error)
 	// runs, where set (RLE), decodes src's runs without expanding them; the
 	// fused Dict+RLE path of the string dictionary reads its codes so.
 	runs func(src []byte, n int, cfg *Config) (values []T, lengths []int32, used int, err error)
