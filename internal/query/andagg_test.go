@@ -18,17 +18,7 @@ import (
 // under the selection: no aggregate decodes.
 func TestAggAndFoldsPacked(t *testing.T) {
 	const rows, blockSize = 4 * 8192, 8192
-	rng := rand.New(rand.NewSource(41))
-	names := make([]string, 24)
-	for i := range names {
-		names[i] = fmt.Sprintf("region-%02d", i)
-	}
-	region, seq, amount := make([]string, rows), make([]int32, rows), make([]float64, rows)
-	for i := range region {
-		region[i] = names[rng.Intn(len(names))]
-		seq[i] = 5_000_000 + int32(i) + rng.Int31n(64)
-		amount[i] = float64(rng.Intn(400_000)) / 4
-	}
+	names, region, seq, amount := andAggTable(rows, 41)
 	copt := &btrblocks.Options{BlockSize: blockSize}
 	for _, nullEvery := range []int{0, 16} {
 		amountCol := btrblocks.DoubleColumn("amount", amount)
@@ -87,17 +77,7 @@ func TestAggAndFoldsPacked(t *testing.T) {
 // only the sum/min/max fold of amount under each variant's selection.
 func BenchmarkAndAgg(b *testing.B) {
 	const rows = 512_000
-	rng := rand.New(rand.NewSource(1))
-	names := make([]string, 24)
-	for i := range names {
-		names[i] = fmt.Sprintf("region-%02d", i)
-	}
-	region, seq, amount := make([]string, rows), make([]int32, rows), make([]float64, rows)
-	for i := range region {
-		region[i] = names[rng.Intn(len(names))]
-		seq[i] = 5_000_000 + int32(i) + rng.Int31n(64)
-		amount[i] = float64(rng.Intn(400_000)) / 4
-	}
+	names, region, seq, amount := andAggTable(rows, 1)
 	copt := &btrblocks.Options{Parallelism: 1}
 	src := MemSource{}
 	for name, col := range map[string]btrblocks.Column{
@@ -153,4 +133,21 @@ func BenchmarkAndAgg(b *testing.B) {
 			}
 		}
 	})
+}
+
+// andAggTable generates the benchmark's query table: 24 region names
+// drawn at random, near-sorted ids, and amounts on a 0.25 grid.
+func andAggTable(rows int, seed int64) (names, region []string, seq []int32, amount []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	names = make([]string, 24)
+	for i := range names {
+		names[i] = fmt.Sprintf("region-%02d", i)
+	}
+	region, seq, amount = make([]string, rows), make([]int32, rows), make([]float64, rows)
+	for i := range region {
+		region[i] = names[rng.Intn(len(names))]
+		seq[i] = 5_000_000 + int32(i) + rng.Int31n(64)
+		amount[i] = float64(rng.Intn(400_000)) / 4
+	}
+	return names, region, seq, amount
 }
