@@ -38,8 +38,8 @@ ingest-smoke:
 # corpus over three child node processes with R=2, scans every file
 # through the router in a loop, and SIGKILLs a node mid-scan; every scan
 # must still complete bit-correct off the survivors, the prober must
-# mark the node down, the scatter-gather count must still agree and
-# /metrics must show the failover. Everything one process can check
+# mark the node down, a routed /v1/query count per string column must
+# still agree and /metrics must show the failover. Everything one process can check
 # (btrserved's endpoints, repair, hedging, routed queries) is an
 # in-package test of internal/blockstore or internal/cluster.
 cluster-smoke:

@@ -40,14 +40,27 @@ run_tier1() {
 	echo "== one pushdown path =="
 	# Predicates are counted by the selection walker in query.go
 	# (Count(Predicate)); the CountEqual* entry points and root scan.go
-	# are gone, and a probe literal is parsed by btrblocks.ParseEq alone.
+	# are gone, and a probe literal is a typed plan literal bound by
+	# internal/query alone.
 	if grep -rnE --include='*.go' --exclude-dir=.bench_build '\bCountEqual' .; then
 		echo 'no Go file may use a CountEqual* identifier: count through btrblocks.Count'
 		exit 1
 	fi
 	test ! -e scan.go || { echo 'root scan.go must not exist'; exit 1; }
 	if grep -rnE --include='*.go' 'strconv\.ParseInt\(value\b|ParseFloat\(value\b' internal/blockstore internal/cluster internal/smoke; then
-		echo 'parse probe literals with btrblocks.ParseEq'
+		echo 'probe literals are typed plan literals bound by internal/query'
+		exit 1
+	fi
+
+	echo "== one HTTP surface per question =="
+	# A count of column = literal is a /v1/query plan with one eq leaf,
+	# and server state is read from /metrics, /v1/spans and the expvar
+	# section: no non-test Go file names the count-eq or telemetry
+	# routes, or defines the probe parser, the router's count scatter or
+	# the span exemplars that served them.
+	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+		'/v1/(count-eq|telemetry)|^func (\([^)]*\) )?(ParseEq|CountEqScatter|Exemplars)\(' .; then
+		echo 'one route per question: count through /v1/query, read server state from /metrics and /v1/spans'
 		exit 1
 	fi
 
@@ -227,9 +240,9 @@ run_tier1() {
 	# Replicated serving across processes: btrrouted routes over three
 	# child node processes (R=2) and SIGKILLs one mid-scan; every
 	# in-flight scan must still complete bit-correct off the survivors,
-	# the prober must mark the node down, and the scatter-gather count
-	# must still agree. Repair, hedging and routed queries are
-	# internal/cluster tests.
+	# the prober must mark the node down, and a routed /v1/query count
+	# per string column must still agree. Repair, hedging and the rest of
+	# the routed queries are internal/cluster tests.
 	make cluster-smoke
 
 	echo "== query smoke =="

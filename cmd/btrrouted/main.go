@@ -23,9 +23,9 @@
 // processes with R=2, reads every file through the router in a loop,
 // SIGKILLs a node mid-scan, and proves every scan still returns
 // complete, bit-correct results off the survivors, the prober marks
-// the node down, the scatter-gather count still agrees and /metrics
-// shows the failover. It exits non-zero on any miss. Scatter counts,
-// routed queries, repair and hedging run in one process and are
+// the node down, a routed /v1/query count per string column still
+// agrees and /metrics shows the failover. It exits non-zero on any
+// miss. Routed queries, repair and hedging run in one process and are
 // checked by internal/cluster's tests.
 package main
 
@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,6 +47,7 @@ import (
 	"btrblocks/internal/cluster"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
+	"btrblocks/internal/query"
 	"btrblocks/internal/serverkit"
 	"btrblocks/internal/smoke"
 )
@@ -272,10 +272,10 @@ func runSmoke() error {
 	return smoke.CheckMetrics(text, "btrrouted_failovers_total")
 }
 
-// checkScatterCount asks the router for a cluster-wide equality count
-// (GET /v1/count-eq?value=) and verifies the merged total against a
-// decode-and-compare count over every matching column.
-func checkScatterCount(ctx context.Context, routerBase string, columns []smoke.Column, opt *btrblocks.Options) error {
+// checkRoutedCount counts one string literal in every string column
+// through the router (POST /v1/query, a plan with one eq leaf per
+// column) and checks each count against a decode-and-compare count.
+func checkRoutedCount(ctx context.Context, cl *blockstore.Client, columns []smoke.Column, opt *btrblocks.Options) error {
 	probe := ""
 	for i := range columns {
 		if columns[i].Col.Type == btrblocks.TypeString {
@@ -286,37 +286,32 @@ func checkScatterCount(ctx context.Context, routerBase string, columns []smoke.C
 	if probe == "" {
 		return fmt.Errorf("no string column in the corpus")
 	}
-	want := 0
+	lit, err := json.Marshal(probe)
+	if err != nil {
+		return err
+	}
 	for i := range columns {
 		if columns[i].Col.Type != btrblocks.TypeString {
 			continue
 		}
-		n, err := smoke.LocalCount(columns[i].Data, probe, opt)
+		want, err := smoke.LocalCount(columns[i].Data, btrblocks.StringEq(probe), opt)
 		if err != nil {
 			return err
 		}
-		want += n
-	}
-	body, err := smoke.HTTPGet(ctx, routerBase+"/v1/count-eq?value="+url.QueryEscape(probe))
-	if err != nil {
-		return fmt.Errorf("scatter count: %v", err)
-	}
-	var sc cluster.ScatterCount
-	if err := json.Unmarshal([]byte(body), &sc); err != nil {
-		return err
-	}
-	if sc.Partial {
-		return fmt.Errorf("scatter count is partial: %+v", sc)
-	}
-	if sc.Count != want {
-		return fmt.Errorf("scatter count %q: router %d, local %d", probe, sc.Count, want)
+		res, err := cl.Query(ctx, &query.Plan{Filter: &query.Node{Op: "eq", Column: columns[i].Name, Value: lit}})
+		if err != nil {
+			return fmt.Errorf("routed count of %s: %v", columns[i].Name, err)
+		}
+		if res.Matched != int64(want) {
+			return fmt.Errorf("routed count of %s = %q: router %d, local %d", columns[i].Name, probe, res.Matched, want)
+		}
 	}
 	return nil
 }
 
 // smokeKill SIGKILLs one node while scans are in flight and proves
 // every scan keeps returning complete, bit-correct results, the prober
-// marks the node down, and the scatter count still agrees.
+// marks the node down, and routed counts still agree.
 func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, victim *smokeNode, columns []smoke.Column, opt *btrblocks.Options) error {
 	var (
 		scans   atomic.Int64
@@ -404,8 +399,8 @@ func smokeKill(ctx context.Context, routerBase string, cl *blockstore.Client, vi
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Scatter-gather still answers correctly off the survivors.
-	if err := checkScatterCount(ctx, routerBase, columns, opt); err != nil {
+	// Routed queries still answer correctly off the survivors.
+	if err := checkRoutedCount(ctx, cl, columns, opt); err != nil {
 		return err
 	}
 	fmt.Printf("smoke: %s SIGKILLed mid-scan, %d column scans completed bit-correct after the kill\n",

@@ -1,11 +1,13 @@
 // Command btrserved serves a directory of BtrBlocks files over HTTP:
 // raw byte ranges for clients that bring their own decoder, decompressed
 // blocks (JSON or binary) through a byte-bounded block cache with
-// readahead, pushed-down equality predicates answered from the
-// compressed representation, and cascade decision traces at
-// /v1/trace/NAME. Prometheus metrics at /metrics, cache and decode
-// telemetry at /v1/telemetry. Requests are logged as JSON slog records
-// with per-request IDs; -debug-addr exposes pprof and expvar on a
+// readahead, query plans (filters and aggregates, counts of
+// column = literal included) answered from the compressed
+// representation at /v1/query, and cascade decision traces at
+// /v1/trace/NAME. Cache, decode and per-route series are Prometheus
+// metrics at /metrics, request spans are at /v1/spans. Requests are
+// logged as JSON slog records with per-request IDs; -debug-addr exposes
+// pprof and expvar (where the library's decode telemetry is) on a
 // second listener, SIGQUIT dumps a snapshot without exiting, and
 // SIGINT/SIGTERM shut down gracefully with a summary log (the lifecycle
 // is internal/serverkit's, shared with btrrouted and btringest).

@@ -608,11 +608,6 @@ func (c *Client) BlockJSON(ctx context.Context, name string, idx int) (*BlockVal
 	return blk, nil
 }
 
-// CountEq pushes an equality predicate down to the server.
-func (c *Client) CountEq(ctx context.Context, name, value string) (*CountEqResult, error) {
-	return getJSON[CountEqResult](ctx, c, "/v1/count-eq?file="+url.QueryEscape(name)+"&value="+url.QueryEscape(value))
-}
-
 // Trace fetches the cascade decision trace of one block (or the whole
 // column when block < 0).
 func (c *Client) Trace(ctx context.Context, name string, block int) (*btrblocks.DecisionTrace, error) {
@@ -621,11 +616,6 @@ func (c *Client) Trace(ctx context.Context, name string, block int) (*btrblocks.
 		path += "?block=" + strconv.Itoa(block)
 	}
 	return getJSON[btrblocks.DecisionTrace](ctx, c, path)
-}
-
-// Telemetry fetches the server's cache and library telemetry.
-func (c *Client) Telemetry(ctx context.Context) (*TelemetryReport, error) {
-	return getJSON[TelemetryReport](ctx, c, "/v1/telemetry")
 }
 
 // Spans fetches the server's retained spans, optionally filtered by

@@ -40,7 +40,7 @@ type Metrics struct {
 // NewMetrics returns an empty metrics set.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Cache summarizes the cache and decode counters.
+// Cache copies the cache and decode counters into one CacheStats.
 func (m *Metrics) Cache() CacheStats {
 	return CacheStats{
 		Hits:              m.CacheHits.Load(),

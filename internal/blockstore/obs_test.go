@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func TestServerParallelScansWithLogging(t *testing.T) {
 			if _, err := cl.Trace(ctx, name, 0); err != nil {
 				t.Error(err)
 			}
-			if _, err := cl.Telemetry(ctx); err != nil {
+			if _, err := cl.MetricsText(ctx); err != nil {
 				t.Error(err)
 			}
 		}(w)
@@ -200,28 +201,42 @@ func TestRequestIDEchoAndPropagation(t *testing.T) {
 	}
 }
 
-// TestTelemetryEndpointsSection checks that /v1/telemetry now carries
-// per-route summaries with latency quantiles.
+// TestTelemetryEndpointsSection checks that /metrics carries the
+// per-route request counter and latency histogram of a route that
+// served traffic.
 func TestTelemetryEndpointsSection(t *testing.T) {
 	_, cl, _, _ := newTestServer(t, Config{})
 	ctx := context.Background()
 	if _, err := cl.Files(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cl.Telemetry(ctx)
+	text, err := cl.MetricsText(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, ep := range rep.Endpoints {
-		if ep.Route == "/v1/files" {
-			found = true
-			if ep.Requests == 0 || ep.Latency.Count == 0 {
-				t.Fatalf("/v1/files summary empty: %+v", ep)
-			}
+	for _, series := range []string{
+		`btrserved_http_requests_total{route="/v1/files"}`,
+		`btrserved_http_request_duration_seconds_count{route="/v1/files"}`,
+	} {
+		if n := metricValue(t, text, series); n < 1 {
+			t.Errorf("%s = %v, want >= 1", series, n)
 		}
 	}
-	if !found {
-		t.Fatalf("no /v1/files entry in endpoints: %+v", rep.Endpoints)
+}
+
+// metricValue returns the value of one series of a Prometheus text
+// exposition, failing t when the series is absent.
+func metricValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return n
+		}
 	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"btrblocks"
 	"btrblocks/internal/obs"
 )
 
@@ -21,21 +20,21 @@ import (
 //	GET /v1/block?file=N&block=I          decompressed block
 //	    [&format=json|binary]             (default json; binary = BTBK,
 //	                                      sent with Content-Length)
-//	GET /v1/count-eq?file=N&value=V       pushed-down equality predicate
 //	POST /v1/query                        JSON query plan over column files
 //	GET /v1/trace/NAME[?block=I]          cascade decision trace (JSON)
-//	GET /v1/telemetry                     cache + library telemetry (JSON)
 //	GET /metrics                          Prometheus text exposition
+//	GET /v1/spans[?trace=ID&min_dur=D]    retained request spans (JSON)
+//	POST /v1/invalidate/NAME              reload one file from the directory
 //	PUT /v1/repair/NAME                   install a verified replacement copy
 //
 // The raw endpoint is the S3-style path: compute nodes that want to run
 // their own decoder fetch byte ranges, exactly as against an object
 // store. The block endpoint moves decompression server-side, through the
-// block cache. The count-eq endpoint pushes the predicate all the way
-// down: the value is parsed with btrblocks.ParseEq and counted by
-// ColumnIndex.Count, so OneValue/RLE/Dict blocks are answered without
-// decompression. The trace endpoint re-derives the scheme
-// selection of a served column, block by block, for debugging.
+// block cache. The query endpoint pushes predicates and aggregates all
+// the way down (internal/query): a count of column = literal is a plan
+// with one eq leaf, answered from the compressed blocks. The trace
+// endpoint re-derives the scheme selection of a served column, block by
+// block, for debugging.
 type Server struct {
 	store   *Store
 	handler http.Handler
@@ -84,9 +83,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	mux.Handle("GET /v1/files", s.handleFiles)
 	mux.Handle("GET /v1/raw/", s.handleRaw)
 	mux.Handle("GET /v1/block", s.handleBlock)
-	mux.Handle("GET /v1/count-eq", s.handleCountEq)
 	mux.Handle("GET /v1/trace/", s.handleTrace)
-	mux.Handle("GET /v1/telemetry", s.handleTelemetry)
 	mux.Handle("POST /v1/query", s.handleQuery)
 	mux.Handle("POST /v1/invalidate/", s.handleInvalidate)
 	mux.Handle("PUT /v1/repair/", s.handleRepair)
@@ -225,40 +222,6 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleCountEq(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("file")
-	if name == "" {
-		http.Error(w, "missing file parameter", http.StatusBadRequest)
-		return
-	}
-	if !q.Has("value") {
-		http.Error(w, "missing value parameter", http.StatusBadRequest)
-		return
-	}
-	value := q.Get("value")
-	start := time.Now()
-	f, err := s.store.column(name)
-	count := 0
-	if err == nil {
-		var p btrblocks.Predicate
-		if p, err = btrblocks.ParseEq(f.Index.Type, value); err == nil {
-			count, _, err = f.Index.CountContext(r.Context(), f.Data, p, s.store.Options())
-		}
-	}
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	_ = obs.WriteJSON(w, CountEqResult{
-		File:  name,
-		Type:  f.Index.Type.String(),
-		Value: value,
-		Count: count,
-		Nanos: time.Since(start).Nanoseconds(),
-	})
-}
-
 // handleTrace serves /v1/trace/NAME[?block=I]: the cascade decision
 // trace of one block, or of every block when the parameter is absent.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -282,22 +245,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = obs.WriteJSON(w, tr)
-}
-
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	m := s.store.Metrics()
-	report := TelemetryReport{Cache: m.Cache(), Endpoints: m.HTTP.Snapshot()}
-	if opt := s.store.Options(); opt != nil && opt.Telemetry.Enabled() {
-		snap := opt.Telemetry.Snapshot()
-		snap.Events = nil // bound the payload; aggregates carry the story
-		report.Telemetry = &snap
-	}
-	if s.spans.Enabled() {
-		report.SpanExemplars = s.spans.Exemplars()
-		st := s.spans.Stats()
-		report.Spans = &st
-	}
-	_ = obs.WriteJSON(w, report)
 }
 
 // handleInvalidate serves POST /v1/invalidate/NAME: drop cached state

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,14 +11,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"btrblocks"
 	"btrblocks/internal/obs"
 	"btrblocks/internal/pbi"
+	"btrblocks/internal/query"
 )
 
 // writeTree materializes an in-memory corpus as a directory tree.
@@ -249,28 +253,37 @@ func checkBlockAgainst(t *testing.T, blk *BlockValues, full *btrblocks.Column, n
 	}
 }
 
+// TestServerCountEqMatchesLocal counts column = literal through POST
+// /v1/query, a plan with one eq leaf answered by Result.Matched, and
+// checks every count against the ground-truth rows.
 func TestServerCountEqMatchesLocal(t *testing.T) {
 	t.Run("synthetic", func(t *testing.T) {
 		contents, cols := testCorpus(t)
-		checkCountEqMatchesLocal(t, corpus{contents, cols}, map[string][]string{
-			"t/i.btr": {"7", "250", "-1"},
-			"t/l.btr": {fmt.Sprint(int64(3) << 30), "0", "-1"},
-			"t/d.btr": {"2.25", "0.25", "-7"},
+		checkCountEqMatchesLocal(t, corpus{contents, cols}, map[string][]any{
+			"t/i.btr": {int32(7), int32(250), int32(-1)},
+			"t/l.btr": {int64(3) << 30, int64(0), int64(-1)},
+			"t/d.btr": {2.25, 0.25, -7.0},
 			"t/s.btr": {"city-3", "city-11", "nowhere"},
 		})
 	})
 	t.Run("pbi", func(t *testing.T) {
 		// Per column, a sure miss and the first non-NULL value.
 		c := widePBI(t)
-		probes := make(map[string][]string, len(c.cols))
+		probes := make(map[string][]any, len(c.cols))
 		for name, col := range c.cols {
-			probes[name] = []string{"-987654321"}
-			if col.Type == btrblocks.TypeString {
-				probes[name] = []string{"no-such-value"}
+			switch col.Type {
+			case btrblocks.TypeInt:
+				probes[name] = []any{int32(-987654321)}
+			case btrblocks.TypeInt64:
+				probes[name] = []any{int64(-987654321)}
+			case btrblocks.TypeDouble:
+				probes[name] = []any{-987654321.0}
+			default:
+				probes[name] = []any{"no-such-value"}
 			}
 			for i := 0; i < col.Len(); i++ {
 				if !col.Nulls.IsNull(i) {
-					probes[name] = append(probes[name], literalAt(&col, i))
+					probes[name] = append(probes[name], valueAt(&col, i))
 					break
 				}
 			}
@@ -279,49 +292,70 @@ func TestServerCountEqMatchesLocal(t *testing.T) {
 	})
 }
 
-// literalAt renders row i of col as a count-eq literal.
-func literalAt(col *btrblocks.Column, i int) string {
+// valueAt returns row i of col as a typed Go value.
+func valueAt(col *btrblocks.Column, i int) any {
 	switch col.Type {
 	case btrblocks.TypeInt:
-		return strconv.Itoa(int(col.Ints[i]))
+		return col.Ints[i]
 	case btrblocks.TypeInt64:
-		return strconv.FormatInt(col.Ints64[i], 10)
+		return col.Ints64[i]
 	case btrblocks.TypeDouble:
-		return strconv.FormatFloat(col.Doubles[i], 'g', -1, 64)
+		return col.Doubles[i]
 	}
 	return col.Strings.At(i)
 }
 
+// eqProbe turns a typed value into the literal of an eq leaf and the
+// predicate it stands for. NaN and ±Inf travel as JSON strings, the
+// form plan literals give them.
+func eqProbe(t *testing.T, v any) (json.RawMessage, btrblocks.Predicate) {
+	t.Helper()
+	switch v := v.(type) {
+	case int32:
+		return json.RawMessage(strconv.Itoa(int(v))), btrblocks.IntEq(v)
+	case int64:
+		return json.RawMessage(strconv.FormatInt(v, 10)), btrblocks.Int64Eq(v)
+	case float64:
+		lit := strconv.FormatFloat(v, 'g', -1, 64)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			lit = strconv.Quote(lit)
+		}
+		return json.RawMessage(lit), btrblocks.DoubleEq(v)
+	case string:
+		lit, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lit, btrblocks.StringEq(v)
+	}
+	t.Fatalf("no eq probe for %T", v)
+	return nil, btrblocks.Predicate{}
+}
+
 // checkCountEqMatchesLocal serves c and checks the pushed-down count of
 // every probe against the ground-truth rows.
-func checkCountEqMatchesLocal(t *testing.T, c corpus, probes map[string][]string) {
+func checkCountEqMatchesLocal(t *testing.T, c corpus, probes map[string][]any) {
 	_, cl := serveCorpus(t, c.contents, Config{})
 	ctx := context.Background()
 
 	for name, values := range probes {
 		col := c.cols[name]
 		for _, v := range values {
-			res, err := cl.CountEq(ctx, name, v)
+			lit, p := eqProbe(t, v)
+			res, err := cl.Query(ctx, &query.Plan{Filter: &query.Node{Op: "eq", Column: name, Value: lit}})
 			if err != nil {
-				t.Fatalf("%s %q: %v", name, v, err)
+				t.Fatalf("%s = %s: %v", name, lit, err)
 			}
 			// The reference decodes nothing: it compares the ground-truth
 			// rows one by one.
-			p, err := btrblocks.ParseEq(col.Type, v)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := 0
 			for i := 0; i < col.Len(); i++ {
 				if p.Matches(&col, i) {
 					want++
 				}
 			}
-			if res.Count != want {
-				t.Fatalf("%s %q: served %d, local %d", name, v, res.Count, want)
-			}
-			if res.Type != col.Type.String() {
-				t.Fatalf("%s: served type %q", name, res.Type)
+			if res.Matched != int64(want) || res.Rows != col.Len() {
+				t.Fatalf("%s = %s: served %d of %d rows, local %d of %d", name, lit, res.Matched, res.Rows, want, col.Len())
 			}
 		}
 	}
@@ -330,45 +364,45 @@ func checkCountEqMatchesLocal(t *testing.T, c corpus, probes map[string][]string
 func TestServerErrorPaths(t *testing.T) {
 	_, cl, _, _ := newTestServer(t, Config{})
 
-	status := func(path string) int {
-		t.Helper()
-		resp, err := http.Get(cl.base + path)
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"GET", "/v1/raw/no-such-file", "", http.StatusNotFound},
+		{"GET", "/v1/files?file=no-such-file", "", http.StatusNotFound},
+		{"GET", "/v1/block?file=no-such-file&block=0", "", http.StatusNotFound},
+		{"GET", "/v1/block?file=t/i.btr&block=99", "", http.StatusBadRequest},
+		{"GET", "/v1/block?file=t/i.btr&block=x", "", http.StatusBadRequest},
+		{"GET", "/v1/block?file=t/i.btr", "", http.StatusBadRequest},
+		{"GET", "/v1/block?file=t/i.btr&block=0&format=yaml", "", http.StatusBadRequest},
+		{"GET", "/healthz", "", http.StatusOK},
+		// Non-GET methods are rejected.
+		{"POST", "/v1/files", "x", http.StatusMethodNotAllowed},
+		// A count is a /v1/query plan and server state is /metrics and
+		// /v1/spans: the count-eq and telemetry routes are gone.
+		{"GET", "/v1/count-eq?file=t/i.btr&value=1", "", http.StatusNotFound},
+		{"GET", "/v1/telemetry", "", http.StatusNotFound},
+		// An eq leaf without a literal (an unknown column and a mistyped
+		// literal are TestQueryEndpointStatuses rows).
+		{"POST", "/v1/query", `{"filter":{"op":"eq","column":"t/i.btr"}}`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(tc.method, cl.base+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		return resp.StatusCode
-	}
-	for path, want := range map[string]int{
-		"/v1/raw/no-such-file":                       http.StatusNotFound,
-		"/v1/files?file=no-such-file":                http.StatusNotFound,
-		"/v1/block?file=no-such-file&block=0":        http.StatusNotFound,
-		"/v1/block?file=t/i.btr&block=99":            http.StatusBadRequest,
-		"/v1/block?file=t/i.btr&block=x":             http.StatusBadRequest,
-		"/v1/block?file=t/i.btr":                     http.StatusBadRequest,
-		"/v1/block?file=t/i.btr&block=0&format=yaml": http.StatusBadRequest,
-		"/v1/count-eq?file=no-such&value=1":          http.StatusNotFound,
-		"/v1/count-eq?file=t/i.btr":                  http.StatusBadRequest,
-		"/v1/count-eq?file=t/i.btr&value=zebra":      http.StatusBadRequest,
-		"/healthz":                                   http.StatusOK,
-	} {
-		if got := status(path); got != want {
-			t.Errorf("GET %s = %d, want %d", path, got, want)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
-	}
-	// Non-GET methods are rejected.
-	resp, err := http.Post(cl.base+"/v1/files", "text/plain", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST = %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestServerTelemetryAndMetrics(t *testing.T) {
-	_, cl, _, _ := newTestServer(t, Config{
+	store, cl, _, _ := newTestServer(t, Config{
 		Options: &btrblocks.Options{Telemetry: btrblocks.NewTelemetry()},
 	}, WithSpans(obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btrserved"})))
 	ctx := context.Background()
@@ -380,21 +414,10 @@ func TestServerTelemetryAndMetrics(t *testing.T) {
 	if _, err := cl.Block(ctx, "t/i.btr", 0); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cl.Telemetry(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cache.Misses != 1 || rep.Cache.Hits != 1 || rep.Cache.DecodedBlocks != 1 {
-		t.Fatalf("cache stats %+v", rep.Cache)
-	}
-	if rep.Telemetry == nil || rep.Telemetry.DecodeBlocks != 1 {
-		t.Fatalf("library telemetry missing or wrong: %+v", rep.Telemetry)
-	}
-	if len(rep.Telemetry.Events) != 0 {
-		t.Fatal("per-block events must be stripped from the wire report")
-	}
-	if len(rep.SpanExemplars) == 0 {
-		t.Error("/v1/telemetry links no span exemplars after traffic")
+	// The library telemetry saw the one decode; btrserved reads it in
+	// process (expvar section, shutdown summary), not over HTTP.
+	if got := store.Options().Telemetry.Snapshot().DecodeBlocks; got != 1 {
+		t.Fatalf("library telemetry decoded %d blocks, want 1", got)
 	}
 
 	// Each fetch ran under a btrserved/v1/block root span, and the miss
@@ -420,6 +443,21 @@ func TestServerTelemetryAndMetrics(t *testing.T) {
 	}
 	if len(roots) != 2 || decodes != 1 {
 		t.Errorf("recorded %d btrserved/v1/block roots and %d linked block.decode children, want 2 and 1", len(roots), decodes)
+	}
+	// The slowest root's trace is the one /v1/spans?min_dur= keeps at
+	// its own duration.
+	var slowest obs.SpanRecord
+	for _, s := range ss.Spans {
+		if _, ok := roots[s.SpanID]; ok && s.DurationNanos > slowest.DurationNanos {
+			slowest = s
+		}
+	}
+	tail, err := cl.Spans(ctx, "", time.Duration(slowest.DurationNanos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(tail.Spans, func(s obs.SpanRecord) bool { return s.SpanID == slowest.SpanID }) {
+		t.Errorf("/v1/spans?min_dur=%v lacks the slowest root %s", time.Duration(slowest.DurationNanos), slowest.SpanID)
 	}
 
 	text, err := cl.MetricsText(ctx)

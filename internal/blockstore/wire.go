@@ -18,7 +18,6 @@ import (
 	"btrblocks"
 	"btrblocks/coldata"
 	"btrblocks/internal/core"
-	"btrblocks/internal/obs"
 )
 
 // This file defines the wire representations shared by Server and
@@ -80,15 +79,6 @@ type FileMeta struct {
 	Blocks int    `json:"blocks,omitempty"`
 }
 
-// CountEqResult is the /v1/count-eq response.
-type CountEqResult struct {
-	File  string `json:"file"`
-	Type  string `json:"type"`
-	Value string `json:"value"`
-	Count int    `json:"count"`
-	Nanos int64  `json:"nanos"`
-}
-
 // InvalidateResult is the POST /v1/invalidate/NAME response.
 type InvalidateResult struct {
 	File string `json:"file"`
@@ -97,7 +87,9 @@ type InvalidateResult struct {
 	Status string `json:"status"`
 }
 
-// CacheStats is the cache section of /v1/telemetry.
+// CacheStats is a point-in-time copy of a store's cache and decode
+// counters, for readers in the same process (btrserved's summary log,
+// the benchmark); over HTTP the same counters are /metrics series.
 type CacheStats struct {
 	Hits              int64 `json:"hits"`
 	Misses            int64 `json:"misses"`
@@ -122,25 +114,6 @@ type RepairResult struct {
 	Bytes int `json:"bytes"`
 	// Status is "accepted" — a rejected push is an HTTP error instead.
 	Status string `json:"status"`
-}
-
-// TelemetryReport is the /v1/telemetry response: the serving-side cache
-// counters, per-route request summaries with latency quantiles, plus the
-// library's compression/decode telemetry snapshot (present when the
-// store's Options carry a recorder; per-block events are stripped to
-// keep the payload bounded).
-type TelemetryReport struct {
-	Cache     CacheStats                   `json:"cache"`
-	Endpoints []obs.RouteSnapshot          `json:"endpoints,omitempty"`
-	Telemetry *btrblocks.TelemetrySnapshot `json:"telemetry,omitempty"`
-	// SpanExemplars links each root span name to its slowest recorded
-	// trace ID — the jump from a latency histogram to the one concrete
-	// trace that explains its tail. Present only when span recording is
-	// enabled on the server.
-	SpanExemplars []obs.Exemplar `json:"span_exemplars,omitempty"`
-	// Spans carries the recorder's cumulative counters when span
-	// recording is enabled.
-	Spans *obs.SpanStats `json:"spans,omitempty"`
 }
 
 // BlockValues is the client-side decoded form of a block, whichever wire

@@ -16,7 +16,6 @@ type Metrics struct {
 	DamageDetected   atomic.Int64 // replica responses classified as block damage (422/410)
 	Hedges           atomic.Int64 // hedge legs fired after the latency budget
 	HedgeWins        atomic.Int64 // fetches won by the hedge leg
-	ScatterQueries   atomic.Int64 // cross-file scatter-gather count queries
 	PlanQueries      atomic.Int64 // query plans routed via /v1/query
 	PlanQueryLegs    atomic.Int64 // per-leaf and per-column sub-queries scattered
 	RepairsQueued    atomic.Int64
@@ -47,7 +46,6 @@ func (m *Metrics) Registry(spans *obs.SpanRecorder) *obs.Registry {
 	r.Counter("btrrouted_damage_detected_total", "Replica responses classified as block damage (422 corrupt / 410 quarantined).", &m.DamageDetected)
 	r.Counter("btrrouted_hedged_requests_total", "Hedge legs fired after the per-replica latency budget.", &m.Hedges)
 	r.Counter("btrrouted_hedge_wins_total", "Block fetches won by the hedge leg.", &m.HedgeWins)
-	r.Counter("btrrouted_scatter_queries_total", "Cross-file scatter-gather count queries.", &m.ScatterQueries)
 	r.Counter("btrrouted_query_plans_total", "Query plans routed via /v1/query.", &m.PlanQueries)
 	r.Counter("btrrouted_query_legs_total", "Per-leaf and per-column sub-queries scattered to replicas.", &m.PlanQueryLegs)
 	r.Counter("btrrouted_repairs_queued_total", "Cross-replica repair tasks enqueued.", &m.RepairsQueued)

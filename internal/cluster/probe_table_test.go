@@ -1,17 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"testing"
 
 	"btrblocks"
 	"btrblocks/internal/blockstore"
+	"btrblocks/internal/query"
 )
 
 // probeColumns are the files of the probe table, in its column order:
@@ -99,32 +100,42 @@ func probeCorpus(t *testing.T) map[string][]byte {
 	return contents
 }
 
-// TestCountEqProbeTable pins what /v1/count-eq answers for each probe
-// literal on each column type, with and without NULLs: on a btrserved
-// node (?file=), through the router (?file=) and as the router's
-// scatter over every file (?value= alone). want[c] is the count file c
-// answers, or -1 where the probe is not a literal of the file's type
-// and the reply is 400 Bad Request.
+// TestCountEqProbeTable pins what a count of column = literal answers
+// for each probe literal on each column type, with and without NULLs:
+// POST /v1/query with one eq leaf, read from Result.Matched, on a
+// btrserved node and through the router. want[c] is the count file c
+// answers, or -1 where the literal does not bind to the file's type and
+// the reply is 400 Bad Request.
 func TestCountEqProbeTable(t *testing.T) {
 	const bad = -1
+	// lit is the eq leaf's literal as the JSON it travels as: each probe
+	// as a JSON number where it is one and as a JSON string otherwise,
+	// then the numeric probes again as JSON strings. A number does not
+	// bind to a string column, and "+5" is no JSON number, so it does not
+	// bind to an integer column; a string holding a number binds to every
+	// numeric column as that number.
 	table := []struct {
-		value   string
-		missing bool // no value parameter at all
-		want    [8]int
+		lit  string // "" leaves the value out
+		want [8]int
 	}{
 		// columns: int, int+NULL, bigint, bigint+NULL, double, double+NULL, string, string+NULL
-		{value: "5", want: [8]int{320, 212, 320, 212, 320, 212, 280, 186}},
-		{value: "42", want: [8]int{0, 0, 0, 0, 0, 0, 0, 0}},
-		{value: "2147483648", want: [8]int{bad, bad, 40, 26, 40, 26, 0, 0}},
-		{value: "abc", want: [8]int{bad, bad, bad, bad, bad, bad, 40, 26}},
-		{value: "NaN", want: [8]int{bad, bad, bad, bad, 40, 28, 40, 26}},
-		{value: "-0", want: [8]int{80, 54, 80, 54, 40, 28, 40, 28}},
-		{value: "1e3", want: [8]int{bad, bad, bad, bad, 40, 26, 40, 26}},
-		{value: "+5", want: [8]int{320, 212, 320, 212, 320, 212, 40, 28}},
-		{value: "0x10", want: [8]int{bad, bad, bad, bad, bad, bad, 40, 26}},
-		{value: " 5", want: [8]int{bad, bad, bad, bad, bad, bad, 40, 28}},
-		{value: "", want: [8]int{bad, bad, bad, bad, bad, bad, 40, 26}},
-		{missing: true, want: [8]int{bad, bad, bad, bad, bad, bad, bad, bad}},
+		{lit: `5`, want: [8]int{320, 212, 320, 212, 320, 212, bad, bad}},
+		{lit: `42`, want: [8]int{0, 0, 0, 0, 0, 0, bad, bad}},
+		{lit: `2147483648`, want: [8]int{bad, bad, 40, 26, 40, 26, bad, bad}},
+		{lit: `"abc"`, want: [8]int{bad, bad, bad, bad, bad, bad, 40, 26}},
+		{lit: `"NaN"`, want: [8]int{bad, bad, bad, bad, 40, 28, 40, 26}},
+		{lit: `-0`, want: [8]int{80, 54, 80, 54, 40, 28, bad, bad}},
+		{lit: `1e3`, want: [8]int{bad, bad, bad, bad, 40, 26, bad, bad}},
+		{lit: `"+5"`, want: [8]int{bad, bad, bad, bad, 320, 212, 40, 28}},
+		{lit: `"0x10"`, want: [8]int{bad, bad, bad, bad, bad, bad, 40, 26}},
+		{lit: `" 5"`, want: [8]int{bad, bad, bad, bad, bad, bad, 40, 28}},
+		{lit: `""`, want: [8]int{bad, bad, bad, bad, bad, bad, 40, 26}},
+		{lit: ``, want: [8]int{bad, bad, bad, bad, bad, bad, bad, bad}},
+		{lit: `"5"`, want: [8]int{320, 212, 320, 212, 320, 212, 280, 186}},
+		{lit: `"42"`, want: [8]int{0, 0, 0, 0, 0, 0, 0, 0}},
+		{lit: `"2147483648"`, want: [8]int{bad, bad, 40, 26, 40, 26, 0, 0}},
+		{lit: `"-0"`, want: [8]int{80, 54, 80, 54, 40, 28, 40, 28}},
+		{lit: `"1e3"`, want: [8]int{bad, bad, bad, bad, 40, 26, 40, 26}},
 	}
 
 	contents := probeCorpus(t)
@@ -141,9 +152,13 @@ func TestCountEqProbeTable(t *testing.T) {
 	routerSrv := httptest.NewServer(NewServer(newTestRouter(t, specs, Config{Replicas: 2, DisableHedge: true}), nil))
 	t.Cleanup(routerSrv.Close)
 
-	get := func(base, query string, v any) int {
+	count := func(base string, leaf *query.Node) (int, *query.Result) {
 		t.Helper()
-		resp, err := http.Get(base + "/v1/count-eq?" + query)
+		plan, err := json.Marshal(query.Plan{Filter: leaf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,51 +167,34 @@ func TestCountEqProbeTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var res query.Result
 		if resp.StatusCode == http.StatusOK {
-			if err := json.Unmarshal(body, v); err != nil {
-				t.Fatalf("%s: %v", query, err)
+			if err := json.Unmarshal(body, &res); err != nil {
+				t.Fatalf("%s: %v", plan, err)
 			}
 		}
-		return resp.StatusCode
+		return resp.StatusCode, &res
 	}
-	wantTypes := []string{"integer", "integer", "bigint", "bigint", "double", "double", "string", "string"}
 	for _, row := range table {
-		param := "value=" + url.QueryEscape(row.value)
-		if row.missing {
-			param = ""
-		}
-		scatterFiles, scatterCount := 0, 0
 		for c, name := range probeColumns {
 			want := row.want[c]
-			if want != bad {
-				scatterFiles++
-				scatterCount += want
+			leaf := &query.Node{Op: "eq", Column: name}
+			if row.lit != "" {
+				leaf.Value = json.RawMessage(row.lit)
 			}
 			for server, base := range map[string]string{"btrserved": nodeSrv.URL, "btrrouted": routerSrv.URL} {
-				var res blockstore.CountEqResult
-				code := get(base, "file="+url.QueryEscape(name)+"&"+param, &res)
-				what := fmt.Sprintf("%s %s value=%q missing=%v", server, name, row.value, row.missing)
+				code, res := count(base, leaf)
+				what := fmt.Sprintf("%s %s = %s", server, name, row.lit)
 				switch {
 				case want == bad && code != http.StatusBadRequest:
 					t.Errorf("%s: status %d, want 400", what, code)
 				case want == bad:
 				case code != http.StatusOK:
 					t.Errorf("%s: status %d, want 200", what, code)
-				case res.Count != want || res.File != name || res.Value != row.value || res.Type != wantTypes[c]:
-					t.Errorf("%s: got %+v, want count %d of type %s", what, res, want, wantTypes[c])
+				case res.Matched != int64(want) || res.Rows != 600:
+					t.Errorf("%s: matched %d of %d rows, want %d of 600", what, res.Matched, res.Rows, want)
 				}
 			}
-		}
-		var sc ScatterCount
-		code := get(routerSrv.URL, param, &sc)
-		switch {
-		case row.missing && code != http.StatusBadRequest:
-			t.Errorf("scatter without a value: status %d, want 400", code)
-		case row.missing:
-		case code != http.StatusOK:
-			t.Errorf("scatter %q: status %d, want 200", row.value, code)
-		case sc.Value != row.value || sc.Files != scatterFiles || sc.Count != scatterCount || sc.Partial || sc.Rows != 600*scatterFiles:
-			t.Errorf("scatter %q: got %+v, want %d files counting %d", row.value, sc, scatterFiles, scatterCount)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"btrblocks"
 	"btrblocks/internal/blockstore"
 	"btrblocks/internal/obs"
 )
@@ -73,8 +72,8 @@ type Config struct {
 	// RepairTimeout bounds one repair attempt end to end (default 30s).
 	RepairTimeout time.Duration
 
-	// ScatterWorkers bounds concurrent per-file queries in scatter
-	// operations (default 8).
+	// ScatterWorkers bounds the concurrent legs of one routed query:
+	// its filter leaves, then its aggregate columns (default 8).
 	ScatterWorkers int
 
 	// Log receives router events (default slog.Default()).
@@ -424,13 +423,6 @@ func (r *Router) Raw(ctx context.Context, name string) ([]byte, error) {
 	})
 }
 
-// CountEq pushes an equality count down to any replica of one file.
-func (r *Router) CountEq(ctx context.Context, name, value string) (*blockstore.CountEqResult, error) {
-	return failover(r, ctx, name, "count-eq", func(n *Node) (*blockstore.CountEqResult, error) {
-		return n.Client.CountEq(ctx, name, value)
-	})
-}
-
 // Invalidate fans a cache invalidation out to every replica of a file
 // (writers publish through this after replacing a file on all replicas).
 // It fails if any replica the prober considers up rejects it.
@@ -497,79 +489,5 @@ func (r *Router) Files(ctx context.Context) ([]blockstore.FileMeta, error) {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// FileCount is one file's contribution to a scatter-gather count.
-type FileCount struct {
-	File  string `json:"file"`
-	Count int    `json:"count"`
-	Rows  int    `json:"rows"`
-	// Err carries the per-file failure when the count could not be
-	// answered by any replica (the scatter is then partial).
-	Err string `json:"error,omitempty"`
-}
-
-// ScatterCount is the merged result of pushing one equality predicate
-// down to every file in the cluster.
-type ScatterCount struct {
-	Value   string      `json:"value"`
-	Files   int         `json:"files"`
-	Count   int         `json:"count"`
-	Rows    int         `json:"rows"`
-	Partial bool        `json:"partial,omitempty"`
-	PerFile []FileCount `json:"per_file"`
-}
-
-// CountEqScatter pushes one equality predicate down to every column
-// file the value parses as a probe for (scatter) and merges the
-// per-file counts (gather). Columns whose type cannot represent the
-// value are skipped — an int probe asks the integer columns, a string
-// probe the string columns — mirroring what a caller iterating
-// /v1/count-eq per matching file would do. Per-file failures mark the
-// result partial instead of failing the whole scatter.
-func (r *Router) CountEqScatter(ctx context.Context, value string) (*ScatterCount, error) {
-	r.metrics.ScatterQueries.Add(1)
-	all, err := r.Files(ctx)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]blockstore.FileMeta, 0, len(all))
-	for _, f := range all {
-		// The server rejects a probe its column's type cannot parse with
-		// 400, so the scatter leaves such files out up front.
-		if t, ok := blockstore.TypeNamed(f.Type); ok && f.Kind == "column" {
-			if _, err := btrblocks.ParseEq(t, value); err == nil {
-				files = append(files, f)
-			}
-		}
-	}
-	out := &ScatterCount{Value: value, Files: len(files), PerFile: make([]FileCount, len(files))}
-	sem := make(chan struct{}, r.cfg.ScatterWorkers)
-	var wg sync.WaitGroup
-	for i, f := range files {
-		wg.Add(1)
-		go func(i int, f blockstore.FileMeta) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fc := FileCount{File: f.Name, Rows: f.Rows}
-			res, err := r.CountEq(ctx, f.Name, value)
-			if err != nil {
-				fc.Err = err.Error()
-			} else {
-				fc.Count = res.Count
-			}
-			out.PerFile[i] = fc
-		}(i, f)
-	}
-	wg.Wait()
-	for _, fc := range out.PerFile {
-		out.Count += fc.Count
-		out.Rows += fc.Rows
-		if fc.Err != "" {
-			out.Partial = true
-		}
-	}
 	return out, nil
 }

@@ -15,6 +15,7 @@ import (
 	"btrblocks"
 	"btrblocks/internal/blockstore"
 	"btrblocks/internal/obs"
+	"btrblocks/internal/query"
 )
 
 // Through the router, every file reads complete and bit-correct even
@@ -64,8 +65,8 @@ func TestRouterFailoverOnDeadReplica(t *testing.T) {
 	if got := r.Metrics().Failovers.Load(); got == 0 {
 		t.Error("no failover counted though the primary of some blocks was dead")
 	}
-	// The pushed-down count fails over the same way.
-	res, err := r.CountEq(testCtx, victim, "1")
+	// A routed count (a plan with one eq leaf) fails over the same way.
+	res, err := r.Query(testCtx, &query.Plan{Filter: &query.Node{Op: "eq", Column: victim, Value: json.RawMessage("1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +74,8 @@ func TestRouterFailoverOnDeadReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != want {
-		t.Fatalf("count through router %d, local %d", res.Count, want)
+	if res.Matched != int64(want) {
+		t.Fatalf("count through router %d, local %d", res.Matched, want)
 	}
 }
 
@@ -156,7 +157,7 @@ func TestRouterDamageFailoverAndRepair(t *testing.T) {
 }
 
 // The router's HTTP surface keeps single-node error semantics: a file
-// absent everywhere stays 404, a bad probe stays 400, and damage on
+// absent everywhere stays 404, a bad literal stays 400, and damage on
 // every replica stays 422.
 func TestRouterServerStatusPropagation(t *testing.T) {
 	contents, _ := testCorpus(t)
@@ -174,101 +175,49 @@ func TestRouterServerStatusPropagation(t *testing.T) {
 	srv := httptest.NewServer(NewServer(r, nil))
 	t.Cleanup(srv.Close)
 
-	get := func(path string) (int, string) {
-		resp, err := http.Get(srv.URL + path)
+	do := func(method, path, body string) (int, string) {
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(out)
 	}
-	if code, _ := get("/v1/files?file=no/such.btr"); code != http.StatusNotFound {
-		t.Errorf("missing file: got %d, want 404", code)
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"GET", "/v1/files?file=no/such.btr", "", http.StatusNotFound},
+		{"GET", "/v1/block?file=no/such.btr&block=0", "", http.StatusNotFound},
+		// Out-of-range blocks are 400 on a single node; the router keeps that.
+		{"GET", "/v1/block?file=t/i.btr&block=999", "", http.StatusBadRequest},
+		// A count is a /v1/query plan and router state is /metrics and
+		// /v1/spans: there is no count-eq or telemetry route.
+		{"GET", "/v1/count-eq?file=t/i.btr&value=1", "", http.StatusNotFound},
+		{"GET", "/v1/telemetry", "", http.StatusNotFound},
+		// A routed count keeps the node's statuses: unknown column 404,
+		// an eq leaf without a literal or with a mistyped one 400.
+		{"POST", "/v1/query", `{"filter":{"op":"eq","column":"no/such.btr","value":1}}`, http.StatusNotFound},
+		{"POST", "/v1/query", `{"filter":{"op":"eq","column":"t/i.btr"}}`, http.StatusBadRequest},
+		{"POST", "/v1/query", `{"filter":{"op":"eq","column":"t/i.btr","value":"not-an-int"}}`, http.StatusBadRequest},
+	} {
+		if code, body := do(tc.method, tc.path, tc.body); code != tc.want {
+			t.Errorf("%s %s %s: got %d (%s), want %d", tc.method, tc.path, tc.body, code, strings.TrimSpace(body), tc.want)
+		}
 	}
-	if code, _ := get("/v1/block?file=no/such.btr&block=0"); code != http.StatusNotFound {
-		t.Errorf("block of missing file: got %d, want 404", code)
-	}
-	if code, _ := get("/v1/count-eq?file=t/i.btr&value=not-an-int"); code != http.StatusBadRequest {
-		t.Errorf("bad probe: got %d, want 400", code)
-	}
-	// Out-of-range blocks are 400 on a single node; the router keeps that.
-	if code, _ := get("/v1/block?file=t/i.btr&block=999"); code != http.StatusBadRequest {
-		t.Errorf("out-of-range block: got %d, want 400", code)
-	}
-	code, body := get("/v1/block?file=" + victim + "&block=0")
+	code, body := do("GET", "/v1/block?file="+victim+"&block=0", "")
 	if code != http.StatusUnprocessableEntity && code != http.StatusGone {
 		t.Errorf("block damaged on every replica: got %d (%s), want 422/410", code, strings.TrimSpace(body))
 	}
 }
 
-// The scatter-gather count merges per-file pushed-down counts across
-// the cluster and matches local ground truth; probe-incompatible
-// columns are skipped, not failed.
-func TestRouterScatterCountMatchesLocal(t *testing.T) {
-	contents, cols := testCorpus(t)
-	names := []string{"n1", "n2", "n3"}
-	_, perNode := placeCorpus(t, contents, names, 2)
-	_, specs := startNodes(t, names, perNode, blockstore.Config{})
-	r := newTestRouter(t, specs, Config{Replicas: 2, DisableHedge: true})
-
-	// A string probe asks only the string column.
-	probe := cols["t/s.btr"].Strings.At(1)
-	sc, err := r.CountEqScatter(testCtx, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Partial {
-		t.Fatalf("scatter partial: %+v", sc)
-	}
-	want, err := btrblocks.Count(contents["t/s.btr"], btrblocks.StringEq(probe), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Count != want {
-		t.Fatalf("scatter %q: got %d, want %d", probe, sc.Count, want)
-	}
-	if sc.Files != 1 {
-		t.Fatalf("string probe scattered to %d files, want 1", sc.Files)
-	}
-
-	// An int probe asks the int, bigint, and double columns.
-	sc, err = r.CountEqScatter(testCtx, "42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Partial {
-		t.Fatalf("scatter partial: %+v", sc)
-	}
-	if sc.Files != 4 {
-		t.Fatalf("probe 42 scattered to %d files, want 4 (int, bigint, double, string)", sc.Files)
-	}
-	wantTotal := 0
-	for _, name := range []string{"t/i.btr", "t/l.btr", "t/d.btr", "t/s.btr"} {
-		res, err := countLocal(contents[name], cols[name].Type, "42")
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wantTotal += res
-	}
-	if sc.Count != wantTotal {
-		t.Fatalf("scatter 42: got %d, want %d", sc.Count, wantTotal)
-	}
-	if r.Metrics().ScatterQueries.Load() != 2 {
-		t.Errorf("scatter query counter: %d, want 2", r.Metrics().ScatterQueries.Load())
-	}
-}
-
-func countLocal(data []byte, typ btrblocks.Type, value string) (int, error) {
-	p, err := btrblocks.ParseEq(typ, value)
-	if err != nil {
-		return 0, err
-	}
-	return btrblocks.Count(data, p, nil)
-}
-
 // An unmodified blockstore.Client pointed at the router server sees one
-// logical store: listing, meta, raw, blocks, counts, invalidation.
+// logical store: listing, meta, raw, blocks, invalidation.
 func TestRouterServesBlockstoreWireProtocol(t *testing.T) {
 	contents, cols := testCorpus(t)
 	names := []string{"n1", "n2", "n3"}

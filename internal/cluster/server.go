@@ -27,8 +27,6 @@ import (
 //	     [&format=json|binary]         (default json, written from the
 //	                                   replica's BTBK frame; binary = the
 //	                                   frame, untouched)
-//	GET  /v1/count-eq?file=N&value=V   pushed-down count, replica failover
-//	GET  /v1/count-eq?value=V          scatter-gather count over every column
 //	GET  /v1/nodes                     per-node health and client counters
 //	GET  /v1/spans                     retained router spans (JSON)
 //	GET  /metrics                      Prometheus text exposition
@@ -49,7 +47,6 @@ func NewServer(r *Router, log *slog.Logger) *Server {
 	mux.Handle("GET /v1/files", s.handleFiles)
 	mux.Handle("GET /v1/raw/", s.handleRaw)
 	mux.Handle("GET /v1/block", s.handleBlock)
-	mux.Handle("GET /v1/count-eq", s.handleCountEq)
 	mux.Handle("GET /v1/nodes", s.handleNodes)
 	mux.Handle("POST /v1/query", s.handleQuery)
 	mux.Handle("POST /v1/invalidate/", s.handleInvalidate)
@@ -143,22 +140,6 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	// going away; there is no one to tell.
 	w.Header().Set("Content-Type", "application/json")
 	_ = blockstore.WriteBlockJSON(w, name, idx, frame)
-}
-
-func (s *Server) handleCountEq(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if !q.Has("value") {
-		http.Error(w, "missing value parameter", http.StatusBadRequest)
-		return
-	}
-	value := q.Get("value")
-	if name := q.Get("file"); name != "" {
-		res, err := s.router.CountEq(r.Context(), name, value)
-		s.reply(w, res, err)
-		return
-	}
-	res, err := s.router.CountEqScatter(r.Context(), value)
-	s.reply(w, res, err)
 }
 
 // ClusterStatus is the GET /v1/nodes response.

@@ -27,7 +27,7 @@ type Routes struct {
 }
 
 // RouteSnapshot is a point-in-time summary of one route, used by the
-// JSON telemetry report, expvar and the lifecycle log records.
+// expvar section and the lifecycle log records.
 type RouteSnapshot struct {
 	Route    string            `json:"route"`
 	Requests int64             `json:"requests"`

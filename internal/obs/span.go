@@ -249,9 +249,6 @@ func (s *Span) End() {
 		rec.Attrs = attrs
 	}
 	r.record(rec)
-	if s.parentID.IsZero() {
-		r.observeRoot(s.name, s.traceID, dur)
-	}
 }
 
 // SpanRecord is the serialized form of one finished span.
@@ -273,14 +270,6 @@ type SpanSet struct {
 	Version int          `json:"version"`
 	Process string       `json:"process,omitempty"`
 	Spans   []SpanRecord `json:"spans"`
-}
-
-// Exemplar links a histogram-style aggregate to the one concrete trace
-// that best explains it: the slowest recorded root span for a name.
-type Exemplar struct {
-	Name          string `json:"name"`
-	TraceID       string `json:"trace_id"`
-	DurationNanos int64  `json:"duration_nanos"`
 }
 
 // SpanStats are cumulative recorder counters.
@@ -306,9 +295,6 @@ type SpanRecorder struct {
 	logger        *slog.Logger
 
 	sampledOut atomic.Uint64
-
-	mu        sync.Mutex
-	exemplars map[string]Exemplar
 }
 
 // SpanRecorderConfig configures a recorder.
@@ -341,7 +327,6 @@ func NewSpanRecorder(cfg SpanRecorderConfig) *SpanRecorder {
 		sampleEvery:   uint64(cfg.SampleEvery),
 		slowThreshold: cfg.SlowThreshold,
 		logger:        cfg.Logger,
-		exemplars:     make(map[string]Exemplar),
 	}
 }
 
@@ -351,29 +336,6 @@ func (r *SpanRecorder) Enabled() bool { return r != nil }
 func (r *SpanRecorder) record(rec *SpanRecord) {
 	i := r.seq.Add(1) - 1
 	r.slots[i%uint64(len(r.slots))].Store(rec)
-}
-
-func (r *SpanRecorder) observeRoot(name string, id TraceID, dur time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ex, ok := r.exemplars[name]; !ok || int64(dur) > ex.DurationNanos {
-		r.exemplars[name] = Exemplar{Name: name, TraceID: id.String(), DurationNanos: int64(dur)}
-	}
-}
-
-// Exemplars returns the slowest recorded root span per name, sorted by
-// name. Empty on nil.
-func (r *SpanRecorder) Exemplars() []Exemplar {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Exemplar, 0, len(r.exemplars))
-	for _, name := range sortedKeys(r.exemplars) {
-		out = append(out, r.exemplars[name])
-	}
-	return out
 }
 
 // Stats returns cumulative counters. Zero on nil.

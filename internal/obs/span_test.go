@@ -41,9 +41,6 @@ func TestSpanNilSafety(t *testing.T) {
 	if got := r.Snapshot(SpanFilter{}); len(got.Spans) != 0 || got.Version != SpanVersion {
 		t.Fatalf("nil snapshot: %+v", got)
 	}
-	if ex := r.Exemplars(); ex != nil {
-		t.Fatalf("nil exemplars: %v", ex)
-	}
 	if st := r.Stats(); st != (SpanStats{}) {
 		t.Fatalf("nil stats: %+v", st)
 	}
@@ -378,27 +375,6 @@ func TestSpanRecorderNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines %d > %d before", runtime.NumGoroutine(), before)
-}
-
-func TestExemplars(t *testing.T) {
-	r := NewSpanRecorder(SpanRecorderConfig{Capacity: 16})
-	_, a := r.StartRoot(context.Background(), "scan")
-	time.Sleep(2 * time.Millisecond)
-	a.End()
-	_, b := r.StartRoot(context.Background(), "scan")
-	b.End()
-	_, c := r.StartRoot(context.Background(), "append")
-	c.End()
-	ex := r.Exemplars()
-	if len(ex) != 2 {
-		t.Fatalf("exemplars %+v", ex)
-	}
-	if ex[0].Name != "append" || ex[1].Name != "scan" {
-		t.Fatalf("exemplar order %+v", ex)
-	}
-	if ex[1].TraceID != a.TraceID().String() {
-		t.Fatalf("scan exemplar %s, want slowest %s", ex[1].TraceID, a.TraceID())
-	}
 }
 
 func TestSpanEndIdempotent(t *testing.T) {

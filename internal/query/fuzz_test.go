@@ -2,13 +2,16 @@ package query
 
 // Fuzz the plan decoder end to end: any byte string either fails with
 // ErrPlan (the HTTP layer's 400) or parses into a plan that executes
-// against a real compressed source without panicking. The seed corpus
-// under testdata/fuzz/FuzzQueryPlan covers the interesting rejects —
+// against a real compressed source without panicking, and parsing and
+// running it allocate within a fixed multiple of the source's rows × 8
+// plus the plan's length. The seed corpus under
+// testdata/fuzz/FuzzQueryPlan covers the interesting rejects —
 // malformed JSON, unknown ops, type-mismatched literals, empty IN lists
 // — plus valid plans so mutation explores both sides of the boundary.
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -81,23 +84,36 @@ func FuzzQueryPlan(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	// A plan is the only way a literal reaches a count: every literal of
+	// the cluster's count probe table, as an eq on each column type of
+	// the source.
+	for _, lit := range probeLiterals {
+		for _, col := range []string{"a", "s"} {
+			f.Add([]byte(`{"filter":{"op":"eq","column":"` + col + `","value":` + lit + `}}`))
+		}
+	}
+	src, err := fuzzSrcOnce()
+	if err != nil {
+		f.Fatalf("build fuzz source: %v", err)
+	}
+	rows := src["a"].Index.Rows
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var res *Result
 		p, err := ParsePlan(data)
+		if err == nil {
+			e := &Executor{Source: src, Options: &btrblocks.Options{BlockSize: 500}}
+			res, err = e.Run(t.Context(), p)
+		}
+		runtime.ReadMemStats(&after)
+		bound := planAllocMultiple * (rows*8 + len(data))
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(bound) {
+			t.Fatalf("plan of %d bytes over %d rows allocated %d bytes, bound %d", len(data), rows, got, bound)
+		}
 		if err != nil {
 			if !IsPlanError(err) {
-				t.Fatalf("ParsePlan error is not ErrPlan: %v", err)
-			}
-			return
-		}
-		src, serr := fuzzSrcOnce()
-		if serr != nil {
-			t.Fatalf("build fuzz source: %v", serr)
-		}
-		e := &Executor{Source: src, Options: &btrblocks.Options{BlockSize: 500}}
-		res, err := e.Run(t.Context(), p)
-		if err != nil {
-			if !IsPlanError(err) {
-				t.Fatalf("Run error is not ErrPlan: %v (plan %s)", err, data)
+				t.Fatalf("plan error is not ErrPlan: %v (plan %s)", err, data)
 			}
 			return
 		}
@@ -107,3 +123,17 @@ func FuzzQueryPlan(f *testing.F) {
 		}
 	})
 }
+
+// probeLiterals are the literals of the count probe table
+// (internal/cluster's TestCountEqProbeTable), as the JSON they travel
+// as.
+var probeLiterals = []string{
+	`5`, `42`, `2147483648`, `"abc"`, `"NaN"`, `-0`, `1e3`, `"+5"`, `"0x10"`, `" 5"`, `""`,
+	`"5"`, `"42"`, `"2147483648"`, `"-0"`, `"1e3"`,
+}
+
+// planAllocMultiple bounds what parsing and running one plan may
+// allocate: planAllocMultiple × (source rows × 8 + plan bytes), the
+// multiple the decode fuzz targets allow (the root package's
+// fuzzAllocMultiple). The seeds use at most 3.3 of it.
+const planAllocMultiple = 64

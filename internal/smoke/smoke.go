@@ -200,23 +200,23 @@ func checkBlock(blk *blockstore.BlockValues, col btrblocks.Column, start int) er
 	return nil
 }
 
-// LocalCount counts the rows of a compressed column equal to a predicate
-// literal the way a served count never does: it decodes the column and
-// compares its non-NULL rows one by one, doubles bit-exactly. It is the
-// reference a served count is checked against.
-func LocalCount(data []byte, value string, opt *btrblocks.Options) (int, error) {
+// LocalCount counts the rows of a compressed column that satisfy p the
+// way a served count never does: it decodes the column and tests its
+// rows one by one (Predicate.Matches: NULL rows never match, doubles
+// compare bit-exactly). It is the reference a served count is checked
+// against.
+func LocalCount(data []byte, p btrblocks.Predicate, opt *btrblocks.Options) (int, error) {
 	col, err := btrblocks.DecompressColumn(data, opt)
 	if err != nil {
 		return 0, err
 	}
-	p, err := btrblocks.ParseEq(col.Type, value)
 	n := 0
-	for i := 0; err == nil && i < col.Len(); i++ {
+	for i := 0; i < col.Len(); i++ {
 		if p.Matches(&col, i) {
 			n++
 		}
 	}
-	return n, err
+	return n, nil
 }
 
 // CheckMetrics checks that every named unlabeled series is present in a

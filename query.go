@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"btrblocks/internal/core"
 	"btrblocks/internal/obs"
@@ -153,37 +152,6 @@ func (p Predicate) Type() (typ Type, typed bool) {
 
 // fits reports whether p applies to a column of type t.
 func (p Predicate) fits(t Type) bool { return p.kind == predNotNull || p.typ == t }
-
-// ParseEq parses a probe literal — the value of a /v1/count-eq request —
-// into an equality predicate on a column of type typ: a base-10 integer
-// that fits the type for integer columns (strconv.ParseInt), a Go float
-// literal for doubles (strconv.ParseFloat, so "NaN", "-0" and "1e3" are
-// probes), and the literal itself for strings.
-func ParseEq(typ Type, probe string) (Predicate, error) {
-	var err error
-	switch typ {
-	case TypeInt:
-		var v int64
-		if v, err = strconv.ParseInt(probe, 10, 32); err == nil {
-			return IntEq(int32(v)), nil
-		}
-	case TypeInt64:
-		var v int64
-		if v, err = strconv.ParseInt(probe, 10, 64); err == nil {
-			return Int64Eq(v), nil
-		}
-	case TypeDouble:
-		var v float64
-		if v, err = strconv.ParseFloat(probe, 64); err == nil {
-			return DoubleEq(v), nil
-		}
-	case TypeString:
-		return StringEq(probe), nil
-	default:
-		err = ErrTypeMismatch
-	}
-	return Predicate{}, fmt.Errorf("btrblocks: bad %s probe %q: %w", typ, probe, err)
-}
 
 // Matches reports whether row of a decoded column satisfies p: the
 // decode-then-filter answer the compressed-domain paths must equal. A
