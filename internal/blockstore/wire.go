@@ -151,9 +151,9 @@ func (b *BlockValues) UncompressedBytes() int {
 	}
 }
 
-// TypeNamed maps a wire type name (btrblocks.Type.String, as in
+// typeNamed maps a wire type name (btrblocks.Type.String, as in
 // FileMeta.Type) back to the type.
-func TypeNamed(name string) (btrblocks.Type, bool) {
+func typeNamed(name string) (btrblocks.Type, bool) {
 	for _, t := range []btrblocks.Type{btrblocks.TypeInt, btrblocks.TypeInt64, btrblocks.TypeDouble, btrblocks.TypeString} {
 		if t.String() == name {
 			return t, true
@@ -166,7 +166,7 @@ func TypeNamed(name string) (btrblocks.Type, bool) {
 // byte, with the populated payload slice as a tie-breaker so a block
 // that traveled either wire format round-trips.
 func (b *BlockValues) WireType() btrblocks.Type {
-	if t, ok := TypeNamed(b.Type); ok {
+	if t, ok := typeNamed(b.Type); ok {
 		return t
 	}
 	switch {
@@ -883,7 +883,7 @@ func (d *jsonReader) member(out *BlockValues, key string, seen int) (int, error)
 	case "type":
 		var name string
 		if name, err = d.str(); err == nil {
-			t, ok := TypeNamed(name)
+			t, ok := typeNamed(name)
 			if !ok {
 				return 0, d.fail("unknown type " + strconv.Quote(name))
 			}
@@ -912,7 +912,7 @@ func checkBlockJSON(b *BlockValues) error {
 	}
 	var n int
 	var typed bool
-	switch t, _ := TypeNamed(b.Type); t {
+	switch t, _ := typeNamed(b.Type); t {
 	case btrblocks.TypeInt:
 		n, typed = len(b.Ints), b.Ints != nil
 	case btrblocks.TypeInt64:
