@@ -128,8 +128,10 @@ bench-smoke:
 
 # bench-baseline re-measures the suites (per-scheme grid + kernel
 # microbenchmarks, decode and compress side; the block wire's encode,
-# decode and loopback fetch) and snapshots them to BENCH_decode.json,
-# BENCH_compress.json and BENCH_serve.json. Run it on the reference host
+# decode and loopback fetch; the selection and fold grids; the append
+# body decode) and snapshots them to BENCH_decode.json,
+# BENCH_compress.json, BENCH_serve.json, BENCH_query.json and
+# BENCH_ingest.json. Run it on the reference host
 # after an intentional perf change and commit the result; PERFORMANCE.md
 # documents the schema and workflow.
 bench-baseline:
@@ -137,6 +139,7 @@ bench-baseline:
 	$(GO) run ./cmd/benchtraj record -suite compress
 	$(GO) run ./cmd/benchtraj record -suite serve
 	$(GO) run ./cmd/benchtraj record -suite query
+	$(GO) run ./cmd/benchtraj record -suite ingest
 
 # bench-compare re-runs the same suites and fails on >10% regression
 # against the committed baselines (override: BTR_BENCH_TOLERANCE=0.25).
@@ -145,5 +148,6 @@ bench-compare:
 	$(GO) run ./cmd/benchtraj compare -suite compress
 	$(GO) run ./cmd/benchtraj compare -suite serve
 	$(GO) run ./cmd/benchtraj compare -suite query
+	$(GO) run ./cmd/benchtraj compare -suite ingest
 
 ci: check

@@ -1,7 +1,7 @@
 // Command benchtraj records and compares single-core throughput
 // baselines, one trajectory file per suite: "decode" (BENCH_decode.json),
-// "compress" (BENCH_compress.json), "serve" (BENCH_serve.json) and
-// "query" (BENCH_query.json).
+// "compress" (BENCH_compress.json), "serve" (BENCH_serve.json), "query"
+// (BENCH_query.json) and "ingest" (BENCH_ingest.json).
 //
 // `benchtraj record -suite decode` runs that suite's benchmarks (for
 // decode: the per-scheme BenchmarkDecodeBaseline grid, whole-column and
@@ -11,7 +11,9 @@
 // block-profile pass; for serve: BenchmarkBlockWire — BTBK frame encode,
 // decode and loopback fetch per type; for query: the BenchmarkSelect grid
 // of selection kernels per stream × predicate × mode and the
-// BenchmarkAggregate grid of folds per stream × selection), parses their
+// BenchmarkAggregate grid of folds per stream × selection; for ingest:
+// BenchmarkAppendDecode, an append body decoded into its batch per
+// protocol × row count), parses their
 // output, and writes a schema'd JSON snapshot to the suite's file: MB/s,
 // ns/op and B/op per benchmark, host metadata, and the git SHA the
 // numbers were measured at.
@@ -115,6 +117,9 @@ var suites = map[string]suiteDef{
 	"query": {"BENCH_query.json", []benchSet{
 		{".", "^(BenchmarkSelect|BenchmarkAggregate)$"},
 	}},
+	"ingest": {"BENCH_ingest.json", []benchSet{
+		{"./internal/ingest/", "^BenchmarkAppendDecode$"},
+	}},
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?(?:.*?\s(\d+) B/op)?`)
@@ -126,7 +131,7 @@ func main() {
 	switch os.Args[1] {
 	case "record":
 		fs := flag.NewFlagSet("record", flag.ExitOnError)
-		suite := fs.String("suite", "decode", "trajectory to record: decode, compress, serve or query")
+		suite := fs.String("suite", "decode", "trajectory to record: decode, compress, serve, query or ingest")
 		out := fs.String("o", "", "output file (default: the suite's committed file)")
 		benchtime := fs.String("benchtime", "0.25s", "per-benchmark time")
 		count := fs.Int("count", 5, "runs per benchmark")
@@ -146,7 +151,7 @@ func main() {
 		fmt.Printf("benchtraj: recorded %d benchmarks to %s\n", len(snap.Results), *out)
 	case "compare":
 		fs := flag.NewFlagSet("compare", flag.ExitOnError)
-		suite := fs.String("suite", "decode", "trajectory to compare: decode, compress, serve or query")
+		suite := fs.String("suite", "decode", "trajectory to compare: decode, compress, serve, query or ingest")
 		baselinePath := fs.String("baseline", "", "committed baseline (default: the suite's file)")
 		currentPath := fs.String("current", "", "snapshot to compare (empty = re-run the suites now)")
 		tolerance := fs.Float64("tolerance", defaultTolerance(), "max allowed fractional regression")
@@ -193,8 +198,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchtraj record [-suite decode|compress|serve|query] [-o FILE] [-benchtime T] [-count N]")
-	fmt.Fprintln(os.Stderr, "       benchtraj compare [-suite decode|compress|serve|query] [-baseline FILE] [-current FILE] [-tolerance F]")
+	fmt.Fprintln(os.Stderr, "usage: benchtraj record [-suite decode|compress|serve|query|ingest] [-o FILE] [-benchtime T] [-count N]")
+	fmt.Fprintln(os.Stderr, "       benchtraj compare [-suite decode|compress|serve|query|ingest] [-baseline FILE] [-current FILE] [-tolerance F]")
 	os.Exit(2)
 }
 
@@ -218,7 +223,7 @@ func defaultTolerance() float64 {
 func trajectory(suite string) suiteDef {
 	tr, ok := suites[suite]
 	if !ok {
-		fatal(fmt.Errorf("unknown suite %q (want decode, compress, serve or query)", suite))
+		fatal(fmt.Errorf("unknown suite %q (want decode, compress, serve, query or ingest)", suite))
 	}
 	return tr
 }

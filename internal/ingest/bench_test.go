@@ -1,10 +1,13 @@
 package ingest
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"btrblocks"
+	"btrblocks/internal/tpch"
 )
 
 // BenchmarkAppend measures acknowledged ingestion throughput (rows/s)
@@ -115,4 +118,124 @@ func benchChunk(rows int) *btrblocks.Chunk {
 		dim,
 		{Name: "val", Type: btrblocks.TypeDouble, Doubles: vals},
 	}}
+}
+
+// BenchmarkAppendDecode measures what an append costs before the WAL:
+// one request body, JSON (POST /v1/append) or line protocol (POST
+// /v1/write), decoded into the columnar batch the service appends, for
+// a table registered with lineitem's 13 columns. SetBytes is the body
+// length, so MB/s is body bytes decoded per second.
+func BenchmarkAppendDecode(b *testing.B) {
+	for _, format := range []string{"json", "lines"} {
+		for _, rows := range []int{1, 500, 5000} {
+			b.Run(fmt.Sprintf("%s/rows=%d", format, rows), func(b *testing.B) {
+				src := tpch.Lineitem(rows, 1)
+				body := renderJSONBody("lineitem", &src)
+				if format == "lines" {
+					body = renderLineBody("lineitem", &src)
+				}
+				schema := schemaOf(&src)
+				if _, err := benchDecode(body, format == "lines", schema); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := benchDecode(body, format == "lines", schema); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// renderJSONBody writes src as a POST /v1/append body, one object per
+// row with every column, the way bench/ renders its batches.
+func renderJSONBody(table string, src *btrblocks.Chunk) []byte {
+	out := []byte(`{"table":` + strconv.Quote(table) + `,"rows":[`)
+	for r := 0; r < src.NumRows(); r++ {
+		if r > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, '{')
+		for i := range src.Columns {
+			c := &src.Columns[i]
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, strconv.Quote(c.Name)...)
+			out = append(out, ':')
+			switch c.Type {
+			case btrblocks.TypeInt:
+				out = strconv.AppendInt(out, int64(c.Ints[r]), 10)
+			case btrblocks.TypeInt64:
+				out = strconv.AppendInt(out, c.Ints64[r], 10)
+			case btrblocks.TypeDouble:
+				out = strconv.AppendFloat(out, c.Doubles[r], 'g', -1, 64)
+			default:
+				s, _ := json.Marshal(c.Strings.At(r))
+				out = append(out, s...)
+			}
+		}
+		out = append(out, '}')
+	}
+	return append(out, "]}"...)
+}
+
+// renderLineBody writes src as a POST /v1/write body: integers with the
+// i suffix, doubles bare, strings quoted with \" and \\ escaped.
+func renderLineBody(table string, src *btrblocks.Chunk) []byte {
+	var out []byte
+	for r := 0; r < src.NumRows(); r++ {
+		out = append(out, table...)
+		out = append(out, ' ')
+		for i := range src.Columns {
+			c := &src.Columns[i]
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, c.Name...)
+			out = append(out, '=')
+			switch c.Type {
+			case btrblocks.TypeInt:
+				out = append(strconv.AppendInt(out, int64(c.Ints[r]), 10), 'i')
+			case btrblocks.TypeInt64:
+				out = append(strconv.AppendInt(out, c.Ints64[r], 10), 'i')
+			case btrblocks.TypeDouble:
+				out = strconv.AppendFloat(out, c.Doubles[r], 'g', -1, 64)
+			default:
+				out = append(out, '"')
+				for _, ch := range c.Strings.View(r) {
+					if ch == '"' || ch == '\\' {
+						out = append(out, '\\')
+					}
+					out = append(out, ch)
+				}
+				out = append(out, '"')
+			}
+		}
+		out = append(out, '\n')
+	}
+	return out
+}
+
+// benchDecode decodes one append body against a registered schema, as
+// the handler does before it calls AppendContext.
+func benchDecode(body []byte, lines bool, schema []btrblocks.Column) (btrblocks.Chunk, error) {
+	var rows []map[string]json.RawMessage
+	if lines {
+		var err error
+		if _, rows, err = parseLineProtocol(string(body)); err != nil {
+			return btrblocks.Chunk{}, err
+		}
+	} else {
+		var req jsonAppendRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return btrblocks.Chunk{}, err
+		}
+		rows = req.Rows
+	}
+	return chunkFromJSONRows(schema, rows)
 }
