@@ -12,12 +12,12 @@ import (
 	"strings"
 	"sync"
 	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"btrblocks"
 	"btrblocks/coldata"
 	"btrblocks/internal/core"
+	"btrblocks/internal/jsonlex"
 )
 
 // This file defines the wire representations shared by Server and
@@ -678,24 +678,12 @@ func appendJSONValue(dst []byte, v *wireView, i int) []byte {
 	}
 }
 
-// Byte classes of the JSON codec.
-const (
-	jsonPlain = 1 << iota // stands for itself inside a JSON string
-	jsonSafe              // and the writer leaves it unescaped
-)
-
-// jsonClass classifies every byte: printable ASCII is plain but for '"'
-// and '\\', and safe but for '<', '>' and '&' too, which encoding/json
-// escapes for HTML.
-var jsonClass = func() (t [256]uint8) {
+// jsonSafe marks the bytes the writer leaves unescaped: printable ASCII
+// but '"' and '\\', and '<', '>' and '&', which encoding/json escapes
+// for HTML.
+var jsonSafe = func() (t [256]bool) {
 	for b := 0x20; b < utf8.RuneSelf; b++ {
-		switch b {
-		case '"', '\\':
-		case '<', '>', '&':
-			t[b] = jsonPlain
-		default:
-			t[b] = jsonPlain | jsonSafe
-		}
+		t[b] = !strings.ContainsRune(`"\\<>&`, rune(b))
 	}
 	return t
 }()
@@ -711,7 +699,7 @@ func appendJSONString[S string | []byte](dst []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
-		if jsonClass[c]&jsonSafe != 0 {
+		if jsonSafe[c] {
 			i++
 			continue
 		}
@@ -756,41 +744,16 @@ func appendJSONString[S string | []byte](dst []byte, s S) []byte {
 	return append(dst, '"')
 }
 
-// jsonReader is a cursor over a JSON block body.
+// jsonReader is a cursor over a JSON block body: the shared lexer, and
+// the body as the string unescaped values are substrings of.
 type jsonReader struct {
-	b   []byte
-	s   string // b, as the string unescaped values are substrings of
-	pos int
+	jsonlex.Reader
+	s string
 }
 
 // maxJSONDepth bounds the nesting of a skipped value (encoding/json
 // allows 10000).
 const maxJSONDepth = 100
-
-func (d *jsonReader) fail(what string) error {
-	return fmt.Errorf("%w: JSON block: %s at byte %d", errBlockWire, what, d.pos)
-}
-
-func (d *jsonReader) ws() {
-	for d.pos < len(d.b) {
-		switch d.b[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// next skips whitespace, then consumes c if it comes next.
-func (d *jsonReader) next(c byte) bool {
-	d.ws()
-	if d.pos < len(d.b) && d.b[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
 
 // blockKeys are a JSON block's members; a key's bit in a seen mask is
 // 1 << its index.
@@ -809,41 +772,50 @@ const valueKeys = 1<<5 | 1<<6 | 1<<7 | 1<<8
 // before it is allocated, and a string is a substring of body unless it
 // is escaped, so body must not change afterwards.
 func decodeBlockJSON(body []byte) (*BlockValues, error) {
-	d := &jsonReader{b: body, s: stringOf(body)}
-	out := &BlockValues{}
-	if !d.next('{') {
-		return nil, d.fail("object expected")
+	d := &jsonReader{Reader: jsonlex.Reader{B: body}, s: stringOf(body)}
+	out, err := d.block()
+	if err != nil {
+		return nil, fmt.Errorf("%w: JSON block: %w", errBlockWire, err)
 	}
-	if !d.next('}') {
+	if err := checkBlockJSON(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// block reads the body's one object.
+func (d *jsonReader) block() (*BlockValues, error) {
+	out := &BlockValues{}
+	if !d.Next('{') {
+		return nil, d.Fail("object expected")
+	}
+	if !d.Next('}') {
 		seen := 0
 		for {
-			d.ws()
+			d.WS()
 			key, err := d.str()
 			if err != nil {
 				return nil, err
 			}
-			if !d.next(':') {
-				return nil, d.fail("colon expected")
+			if !d.Next(':') {
+				return nil, d.Fail("colon expected")
 			}
-			d.ws()
+			d.WS()
 			if seen, err = d.member(out, key, seen); err != nil {
 				return nil, err
 			}
-			if d.next(',') {
+			if d.Next(',') {
 				continue
 			}
-			if d.next('}') {
+			if d.Next('}') {
 				break
 			}
-			return nil, d.fail("comma or } expected")
+			return nil, d.Fail("comma or } expected")
 		}
 	}
-	d.ws()
-	if d.pos != len(d.b) {
-		return nil, d.fail("data after the object")
-	}
-	if err := checkBlockJSON(out); err != nil {
-		return nil, err
+	d.WS()
+	if d.Pos != len(d.B) {
+		return nil, d.Fail("data after the object")
 	}
 	return out, nil
 }
@@ -857,16 +829,16 @@ func (d *jsonReader) member(out *BlockValues, key string, seen int) (int, error)
 		folded := strings.Map(func(r rune) rune { return unicode.ToUpper(unicode.ToLower(r)) }, key)
 		for _, bk := range blockKeys {
 			if folded == strings.ToUpper(bk) {
-				return 0, d.fail("key " + strconv.Quote(key) + " differs from " + bk + " in case")
+				return 0, d.Fail("key " + strconv.Quote(key) + " differs from " + bk + " in case")
 			}
 		}
-		return seen, d.skip(1)
+		return seen, d.Skip(maxJSONDepth)
 	}
 	if seen&(1<<k) != 0 {
-		return 0, d.fail("repeated key " + key)
+		return 0, d.Fail("repeated key " + key)
 	}
 	if seen&valueKeys != 0 && valueKeys&(1<<k) != 0 {
-		return 0, d.fail("second values key " + key)
+		return 0, d.Fail("second values key " + key)
 	}
 	seen |= 1 << k
 	var err error
@@ -875,17 +847,17 @@ func (d *jsonReader) member(out *BlockValues, key string, seen int) (int, error)
 		out.File, err = d.str()
 		out.File = strings.Clone(out.File) // not a view that keeps the body alive
 	case "block":
-		out.Block, err = jsonInt[int](d, math.MinInt, math.MaxInt)
+		out.Block, err = jsonlex.Int[int](&d.Reader, math.MinInt, math.MaxInt)
 	case "start_row":
-		out.StartRow, err = jsonInt[int](d, math.MinInt, math.MaxInt)
+		out.StartRow, err = jsonlex.Int[int](&d.Reader, math.MinInt, math.MaxInt)
 	case "rows":
-		out.Rows, err = jsonInt[int](d, math.MinInt, math.MaxInt)
+		out.Rows, err = jsonlex.Int[int](&d.Reader, math.MinInt, math.MaxInt)
 	case "type":
 		var name string
 		if name, err = d.str(); err == nil {
 			t, ok := typeNamed(name)
 			if !ok {
-				return 0, d.fail("unknown type " + strconv.Quote(name))
+				return 0, d.Fail("unknown type " + strconv.Quote(name))
 			}
 			out.Type = t.String()
 		}
@@ -938,75 +910,43 @@ func checkBlockJSON(b *BlockValues) error {
 	return nil
 }
 
-// jsonInt reads a JSON number that is an integer in [lo, hi].
-func jsonInt[T int32 | int64 | int](d *jsonReader, lo, hi int64) (T, error) {
-	b, i := d.b, d.pos
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	start := i
-	var u uint64
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		if i-start == 19 {
-			return 0, d.fail("integer out of range")
-		}
-		u = u*10 + uint64(b[i]-'0')
-	}
-	switch {
-	case i == start:
-		return 0, d.fail("number expected")
-	case b[start] == '0' && i-start > 1:
-		return 0, d.fail("leading zero")
-	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
-		return 0, d.fail("integer expected")
-	case neg && u > uint64(-(lo+1))+1, !neg && u > uint64(hi):
-		return 0, d.fail("integer out of range")
-	}
-	d.pos = i
-	if neg {
-		return T(-int64(u)), nil
-	}
-	return T(u), nil
-}
-
 // jsonInts reads an array of integers in [lo, hi]. It counts the
 // elements first — the commas before the closing bracket, at most one
 // element per two bytes — so the slice is allocated once, at its size.
 func jsonInts[T int32 | int64 | int](d *jsonReader, lo, hi int64) ([]T, error) {
-	if !d.next('[') {
-		return nil, d.fail("array expected")
+	if !d.Next('[') {
+		return nil, d.Fail("array expected")
 	}
-	end := bytes.IndexByte(d.b[d.pos:], ']')
+	end := bytes.IndexByte(d.B[d.Pos:], ']')
 	if end < 0 {
-		return nil, d.fail("unterminated array")
+		return nil, d.Fail("unterminated array")
 	}
-	span := d.b[d.pos : d.pos+end]
+	span := d.B[d.Pos : d.Pos+end]
 	n := 0
 	if len(bytes.TrimLeft(span, " \t\n\r")) > 0 {
 		n = min(bytes.Count(span, []byte{','})+1, (len(span)+1)/2, core.MaxBlockValues)
 	}
 	out := make([]T, 0, n)
-	if d.next(']') {
+	if d.Next(']') {
 		return out, nil
 	}
 	for {
 		if len(out) == cap(out) {
-			return nil, d.fail("array too long or malformed")
+			return nil, d.Fail("array too long or malformed")
 		}
-		d.ws()
-		v, err := jsonInt[T](d, lo, hi)
+		d.WS()
+		v, err := jsonlex.Int[T](&d.Reader, lo, hi)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, v)
-		if d.next(',') {
+		if d.Next(',') {
 			continue
 		}
-		if d.next(']') {
+		if d.Next(']') {
 			return out, nil
 		}
-		return nil, d.fail("comma or ] expected")
+		return nil, d.Fail("comma or ] expected")
 	}
 }
 
@@ -1014,246 +954,48 @@ func jsonInts[T int32 | int64 | int](d *jsonReader, lo, hi int64) ([]T, error) {
 // An element takes two quotes and at least minLen bytes of the body with
 // its separator, which bounds the slice before it is allocated.
 func jsonStrings[T any](d *jsonReader, minLen int, conv func(string) (T, error)) ([]T, error) {
-	if !d.next('[') {
-		return nil, d.fail("array expected")
+	if !d.Next('[') {
+		return nil, d.Fail("array expected")
 	}
-	rest := d.b[d.pos:]
+	rest := d.B[d.Pos:]
 	out := make([]T, 0, min(bytes.Count(rest, []byte{'"'})/2, len(rest)/minLen, core.MaxBlockValues))
-	if d.next(']') {
+	if d.Next(']') {
 		return out, nil
 	}
 	for {
 		if len(out) == cap(out) {
-			return nil, d.fail("array too long or malformed")
+			return nil, d.Fail("array too long or malformed")
 		}
-		d.ws()
+		d.WS()
 		s, err := d.str()
 		if err != nil {
 			return nil, err
 		}
 		v, err := conv(s)
 		if err != nil {
-			return nil, d.fail(err.Error())
+			return nil, d.Fail(err.Error())
 		}
 		out = append(out, v)
-		if d.next(',') {
+		if d.Next(',') {
 			continue
 		}
-		if d.next(']') {
+		if d.Next(']') {
 			return out, nil
 		}
-		return nil, d.fail("comma or ] expected")
+		return nil, d.Fail("comma or ] expected")
 	}
 }
 
 // str reads a JSON string: a substring of the body when it holds no
 // escape and is valid UTF-8, else the copy encoding/json would make.
 func (d *jsonReader) str() (string, error) {
-	lo, hi, plain, err := d.span()
+	lo, hi, plain, err := d.Span()
 	switch {
 	case err != nil:
 		return "", err
 	case plain:
 		return d.s[lo:hi], nil
 	}
-	return unescapeJSON(d.b[lo:hi]), nil
-}
-
-// span reads past the JSON string at the cursor, checking its escapes
-// and bytes, and returns the bounds of its contents and whether they
-// stand for themselves.
-func (d *jsonReader) span() (lo, hi int, plain bool, err error) {
-	b := d.b
-	if d.pos >= len(b) || b[d.pos] != '"' {
-		return 0, 0, false, d.fail("string expected")
-	}
-	lo, plain = d.pos+1, true
-	for i := lo; i < len(b); {
-		c := b[i]
-		switch {
-		case jsonClass[c]&jsonPlain != 0:
-			i++
-		case c == '"':
-			d.pos = i + 1
-			return lo, i, plain, nil
-		case c == '\\':
-			plain = false
-			switch {
-			case i+1 < len(b) && strings.IndexByte(`"\/bfnrt`, b[i+1]) >= 0:
-				i += 2
-			case i+5 < len(b) && b[i+1] == 'u' && isHex4(b[i+2:i+6]):
-				i += 6
-			default:
-				d.pos = i
-				return 0, 0, false, d.fail("bad escape")
-			}
-		case c < 0x20:
-			d.pos = i
-			return 0, 0, false, d.fail("control byte in string")
-		case plain:
-			r, size := utf8.DecodeRune(b[i:])
-			plain = r != utf8.RuneError || size > 1
-			i += size
-		default:
-			i++
-		}
-	}
-	d.pos = len(b)
-	return 0, 0, false, d.fail("unterminated string")
-}
-
-func isHex4(b []byte) bool {
-	for _, c := range b {
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
-			return false
-		}
-	}
-	return true
-}
-
-func hex4(b []byte) rune {
-	var r rune
-	for _, c := range b {
-		switch {
-		case c <= '9':
-			c -= '0'
-		case c >= 'a':
-			c -= 'a' - 10
-		default:
-			c -= 'A' - 10
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// unescapeJSON unescapes the contents of a string span accepted, as
-// encoding/json does: a surrogate pair of escapes is one rune, and a lone
-// surrogate or a byte of invalid UTF-8 is utf8.RuneError.
-func unescapeJSON(raw []byte) string {
-	out := make([]byte, 0, len(raw)+utf8.UTFMax)
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\' && raw[i+1] == 'u':
-			r := hex4(raw[i+2 : i+6])
-			i += 6
-			if utf16.IsSurrogate(r) {
-				r2 := rune(-1)
-				if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
-					r2 = hex4(raw[i+2 : i+6])
-				}
-				if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
-					i += 6
-				}
-			}
-			out = utf8.AppendRune(out, r)
-		case c == '\\':
-			out = append(out, jsonUnescape[raw[i+1]])
-			i += 2
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(raw[i:])
-			out = utf8.AppendRune(out, r)
-			i += size
-		}
-	}
-	return stringOf(out)
-}
-
-// jsonUnescape maps the byte after a backslash to the byte it stands for.
-var jsonUnescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
-
-// skip reads past one JSON value, checking its syntax.
-func (d *jsonReader) skip(depth int) error {
-	if depth > maxJSONDepth {
-		return d.fail("value nested too deep")
-	}
-	d.ws()
-	if d.pos >= len(d.b) {
-		return d.fail("value expected")
-	}
-	switch c := d.b[d.pos]; {
-	case c == '"':
-		_, _, _, err := d.span()
-		return err
-	case c == '{', c == '[':
-		d.pos++
-		closer := byte('}')
-		if c == '[' {
-			closer = ']'
-		}
-		if d.next(closer) {
-			return nil
-		}
-		for {
-			if c == '{' {
-				d.ws()
-				if _, _, _, err := d.span(); err != nil {
-					return err
-				}
-				if !d.next(':') {
-					return d.fail("colon expected")
-				}
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			if d.next(',') {
-				continue
-			}
-			if d.next(closer) {
-				return nil
-			}
-			return d.fail("comma or " + string(closer) + " expected")
-		}
-	case c == '-' || '0' <= c && c <= '9':
-		return d.number()
-	}
-	for _, lit := range []string{"true", "false", "null"} {
-		if bytes.HasPrefix(d.b[d.pos:], []byte(lit)) {
-			d.pos += len(lit)
-			return nil
-		}
-	}
-	return d.fail("value expected")
-}
-
-// number reads past a JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *jsonReader) number() error {
-	b := d.b
-	i := d.pos
-	digits := func() int {
-		n := 0
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			n++
-		}
-		return n
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	start := i
-	if n := digits(); n == 0 || n > 1 && b[start] == '0' {
-		return d.fail("bad number")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if digits() == 0 {
-			return d.fail("bad number")
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if digits() == 0 {
-			return d.fail("bad number")
-		}
-	}
-	d.pos = i
-	return nil
+	raw := d.B[lo:hi]
+	return stringOf(jsonlex.AppendUnescaped(make([]byte, 0, len(raw)+utf8.UTFMax), raw)), nil
 }
