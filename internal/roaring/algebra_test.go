@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -174,6 +175,15 @@ func TestAddWordsBoundaryTable(t *testing.T) {
 		{"onto-array-to-4096", FromSlice(rangeOf(0, 4000)), 3990, ones(106)},
 		{"onto-bitmap", FromSlice(rangeOf(0, 5000)), 4999, every(1000, 2)},
 		{"onto-next-key", FromSlice([]uint32{0x10000}), 0xFFC0 + 7, ones(200)},
+		{"above-array", FromSlice(rangeOf(0, 100)), 200, every(1000, 3)},
+		{"above-array-to-4096", FromSlice(rangeOf(0, 4000)), 4000, ones(96)},
+		{"above-array-to-4097", FromSlice(rangeOf(0, 4000)), 4000, ones(97)},
+		{"from-array-last", FromSlice([]uint32{5}), 5, ones(3)},
+		{"above-array-last", FromSlice([]uint32{5}), 6, ones(3)},
+		{"below-array-first", FromSlice([]uint32{500}), 0, every(600, 5)},
+		{"zero-words-onto-array", FromSlice([]uint32{5}), 0, make([]uint64, 2)},
+		{"onto-bitmap-all-present", FromSlice(rangeOf(0, 5000)), 0, ones(4000)},
+		{"onto-run", optimized(rangeOf(0, 3000)), 5000, every(640, 2)},
 		{"highest-key", New(), 0xFFFFFFFF - 70, ones(71)},
 	}
 	for _, r := range rows {
@@ -188,6 +198,46 @@ func TestAddWordsBoundaryTable(t *testing.T) {
 			if g, w := got.Words(win[0], win[1], nil), oracleWords(want, win[0], win[1]); !slices.Equal(g, w) {
 				t.Fatalf("%s: Words(%d, %d) differs from the oracle", r.name, win[0], win[1])
 			}
+		}
+	}
+}
+
+// TestAddWordsFoldAllocatesLinearly folds the selections of B adjacent
+// 512-row blocks into one bitmap, block by block as the query executor
+// does, so 128 blocks share a container. The result must equal the
+// oracle's, and the bytes allocated per block must not grow with B: a
+// container takes each block's values in place or appended, not a
+// rebuild of everything before them (which made the fold O(B²)).
+func TestAddWordsFoldAllocatesLinearly(t *testing.T) {
+	const blockRows = 512
+	for _, every := range []int{64, 2} { // 1,024 values a container (array), 32,768 (bitmap)
+		block := make([]uint64, blockRows/64)
+		for i := 0; i < blockRows; i += every {
+			block[i/64] |= 1 << (i % 64)
+		}
+		perBlock := func(blocks int) float64 {
+			var got *Bitmap
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for run := 0; run < 5; run++ {
+				got = New()
+				for k := 0; k < blocks; k++ {
+					got.AddWords(uint32(k*blockRows), block)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / 5
+			want := New()
+			for k := 0; k < blocks; k++ {
+				oracleAddWords(want, uint32(k*blockRows), block)
+			}
+			sameBytes(t, fmt.Sprintf("fold of %d blocks, every %d", blocks, every), got, want)
+			return float64(bytes) / float64(blocks)
+		}
+		small, large := perBlock(32), perBlock(512)
+		t.Logf("every %d: %.0f bytes a block over 32 blocks, %.0f over 512", every, small, large)
+		if large > 2*small+64 {
+			t.Errorf("every %d: %.0f bytes a block over 512 blocks against %.0f over 32: the fold is not linear", every, large, small)
 		}
 	}
 }

@@ -92,15 +92,68 @@ func (b *Bitmap) insertContainerAt(i int, key uint16, c container) {
 }
 
 // orContainer merges the values of w into the container at key, adding
-// one if there is none, and stores the result canonically (fromWords).
+// one if there is none, and stores the result canonically. A bitmap
+// container takes w's words in place (it only grows, so it stays one);
+// an array container takes w's values appended when they all lie above
+// its last and it stays within arrayMaxCard; anything else is rebuilt
+// through fromWords. So folding block after block into one container
+// costs each block its own values, not the container's.
 func (b *Bitmap) orContainer(key uint16, w *[1024]uint64) {
 	i, ok := b.containerIndex(key)
-	if ok {
-		orWords(b.containers[i], w)
-		b.containers[i] = fromWords(w)
-	} else if c := fromWords(w); c != nil {
-		b.insertContainerAt(i, key, c)
+	if !ok {
+		if c := fromWords(w); c != nil {
+			b.insertContainerAt(i, key, c)
+		}
+		return
 	}
+	switch c := b.containers[i].(type) {
+	case *bitmapContainer:
+		for k, x := range w {
+			if x &^= c.words[k]; x != 0 {
+				c.words[k] |= x
+				c.n += bits.OnesCount64(x)
+			}
+		}
+		return
+	case arrayContainer:
+		if a, ok := appendAbove(c, w); ok {
+			b.containers[i] = a
+			return
+		}
+	}
+	orWords(b.containers[i], w)
+	b.containers[i] = fromWords(w)
+}
+
+// appendAbove appends the values of w to a, and reports true, when every
+// one lies above a's last value and a stays within arrayMaxCard.
+func appendAbove(a arrayContainer, w *[1024]uint64) (arrayContainer, bool) {
+	n, first := 0, -1
+	for k, x := range w {
+		if x != 0 && first < 0 {
+			first = k
+		}
+		n += bits.OnesCount64(x)
+	}
+	switch {
+	case n == 0:
+		return a, true
+	case len(a)+n > arrayMaxCard, len(a) > 0 && first<<6+bits.TrailingZeros64(w[first]) <= int(a[len(a)-1]):
+		return a, false
+	}
+	if need := len(a) + n; need > cap(a) {
+		// Half again, not double: a container that collects two or three
+		// blocks allocates no more than the rebuild did.
+		grown := make(arrayContainer, len(a), max(need, len(a)*3/2))
+		copy(grown, a)
+		a = grown
+	}
+	for k := first; k < len(w); k++ {
+		for x := w[k]; x != 0; x &= x - 1 {
+			a = append(a, uint16(k<<6+bits.TrailingZeros64(x)))
+		}
+	}
+	return a, true
 }
 
 // AddRange inserts all values in [lo, hi), a container at a time with
