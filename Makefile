@@ -88,7 +88,8 @@ FUZZ_TARGETS = \
 	.:FuzzCompressIntRoundTrip .:FuzzStreamReader .:FuzzAggregateSelected \
 	./internal/query/:FuzzQueryPlan \
 	./internal/fsst/:FuzzFSSTEncodeEquivalence \
-	./internal/blockstore/:FuzzDecodeBlockFrame ./internal/blockstore/:FuzzBlockJSON
+	./internal/blockstore/:FuzzDecodeBlockFrame ./internal/blockstore/:FuzzBlockJSON \
+	./internal/ingest/:FuzzAppendJSON ./internal/ingest/:FuzzAppendLines
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -202,6 +202,33 @@ run_tier1() {
 		fi
 	done
 
+	echo "== one append decoder =="
+	# POST /v1/append and POST /v1/write decode through one columnar row
+	# decoder (internal/ingest/decode.go): views of the body bound straight
+	# into column slices, no map per row and no encoding/json pass over an
+	# append body. It and the JSON block reader share one lexer,
+	# internal/jsonlex; internal/blockstore has none of its own. The
+	# map-based path lives on only in internal/ingest/reference_test.go,
+	# as the reference the decoder is checked against.
+	if grep -rn --include='*.go' --exclude='*_test.go' 'map\[string\]json\.RawMessage' internal/ingest; then
+		echo 'internal/ingest decodes appends into column slices, not map[string]json.RawMessage'
+		exit 1
+	fi
+	for fn in appendJSON appendLines; do
+		body="$(sed -n "/^func (h \*handler) $fn(/,/^}/p" internal/ingest/server.go)"
+		if [ -z "$body" ] || echo "$body" | grep -n 'json\.Unmarshal'; then
+			echo "internal/ingest/server.go: $fn must decode through the append decoder, not json.Unmarshal"
+			exit 1
+		fi
+	done
+	if ls internal/blockstore/*.go | grep -v '_test\.go$' |
+		xargs grep -nE '^func (\([^)]*\) )?(ws|next|span|skip|number|jsonInt|unescapeJSON|isHex4|hex4)[[(]'; then
+		echo 'internal/blockstore reads JSON through internal/jsonlex, not a lexer of its own'
+		exit 1
+	fi
+	grep -q '"btrblocks/internal/jsonlex"' internal/blockstore/wire.go ||
+		{ echo 'internal/blockstore/wire.go must read JSON blocks through internal/jsonlex'; exit 1; }
+
 	echo "== generated kernels =="
 	# The unpack and compare kernels are generated (internal/bitpack/gen)
 	# and committed: regenerating them must change no byte.

@@ -224,18 +224,13 @@ func renderLineBody(table string, src *btrblocks.Chunk) []byte {
 // benchDecode decodes one append body against a registered schema, as
 // the handler does before it calls AppendContext.
 func benchDecode(body []byte, lines bool, schema []btrblocks.Column) (btrblocks.Chunk, error) {
-	var rows []map[string]json.RawMessage
+	decode := decodeJSON
 	if lines {
-		var err error
-		if _, rows, err = parseLineProtocol(string(body)); err != nil {
-			return btrblocks.Chunk{}, err
-		}
-	} else {
-		var req jsonAppendRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return btrblocks.Chunk{}, err
-		}
-		rows = req.Rows
+		decode = decodeLines
 	}
-	return chunkFromJSONRows(schema, rows)
+	b, err := decode(body)
+	if err != nil {
+		return btrblocks.Chunk{}, err
+	}
+	return b.chunk(schema)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 
 	"btrblocks"
@@ -77,33 +78,64 @@ func reply(fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFu
 		if err == nil {
 			return
 		}
-		status := http.StatusInternalServerError
-		var he *httpError
-		switch {
-		case errors.As(err, &he):
-			status = he.status
-		case errors.Is(err, ErrSchema), errors.Is(err, ErrBadValue),
-			errors.Is(err, ErrBadName), errors.Is(err, ErrEmptyBatch):
-			status = http.StatusBadRequest
-		case isUnknownTable(err):
-			status = http.StatusNotFound
-		}
 		obs.SpanFromContext(r.Context()).SetError(err)
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
+		w.WriteHeader(statusOf(err))
 		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 	}
 }
 
+// statusOf maps a handler's error to its HTTP status.
+func statusOf(err error) int {
+	var he *httpError
+	switch {
+	case errors.As(err, &he):
+		return he.status
+	case errors.Is(err, ErrSchema), errors.Is(err, ErrBadValue),
+		errors.Is(err, ErrBadName), errors.Is(err, ErrEmptyBatch):
+		return http.StatusBadRequest
+	case isUnknownTable(err):
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
+}
+
+// readChunk is the most readBody allocates ahead of the bytes arriving.
+const readChunk = 8 << 20
+
+// readBody reads a request body of at most maxBodyBytes. The buffer is
+// sized from Content-Length up to readChunk and grows by at most
+// readChunk as bytes arrive beyond that, so a body that lies about its
+// length cannot size an allocation; one of unknown length starts small.
 func readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("read body: %v", err)}
+	if r.ContentLength > maxBodyBytes {
+		return nil, tooLarge()
 	}
-	if len(body) > maxBodyBytes {
-		return nil, &httpError{http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)}
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength+1, readChunk) // +1: room to read the EOF
 	}
-	return body, nil
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(cap(buf), readChunk))
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxBodyBytes {
+			return nil, tooLarge()
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, &httpError{http.StatusBadRequest, fmt.Errorf("read body: %v", err)}
+		}
+	}
+}
+
+func tooLarge() error {
+	return &httpError{http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)}
 }
 
 // appendResult acknowledges a durable append.
@@ -117,14 +149,11 @@ func (h *handler) appendJSON(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	var req jsonAppendRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return &httpError{http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err)}
+	b, err := decodeJSON(body)
+	if err != nil {
+		return err
 	}
-	if len(req.Rows) == 0 {
-		return ErrEmptyBatch
-	}
-	return h.appendRows(w, r, req.Table, req.Rows)
+	return h.appendRows(w, r, b)
 }
 
 func (h *handler) appendLines(w http.ResponseWriter, r *http.Request) error {
@@ -132,35 +161,32 @@ func (h *handler) appendLines(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	table, rows, err := parseLineProtocol(string(body))
-	if err != nil {
-		if errors.Is(err, ErrEmptyBatch) {
-			return err
-		}
-		return &httpError{http.StatusBadRequest, err}
-	}
-	return h.appendRows(w, r, table, rows)
-}
-
-// appendRows resolves the schema (registered, or inferred on first
-// contact), builds the columnar batch, and hands it to the service.
-func (h *handler) appendRows(w http.ResponseWriter, r *http.Request, table string, rows []map[string]json.RawMessage) error {
-	if !validName(table) {
-		return fmt.Errorf("%w: table %q", ErrBadName, table)
-	}
-	schema, ok := h.svc.Schema(table)
-	if !ok {
-		var err error
-		schema, err = inferSchemaJSON(rows)
-		if err != nil {
-			return err
-		}
-	}
-	chunk, err := chunkFromJSONRows(schema, rows)
+	b, err := decodeLines(body)
 	if err != nil {
 		return err
 	}
-	seq, err := h.svc.AppendContext(r.Context(), table, &chunk)
+	return h.appendRows(w, r, b)
+}
+
+// appendRows resolves the schema (registered, or inferred on first
+// contact), binds the decoded rows to it, and hands the batch to the
+// service.
+func (h *handler) appendRows(w http.ResponseWriter, r *http.Request, b *appendBatch) error {
+	if !validName(b.table) {
+		return fmt.Errorf("%w: table %q", ErrBadName, b.table)
+	}
+	schema, ok := h.svc.Schema(b.table)
+	if !ok {
+		var err error
+		if schema, err = inferSchema(b); err != nil {
+			return err
+		}
+	}
+	chunk, err := b.chunk(schema)
+	if err != nil {
+		return err
+	}
+	seq, err := h.svc.AppendContext(r.Context(), b.table, &chunk)
 	if err != nil {
 		return err
 	}
