@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"btrblocks"
+	"btrblocks/coldata"
 )
 
 // Sentinel errors of the ingest validation layer; returned wrapped with
@@ -107,34 +108,90 @@ func schemaMatches(schema []btrblocks.Column, chunk *btrblocks.Chunk) error {
 }
 
 // appendChunk appends src's rows onto dst (equal schemas assumed
-// validated). dst's columns grow in place; NULL positions are rebased by
-// dst's current row count.
+// validated).
 func appendChunk(dst, src *btrblocks.Chunk) {
-	base := dst.NumRows()
-	rows := src.NumRows()
 	for i := range src.Columns {
-		s := &src.Columns[i]
-		d := &dst.Columns[i]
-		switch s.Type {
-		case btrblocks.TypeInt:
-			d.Ints = append(d.Ints, s.Ints...)
-		case btrblocks.TypeInt64:
-			d.Ints64 = append(d.Ints64, s.Ints64...)
-		case btrblocks.TypeDouble:
-			d.Doubles = append(d.Doubles, s.Doubles...)
-		case btrblocks.TypeString:
-			for r := 0; r < rows; r++ {
-				d.Strings = d.Strings.AppendBytes(s.Strings.View(r))
+		appendColumn(&dst.Columns[i], &src.Columns[i])
+	}
+}
+
+// appendColumn appends src's values onto dst of the same type. dst grows
+// in place; NULL positions are rebased by dst's current length.
+func appendColumn(d, s *btrblocks.Column) {
+	base := d.Len()
+	switch s.Type {
+	case btrblocks.TypeInt:
+		d.Ints = append(d.Ints, s.Ints...)
+	case btrblocks.TypeInt64:
+		d.Ints64 = append(d.Ints64, s.Ints64...)
+	case btrblocks.TypeDouble:
+		d.Doubles = append(d.Doubles, s.Doubles...)
+	case btrblocks.TypeString:
+		if n := s.Len(); n > 0 {
+			src, dst := &s.Strings, &d.Strings
+			if len(dst.Offsets) == 0 {
+				dst.Offsets = append(dst.Offsets, 0)
+			}
+			lo, at := src.Offsets[0], uint32(len(dst.Data))
+			dst.Data = append(dst.Data, src.Data[lo:src.Offsets[n]]...)
+			for _, o := range src.Offsets[1:] {
+				dst.Offsets = append(dst.Offsets, at+o-lo)
 			}
 		}
-		s.Nulls.ForEachNull(func(p int) bool {
-			if d.Nulls == nil {
-				d.Nulls = btrblocks.NewNullMask()
-			}
-			d.Nulls.SetNull(base + p)
-			return true
-		})
 	}
+	s.Nulls.ForEachNull(func(p int) bool {
+		if d.Nulls == nil {
+			d.Nulls = btrblocks.NewNullMask()
+		}
+		d.Nulls.SetNull(base + p)
+		return true
+	})
+}
+
+// reserveColumn sizes the empty column d for rows values, a string
+// column's data for dataLen bytes.
+func reserveColumn(d *btrblocks.Column, rows, dataLen int) {
+	switch d.Type {
+	case btrblocks.TypeInt:
+		d.Ints = make([]int32, 0, rows)
+	case btrblocks.TypeInt64:
+		d.Ints64 = make([]int64, 0, rows)
+	case btrblocks.TypeDouble:
+		d.Doubles = make([]float64, 0, rows)
+	case btrblocks.TypeString:
+		d.Strings = coldata.NewStringsBuilder(rows, dataLen)
+	}
+}
+
+// cloneChunk returns a copy of chunk, each column allocated once.
+func cloneChunk(chunk *btrblocks.Chunk) *btrblocks.Chunk {
+	out := emptyChunkFor(schemaOf(chunk))
+	for c := range out.Columns {
+		src := &chunk.Columns[c]
+		reserveColumn(&out.Columns[c], src.Len(), len(src.Strings.Data))
+		appendColumn(&out.Columns[c], src)
+	}
+	return &out
+}
+
+// concatColumn returns column c of batches, which hold rows rows, as one
+// column: the batch's own when there is one batch, else a copy allocated
+// once.
+func concatColumn(batches []*btrblocks.Chunk, c, rows int) btrblocks.Column {
+	if len(batches) == 1 {
+		return batches[0].Columns[c]
+	}
+	first := &batches[0].Columns[c]
+	col := btrblocks.Column{Name: first.Name, Type: first.Type}
+	dataLen := 0
+	for _, b := range batches {
+		dataLen += len(b.Columns[c].Strings.Data)
+	}
+	reserveColumn(&col, rows, dataLen)
+	for _, b := range batches {
+		appendColumn(&col, &b.Columns[c])
+	}
+	return col
 }
 
 // emptyChunkFor builds a zero-row chunk with the given schema, ready to

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -44,6 +45,7 @@ type appendBatch struct {
 	lines bool // the views are line-protocol values, not JSON
 	table string
 	keys  [][]byte         // distinct keys, first seen first: views of body unless escaped
+	views []bool           // which keys are views of the body (JSON keys without escapes)
 	index map[string]int32 // keys by name, once there are many
 	rows  int
 	// Row r's values are members[start[r]:start[r+1]], in body order.
@@ -69,9 +71,10 @@ type member struct {
 const manyKeys = 16
 
 // keyIndex returns name's index in keys, adding it if it is new; guess
-// is where it is likely to be (rows usually repeat one key order). An
-// added name is kept as it is, so it must not change afterwards.
-func (b *appendBatch) keyIndex(name []byte, guess int) int32 {
+// is where it is likely to be (rows usually repeat one key order), and
+// view says name is a JSON key's own bytes in the body. An added name is
+// kept as it is, so it must not change afterwards.
+func (b *appendBatch) keyIndex(name []byte, guess int, view bool) int32 {
 	if guess < len(b.keys) && bytes.Equal(b.keys[guess], name) {
 		return int32(guess)
 	}
@@ -88,6 +91,7 @@ func (b *appendBatch) keyIndex(name []byte, guess int) int32 {
 	}
 	k := int32(len(b.keys))
 	b.keys = append(b.keys, name)
+	b.views = append(b.views, view)
 	if b.index == nil && len(b.keys) > manyKeys {
 		b.index = make(map[string]int32, 2*len(b.keys))
 		for i, key := range b.keys {
@@ -280,14 +284,13 @@ func (b *appendBatch) readRow(d *jsonlex.Reader, row int32) error {
 	k := int32(-1)
 	for {
 		d.WS()
-		name, err := readKey(d)
-		if err != nil {
+		var err error
+		if k, err = b.rowKey(d, k); err != nil {
 			return err
 		}
 		if !d.Next(':') {
 			return d.Fail("colon expected")
 		}
-		k = b.keyIndex(name, int(k+1))
 		d.WS()
 		lo := d.Pos
 		// The value sits inside the body, "rows" and row containers.
@@ -303,6 +306,30 @@ func (b *appendBatch) readRow(d *jsonlex.Reader, row int32) error {
 		}
 		return d.Fail("comma or } expected")
 	}
+}
+
+// rowKey reads the key at the cursor and returns its index in keys. The
+// key after prev is tried first, straight against the body: rows usually
+// repeat one key order, and a key that is a view of the body is the same
+// key wherever the same bytes stand between quotes, so it needs no scan.
+func (b *appendBatch) rowKey(d *jsonlex.Reader, prev int32) (int32, error) {
+	guess := int(prev + 1)
+	if guess < len(b.keys) && b.views[guess] {
+		key := b.keys[guess]
+		if end := d.Pos + 1 + len(key); end < len(d.B) && d.B[d.Pos] == '"' && d.B[end] == '"' && bytes.Equal(d.B[d.Pos+1:end], key) {
+			d.Pos = end + 1
+			return int32(guess), nil
+		}
+	}
+	lo, hi, plain, err := d.Span()
+	if err != nil {
+		return 0, err
+	}
+	name := d.B[lo:hi]
+	if !plain {
+		name = jsonlex.AppendUnescaped(nil, name)
+	}
+	return b.keyIndex(name, guess, plain), nil
 }
 
 // rowStarts returns where each row's members start in members, which
@@ -400,7 +427,7 @@ func (b *appendBatch) readFields(s []byte, off int, last *[]int32) error {
 		if err != nil {
 			return err
 		}
-		k = b.keyIndex(name, int(k+1))
+		k = b.keyIndex(name, int(k+1), false)
 		if int(k) == len(*last) {
 			*last = append(*last, -1)
 		}
@@ -552,7 +579,8 @@ func inferColumnType(b *appendBatch, m member) (btrblocks.Type, error) {
 }
 
 // chunk binds the batch to schema: each column's slice is allocated once
-// at the row count (a string column's data at the size of its values),
+// at the row count (a string column's data at the size of its values,
+// which only invalid UTF-8, widened to U+FFFD, outgrows),
 // a missing key or null sets the NULL mask over a zero value, and a key
 // the schema lacks or a value its column's type cannot hold is an error.
 func (b *appendBatch) chunk(schema []btrblocks.Column) (btrblocks.Chunk, error) {
@@ -568,10 +596,10 @@ func (b *appendBatch) chunk(schema []btrblocks.Column) (btrblocks.Chunk, error) 
 			col[k] = -1
 		}
 	}
-	dataLen := make([]int, len(schema))
+	dataLen := make([]int, len(schema)) // a string column's values, their quotes left out
 	for _, m := range b.members {
 		if c := col[m.key]; c >= 0 {
-			dataLen[c] += int(m.hi - m.lo)
+			dataLen[c] += max(int(m.hi-m.lo)-2, 0)
 		}
 	}
 	chunk := emptyChunkFor(schema)
@@ -635,12 +663,12 @@ func (b *appendBatch) bind(col *btrblocks.Column, r, kind int, text []byte) erro
 	switch col.Type {
 	case btrblocks.TypeInt:
 		var v int64
-		v, err = strconv.ParseInt(string(text), 10, 32)
+		v, err = parseInt(text, 32)
 		col.Ints[r] = int32(v)
 	case btrblocks.TypeInt64:
-		col.Ints64[r], err = strconv.ParseInt(string(text), 10, 64)
+		col.Ints64[r], err = parseInt(text, 64)
 	case btrblocks.TypeDouble:
-		col.Doubles[r], err = strconv.ParseFloat(string(text), 64)
+		col.Doubles[r], err = parseFloat(text)
 	case btrblocks.TypeString:
 		s := &col.Strings
 		if b.lines {
@@ -654,6 +682,59 @@ func (b *appendBatch) bind(col *btrblocks.Column, r, kind int, text []byte) erro
 		return fmt.Errorf("%w: %s as %s", ErrBadValue, text, typeName(col.Type))
 	}
 	return nil
+}
+
+// parseInt is strconv.ParseInt(string(text), 10, bits), with a fast path
+// for the usual text: a minus or not, then at most 18 digits.
+func parseInt(text []byte, bits int) (int64, error) {
+	digits := bytes.TrimPrefix(text, []byte("-"))
+	if v, ok := decimal(digits); ok {
+		if len(digits) < len(text) {
+			v = -v
+		}
+		if bits == 64 || math.MinInt32 <= v && v <= math.MaxInt32 {
+			return v, nil
+		}
+	}
+	return strconv.ParseInt(string(text), 10, bits)
+}
+
+// decimal returns the value of digits if they are 1 to 18 decimal digits.
+func decimal(digits []byte) (int64, bool) {
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	var v int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, true
+}
+
+// pow10 are the powers of ten parseFloat divides by, each exact.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseFloat is strconv.ParseFloat(string(text), 64), with a fast path
+// for a plain decimal of at most 15 digits (a minus or not, digits, and a
+// point with digits after it or not): the digits and the power of ten
+// are exact as float64s, so their quotient is the correctly rounded value
+// ParseFloat returns, the sign of -0 included.
+func parseFloat(text []byte) (float64, error) {
+	num := bytes.TrimPrefix(text, []byte("-"))
+	whole, frac, point := bytes.Cut(num, []byte("."))
+	w, ok := decimal(whole)
+	f, fok := decimal(frac)
+	if ok && (fok || !point) && len(whole)+len(frac) <= 15 {
+		v := float64(w*int64(pow10[len(frac)])+f) / pow10[len(frac)]
+		if len(num) < len(text) {
+			v = -v
+		}
+		return v, nil
+	}
+	return strconv.ParseFloat(string(text), 64)
 }
 
 // appendLineString appends a quoted line-protocol string's contents with

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -445,4 +447,42 @@ func FuzzAppendLines(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { fuzzAppend(t, body, true) })
+}
+
+// TestParseNumbersMatchStrconv: the binder's fast paths read every text
+// exactly as strconv does, bit for bit and error for error.
+func TestParseNumbersMatchStrconv(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	texts := []string{"-0", "0", "-0.0", "1.", ".5", "-", "", "1e3", "00.5", "007", "-.5", "+1", "1_0", "0x10",
+		"123456789012345", "1234567890123456", "0.000000000000001", "999999999999999.9", "2147483648", "-2147483648",
+		"999999999999999999", "9223372036854775807", "-9223372036854775808", "1.7976931348623157e308"}
+	for i := 0; i < 100_000; i++ {
+		var s string
+		switch i % 4 {
+		case 0:
+			s = strconv.FormatFloat(r.Float64()*math.Pow(10, float64(r.Intn(12)-4)), 'f', r.Intn(10), 64)
+		case 1:
+			s = strconv.FormatInt(r.Int63(), 10)
+		case 2:
+			s = strconv.FormatFloat(r.NormFloat64()*1000, 'g', -1, 64)
+		default:
+			s = strconv.FormatFloat(float64(r.Intn(100000))/100, 'f', -1, 64)
+		}
+		if r.Intn(2) == 0 {
+			s = "-" + s
+		}
+		texts = append(texts, s)
+	}
+	for _, s := range texts {
+		want, werr := strconv.ParseFloat(s, 64)
+		if got, err := parseFloat([]byte(s)); (err == nil) != (werr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v, %v; strconv %v, %v", s, got, err, want, werr)
+		}
+		for _, bits := range []int{32, 64} {
+			want, werr := strconv.ParseInt(s, 10, bits)
+			if got, err := parseInt([]byte(s), bits); (err == nil) != (werr == nil) || got != want {
+				t.Fatalf("parseInt(%q, %d) = %v, %v; strconv %v, %v", s, bits, got, err, want, werr)
+			}
+		}
+	}
 }

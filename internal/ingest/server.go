@@ -100,12 +100,12 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// readChunk is the most readBody allocates ahead of the bytes arriving.
-const readChunk = 8 << 20
+// bodyChunk is the most readBody allocates ahead of the bytes arriving.
+const bodyChunk = 8 << 20
 
 // readBody reads a request body of at most maxBodyBytes. The buffer is
-// sized from Content-Length up to readChunk and grows by at most
-// readChunk as bytes arrive beyond that, so a body that lies about its
+// sized from Content-Length up to bodyChunk and grows by at most
+// bodyChunk as bytes arrive beyond that, so a body that lies about its
 // length cannot size an allocation; one of unknown length starts small.
 func readBody(r *http.Request) ([]byte, error) {
 	if r.ContentLength > maxBodyBytes {
@@ -113,12 +113,12 @@ func readBody(r *http.Request) ([]byte, error) {
 	}
 	size := int64(512)
 	if r.ContentLength >= 0 {
-		size = min(r.ContentLength+1, readChunk) // +1: room to read the EOF
+		size = min(r.ContentLength+1, bodyChunk) // +1: room to read the EOF
 	}
 	buf := make([]byte, 0, size)
 	for {
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(cap(buf), readChunk))
+			buf = slices.Grow(buf, min(cap(buf), bodyChunk))
 		}
 		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -186,11 +186,12 @@ func (h *handler) appendRows(w http.ResponseWriter, r *http.Request, b *appendBa
 	if err != nil {
 		return err
 	}
-	seq, err := h.svc.AppendContext(r.Context(), b.table, &chunk)
+	rows := chunk.NumRows()
+	seq, err := h.svc.appendContext(r.Context(), b.table, &chunk, true)
 	if err != nil {
 		return err
 	}
-	return obs.WriteJSON(w, appendResult{Seq: seq, Rows: chunk.NumRows()})
+	return obs.WriteJSON(w, appendResult{Seq: seq, Rows: rows})
 }
 
 type createTableRequest struct {

@@ -157,9 +157,14 @@ type markerColumn struct {
 // tableState is the in-memory state of one table: registered schema,
 // the accumulating row buffer, and the committed chunks on disk.
 type tableState struct {
-	name       string
-	schema     []btrblocks.Column
-	buf        btrblocks.Chunk
+	name   string
+	schema []btrblocks.Column
+	// buf holds the batches appended since the last flush, in sequence
+	// order, each as its append made it, and bufRows counts their rows:
+	// a flush concatenates them a column at a time, so an append copies
+	// nothing into a buffer that grows.
+	buf        []*btrblocks.Chunk
+	bufRows    int
 	bufMinSeq  uint64 // lowest WAL seq in the buffer (0 when empty)
 	bufMaxSeq  uint64 // highest WAL seq in the buffer
 	flushedSeq uint64 // highest WAL seq published
@@ -170,7 +175,24 @@ type tableState struct {
 	flushMu sync.Mutex
 }
 
-func (ts *tableState) bufRows() int { return ts.buf.NumRows() }
+// smallBatch is the row count below which a buffer's last batch takes
+// the next batch's rows onto its own, so a stream of tiny appends does
+// not pay for a chunk per append.
+const smallBatch = 256
+
+// push adds a batch to the buffer. An owned batch is kept as it is;
+// otherwise the buffer keeps a copy, since the caller may reuse it.
+func (ts *tableState) push(chunk *btrblocks.Chunk, owned bool) {
+	switch n := len(ts.buf); {
+	case n > 0 && ts.buf[n-1].NumRows() < smallBatch:
+		appendChunk(ts.buf[n-1], chunk)
+	case owned:
+		ts.buf = append(ts.buf, chunk)
+	default:
+		ts.buf = append(ts.buf, cloneChunk(chunk))
+	}
+	ts.bufRows += chunk.NumRows()
+}
 
 // Service is the ingestion engine. Open recovers it from disk; Append
 // is safe for concurrent use; Close flushes and shuts down.
@@ -406,7 +428,6 @@ func (s *Service) recoverTable(table string) error {
 	ts := &tableState{
 		name:       table,
 		schema:     schema,
-		buf:        emptyChunkFor(schema),
 		flushedSeq: keep[len(keep)-1].Seq,
 		chunks:     append([]chunkInfo(nil), keep...),
 	}
@@ -439,11 +460,7 @@ func (s *Service) applyReplay(rec *walRecord) error {
 		if !validName(rec.Table) {
 			return fmt.Errorf("ingest: WAL record for invalid table %q", rec.Table)
 		}
-		ts = &tableState{
-			name:   rec.Table,
-			schema: schemaOf(&rec.Chunk),
-			buf:    emptyChunkFor(schemaOf(&rec.Chunk)),
-		}
+		ts = &tableState{name: rec.Table, schema: schemaOf(&rec.Chunk)}
 		s.tables[rec.Table] = ts
 	}
 	if rec.Seq <= ts.flushedSeq {
@@ -453,10 +470,10 @@ func (s *Service) applyReplay(rec *walRecord) error {
 	if err := schemaMatches(ts.schema, &rec.Chunk); err != nil {
 		return fmt.Errorf("ingest: WAL record %d for table %s: %v", rec.Seq, rec.Table, err)
 	}
-	if ts.bufRows() == 0 {
+	if ts.bufRows == 0 {
 		ts.bufMinSeq = rec.Seq
 	}
-	appendChunk(&ts.buf, &rec.Chunk)
+	ts.push(&rec.Chunk, true)
 	ts.bufMaxSeq = rec.Seq
 	s.met.WALReplayed.Add(1)
 	s.met.WALReplayedRows.Add(int64(rec.Chunk.NumRows()))
@@ -496,7 +513,7 @@ func (s *Service) CreateTable(table string, specs []ColumnSpec) error {
 		}
 		return nil
 	}
-	s.tables[table] = &tableState{name: table, schema: schema, buf: emptyChunkFor(schema)}
+	s.tables[table] = &tableState{name: table, schema: schema}
 	return nil
 }
 
@@ -516,17 +533,25 @@ func (s *Service) Append(table string, chunk *btrblocks.Chunk) (seq uint64, err 
 // recorded as children, and a threshold-triggered flush joins the same
 // trace.
 func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblocks.Chunk) (seq uint64, err error) {
+	return s.appendContext(ctx, table, chunk, false)
+}
+
+// appendContext is AppendContext; owned says the service may keep chunk
+// in its buffer as it is, which the HTTP handler's decoded batches allow.
+func (s *Service) appendContext(ctx context.Context, table string, chunk *btrblocks.Chunk, owned bool) (seq uint64, err error) {
 	start := time.Now()
+	// An owned chunk belongs to the buffer once it is pushed, where a
+	// later small batch may be appended onto it: read it before.
+	rows := chunk.NumRows()
 	defer func() {
 		if err != nil {
 			s.met.AppendErrors.Add(1)
 		} else {
 			s.met.Appends.Add(1)
-			s.met.AppendedRows.Add(int64(chunk.NumRows()))
+			s.met.AppendedRows.Add(int64(rows))
 			s.met.AppendLatency.Observe(time.Since(start))
 		}
 	}()
-	rows := chunk.NumRows()
 	if rows == 0 {
 		return 0, ErrEmptyBatch
 	}
@@ -550,7 +575,7 @@ func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblo
 	}
 	ts := s.tables[table]
 	if ts == nil {
-		ts = &tableState{name: table, schema: schemaOf(chunk), buf: emptyChunkFor(schemaOf(chunk))}
+		ts = &tableState{name: table, schema: schemaOf(chunk)}
 		s.tables[table] = ts
 	} else if err := schemaMatches(ts.schema, chunk); err != nil {
 		s.mu.Unlock()
@@ -570,12 +595,12 @@ func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblo
 		s.mu.Unlock()
 		return 0, werr
 	}
-	if ts.bufRows() == 0 {
+	if ts.bufRows == 0 {
 		ts.bufMinSeq = seq
 	}
-	appendChunk(&ts.buf, chunk)
+	ts.push(chunk, owned)
 	ts.bufMaxSeq = seq
-	needFlush := ts.bufRows() >= s.cfg.chunkRows()
+	needFlush := ts.bufRows >= s.cfg.chunkRows()
 	s.mu.Unlock()
 
 	// wal.sync covers the whole group-commit protocol: the wait to become
@@ -679,31 +704,29 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 	defer ts.flushMu.Unlock()
 
 	s.mu.Lock()
-	rows := ts.bufRows()
+	rows := ts.bufRows
 	if rows == 0 {
 		s.mu.Unlock()
 		return nil
 	}
-	chunk := ts.buf
+	batches := ts.buf
 	minSeq, maxSeq := ts.bufMinSeq, ts.bufMaxSeq
-	ts.buf = emptyChunkFor(ts.schema)
+	ts.buf, ts.bufRows = nil, 0
 	ts.bufMinSeq, ts.bufMaxSeq = 0, 0
 	s.publishing++
 	s.mu.Unlock()
 
 	fsp.SetAttrInt("rows", int64(rows))
 	start := time.Now()
-	info, err := s.publishChunk(ctx, table, &chunk, chunkInfo{Seq: maxSeq, MinSeq: minSeq, Level: 0, Rows: rows})
+	info, err := s.publishChunk(ctx, table, ts.schema, chunkInfo{Seq: maxSeq, MinSeq: minSeq, Level: 0, Rows: rows},
+		func(c int) (btrblocks.Column, error) { return concatColumn(batches, c, rows), nil })
 	if err != nil {
 		// Put the rows back in front of whatever arrived meanwhile so the
 		// buffer stays in sequence order.
 		s.met.PublishErrors.Add(1)
 		s.mu.Lock()
-		arrived := ts.buf
-		restored := emptyChunkFor(ts.schema)
-		appendChunk(&restored, &chunk)
-		appendChunk(&restored, &arrived)
-		ts.buf = restored
+		ts.buf = append(batches, ts.buf...)
+		ts.bufRows += rows
 		ts.bufMinSeq = minSeq
 		if ts.bufMaxSeq == 0 {
 			ts.bufMaxSeq = maxSeq
@@ -718,7 +741,7 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 	s.publishing--
 	allEmpty := true
 	for _, other := range s.tables {
-		if other.bufRows() > 0 {
+		if other.bufRows > 0 {
 			allEmpty = false
 			break
 		}
@@ -746,12 +769,14 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 	return nil
 }
 
-// publishChunk compresses each column and publishes the chunk
-// atomically: every column file is written to a temp name, fsynced and
-// renamed; the commit marker goes last. A crash anywhere in between
-// leaves either an invisible chunk (no marker — startup removes the
-// fragments and the WAL re-publishes) or a complete one.
-func (s *Service) publishChunk(ctx context.Context, table string, chunk *btrblocks.Chunk, proto chunkInfo) (*chunkInfo, error) {
+// publishChunk compresses each column of schema, as column returns it,
+// and publishes the chunk atomically: every column file is written to a
+// temp name, fsynced and renamed; the commit marker goes last. A crash
+// anywhere in between leaves either an invisible chunk (no marker —
+// startup removes the fragments and the WAL re-publishes) or a complete
+// one; a failure removes the files it wrote.
+func (s *Service) publishChunk(ctx context.Context, table string, schema []btrblocks.Column, proto chunkInfo,
+	column func(c int) (btrblocks.Column, error)) (_ *chunkInfo, err error) {
 	tdir := filepath.Join(s.dir, table)
 	if err := os.MkdirAll(tdir, 0o755); err != nil {
 		return nil, err
@@ -765,12 +790,22 @@ func (s *Service) publishChunk(ctx context.Context, table string, chunk *btrbloc
 		Level:  info.Level,
 		Rows:   info.Rows,
 	}
-	for i := range chunk.Columns {
-		col := &chunk.Columns[i]
+	defer func() {
+		if err != nil {
+			for _, f := range info.Files {
+				os.Remove(filepath.Join(tdir, f))
+			}
+		}
+	}()
+	for c := range schema {
+		col, err := column(c)
+		if err != nil {
+			return nil, err
+		}
 		cctx, csp := obs.StartChild(ctx, "compress.cascade")
 		csp.SetAttr("column", col.Name)
 		csp.SetAttrInt("rows", int64(col.Len()))
-		data, err := btrblocks.CompressColumnContext(cctx, *col, s.compressOptions(info.Level))
+		data, err := btrblocks.CompressColumnContext(cctx, col, s.compressOptions(info.Level))
 		csp.SetError(err)
 		if err == nil {
 			csp.SetAttrInt("bytes", int64(len(data)))
@@ -908,7 +943,7 @@ func (s *Service) Stats() []TableStats {
 	for _, ts := range s.tables {
 		st := TableStats{
 			Table:        ts.name,
-			BufferedRows: ts.bufRows(),
+			BufferedRows: ts.bufRows,
 			FlushedSeq:   ts.flushedSeq,
 			Chunks:       len(ts.chunks),
 		}

@@ -77,7 +77,20 @@ type walRecord struct {
 // len:u32 + bytes per row. NULL slots store whatever value the slot
 // holds (typically the zero value); the NULL positions are authoritative.
 func encodeWALPayload(seq uint64, table string, chunk *btrblocks.Chunk) []byte {
-	out := make([]byte, 0, 64+chunk.UncompressedBytes())
+	return appendWALPayload(make([]byte, 0, walPayloadLen(table, chunk)), seq, table, chunk)
+}
+
+// walPayloadLen is the length of chunk's payload.
+func walPayloadLen(table string, chunk *btrblocks.Chunk) int {
+	n := 8 + 2 + len(table) + 2 + 4 + chunk.UncompressedBytes()
+	for i := range chunk.Columns {
+		n += 1 + 2 + len(chunk.Columns[i].Name) + 4 + 4*chunk.Columns[i].Nulls.NullCount()
+	}
+	return n
+}
+
+// appendWALPayload appends the payload encodeWALPayload returns to out.
+func appendWALPayload(out []byte, seq uint64, table string, chunk *btrblocks.Chunk) []byte {
 	out = binary.LittleEndian.AppendUint64(out, seq)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(table)))
 	out = append(out, table...)
@@ -92,15 +105,11 @@ func encodeWALPayload(seq uint64, table string, chunk *btrblocks.Chunk) []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(rows))
 	for i := range chunk.Columns {
 		col := &chunk.Columns[i]
-		var nulls []uint32
+		out = binary.LittleEndian.AppendUint32(out, uint32(col.Nulls.NullCount()))
 		col.Nulls.ForEachNull(func(p int) bool {
-			nulls = append(nulls, uint32(p))
+			out = binary.LittleEndian.AppendUint32(out, uint32(p))
 			return true
 		})
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(nulls)))
-		for _, p := range nulls {
-			out = binary.LittleEndian.AppendUint32(out, p)
-		}
 		switch col.Type {
 		case btrblocks.TypeInt:
 			for _, v := range col.Ints {
@@ -411,12 +420,13 @@ func (w *wal) append(table string, chunk *btrblocks.Chunk) (seq uint64, off int6
 		return 0, 0, 0, fmt.Errorf("ingest: WAL is closed")
 	}
 	seq = w.nextSeq
-	payload := encodeWALPayload(seq, table, chunk)
-	frame := make([]byte, 0, walFrameLen+len(payload))
-	frame = append(frame, walRecTag)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	frame = append(frame, payload...)
+	// The payload is encoded after room for the frame header, which is
+	// filled in once the payload's length and CRC are known.
+	frame := appendWALPayload(make([]byte, walFrameLen, walFrameLen+walPayloadLen(table, chunk)), seq, table, chunk)
+	payload := frame[walFrameLen:]
+	frame[0] = walRecTag
+	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:], crc32.Checksum(payload, castagnoli))
 	if _, err := w.f.Write(frame); err != nil {
 		// The segment now ends in a partial frame; replay will discard it,
 		// but nothing more can be appended safely.
