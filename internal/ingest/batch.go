@@ -163,17 +163,6 @@ func reserveColumn(d *btrblocks.Column, rows, dataLen int) {
 	}
 }
 
-// cloneChunk returns a copy of chunk, each column allocated once.
-func cloneChunk(chunk *btrblocks.Chunk) *btrblocks.Chunk {
-	out := emptyChunkFor(schemaOf(chunk))
-	for c := range out.Columns {
-		src := &chunk.Columns[c]
-		reserveColumn(&out.Columns[c], src.Len(), len(src.Strings.Data))
-		appendColumn(&out.Columns[c], src)
-	}
-	return &out
-}
-
 // concatColumn returns column c of batches, which hold rows rows, as one
 // column: the batch's own when there is one batch, else a copy allocated
 // once.

@@ -26,8 +26,8 @@ func TestAppendAllocs(t *testing.T) {
 		spans *obs.SpanRecorder
 		max   float64
 	}{
-		{"bare", nil, 31},
-		{"traced", obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btringest"}), 60},
+		{"bare", nil, 28},
+		{"traced", obs.NewSpanRecorder(obs.SpanRecorderConfig{Process: "btringest"}), 57},
 	} {
 		allocs := appendAllocs(t, tc.spans, `{"table":"t","rows":[{"v":1,"s":"x"},{"v":2,"s":"y"}]}`)
 		t.Logf("%s: %v allocs per append", tc.name, allocs)

@@ -186,12 +186,11 @@ func (h *handler) appendRows(w http.ResponseWriter, r *http.Request, b *appendBa
 	if err != nil {
 		return err
 	}
-	rows := chunk.NumRows()
-	seq, err := h.svc.appendContext(r.Context(), b.table, &chunk, true)
+	seq, err := h.svc.AppendContext(r.Context(), b.table, &chunk)
 	if err != nil {
 		return err
 	}
-	return obs.WriteJSON(w, appendResult{Seq: seq, Rows: rows})
+	return obs.WriteJSON(w, appendResult{Seq: seq, Rows: chunk.NumRows()})
 }
 
 type createTableRequest struct {

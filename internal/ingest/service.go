@@ -159,11 +159,12 @@ type markerColumn struct {
 type tableState struct {
 	name   string
 	schema []btrblocks.Column
-	// buf holds the batches appended since the last flush, in sequence
-	// order, each as its append made it, and bufRows counts their rows:
-	// a flush concatenates them a column at a time, so an append copies
-	// nothing into a buffer that grows.
-	buf        []*btrblocks.Chunk
+	// buf holds the appends since the last flush, in sequence order, and
+	// bufRows counts their rows. A live append is held as its record's
+	// place in the WAL, which already holds its rows, and read back when
+	// the table flushes; so buffered rows take memory only while their
+	// table flushes. Replayed records are held decoded.
+	buf        []bufBatch
 	bufRows    int
 	bufMinSeq  uint64 // lowest WAL seq in the buffer (0 when empty)
 	bufMaxSeq  uint64 // highest WAL seq in the buffer
@@ -175,23 +176,11 @@ type tableState struct {
 	flushMu sync.Mutex
 }
 
-// smallBatch is the row count below which a buffer's last batch takes
-// the next batch's rows onto its own, so a stream of tiny appends does
-// not pay for a chunk per append.
-const smallBatch = 256
-
-// push adds a batch to the buffer. An owned batch is kept as it is;
-// otherwise the buffer keeps a copy, since the caller may reuse it.
-func (ts *tableState) push(chunk *btrblocks.Chunk, owned bool) {
-	switch n := len(ts.buf); {
-	case n > 0 && ts.buf[n-1].NumRows() < smallBatch:
-		appendChunk(ts.buf[n-1], chunk)
-	case owned:
-		ts.buf = append(ts.buf, chunk)
-	default:
-		ts.buf = append(ts.buf, cloneChunk(chunk))
-	}
-	ts.bufRows += chunk.NumRows()
+// bufBatch is one buffered append: a replayed record's rows, or where a
+// live append's record lies in the WAL.
+type bufBatch struct {
+	chunk *btrblocks.Chunk
+	pos   walPos
 }
 
 // Service is the ingestion engine. Open recovers it from disk; Append
@@ -473,7 +462,8 @@ func (s *Service) applyReplay(rec *walRecord) error {
 	if ts.bufRows == 0 {
 		ts.bufMinSeq = rec.Seq
 	}
-	ts.push(&rec.Chunk, true)
+	ts.buf = append(ts.buf, bufBatch{chunk: &rec.Chunk})
+	ts.bufRows += rec.Chunk.NumRows()
 	ts.bufMaxSeq = rec.Seq
 	s.met.WALReplayed.Add(1)
 	s.met.WALReplayedRows.Add(int64(rec.Chunk.NumRows()))
@@ -533,25 +523,17 @@ func (s *Service) Append(table string, chunk *btrblocks.Chunk) (seq uint64, err 
 // recorded as children, and a threshold-triggered flush joins the same
 // trace.
 func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblocks.Chunk) (seq uint64, err error) {
-	return s.appendContext(ctx, table, chunk, false)
-}
-
-// appendContext is AppendContext; owned says the service may keep chunk
-// in its buffer as it is, which the HTTP handler's decoded batches allow.
-func (s *Service) appendContext(ctx context.Context, table string, chunk *btrblocks.Chunk, owned bool) (seq uint64, err error) {
 	start := time.Now()
-	// An owned chunk belongs to the buffer once it is pushed, where a
-	// later small batch may be appended onto it: read it before.
-	rows := chunk.NumRows()
 	defer func() {
 		if err != nil {
 			s.met.AppendErrors.Add(1)
 		} else {
 			s.met.Appends.Add(1)
-			s.met.AppendedRows.Add(int64(rows))
+			s.met.AppendedRows.Add(int64(chunk.NumRows()))
 			s.met.AppendLatency.Observe(time.Since(start))
 		}
 	}()
+	rows := chunk.NumRows()
 	if rows == 0 {
 		return 0, ErrEmptyBatch
 	}
@@ -588,7 +570,7 @@ func (s *Service) appendContext(ctx context.Context, table string, chunk *btrblo
 	_, wsp := obs.StartChild(ctx, "wal.append")
 	wsp.SetAttr("table", table)
 	wsp.SetAttrInt("rows", int64(rows))
-	seq, off, gen, werr := s.wal.append(table, chunk)
+	seq, pos, gen, werr := s.wal.append(table, chunk)
 	wsp.SetError(werr)
 	wsp.End()
 	if werr != nil {
@@ -598,7 +580,8 @@ func (s *Service) appendContext(ctx context.Context, table string, chunk *btrblo
 	if ts.bufRows == 0 {
 		ts.bufMinSeq = seq
 	}
-	ts.push(chunk, owned)
+	ts.buf = append(ts.buf, bufBatch{pos: pos})
+	ts.bufRows += rows
 	ts.bufMaxSeq = seq
 	needFlush := ts.bufRows >= s.cfg.chunkRows()
 	s.mu.Unlock()
@@ -607,7 +590,7 @@ func (s *Service) appendContext(ctx context.Context, table string, chunk *btrblo
 	// (or ride on) the sync winner plus the fsync itself.
 	syncStart := time.Now()
 	_, ssp := obs.StartChild(ctx, "wal.sync")
-	serr := s.wal.syncTo(off, gen)
+	serr := s.wal.syncTo(pos.end(), gen)
 	ssp.SetError(serr)
 	ssp.End()
 	if serr != nil {
@@ -718,8 +701,12 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 
 	fsp.SetAttrInt("rows", int64(rows))
 	start := time.Now()
-	info, err := s.publishChunk(ctx, table, ts.schema, chunkInfo{Seq: maxSeq, MinSeq: minSeq, Level: 0, Rows: rows},
-		func(c int) (btrblocks.Column, error) { return concatColumn(batches, c, rows), nil })
+	chunks, err := s.readBatches(batches)
+	var info *chunkInfo
+	if err == nil {
+		info, err = s.publishChunk(ctx, table, ts.schema, chunkInfo{Seq: maxSeq, MinSeq: minSeq, Level: 0, Rows: rows},
+			func(c int) (btrblocks.Column, error) { return concatColumn(chunks, c, rows), nil })
+	}
 	if err != nil {
 		// Put the rows back in front of whatever arrived meanwhile so the
 		// buffer stays in sequence order.
@@ -767,6 +754,23 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 	s.log.Info("published chunk", "table", table, "chunk", info.base(),
 		"rows", rows, "bytes", info.Bytes, "seq", maxSeq)
 	return nil
+}
+
+// readBatches returns the rows of each buffered batch, reading a live
+// append's back from the WAL.
+func (s *Service) readBatches(batches []bufBatch) ([]*btrblocks.Chunk, error) {
+	chunks := make([]*btrblocks.Chunk, len(batches))
+	for i, b := range batches {
+		chunks[i] = b.chunk
+		if b.chunk == nil {
+			rec, err := s.wal.read(b.pos)
+			if err != nil {
+				return nil, err
+			}
+			chunks[i] = &rec.Chunk
+		}
+	}
+	return chunks, nil
 }
 
 // publishChunk compresses each column of schema, as column returns it,

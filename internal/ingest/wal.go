@@ -32,6 +32,7 @@ import (
 	"syscall"
 
 	"btrblocks"
+	"btrblocks/coldata"
 )
 
 // WAL on-disk format (FORMAT.md §2.6):
@@ -199,6 +200,18 @@ func decodeWALPayload(p []byte) (*walRecord, error) {
 				col.Doubles[j] = floatFromBits(r.u64())
 			}
 		case btrblocks.TypeString:
+			// Walk the lengths first, so the data is allocated once.
+			at, size := r.off, 0
+			for j := 0; j < rows && !r.bad; j++ {
+				n := int(r.u32())
+				size += n
+				r.take(n)
+			}
+			if r.bad {
+				return nil, errWALPayload
+			}
+			r.off = at
+			col.Strings = coldata.NewStringsBuilder(rows, size)
 			for j := 0; j < rows; j++ {
 				col.Strings = col.Strings.AppendBytes(r.take(int(r.u32())))
 			}
@@ -406,18 +419,30 @@ func (w *wal) openSegment() error {
 	return nil
 }
 
+// walPos is where one record's frame lies: its segment, the byte offset
+// of the frame in it, and the frame's length.
+type walPos struct {
+	seg uint64
+	off int64
+	n   int
+}
+
+// end is the offset a caller syncs the segment to before acknowledging
+// the record.
+func (p walPos) end() int64 { return p.off + int64(p.n) }
+
 // append frames and writes one record to the active segment and returns
-// its sequence number and the offset a caller must Sync to before
-// acknowledging. The write lands in the OS (unbuffered file write) but
-// is not durable until syncTo covers it.
-func (w *wal) append(table string, chunk *btrblocks.Chunk) (seq uint64, off int64, gen uint64, err error) {
+// its sequence number and where it lies: a caller must sync to its end
+// before acknowledging. The write lands in the OS (unbuffered file
+// write) but is not durable until syncTo covers it.
+func (w *wal) append(table string, chunk *btrblocks.Chunk) (seq uint64, pos walPos, gen uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
-		return 0, 0, 0, fmt.Errorf("ingest: WAL segment is broken by an earlier write failure: %w", w.broken)
+		return 0, pos, 0, fmt.Errorf("ingest: WAL segment is broken by an earlier write failure: %w", w.broken)
 	}
 	if w.f == nil {
-		return 0, 0, 0, fmt.Errorf("ingest: WAL is closed")
+		return 0, pos, 0, fmt.Errorf("ingest: WAL is closed")
 	}
 	seq = w.nextSeq
 	// The payload is encoded after room for the frame header, which is
@@ -431,15 +456,38 @@ func (w *wal) append(table string, chunk *btrblocks.Chunk) (seq uint64, off int6
 		// The segment now ends in a partial frame; replay will discard it,
 		// but nothing more can be appended safely.
 		w.broken = err
-		return 0, 0, 0, err
+		return 0, pos, 0, err
 	}
+	pos = walPos{seg: w.segNum, off: w.written, n: len(frame)}
 	w.nextSeq++
 	w.written += int64(len(frame))
 	if w.met != nil {
 		w.met.WALRecords.Add(1)
 		w.met.WALBytes.Add(int64(len(frame)))
 	}
-	return seq, w.written, w.segGen, nil
+	return seq, pos, w.segGen, nil
+}
+
+// read returns the record append wrote at pos, checking its frame as
+// replay does. A checkpoint must not have removed the segment since: it
+// runs only when no buffered record is left to publish.
+func (w *wal) read(pos walPos) (*walRecord, error) {
+	name := walSegmentName(pos.seg)
+	f, err := os.Open(filepath.Join(w.dir, name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	frame := make([]byte, pos.n)
+	if _, err := f.ReadAt(frame, pos.off); err != nil {
+		return nil, fmt.Errorf("ingest: read WAL record at %s:%d: %w", name, pos.off, err)
+	}
+	payload := frame[walFrameLen:]
+	if frame[0] != walRecTag || int(binary.LittleEndian.Uint32(frame[1:])) != len(payload) ||
+		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[5:]) {
+		return nil, fmt.Errorf("ingest: WAL record at %s:%d is damaged", name, pos.off)
+	}
+	return decodeWALPayload(payload)
 }
 
 // syncTo makes every byte up to off of segment generation gen durable.

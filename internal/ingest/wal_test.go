@@ -74,7 +74,7 @@ func TestWALAppendReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.syncTo(off, gen); err != nil {
+		if err := w.syncTo(off.end(), gen); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestWALTornTailsDiscarded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := w.syncTo(off, gen); err != nil {
+				if err := w.syncTo(off.end(), gen); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -198,7 +198,7 @@ func TestWALTornTailsDiscarded(t *testing.T) {
 			// New appends must go to a fresh segment and survive.
 			if _, off, gen, err := w2.append("t", testChunk(50)); err != nil {
 				t.Fatal(err)
-			} else if err := w2.syncTo(off, gen); err != nil {
+			} else if err := w2.syncTo(off.end(), gen); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -214,7 +214,7 @@ func TestWALCheckpointPrunesSegments(t *testing.T) {
 	defer w.close()
 	if _, off, gen, err := w.append("t", testChunk(1)); err != nil {
 		t.Fatal(err)
-	} else if err := w.syncTo(off, gen); err != nil {
+	} else if err := w.syncTo(off.end(), gen); err != nil {
 		t.Fatal(err)
 	}
 	before := activeSegment(t, dir)
@@ -227,7 +227,7 @@ func TestWALCheckpointPrunesSegments(t *testing.T) {
 	// Records appended after the checkpoint land in the new segment.
 	if _, off, gen, err := w.append("t", testChunk(2)); err != nil {
 		t.Fatal(err)
-	} else if err := w.syncTo(off, gen); err != nil {
+	} else if err := w.syncTo(off.end(), gen); err != nil {
 		t.Fatal(err)
 	}
 	if w.size() <= int64(walHeaderLen) {
@@ -242,7 +242,7 @@ func TestWALSeqMonotonicAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.syncTo(off, gen)
+	w.syncTo(off.end(), gen)
 	w.close()
 
 	w2, err := openWAL(dir, NewMetrics(), func(*walRecord) error { return nil })
