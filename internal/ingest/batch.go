@@ -107,14 +107,6 @@ func schemaMatches(schema []btrblocks.Column, chunk *btrblocks.Chunk) error {
 	return nil
 }
 
-// appendChunk appends src's rows onto dst (equal schemas assumed
-// validated).
-func appendChunk(dst, src *btrblocks.Chunk) {
-	for i := range src.Columns {
-		appendColumn(&dst.Columns[i], &src.Columns[i])
-	}
-}
-
 // appendColumn appends src's values onto dst of the same type. dst grows
 // in place; NULL positions are rebased by dst's current length.
 func appendColumn(d, s *btrblocks.Column) {
@@ -183,8 +175,7 @@ func concatColumn(batches []*btrblocks.Chunk, c, rows int) btrblocks.Column {
 	return col
 }
 
-// emptyChunkFor builds a zero-row chunk with the given schema, ready to
-// accumulate appends.
+// emptyChunkFor builds a zero-row chunk with the given schema.
 func emptyChunkFor(schema []btrblocks.Column) btrblocks.Chunk {
 	cols := make([]btrblocks.Column, len(schema))
 	for i := range schema {

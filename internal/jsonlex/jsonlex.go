@@ -35,6 +35,9 @@ func (d *Reader) Fail(what string) error { return &SyntaxError{what, d.Pos} }
 
 // WS skips whitespace.
 func (d *Reader) WS() {
+	if d.Pos < len(d.B) && d.B[d.Pos] > ' ' {
+		return // the usual case: no whitespace at all
+	}
 	for d.Pos < len(d.B) {
 		switch d.B[d.Pos] {
 		case ' ', '\t', '\n', '\r':
@@ -239,37 +242,41 @@ func (d *Reader) Skip(limit int) error {
 func (d *Reader) Number() error {
 	b := d.B
 	i := d.Pos
-	digits := func() int {
-		n := 0
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			n++
-		}
-		return n
-	}
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	start := i
-	if n := digits(); n == 0 || n > 1 && b[start] == '0' {
+	i = digits(b, i)
+	if i == start || i-start > 1 && b[start] == '0' {
 		return d.Fail("bad number")
 	}
 	if i < len(b) && b[i] == '.' {
-		i++
-		if digits() == 0 {
+		if i++; digits(b, i) == i {
 			return d.Fail("bad number")
 		}
+		i = digits(b, i)
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if digits() == 0 {
+		if digits(b, i) == i {
 			return d.Fail("bad number")
 		}
+		i = digits(b, i)
 	}
 	d.Pos = i
 	return nil
+}
+
+// digits returns the index of the first byte at or after i in b that is
+// not a decimal digit.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // Int reads a JSON number that is an integer in [lo, hi].

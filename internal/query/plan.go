@@ -298,6 +298,9 @@ func literalPreview(raw json.RawMessage) string {
 	return s
 }
 
+// parseInt32Lit accepts a JSON number or a JSON string holding one
+// (json.Number reads both), which must be an integer in int32's range:
+// `5` and `"5"` bind alike. An append binds only the number form.
 func parseInt32Lit(raw json.RawMessage, what string) (int32, error) {
 	var num json.Number
 	if err := json.Unmarshal(raw, &num); err != nil {
@@ -310,6 +313,8 @@ func parseInt32Lit(raw json.RawMessage, what string) (int32, error) {
 	return int32(v), nil
 }
 
+// parseInt64Lit is parseInt32Lit for int64's range: `5` and `"5"` bind
+// alike.
 func parseInt64Lit(raw json.RawMessage, what string) (int64, error) {
 	var num json.Number
 	if err := json.Unmarshal(raw, &num); err != nil {
