@@ -22,7 +22,7 @@ import (
 //  1. read the whole body once, checking its syntax, and record each
 //     row's values as views of the body by key (decodeJSON, decodeLines);
 //  2. resolve the table's schema, registered or inferred from the views
-//     on first contact (inferSchema);
+//     on first contact (appendBatch.resolve, inferSchema);
 //  3. bind each row's views in schema order into column slices allocated
 //     once at the row count, unescaping strings straight into the
 //     column's data buffer (appendBatch.chunk).
@@ -137,7 +137,7 @@ func (b *appendBatch) readJSON(d *jsonlex.Reader) error {
 	if !d.Next('}') {
 		for {
 			d.WS()
-			key, err := readKey(d)
+			key, _, err := readKey(d)
 			if err != nil {
 				return err
 			}
@@ -172,13 +172,14 @@ func (b *appendBatch) readJSON(d *jsonlex.Reader) error {
 	return nil
 }
 
-// readKey reads an object key: a view of the body, or its unescaped copy.
-func readKey(d *jsonlex.Reader) ([]byte, error) {
+// readKey reads an object key: a view of the body when it stands for
+// itself (view), else its unescaped copy.
+func readKey(d *jsonlex.Reader) (name []byte, view bool, err error) {
 	lo, hi, plain, err := d.Span()
 	if err != nil || plain {
-		return d.B[lo:hi], err
+		return d.B[lo:hi], plain, err
 	}
-	return jsonlex.AppendUnescaped(nil, d.B[lo:hi]), nil
+	return jsonlex.AppendUnescaped(nil, d.B[lo:hi]), false, nil
 }
 
 // foldEqual reports whether key names the field upper under
@@ -216,7 +217,7 @@ func (b *appendBatch) readTable(d *jsonlex.Reader) error {
 	if isNull(d) {
 		return d.Skip(0)
 	}
-	name, err := readKey(d)
+	name, _, err := readKey(d)
 	b.table = string(name)
 	return err
 }
@@ -321,15 +322,11 @@ func (b *appendBatch) rowKey(d *jsonlex.Reader, prev int32) (int32, error) {
 			return int32(guess), nil
 		}
 	}
-	lo, hi, plain, err := d.Span()
+	name, view, err := readKey(d)
 	if err != nil {
 		return 0, err
 	}
-	name := d.B[lo:hi]
-	if !plain {
-		name = jsonlex.AppendUnescaped(nil, name)
-	}
-	return b.keyIndex(name, guess, plain), nil
+	return b.keyIndex(name, guess, view), nil
 }
 
 // rowStarts returns where each row's members start in members, which
@@ -511,6 +508,23 @@ func (b *appendBatch) view(m member) (int, []byte) {
 		return kindNull, nil
 	}
 	return kindOther, v
+}
+
+// resolve finds the batch's schema, the table's registered one from
+// registered or else inferred from the batch (first contact), and binds
+// the batch to it.
+func (b *appendBatch) resolve(registered func(table string) ([]btrblocks.Column, bool)) (btrblocks.Chunk, error) {
+	if !validName(b.table) {
+		return btrblocks.Chunk{}, fmt.Errorf("%w: table %q", ErrBadName, b.table)
+	}
+	schema, ok := registered(b.table)
+	if !ok {
+		var err error
+		if schema, err = inferSchema(b); err != nil {
+			return btrblocks.Chunk{}, err
+		}
+	}
+	return b.chunk(schema)
 }
 
 // inferSchema derives a schema from the first batch for a table that

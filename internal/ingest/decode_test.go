@@ -35,8 +35,7 @@ func decodeLookup(table string) ([]btrblocks.Column, bool) {
 	return schema, true
 }
 
-// decodeBody runs the handler's decode path without a service: the
-// decoder, the schema from lookup or inferred, and the bind, with the
+// decodeBody runs the handler's decode path without a service, with the
 // status the handler would answer (AppendContext refuses a chunk of no
 // rows, which all-NULL rows with nothing to infer from make).
 func decodeBody(body []byte, lines bool, lookup func(string) ([]btrblocks.Column, bool)) (string, btrblocks.Chunk, int) {
@@ -48,16 +47,7 @@ func decodeBody(body []byte, lines bool, lookup func(string) ([]btrblocks.Column
 	if err != nil {
 		return "", btrblocks.Chunk{}, statusOf(err)
 	}
-	if !validName(b.table) {
-		return "", btrblocks.Chunk{}, http.StatusBadRequest
-	}
-	schema, ok := lookup(b.table)
-	if !ok {
-		if schema, err = inferSchema(b); err != nil {
-			return "", btrblocks.Chunk{}, statusOf(err)
-		}
-	}
-	chunk, err := b.chunk(schema)
+	chunk, err := b.resolve(lookup)
 	if err != nil {
 		return "", btrblocks.Chunk{}, statusOf(err)
 	}

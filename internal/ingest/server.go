@@ -172,17 +172,7 @@ func (h *handler) appendLines(w http.ResponseWriter, r *http.Request) error {
 // contact), binds the decoded rows to it, and hands the batch to the
 // service.
 func (h *handler) appendRows(w http.ResponseWriter, r *http.Request, b *appendBatch) error {
-	if !validName(b.table) {
-		return fmt.Errorf("%w: table %q", ErrBadName, b.table)
-	}
-	schema, ok := h.svc.Schema(b.table)
-	if !ok {
-		var err error
-		if schema, err = inferSchema(b); err != nil {
-			return err
-		}
-	}
-	chunk, err := b.chunk(schema)
+	chunk, err := b.resolve(h.svc.Schema)
 	if err != nil {
 		return err
 	}
