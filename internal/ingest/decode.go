@@ -113,8 +113,11 @@ func badBody(format string, err error) error {
 // null table or row is what encoding/json makes of it, and a row's
 // values may be any JSON (binding refuses what is not its column's).
 func decodeJSON(body []byte) (*appendBatch, error) {
-	// A member has one colon of its own: the count bounds the members.
-	b := &appendBatch{body: body, members: make([]member, 0, bytes.Count(body, []byte{':'}))}
+	// A member has a colon of its own and takes at least five bytes
+	// (`"":0,`): both bound the members, the second when strings hold
+	// colons.
+	members := min(bytes.Count(body, []byte{':'}), len(body)/5+1)
+	b := &appendBatch{body: body, members: make([]member, 0, members)}
 	d := &jsonlex.Reader{B: body}
 	if err := b.readJSON(d); err != nil {
 		return nil, badBody("JSON", err)
@@ -367,8 +370,10 @@ func (b *appendBatch) gather() {
 // a double-quoted string in which a backslash takes the next byte as it
 // is. Field names are taken as they are; one may not repeat in a line.
 func decodeLines(body []byte) (*appendBatch, error) {
-	// A field has one '=' of its own: the count bounds the members.
-	b := &appendBatch{body: body, lines: true, members: make([]member, 0, bytes.Count(body, []byte{'='}))}
+	// A field has an '=' of its own and takes at least four bytes
+	// (`a=1,`): both bound the members, the second when values hold '='.
+	members := min(bytes.Count(body, []byte{'='}), len(body)/4+1)
+	b := &appendBatch{body: body, lines: true, members: make([]member, 0, members)}
 	var last []int32 // the last row each key was seen in
 	for at, ln := 0, 1; at <= len(body); ln++ {
 		end := bytes.IndexByte(body[at:], '\n')

@@ -476,3 +476,31 @@ func TestParseNumbersMatchStrconv(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeSizesMembersByBody: colons and equals signs inside values do
+// not size the member slice past what the body can hold (a member takes
+// at least five bytes of JSON, four of line protocol, and 16 bytes to
+// record), so a body of them allocates a few times its length (the
+// line-protocol body's string is also its column's data), not 16.
+func TestDecodeSizesMembersByBody(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race runtime changes allocation counts")
+	}
+	for _, tc := range []struct {
+		lines bool
+		body  string
+	}{
+		{false, `{"table":"t","rows":[{"i":1}],"x":"` + strings.Repeat(":", 1<<20) + `"}`},
+		{true, `t s="` + strings.Repeat("=", 1<<20) + `"`},
+	} {
+		body := []byte(tc.body)
+		var status int
+		allocated := heapBytes(func() { _, _, status = decodeBody(body, tc.lines, decodeLookup) })
+		if status != http.StatusOK {
+			t.Fatalf("lines=%v: status %d", tc.lines, status)
+		}
+		if limit := uint64(6*len(body) + 64<<10); allocated > limit {
+			t.Errorf("lines=%v: %d bytes allocated for a %d-byte body; want <= %d", tc.lines, allocated, len(body), limit)
+		}
+	}
+}
