@@ -103,6 +103,22 @@ func (b *appendBatch) keyIndex(name []byte, guess int, view bool) int32 {
 	return k
 }
 
+// lookupKey returns name's index in keys, or -1.
+func (b *appendBatch) lookupKey(name string) int32 {
+	if b.index != nil {
+		if k, ok := b.index[name]; ok {
+			return k
+		}
+		return -1
+	}
+	for k, key := range b.keys {
+		if string(key) == name {
+			return int32(k)
+		}
+	}
+	return -1
+}
+
 // badBody marks a body the decoder refuses before any schema is read.
 func badBody(format string, err error) error {
 	return &httpError{http.StatusBadRequest, fmt.Errorf("bad %s: %w", format, err)}
@@ -577,8 +593,9 @@ func inferSchema(b *appendBatch) ([]btrblocks.Column, error) {
 	return schema, nil
 }
 
-// inferColumnType types one value for inferSchema; 0 is NULL, which
-// leaves the column to a later row.
+// inferColumnType types one value for inferSchema; the zero Type, which
+// is TypeInt and so never inferred, stands for NULL and leaves the
+// column to a later row.
 func inferColumnType(b *appendBatch, m member) (btrblocks.Type, error) {
 	kind, text := b.view(m)
 	switch kind {
@@ -603,23 +620,16 @@ func inferColumnType(b *appendBatch, m member) (btrblocks.Type, error) {
 // a missing key or null sets the NULL mask over a zero value, and a key
 // the schema lacks or a value its column's type cannot hold is an error.
 func (b *appendBatch) chunk(schema []btrblocks.Column) (btrblocks.Chunk, error) {
-	byName := make(map[string]int32, len(schema))
+	keyOf := make([]int32, len(schema)) // each column's key, -1 if no row has it
+	known := make([]bool, len(b.keys))  // whether a column takes the key
 	for c := range schema {
-		byName[schema[c].Name] = int32(c)
-	}
-	col := make([]int32, len(b.keys)) // each key's column, -1 if none
-	for k, key := range b.keys {
-		c, ok := byName[string(key)]
-		col[k] = c
-		if !ok {
-			col[k] = -1
+		if keyOf[c] = b.lookupKey(schema[c].Name); keyOf[c] >= 0 {
+			known[keyOf[c]] = true
 		}
 	}
-	dataLen := make([]int, len(schema)) // a string column's values, their quotes left out
+	dataLen := make([]int, len(b.keys)) // a key's string values, their quotes left out
 	for _, m := range b.members {
-		if c := col[m.key]; c >= 0 {
-			dataLen[c] += max(int(m.hi-m.lo)-2, 0)
-		}
+		dataLen[m.key] += max(int(m.hi-m.lo)-2, 0)
 	}
 	chunk := emptyChunkFor(schema)
 	for c := range chunk.Columns {
@@ -633,27 +643,28 @@ func (b *appendBatch) chunk(schema []btrblocks.Column) (btrblocks.Chunk, error) 
 			cc.Doubles = make([]float64, b.rows)
 		case btrblocks.TypeString:
 			cc.Strings.Offsets = make([]uint32, 1, b.rows+1)
-			cc.Strings.Data = make([]byte, 0, dataLen[c])
+			if keyOf[c] >= 0 {
+				cc.Strings.Data = make([]byte, 0, dataLen[keyOf[c]])
+			}
 		}
 	}
-	slot := make([]int32, len(schema)) // this row's member per column
-	for c := range slot {
-		slot[c] = -1
+	slot := make([]int32, len(b.keys)) // this row's last member per key
+	for k := range slot {
+		slot[k] = -1
 	}
 	for r := 0; r < b.rows; r++ {
-		for i := b.start[r]; i < b.start[r+1]; i++ {
-			c := col[b.members[i].key]
-			if c < 0 {
-				return chunk, fmt.Errorf("%w: row %d has unknown column %q", ErrSchema, r, b.keys[b.members[i].key])
+		row := b.members[b.start[r]:b.start[r+1]]
+		for i, m := range row {
+			if !known[m.key] {
+				return chunk, fmt.Errorf("%w: row %d has unknown column %q", ErrSchema, r, b.keys[m.key])
 			}
-			slot[c] = i
+			slot[m.key] = b.start[r] + int32(i)
 		}
 		for c := range chunk.Columns {
 			cc := &chunk.Columns[c]
 			kind, text := kindNull, []byte(nil)
-			if slot[c] >= 0 {
-				kind, text = b.view(b.members[slot[c]])
-				slot[c] = -1
+			if k := keyOf[c]; k >= 0 && slot[k] >= 0 {
+				kind, text = b.view(b.members[slot[k]])
 			}
 			if kind == kindNull {
 				if cc.Type == btrblocks.TypeString {
@@ -668,6 +679,9 @@ func (b *appendBatch) chunk(schema []btrblocks.Column) (btrblocks.Chunk, error) 
 			if err := b.bind(cc, r, kind, text); err != nil {
 				return chunk, fmt.Errorf("row %d column %q: %w", r, cc.Name, err)
 			}
+		}
+		for _, m := range row {
+			slot[m.key] = -1
 		}
 	}
 	return chunk, nil

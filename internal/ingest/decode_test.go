@@ -19,16 +19,21 @@ import (
 	"btrblocks"
 )
 
-// decodeSpecs is the table the decode tests register before each body;
-// every other table is inferred on first contact.
-var decodeSpecs = []ColumnSpec{{"i", "int"}, {"l", "int64"}, {"d", "double"}, {"s", "string"}}
+// decodeTables are the tables the decode tests register before each
+// body (dup names one column twice, which CreateTable allows); every
+// other table is inferred on first contact.
+var decodeTables = map[string][]ColumnSpec{
+	"t":   {{"i", "int"}, {"l", "int64"}, {"d", "double"}, {"s", "string"}},
+	"dup": {{"a", "int"}, {"a", "int"}},
+}
 
 func decodeLookup(table string) ([]btrblocks.Column, bool) {
-	if table != "t" {
+	specs, ok := decodeTables[table]
+	if !ok {
 		return nil, false
 	}
-	schema := make([]btrblocks.Column, len(decodeSpecs))
-	for i, sp := range decodeSpecs {
+	schema := make([]btrblocks.Column, len(specs))
+	for i, sp := range specs {
 		typ, _ := parseType(sp.Type)
 		schema[i] = btrblocks.Column{Name: sp.Name, Type: typ}
 	}
@@ -115,7 +120,7 @@ type appendCase struct {
 }
 
 // appendCases is the differential table: each body goes through the
-// decoder and the reference, with table t registered as decodeSpecs.
+// decoder and the reference, with decodeTables registered.
 func appendCases() []appendCase {
 	const ok, bad = http.StatusOK, http.StatusBadRequest
 	twenty := make([]int, 20)
@@ -220,6 +225,7 @@ func appendCases() []appendCase {
 		{"json/infer-repeated-rows", false, `{"table":"u","rows":[{"a":1}],"rows":[{"b":"x"}]}`, ok},
 		{"json/infer-dropped-key", false, `{"table":"u","rows":[{"a":1},{"z":"x"}],"rows":[{"b":"x"}]}`, ok},
 		{"json/infer-many-keys", false, `{"table":"u","rows":[` + manyKeysRow(twenty...) + `,` + manyKeysRow(19, 3, 0) + `,{"k05":null}]}`, ok},
+		{"json/registered-duplicate-columns", false, `{"table":"dup","rows":[{"a":5},{},{"a":null}]}`, ok},
 		{"json/registered-many-keys", false, `{"table":"t","rows":[` + manyKeysRow(twenty...) + `]}`, bad},
 
 		// The line protocol.
@@ -258,6 +264,7 @@ func appendCases() []appendCase {
 		{"lines/int64-overflow", true, `t l=9223372036854775808i`, bad},
 		{"lines/name-with-space", true, `t a b=1`, bad},
 		{"lines/bad-table", true, `../x i=1i`, bad},
+		{"lines/registered-duplicate-columns", true, "dup a=5i\ndup a=null", ok},
 		{"lines/empty-body", true, ``, bad},
 		{"lines/comments-only", true, "# a\n\n# b\n", bad},
 		{"lines/infer", true, "u a=5,b=2.5,c=\"x\",d=5i,e=null\nu e=1.5", ok},
@@ -309,8 +316,10 @@ func TestAppendDecodeDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			if err := svc.CreateTable("t", decodeSpecs); err != nil {
-				t.Fatal(err)
+			for table, specs := range decodeTables {
+				if err := svc.CreateTable(table, specs); err != nil {
+					t.Fatal(err)
+				}
 			}
 			path := "/v1/append"
 			if tc.lines {
