@@ -751,8 +751,8 @@ type jsonReader struct {
 	s string
 }
 
-// maxJSONDepth bounds the nesting of a skipped value (encoding/json
-// allows 10000).
+// maxJSONDepth bounds the arrays and objects nested in a skipped value
+// (encoding/json allows 10000).
 const maxJSONDepth = 100
 
 // blockKeys are a JSON block's members; a key's bit in a seen mask is

@@ -566,6 +566,13 @@ func TestBlockJSONReader(t *testing.T) {
 	if got, err := decodeBlockJSON([]byte(odd)); err != nil || !sameValues(got, ref) {
 		t.Errorf("escaped strings: %v, %q; want %q", err, got.Strings, ref.Strings)
 	}
+	// The depth bound counts arrays and objects, as encoding/json's does:
+	// a scalar inside maxJSONDepth arrays is read past, one array more
+	// is refused ("nested too deep" below).
+	within := `{"type":"integer","rows":0,"x":` + strings.Repeat("[", maxJSONDepth) + "1" + strings.Repeat("]", maxJSONDepth) + `}`
+	if got, err := decodeBlockJSON([]byte(within)); err != nil || got.Rows != 0 {
+		t.Errorf("a scalar in %d arrays: decode = %v, %v; want an empty block", maxJSONDepth, got, err)
+	}
 	deep := strings.Repeat("[", maxJSONDepth+1) + strings.Repeat("]", maxJSONDepth+1)
 	rejected := map[string]string{
 		"empty":               ``,

@@ -155,24 +155,25 @@ func reserveColumn(d *btrblocks.Column, rows, dataLen int) {
 	}
 }
 
-// concatColumn returns column c of batches, which hold rows rows, as one
-// column: the batch's own when there is one batch, else a copy allocated
+// concatChunk returns batches, which hold rows rows, as one chunk: the
+// batch itself when there is one, else a copy with each column allocated
 // once.
-func concatColumn(batches []*btrblocks.Chunk, c, rows int) btrblocks.Column {
+func concatChunk(batches []*btrblocks.Chunk, rows int) btrblocks.Chunk {
 	if len(batches) == 1 {
-		return batches[0].Columns[c]
+		return *batches[0]
 	}
-	first := &batches[0].Columns[c]
-	col := btrblocks.Column{Name: first.Name, Type: first.Type}
-	dataLen := 0
-	for _, b := range batches {
-		dataLen += len(b.Columns[c].Strings.Data)
+	cols := emptyChunkFor(batches[0].Columns).Columns
+	for c := range cols {
+		dataLen := 0
+		for _, b := range batches {
+			dataLen += len(b.Columns[c].Strings.Data)
+		}
+		reserveColumn(&cols[c], rows, dataLen)
+		for _, b := range batches {
+			appendColumn(&cols[c], &b.Columns[c])
+		}
 	}
-	reserveColumn(&col, rows, dataLen)
-	for _, b := range batches {
-		appendColumn(&col, &b.Columns[c])
-	}
-	return col
+	return btrblocks.Chunk{Columns: cols}
 }
 
 // emptyChunkFor builds a zero-row chunk with the given schema.

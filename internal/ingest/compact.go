@@ -96,34 +96,32 @@ func (s *Service) CompactTable(table string) (bool, error) {
 	}
 
 	start := time.Now()
+	chunks := make([]*btrblocks.Chunk, len(inputs))
 	var bytesBefore int64
 	rows := 0
 	for i := range inputs {
-		if len(inputs[i].Files) != len(schema) {
-			return false, fmt.Errorf("compact %s/%s: chunk has %d files, schema has %d columns",
-				table, inputs[i].base(), len(inputs[i].Files), len(schema))
+		chunk, err := s.readChunk(table, schema, &inputs[i])
+		if err != nil {
+			return false, fmt.Errorf("compact %s/%s: %w", table, inputs[i].base(), err)
 		}
+		chunks[i] = &chunk
 		bytesBefore += inputs[i].Bytes
 		rows += inputs[i].Rows
 	}
-	// One column at a time: each is decoded from every input, merged and
-	// compressed before the next is read, so a run holds one merged
-	// column in memory, not the whole merged chunk.
-	var readErr error
-	out, err := s.publishChunk(context.Background(), table, schema, chunkInfo{
+	merged := concatChunk(chunks, rows)
+	if merged.NumRows() != rows {
+		return false, fmt.Errorf("compact %s: inputs decode to %d rows, markers say %d",
+			table, merged.NumRows(), rows)
+	}
+
+	out, err := s.publishChunk(context.Background(), table, &merged, chunkInfo{
 		Seq:    inputs[len(inputs)-1].Seq,
 		MinSeq: inputs[0].MinSeq,
 		Level:  1,
 		Rows:   rows,
-	}, func(c int) (btrblocks.Column, error) {
-		col, err := s.mergeColumn(table, schema[c], c, inputs, rows)
-		readErr = err
-		return col, err
 	})
 	if err != nil {
-		if readErr == nil {
-			s.met.PublishErrors.Add(1)
-		}
+		s.met.PublishErrors.Add(1)
 		return false, err
 	}
 
@@ -197,47 +195,35 @@ func pickCompaction(chunks []chunkInfo, minChunks, targetRows, maxRows int) []ch
 	return run
 }
 
-// mergeColumn decodes column c of every input chunk into one column of
-// rows values, sized once for all of them.
-func (s *Service) mergeColumn(table string, spec btrblocks.Column, c int, inputs []chunkInfo, rows int) (btrblocks.Column, error) {
-	merged := btrblocks.Column{Name: spec.Name, Type: spec.Type}
-	for i := range inputs {
-		col, err := s.readColumn(table, spec, c, &inputs[i])
+// readChunk loads and decompresses one committed chunk back into rows.
+func (s *Service) readChunk(table string, schema []btrblocks.Column, info *chunkInfo) (btrblocks.Chunk, error) {
+	var chunk btrblocks.Chunk
+	if len(info.Files) != len(schema) {
+		return chunk, fmt.Errorf("chunk has %d files, schema has %d columns", len(info.Files), len(schema))
+	}
+	tdir := filepath.Join(s.dir, table)
+	chunk.Columns = make([]btrblocks.Column, len(schema))
+	for i, name := range info.Files {
+		data, err := os.ReadFile(filepath.Join(tdir, name))
 		if err != nil {
-			return merged, fmt.Errorf("compact %s/%s: %w", table, inputs[i].base(), err)
+			return chunk, err
 		}
-		if i == 0 {
-			// The first input's bytes per value size the string data, a
-			// guess appending corrects.
-			reserveColumn(&merged, rows, len(col.Strings.Data)*rows/max(col.Len(), 1))
+		col, err := btrblocks.DecompressColumn(data, s.compressOptions(info.Level))
+		if err != nil {
+			return chunk, fmt.Errorf("%s: %w", name, err)
 		}
-		appendColumn(&merged, &col)
+		col.Name = schema[i].Name
+		if col.Type != schema[i].Type {
+			return chunk, fmt.Errorf("%s: decodes to %v, schema says %v", name, col.Type, schema[i].Type)
+		}
+		chunk.Columns[i] = col
 	}
-	if merged.Len() != rows {
-		return merged, fmt.Errorf("compact %s: column %s of the inputs decodes to %d rows, markers say %d",
-			table, spec.Name, merged.Len(), rows)
+	rows := chunk.NumRows()
+	for i := range chunk.Columns {
+		if chunk.Columns[i].Len() != rows {
+			return chunk, fmt.Errorf("ragged chunk: column %s has %d rows, chunk has %d",
+				chunk.Columns[i].Name, chunk.Columns[i].Len(), rows)
+		}
 	}
-	return merged, nil
-}
-
-// readColumn loads and decompresses column c of one committed chunk,
-// which must hold the rows its marker says.
-func (s *Service) readColumn(table string, spec btrblocks.Column, c int, info *chunkInfo) (btrblocks.Column, error) {
-	name := info.Files[c]
-	data, err := os.ReadFile(filepath.Join(s.dir, table, name))
-	if err != nil {
-		return btrblocks.Column{}, err
-	}
-	col, err := btrblocks.DecompressColumn(data, s.compressOptions(info.Level))
-	if err != nil {
-		return col, fmt.Errorf("%s: %w", name, err)
-	}
-	col.Name = spec.Name
-	switch {
-	case col.Type != spec.Type:
-		return col, fmt.Errorf("%s: decodes to %v, schema says %v", name, col.Type, spec.Type)
-	case col.Len() != info.Rows:
-		return col, fmt.Errorf("%s: decodes to %d rows, the chunk has %d", name, col.Len(), info.Rows)
-	}
-	return col, nil
+	return chunk, nil
 }

@@ -159,28 +159,25 @@ type markerColumn struct {
 type tableState struct {
 	name   string
 	schema []btrblocks.Column
-	// buf holds the appends since the last flush, in sequence order, and
-	// bufRows counts their rows. A live append is held as its record's
-	// place in the WAL, which already holds its rows, and read back when
-	// the table flushes; so buffered rows take memory only while their
-	// table flushes. Replayed records are held decoded.
-	buf        []bufBatch
+	// buf holds where the records appended since the last flush lie in
+	// the WAL, in sequence order, and bufRows counts their rows. The WAL
+	// already holds the rows, and a flush reads them back; so buffered
+	// rows take memory only while their table flushes.
+	buf        []walPos
 	bufRows    int
 	bufMinSeq  uint64 // lowest WAL seq in the buffer (0 when empty)
 	bufMaxSeq  uint64 // highest WAL seq in the buffer
 	flushedSeq uint64 // highest WAL seq published
 	chunks     []chunkInfo
+	// failed is set when a flush cannot read a buffered record back: the
+	// table then refuses appends and flushes until a restart replays the
+	// WAL, rather than retry a read that keeps failing while its buffer
+	// grows and the WAL never checkpoints.
+	failed error
 
 	// flushMu serializes flushes of this table (ticker vs HTTP vs
 	// threshold) without blocking appends to other tables.
 	flushMu sync.Mutex
-}
-
-// bufBatch is one buffered append: a replayed record's rows, or where a
-// live append's record lies in the WAL.
-type bufBatch struct {
-	chunk *btrblocks.Chunk
-	pos   walPos
 }
 
 // Service is the ingestion engine. Open recovers it from disk; Append
@@ -203,6 +200,10 @@ type Service struct {
 	// alone would let a concurrent flush of another table prune the very
 	// segments that still back them.
 	publishing int
+	// held keeps a copy of the rows of each buffered append whose fsync
+	// failed: such a record's bytes may never reach the disk, so a flush
+	// reads the copy instead of the WAL.
+	held map[walPos]*btrblocks.Chunk
 
 	flushCh chan flushRequest // threshold-triggered flush requests
 	stop    chan struct{}
@@ -248,6 +249,7 @@ func Open(cfg Config) (*Service, error) {
 		met:     met,
 		log:     logger,
 		tables:  make(map[string]*tableState),
+		held:    make(map[walPos]*btrblocks.Chunk),
 		flushCh: make(chan flushRequest, 64),
 		stop:    make(chan struct{}),
 	}
@@ -462,7 +464,7 @@ func (s *Service) applyReplay(rec *walRecord) error {
 	if ts.bufRows == 0 {
 		ts.bufMinSeq = rec.Seq
 	}
-	ts.buf = append(ts.buf, bufBatch{chunk: &rec.Chunk})
+	ts.buf = append(ts.buf, rec.pos)
 	ts.bufRows += rec.Chunk.NumRows()
 	ts.bufMaxSeq = rec.Seq
 	s.met.WALReplayed.Add(1)
@@ -559,6 +561,9 @@ func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblo
 	if ts == nil {
 		ts = &tableState{name: table, schema: schemaOf(chunk)}
 		s.tables[table] = ts
+	} else if ts.failed != nil {
+		s.mu.Unlock()
+		return 0, ts.failed
 	} else if err := schemaMatches(ts.schema, chunk); err != nil {
 		s.mu.Unlock()
 		return 0, err
@@ -580,7 +585,7 @@ func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblo
 	if ts.bufRows == 0 {
 		ts.bufMinSeq = seq
 	}
-	ts.buf = append(ts.buf, bufBatch{pos: pos})
+	ts.buf = append(ts.buf, pos)
 	ts.bufRows += rows
 	ts.bufMaxSeq = seq
 	needFlush := ts.bufRows >= s.cfg.chunkRows()
@@ -594,6 +599,18 @@ func (s *Service) AppendContext(ctx context.Context, table string, chunk *btrblo
 	ssp.SetError(serr)
 	ssp.End()
 	if serr != nil {
+		// The append is refused, but its record is buffered and may still
+		// be published, as any unacknowledged write may; since its bytes
+		// may not be on disk, the flush reads a copy of its rows.
+		held := emptyChunkFor(chunk.Columns)
+		for i := range held.Columns {
+			appendColumn(&held.Columns[i], &chunk.Columns[i])
+		}
+		s.mu.Lock()
+		if seq > ts.flushedSeq {
+			s.held[pos] = &held
+		}
+		s.mu.Unlock()
 		return 0, serr
 	}
 	s.met.WALSyncLatency.Observe(time.Since(syncStart))
@@ -661,7 +678,8 @@ func (s *Service) FlushAllContext(ctx context.Context) error {
 // FlushTable compresses and publishes the table's buffered rows as one
 // chunk (one column file per schema column plus a commit marker). An
 // empty buffer is a no-op. On publish failure the rows return to the
-// buffer and the next flush retries.
+// buffer and the next flush retries; when a buffered record cannot be
+// read back from the WAL, the table fails instead (see tableState.failed).
 func (s *Service) FlushTable(table string) error {
 	return s.FlushTableContext(context.Background(), table)
 }
@@ -687,6 +705,10 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 	defer ts.flushMu.Unlock()
 
 	s.mu.Lock()
+	if ts.failed != nil {
+		s.mu.Unlock()
+		return ts.failed
+	}
 	rows := ts.bufRows
 	if rows == 0 {
 		s.mu.Unlock()
@@ -701,11 +723,13 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 
 	fsp.SetAttrInt("rows", int64(rows))
 	start := time.Now()
-	chunks, err := s.readBatches(batches)
+	chunks, rerr := s.readBatches(batches)
 	var info *chunkInfo
-	if err == nil {
-		info, err = s.publishChunk(ctx, table, ts.schema, chunkInfo{Seq: maxSeq, MinSeq: minSeq, Level: 0, Rows: rows},
-			func(c int) (btrblocks.Column, error) { return concatColumn(chunks, c, rows), nil })
+	if rerr != nil {
+		err = fmt.Errorf("ingest: table %s takes no appends until a restart replays the WAL: %w", table, rerr)
+	} else {
+		chunk := concatChunk(chunks, rows)
+		info, err = s.publishChunk(ctx, table, &chunk, chunkInfo{Seq: maxSeq, MinSeq: minSeq, Level: 0, Rows: rows})
 	}
 	if err != nil {
 		// Put the rows back in front of whatever arrived meanwhile so the
@@ -718,13 +742,22 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 		if ts.bufMaxSeq == 0 {
 			ts.bufMaxSeq = maxSeq
 		}
+		if rerr != nil {
+			ts.failed = err
+		}
 		s.publishing--
 		s.mu.Unlock()
+		if rerr != nil {
+			s.log.Error("table failed", "table", table, "err", err.Error())
+		}
 		return err
 	}
 	s.mu.Lock()
 	ts.flushedSeq = maxSeq
 	ts.chunks = append(ts.chunks, *info)
+	for _, pos := range batches {
+		delete(s.held, pos)
+	}
 	s.publishing--
 	allEmpty := true
 	for _, other := range s.tables {
@@ -756,14 +789,19 @@ func (s *Service) FlushTableContext(ctx context.Context, table string) (err erro
 	return nil
 }
 
-// readBatches returns the rows of each buffered batch, reading a live
-// append's back from the WAL.
-func (s *Service) readBatches(batches []bufBatch) ([]*btrblocks.Chunk, error) {
+// readBatches returns the rows of the records at batches: the copy held
+// for a record whose fsync failed, else the record read back from the
+// WAL.
+func (s *Service) readBatches(batches []walPos) ([]*btrblocks.Chunk, error) {
 	chunks := make([]*btrblocks.Chunk, len(batches))
-	for i, b := range batches {
-		chunks[i] = b.chunk
-		if b.chunk == nil {
-			rec, err := s.wal.read(b.pos)
+	s.mu.Lock()
+	for i, pos := range batches {
+		chunks[i] = s.held[pos]
+	}
+	s.mu.Unlock()
+	for i, pos := range batches {
+		if chunks[i] == nil {
+			rec, err := s.wal.read(pos)
 			if err != nil {
 				return nil, err
 			}
@@ -773,14 +811,15 @@ func (s *Service) readBatches(batches []bufBatch) ([]*btrblocks.Chunk, error) {
 	return chunks, nil
 }
 
-// publishChunk compresses each column of schema, as column returns it,
-// and publishes the chunk atomically: every column file is written to a
-// temp name, fsynced and renamed; the commit marker goes last. A crash
-// anywhere in between leaves either an invisible chunk (no marker —
-// startup removes the fragments and the WAL re-publishes) or a complete
-// one; a failure removes the files it wrote.
-func (s *Service) publishChunk(ctx context.Context, table string, schema []btrblocks.Column, proto chunkInfo,
-	column func(c int) (btrblocks.Column, error)) (_ *chunkInfo, err error) {
+// publishChunk compresses every column and publishes the chunk
+// atomically: every column file is written to a temp name, fsynced and
+// renamed; the commit marker goes last. A crash anywhere in between
+// leaves either an invisible chunk (no marker — startup removes the
+// fragments and the WAL re-publishes) or a complete one. A failure
+// removes what it wrote as removeChunk does, marker first: a marker
+// written before the failure (its directory fsync failed) names a chunk
+// the caller does not count as published.
+func (s *Service) publishChunk(ctx context.Context, table string, chunk *btrblocks.Chunk, proto chunkInfo) (_ *chunkInfo, err error) {
 	tdir := filepath.Join(s.dir, table)
 	if err := os.MkdirAll(tdir, 0o755); err != nil {
 		return nil, err
@@ -796,20 +835,15 @@ func (s *Service) publishChunk(ctx context.Context, table string, schema []btrbl
 	}
 	defer func() {
 		if err != nil {
-			for _, f := range info.Files {
-				os.Remove(filepath.Join(tdir, f))
-			}
+			s.removeChunk(ctx, table, &info)
 		}
 	}()
-	for c := range schema {
-		col, err := column(c)
-		if err != nil {
-			return nil, err
-		}
+	for i := range chunk.Columns {
+		col := &chunk.Columns[i]
 		cctx, csp := obs.StartChild(ctx, "compress.cascade")
 		csp.SetAttr("column", col.Name)
 		csp.SetAttrInt("rows", int64(col.Len()))
-		data, err := btrblocks.CompressColumnContext(cctx, col, s.compressOptions(info.Level))
+		data, err := btrblocks.CompressColumnContext(cctx, *col, s.compressOptions(info.Level))
 		csp.SetError(err)
 		if err == nil {
 			csp.SetAttrInt("bytes", int64(len(data)))
@@ -844,7 +878,7 @@ func (s *Service) publishChunk(ctx context.Context, table string, schema []btrbl
 	_, msp := obs.StartChild(ctx, "publish.atomic")
 	msp.SetAttr("file", table+"/"+base+".commit")
 	msp.SetAttrInt("bytes", int64(len(mdata)))
-	err = writeFileAtomic(filepath.Join(tdir, base+".commit"), mdata)
+	err = writeMarker(filepath.Join(tdir, base+".commit"), mdata)
 	msp.SetError(err)
 	msp.End()
 	if err != nil {
@@ -870,10 +904,15 @@ func (s *Service) compressOptions(level int) *btrblocks.Options {
 
 // removeChunk deletes a chunk from disk, marker first: the moment the
 // marker is gone the chunk no longer exists as far as recovery is
-// concerned, so leftover column files are mere garbage, not data.
+// concerned, so leftover column files are mere garbage, not data. A
+// marker that cannot be removed keeps its files, so the chunk stays
+// whole.
 func (s *Service) removeChunk(ctx context.Context, table string, info *chunkInfo) {
 	tdir := filepath.Join(s.dir, table)
-	os.Remove(filepath.Join(tdir, info.base()+".commit"))
+	if err := os.Remove(filepath.Join(tdir, info.base()+".commit")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.log.Warn("remove chunk", "table", table, "chunk", info.base(), "err", err.Error())
+		return
+	}
 	s.invalidate(ctx, table+"/"+info.base()+".commit")
 	for _, f := range info.Files {
 		os.Remove(filepath.Join(tdir, f))
@@ -896,6 +935,9 @@ func (s *Service) invalidate(ctx context.Context, name string) {
 	sp.End()
 	s.met.Invalidations.Add(1)
 }
+
+// writeMarker writes a chunk's commit marker; a test swaps it to fail.
+var writeMarker = writeFileAtomic
 
 // writeFileAtomic writes data to path via a temp file in the same
 // directory: write, fsync, rename, fsync dir. Readers never observe a

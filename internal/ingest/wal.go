@@ -64,6 +64,7 @@ type walRecord struct {
 	Seq   uint64
 	Table string
 	Chunk btrblocks.Chunk
+	pos   walPos // where replay found the record
 }
 
 // encodeWALPayload serializes one append: sequence number, table name,
@@ -297,6 +298,9 @@ type wal struct {
 	segGen uint64 // bumped on rotation so stale sync targets don't match
 }
 
+// fsyncFile is the group commit's fsync; a test swaps it to fail one.
+var fsyncFile = (*os.File).Sync
+
 func walSegmentName(n uint64) string { return fmt.Sprintf("%08d.wal", n) }
 
 // openWAL replays every segment under dir in order (calling apply for
@@ -323,7 +327,7 @@ func openWAL(dir string, met *Metrics, apply func(*walRecord) error) (*wal, erro
 
 	w := &wal{dir: dir, met: met, nextSeq: 1}
 	for _, n := range segs {
-		if err := w.replaySegment(filepath.Join(dir, walSegmentName(n)), apply); err != nil {
+		if err := w.replaySegment(n, apply); err != nil {
 			return nil, err
 		}
 		if n >= w.segNum {
@@ -341,8 +345,8 @@ func openWAL(dir string, met *Metrics, apply func(*walRecord) error) (*wal, erro
 // header, short frame, short payload, CRC mismatch — end the walk: they
 // are the torn tail of a crashed writer, and everything after them is
 // unacknowledged by construction (acks happen only after fsync).
-func (w *wal) replaySegment(path string, apply func(*walRecord) error) error {
-	data, err := os.ReadFile(path)
+func (w *wal) replaySegment(seg uint64, apply func(*walRecord) error) error {
+	data, err := os.ReadFile(filepath.Join(w.dir, walSegmentName(seg)))
 	if err != nil {
 		return err
 	}
@@ -383,6 +387,7 @@ func (w *wal) replaySegment(path string, apply func(*walRecord) error) error {
 		if rec.Seq >= w.nextSeq {
 			w.nextSeq = rec.Seq + 1
 		}
+		rec.pos = walPos{seg: seg, off: int64(off), n: walFrameLen + payloadLen}
 		if err := apply(rec); err != nil {
 			return err
 		}
@@ -468,9 +473,10 @@ func (w *wal) append(table string, chunk *btrblocks.Chunk) (seq uint64, pos walP
 	return seq, pos, w.segGen, nil
 }
 
-// read returns the record append wrote at pos, checking its frame as
-// replay does. A checkpoint must not have removed the segment since: it
-// runs only when no buffered record is left to publish.
+// read returns the record append wrote (or replay found) at pos,
+// checking its frame as replay does. A checkpoint must not have removed
+// the segment since: it runs only when no buffered record is left to
+// publish.
 func (w *wal) read(pos walPos) (*walRecord, error) {
 	name := walSegmentName(pos.seg)
 	f, err := os.Open(filepath.Join(w.dir, name))
@@ -511,7 +517,7 @@ func (w *wal) syncTo(off int64, gen uint64) error {
 	if f == nil {
 		return fmt.Errorf("ingest: WAL is closed")
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsyncFile(f); err != nil {
 		return err
 	}
 	if w.met != nil {
