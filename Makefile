@@ -87,6 +87,7 @@ FUZZ_TARGETS = \
 	.:FuzzDecompressColumn .:FuzzDecompressIntStream .:FuzzDecompressStringStream \
 	.:FuzzCompressIntRoundTrip .:FuzzStreamReader .:FuzzAggregateSelected \
 	./internal/query/:FuzzQueryPlan \
+	./internal/core/:FuzzLazyProfileMatchesEager \
 	./internal/fsst/:FuzzFSSTEncodeEquivalence \
 	./internal/blockstore/:FuzzDecodeBlockFrame ./internal/blockstore/:FuzzBlockJSON \
 	./internal/ingest/:FuzzAppendJSON ./internal/ingest/:FuzzAppendLines

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"btrblocks/internal/sample"
-	"btrblocks/internal/stats"
 )
 
 // The cascade driver — the scheme selection of Listing 1, applied again to
@@ -41,18 +40,18 @@ type column[V, P any] interface {
 	size(src V) (n, bytes int)
 	// sample draws the estimation sample of §3.2.
 	sample(src V, s sample.Strategy, rng *rand.Rand) V
-	// profile builds p over src on first need and returns its statistics.
-	// The picker and the encoders all ask through here, so a stream is
-	// hashed once however many of them need it.
-	profile(p *P, src V, cfg *Config) *stats.Summary
-	// viable applies the statistics filters of §3 (step 2) to a built p;
-	// fixed is the entry's size function, where the profile alone fixes
-	// the scheme's encoded size (see numScheme.size), or nil.
+	// profile binds p to src and runs neither of its passes (profile.go):
+	// the filters scan the shape, and the hashed pass runs at most once,
+	// for the winning Dictionary or Frequency encoder or for a filter
+	// that needs an exact count the shape does not give.
+	profile(p *P, src V, cfg *Config)
+	// viable applies the statistics filters of §3 (step 2) to p; fixed
+	// reports the encoded size the shape alone fixes, for a scheme that
+	// has one (see numScheme.size).
 	viable(code Code, p *P) bool
-	fixed(code Code) func(p *P) int
+	fixed(code Code, p *P) (size int, ok bool)
 	// encodeAs appends src encoded with the given root scheme; p is src's
-	// profile, possibly not built yet. Sub-streams go back through
-	// compress one level down.
+	// bound profile. Sub-streams go back through compress one level down.
 	encodeAs(dst []byte, src V, p *P, code Code, cfg *Config, depth int, rng *rand.Rand) []byte
 }
 
@@ -74,6 +73,7 @@ func choose[V, P any, PP reusable[P]](t column[V, P], src V, cfg *Config) (Code,
 	free := t.profiles(cfg.Scratch)
 	p := borrow(free)
 	defer giveBack[P, PP](free, p)
+	t.profile(p, src, cfg)
 	code, est, _ := pick[V, P, PP](t, src, p, cfg, cfg.depth(), rng)
 	return code, est
 }
@@ -86,20 +86,21 @@ func compressAs[V, P any, PP reusable[P]](t column[V, P], dst []byte, src V, cod
 	if n, _ := t.size(src); code != CodeUncompressed && (n == 0 || !slices.Contains(t.info().pool, code)) {
 		return nil
 	}
-	if t.fixed(code) != nil {
-		if t.profile(p, src, cfg); !t.viable(code, p) {
-			return nil // a fixed-size scheme encodes only streams it is viable on
-		}
+	t.profile(p, src, cfg)
+	if _, ok := t.fixed(code, p); ok && !t.viable(code, p) {
+		return nil // a fixed-size scheme encodes only streams it is viable on
 	}
 	return t.encodeAs(dst, src, p, code, cfg, cfg.depth(), rng)
 }
 
 // compress picks a scheme for src and encodes it. The stream's profile is
-// built at most once and shared by the picker and the winning encoder.
+// shared by the picker and the winning encoder, so each of its passes runs
+// at most once.
 func compress[V, P any, PP reusable[P]](t column[V, P], dst []byte, src V, cfg *Config, depth int, rng *rand.Rand) []byte {
 	free := t.profiles(cfg.Scratch)
 	p := borrow(free)
 	defer giveBack[P, PP](free, p)
+	t.profile(p, src, cfg)
 	if cfg.OnDecision == nil {
 		code, _, _ := pick[V, P, PP](t, src, p, cfg, depth, rng)
 		return t.encodeAs(dst, src, p, code, cfg, depth, rng)
@@ -122,8 +123,8 @@ func compress[V, P any, PP reusable[P]](t column[V, P], dst []byte, src V, cfg *
 // estimate each viable scheme's ratio on a sample, take the best. Depth 0
 // always yields Uncompressed. Candidate estimates are collected only when
 // the caller's decision hook is set, so the default path allocates nothing
-// extra. p is the (possibly not yet built) profile of src; the trial
-// encodes share one profile of the sample the same way.
+// extra. p is the bound profile of src; the trial encodes share one
+// profile of the sample the same way.
 func pick[V, P any, PP reusable[P]](t column[V, P], src V, p *P, cfg *Config, depth int, rng *rand.Rand) (Code, float64, []CandidateEstimate) {
 	n, bytes := t.size(src)
 	if depth <= 0 || n == 0 {
@@ -133,10 +134,9 @@ func pick[V, P any, PP reusable[P]](t column[V, P], src V, p *P, cfg *Config, de
 	cfg = quiet(cfg)
 	k := t.info()
 	allowed := k.allow(cfg)
-	t.profile(p, src, cfg)
 	for _, code := range k.pool {
-		if size := t.fixed(code); size != nil && enabled(allowed, code) && t.viable(code, p) {
-			est := float64(bytes) / float64(size(p))
+		if size, ok := t.fixed(code, p); ok && enabled(allowed, code) && t.viable(code, p) {
+			est := float64(bytes) / float64(size)
 			var cands []CandidateEstimate
 			if collect {
 				cands = []CandidateEstimate{{Code: code, EstimatedRatio: est}}
@@ -151,6 +151,7 @@ func pick[V, P any, PP reusable[P]](t column[V, P], src V, p *P, cfg *Config, de
 		free := t.profiles(cfg.Scratch)
 		sp = borrow(free)
 		defer giveBack[P, PP](free, sp)
+		t.profile(sp, smp, cfg)
 	}
 	best, bestRatio := CodeUncompressed, 1.0
 	var cands []CandidateEstimate
@@ -204,7 +205,7 @@ func (t *Numeric[T, K]) CompressAs(dst []byte, src []T, code Code, cfg *Config) 
 	return compressAs(t, dst, src, code, cfg)
 }
 
-func (t *Numeric[T, K]) profiles(s *Scratch) *[]*stats.Profile[K] { return &t.scratch(s).profiles }
+func (t *Numeric[T, K]) profiles(s *Scratch) *[]*numProfile[T, K] { return &t.scratch(s).profiles }
 
 func (t *Numeric[T, K]) size(src []T) (int, int) { return len(src), t.width * len(src) }
 
@@ -212,17 +213,20 @@ func (t *Numeric[T, K]) sample(src []T, s sample.Strategy, rng *rand.Rand) []T {
 	return sample.Values(src, s, rng)
 }
 
-func (t *Numeric[T, K]) profile(p *stats.Profile[K], src []T, cfg *Config) *stats.Summary {
-	if !p.Built {
-		p.Build(t.keys(src, cfg.Scratch), &cfg.Scratch.table)
-	}
-	return &p.Summary
+func (t *Numeric[T, K]) profile(p *numProfile[T, K], src []T, cfg *Config) {
+	p.Reset()
+	p.t, p.src, p.cfg = t, src, cfg
 }
 
-func (t *Numeric[T, K]) viable(code Code, p *stats.Profile[K]) bool { return t.schemes[code].viable(p) }
+func (t *Numeric[T, K]) viable(code Code, p *numProfile[T, K]) bool { return t.schemes[code].viable(p) }
 
-func (t *Numeric[T, K]) fixed(code Code) func(*stats.Profile[K]) int { return t.schemes[code].size }
+func (t *Numeric[T, K]) fixed(code Code, p *numProfile[T, K]) (int, bool) {
+	if size := t.schemes[code].size; size != nil {
+		return size(p.shape()), true
+	}
+	return 0, false
+}
 
-func (t *Numeric[T, K]) encodeAs(dst []byte, src []T, p *stats.Profile[K], code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
+func (t *Numeric[T, K]) encodeAs(dst []byte, src []T, p *numProfile[T, K], code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
 	return t.schemes[code].encode(append(dst, byte(code)), src, p, cfg, depth, rng)
 }

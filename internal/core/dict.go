@@ -31,12 +31,16 @@ func dictViable(s *stats.Summary) bool { return s.Distinct > 1 && s.Distinct < s
 
 func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeDict,
-		viable: func(p *stats.Profile[K]) bool { return dictViable(&p.Summary) },
-		encode: func(dst []byte, src []T, p *stats.Profile[K], cfg *Config, depth int, rng *rand.Rand) []byte {
+		viable: func(s numStats[K]) bool {
+			if sh := s.shape(); sh.N >= minShapedDict {
+				return !sh.AllEqual()
+			}
+			return dictViable(&s.hashed().Summary)
+		},
+		encode: func(dst []byte, src []T, p *numProfile[T, K], cfg *Config, depth int, rng *rand.Rand) []byte {
 			// Key identity keeps NaNs and -0.0 as distinct dictionary
 			// entries, sorted by bit pattern for determinism.
-			t.profile(p, src, cfg)
-			keys, codes := sortedDict(p)
+			keys, codes := sortedDict(p.hashed())
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
 			dst = compress(t, dst, t.vals(keys), cfg, depth-1, rng)
@@ -192,7 +196,12 @@ func gather[T numeric](o, dict []T, codes []int32, scalar bool) bool {
 }
 
 var stringDict = &strScheme{code: CodeDict,
-	viable: func(p *stats.StringProfile) bool { return dictViable(&p.Summary) },
+	viable: func(s strStats) bool {
+		if sh := s.shape(); sh.N >= minShapedDict {
+			return !sh.AllEqual
+		}
+		return dictViable(&s.hashed().Summary)
+	},
 	encode: encodeStringDict,
 	parse:  parseStringDict,
 	scan: func(src []byte, n int, p *StringPred, sel []uint64, st *SelectStats, cfg *Config) (count, used int, err error) {
@@ -283,10 +292,9 @@ var stringDict = &strScheme{code: CodeDict,
 // cascaded integer stream, and the per-row codes as a cascaded integer
 // stream — which the selection algorithm typically sends to RLE or
 // bit-packing. The distinct strings and the rows' ids come from the
-// stream's profile p.
-func encodeStringDict(dst []byte, src coldata.Strings, p *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) []byte {
-	String.profile(p, src, cfg)
-	pool, lengths, codes := sortedStringDict(src, p)
+// stream's hashed profile.
+func encodeStringDict(dst []byte, src coldata.Strings, p *strProfile, cfg *Config, depth int, rng *rand.Rand) []byte {
+	pool, lengths, codes := sortedStringDict(src, p.hashed())
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(src.Len()))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lengths)))
 	// Try FSST on the dictionary pool ("Dict+FSST" in Figure 3/4).

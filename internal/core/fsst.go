@@ -7,7 +7,6 @@ import (
 
 	"btrblocks/coldata"
 	"btrblocks/internal/fsst"
-	"btrblocks/internal/stats"
 )
 
 // FSST, strings only: the block's whole string payload compressed with
@@ -25,8 +24,8 @@ import (
 var stringFSST = &strScheme{code: CodeFSST,
 	// FSST needs some redundancy in the bytes; on near-empty payloads the
 	// table overhead dominates.
-	viable: func(p *stats.StringProfile) bool { return p.TotalLen >= 64 },
-	encode: func(dst []byte, src coldata.Strings, _ *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) []byte {
+	viable: func(s strStats) bool { return s.shape().TotalLen >= 64 },
+	encode: func(dst []byte, src coldata.Strings, _ *strProfile, cfg *Config, depth int, rng *rand.Rand) []byte {
 		n := src.Len()
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 		dst = appendFSST(dst, src.Data, &cfg.Scratch.trainer)

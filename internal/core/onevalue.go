@@ -16,9 +16,9 @@ import (
 
 func oneValue[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeOneValue,
-		viable: func(p *stats.Profile[K]) bool { return p.Distinct == 1 },
-		size:   func(*stats.Profile[K]) int { return 5 + t.width },
-		encode: func(dst []byte, src []T, _ *stats.Profile[K], _ *Config, _ int, _ *rand.Rand) []byte {
+		viable: func(s numStats[K]) bool { return s.shape().AllEqual() },
+		size:   func(*stats.Shape[K]) int { return 5 + t.width },
+		encode: func(dst []byte, src []T, _ *numProfile[T, K], _ *Config, _ int, _ *rand.Rand) []byte {
 			return t.put(binary.LittleEndian.AppendUint32(dst, uint32(len(src))), src[:1])
 		},
 		decode: func(dst []T, src []byte, n int, _ *Config) ([]T, int, error) {
@@ -80,9 +80,9 @@ func matchAll(match bool, lo, hi int, sel []uint64) int {
 }
 
 var stringOneValue = &strScheme{code: CodeOneValue,
-	viable: func(p *stats.StringProfile) bool { return p.Distinct == 1 },
-	size:   func(p *stats.StringProfile) int { return 9 + p.MaxLen },
-	encode: func(dst []byte, src coldata.Strings, _ *stats.StringProfile, _ *Config, _ int, _ *rand.Rand) []byte {
+	viable: func(s strStats) bool { return s.shape().AllEqual },
+	size:   func(s *stats.StringShape) int { return 9 + s.Len },
+	encode: func(dst []byte, src coldata.Strings, _ *strProfile, _ *Config, _ int, _ *rand.Rand) []byte {
 		v := src.View(0)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(src.Len()))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))

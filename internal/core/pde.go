@@ -9,7 +9,6 @@ import (
 
 	"btrblocks/internal/pde"
 	"btrblocks/internal/roaring"
-	"btrblocks/internal/stats"
 )
 
 // Pseudodecimal Encoding (§4.2), doubles only: each value as significant
@@ -22,11 +21,16 @@ import (
 // out of the two sub-streams and finds each selected patch through the
 // bitmap, so no other row is decoded.
 
+// pdeMinDistinct is the fewest distinct values among n for which
+// UniqueFrac ≥ 0.1, Pseudodecimal's filter: ⌈n/10⌉. It is never above
+// n/2+2, where Distinct stops counting.
+func pdeMinDistinct(n int) int { return (n + 9) / 10 }
+
 func pseudodecimal() *numScheme[float64, uint64] {
 	return &numScheme[float64, uint64]{code: CodePDE,
 		// Below 10% unique values a dictionary compresses almost as well
 		// and decompresses much faster.
-		viable: func(p *stats.Profile[uint64]) bool { return p.UniqueFrac() >= 0.1 },
+		viable: func(s numStats[uint64]) bool { return s.distinctAtLeast(pdeMinDistinct(s.shape().N)) },
 		encode: encodePDE,
 		decode: decodePDE,
 		take:   takePDE,
@@ -48,7 +52,7 @@ func pseudodecimal() *numScheme[float64, uint64] {
 
 // encodePDE applies Pseudodecimal Encoding and cascades the digits and
 // exponent columns back into the integer scheme pool (§4.2).
-func encodePDE(dst []byte, src []float64, _ *stats.Profile[uint64], cfg *Config, depth int, rng *rand.Rand) []byte {
+func encodePDE(dst []byte, src []float64, _ *numProfile[float64, uint64], cfg *Config, depth int, rng *rand.Rand) []byte {
 	digits, exps, patches, patchIdx := pde.Encode(src)
 	bm := roaring.New()
 	for _, i := range patchIdx {

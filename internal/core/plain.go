@@ -16,7 +16,7 @@ import (
 
 func plain[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeUncompressed,
-		encode: func(dst []byte, src []T, _ *stats.Profile[K], _ *Config, _ int, _ *rand.Rand) []byte {
+		encode: func(dst []byte, src []T, _ *numProfile[T, K], _ *Config, _ int, _ *rand.Rand) []byte {
 			return t.put(binary.LittleEndian.AppendUint32(dst, uint32(len(src))), src)
 		},
 		decode: func(dst []T, src []byte, n int, _ *Config) ([]T, int, error) {
@@ -37,7 +37,7 @@ func plain[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 }
 
 var stringPlain = &strScheme{code: CodeUncompressed,
-	encode: func(dst []byte, src coldata.Strings, _ *stats.StringProfile, _ *Config, _ int, _ *rand.Rand) []byte {
+	encode: func(dst []byte, src coldata.Strings, _ *strProfile, _ *Config, _ int, _ *rand.Rand) []byte {
 		n := src.Len()
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src.Data)))

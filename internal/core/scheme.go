@@ -20,16 +20,16 @@ import (
 // bound to the kind; each is called per stream, never per value.
 type numScheme[T numeric, K stats.Key] struct {
 	code Code
-	// viable is the statistics filter of §3 (step 2) on a built profile;
-	// plain, which is not in the pool, has none.
-	viable func(p *stats.Profile[K]) bool
-	// size, where set, is the encoded size the profile alone fixes: the
+	// viable is the statistics filter of §3 (step 2); plain, which is not
+	// in the pool, has none.
+	viable func(s numStats[K]) bool
+	// size, where set, is the encoded size the shape alone fixes: the
 	// picker takes such a scheme (OneValue) without a sample trial wherever
 	// it is viable, and CompressAs refuses it elsewhere.
-	size func(p *stats.Profile[K]) int
+	size func(s *stats.Shape[K]) int
 	// encode appends src encoded, everything after the tag; p is src's
-	// profile, possibly not built yet.
-	encode func(dst []byte, src []T, p *stats.Profile[K], cfg *Config, depth int, rng *rand.Rand) []byte
+	// profile, neither pass of which may have run yet.
+	encode func(dst []byte, src []T, p *numProfile[T, K], cfg *Config, depth int, rng *rand.Rand) []byte
 	// decode appends the n values of src (the whole stream, its head
 	// parsed) to dst and returns the bytes the stream takes.
 	decode func(dst []T, src []byte, n int, cfg *Config) ([]T, int, error)
@@ -56,9 +56,9 @@ type numScheme[T numeric, K stats.Key] struct {
 // parsed into a StringBlock and finished by one of two finishers.
 type strScheme struct {
 	code   Code
-	viable func(p *stats.StringProfile) bool
-	size   func(p *stats.StringProfile) int
-	encode func(dst []byte, src coldata.Strings, p *stats.StringProfile, cfg *Config, depth int, rng *rand.Rand) []byte
+	viable func(s strStats) bool
+	size   func(s *stats.StringShape) int
+	encode func(dst []byte, src coldata.Strings, p *strProfile, cfg *Config, depth int, rng *rand.Rand) []byte
 	// parse validates src (its head parsed into b.rows) into b, returned
 	// with the bytes src takes, and on error too, for release. forViews
 	// copies out of src whatever views will point into, as they outlive it.

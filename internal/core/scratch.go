@@ -44,15 +44,14 @@ type Scratch struct {
 	table   stats.Table
 	trainer fsst.Trainer
 	rng     *rand.Rand // the sampling source of the compression running
-	bits    []uint64   // a double stream as bit patterns, while it is profiled
 	words   []uint64   // a PDE stream's patch bitmap as a bitset, while it is taken from
-	strs    []*stats.StringProfile
+	strs    []*strProfile
 }
 
 // numScratch is one numeric type's share of a Scratch.
 type numScratch[T numeric, K stats.Key] struct {
 	free     [][]T               // decode temporaries
-	profiles []*stats.Profile[K] // block profiles, unbuilt
+	profiles []*numProfile[T, K] // stream profiles, unbound
 }
 
 // Trim drops everything in s whose size follows the data it has worked on

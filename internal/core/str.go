@@ -5,7 +5,6 @@ import (
 
 	"btrblocks/coldata"
 	"btrblocks/internal/sample"
-	"btrblocks/internal/stats"
 )
 
 // StringKind describes string columns to the cascade driver, the decoders
@@ -47,7 +46,7 @@ func (t *StringKind) CompressAs(dst []byte, src coldata.Strings, code Code, cfg 
 	return compressAs(t, dst, src, code, cfg)
 }
 
-func (t *StringKind) profiles(s *Scratch) *[]*stats.StringProfile { return &s.strs }
+func (t *StringKind) profiles(s *Scratch) *[]*strProfile { return &s.strs }
 
 func (t *StringKind) size(src coldata.Strings) (int, int) { return src.Len(), src.TotalBytes() }
 
@@ -55,18 +54,21 @@ func (t *StringKind) sample(src coldata.Strings, s sample.Strategy, rng *rand.Ra
 	return sample.Strings(src, s, rng)
 }
 
-func (t *StringKind) profile(p *stats.StringProfile, src coldata.Strings, cfg *Config) *stats.Summary {
-	if !p.Built {
-		p.Build(src, &cfg.Scratch.table)
-	}
-	return &p.Summary
+func (t *StringKind) profile(p *strProfile, src coldata.Strings, cfg *Config) {
+	p.Reset()
+	p.src, p.cfg = src, cfg
 }
 
-func (t *StringKind) viable(code Code, p *stats.StringProfile) bool { return t.schemes[code].viable(p) }
+func (t *StringKind) viable(code Code, p *strProfile) bool { return t.schemes[code].viable(p) }
 
-func (t *StringKind) fixed(code Code) func(*stats.StringProfile) int { return t.schemes[code].size }
+func (t *StringKind) fixed(code Code, p *strProfile) (int, bool) {
+	if size := t.schemes[code].size; size != nil {
+		return size(p.shape()), true
+	}
+	return 0, false
+}
 
-func (t *StringKind) encodeAs(dst []byte, src coldata.Strings, p *stats.StringProfile, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
+func (t *StringKind) encodeAs(dst []byte, src coldata.Strings, p *strProfile, code Code, cfg *Config, depth int, rng *rand.Rand) []byte {
 	return t.schemes[code].encode(append(dst, byte(code)), src, p, cfg, depth, rng)
 }
 

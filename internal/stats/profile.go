@@ -1,9 +1,21 @@
-// Package stats builds the block profile behind scheme selection (steps
-// 1–2 of the paper's compression loop). One pass gives every value of a
-// stream a dense id in first-occurrence order, so a stream is hashed
-// exactly once: the viability filters read the Summary, and the
-// Dictionary and Frequency encoders reuse the ids, counts and top value
-// instead of hashing the stream again.
+// Package stats computes the block statistics behind scheme selection
+// (steps 1–2 of the paper's compression loop) in two passes.
+//
+// The hash-free pass (Shape.Scan, StringShape.Scan) reads what most
+// viability filters need without a table: a numeric stream's length,
+// minimum, maximum and run count; whether a string stream's rows are all
+// equal, which stops at the first row that differs. Two exact checks sit
+// next to it for the filters a shape cannot answer: HalfOrMore (one value
+// fills half the rows, by a two-candidate majority count) and
+// DistinctAtLeast (a hash that stops once it has seen enough values).
+//
+// The hashed pass (Profile.Hash, StringProfile.Build) gives every value a
+// dense id in first-occurrence order and counts them. The cascade runs it
+// at most once per stream, and only where someone reads what it alone
+// gives: the Dictionary and Frequency encoders reuse the ids, counts and
+// top value instead of hashing the stream again, and a filter that needs
+// an exact count no cheaper check answers (Frequency's unique fraction,
+// any stream of fewer than 5 values) reads the Summary.
 package stats
 
 import (
@@ -72,7 +84,81 @@ const (
 // pattern of a float64 (so NaN payloads and -0.0 stay distinct).
 type Key interface{ ~int32 | ~int64 | ~uint64 }
 
-// Profile is the profile of a numeric stream.
+// Shape is the hash-free pass over a numeric stream.
+type Shape[K Key] struct {
+	N, RunCount int
+	Min, Max    K
+}
+
+// Scan fills s from src in one pass with no table.
+func (s *Shape[K]) Scan(src []K) {
+	*s = Shape[K]{N: len(src)}
+	if len(src) == 0 {
+		return
+	}
+	lo, hi, runs := src[0], src[0], 1
+	for i := 1; i < len(src); i++ {
+		v := src[i]
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+		if v != src[i-1] {
+			runs++
+		}
+	}
+	s.Min, s.Max, s.RunCount = lo, hi, runs
+}
+
+// AllEqual reports whether the stream has rows and they all hold one
+// value: a Summary's Distinct == 1.
+func (s *Shape[K]) AllEqual() bool { return s.N > 0 && s.Min == s.Max }
+
+// AvgRunLen is the mean run length (N > 0), as Summary.AvgRunLen.
+func (s *Shape[K]) AvgRunLen() float64 { return float64(s.N) / float64(s.RunCount) }
+
+// Dense reports whether the hashed pass counts the stream by direct
+// indexing (see DenseSpan), which is the cheap case: no probes, and a
+// table no longer than the stream.
+func (s *Shape[K]) Dense() bool {
+	// uint64 arithmetic makes the span exact even when max−min overflows K.
+	return uint64(s.Max)-uint64(s.Min) < uint64(DenseSpan*s.N)
+}
+
+// HalfOrMore reports whether one value fills at least half of src's rows,
+// which is what 2·TopCount ≥ N says of a built profile whenever its
+// UniqueFrac is at most 0.5. Such a value is src[0] or, failing that, a
+// strict majority of src[1:], which a majority vote (Boyer–Moore) finds;
+// a second pass counts both candidates.
+func HalfOrMore[K Key](src []K) bool {
+	if len(src) == 0 {
+		return false
+	}
+	first, cand, c := src[0], src[0], 0
+	for _, v := range src[1:] {
+		if c == 0 {
+			cand = v
+		}
+		if v == cand {
+			c++
+		} else {
+			c--
+		}
+	}
+	a, b := 0, 0
+	for _, v := range src {
+		if v == first {
+			a++
+		}
+		if v == cand {
+			b++
+		}
+	}
+	return 2*max(a, b) >= len(src)
+}
+
+// Profile is the hashed pass over a numeric stream.
 type Profile[K Key] struct {
 	Summary
 	Built    bool // set by Build, cleared by Reset
@@ -85,32 +171,34 @@ type Profile[K Key] struct {
 // Reset marks p as not built; its buffers stay for the next Build.
 func (p *Profile[K]) Reset() { p.Built = false }
 
-// Build profiles src, reusing p's buffers and t's slots.
+// Build runs both passes over src, reusing p's buffers and t's slots.
 func (p *Profile[K]) Build(src []K, t *Table) {
+	var s Shape[K]
+	s.Scan(src)
+	p.Hash(src, &s, t, len(src)+1)
+}
+
+// Hash runs the hashed pass over src, whose shape s is: it takes the
+// shape's statistics and counts the values in a table sized by them. It
+// stops once it has met limit distinct values and reports false, leaving
+// p not built: the stream holds at least limit of them.
+func (p *Profile[K]) Hash(src []K, s *Shape[K], t *Table, limit int) bool {
 	n := len(src)
 	*p = Profile[K]{Built: true, IDs: slices.Grow(p.IDs[:0], n)[:n], Vals: p.Vals[:0], Counts: p.Counts[:0]}
 	if p.N = n; n == 0 {
-		return
+		return true
 	}
-	lo, hi, runs := src[0], src[0], 1
-	for i := 1; i < n; i++ {
-		v := src[i]
-		if v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-		if v != src[i-1] {
-			runs++
-		}
-	}
-	p.Min, p.Max, p.RunCount = lo, hi, runs
-	// uint64 arithmetic makes the span exact even when max−min overflows K.
-	if span := uint64(hi) - uint64(lo); span < uint64(DenseSpan*n) {
-		slots := t.cleared(int(span) + 1)
+	lo := s.Min
+	p.Min, p.Max, p.RunCount = lo, s.Max, s.RunCount
+	if s.Dense() {
+		slots := t.cleared(int(uint64(s.Max)-uint64(lo)) + 1)
 		for i, v := range src {
 			s := &slots[uint64(v)-uint64(lo)]
 			if *s == 0 {
+				if len(p.Vals) == limit-1 {
+					p.Built = false
+					return false
+				}
 				p.Vals, p.Counts = append(p.Vals, v), append(p.Counts, 0)
 				*s = int32(len(p.Vals))
 			}
@@ -127,6 +215,10 @@ func (p *Profile[K]) Build(src []K, t *Table) {
 				for ; slots[j] != 0 && p.Vals[slots[j]-1] != v; j = (j + 1) & uint64(len(slots)-1) {
 				}
 				if slots[j] == 0 {
+					if len(p.Vals) == limit-1 {
+						p.Built = false
+						return false
+					}
 					p.Vals, p.Counts = append(p.Vals, v), append(p.Counts, 0)
 					slots[j] = int32(len(p.Vals))
 				}
@@ -142,6 +234,7 @@ func (p *Profile[K]) Build(src []K, t *Table) {
 			p.TopID, p.TopCount = int32(id), int(c)
 		}
 	}
+	return true
 }
 
 // StringValue is one distinct string of a stream: its bytes' position in
@@ -151,7 +244,33 @@ type StringValue struct {
 	Count    int32
 }
 
-// StringProfile is the profile of a string stream.
+// StringShape is the hash-free pass over a string stream.
+type StringShape struct {
+	N, TotalLen int
+	// AllEqual is set when the stream has rows and they all hold one
+	// value (a Summary's Distinct == 1); Len is then that value's length.
+	AllEqual bool
+	Len      int
+}
+
+// Scan fills s from src. It compares rows with the first only until one
+// differs, so on mixed data it reads a few rows, not the stream.
+func (s *StringShape) Scan(src coldata.Strings) {
+	n := src.Len()
+	*s = StringShape{N: n, TotalLen: len(src.Data)}
+	if n == 0 {
+		return
+	}
+	first := src.View(0)
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(src.View(i), first) {
+			return
+		}
+	}
+	s.AllEqual, s.Len = true, len(first)
+}
+
+// StringProfile is the hashed pass over a string stream.
 type StringProfile struct {
 	Summary
 	Built            bool
