@@ -548,6 +548,13 @@ func (b *appendBatch) resolve(registered func(table string) ([]btrblocks.Column,
 	return b.chunk(schema)
 }
 
+// maxInferredColumns bounds the columns a table's first batch may infer.
+// Every row gets a cell, NULL or not, in every column, so a batch whose
+// rows each bring their own key would otherwise build rows × keys cells
+// from a body of a few bytes per row. A wider table is created
+// explicitly (CreateTable, POST /v1/tables).
+const maxInferredColumns = 1024
+
 // inferSchema derives a schema from the first batch for a table that
 // was not created explicitly: the keys of every row in sorted order,
 // each typed by its first non-null value. A quoted value infers string,
@@ -575,6 +582,10 @@ func inferSchema(b *appendBatch) ([]btrblocks.Column, error) {
 			types[m.key] = t
 		}
 	}
+	if n := countTrue(used); n > maxInferredColumns {
+		return nil, fmt.Errorf("%w: the first batch would infer %d columns, more than %d; create the table with CreateTable (POST /v1/tables)",
+			ErrSchema, n, maxInferredColumns)
+	}
 	var schema []btrblocks.Column
 	for k, key := range b.keys {
 		if !used[k] {
@@ -591,6 +602,15 @@ func inferSchema(b *appendBatch) ([]btrblocks.Column, error) {
 	}
 	slices.SortFunc(schema, func(x, y btrblocks.Column) int { return strings.Compare(x.Name, y.Name) })
 	return schema, nil
+}
+
+func countTrue(bs []bool) (n int) {
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 // inferColumnType types one value for inferSchema; the zero Type, which

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -130,6 +131,11 @@ func appendCases() []appendCase {
 	return []appendCase{
 		// Layout of the object.
 		{"json/key-order", false, `{"rows":[{"s":"x","d":1.5,"l":2,"i":1}],"table":"t"}`, ok},
+		// A first batch of 2,000 rows with a key each: refused, as it would
+		// infer more than maxInferredColumns.
+		{"json/infer-2000-keys", false, keyPerRowBody(2000), bad},
+		{"json/infer-1024-keys", false, keyPerRowBody(1024), ok},
+		{"json/infer-1025-keys", false, keyPerRowBody(1025), bad},
 		{"json/whitespace", false, " \n{ \"table\" : \"t\" ,\t\"rows\" : [ { \"i\" : 1 } , { } ] } \r\n", ok},
 		{"json/duplicate-key-last-wins", false, `{"table":"t","rows":[{"i":1,"i":2}]}`, ok},
 		{"json/duplicate-key-after-bad-value", false, `{"table":"t","rows":[{"i":"bad","i":3,"s":[1],"s":"y"}]}`, ok},
@@ -512,4 +518,57 @@ func TestDecodeSizesMembersByBody(t *testing.T) {
 			t.Errorf("lines=%v: %d bytes allocated for a %d-byte body; want <= %d", tc.lines, allocated, len(body), limit)
 		}
 	}
+}
+
+// keyPerRowBody is a first-contact append of n rows, {"k<i>":1} each.
+func keyPerRowBody(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"table":"wide","rows":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"k%d":1}`, i)
+	}
+	b.WriteString("]}")
+	return b.String()
+}
+
+// TestInferredColumnsBounded: a first batch that would infer more than
+// maxInferredColumns is refused as ErrSchema, naming CreateTable, before
+// any column is built; a registered table is not bounded.
+func TestInferredColumnsBounded(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race runtime changes allocation counts")
+	}
+	body := []byte(keyPerRowBody(2000))
+	var status int
+	allocated := heapBytes(func() { _, _, status = decodeBody(body, false, decodeLookup) })
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", status)
+	}
+	// the body is decoded into views, 2,000 columns of 2,000 cells are not
+	if allocated > 64*uint64(len(body)) {
+		t.Fatalf("refusing a %d-byte body allocated %d bytes", len(body), allocated)
+	}
+	b, err := decodeJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.resolve(decodeLookup); !errors.Is(err, ErrSchema) || !strings.Contains(err.Error(), "CreateTable") {
+		t.Fatalf("err = %v, want ErrSchema naming CreateTable", err)
+	}
+	wide := make([]btrblocks.Column, 2000)
+	for i := range wide {
+		wide[i] = btrblocks.Column{Name: fmt.Sprintf("k%d", i), Type: btrblocks.TypeInt64}
+	}
+	b, err = decodeJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := b.resolve(func(string) ([]btrblocks.Column, bool) { return wide, true })
+	if err != nil || len(chunk.Columns) != 2000 {
+		t.Fatalf("registered 2,000-column table: %d columns, %v", len(chunk.Columns), err)
+	}
+	t.Logf("refused a %d-byte body after allocating %d bytes", len(body), allocated)
 }

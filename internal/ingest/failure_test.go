@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -221,4 +223,97 @@ func TestFailedSyncHoldsRows(t *testing.T) {
 	if held != 0 {
 		t.Errorf("%d copies still held after their rows were published", held)
 	}
+}
+
+// TestFailedSyncBreaksSegment: after an fsync fails, no append and no
+// sync of bytes that fsync was to cover succeeds until a checkpoint
+// rotates the segment — not even for a caller that was already waiting
+// on the sync mutex when it failed, and whose bytes a later fsync would
+// have claimed durable.
+func TestFailedSyncBreaksSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, NewMetrics(), func(*walRecord) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	defer func() { fsyncFile = (*os.File).Sync }()
+
+	_, durable, gen, err := w.append("t", testChunk(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.syncTo(durable.end(), gen); err != nil {
+		t.Fatal(err)
+	}
+	_, first, gen, err := w.append("t", testChunk(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, _, err := w.append("t", testChunk(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first caller's fsync blocks until the second caller waits on
+	// the sync mutex, then fails.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var fsyncs atomic.Int32
+	fsyncFile = func(*os.File) error {
+		fsyncs.Add(1)
+		close(entered)
+		<-release
+		return errors.New("fsync failed")
+	}
+	firstErr, secondErr := make(chan error, 1), make(chan error, 1)
+	go func() { firstErr <- w.syncTo(first.end(), gen) }()
+	<-entered
+	go func() { secondErr <- w.syncTo(second.end(), gen) }()
+	for !blockedInSyncTo() {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-firstErr; err == nil {
+		t.Fatal("the failing fsync's caller was acknowledged")
+	}
+	fsyncFile = func(*os.File) error { fsyncs.Add(1); return nil }
+	if err := <-secondErr; err == nil {
+		t.Fatal("a caller waiting on the failed fsync was acknowledged")
+	}
+	if err := w.syncTo(first.end(), gen); err == nil {
+		t.Fatal("a retried sync of the failed bytes was acknowledged")
+	}
+	if _, _, _, err := w.append("t", testChunk(4)); err == nil {
+		t.Fatal("an append to the broken segment succeeded")
+	}
+	if err := w.syncTo(durable.end(), gen); err != nil {
+		t.Fatalf("bytes made durable before the failure: %v", err)
+	}
+	if n := fsyncs.Load(); n != 1 {
+		t.Fatalf("%d fsyncs after the failure, want none", n-1)
+	}
+
+	// A checkpoint rotates the segment and the WAL works again.
+	if err := w.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	_, pos, gen, err := w.append("t", testChunk(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.syncTo(pos.end(), gen); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockedInSyncTo reports whether some goroutine waits for the sync mutex
+// in wal.syncTo.
+func blockedInSyncTo() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*Mutex).Lock") && strings.Contains(g, "(*wal).syncTo") {
+			return true
+		}
+	}
+	return false
 }

@@ -72,6 +72,9 @@ func refInferSchema(rows []map[string]json.RawMessage) ([]btrblocks.Column, erro
 			keys[k] = true
 		}
 	}
+	if len(keys) > maxInferredColumns {
+		return nil, fmt.Errorf("%w: the first batch would infer %d columns", ErrSchema, len(keys))
+	}
 	names := make([]string, 0, len(keys))
 	for k := range keys {
 		names = append(names, k)

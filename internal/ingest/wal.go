@@ -289,13 +289,16 @@ type wal struct {
 	segNum  uint64
 	written int64 // logical bytes appended to the active segment
 	nextSeq uint64
-	broken  error // sticky write failure: the segment tail is suspect
+	broken  error // sticky write or fsync failure: the segment tail is suspect
 
 	// syncMu serializes fsyncs; synced is the group-commit high-water
 	// mark (bytes of the active segment known durable).
 	syncMu sync.Mutex
 	synced int64
 	segGen uint64 // bumped on rotation so stale sync targets don't match
+	// syncErr is a failed fsync's error, which a later fsync cannot
+	// repair (a failed write leaves the bytes before it to sync).
+	syncErr error
 }
 
 // fsyncFile is the group commit's fsync; a test swaps it to fail one.
@@ -420,7 +423,7 @@ func (w *wal) openSegment() error {
 	w.f = f
 	w.written = int64(walHeaderLen)
 	w.synced = int64(walHeaderLen)
-	w.broken = nil
+	w.broken, w.syncErr = nil, nil
 	return nil
 }
 
@@ -500,6 +503,12 @@ func (w *wal) read(pos walPos) (*walRecord, error) {
 // Group commit: the caller that wins the sync mutex fsyncs on behalf of
 // everyone who appended before it; latecomers find their offset already
 // covered and return without a second fsync.
+//
+// A failed fsync breaks the segment. On Linux it may already have dropped
+// the dirty pages it covered, so a later fsync that succeeds proves
+// nothing about them: until a checkpoint rotates the segment, every
+// append and every syncTo for bytes not made durable before the failure
+// returns the error, the callers already waiting on the mutex included.
 func (w *wal) syncTo(off int64, gen uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -511,6 +520,9 @@ func (w *wal) syncTo(off int64, gen uint64) error {
 	if w.synced >= off {
 		return nil
 	}
+	if w.syncErr != nil {
+		return fmt.Errorf("ingest: WAL segment is broken by an earlier fsync failure: %w", w.syncErr)
+	}
 	w.mu.Lock()
 	f, target := w.f, w.written
 	w.mu.Unlock()
@@ -518,6 +530,10 @@ func (w *wal) syncTo(off int64, gen uint64) error {
 		return fmt.Errorf("ingest: WAL is closed")
 	}
 	if err := fsyncFile(f); err != nil {
+		w.syncErr = err
+		w.mu.Lock()
+		w.broken = err
+		w.mu.Unlock()
 		return err
 	}
 	if w.met != nil {
