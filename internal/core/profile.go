@@ -48,9 +48,11 @@ type numProfile[T numeric, K stats.Key] struct {
 	cfg   *Config
 	key   []K  // src as profile keys once keyed: src itself for integers, buf for doubles
 	keyed bool // key is set
-	buf   []K
-	sh    stats.Shape[K]
-	full  stats.Profile[K]
+	// buf is this profile's own: its passes run apart, with other
+	// streams' passes (the trial encodes) in between.
+	buf  []K
+	sh   stats.Shape[K]
+	full stats.Profile[K]
 	// shaped is set once sh is scanned; seen is a count of distinct
 	// values a stopped hashed pass has met.
 	shaped bool

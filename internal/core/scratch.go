@@ -30,7 +30,7 @@ import (
 //     serial path and external callers pay nothing.
 //
 // On the write side a Scratch owns what scheme selection reuses from
-// stream to stream: the lookup table the block profiles are built in,
+// stream to stream: the lookup table the hashed profiles are built in,
 // free lists of the profiles themselves (one is live per stream being
 // picked or trial-encoded, so a handful per cascade), and the FSST
 // trainer's counters. The compressors always run with a Scratch — the

@@ -4,18 +4,20 @@
 // The hash-free pass (Shape.Scan, StringShape.Scan) reads what most
 // viability filters need without a table: a numeric stream's length,
 // minimum, maximum and run count; whether a string stream's rows are all
-// equal, which stops at the first row that differs. Two exact checks sit
-// next to it for the filters a shape cannot answer: HalfOrMore (one value
-// fills half the rows, by a two-candidate majority count) and
-// DistinctAtLeast (a hash that stops once it has seen enough values).
+// equal, which stops at the first row that differs. HalfOrMore, a
+// majority vote, answers without a table whether one value fills half a
+// numeric stream's rows.
 //
 // The hashed pass (Profile.Hash, StringProfile.Build) gives every value a
-// dense id in first-occurrence order and counts them. The cascade runs it
-// at most once per stream, and only where someone reads what it alone
-// gives: the Dictionary and Frequency encoders reuse the ids, counts and
-// top value instead of hashing the stream again, and a filter that needs
-// an exact count no cheaper check answers (Frequency's unique fraction,
-// any stream of fewer than 5 values) reads the Summary.
+// dense id in first-occurrence order and counts them; a numeric stream's
+// can be told to stop at its d-th distinct value, which answers "at
+// least d distinct" for less than the whole hash. It is not run for
+// every stream: the cascade runs it at most once per stream, and only
+// where someone reads what it alone gives. The Dictionary and Frequency
+// encoders reuse the ids, counts and top value instead of hashing the
+// stream again; a filter that needs an exact count no cheaper check
+// answers (Frequency's and Pseudodecimal's unique fractions, Dictionary
+// on a stream of fewer than 5 values) reads the Summary.
 package stats
 
 import (
