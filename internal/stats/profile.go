@@ -120,14 +120,6 @@ func (s *Shape[K]) AllEqual() bool { return s.N > 0 && s.Min == s.Max }
 // AvgRunLen is the mean run length (N > 0), as Summary.AvgRunLen.
 func (s *Shape[K]) AvgRunLen() float64 { return float64(s.N) / float64(s.RunCount) }
 
-// Dense reports whether the hashed pass counts the stream by direct
-// indexing (see DenseSpan), which is the cheap case: no probes, and a
-// table no longer than the stream.
-func (s *Shape[K]) Dense() bool {
-	// uint64 arithmetic makes the span exact even when max−min overflows K.
-	return uint64(s.Max)-uint64(s.Min) < uint64(DenseSpan*s.N)
-}
-
 // HalfOrMore reports whether one value fills at least half of src's rows,
 // which is what 2·TopCount ≥ N says of a built profile whenever its
 // UniqueFrac is at most 0.5. Such a value is src[0] or, failing that, a
@@ -190,10 +182,11 @@ func (p *Profile[K]) Hash(src []K, s *Shape[K], t *Table, limit int) bool {
 	if p.N = n; n == 0 {
 		return true
 	}
-	lo := s.Min
-	p.Min, p.Max, p.RunCount = lo, s.Max, s.RunCount
-	if s.Dense() {
-		slots := t.cleared(int(uint64(s.Max)-uint64(lo)) + 1)
+	lo, hi := s.Min, s.Max
+	p.Min, p.Max, p.RunCount = lo, hi, s.RunCount
+	// uint64 arithmetic makes the span exact even when max−min overflows K.
+	if span := uint64(hi) - uint64(lo); span < uint64(DenseSpan*n) {
+		slots := t.cleared(int(span) + 1)
 		for i, v := range src {
 			s := &slots[uint64(v)-uint64(lo)]
 			if *s == 0 {
