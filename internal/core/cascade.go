@@ -40,14 +40,14 @@ type column[V, P any] interface {
 	size(src V) (n, bytes int)
 	// sample draws the estimation sample of §3.2.
 	sample(src V, s sample.Strategy, rng *rand.Rand) V
-	// profile binds p to src and runs neither of its passes (profile.go):
-	// the filters scan the shape, and the hashed pass runs at most once,
-	// for the winning Dictionary or Frequency encoder or for a filter
-	// that needs an exact count the shape does not give.
+	// profile binds p to src and computes nothing (profile.go). The
+	// hashed pass runs at most once per stream: at a numeric stream's
+	// first filter; for a string stream only for the Dictionary encoder,
+	// or for its filter on a stream the hash-free shape does not answer.
 	profile(p *P, src V, cfg *Config)
 	// viable applies the statistics filters of §3 (step 2) to p; fixed
-	// reports the encoded size the shape alone fixes, for a scheme that
-	// has one (see numScheme.size).
+	// reports the encoded size the statistics alone fix, for a scheme
+	// that has one (see numScheme.size).
 	viable(code Code, p *P) bool
 	fixed(code Code, p *P) (size int, ok bool)
 	// encodeAs appends src encoded with the given root scheme; p is src's
@@ -135,7 +135,10 @@ func pick[V, P any, PP reusable[P]](t column[V, P], src V, p *P, cfg *Config, de
 	k := t.info()
 	allowed := k.allow(cfg)
 	for _, code := range k.pool {
-		if size, ok := t.fixed(code, p); ok && enabled(allowed, code) && t.viable(code, p) {
+		if !enabled(allowed, code) {
+			continue
+		}
+		if size, ok := t.fixed(code, p); ok && t.viable(code, p) {
 			est := float64(bytes) / float64(size)
 			var cands []CandidateEstimate
 			if collect {
@@ -218,11 +221,13 @@ func (t *Numeric[T, K]) profile(p *numProfile[T, K], src []T, cfg *Config) {
 	p.t, p.src, p.cfg = t, src, cfg
 }
 
-func (t *Numeric[T, K]) viable(code Code, p *numProfile[T, K]) bool { return t.schemes[code].viable(p) }
+func (t *Numeric[T, K]) viable(code Code, p *numProfile[T, K]) bool {
+	return t.schemes[code].viable(p.hashed())
+}
 
 func (t *Numeric[T, K]) fixed(code Code, p *numProfile[T, K]) (int, bool) {
 	if size := t.schemes[code].size; size != nil {
-		return size(p.shape()), true
+		return size(p.hashed()), true
 	}
 	return 0, false
 }

@@ -31,12 +31,7 @@ func dictViable(s *stats.Summary) bool { return s.Distinct > 1 && s.Distinct < s
 
 func dict[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeDict,
-		viable: func(s numStats[K]) bool {
-			if sh := s.shape(); sh.N >= minShapedDict {
-				return !sh.AllEqual()
-			}
-			return dictViable(&s.hashed().Summary)
-		},
+		viable: func(p *stats.Profile[K]) bool { return dictViable(&p.Summary) },
 		encode: func(dst []byte, src []T, p *numProfile[T, K], cfg *Config, depth int, rng *rand.Rand) []byte {
 			// Key identity keeps NaNs and -0.0 as distinct dictionary
 			// entries, sorted by bit pattern for determinism.

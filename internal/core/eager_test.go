@@ -11,11 +11,13 @@ import (
 	"btrblocks/internal/stats"
 )
 
-// The eager reference: scheme selection as it was before the hash-free
-// pass. Every filter reads the hashed profile, which the first filter to
-// run builds in full, through the rules below — the filters of that time,
-// verbatim. withEager swaps them into the scheme tables of all four kinds
-// for the duration of f; the tests below compare what selection chooses
+// The eager reference: scheme selection as it was before the string
+// filters read the hash-free shape. Every filter reads the hashed
+// profile, which the first filter to run builds in full, through the
+// rules below — the filters of that time, verbatim. withEager swaps them
+// into the scheme tables of all four kinds for the duration of f (the
+// numeric filters still read the hashed profile, and the swap keeps them
+// pinned to these rules); the tests below compare what selection chooses
 // and writes under both, sub-streams included.
 
 func eagerNumRule[K stats.Key](code Code) func(p *stats.Profile[K]) bool {
@@ -45,11 +47,10 @@ func eagerStrRule(code Code) func(p *stats.StringProfile) bool {
 }
 
 func eagerNum[T numeric, K stats.Key](t *Numeric[T, K]) (restore func()) {
-	saved := map[Code]func(numStats[K]) bool{}
+	saved := map[Code]func(*stats.Profile[K]) bool{}
 	for _, code := range t.pool {
-		e, rule := t.schemes[code], eagerNumRule[K](code)
-		saved[code] = e.viable
-		e.viable = func(s numStats[K]) bool { return rule(s.hashed()) }
+		e := t.schemes[code]
+		saved[code], e.viable = e.viable, eagerNumRule[K](code)
 	}
 	return func() {
 		for code, viable := range saved {
@@ -255,6 +256,38 @@ func TestLazyProfileMatchesEager(t *testing.T) {
 	}
 }
 
+// TestStringFiltersMatchEager checks each string filter, and OneValue's
+// size, against its eager rule directly, on every stream of up to 6 rows
+// over four values (the empty string among them): a filter that differs
+// only where the trial encodes would reject its scheme anyway changes no
+// bytes, so the comparisons above cannot see it.
+func TestStringFiltersMatchEager(t *testing.T) {
+	cfg, _ := DefaultConfig().forCompress()
+	alphabet := []string{"", "a", "b", "cc"}
+	for n := 0; n <= 6; n++ {
+		vals := make([]string, n)
+		for k := 0; k < 1<<(2*n); k++ {
+			for i := range vals {
+				vals[i] = alphabet[k>>(2*i)&3]
+			}
+			var lazy, eager strProfile
+			src := coldata.MakeStrings(vals)
+			String.profile(&lazy, src, cfg)
+			String.profile(&eager, src, cfg)
+			for _, code := range String.pool {
+				if got, want := String.viable(code, &lazy), eagerStrRule(code)(eager.hashed()); got != want {
+					t.Fatalf("%q: %v filter %v, eager rule %v", vals, code, got, want)
+				}
+			}
+			if String.viable(CodeOneValue, &lazy) {
+				if size, _ := String.fixed(CodeOneValue, &lazy); size != 9+eager.hashed().MaxLen {
+					t.Fatalf("%q: OneValue size %d, eager 9+MaxLen %d", vals, size, 9+eager.hashed().MaxLen)
+				}
+			}
+		}
+	}
+}
+
 // FuzzLazyProfileMatchesEager reads a stream of one kind out of data and
 // checks that selection chooses and writes the same under both paths.
 func FuzzLazyProfileMatchesEager(f *testing.F) {
@@ -307,17 +340,6 @@ func splitComma(data []byte) []string {
 	return out
 }
 
-// TestPDEMinDistinctIsTheFilter checks pdeMinDistinct against the float
-// rule it stands for, UniqueFrac ≥ 0.1, at every stream length.
-func TestPDEMinDistinctIsTheFilter(t *testing.T) {
-	for n := 1; n <= MaxBlockValues; n++ {
-		d := pdeMinDistinct(n)
-		if float64(d)/float64(n) < 0.1 || d > 1 && float64(d-1)/float64(n) >= 0.1 || d > n/2+2 {
-			t.Fatalf("n=%d: pdeMinDistinct %d is not the fewest values with UniqueFrac ≥ 0.1", n, d)
-		}
-	}
-}
-
 // rootHashed compresses src as a root stream, the way compress does, and
 // reports the winning scheme and how many times the stream was hashed:
 // the profile's hashed pass builds at most once, so 0 or 1.
@@ -345,15 +367,13 @@ func rootHashedStrings(src coldata.Strings) (Code, int) {
 	return code, 0
 }
 
-// TestRootStreamsHashedOnlyForIDReaders counts the hashed builds of a root
-// stream: none where FSST, FastBP or RLE wins, one where Dict does. The
-// Frequency filter's first count hashes a stream of fewer than N/10
-// distinct values in full, as the cheapest way to its answer and for a
-// Dict winner to reuse, so an RLE winner of few values is hashed once.
-func TestRootStreamsHashedOnlyForIDReaders(t *testing.T) {
+// TestRootStreamHashes counts the hashed builds of a root stream: a string
+// stream is hashed where Dict wins and not where FSST does; a numeric one
+// once, at its first filter, whichever scheme wins.
+func TestRootStreamHashes(t *testing.T) {
 	const n = 64000
 	rng := rand.New(rand.NewSource(3))
-	fastBP, runs, fewRuns, dictInts := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	fastBP, runs, dictInts := make([]int32, n), make([]int32, n), make([]int32, n)
 	runDoubles, dictDoubles := make([]float64, n), make([]float64, n)
 	urls, words := make([]string, n), make([]string, n)
 	for i := 0; i < n; i++ {
@@ -361,7 +381,6 @@ func TestRootStreamsHashedOnlyForIDReaders(t *testing.T) {
 		if runs[i] = rng.Int31n(1<<20) * 3; i%4 != 0 {
 			runs[i] = runs[i-1]
 		}
-		fewRuns[i] = int32(i/50) * 7
 		dictInts[i] = rng.Int31n(200) * 1000003
 		if runDoubles[i] = float64(rng.Intn(1<<20)) / 8; i%4 != 0 {
 			runDoubles[i] = runDoubles[i-1]
@@ -376,11 +395,10 @@ func TestRootStreamsHashedOnlyForIDReaders(t *testing.T) {
 		code   Code
 		hashed int
 	}{
-		{"int FastBP", func() (Code, int) { return rootHashed(Int, fastBP) }, CodeFastBP, 0},
-		{"int RLE", func() (Code, int) { return rootHashed(Int, runs) }, CodeRLE, 0},
-		{"int RLE of few values", func() (Code, int) { return rootHashed(Int, fewRuns) }, CodeRLE, 1},
+		{"int FastBP", func() (Code, int) { return rootHashed(Int, fastBP) }, CodeFastBP, 1},
+		{"int RLE", func() (Code, int) { return rootHashed(Int, runs) }, CodeRLE, 1},
 		{"int Dict", func() (Code, int) { return rootHashed(Int, dictInts) }, CodeDict, 1},
-		{"double RLE", func() (Code, int) { return rootHashed(Double, runDoubles) }, CodeRLE, 0},
+		{"double RLE", func() (Code, int) { return rootHashed(Double, runDoubles) }, CodeRLE, 1},
 		{"double Dict", func() (Code, int) { return rootHashed(Double, dictDoubles) }, CodeDict, 1},
 		{"string FSST", func() (Code, int) { return rootHashedStrings(coldata.MakeStrings(urls)) }, CodeFSST, 0},
 		{"string Dict", func() (Code, int) { return rootHashedStrings(coldata.MakeStrings(words)) }, CodeDict, 1},

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"btrblocks/internal/bitpack"
+	"btrblocks/internal/stats"
 )
 
 // FastBP: frame of reference plus bit packing with one width per 128-value
@@ -31,7 +32,7 @@ func fastBP[T integer, U uint32 | uint64](t *Numeric[T, T],
 	encode func([]byte, []T) []byte, decode, decodeScalar func([]T, []byte) ([]T, int, error),
 	unpack, unpackScalar func([]U, []byte, int, uint) (int, error)) *numScheme[T, T] {
 	return &numScheme[T, T]{code: CodeFastBP,
-		viable: func(numStats[T]) bool { return true },
+		viable: func(*stats.Profile[T]) bool { return true },
 		encode: func(dst []byte, src []T, _ *numProfile[T, T], _ *Config, _ int, _ *rand.Rand) []byte {
 			return encode(dst, src)
 		},

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"btrblocks/internal/fastpfor"
+	"btrblocks/internal/stats"
 )
 
 // FastPFOR: patched frame of reference (the SIMD-FastPFOR stand-in), int32
@@ -15,7 +16,7 @@ import (
 
 func fastPFOR() *numScheme[int32, int32] {
 	return &numScheme[int32, int32]{code: CodeFastPFOR,
-		viable: func(numStats[int32]) bool { return true },
+		viable: func(*stats.Profile[int32]) bool { return true },
 		encode: func(dst []byte, src []int32, _ *numProfile[int32, int32], _ *Config, _ int, _ *rand.Rand) []byte {
 			return fastpfor.Encode(dst, src)
 		},

@@ -16,22 +16,7 @@ import (
 
 func frequency[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeFrequency,
-		// UniqueFrac ≤ 0.5 && 2·TopCount ≥ N, read off the hashed profile.
-		// The hashed pass first runs stopping at the N/10-th distinct
-		// value: a stream with fewer is hashed in full, cheaply, for
-		// whichever encoder wins. One with more is rejected by a majority
-		// vote where no value fills half its rows, and otherwise by the
-		// hash stopping at more than N/2 distinct values, before it is
-		// hashed in full. The first count is Pseudodecimal's, which it
-		// answers for doubles.
-		viable: func(s numStats[K]) bool {
-			n := s.shape().N
-			if s.distinctAtLeast(pdeMinDistinct(n)) && (!s.halfOrMore() || s.distinctAtLeast(n/2+1)) {
-				return false
-			}
-			h := s.hashed()
-			return h.UniqueFrac() <= 0.5 && h.TopCount*2 >= h.N
-		},
+		viable: func(p *stats.Profile[K]) bool { return p.UniqueFrac() <= 0.5 && p.TopCount*2 >= p.N },
 		encode: func(dst []byte, src []T, p *numProfile[T, K], cfg *Config, depth int, rng *rand.Rand) []byte {
 			h := p.hashed()
 			topRow, bm, exceptions := splitTop(&h.Summary, h.IDs, src)

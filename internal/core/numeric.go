@@ -35,10 +35,9 @@ type Numeric[T numeric, K stats.Key] struct {
 	put func(dst []byte, src []T) []byte
 	get func(dst []T, src []byte) []T
 	one func(src []byte) T
-	// keys views a stream as profile keys, in buf where it must copy;
-	// vals turns keys back into values. Both are the identity for
-	// integers.
-	keys func(src []T, buf *[]K) []K
+	// keys views a stream as profile keys, vals turns keys back into
+	// values; both are the identity for integers.
+	keys func(src []T, scr *Scratch) []K
 	vals func(keys []K) []T
 	// runs splits a stream into RLE (value, length) arrays by identity.
 	runs func(src []T) ([]T, []int32)
@@ -69,7 +68,7 @@ var Int = &Numeric[int32, int32]{
 		return dst
 	},
 	one:  func(src []byte) int32 { return int32(binary.LittleEndian.Uint32(src)) },
-	keys: func(src []int32, _ *[]int32) []int32 { return src },
+	keys: func(src []int32, _ *Scratch) []int32 { return src },
 	vals: func(keys []int32) []int32 { return keys },
 	runs: runsOf[int32],
 }
@@ -93,7 +92,7 @@ var Int64 = &Numeric[int64, int64]{
 		return dst
 	},
 	one:  func(src []byte) int64 { return int64(binary.LittleEndian.Uint64(src)) },
-	keys: func(src []int64, _ *[]int64) []int64 { return src },
+	keys: func(src []int64, _ *Scratch) []int64 { return src },
 	vals: func(keys []int64) []int64 { return keys },
 	runs: runsOf[int64],
 }
@@ -107,13 +106,14 @@ var Double = &Numeric[float64, uint64]{
 	put:      putDoubles,
 	get:      getDoubles,
 	one:      func(src []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(src)) },
-	keys: func(src []float64, buf *[]uint64) []uint64 {
-		keys := slices.Grow((*buf)[:0], len(src))[:len(src)]
+	// The keyed copy of a stream is only read while its profile is built,
+	// so one buffer serves them all.
+	keys: func(src []float64, scr *Scratch) []uint64 {
+		scr.bits = slices.Grow(scr.bits[:0], len(src))[:len(src)]
 		for i, v := range src {
-			keys[i] = math.Float64bits(v)
+			scr.bits[i] = math.Float64bits(v)
 		}
-		*buf = keys
-		return keys
+		return scr.bits
 	},
 	vals: func(keys []uint64) []float64 {
 		out := make([]float64, len(keys))

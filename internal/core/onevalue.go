@@ -16,8 +16,8 @@ import (
 
 func oneValue[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeOneValue,
-		viable: func(s numStats[K]) bool { return s.shape().AllEqual() },
-		size:   func(*stats.Shape[K]) int { return 5 + t.width },
+		viable: func(p *stats.Profile[K]) bool { return p.Distinct == 1 },
+		size:   func(*stats.Profile[K]) int { return 5 + t.width },
 		encode: func(dst []byte, src []T, _ *numProfile[T, K], _ *Config, _ int, _ *rand.Rand) []byte {
 			return t.put(binary.LittleEndian.AppendUint32(dst, uint32(len(src))), src[:1])
 		},

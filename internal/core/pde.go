@@ -9,6 +9,7 @@ import (
 
 	"btrblocks/internal/pde"
 	"btrblocks/internal/roaring"
+	"btrblocks/internal/stats"
 )
 
 // Pseudodecimal Encoding (§4.2), doubles only: each value as significant
@@ -21,16 +22,11 @@ import (
 // out of the two sub-streams and finds each selected patch through the
 // bitmap, so no other row is decoded.
 
-// pdeMinDistinct is the fewest distinct values among n for which
-// UniqueFrac ≥ 0.1, Pseudodecimal's filter: ⌈n/10⌉. It is never above
-// n/2+2, where Distinct stops counting.
-func pdeMinDistinct(n int) int { return (n + 9) / 10 }
-
 func pseudodecimal() *numScheme[float64, uint64] {
 	return &numScheme[float64, uint64]{code: CodePDE,
 		// Below 10% unique values a dictionary compresses almost as well
 		// and decompresses much faster.
-		viable: func(s numStats[uint64]) bool { return s.distinctAtLeast(pdeMinDistinct(s.shape().N)) },
+		viable: func(p *stats.Profile[uint64]) bool { return p.UniqueFrac() >= 0.1 },
 		encode: encodePDE,
 		decode: decodePDE,
 		take:   takePDE,

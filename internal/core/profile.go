@@ -5,106 +5,48 @@ import (
 	"btrblocks/internal/stats"
 )
 
-// A stream's statistics come in the two passes of package stats. The
-// shape is hash-free and answers most filters; the hashed profile gives
-// every row an id and counts the values. The driver binds a profile to its
-// stream (column.profile) and neither pass runs until something asks: the
-// picker's filters ask for the shape, and the hashed pass runs only for
-// the winning Dictionary or Frequency encoder, which reads the ids, or for
-// a filter that needs an exact count no cheaper check gives. It runs at
-// most once per stream.
+// A stream's profile is bound to its stream (column.profile) with nothing
+// computed; the picker and the winning encoder share it, so the stream is
+// hashed at most once.
 //
-// A filter sees a stream through numStats or strStats, so it cannot read
-// Distinct, TopID, TopCount, IDs or Vals from a profile that was not
-// hashed: those come only out of hashed(), which builds the profile first.
+// A numeric stream is hashed at its first filter: the Frequency filter,
+// in every numeric pool, needs the exact top count. A string stream's
+// filters read the hash-free shape (stats.StringShape), and the hashed
+// pass runs only for the Dictionary encoder, which reads the ids, or for
+// the Dictionary filter on a stream too short for the shape to answer
+// (minShapedDict). A string filter sees its stream through strStats, so
+// it cannot read Distinct, TopID, TopCount, IDs or Vals from a profile
+// that was not hashed: those come only out of hashed(), which builds
+// first.
 
-// numStats is what a numeric scheme's filter reads of a stream.
-type numStats[K stats.Key] interface {
-	// shape is the hash-free pass.
-	shape() *stats.Shape[K]
-	// hashed is the hashed pass, built on first call.
-	hashed() *stats.Profile[K]
-	// halfOrMore reports whether one value fills at least half the rows:
-	// from the hashed profile where it is built, by a majority vote where
-	// not.
-	halfOrMore() bool
-	// distinctAtLeast reports whether the stream holds at least d
-	// distinct values, d ≤ N/2+2 (where Distinct stops counting). It runs
-	// the hashed pass, which stops at the d-th distinct value; where it
-	// does not stop, the profile is built for whoever reads it next.
-	distinctAtLeast(d int) bool
-}
-
-// strStats is what a string scheme's filter reads of a stream.
-type strStats interface {
-	shape() *stats.StringShape
-	hashed() *stats.StringProfile
-}
-
-// numProfile is one numeric stream's statistics, bound to the stream.
+// numProfile is one numeric stream's profile, bound to the stream.
 type numProfile[T numeric, K stats.Key] struct {
-	t     *Numeric[T, K]
-	src   []T
-	cfg   *Config
-	key   []K  // src as profile keys once keyed: src itself for integers, buf for doubles
-	keyed bool // key is set
-	// buf is this profile's own: its passes run apart, with other
-	// streams' passes (the trial encodes) in between.
-	buf  []K
-	sh   stats.Shape[K]
+	t    *Numeric[T, K]
+	src  []T
+	cfg  *Config
 	full stats.Profile[K]
-	// shaped is set once sh is scanned; seen is a count of distinct
-	// values a stopped hashed pass has met.
-	shaped bool
-	seen   int
 }
 
 // Reset unbinds p; its buffers stay for the next stream.
 func (p *numProfile[T, K]) Reset() {
-	*p = numProfile[T, K]{buf: p.buf, full: p.full}
+	*p = numProfile[T, K]{full: p.full}
 	p.full.Reset()
 }
 
-func (p *numProfile[T, K]) keys() []K {
-	if !p.keyed {
-		p.key, p.keyed = p.t.keys(p.src, &p.buf), true
-	}
-	return p.key
-}
-
-func (p *numProfile[T, K]) shape() *stats.Shape[K] {
-	if !p.shaped {
-		p.sh.Scan(p.keys())
-		p.shaped = true
-	}
-	return &p.sh
-}
-
+// hashed is the stream's profile, built on first call.
 func (p *numProfile[T, K]) hashed() *stats.Profile[K] {
 	if !p.full.Built {
-		p.full.Hash(p.keys(), p.shape(), &p.cfg.Scratch.table, len(p.src)+1)
+		p.full.Build(p.t.keys(p.src, p.cfg.Scratch), &p.cfg.Scratch.table)
 	}
 	return &p.full
 }
 
-// halfOrMore reads 2·TopCount ≥ N off a built profile: TopCount counts
-// every value when at most N/2+1 are distinct, and with more no value can
-// fill half the rows.
-func (p *numProfile[T, K]) halfOrMore() bool {
-	if p.full.Built {
-		return 2*p.full.TopCount >= p.full.N
-	}
-	return stats.HalfOrMore(p.keys())
-}
-
-func (p *numProfile[T, K]) distinctAtLeast(d int) bool {
-	if !p.full.Built && p.seen < d && !p.full.Hash(p.keys(), p.shape(), &p.cfg.Scratch.table, d) {
-		p.seen = d
-	}
-	if p.full.Built {
-		return p.full.Distinct >= d
-	}
-	return p.seen >= d
+// strStats is what a string scheme's filter reads of a stream.
+type strStats interface {
+	// shape is the hash-free pass.
+	shape() *stats.StringShape
+	// hashed is the hashed pass, built on first call.
+	hashed() *stats.StringProfile
 }
 
 // strProfile is one string stream's statistics, bound to the stream.
@@ -137,7 +79,7 @@ func (p *strProfile) hashed() *stats.StringProfile {
 	return &p.full
 }
 
-// minShapedDict is the shortest stream whose Dictionary filter the shape
-// answers: Distinct > 1 && Distinct < N, with Distinct capped at N/2+2,
-// which is below N from N = 5 on, is "not all equal" there.
+// minShapedDict is the shortest string stream whose Dictionary filter the
+// shape answers: Distinct > 1 && Distinct < N, with Distinct capped at
+// N/2+2, which is below N from N = 5 on, is "not all equal" there.
 const minShapedDict = 5

@@ -15,7 +15,7 @@ import (
 
 func rle[T numeric, K stats.Key](t *Numeric[T, K]) *numScheme[T, K] {
 	return &numScheme[T, K]{code: CodeRLE,
-		viable: func(s numStats[K]) bool { return s.shape().AvgRunLen() >= 2 },
+		viable: func(p *stats.Profile[K]) bool { return p.AvgRunLen() >= 2 },
 		runs:   t.runParts,
 		encode: func(dst []byte, src []T, _ *numProfile[T, K], cfg *Config, depth int, rng *rand.Rand) []byte {
 			values, lengths := t.runs(src)

@@ -20,15 +20,15 @@ import (
 // bound to the kind; each is called per stream, never per value.
 type numScheme[T numeric, K stats.Key] struct {
 	code Code
-	// viable is the statistics filter of §3 (step 2); plain, which is not
-	// in the pool, has none.
-	viable func(s numStats[K]) bool
-	// size, where set, is the encoded size the shape alone fixes: the
+	// viable is the statistics filter of §3 (step 2) on the stream's
+	// hashed profile; plain, which is not in the pool, has none.
+	viable func(p *stats.Profile[K]) bool
+	// size, where set, is the encoded size the profile alone fixes: the
 	// picker takes such a scheme (OneValue) without a sample trial wherever
 	// it is viable, and CompressAs refuses it elsewhere.
-	size func(s *stats.Shape[K]) int
+	size func(p *stats.Profile[K]) int
 	// encode appends src encoded, everything after the tag; p is src's
-	// profile, neither pass of which may have run yet.
+	// profile, possibly not built yet.
 	encode func(dst []byte, src []T, p *numProfile[T, K], cfg *Config, depth int, rng *rand.Rand) []byte
 	// decode appends the n values of src (the whole stream, its head
 	// parsed) to dst and returns the bytes the stream takes.

@@ -44,6 +44,7 @@ type Scratch struct {
 	table   stats.Table
 	trainer fsst.Trainer
 	rng     *rand.Rand // the sampling source of the compression running
+	bits    []uint64   // a double stream as bit patterns, while it is profiled
 	words   []uint64   // a PDE stream's patch bitmap as a bitset, while it is taken from
 	strs    []*strProfile
 }

@@ -1,23 +1,16 @@
 // Package stats computes the block statistics behind scheme selection
-// (steps 1–2 of the paper's compression loop) in two passes.
+// (steps 1–2 of the paper's compression loop).
 //
-// The hash-free pass (Shape.Scan, StringShape.Scan) reads what most
-// viability filters need without a table: a numeric stream's length,
-// minimum, maximum and run count; whether a string stream's rows are all
-// equal, which stops at the first row that differs. HalfOrMore, a
-// majority vote, answers without a table whether one value fills half a
-// numeric stream's rows.
-//
-// The hashed pass (Profile.Hash, StringProfile.Build) gives every value a
-// dense id in first-occurrence order and counts them; a numeric stream's
-// can be told to stop at its d-th distinct value, which answers "at
-// least d distinct" for less than the whole hash. It is not run for
-// every stream: the cascade runs it at most once per stream, and only
-// where someone reads what it alone gives. The Dictionary and Frequency
-// encoders reuse the ids, counts and top value instead of hashing the
-// stream again; a filter that needs an exact count no cheaper check
-// answers (Frequency's and Pseudodecimal's unique fractions, Dictionary
-// on a stream of fewer than 5 values) reads the Summary.
+// A profile gives every value of a stream a dense id in first-occurrence
+// order and counts them (Profile.Build, StringProfile.Build). The
+// cascade builds it at most once per stream: the viability filters read
+// the Summary, and the Dictionary and Frequency encoders reuse the ids,
+// counts and top value instead of hashing the stream again. A numeric
+// stream is profiled at its first filter. A string stream's filters read
+// a hash-free pass instead (StringShape.Scan: its length, its bytes, and
+// whether all rows are equal, which stops at the first row that differs),
+// so it is hashed only for the Dictionary encoder, or for the Dictionary
+// filter on a stream of fewer than 5 values.
 package stats
 
 import (
@@ -86,73 +79,7 @@ const (
 // pattern of a float64 (so NaN payloads and -0.0 stay distinct).
 type Key interface{ ~int32 | ~int64 | ~uint64 }
 
-// Shape is the hash-free pass over a numeric stream.
-type Shape[K Key] struct {
-	N, RunCount int
-	Min, Max    K
-}
-
-// Scan fills s from src in one pass with no table.
-func (s *Shape[K]) Scan(src []K) {
-	*s = Shape[K]{N: len(src)}
-	if len(src) == 0 {
-		return
-	}
-	lo, hi, runs := src[0], src[0], 1
-	for i := 1; i < len(src); i++ {
-		v := src[i]
-		if v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-		if v != src[i-1] {
-			runs++
-		}
-	}
-	s.Min, s.Max, s.RunCount = lo, hi, runs
-}
-
-// AllEqual reports whether the stream has rows and they all hold one
-// value: a Summary's Distinct == 1.
-func (s *Shape[K]) AllEqual() bool { return s.N > 0 && s.Min == s.Max }
-
-// AvgRunLen is the mean run length (N > 0), as Summary.AvgRunLen.
-func (s *Shape[K]) AvgRunLen() float64 { return float64(s.N) / float64(s.RunCount) }
-
-// HalfOrMore reports whether one value fills at least half of src's rows,
-// which is what 2·TopCount ≥ N says of a built profile whenever its
-// UniqueFrac is at most 0.5. Such a value is src[0] or, failing that, a
-// strict majority of src[1:], which a majority vote (Boyer–Moore) finds;
-// a second pass counts both candidates.
-func HalfOrMore[K Key](src []K) bool {
-	if len(src) == 0 {
-		return false
-	}
-	first, cand, c := src[0], src[0], 0
-	for _, v := range src[1:] {
-		if c == 0 {
-			cand = v
-		}
-		if v == cand {
-			c++
-		} else {
-			c--
-		}
-	}
-	a, b := 0, 0
-	for _, v := range src {
-		if v == first {
-			a++
-		}
-		if v == cand {
-			b++
-		}
-	}
-	return 2*max(a, b) >= len(src)
-}
-
-// Profile is the hashed pass over a numeric stream.
+// Profile is the profile of a numeric stream.
 type Profile[K Key] struct {
 	Summary
 	Built    bool // set by Build, cleared by Reset
@@ -165,35 +92,32 @@ type Profile[K Key] struct {
 // Reset marks p as not built; its buffers stay for the next Build.
 func (p *Profile[K]) Reset() { p.Built = false }
 
-// Build runs both passes over src, reusing p's buffers and t's slots.
+// Build profiles src, reusing p's buffers and t's slots.
 func (p *Profile[K]) Build(src []K, t *Table) {
-	var s Shape[K]
-	s.Scan(src)
-	p.Hash(src, &s, t, len(src)+1)
-}
-
-// Hash runs the hashed pass over src, whose shape s is: it takes the
-// shape's statistics and counts the values in a table sized by them. It
-// stops once it has met limit distinct values and reports false, leaving
-// p not built: the stream holds at least limit of them.
-func (p *Profile[K]) Hash(src []K, s *Shape[K], t *Table, limit int) bool {
 	n := len(src)
 	*p = Profile[K]{Built: true, IDs: slices.Grow(p.IDs[:0], n)[:n], Vals: p.Vals[:0], Counts: p.Counts[:0]}
 	if p.N = n; n == 0 {
-		return true
+		return
 	}
-	lo, hi := s.Min, s.Max
-	p.Min, p.Max, p.RunCount = lo, hi, s.RunCount
+	lo, hi, runs := src[0], src[0], 1
+	for i := 1; i < n; i++ {
+		v := src[i]
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+		if v != src[i-1] {
+			runs++
+		}
+	}
+	p.Min, p.Max, p.RunCount = lo, hi, runs
 	// uint64 arithmetic makes the span exact even when max−min overflows K.
 	if span := uint64(hi) - uint64(lo); span < uint64(DenseSpan*n) {
 		slots := t.cleared(int(span) + 1)
 		for i, v := range src {
 			s := &slots[uint64(v)-uint64(lo)]
 			if *s == 0 {
-				if len(p.Vals) == limit-1 {
-					p.Built = false
-					return false
-				}
 				p.Vals, p.Counts = append(p.Vals, v), append(p.Counts, 0)
 				*s = int32(len(p.Vals))
 			}
@@ -210,10 +134,6 @@ func (p *Profile[K]) Hash(src []K, s *Shape[K], t *Table, limit int) bool {
 				for ; slots[j] != 0 && p.Vals[slots[j]-1] != v; j = (j + 1) & uint64(len(slots)-1) {
 				}
 				if slots[j] == 0 {
-					if len(p.Vals) == limit-1 {
-						p.Built = false
-						return false
-					}
 					p.Vals, p.Counts = append(p.Vals, v), append(p.Counts, 0)
 					slots[j] = int32(len(p.Vals))
 				}
@@ -229,7 +149,6 @@ func (p *Profile[K]) Hash(src []K, s *Shape[K], t *Table, limit int) bool {
 			p.TopID, p.TopCount = int32(id), int(c)
 		}
 	}
-	return true
 }
 
 // StringValue is one distinct string of a stream: its bytes' position in

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"btrblocks/coldata"
@@ -62,54 +61,6 @@ func checkIDs[K Key](t *testing.T, name string, p *Profile[K], src []K) {
 	}
 }
 
-// checkShape checks the hash-free pass and the exact checks beside it
-// against the oracle and an exact count of src's values: the Shape's N,
-// RunCount and AvgRunLen, its Min and Max (by key), AllEqual against
-// Distinct == 1, HalfOrMore against the largest count, and a hashed pass
-// told to stop at d distinct values against their number — stopped, or
-// built and equal to Build's.
-func checkShape[K Key](t *testing.T, name string, src []K, w want) {
-	t.Helper()
-	var s Shape[K]
-	s.Scan(src)
-	if s.N != w.n || s.RunCount != w.runs || w.n > 0 && s.AvgRunLen() != w.avgRun {
-		t.Fatalf("%s: shape N=%d RunCount=%d, oracle %+v", name, s.N, s.RunCount, w)
-	}
-	counts, top := map[K]int{}, 0
-	for i, v := range src {
-		if v < s.Min || v > s.Max {
-			t.Fatalf("%s: row %d (%v) outside the shape's [%v, %v]", name, i, v, s.Min, s.Max)
-		}
-		counts[v]++
-		top = max(top, counts[v])
-	}
-	if w.n > 0 && (counts[s.Min] == 0 || counts[s.Max] == 0) {
-		t.Fatalf("%s: shape's Min %v or Max %v is no row's value", name, s.Min, s.Max)
-	}
-	if s.AllEqual() != (w.distinct == 1) {
-		t.Fatalf("%s: AllEqual %v with %d distinct", name, s.AllEqual(), w.distinct)
-	}
-	if got := HalfOrMore(src); got != (w.n > 0 && 2*top >= w.n) {
-		t.Fatalf("%s: HalfOrMore %v, the most frequent value fills %d of %d rows", name, got, top, w.n)
-	}
-	var full Profile[K]
-	var tbl Table
-	full.Build(src, &tbl)
-	for _, d := range []int{1, 2, 3, len(counts), len(counts) + 1, (w.n + 9) / 10, w.n/2 + 1} {
-		if d < 1 {
-			continue
-		}
-		var p Profile[K]
-		built := p.Hash(src, &s, &tbl, d)
-		if built != (len(counts) < d) || built != p.Built {
-			t.Fatalf("%s: hashed pass told to stop at %d of %d distinct values: built %v", name, d, len(counts), built)
-		}
-		if built && (p.Summary != full.Summary || !slices.Equal(p.IDs, full.IDs) || !slices.Equal(p.Vals, full.Vals)) {
-			t.Fatalf("%s: hashed pass with a stop at %d differs from Build", name, d)
-		}
-	}
-}
-
 func checkInt(t *testing.T, name string, src []int32) {
 	t.Helper()
 	var p Profile[int32]
@@ -123,7 +74,6 @@ func checkInt(t *testing.T, name string, src []int32) {
 	if len(src) > 0 && (p.Min != o.Min || p.Max != o.Max || p.Vals[p.TopID] != o.TopValue) {
 		t.Fatalf("%s: min/max/top %d %d %d, oracle %d %d %d", name, p.Min, p.Max, p.Vals[p.TopID], o.Min, o.Max, o.TopValue)
 	}
-	checkShape(t, name, src, want{o.N, o.Distinct, o.RunCount, o.TopCount, o.AvgRunLen, o.UniqueFrac})
 }
 
 func checkInt64(t *testing.T, name string, src []int64) {
@@ -137,7 +87,6 @@ func checkInt64(t *testing.T, name string, src []int64) {
 	if len(src) > 0 && (p.Min != o.Min || p.Max != o.Max || p.Vals[p.TopID] != o.TopValue) {
 		t.Fatalf("%s: min/max/top %d %d %d, oracle %d %d %d", name, p.Min, p.Max, p.Vals[p.TopID], o.Min, o.Max, o.TopValue)
 	}
-	checkShape(t, name, src, want{o.N, o.Distinct, o.RunCount, o.TopCount, o.AvgRunLen, o.UniqueFrac})
 }
 
 func checkDouble(t *testing.T, name string, src []float64) {
@@ -155,7 +104,6 @@ func checkDouble(t *testing.T, name string, src []float64) {
 	if len(src) > 0 && p.Vals[p.TopID] != math.Float64bits(o.TopValue) {
 		t.Fatalf("%s: top bits %#x, oracle %#x", name, p.Vals[p.TopID], math.Float64bits(o.TopValue))
 	}
-	checkShape(t, name, bits, want{o.N, o.Distinct, o.RunCount, o.TopCount, o.AvgRunLen, o.UniqueFrac})
 }
 
 func checkString(t *testing.T, name string, vals []string) {
