@@ -283,8 +283,8 @@ func TestFailedSyncBreaksSegment(t *testing.T) {
 	if err := w.syncTo(first.end(), gen); err == nil {
 		t.Fatal("a retried sync of the failed bytes was acknowledged")
 	}
-	if _, _, _, err := w.append("t", testChunk(4)); err == nil {
-		t.Fatal("an append to the broken segment succeeded")
+	if _, _, _, err := w.append("t", testChunk(4)); err == nil || !strings.Contains(err.Error(), "fsync failure") {
+		t.Fatalf("an append to the broken segment: %v, want an error naming the fsync failure", err)
 	}
 	if err := w.syncTo(durable.end(), gen); err != nil {
 		t.Fatalf("bytes made durable before the failure: %v", err)

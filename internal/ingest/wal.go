@@ -447,7 +447,7 @@ func (w *wal) append(table string, chunk *btrblocks.Chunk) (seq uint64, pos walP
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
-		return 0, pos, 0, fmt.Errorf("ingest: WAL segment is broken by an earlier write failure: %w", w.broken)
+		return 0, pos, 0, fmt.Errorf("ingest: WAL segment is broken by an earlier write or fsync failure: %w", w.broken)
 	}
 	if w.f == nil {
 		return 0, pos, 0, fmt.Errorf("ingest: WAL is closed")
