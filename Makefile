@@ -81,8 +81,10 @@ query-smoke:
 	@echo "query smoke: OK"
 
 # fuzz-smoke runs every fuzz target for a short fixed budget on top of
-# the committed seed corpora in testdata/fuzz/. Continuous fuzzing uses
-# the same targets without the -fuzztime bound.
+# the committed seed corpora in testdata/fuzz/, and prints each target's
+# final exec count: a stalled engine shows as a count far below the
+# budget, though it does not fail the step. Continuous fuzzing uses the
+# same targets without the -fuzztime bound.
 FUZZ_TARGETS = \
 	.:FuzzDecompressColumn .:FuzzDecompressIntStream .:FuzzDecompressStringStream \
 	.:FuzzCompressIntRoundTrip .:FuzzStreamReader .:FuzzAggregateSelected \
@@ -95,8 +97,9 @@ FUZZ_TIME ?= 10s
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt##*:}; \
-		echo "fuzz $$t ($(FUZZ_TIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
+		out="$$($(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) $$pkg 2>&1)" || { echo "$$out"; exit 1; }; \
+		execs="$$(echo "$$out" | sed -n 's/.*execs: \([0-9]*\).*/\1/p' | tail -n 1)"; \
+		echo "fuzz $$t ($(FUZZ_TIME)): $${execs:-0} execs"; \
 	done
 	@echo "fuzz smoke: OK"
 

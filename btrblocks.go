@@ -112,22 +112,15 @@ type Options struct {
 	FormatVersion int
 	// Seed makes sampling deterministic (default 42).
 	Seed int64
-	// Telemetry, when non-nil, records per-block compression telemetry
-	// (chosen schemes per cascade level, estimated vs. actual ratios,
-	// timings) and decode-side counters (blocks decompressed, values
-	// produced, decode time). nil — the default — disables recording
-	// entirely and adds no measurable overhead. The recorder is safe to
-	// share across concurrent compressions and decompressions; read it
-	// with Snapshot.
+	// Telemetry, when non-nil, records the cascade decision trace of
+	// every compressed block (every candidate scheme the picker scored,
+	// its sample-estimated ratio, the winner, the cascade tree, byte
+	// counts and timings) and decode-side counters (blocks decompressed,
+	// values produced, decode time). nil — the default — disables
+	// recording entirely and adds no measurable overhead. The recorder is
+	// safe to share across concurrent compressions and decompressions;
+	// read it with Snapshot.
 	Telemetry *Telemetry
-	// Trace, when non-nil, records a full cascade decision trace per
-	// compressed block: every candidate scheme the picker scored, its
-	// sample-estimated ratio, the winner, and the cascade tree. Heavier
-	// than Telemetry (it keeps per-candidate detail), meant for debugging
-	// scheme selection rather than steady-state monitoring. nil disables
-	// tracing with no overhead. Safe to share across concurrent
-	// compressions; read it with Snapshot.
-	Trace *Tracer
 }
 
 // DefaultOptions returns the paper's default configuration.

@@ -64,6 +64,27 @@ run_tier1() {
 		exit 1
 	fi
 
+	echo "== one compress-side record =="
+	# A compressed block is recorded once, as the decision trace
+	# (obs.BlockTrace) that Options.Telemetry keeps; Snapshot derives the
+	# aggregates from those records and Trace returns them. No second
+	# record type, recorder or Options sink may come back.
+	if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+		'BlockEvent|BlockEventFromDecisions|NewTracer|type Tracer' .; then
+		echo 'one compress-side record: keep block decision traces on Options.Telemetry'
+		exit 1
+	fi
+	hits="$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec awk '
+		FNR == 1 { inopt = 0 }
+		/^type Options struct/ { inopt = 1; next }
+		inopt && /^}/ { inopt = 0 }
+		inopt && /^[[:space:]]*Trace[[:space:],]/ { print FILENAME ":" FNR ":" $0 }' {} +)"
+	if [ -n "$hits" ]; then
+		echo "$hits"
+		echo 'Options has no Trace field: the decision trace is on Options.Telemetry'
+		exit 1
+	fi
+
 	echo "== one cascade driver =="
 	# Scheme selection (pick -> estimate on a sample -> encode, recursively)
 	# is written once, in internal/core/cascade.go, for all four column

@@ -19,11 +19,12 @@
 // and which schemes were chosen how often. Both read only headers —
 // payloads are never decompressed.
 //
-// trace compresses a CSV with the cascade decision tracer attached and
-// prints, per block, every candidate scheme the picker scored with its
-// sample-estimated ratio, the winner, and the cascade tree — as JSON
-// (schema in OBSERVABILITY.md) or a human-readable tree. -validate
-// checks the trace against the schema and fails on any violation.
+// trace compresses a CSV with a telemetry recorder attached and prints
+// its decision trace: per block, every candidate scheme the picker
+// scored with its sample-estimated ratio, the winner, and the cascade
+// tree — as JSON (schema in OBSERVABILITY.md) or a human-readable tree.
+// -validate checks the trace against the schema and fails on any
+// violation.
 //
 // spans renders a span snapshot fetched from a server's /v1/spans
 // endpoint (btrserved or btringest; "-" reads stdin, pairing with curl)
@@ -186,12 +187,11 @@ func runTrace(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tracer := btrblocks.NewTracer()
-	opt := &btrblocks.Options{BlockSize: *block, Trace: tracer}
+	opt := &btrblocks.Options{BlockSize: *block, Telemetry: btrblocks.NewTelemetry()}
 	if _, err := btrblocks.CompressChunk(chunk, opt); err != nil {
 		return err
 	}
-	tr := tracer.Snapshot()
+	tr := opt.Telemetry.Snapshot().Trace()
 	if *validate {
 		if err := tr.Validate(); err != nil {
 			return err

@@ -80,8 +80,7 @@ func serve(dir string, cfg blockstore.Config, kit *serverkit.Flags, logger *slog
 			attrs := []any{"cache_hits", c.Hits, "cache_misses", c.Misses,
 				"decoded_blocks", c.DecodedBlocks, "decoded_bytes", c.DecodedBytes}
 			if opt := store.Options(); opt != nil && opt.Telemetry.Enabled() {
-				snap := opt.Telemetry.Snapshot()
-				attrs = append(attrs, "blocks_compressed", snap.Blocks, "decode_latency", snap.DecodeLatency.String())
+				attrs = append(attrs, "decode_latency", opt.Telemetry.Snapshot().DecodeLatency.String())
 			}
 			return attrs
 		},

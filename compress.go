@@ -85,7 +85,6 @@ func compressColumnBlocks(ctx context.Context, col Column, opt *Options) ([][]by
 	}
 	cfg := opt.coreConfig()
 	rec := opt.telemetryRecorder()
-	tracer := opt.tracer()
 	bs := opt.blockSize()
 	n := col.Len()
 	numBlocks := (n + bs - 1) / bs
@@ -100,7 +99,7 @@ func compressColumnBlocks(ctx context.Context, col Column, opt *Options) ([][]by
 		if hi > n {
 			hi = n
 		}
-		blocks[b] = compressBlock(&col, b, lo, hi, cfg, workerScratch(scratches, w), rec, tracer)
+		blocks[b] = compressBlock(&col, b, lo, hi, cfg, workerScratch(scratches, w), rec)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -133,15 +132,15 @@ func releaseScratches(scratches []*core.Scratch) {
 }
 
 // compressBlock encodes one block with the calling worker's scratch
-// arena, routing through the observed path when a telemetry recorder or a
-// decision tracer is set.
-func compressBlock(col *Column, block, lo, hi int, base *core.Config, scr *core.Scratch, rec *obs.Telemetry, tracer *Tracer) []byte {
+// arena, routing through the observed path when a telemetry recorder is
+// set.
+func compressBlock(col *Column, block, lo, hi int, base *core.Config, scr *core.Scratch, rec *obs.Telemetry) []byte {
 	cfg := *base
 	cfg.Scratch = scr
-	if rec == nil && tracer == nil {
+	if rec == nil {
 		return encodeBlock(col, lo, hi, &cfg)
 	}
-	return recordBlock(col, block, lo, hi, &cfg, rec, tracer)
+	return recordBlock(col, block, lo, hi, &cfg, rec)
 }
 
 // encodeBlock encodes rows [lo, hi) of col as:
@@ -332,7 +331,6 @@ func CompressChunk(chunk *Chunk, opt *Options) (*CompressedChunk, error) {
 
 	cfg := opt.coreConfig()
 	rec := opt.telemetryRecorder()
-	tracer := opt.tracer()
 	scratches := make([]*core.Scratch, parallel.Workers(parallelism(opt)))
 	_ = parallel.ObservedWorkers(context.Background(), len(tasks), parallelism(opt), pathCompressChunk, observerOf(rec), func(w, i int) error {
 		t := tasks[i]
@@ -342,7 +340,7 @@ func CompressChunk(chunk *Chunk, opt *Options) (*CompressedChunk, error) {
 		if hi > col.Len() {
 			hi = col.Len()
 		}
-		blockBufs[t.col][t.block] = compressBlock(col, t.block, lo, hi, cfg, workerScratch(scratches, w), rec, tracer)
+		blockBufs[t.col][t.block] = compressBlock(col, t.block, lo, hi, cfg, workerScratch(scratches, w), rec)
 		return nil
 	})
 	releaseScratches(scratches)

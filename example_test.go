@@ -117,9 +117,9 @@ func Example_telemetry() {
 		panic(err)
 	}
 	snap := opt.Telemetry.Snapshot()
-	ev := snap.Events[0]
-	fmt.Printf("%d block(s), root scheme %s\n", snap.Blocks, ev.Scheme)
-	fmt.Printf("%d -> %d bytes\n", ev.InputBytes, ev.OutputBytes)
+	root := snap.Events[0].Root
+	fmt.Printf("%d block(s), root scheme %s\n", snap.Blocks, root.Scheme)
+	fmt.Printf("%d -> %d bytes\n", root.InputBytes, root.OutputBytes)
 	// Output:
 	// 1 block(s), root scheme FastBP
 	// 256000 -> 16509 bytes

@@ -35,6 +35,27 @@ func FuzzDecompressColumn(f *testing.F) {
 		_, _ = Count(data, IntEq(1), opt)
 		_, _ = Count(data, DoubleEq(0.99), opt)
 		_, _ = Count(data, StringEq("a"), opt)
+		// A column file caps each block's decode at the rows its index
+		// declares, so the bound is charged to those rows, or to
+		// fuzzDecodeCap as for a stream when it declares fewer (a fresh
+		// scratch arena is a fixed cost); a materialized string column may
+		// allocate the bytes it returns on top.
+		ix, err := ParseColumnIndex(data)
+		if err != nil {
+			return
+		}
+		rows, width := max(ix.Rows, fuzzDecodeCap), 8
+		if ix.Type == TypeInt {
+			width = 4
+		}
+		checkAllocs(t, rows, width, len(data), func() int {
+			col, _ := DecompressColumn(data, opt)
+			return len(col.Strings.Data)
+		})
+		checkAllocs(t, rows, 8, len(data), func() int {
+			_, _, _ = DecompressStringViews(data, opt)
+			return 0
+		})
 	})
 }
 
@@ -76,13 +97,21 @@ const (
 func checkAllocBound(t *testing.T, data []byte, width int, decode func(capped *core.Config)) {
 	t.Helper()
 	capped := &core.Config{MaxDecodedValues: fuzzDecodeCap}
+	checkAllocs(t, fuzzDecodeCap, width, len(data), func() int { decode(capped); return 0 })
+}
+
+// checkAllocs runs decode once and fails t if it allocated more than
+// fuzzAllocMultiple × (values × width + inputBytes) bytes plus the
+// output bytes decode reports beyond its values' width.
+func checkAllocs(t *testing.T, values, width, inputBytes int, decode func() (outputBytes int)) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	decode(capped)
+	out := decode()
 	runtime.ReadMemStats(&after)
-	bound := fuzzAllocMultiple * (fuzzDecodeCap*width + len(data))
+	bound := fuzzAllocMultiple*(values*width+inputBytes) + out
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(bound) {
-		t.Fatalf("decoding %d bytes capped at %d values allocated %d bytes, bound %d", len(data), fuzzDecodeCap, got, bound)
+		t.Fatalf("decoding %d bytes capped at %d values allocated %d bytes, bound %d", inputBytes, values, got, bound)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -83,6 +84,26 @@ func TestServerTraceEndpoint(t *testing.T) {
 	}
 	if _, err := cl.Trace(ctx, "t/i.btr", 99); err == nil {
 		t.Fatal("out-of-range block accepted")
+	}
+}
+
+// TestStoreTraceCancelled checks that a trace stops with its caller: a
+// cancelled context returns context.Canceled before any block is decoded
+// for re-compression.
+func TestStoreTraceCancelled(t *testing.T) {
+	contents, _ := testCorpus(t)
+	store, err := NewStore(contents, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := store.Trace(ctx, "t/i.btr", -1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled trace: err = %v, want context.Canceled", err)
+	}
+	if got := store.Metrics().Cache().DecodedBlocks; got != 0 {
+		t.Fatalf("cancelled trace decoded %d blocks", got)
 	}
 }
 

@@ -239,7 +239,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		idx = n
 	}
-	tr, err := s.store.Trace(name, idx)
+	tr, err := s.store.Trace(r.Context(), name, idx)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -684,12 +684,14 @@ func (s *Store) prefetchWorker() {
 
 // Trace re-derives the cascade decision trace for one block (or every
 // block when idx < 0) of a column file. The block is decoded through the
-// cache, then re-compressed with a decision tracer attached; because
-// sampling is seeded per block and NULL densification is idempotent, the
-// re-compression reproduces the choice the stored block embodies, now
-// with the full candidate slate the picker scored. CPU-heavier than a
-// plain block fetch — this is a debugging endpoint, not a scan path.
-func (s *Store) Trace(name string, idx int) (*btrblocks.DecisionTrace, error) {
+// cache, then re-compressed with a fresh telemetry recorder attached
+// (never the store's own); because sampling is seeded per block and NULL
+// densification is idempotent, the re-compression reproduces the choice
+// the stored block embodies, now with the full candidate slate the
+// picker scored. CPU-heavier than a plain block fetch — this is a
+// debugging endpoint, not a scan path. Cancelling ctx stops the walk
+// between blocks and the re-compression's encode tasks.
+func (s *Store) Trace(ctx context.Context, name string, idx int) (*btrblocks.DecisionTrace, error) {
 	f, err := s.column(name)
 	if err != nil {
 		return nil, err
@@ -698,25 +700,26 @@ func (s *Store) Trace(name string, idx int) (*btrblocks.DecisionTrace, error) {
 	if idx < 0 {
 		first, last = 0, len(f.Index.Blocks)-1
 	}
-	tracer := btrblocks.NewTracer()
 	var opt btrblocks.Options
 	if s.cfg.Options != nil {
 		opt = *s.cfg.Options
 	}
-	opt.Telemetry = nil
-	opt.Trace = tracer
+	opt.Telemetry = btrblocks.NewTelemetry()
 	out := &btrblocks.DecisionTrace{Version: btrblocks.TraceVersion}
 	for b := first; b <= last; b++ {
-		blk, err := s.cachedBlock(context.Background(), name, b)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		blk, err := s.cachedBlock(ctx, name, b)
 		if err != nil {
 			return nil, err
 		}
-		tracer.Reset()
+		opt.Telemetry.Reset()
 		opt.BlockSize = blk.Rows()
-		if _, err := btrblocks.CompressColumn(blk.Col, &opt); err != nil {
+		if _, err := btrblocks.CompressColumnContext(ctx, blk.Col, &opt); err != nil {
 			return nil, err
 		}
-		tr := tracer.Snapshot()
+		tr := opt.Telemetry.Snapshot().Trace()
 		for i := range tr.Blocks {
 			// The re-compression sees a one-block column; restore the
 			// block's real index within the file.

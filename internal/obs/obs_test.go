@@ -188,46 +188,6 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
-func TestTracerConcurrentAndSorted(t *testing.T) {
-	tr := NewTracer()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tr.Record(BlockTraceFromDecisions("col", g*50+i, "integer", 10, 1, decisionsForTest()))
-			}
-		}(g)
-	}
-	wg.Wait()
-	snap := tr.Snapshot()
-	if len(snap.Blocks) != 200 {
-		t.Fatalf("%d blocks, want 200", len(snap.Blocks))
-	}
-	for i := range snap.Blocks {
-		if snap.Blocks[i].Block != i {
-			t.Fatalf("blocks not sorted: index %d holds block %d", i, snap.Blocks[i].Block)
-		}
-	}
-	tr.Reset()
-	if got := tr.Snapshot(); len(got.Blocks) != 0 {
-		t.Errorf("Reset left %d blocks", len(got.Blocks))
-	}
-}
-
-func TestNilTracer(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer enabled")
-	}
-	tr.Record(BlockTrace{}) // must not panic
-	tr.Reset()
-	if snap := tr.Snapshot(); snap.Version != TraceVersion || len(snap.Blocks) != 0 {
-		t.Errorf("nil snapshot: %+v", snap)
-	}
-}
-
 func TestRenderTree(t *testing.T) {
 	bt := BlockTraceFromDecisions("price", 2, "integer", 100, 1, decisionsForTest())
 	var b strings.Builder

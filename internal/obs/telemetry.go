@@ -3,86 +3,26 @@ package obs
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"btrblocks/internal/core"
 )
 
-// This file collects per-block compression telemetry: which scheme the
-// sampling-based selection chose at every cascade level, the estimated
-// versus achieved compression ratio, byte counts, cascade depth, and
-// where the compression time went (scheme selection versus encoding).
+// This file collects per-block compression telemetry: one decision
+// trace per compressed block (BlockTrace: the cascade tree of picks with
+// every candidate scored, byte counts and timings), plus decode-side
+// counters.
 //
 // The entry point is Telemetry. A nil *Telemetry is valid and disables
 // all collection: every method is a no-op on nil, so the compression
 // path can call RecordBlock unconditionally behind a single pointer
 // check. The recorder is safe for concurrent use — CompressChunk records
-// from many worker goroutines. Snapshot returns an immutable aggregate
-// view (the data behind the paper's Table 2 and Figure 2), and
-// TelemetrySnapshot.Report renders it as text.
-
-// BlockEvent is the telemetry record for one compressed block.
-type BlockEvent struct {
-	// Column and Block identify the block: column name and zero-based
-	// block index within the column.
-	Column string
-	Block  int
-	// Type is the column's type name ("integer", "double", …).
-	Type string
-	// Rows is the number of values in the block.
-	Rows int
-	// Scheme is the root scheme chosen for the block.
-	Scheme string
-	// EstimatedRatio is the root pick's sample-based estimate;
-	// ActualRatio is InputBytes/OutputBytes as achieved.
-	EstimatedRatio float64
-	ActualRatio    float64
-	// InputBytes and OutputBytes are the block's uncompressed size and
-	// the size of its encoded data stream (excluding the block framing
-	// and NULL bitmap).
-	InputBytes  int
-	OutputBytes int
-	// CascadeDepth is the number of cascade levels actually used
-	// (1 = the root scheme had no compressed sub-streams).
-	CascadeDepth int
-	// SampleNanos is the total scheme-selection time across all levels;
-	// CompressNanos is the block's total wall-clock compression time
-	// (selection included).
-	SampleNanos   int64
-	CompressNanos int64
-	// Levels lists every selection decision in the block in the order
-	// the cascade made them (sub-streams first, the root last), as
-	// childless decision-trace nodes.
-	Levels []Node
-}
-
-// BlockEventFromDecisions flattens a block's decision trail into its
-// telemetry record.
-func BlockEventFromDecisions(column string, block int, typ string, rows int, compressNanos int64, decisions []core.Decision) BlockEvent {
-	ev := BlockEvent{Column: column, Block: block, Type: typ, Rows: rows, CompressNanos: compressNanos}
-	for _, d := range decisions {
-		ev.SampleNanos += d.PickNanos
-		if d.Level+1 > ev.CascadeDepth {
-			ev.CascadeDepth = d.Level + 1
-		}
-		ev.Levels = append(ev.Levels, *nodeFromDecision(d))
-	}
-	// Decisions arrive post-order, so the block's root decision is last.
-	if n := len(ev.Levels); n > 0 {
-		root := &ev.Levels[n-1]
-		ev.Scheme = root.Scheme
-		ev.EstimatedRatio = root.EstimatedRatio
-		ev.InputBytes = root.InputBytes
-		ev.OutputBytes = root.OutputBytes
-		ev.ActualRatio = root.ActualRatio
-	}
-	return ev
-}
+// from many worker goroutines. Snapshot derives the aggregate view (the
+// data behind the paper's Table 2 and Figure 2) from the block records,
+// TelemetrySnapshot.Report renders it as text, and
+// TelemetrySnapshot.Trace returns the records as a decision trace.
 
 // ratioBuckets are the upper bounds of the compression-ratio histogram;
 // the last bucket is unbounded.
@@ -124,19 +64,20 @@ func (h *RatioHistogram) Total() int {
 	return n
 }
 
-// Telemetry accumulates block events and aggregate counters. The zero
-// value is ready to use; a nil *Telemetry discards everything.
+// Telemetry accumulates block records and decode-side counters. The
+// zero value is ready to use; a nil *Telemetry discards everything.
 type Telemetry struct {
 	mu sync.Mutex
-	// agg is the aggregate state Snapshot copies out; its latency and
-	// parallel-path fields are filled from the fields below.
-	agg TelemetrySnapshot
+	// blocks holds one decision trace per compressed block, in recording
+	// order; Snapshot derives every compress-side aggregate from them.
+	blocks []BlockTrace
 
-	// Per-block latency distributions: sums alone hide tail behavior, so
-	// compress and decode wall times also feed shared log-scale
-	// histograms (p50/p95/p99 in Snapshot).
-	compressHist Histogram
-	decodeHist   Histogram
+	// Decode-side counters (RecordDecode, RecordCorruption). decodeHist
+	// keeps the per-block decode wall times: sums alone hide tail
+	// behavior (p50/p95/p99 in Snapshot).
+	decodeBlocks, decodeValues, decodeBytes, decodeNanos int64
+	corruptBlocks                                        int64
+	decodeHist                                           Histogram
 
 	// Parallel-path scheduling stats (RecordWorkers / ObserveQueueWait),
 	// keyed by path name ("decompress_chunk", "query", …). Histograms
@@ -158,42 +99,15 @@ func NewTelemetry() *Telemetry { return &Telemetry{} }
 // non-nil).
 func (r *Telemetry) Enabled() bool { return r != nil }
 
-// RecordBlock adds one block event. Safe for concurrent use; a no-op on
-// a nil receiver.
-func (r *Telemetry) RecordBlock(ev BlockEvent) {
+// RecordBlock adds one block's decision trace. Safe for concurrent use;
+// a no-op on a nil receiver.
+func (r *Telemetry) RecordBlock(bt BlockTrace) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	a := &r.agg
-	a.Events = append(a.Events, ev)
-	a.Blocks++
-	a.InputBytes += int64(ev.InputBytes)
-	a.OutputBytes += int64(ev.OutputBytes)
-	a.SampleNanos += ev.SampleNanos
-	a.CompressNanos += ev.CompressNanos
-	if a.RootPicks == nil {
-		a.RootPicks = make(map[string]map[string]int)
-		a.CascadePicks = make(map[string]map[string]int)
-		a.DepthHist = make(map[int]int)
-	}
-	bump(a.RootPicks, ev.Type, ev.Scheme)
-	for _, lv := range ev.Levels {
-		bump(a.CascadePicks, lv.Kind, lv.Scheme)
-	}
-	a.DepthHist[ev.CascadeDepth]++
-	a.RatioHist.add(ev.ActualRatio)
-	r.compressHist.Observe(time.Duration(ev.CompressNanos))
-}
-
-func bump(m map[string]map[string]int, outer, inner string) {
-	mm := m[outer]
-	if mm == nil {
-		mm = make(map[string]int)
-		m[outer] = mm
-	}
-	mm[inner]++
+	r.blocks = append(r.blocks, bt)
+	r.mu.Unlock()
 }
 
 // RecordDecode adds decode-side counters: blocks decoded, values
@@ -208,10 +122,10 @@ func (r *Telemetry) RecordDecode(blocks, values, compressedBytes int, nanos int6
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.agg.DecodeBlocks += int64(blocks)
-	r.agg.DecodeValues += int64(values)
-	r.agg.DecodeBytes += int64(compressedBytes)
-	r.agg.DecodeNanos += nanos
+	r.decodeBlocks += int64(blocks)
+	r.decodeValues += int64(values)
+	r.decodeBytes += int64(compressedBytes)
+	r.decodeNanos += nanos
 	r.decodeHist.Observe(time.Duration(nanos))
 }
 
@@ -225,7 +139,7 @@ func (r *Telemetry) RecordCorruption(blocks int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.agg.CorruptBlocks += int64(blocks)
+	r.corruptBlocks += int64(blocks)
 }
 
 // RecordWorkers notes one worker-pool run on the named parallel path
@@ -279,21 +193,25 @@ func (r *Telemetry) Reset() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.agg = TelemetrySnapshot{}
-	r.compressHist.Reset()
+	r.blocks = nil
+	r.decodeBlocks, r.decodeValues, r.decodeBytes, r.decodeNanos = 0, 0, 0, 0
+	r.corruptBlocks = 0
 	r.decodeHist.Reset()
 	r.parallelPaths = nil
 }
 
-// TelemetrySnapshot is an immutable copy of a Telemetry's state.
+// TelemetrySnapshot is an immutable copy of a Telemetry's state. The
+// compress-side fields, Blocks through CompressLatency, are derived from
+// Events.
 type TelemetrySnapshot struct {
 	// Blocks is the number of blocks recorded.
 	Blocks int
 	// InputBytes and OutputBytes sum the per-block byte counts.
 	InputBytes  int64
 	OutputBytes int64
-	// SampleNanos and CompressNanos sum selection and total compression
-	// time across blocks.
+	// SampleNanos and CompressNanos sum selection time (PickNanos over
+	// every node of every block's tree) and total compression time
+	// across blocks.
 	SampleNanos   int64
 	CompressNanos int64
 	// RootPicks counts root-scheme choices per column type
@@ -322,8 +240,9 @@ type TelemetrySnapshot struct {
 	// Parallel summarizes worker-pool scheduling per parallel path
 	// (path name → workers, runs, queue-wait distribution).
 	Parallel map[string]ParallelPathStats `json:",omitempty"`
-	// Events holds every block event, ordered by (column, block).
-	Events []BlockEvent
+	// Events holds every block's decision trace, ordered by (column,
+	// block).
+	Events []BlockTrace
 }
 
 // ParallelPathStats summarizes worker-pool scheduling for one parallel
@@ -335,25 +254,23 @@ type ParallelPathStats struct {
 	QueueWait HistogramSnapshot
 }
 
-// Snapshot returns a copy of the recorder's aggregate state. Events are
-// sorted by (column, block index) so concurrent recording yields a
-// deterministic snapshot. Returns a zero Snapshot on a nil receiver.
+// Snapshot returns a copy of the recorder's state. Events are sorted by
+// (column, block index) so concurrent recording yields a deterministic
+// snapshot. Returns a zero Snapshot on a nil receiver.
 func (r *Telemetry) Snapshot() TelemetrySnapshot {
 	if r == nil {
 		return TelemetrySnapshot{}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.agg
-	s.RootPicks = copyCounts(r.agg.RootPicks)
-	s.CascadePicks = copyCounts(r.agg.CascadePicks)
-	s.DepthHist = make(map[int]int, len(r.agg.DepthHist))
-	for d, c := range r.agg.DepthHist {
-		s.DepthHist[d] = c
+	s := TelemetrySnapshot{
+		DecodeBlocks:  r.decodeBlocks,
+		DecodeValues:  r.decodeValues,
+		DecodeBytes:   r.decodeBytes,
+		DecodeNanos:   r.decodeNanos,
+		CorruptBlocks: r.corruptBlocks,
+		DecodeLatency: r.decodeHist.Snapshot(),
+		Events:        slices.Clone(r.blocks),
 	}
-	s.CompressLatency = r.compressHist.Snapshot()
-	s.DecodeLatency = r.decodeHist.Snapshot()
-	s.Events = append([]BlockEvent(nil), r.agg.Events...)
 	if len(r.parallelPaths) > 0 {
 		s.Parallel = make(map[string]ParallelPathStats, len(r.parallelPaths))
 		for path, p := range r.parallelPaths {
@@ -364,18 +281,54 @@ func (r *Telemetry) Snapshot() TelemetrySnapshot {
 			}
 		}
 	}
-	slices.SortStableFunc(s.Events, func(a, b BlockEvent) int {
+	r.mu.Unlock()
+	slices.SortStableFunc(s.Events, func(a, b BlockTrace) int {
 		return cmp.Or(strings.Compare(a.Column, b.Column), cmp.Compare(a.Block, b.Block))
 	})
+	s.aggregate()
 	return s
 }
 
-func copyCounts(m map[string]map[string]int) map[string]map[string]int {
-	out := make(map[string]map[string]int, len(m))
-	for k, mm := range m {
-		out[k] = maps.Clone(mm)
+// aggregate derives the compress-side fields from Events.
+func (s *TelemetrySnapshot) aggregate() {
+	s.RootPicks = make(map[string]map[string]int)
+	s.CascadePicks = make(map[string]map[string]int)
+	s.DepthHist = make(map[int]int)
+	var latency Histogram
+	for i := range s.Events {
+		b := &s.Events[i]
+		s.Blocks++
+		s.CompressNanos += b.CompressNanos
+		latency.Observe(time.Duration(b.CompressNanos))
+		s.DepthHist[b.CascadeDepth]++
+		if b.Root == nil {
+			continue
+		}
+		s.InputBytes += int64(b.Root.InputBytes)
+		s.OutputBytes += int64(b.Root.OutputBytes)
+		s.RatioHist.add(b.Root.ActualRatio)
+		bump(s.RootPicks, b.Type, b.Root.Scheme)
+		b.Root.walk(func(n *Node) {
+			s.SampleNanos += n.PickNanos
+			bump(s.CascadePicks, n.Kind, n.Scheme)
+		})
 	}
-	return out
+	s.CompressLatency = latency.Snapshot()
+}
+
+func bump(m map[string]map[string]int, outer, inner string) {
+	mm := m[outer]
+	if mm == nil {
+		mm = make(map[string]int)
+		m[outer] = mm
+	}
+	mm[inner]++
+}
+
+// Trace returns the snapshot's block records as the versioned decision
+// trace document.
+func (s TelemetrySnapshot) Trace() Trace {
+	return Trace{Version: TraceVersion, Blocks: s.Events}
 }
 
 // Ratio returns the overall achieved compression factor.

@@ -12,33 +12,38 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	r.RecordBlock(BlockEvent{Column: "x"})
+	r.RecordBlock(BlockTrace{Column: "x"})
 	r.Reset()
 	s := r.Snapshot()
 	if s.Blocks != 0 || len(s.Events) != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", s)
 	}
+	if tr := s.Trace(); tr.Version != TraceVersion || len(tr.Blocks) != 0 {
+		t.Fatalf("nil recorder trace: %+v", tr)
+	}
 }
 
 func TestAggregation(t *testing.T) {
 	r := NewTelemetry()
-	r.RecordBlock(BlockEvent{
+	r.RecordBlock(BlockTrace{
 		Column: "a", Block: 0, Type: "integer", Rows: 10,
-		Scheme: "RLE", EstimatedRatio: 5, ActualRatio: 4.5,
-		InputBytes: 40, OutputBytes: 9, CascadeDepth: 2,
-		SampleNanos: 100, CompressNanos: 400,
-		Levels: []Node{
-			{Depth: 0, Kind: "int", Scheme: "RLE"},
-			{Depth: 1, Kind: "int", Scheme: "OneValue"},
-			{Depth: 1, Kind: "int", Scheme: "FastBP"},
+		CascadeDepth: 2, CompressNanos: 400,
+		Root: &Node{
+			Depth: 0, Kind: "int", Scheme: "RLE", EstimatedRatio: 5, ActualRatio: 4.5,
+			InputBytes: 40, OutputBytes: 9, PickNanos: 60,
+			Children: []*Node{
+				{Depth: 1, Kind: "int", Scheme: "OneValue", PickNanos: 15},
+				{Depth: 1, Kind: "int", Scheme: "FastBP", PickNanos: 25},
+			},
 		},
 	})
-	r.RecordBlock(BlockEvent{
+	r.RecordBlock(BlockTrace{
 		Column: "a", Block: 1, Type: "integer", Rows: 10,
-		Scheme: "FastBP", EstimatedRatio: 2, ActualRatio: 1.8,
-		InputBytes: 40, OutputBytes: 22, CascadeDepth: 1,
-		SampleNanos: 50, CompressNanos: 100,
-		Levels: []Node{{Depth: 0, Kind: "int", Scheme: "FastBP"}},
+		CascadeDepth: 1, CompressNanos: 100,
+		Root: &Node{
+			Depth: 0, Kind: "int", Scheme: "FastBP", EstimatedRatio: 2, ActualRatio: 1.8,
+			InputBytes: 40, OutputBytes: 22, PickNanos: 50,
+		},
 	})
 	s := r.Snapshot()
 	if s.Blocks != 2 {
@@ -60,8 +65,15 @@ func TestAggregation(t *testing.T) {
 	if s.RatioHist.Counts[1] != 1 || s.RatioHist.Counts[3] != 1 {
 		t.Fatalf("ratio histogram = %v", s.RatioHist.Counts)
 	}
+	// Selection time sums PickNanos over every node of both trees.
+	if s.SampleNanos != 150 || s.CompressNanos != 500 {
+		t.Fatalf("sample %dns of %dns, want 150 of 500", s.SampleNanos, s.CompressNanos)
+	}
 	if s.SampleFraction() != 150.0/500.0 {
 		t.Fatalf("sample fraction = %v", s.SampleFraction())
+	}
+	if s.CompressLatency.Count != 2 {
+		t.Fatalf("compress latency count = %d, want 2", s.CompressLatency.Count)
 	}
 	rep := s.Report()
 	for _, want := range []string{"blocks: 2", "RLE", "FastBP", "cascade depth used"} {
@@ -71,30 +83,43 @@ func TestAggregation(t *testing.T) {
 	}
 }
 
+// TestSnapshotEventOrderDeterministic records from several goroutines:
+// Events and the Trace built from them come out in (column, block)
+// order whatever the recording order was.
 func TestSnapshotEventOrderDeterministic(t *testing.T) {
 	r := NewTelemetry()
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
-			r.RecordBlock(BlockEvent{Column: "c", Block: i, ActualRatio: 1})
-		}(i)
+			for i := 0; i < 50; i++ {
+				r.RecordBlock(BlockTraceFromDecisions("col", g*50+i, "integer", 10, 1, decisionsForTest()))
+			}
+		}(g)
 	}
 	wg.Wait()
-	s := r.Snapshot()
-	for i, ev := range s.Events {
-		if ev.Block != i {
-			t.Fatalf("event %d has block %d; snapshot not sorted", i, ev.Block)
+	tr := r.Snapshot().Trace()
+	if len(tr.Blocks) != 200 {
+		t.Fatalf("%d blocks, want 200", len(tr.Blocks))
+	}
+	for i := range tr.Blocks {
+		if tr.Blocks[i].Block != i {
+			t.Fatalf("blocks not sorted: index %d holds block %d", i, tr.Blocks[i].Block)
 		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReset(t *testing.T) {
 	r := NewTelemetry()
-	r.RecordBlock(BlockEvent{Column: "a", ActualRatio: 2})
+	r.RecordBlock(BlockTraceFromDecisions("a", 0, "integer", 100, 1, decisionsForTest()))
+	r.RecordDecode(1, 100, 40, 1000)
+	r.RecordCorruption(1)
 	r.Reset()
-	if s := r.Snapshot(); s.Blocks != 0 || len(s.Events) != 0 {
+	if s := r.Snapshot(); s.Blocks != 0 || len(s.Events) != 0 || s.DecodeBlocks != 0 || s.DecodeLatency.Count != 0 || s.CorruptBlocks != 0 {
 		t.Fatalf("reset left data: %+v", s)
 	}
 }

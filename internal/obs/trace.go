@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
-	"sync"
 
 	"btrblocks/internal/core"
 )
@@ -113,6 +110,14 @@ func BlockTraceFromDecisions(column string, block int, typ string, rows int, com
 	return bt
 }
 
+// walk calls f on n and every node below it, parents first.
+func (n *Node) walk(f func(*Node)) {
+	f(n)
+	for _, c := range n.Children {
+		c.walk(f)
+	}
+}
+
 // nodeFromDecision is one decision as a childless tree node.
 func nodeFromDecision(d core.Decision) *Node {
 	n := &Node{
@@ -128,6 +133,9 @@ func nodeFromDecision(d core.Decision) *Node {
 	if d.OutputBytes > 0 {
 		n.ActualRatio = float64(d.InputBytes) / float64(d.OutputBytes)
 	}
+	if len(d.Candidates) > 0 {
+		n.Candidates = make([]Candidate, 0, len(d.Candidates))
+	}
 	for _, c := range d.Candidates {
 		n.Candidates = append(n.Candidates, Candidate{
 			Scheme:         c.Code.String(),
@@ -137,58 +145,6 @@ func nodeFromDecision(d core.Decision) *Node {
 		})
 	}
 	return n
-}
-
-// Tracer is a thread-safe sink for block decision traces. Attach one to
-// Options.Trace and read it back with Snapshot. A nil *Tracer is valid
-// and records nothing, so the compression path can call Record
-// unconditionally behind one pointer check.
-type Tracer struct {
-	mu     sync.Mutex
-	blocks []BlockTrace
-}
-
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer { return &Tracer{} }
-
-// Enabled reports whether the tracer collects anything (is non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Record adds one block trace. Safe for concurrent use; no-op on nil.
-func (t *Tracer) Record(bt BlockTrace) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.blocks = append(t.blocks, bt)
-}
-
-// Reset discards all recorded traces.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.blocks = nil
-}
-
-// Snapshot returns the recorded traces as a Trace document sorted by
-// (column, block), so concurrent recording yields deterministic output.
-// Returns an empty document on a nil receiver.
-func (t *Tracer) Snapshot() Trace {
-	out := Trace{Version: TraceVersion}
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	out.Blocks = append([]BlockTrace(nil), t.blocks...)
-	t.mu.Unlock()
-	slices.SortStableFunc(out.Blocks, func(a, b BlockTrace) int {
-		return cmp.Or(strings.Compare(a.Column, b.Column), cmp.Compare(a.Block, b.Block))
-	})
-	return out
 }
 
 // RenderTree writes the trace as a human-readable indented tree, one

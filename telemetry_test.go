@@ -31,26 +31,40 @@ func TestTelemetryRecordsBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ev := range snap.Events {
-		if ev.Column != col.Name || ev.Block != i {
-			t.Fatalf("event %d: %s/%d", i, ev.Column, ev.Block)
+	for i, bt := range snap.Events {
+		if bt.Column != col.Name || bt.Block != i {
+			t.Fatalf("block trace %d: %s/%d", i, bt.Column, bt.Block)
 		}
-		if got := info.Columns[0].Blocks[i].Data.Code.String(); ev.Scheme != got {
-			t.Fatalf("block %d: telemetry says %s, file says %s", i, ev.Scheme, got)
+		if bt.Root == nil || bt.CascadeDepth < 1 {
+			t.Fatalf("block %d: depth %d, root %v", i, bt.CascadeDepth, bt.Root)
 		}
-		if ev.CascadeDepth < 1 || len(ev.Levels) == 0 {
-			t.Fatalf("block %d: depth %d, %d levels", i, ev.CascadeDepth, len(ev.Levels))
+		if got := info.Columns[0].Blocks[i].Data.Code.String(); bt.Root.Scheme != got {
+			t.Fatalf("block %d: telemetry says %s, file says %s", i, bt.Root.Scheme, got)
 		}
-		if ev.EstimatedRatio <= 0 || ev.ActualRatio <= 0 {
-			t.Fatalf("block %d: est %.2f actual %.2f", i, ev.EstimatedRatio, ev.ActualRatio)
+		if bt.Root.EstimatedRatio <= 0 || bt.Root.ActualRatio <= 0 {
+			t.Fatalf("block %d: est %.2f actual %.2f", i, bt.Root.EstimatedRatio, bt.Root.ActualRatio)
 		}
-		if ev.CompressNanos <= 0 || ev.SampleNanos <= 0 || ev.SampleNanos > ev.CompressNanos {
-			t.Fatalf("block %d: sample %dns of %dns", i, ev.SampleNanos, ev.CompressNanos)
+		// Selection runs inside the block's compression, so the tree's
+		// pick time is part of its compress time.
+		if sample := pickNanos(bt.Root); bt.CompressNanos <= 0 || sample <= 0 || sample > bt.CompressNanos {
+			t.Fatalf("block %d: sample %dns of %dns", i, sample, bt.CompressNanos)
 		}
+	}
+	if err := snap.Trace().Validate(); err != nil {
+		t.Fatal(err)
 	}
 	if !strings.Contains(snap.Report(), "root scheme picks") {
 		t.Fatalf("report missing pick table:\n%s", snap.Report())
 	}
+}
+
+// pickNanos sums the selection time of n's subtree.
+func pickNanos(n *TraceNode) int64 {
+	sum := n.PickNanos
+	for _, c := range n.Children {
+		sum += pickNanos(c)
+	}
+	return sum
 }
 
 func TestTelemetryOutputIdenticalToUntracked(t *testing.T) {

@@ -32,12 +32,12 @@ func TestStringDecisionsGolden(t *testing.T) {
 
 	var got strings.Builder
 	for _, col := range []btrblocks.Column{tags, generated} {
-		tracer := btrblocks.NewTracer()
+		rec := btrblocks.NewTelemetry()
 		chunk := &btrblocks.Chunk{Columns: []btrblocks.Column{col}}
-		if _, err := btrblocks.CompressChunk(chunk, &btrblocks.Options{BlockSize: 800, Parallelism: 1, Trace: tracer}); err != nil {
+		if _, err := btrblocks.CompressChunk(chunk, &btrblocks.Options{BlockSize: 800, Parallelism: 1, Telemetry: rec}); err != nil {
 			t.Fatal(err)
 		}
-		for _, bt := range tracer.Snapshot().Blocks {
+		for _, bt := range rec.Snapshot().Events {
 			fmt.Fprintf(&got, "%s block %d: %d rows\n", bt.Column, bt.Block, bt.Rows)
 			writeDecisions(&got, bt.Root)
 		}

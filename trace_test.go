@@ -28,17 +28,18 @@ func mixedTraceColumn() Column {
 	return IntColumn("mixed", values)
 }
 
-// traceMixed compresses the golden column with a tracer attached and
-// returns the trace next to the compression's own per-block stats.
+// traceMixed compresses the golden column with a telemetry recorder
+// attached and returns its trace next to the compression's own
+// per-block stats.
 func traceMixed(t *testing.T) (DecisionTrace, ColumnStats) {
 	t.Helper()
-	tracer := NewTracer()
+	rec := NewTelemetry()
 	chunk := &Chunk{Columns: []Column{mixedTraceColumn()}}
-	cc, err := CompressChunk(chunk, &Options{BlockSize: 1000, Trace: tracer})
+	cc, err := CompressChunk(chunk, &Options{BlockSize: 1000, Telemetry: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tracer.Snapshot(), cc.Stats[0]
+	return rec.Snapshot().Trace(), cc.Stats[0]
 }
 
 func TestTraceMixedColumnGolden(t *testing.T) {
@@ -159,10 +160,10 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestTraceSharedSinkParallel drives many concurrent compressions into
-// one Tracer — the data-race satellite for the compression side (run
-// under -race in CI tier 2).
+// one recorder — the data-race check for the compression side (run
+// under -race in CI tier 1).
 func TestTraceSharedSinkParallel(t *testing.T) {
-	tracer := NewTracer()
+	rec := NewTelemetry()
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -171,13 +172,13 @@ func TestTraceSharedSinkParallel(t *testing.T) {
 			defer wg.Done()
 			col := mixedTraceColumn()
 			col.Name = fmt.Sprintf("col-%d", w)
-			if _, err := CompressColumn(col, &Options{BlockSize: 1000, Trace: tracer}); err != nil {
+			if _, err := CompressColumn(col, &Options{BlockSize: 1000, Telemetry: rec}); err != nil {
 				t.Error(err)
 			}
 		}(w)
 	}
 	wg.Wait()
-	tr := tracer.Snapshot()
+	tr := rec.Snapshot().Trace()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +196,16 @@ func TestTraceSharedSinkParallel(t *testing.T) {
 }
 
 // TestTraceDisabledIsDefault asserts the zero-overhead contract: no
-// tracer on Options means the compression path records nothing and the
-// nil receiver methods stay safe.
+// recorder on Options means the compression path records nothing, and
+// a nil recorder's trace is an empty versioned document.
 func TestTraceDisabledIsDefault(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
+	var rec *Telemetry
+	if _, err := CompressColumn(mixedTraceColumn(), &Options{BlockSize: 1000, Telemetry: rec}); err != nil {
+		t.Fatal(err)
 	}
-	tr.Record(BlockTrace{}) // must not panic
-	snap := tr.Snapshot()
-	if len(snap.Blocks) != 0 || snap.Version != TraceVersion {
-		t.Fatalf("nil snapshot: %+v", snap)
+	rec.RecordBlock(BlockTrace{}) // must not panic
+	tr := rec.Snapshot().Trace()
+	if len(tr.Blocks) != 0 || tr.Version != TraceVersion {
+		t.Fatalf("nil recorder trace: %+v", tr)
 	}
 }
