@@ -188,6 +188,56 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrentAndSorted records decision trees from several
+// goroutines into the one compress-side recorder: the Trace built from
+// its snapshot holds every block in (column, block) order, validates,
+// and is empty again after Reset.
+func TestTracerConcurrentAndSorted(t *testing.T) {
+	r := NewTelemetry()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r.RecordBlock(BlockTraceFromDecisions("col", g*50+i, "integer", 10, 1, decisionsForTest()))
+			}
+		}(g)
+	}
+	wg.Wait()
+	tr := r.Snapshot().Trace()
+	if len(tr.Blocks) != 200 {
+		t.Fatalf("%d blocks, want 200", len(tr.Blocks))
+	}
+	for i := range tr.Blocks {
+		if tr.Blocks[i].Block != i {
+			t.Fatalf("blocks not sorted: index %d holds block %d", i, tr.Blocks[i].Block)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset()
+	if got := r.Snapshot().Trace(); len(got.Blocks) != 0 {
+		t.Errorf("Reset left %d blocks", len(got.Blocks))
+	}
+}
+
+// TestNilTracer checks the decision-trace side of a nil recorder: it
+// is not enabled, recording and resetting do not panic, and its Trace
+// is empty but versioned.
+func TestNilTracer(t *testing.T) {
+	var r *Telemetry
+	if r.Enabled() {
+		t.Error("nil recorder enabled")
+	}
+	r.RecordBlock(BlockTrace{}) // must not panic
+	r.Reset()
+	if tr := r.Snapshot().Trace(); tr.Version != TraceVersion || len(tr.Blocks) != 0 {
+		t.Errorf("nil trace: %+v", tr)
+	}
+}
+
 func TestRenderTree(t *testing.T) {
 	bt := BlockTraceFromDecisions("price", 2, "integer", 100, 1, decisionsForTest())
 	var b strings.Builder
